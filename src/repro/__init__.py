@@ -16,7 +16,7 @@ Public API overview
     The SSD simulator substrate (flash array, OOB, allocator, cache, write
     buffer, GC, wear leveling, the trace-driven device model).
 ``repro.sim``
-    The event-driven engine: deterministic event loop, per-channel/per-die
+    The event-driven engine: deterministic event loop, per-channel
     NAND scheduling and the NCQ-style host frontend used when replays run
     at ``queue_depth > 1``.
 ``repro.host``

@@ -116,9 +116,7 @@ def run_crash_recovery(
         config,
         ftl,
         dram_budget=DRAMBudget(dram_bytes=config.dram_size),
-        options=SSDOptions(
-            queue_depth=scenario.queue_depth, gc_mode="background", engine="events"
-        ),
+        options=SSDOptions(queue_depth=scenario.queue_depth, gc_mode="background"),
     )
     checkpointer = None
     if interval_pages is not None:

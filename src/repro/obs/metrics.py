@@ -100,12 +100,12 @@ class MetricsSampler:
     def _sample(self, now_us: float) -> None:
         ssd = self._ssd
         stats = ssd.stats
-        gc = ssd._bg_gc
+        gc = ssd.gc
         row: Dict[str, float] = {
             "time_us": now_us,
             "free_blocks": float(ssd.allocator.free_block_count()),
             "free_block_ratio": ssd.allocator.free_ratio(),
-            "gc_running": 1.0 if gc.running else 0.0,
+            "gc_running": 1.0 if gc.active else 0.0,
             "gc_backlog": float(gc.backlog),
             "gc_urgent": 1.0 if ssd.gc_policy.below_hard_watermark(ssd.allocator) else 0.0,
             "cache_hit_ratio": stats.cache_hit_ratio,

@@ -3,12 +3,13 @@
 This package supplies the concurrency substrate of the SSD model:
 
 * :class:`repro.sim.events.EventLoop` — deterministic time-ordered queue;
-* :class:`repro.sim.nand.NANDScheduler` — per-channel-bus / per-die timing;
+* :class:`repro.sim.nand.NANDScheduler` — per-channel-bus timing;
 * :class:`repro.sim.frontend.HostFrontend` — NCQ-style request admission.
 
 :class:`repro.ssd.ssd.SimulatedSSD` uses these pieces when its
-``queue_depth`` option exceeds 1 (or when the event engine is forced),
-letting foreground reads genuinely overlap background flush and GC traffic.
+replay is open-loop, keeps more than one request outstanding or runs
+background GC, letting foreground reads genuinely overlap background flush
+and GC traffic.
 """
 
 from repro.sim.events import Event, EventLoop, SimulationLimitError
@@ -18,7 +19,7 @@ from repro.sim.frontend import (
     OpenLoopFrontend,
     interleave_streams,
 )
-from repro.sim.nand import NANDScheduler, TIMING_MODELS
+from repro.sim.nand import NANDScheduler
 
 __all__ = [
     "Event",
@@ -28,6 +29,5 @@ __all__ = [
     "HostFrontend",
     "OpenLoopFrontend",
     "NANDScheduler",
-    "TIMING_MODELS",
     "interleave_streams",
 ]

@@ -11,46 +11,27 @@ both timelines:
   after the bus transfer, so operations on *different* dies of the same
   channel overlap.
 
-Two timing models are supported:
-
-``"bus"`` (default)
-    Only the channel bus constrains start times; the die timeline is
-    tracked for utilization reporting but does not delay operations.  A
-    program occupies the bus for ``cell_time / dies_per_channel`` — the
-    steady-state share of a fully pipelined channel.  This reproduces the
-    synchronous simulator's latency accounting exactly.
-
-``"die"``
-    An operation additionally waits for its die to be idle and then holds
-    the die for the full cell time.  Stricter (burst programs to one die
-    serialize) and therefore produces slightly higher tail latencies.
+Only the channel bus constrains start times; the die timeline is tracked
+for utilization reporting but does not delay operations.  A program
+occupies the bus for ``cell_time / dies_per_channel`` — the steady-state
+share of a fully pipelined channel.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-TIMING_MODELS = ("bus", "die")
-
 
 class NANDScheduler:
     """Arbitrates channel-bus and die occupancy for flash operations."""
 
-    def __init__(
-        self,
-        channels: int,
-        dies_per_channel: int = 1,
-        timing_model: str = "bus",
-    ) -> None:
+    def __init__(self, channels: int, dies_per_channel: int = 1) -> None:
         if channels <= 0:
             raise ValueError("channels must be positive")
         if dies_per_channel <= 0:
             raise ValueError("dies_per_channel must be positive")
-        if timing_model not in TIMING_MODELS:
-            raise ValueError(f"timing_model must be one of {TIMING_MODELS}")
         self._channels = channels
         self._dies_per_channel = dies_per_channel
-        self.timing_model = timing_model
         self._bus_busy_until: List[float] = [0.0] * channels
         self._die_busy_until: List[List[float]] = [
             [0.0] * dies_per_channel for _ in range(channels)
@@ -122,15 +103,10 @@ class NANDScheduler:
             Time the operation occupies the channel bus.
         cell_us:
             Full cell-operation time charged to the die (defaults to
-            ``bus_us``).  Under the ``"die"`` model the die also gates the
-            start of the operation.
+            ``bus_us``); recorded, never gating.
         """
         busy = self._bus_busy_until[channel]
         start = at_us if at_us > busy else busy
-        if die is not None and self.timing_model == "die":
-            die_busy = self._die_busy_until[channel][die]
-            if die_busy > start:
-                start = die_busy
         finish = start + bus_us
         self._bus_busy_until[channel] = finish
         self._bus_time_us[channel] += bus_us
@@ -171,7 +147,6 @@ class NANDScheduler:
             return finish
         busy = self._bus_busy_until[channel]
         bus_total = self._bus_time_us[channel]
-        die_model = self.timing_model == "die"
         if die is None:
             for _ in range(count):
                 start = at_us if at_us > busy else busy
@@ -183,8 +158,6 @@ class NANDScheduler:
             cell = cell_us if cell_us is not None else bus_us
             for _ in range(count):
                 start = at_us if at_us > busy else busy
-                if die_model and die_busy > start:
-                    start = die_busy
                 busy = start + bus_us
                 bus_total += bus_us
                 occupied_until = start + cell

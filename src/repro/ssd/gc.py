@@ -1,12 +1,14 @@
-"""Garbage collection: pluggable victim policies and the background pipeline.
+"""Garbage collection: victim policies and the one reclaim mechanism.
 
 LeaFTL preserves the conventional GC of modern SSDs (Section 3.6 of the
 paper): when the free-block ratio drops below a threshold, victim blocks are
 selected, their valid pages migrated to freshly allocated blocks and the
-victims erased.  This module owns the *policy* side — when to collect, which
-blocks to pick — and the *scheduling* side of background collection; the SSD
-model (:class:`repro.ssd.ssd.SimulatedSSD`) performs the page movement,
-relearns the affected mappings and erases the victims.
+victims erased.  This module owns all of it.  The *policy* side decides when
+to collect and which blocks to pick; :class:`BackgroundGCController` is the
+*mechanism* — the only code in the tree that reads, migrates and erases a
+victim.  The device model (:class:`repro.ssd.ssd.SimulatedSSD`) just calls
+it from its flush hook and supplies the cold-stream program path that
+relearns the migrated mappings.
 
 Victim policies (all behind the :class:`GCPolicy` interface):
 
@@ -32,13 +34,21 @@ invocation would burn migration bandwidth for zero net gain.  Only below the
 *hard watermark* — free blocks critically low — are fully-valid victims
 allowed (the device must make forward progress even if only wear-moving).
 
-Background collection (:class:`BackgroundGCController`) runs the same
-migrate/erase mechanism as a pipeline of events on the simulator's event
-loop: one victim in flight at a time, staged as read → program → erase, each
-stage issued at the previous stage's completion.  Foreground requests that
-arrive between stages reserve the NAND channels first, so a read waits for
-at most one in-flight stage instead of a whole multi-victim reclaim burst —
-this is what flattens the GC-interference tail latencies.
+The mechanism is three stages written once — *read* a victim's valid
+pages, *migrate* the still-valid LPAs (sorted, relearned like a buffer
+flush) into the cold stream, *erase* the drained victim and return it to
+the free pool — and four drivers that differ only in when the stages run:
+
+* **threshold reclaim**, **urgent reclaim** (hard watermark) and
+  **wear-leveling passes** run the stages back to back at one issue clock
+  over a batch of victims bounded by the free pool
+  (:meth:`BackgroundGCController.collect`), blocking the flush that
+  triggered them;
+* **background GC** runs the same stages one victim at a time, each stage
+  an event issued at the previous stage's completion.  Foreground requests
+  that arrive between stages reserve the NAND channels first, so a read
+  waits for at most one in-flight stage instead of a whole multi-victim
+  reclaim burst — this is what flattens the GC-interference tail latencies.
 """
 
 from __future__ import annotations
@@ -46,10 +56,10 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.flash.allocator import BlockAllocator
-from repro.flash.flash_array import FlashArray
+from repro.flash.flash_array import FlashArray, FlashError
 from repro.sim.events import PRIORITY_GC
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -231,9 +241,13 @@ def make_gc_policy(
 
 
 class BackgroundGCController:
-    """Drives garbage collection as an event pipeline overlapping host I/O.
+    """The device's one reclaim mechanism and the drivers that schedule it.
 
-    One victim block is in flight at a time, staged through three events:
+    (It covers blocking reclaim too; the name is the one the perf ledger
+    imports.)  Blocking reclaim — :meth:`on_flush`, :meth:`reclaim_urgent`,
+    wear-leveling passes through :meth:`collect` — runs the three stages
+    back to back inside the flush that triggered it.  The event pipeline
+    keeps one victim in flight, staged through events:
 
     1. **read** — the victim's valid pages are read (reserving their channel
        through the NAND scheduler at the event's timestamp);
@@ -247,21 +261,26 @@ class BackgroundGCController:
     foreground requests issued between stages take their place in the
     channel FCFS order ahead of the *next* GC stage — the yielding that
     bounds GC interference to roughly one stage instead of a whole
-    multi-victim reclaim burst.  The controller stops once the policy's
+    multi-victim reclaim burst.  The pipeline stops once the policy's
     restore watermark is reached (or no eligible victim remains).
     """
 
     def __init__(self, device: "SimulatedSSD", policy: GCPolicy) -> None:
         self._device = device
         self.policy = policy
-        self._running = False
+        self._active = False
         self._pending: List[int] = []
         self._in_flight: Optional[int] = None
 
     @property
-    def running(self) -> bool:
-        """True while the pipeline has events in flight."""
-        return self._running
+    def active(self) -> bool:
+        """True while the pipeline has events in flight.
+
+        Blocking reclaim starts and finishes inside one flush, so nothing
+        can observe it mid-batch; the pipeline is the only reclaim a host
+        read can overlap.
+        """
+        return self._active
 
     @property
     def in_flight(self) -> Optional[int]:
@@ -274,40 +293,198 @@ class BackgroundGCController:
         return len(self._pending) + (1 if self._in_flight is not None else 0)
 
     # ------------------------------------------------------------------ #
-    # Activation
+    # The three stages
     # ------------------------------------------------------------------ #
-    def maybe_start(self, at_us: float) -> bool:
-        """Kick off a background run if one is due; returns ``running``."""
+    def _read(self, block: int, purpose: str, clock: float) -> float:
+        """Stage 1: read the victim's valid pages; returns the last finish."""
         device = self._device
-        if self._running:
-            return True
-        if device._loop is None or not self.policy.should_collect(device.allocator):
-            return False
-        self._running = True
-        device.stats.gc_invocations += 1
-        device.stats.gc_background_runs += 1
-        device._loop.schedule(
-            at_us, "gc_step", self._select_step, priority=PRIORITY_GC
-        )
-        return True
+        ppas = device.flash.valid_ppas_of_block(block)
+        if purpose == "gc":
+            device.stats.gc_victim_blocks += 1
+        device.stats.gc_page_reads += len(ppas)
+        return device.flash.read_page_run(ppas, now_us=clock)
+
+    def _migrate(self, blocks: Sequence[int], purpose: str, clock: float) -> float:
+        """Stage 2: program the still-valid LPAs into the cold stream.
+
+        Validity is re-scanned here, not remembered from the read stage:
+        pages the host overwrote in between are stale and must not be
+        migrated (their read was wasted bandwidth, exactly as in a real
+        controller).  Section 3.6: migrated pages are sorted by LPA and
+        relearned like a regular buffer flush.
+        """
+        flash = self._device.flash
+        lpas: List[int] = []
+        for block in blocks:
+            for ppa in flash.valid_ppas_of_block(block):
+                lpa = flash.lpa_of(ppa)
+                if lpa is None:  # pragma: no cover - defensive
+                    raise FlashError(f"valid page {ppa} without reverse mapping")
+                lpas.append(lpa)
+        if not lpas:
+            return clock
+        return self._device._program_batch(sorted(lpas), purpose=purpose, at_us=clock)
+
+    def _erase(self, block: int, purpose: str, clock: float) -> Optional[float]:
+        """Stage 3: erase the victim if it drained; ``None`` when skipped.
+
+        A victim still holding valid pages (a migrated LPA was overwritten
+        concurrently) stays put for a later pass.
+        """
+        device = self._device
+        if device.flash.block_is_free(block) or device.flash.valid_page_count(block):
+            return None
+        finish = device.flash.erase_block(block, now_us=clock)
+        if purpose == "gc":
+            device.stats.gc_block_erases += 1
+        device.allocator.release_block(block)
+        return finish
 
     # ------------------------------------------------------------------ #
-    # Pipeline stages
+    # Blocking drivers: the stages back to back at one issue clock
     # ------------------------------------------------------------------ #
-    def _select_step(self, event: "Event") -> None:
+    def _bounded(self, victims: Sequence[int]) -> List[int]:
+        """Prefix of ``victims`` whose migration fits the current free pool.
+
+        A migration batch consumes free blocks *before* the victims' erases
+        release any, so an unbounded batch can exhaust the pool mid-flight
+        on a small or nearly-full device.  Zero-valid victims cost nothing;
+        the first space-consuming victim is always kept so reclaim can make
+        progress even when the pool is down to its last blocks.
+        """
+        flash = self._device.flash
+        free_blocks = self._device.allocator.free_block_count()
+        room = max(0, free_blocks - 1) * flash.geometry.pages_per_block
+        chosen: List[int] = []
+        migrating = False
+        pending = 0
+        for block in victims:
+            valid = flash.valid_page_count(block)
+            pending += valid
+            if migrating and pending > room:
+                break
+            chosen.append(block)
+            migrating = migrating or valid > 0
+        return chosen
+
+    def collect(self, victims: Sequence[int], purpose: str, clock: float) -> float:
+        """Migrate and erase a bounded batch of victims; returns completion.
+
+        Valid pages of all victims are packed into shared destination
+        blocks (one migration batch), which is what lets GC reclaim space
+        even when every victim still holds some valid data.  ``purpose``
+        is ``"gc"`` or ``"wear"`` (which counters the work lands in).
+        """
+        blocks = self._bounded(victims)
+        for block in blocks:
+            self._read(block, purpose, clock)
+        finish = self._migrate(blocks, purpose, clock)
+        erases = [self._erase(block, purpose, clock) for block in blocks]
+        erased = [done for done in erases if done is not None]
+        if erased:
+            last_erase = max(erased)
+            self._device._notify_background(f"{purpose}_erase_done", last_erase)
+            finish = max(finish, last_erase)
+        return finish
+
+    def on_flush(self, clock: float) -> None:
+        """Threshold reclaim, checked after every buffer flush.
+
+        Under ``gc_mode="background"`` with an event loop attached the work
+        is handed to the pipeline; otherwise (sync mode, or no loop: direct
+        ``write()`` calls and the final drain flush) victims are collected
+        here until the restore watermark, blocking the flush.
+        """
         device = self._device
+        policy, allocator = self.policy, device.allocator
+        if device.options.gc_mode == "background" and device._loop is not None:
+            self._start_pipeline(clock)
+            return
+        if self._active or not policy.should_collect(allocator):
+            return
+        device.stats.gc_invocations += 1
+        while not policy.should_stop(allocator):
+            free_before = allocator.free_block_count()
+            victims = policy.select_victims(
+                device.flash, allocator, urgent=policy.below_hard_watermark(allocator)
+            )
+            if not victims:
+                break
+            self.collect(victims, "gc", clock)
+            if allocator.free_block_count() <= free_before:
+                # No net space reclaimed (victims were fully valid):
+                # stop rather than amplify writes indefinitely.
+                break
+
+    def reclaim_urgent(self, clock: float) -> float:
+        """Hard watermark: reclaim until it clears; returns the completion.
+
+        Runs whatever the GC mode (background GC lagging a write burst is
+        the usual cause): batches of at most four victims, each issued at
+        the previous batch's completion, never touching the pipeline's
+        in-flight victim.  Returns ``clock`` when there was nothing to do.
+        """
+        device = self._device
+        policy, allocator = self.policy, device.allocator
+        if not policy.below_hard_watermark(allocator):
+            return clock
+        device.stats.gc_urgent_collections += 1
+        finish = clock
+        while policy.below_hard_watermark(allocator):
+            free_before = allocator.free_block_count()
+            victims = [
+                block
+                for block in policy.select_victims(device.flash, allocator, urgent=True)
+                if block != self._in_flight
+            ][:4]
+            if not victims:
+                break
+            finish = max(finish, self.collect(victims, "gc", finish))
+            if allocator.free_block_count() <= free_before:
+                break
+        return finish
+
+    # ------------------------------------------------------------------ #
+    # Event pipeline: the same stages, one victim at a time
+    # ------------------------------------------------------------------ #
+    def _start_pipeline(self, at_us: float) -> None:
+        """Kick off a background run if one is due and none is running."""
+        device = self._device
+        if self._active or not self.policy.should_collect(device.allocator):
+            return
+        self._active = True
+        device.stats.gc_invocations += 1
+        device.stats.gc_background_runs += 1
+        self._schedule(at_us, "gc_step", self._select_step)
+
+    def _schedule(
+        self,
+        at_us: float,
+        kind: str,
+        stage: Callable[["Event"], None],
+        block: Optional[int] = None,
+    ) -> None:
+        loop = self._device._loop
+        assert loop is not None, "GC pipeline events only fire inside a replay"
+        loop.schedule(at_us, kind, stage, payload=block, priority=PRIORITY_GC)
+
+    def _select_step(self, event: "Event") -> None:
         self._in_flight = None
-        if self.policy.should_stop(device.allocator):
-            self._running = False
+        if self.policy.should_stop(self._device.allocator):
+            self._active = False
             self._pending.clear()
             return
         victim = self._next_victim()
         if victim is None:
-            self._running = False
+            self._active = False
             return
         self._in_flight = victim
-        device.stats.gc_victim_blocks += 1
-        self._read_stage(victim, event.time_us)
+        self._schedule(
+            self._read(victim, "gc", event.time_us),
+            "gc_program",
+            self._program_stage,
+            victim,
+        )
 
     def _next_victim(self) -> Optional[int]:
         device = self._device
@@ -333,51 +510,19 @@ class BackgroundGCController:
             and not device.flash.block_is_free(block)
         )
 
-    def _read_stage(self, block: int, now_us: float) -> None:
-        """Stage 1: read the victim's valid pages."""
-        device = self._device
-        read_finish = now_us
-        for ppa in device.flash.valid_ppas_of_block(block):
-            read_finish = max(read_finish, device.flash.read_page(ppa, now_us=now_us))
-            device.stats.gc_page_reads += 1
-        device._loop.schedule(
-            read_finish, "gc_program", self._program_stage,
-            payload=block, priority=PRIORITY_GC,
-        )
-
     def _program_stage(self, event: "Event") -> None:
-        """Stage 2: migrate the still-valid LPAs into the cold stream."""
-        device = self._device
         block: int = event.payload  # type: ignore[assignment]
-        # Re-scan validity: pages the host overwrote since the read stage
-        # are stale now and must not be migrated (their read was wasted
-        # bandwidth, which is exactly what happens in a real controller).
-        lpas = sorted(
-            {
-                device.flash.lpa_of(ppa)
-                for ppa in device.flash.valid_ppas_of_block(block)
-            }
-        )
-        finish = event.time_us
-        if lpas:
-            finish = device._program_batch(lpas, purpose="gc", at_us=event.time_us)
-        device._loop.schedule(
-            finish, "gc_erase", self._erase_stage, payload=block, priority=PRIORITY_GC
+        self._schedule(
+            self._migrate([block], "gc", event.time_us),
+            "gc_erase",
+            self._erase_stage,
+            block,
         )
 
     def _erase_stage(self, event: "Event") -> None:
-        """Stage 3: erase the drained victim, then pipeline the next one."""
-        device = self._device
         block: int = event.payload  # type: ignore[assignment]
-        finish = event.time_us
-        if (
-            not device.flash.block_is_free(block)
-            and device.flash.valid_page_count(block) == 0
-        ):
-            finish = device.flash.erase_block(block, now_us=event.time_us)
-            device.stats.gc_block_erases += 1
-            device.allocator.release_block(block)
+        finish = self._erase(block, "gc", event.time_us)
         self._in_flight = None
-        device._loop.schedule(
-            finish, "gc_step", self._select_step, priority=PRIORITY_GC
+        self._schedule(
+            event.time_us if finish is None else finish, "gc_step", self._select_step
         )

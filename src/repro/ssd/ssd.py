@@ -13,13 +13,14 @@ SSD controller at the level of detail the LeaFTL evaluation depends on:
   the same channel;
 * garbage collection with pluggable victim policies (greedy, cost-benefit,
   d-choices) and throttled wear leveling that relearn the mappings of
-  migrated pages (Section 3.6); GC runs either as the classic synchronous
-  reclaim loop (``SSDOptions.gc_mode="sync"``) or as a background event
-  pipeline (``"background"``) that migrates one victim at a time through
-  read → program → erase stages overlapping host I/O, with a hard
-  watermark that throttles host writes when free blocks are critically
-  low; host data and migrated (cold) data are programmed into separate
-  allocator streams so they never share a flash block;
+  migrated pages (Section 3.6).  All reclaim lives in :mod:`repro.ssd.gc`
+  — one read → migrate → erase mechanism, run either blocking at flush
+  time (``SSDOptions.gc_mode="sync"``) or as a background event pipeline
+  (``"background"``) one victim at a time overlapping host I/O; this module
+  only calls it from the flush hook and turns an urgent (hard-watermark)
+  reclaim into host write backpressure.  Host data and migrated (cold)
+  data are programmed into separate allocator streams so they never share
+  a flash block;
 * OOB reverse mappings written with every page, including the
   ``[-gamma, +gamma]`` neighbour window LeaFTL needs to correct
   mispredictions with a single extra flash read (Section 3.5);
@@ -40,19 +41,19 @@ through the NAND scheduler.  Single-page requests take the pre-batching
 code path unchanged, which keeps single-page replay bit-exact across the
 refactor.
 
-Two replay engines are available (``SSDOptions.engine``):
+How a replay is computed follows from what it needs, not from an option:
+:meth:`SimulatedSSD.run` replays through the event loop (:mod:`repro.sim`)
+exactly when something needs one — open-loop admission, more than one
+request outstanding, or background GC (whose pipeline *is* events) — and
+otherwise runs the serial loop, each request issued at the completion of
+its predecessor.  At depth 1 with sync GC the
+two are identical stat for stat (regression-tested), so the serial loop is
+purely the cheaper way to compute the same replay; higher depths admit up
+to ``SSDOptions.queue_depth`` requests through an NCQ-style frontend, so
+foreground reads genuinely overlap the background flush/GC traffic earlier
+writes triggered — the channel contention behind Figure 18's tails.
 
-* the **synchronous fast path** replays requests one at a time, each issued
-  at the completion of its predecessor — the classic trace-driven model;
-* the **event-driven engine** (:mod:`repro.sim`) admits up to
-  ``SSDOptions.queue_depth`` requests concurrently through an NCQ-style
-  host frontend and a time-ordered event loop, so foreground reads
-  genuinely overlap the background flush/GC traffic earlier writes
-  triggered.  With ``queue_depth = 1`` the two engines produce identical
-  latencies and statistics (regression-tested); higher depths expose the
-  channel contention behind Figure 18's tail latencies.
-
-Two admission policies drive the event engine (``SSDOptions.replay_mode``):
+Two admission policies drive the event loop (``SSDOptions.replay_mode``):
 **closed-loop** admission is completion-driven (a finished request admits
 the next one), while **open-loop** admission fires each request at its
 trace timestamp scaled by ``SSDOptions.time_scale`` — the WiscSee-style
@@ -60,9 +61,9 @@ replay that measures latency under load against *arrival* times instead of
 queue depth.
 
 Internally every operation takes an explicit issue clock (``at_us``), so
-the same read/write/flush/GC code serves both engines: state changes apply
-in submission order while timing is resolved through the per-channel/
-per-die NAND scheduler.
+the same read/write/flush/GC code serves both loops: state changes apply
+in submission order while timing is resolved through the per-channel NAND
+scheduler.
 
 Above the device, the NVMe-style multi-queue host interface
 (:mod:`repro.host`) carves the logical space into namespaces and drives
@@ -74,16 +75,16 @@ hooks; ``SSDOptions.arbiter`` names the default arbitration policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.config import DRAMBudget, SSDConfig
 from repro.flash.allocator import BlockAllocator
 from repro.flash.flash_array import FlashArray, PageState
-from repro.flash.oob import OOBArea, validate_gamma_fits_oob
+from repro.flash.oob import validate_gamma_fits_oob
 from repro.ftl.base import FTL
 from repro.sim.events import Event, EventLoop
 from repro.sim.frontend import HostFrontend, OpenLoopFrontend
-from repro.sim.nand import NANDScheduler, TIMING_MODELS
+from repro.sim.nand import NANDScheduler
 from repro.workloads.trace import ReplayItem, as_request
 from repro.ssd.cache import LRUDataCache
 from repro.ssd.gc import (
@@ -102,9 +103,6 @@ class SimulationError(RuntimeError):
     """Raised when the simulated device reaches an inconsistent state."""
 
 
-#: Valid values of :attr:`SSDOptions.engine`.
-ENGINES = ("auto", "serial", "events")
-
 #: Valid values of :attr:`SSDOptions.replay_mode`.
 REPLAY_MODES = ("closed", "open")
 
@@ -122,20 +120,9 @@ class SSDOptions:
 
     #: Sort the write buffer by LPA before flushing (Section 3.3).
     sort_buffer_on_flush: bool = True
-    #: Enable static wear leveling.
-    wear_leveling: bool = True
-    #: Raise on unrecoverable translation errors instead of falling back.
-    strict: bool = True
     #: Host requests kept outstanding during trace replay (NCQ style);
     #: clamped to the device's ``SSDConfig.ncq_depth``.
     queue_depth: int = 1
-    #: Replay engine: ``"auto"`` picks the event-driven engine whenever
-    #: ``queue_depth > 1``; ``"serial"``/``"events"`` force one engine.
-    engine: str = "auto"
-    #: NAND timing model (see :class:`repro.sim.nand.NANDScheduler`):
-    #: ``"bus"`` matches the classic per-channel accounting, ``"die"`` also
-    #: serializes cell operations on the same die.
-    timing_model: str = "bus"
     #: Replay admission policy: ``"closed"`` keeps up to ``queue_depth``
     #: requests outstanding (completion-driven); ``"open"`` admits each
     #: request at its trace timestamp regardless of completions, so
@@ -144,11 +131,11 @@ class SSDOptions:
     #: Multiplier on trace inter-arrival times in open-loop replay:
     #: ``0.5`` doubles the arrival rate, ``2.0`` halves it.
     time_scale: float = 1.0
-    #: Garbage-collection scheduling: ``"sync"`` runs the classic blocking
-    #: reclaim loop at flush time; ``"background"`` pipelines per-victim
-    #: migrate/erase events through the event loop, overlapping host I/O
-    #: (falls back to the synchronous loop when no event loop is attached,
-    #: e.g. on the serial fast path or the final drain flush).
+    #: Garbage-collection scheduling: ``"sync"`` reclaims blocking at
+    #: flush time; ``"background"`` pipelines per-victim read/migrate/erase
+    #: events through the event loop, overlapping host I/O — ``run()``
+    #: always replays it through the loop; only flushes outside a replay
+    #: (direct ``write()`` calls, the final drain) reclaim blocking.
     gc_mode: str = "sync"
     #: Default submission-queue arbitration policy used when this device is
     #: driven through the multi-queue host interface
@@ -182,10 +169,6 @@ class SimulatedSSD:
         self.dram_budget = dram_budget or DRAMBudget(dram_bytes=config.dram_size)
         if self.options.queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
-        if self.options.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}")
-        if self.options.timing_model not in TIMING_MODELS:
-            raise ValueError(f"timing_model must be one of {TIMING_MODELS}")
         if self.options.replay_mode not in REPLAY_MODES:
             raise ValueError(f"replay_mode must be one of {REPLAY_MODES}")
         if self.options.time_scale <= 0.0:
@@ -203,11 +186,7 @@ class SimulatedSSD:
         gamma = self._ftl_oob_window()
         validate_gamma_fits_oob(gamma, config.oob_size)
 
-        self.scheduler = NANDScheduler(
-            config.channels,
-            config.dies_per_channel,
-            timing_model=self.options.timing_model,
-        )
+        self.scheduler = NANDScheduler(config.channels, config.dies_per_channel)
         self.flash = FlashArray(config, scheduler=self.scheduler)
         self.allocator = BlockAllocator(self.flash)
         self.write_buffer = WriteBuffer(
@@ -224,10 +203,9 @@ class SimulatedSSD:
             self.gc_policy = make_gc_policy(gc_policy, policy_config)
         else:
             self.gc_policy = gc_policy
-        self._bg_gc = BackgroundGCController(self, self.gc_policy)
-        self.wear_leveler = (
-            WearLeveler(wear_config) if self.options.wear_leveling else None
-        )
+        #: The one reclaim mechanism (threshold, urgent, wear, background).
+        self.gc = BackgroundGCController(self, self.gc_policy)
+        self.wear_leveler = WearLeveler(wear_config)
         self.stats = SSDStats()
 
         #: Ground truth of the live flash page of every LPA (page validity).
@@ -237,9 +215,8 @@ class SimulatedSSD:
         self._translation_reads_seen = 0
         self._translation_writes_seen = 0
         self._background_channel = 0
-        self._in_gc = False
         self._measure_start_us = 0.0
-        #: Event loop attached while the event-driven engine is replaying.
+        #: Event loop attached while a replay runs through one.
         self._loop: Optional[EventLoop] = None
         #: Per-event observer propagated to every replay's event loop
         #: (see :attr:`repro.sim.events.EventLoop.observer`).  The
@@ -467,8 +444,8 @@ class SimulatedSSD:
             self.checkpointer.note_programs(len(lpas), clock)
         self.stats.mapping_bytes_samples.append(self.ftl.resident_bytes())
         self.cache.resize(self._cache_capacity_pages())
-        self._maybe_collect_garbage(at_us=clock)
-        self._maybe_level_wear(at_us=clock)
+        self.gc.on_flush(clock)
+        self._maybe_level_wear(clock)
         self._throttle_if_critical(clock)
         if self.telemetry is not None:
             # Serial replays process few loop events, so the flush clock is
@@ -589,8 +566,7 @@ class SimulatedSSD:
         channel bus or die — buffer flushes, GC migrations, other
         outstanding requests) is the direct measure of background traffic
         delaying foreground reads.  It is derived from the reservation the
-        scheduler actually granted, so it is exact under both timing
-        models.
+        scheduler actually granted.
         """
         finish = self.flash.read_page(ppa, now_us=clock)
         stall = finish - clock - self.config.read_latency_us
@@ -599,15 +575,11 @@ class SimulatedSSD:
         page_attr = self._page_attr
         if page_attr is not None:
             if stall > 0.0:
-                # Stalls while the GC pipeline is mid-victim (or a sync
-                # reclaim is in progress) are GC interference; otherwise
-                # the read queued behind ordinary channel traffic (flush
-                # programs, other requests, translation I/O).
-                key = (
-                    "gc_wait_us"
-                    if (self._in_gc or self._bg_gc.running)
-                    else "chan_wait_us"
-                )
+                # Stalls while the GC pipeline is mid-victim are GC
+                # interference; otherwise the read queued behind ordinary
+                # channel traffic (flush programs, other requests,
+                # translation I/O).
+                key = "gc_wait_us" if self.gc.active else "chan_wait_us"
                 page_attr[key] = page_attr.get(key, 0.0) + stall
                 page_attr["nand_us"] = (
                     page_attr.get("nand_us", 0.0) + (finish - clock - stall)
@@ -659,12 +631,7 @@ class SimulatedSSD:
             # correct from its OOB, which keeps the cost at two flash reads.
             fallback = self._nearest_programmed_page(lpa, ppa)
             if fallback is None:
-                finish = self._fail_translation(lpa, ppa, clock)
-                if page_attr is not None and finish > clock:
-                    page_attr["extra_read_us"] = (
-                        page_attr.get("extra_read_us", 0.0) + (finish - clock)
-                    )
-                return finish
+                self._fail_translation(lpa, ppa)
             finish = self._timed_host_read(fallback, clock)
             if flash.lpa_of(fallback) != lpa:
                 corrected = self._correct_misprediction(lpa, ppa, fallback, finish)
@@ -736,60 +703,17 @@ class SimulatedSSD:
             self.stats.misprediction_extra_reads += 1
             if self.flash.lpa_of(candidate) == lpa:
                 return finish
-        return self._fail_translation(lpa, predicted_ppa, finish)
+        self._fail_translation(lpa, predicted_ppa)
 
-    def _fail_translation(
-        self, lpa: int, predicted_ppa: Optional[int], clock: float
-    ) -> float:
-        """Last-resort handling of an unrecoverable translation."""
-        if self.options.strict:
-            raise SimulationError(
-                f"unrecoverable misprediction for LPA {lpa}: predicted PPA {predicted_ppa}"
-            )
-        correct_ppa = self._current_ppa.get(lpa)
-        if correct_ppa is None:
-            raise SimulationError(f"LPA {lpa} has no live flash page")
-        finish = self.flash.read_page(correct_ppa, now_us=clock)
-        self.stats.misprediction_extra_reads += 1
-        return finish
+    def _fail_translation(self, lpa: int, predicted_ppa: int) -> NoReturn:
+        """The error window holds no copy of the LPA: a device bug, fail loudly."""
+        raise SimulationError(
+            f"unrecoverable misprediction for LPA {lpa}: predicted PPA {predicted_ppa}"
+        )
 
     # ------------------------------------------------------------------ #
-    # Garbage collection
+    # Reclaim hooks (the mechanism itself lives in repro.ssd.gc)
     # ------------------------------------------------------------------ #
-    def _maybe_collect_garbage(self, at_us: Optional[float] = None) -> None:
-        clock = self._clock(at_us)
-        if self.options.gc_mode == "background" and self._loop is not None:
-            # Background mode: hand reclaim to the event pipeline, which
-            # overlaps migrations with host I/O (one victim in flight).
-            self._bg_gc.maybe_start(clock)
-            return
-        if (
-            self._in_gc
-            or self._bg_gc.running
-            or not self.gc_policy.should_collect(self.allocator)
-        ):
-            return
-        self._in_gc = True
-        try:
-            self.stats.gc_invocations += 1
-            while not self.gc_policy.should_stop(self.allocator):
-                free_before = self.allocator.free_block_count()
-                urgent = self.gc_policy.below_hard_watermark(self.allocator)
-                victims = self._bounded_victims(
-                    self.gc_policy.select_victims(
-                        self.flash, self.allocator, urgent=urgent
-                    )
-                )
-                if not victims:
-                    break
-                self._collect_blocks(victims, purpose="gc", at_us=clock)
-                if self.allocator.free_block_count() <= free_before:
-                    # No net space reclaimed (victims were fully valid):
-                    # stop rather than amplify writes indefinitely.
-                    break
-        finally:
-            self._in_gc = False
-
     def _throttle_if_critical(self, clock: float) -> None:
         """Hard watermark: stall host writes behind an urgent reclaim.
 
@@ -799,119 +723,15 @@ class SimulatedSSD:
         buffer-filling write waits for it through the double-buffering
         backpressure, which is how real controllers throttle hosts.
         """
-        policy = self.gc_policy
-        if not policy.below_hard_watermark(self.allocator):
-            return
-        self.stats.gc_urgent_collections += 1
-        finish = clock
-        guard = self.allocator.total_blocks + 1
-        while policy.below_hard_watermark(self.allocator) and guard > 0:
-            guard -= 1
-            free_before = self.allocator.free_block_count()
-            victims = policy.select_victims(self.flash, self.allocator, urgent=True)
-            in_flight = self._bg_gc.in_flight
-            victims = self._bounded_victims(
-                [b for b in victims if b != in_flight][:4]
-            )
-            if not victims:
-                break
-            finish = max(
-                finish, self._collect_blocks(victims, purpose="gc", at_us=finish)
-            )
-            if self.allocator.free_block_count() <= free_before:
-                break
-        stall = max(0.0, finish - clock)
-        if stall > 0.0:
-            self.stats.gc_write_throttle_us += stall
+        finish = self.gc.reclaim_urgent(clock)
+        if finish > clock:
+            self.stats.gc_write_throttle_us += finish - clock
             self._prev_flush_finish_us = max(self._prev_flush_finish_us, finish)
             self._throttle_horizon_us = max(self._throttle_horizon_us, finish)
 
-    def _bounded_victims(self, victims: Sequence[int]) -> List[int]:
-        """Prefix of ``victims`` whose migration fits the current free pool.
-
-        A migration batch consumes free blocks *before* the victims' erases
-        release any, so an unbounded batch can exhaust the pool mid-flight
-        on a small or nearly-full device.  Zero-valid victims cost nothing;
-        the first space-consuming victim is always kept so reclaim can make
-        progress even when the pool is down to its last blocks.
-        """
-        pages_per_block = self.config.pages_per_block
-        room = max(0, self.allocator.free_block_count() - 1) * pages_per_block
-        chosen: List[int] = []
-        migrating = False
-        pending = 0
-        for block in victims:
-            pending += self.flash.valid_page_count(block)
-            if migrating and pending > room:
-                break
-            chosen.append(block)
-            migrating = migrating or self.flash.valid_page_count(block) > 0
-        return chosen
-
-    def _collect_blocks(
-        self, blocks: Sequence[int], purpose: str, at_us: Optional[float] = None
-    ) -> float:
-        """Migrate the valid pages of several victims, then erase them.
-
-        Valid pages from all victims are packed into shared destination
-        blocks (one migration batch), which is what lets GC reclaim space
-        even when every victim still holds some valid data.  Returns the
-        completion time of the last migration/erase operation.
-        """
-        clock = self._clock(at_us)
-        finish = clock
-        lpas: List[int] = []
-        flash = self.flash
-        lpa_of = flash.lpa_of
-        append_lpa = lpas.append
-        for block in blocks:
-            if purpose == "gc":
-                self.stats.gc_victim_blocks += 1
-            victims = flash.valid_ppas_of_block(block)
-            flash.read_page_run(victims, now_us=clock)
-            for ppa in victims:
-                lpa = lpa_of(ppa)
-                if lpa is None:  # pragma: no cover - defensive
-                    raise SimulationError(f"valid page {ppa} without reverse mapping")
-                append_lpa(lpa)
-            self.stats.gc_page_reads += len(victims)
-        if lpas:
-            # Section 3.6: migrated pages are sorted by LPA and relearned,
-            # exactly like a regular buffer flush.
-            finish = max(
-                finish,
-                self._program_batch(sorted(set(lpas)), purpose=purpose, at_us=clock),
-            )
-        erase_finish = clock
-        erased = False
-        for block in blocks:
-            if self.flash.valid_page_count(block):
-                # A migrated LPA was overwritten concurrently; skip for now.
-                continue
-            erase_finish = max(
-                erase_finish, self.flash.erase_block(block, now_us=clock)
-            )
-            erased = True
-            if purpose == "gc":
-                self.stats.gc_block_erases += 1
-            self.allocator.release_block(block)
-        if erased:
-            finish = max(finish, erase_finish)
-            self._notify_background(f"{purpose}_erase_done", erase_finish)
-        return finish
-
-    def _collect_block(
-        self, block: int, purpose: str, at_us: Optional[float] = None
-    ) -> None:
-        """Migrate and erase a single block (wear-leveling path)."""
-        self._collect_blocks([block], purpose=purpose, at_us=at_us)
-
-    # ------------------------------------------------------------------ #
-    # Wear leveling
-    # ------------------------------------------------------------------ #
-    def _maybe_level_wear(self, at_us: Optional[float] = None) -> None:
+    def _maybe_level_wear(self, clock: float) -> None:
         leveler = self.wear_leveler
-        if leveler is None or self._bg_gc.running or not leveler.due(self.flash):
+        if self.gc.active or not leveler.due(self.flash):
             # While the background GC pipeline is mid-flight its victim must
             # not be stolen by a wear-leveling migration; wear evens out on
             # the next quiet check instead.  ``due()`` is pure, so a skipped
@@ -921,9 +741,8 @@ class SimulatedSSD:
             return
         # Only an actual leveling pass restarts the throttle window.
         leveler.acknowledge(self.flash)
-        clock = self._clock(at_us)
         for block in leveler.select_cold_blocks(self.flash, self.allocator):
-            self._collect_block(block, purpose="wear", at_us=clock)
+            self.gc.collect([block], "wear", clock)
 
     # ------------------------------------------------------------------ #
     # Power failure
@@ -956,8 +775,7 @@ class SimulatedSSD:
         self.stats.buffered_pages_lost += self.write_buffer.discard()
         self.cache.clear()
         self._current_ppa.clear()
-        self._bg_gc = BackgroundGCController(self, self.gc_policy)
-        self._in_gc = False
+        self.gc = BackgroundGCController(self, self.gc_policy)
         self._loop = None
         if self.checkpointer is not None:
             self.checkpointer.on_power_fail()
@@ -1172,12 +990,12 @@ class SimulatedSSD:
         simultaneous arrival.
 
         ``queue_depth``, ``replay_mode`` and ``time_scale`` override the
-        configured options for this replay.  Closed-loop mode uses the
-        event-driven engine when the effective depth exceeds 1 (or when
-        ``options.engine`` forces it); otherwise the synchronous fast path
-        runs.  Open-loop mode always runs through the event loop: requests
-        are admitted at their (scaled) trace timestamps whether or not
-        earlier requests completed.
+        configured options for this replay.  The event loop runs exactly
+        when something needs it: open-loop admission (requests fire at
+        their scaled trace timestamps whether or not earlier ones
+        completed), an effective depth above 1, or background GC (its
+        pipeline is events).  Otherwise the serial loop computes the same
+        depth-1 replay without one.
         """
         mode = self.options.replay_mode if replay_mode is None else replay_mode
         if mode not in REPLAY_MODES:
@@ -1188,11 +1006,10 @@ class SimulatedSSD:
         depth = self.effective_queue_depth if queue_depth is None else min(
             max(1, queue_depth), self.config.ncq_depth
         )
-        engine = self.options.engine
         if mode == "open":
             loop = EventLoop(start_us=self._now_us)
             self.run_frontend(OpenLoopFrontend(self, loop, time_scale=scale), loop, requests)
-        elif engine == "events" or (engine == "auto" and depth > 1):
+        elif depth > 1 or self.options.gc_mode == "background":
             loop = EventLoop(start_us=self._now_us)
             self.run_frontend(HostFrontend(self, loop, queue_depth=depth), loop, requests)
         else:

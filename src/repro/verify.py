@@ -172,7 +172,7 @@ def run_recovery_once(seed: int = 1234, scale: float = 1.0) -> RunReport:
         config,
         LeaFTL(LeaFTLConfig(gamma=4, compaction_interval_writes=20_000)),
         dram_budget=DRAMBudget(dram_bytes=config.dram_size),
-        options=SSDOptions(queue_depth=8, gc_mode="background", engine="events"),
+        options=SSDOptions(queue_depth=8, gc_mode="background"),
     )
     attach_checkpointer(ssd, interval_pages=512)
 

@@ -48,6 +48,7 @@ from repro.obs import (
 from repro.obs.__main__ import run_multi_tenant, run_steady_state
 from repro.ssd.recovery import recover
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
+from tests.conftest import run_through_event_loop
 
 SEED = 1234
 
@@ -92,14 +93,14 @@ class TestAdditivity:
         ssd = SimulatedSSD(
             SSDConfig.tiny(),
             PageLevelFTL(),
-            options=SSDOptions(queue_depth=1, engine="events", telemetry="trace"),
+            options=SSDOptions(queue_depth=1, telemetry="trace"),
         )
         # Small enough that no span is evicted from the tracer's ring
         # buffer; overwrites within a narrow region still force flushes.
         pages = min(512, ssd.config.logical_pages // 2)
         requests = [("W", (3 * i) % pages, 2) for i in range(3000)]
         requests += [("R", (7 * i) % pages, 2) for i in range(1000)]
-        ssd.run(requests)
+        run_through_event_loop(ssd, requests)
         spans = spans_of(ssd.telemetry)
         assert len(spans) == len(requests)
         assert_additive(spans)

@@ -7,7 +7,7 @@ logical pages the host has written; after the replay the device must agree
 with it on every read-back:
 
 * reads of written pages resolve to a live flash page holding that LPA
-  (strict mode raises on any unrecoverable translation, and the simulator
+  (the device raises on any unrecoverable translation, and the simulator
   verifies every translated read against the OOB reverse mapping);
 * reads of never-written pages — and only those — are served as unmapped;
 * the device's ground-truth page map covers exactly the oracle's pages, and
@@ -91,17 +91,13 @@ def test_gc_heavy_replay_agrees_with_oracle(ftl_name, queue_depth, gc_mode):
         seed=seed, footprint=footprint, num_requests=2000
     )
 
-    options = SSDOptions(
-        queue_depth=queue_depth,
-        gc_mode=gc_mode,
-        # Background GC needs the event loop even at depth 1.
-        engine="events" if gc_mode == "background" else "auto",
-    )
+    # Plain options + run(): background GC brings the event loop with it,
+    # even at depth 1.
     ssd = SimulatedSSD(
         CONFIG,
         FTL_FACTORIES[ftl_name](),
         dram_budget=DRAMBudget(dram_bytes=CONFIG.dram_size),
-        options=options,
+        options=SSDOptions(queue_depth=queue_depth, gc_mode=gc_mode),
     )
     stats = ssd.run(requests)
 
@@ -125,7 +121,7 @@ def test_gc_heavy_replay_agrees_with_oracle(ftl_name, queue_depth, gc_mode):
     assert total_valid == len(written)
 
     # Read back a sample of written pages through the FTL under test:
-    # strict mode raises on unrecoverable translations, and none may be
+    # the device raises on unrecoverable translations, and none may be
     # served as unmapped.
     rng = random.Random(seed + 1)
     before = ssd.stats.unmapped_reads

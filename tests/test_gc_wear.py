@@ -223,7 +223,7 @@ class TestBackgroundGC:
         for phase in range(4):
             ssd.run(steady_state_workload(footprint, 700, seed=30 + phase))
             # run() drained the event loop, so the pipeline is quiescent.
-            assert not ssd._bg_gc.running
+            assert not ssd.gc.active
             assert_gc_invariants(ssd)
             erase_now = ssd.flash.erase_counts()
             assert all(
@@ -262,6 +262,40 @@ class TestBackgroundGC:
         stats = ssd.run(burst)
         assert stats.gc_urgent_collections > 0
         assert stats.gc_write_throttle_us > 0.0
+        assert_gc_invariants(ssd)
+
+    def test_urgent_reclaim_never_takes_the_in_flight_victim(self):
+        """The one cross-path interaction: the hard watermark fires while
+        the pipeline holds a victim between its stages.  The blocking batch
+        must leave that block to the pipeline (no double collection)."""
+        ssd, footprint = self._aged_ssd("background")
+        collect, erase_block = ssd.gc.collect, ssd.flash.erase_block
+        overlapped = []
+        in_batch = [False]
+
+        def watched_collect(victims, purpose, clock):
+            held = ssd.gc.in_flight
+            if held is not None:
+                overlapped.append(held)
+                assert held not in victims
+            in_batch[0] = True
+            try:
+                return collect(victims, purpose, clock)
+            finally:
+                in_batch[0] = False
+                assert ssd.gc.in_flight == held
+
+        def watched_erase(block, now_us=0.0):
+            # Inside a blocking batch the pipeline's victim is off limits.
+            assert not (in_batch[0] and block == ssd.gc.in_flight)
+            return erase_block(block, now_us=now_us)
+
+        ssd.gc.collect = watched_collect
+        ssd.flash.erase_block = watched_erase
+        stats = ssd.run(steady_state_workload(footprint, 2500, seed=77, read_ratio=0.0))
+        assert stats.gc_urgent_collections > 0
+        assert overlapped, "no blocking batch ran while a victim was in flight"
+        assert not ssd.gc.active and ssd.gc.backlog == 0
         assert_gc_invariants(ssd)
 
     def test_serial_path_falls_back_to_sync_gc(self):

@@ -29,7 +29,7 @@ from repro.host.interface import HostInterface, MultiQueueFrontend, SubmissionQu
 from repro.host.namespace import Namespace
 from repro.sim.events import EventLoop
 from repro.ssd.ssd import SSDOptions
-from tests.conftest import make_ssd
+from tests.conftest import make_ssd, run_through_event_loop
 
 
 class _FakeQueue:
@@ -271,12 +271,8 @@ class TestSingleNamespaceEquivalence:
         """Transitively pins serial equivalence: test_sim pins serial ==
         events at depth 1; here host == events at depth 1, stat for stat."""
         requests = _contended_workload()
-        baseline = make_ssd(
-            gamma=4,
-            config=_CONFIG,
-            options=SSDOptions(engine="events", queue_depth=1),
-        )
-        baseline.run(requests)
+        baseline = make_ssd(gamma=4, config=_CONFIG)
+        run_through_event_loop(baseline, requests)
 
         ssd = make_ssd(gamma=4, config=_CONFIG, options=SSDOptions(queue_depth=1))
         host = HostInterface(ssd, queue_depth=1)

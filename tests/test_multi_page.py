@@ -29,7 +29,7 @@ from repro.sim.events import EventLoop
 from repro.sim.frontend import OpenLoopFrontend
 from repro.ssd.ssd import SSDOptions
 from repro.workloads.trace import IORequest, Trace
-from tests.conftest import make_ssd
+from tests.conftest import make_ssd, run_through_event_loop
 
 
 # --------------------------------------------------------------------------- #
@@ -223,11 +223,11 @@ class TestMultiPageSubmit:
         span = 256  # 4 blocks of 64 pages -> 4 channels in the tiny config
 
         def run(requests):
-            ssd = make_ssd(options=SSDOptions(engine="events"))
+            ssd = make_ssd()
             _fill_blocks(ssd, 2048)
             _drop_dram_copies(ssd, span)
             start = ssd.now_us
-            ssd.run(requests, drain=False)
+            run_through_event_loop(ssd, requests, drain=False)
             return ssd, ssd.now_us - start
 
         ssd_batched, batched = run([("R", 0, span)])

@@ -10,7 +10,7 @@ must:
 * reconstruct the ground-truth validity map bit-exactly (``_current_ppa``
   equals the oracle — acked data is never lost, unacked in-flight writes
   may be lost but never torn);
-* translate every acked LPA back to live data (strict mode raises on any
+* translate every acked LPA back to live data (the device raises on any
   unrecoverable translation, and the read path verifies each translated
   read against the durable OOB reverse mapping);
 * keep serving new writes correctly after recovery.
@@ -77,7 +77,7 @@ def build_ssd(ftl_name: str) -> SimulatedSSD:
         CONFIG,
         FTL_FACTORIES[ftl_name](),
         dram_budget=DRAMBudget(dram_bytes=CONFIG.dram_size),
-        options=SSDOptions(queue_depth=8, gc_mode="background", engine="events"),
+        options=SSDOptions(queue_depth=8, gc_mode="background"),
     )
 
 
@@ -103,7 +103,7 @@ def assert_recovered(ssd: SimulatedSSD, oracle, seed: int) -> None:
     """Post-recovery invariants common to both recovery modes."""
     # Bit-exact durability: the rebuilt ground truth IS the oracle.
     assert ssd._current_ppa == oracle
-    # Every acked LPA reads back through the FTL under test; strict mode
+    # Every acked LPA reads back through the FTL under test; the device
     # raises on unrecoverable translations and the read path verifies the
     # translated PPA against the durable OOB reverse mapping.
     rng = random.Random(seed + 1)

@@ -3,7 +3,7 @@
 Covers three layers:
 
 * the event loop itself (deterministic ordering of same-timestamp events);
-* the NAND scheduler (bus vs die timing models);
+* the NAND scheduler (bus-only gating, die occupancy recorded);
 * the full device: the event engine at ``queue_depth = 1`` must reproduce
   the synchronous simulator bit-for-bit, and at higher depths foreground
   reads must be measurably delayed by concurrent flush/GC traffic while
@@ -21,7 +21,7 @@ from repro.sim.events import EventLoop
 from repro.sim.frontend import HostFrontend, interleave_streams
 from repro.sim.nand import NANDScheduler
 from repro.ssd.ssd import SSDOptions
-from tests.conftest import make_ssd
+from tests.conftest import make_ssd, run_through_event_loop
 
 
 class TestEventLoop:
@@ -116,22 +116,12 @@ class TestNANDScheduler:
         assert sched.busy_until(0) == 20.0
 
     def test_bus_model_ignores_die_conflicts(self):
-        sched = NANDScheduler(channels=1, dies_per_channel=2, timing_model="bus")
+        sched = NANDScheduler(channels=1, dies_per_channel=2)
         first = sched.reserve(0, 0.0, 5.0, die=0, cell_us=200.0)
         second = sched.reserve(0, 0.0, 5.0, die=0, cell_us=200.0)
         # Only the bus constrains: back-to-back despite the shared die.
         assert (first, second) == (5.0, 10.0)
         assert sched.die_busy_until(0, 0) == 205.0
-
-    def test_die_model_serializes_cell_operations(self):
-        sched = NANDScheduler(channels=1, dies_per_channel=2, timing_model="die")
-        sched.reserve(0, 0.0, 5.0, die=0, cell_us=200.0)
-        # A different die only waits for the bus transfer of the first op.
-        other_die = sched.reserve(0, 0.0, 5.0, die=1, cell_us=200.0)
-        assert other_die == 10.0
-        # The same die waits for the first cell operation to finish.
-        same_die = sched.reserve(0, 0.0, 5.0, die=0, cell_us=200.0)
-        assert same_die == 205.0
 
     def test_utilization_tracks_bus_time(self):
         sched = NANDScheduler(channels=1)
@@ -142,7 +132,7 @@ class TestNANDScheduler:
         with pytest.raises(ValueError):
             NANDScheduler(channels=0)
         with pytest.raises(ValueError):
-            NANDScheduler(channels=1, timing_model="warp")
+            NANDScheduler(channels=1, dies_per_channel=0)
 
 
 def _mixed_requests(seed: int, count: int, footprint: int):
@@ -201,18 +191,12 @@ class TestEngineEquivalence:
     def test_event_engine_at_depth_one_matches_serial_exactly(self):
         """Acceptance: queue_depth=1 events == synchronous, stat for stat."""
         requests = _contended_workload()
-        serial = make_ssd(
-            gamma=4, config=_CONTENDED_CONFIG, options=SSDOptions(engine="serial")
-        )
+        serial = make_ssd(gamma=4, config=_CONTENDED_CONFIG)
         serial.run(requests)
-        events = make_ssd(
-            gamma=4,
-            config=_CONTENDED_CONFIG,
-            options=SSDOptions(engine="events", queue_depth=1),
-        )
-        events.run(requests)
+        events = make_ssd(gamma=4, config=_CONTENDED_CONFIG)
+        run_through_event_loop(events, requests)
         assert _stats_signature(serial) == _stats_signature(events)
-        # The event engine really ran through the loop.
+        # The event side really ran through the loop.
         assert events.stats.events_processed > 0
         assert serial.stats.events_processed == 0
 

@@ -5,7 +5,7 @@ in (and whatever gamma LeaFTL uses), a read of any previously written LPA
 must reach the flash page that holds that LPA's latest data — mispredictions
 may add flash reads, but never return wrong data.  The simulator enforces
 this by verifying the OOB reverse mapping on every translated read and
-raising in strict mode when it cannot be satisfied.
+raising ``SimulationError`` when it cannot be satisfied.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def test_gc_reclaims_space_and_preserves_data():
     assert ssd.stats.gc_invocations > 0
     assert ssd.stats.gc_page_writes > 0
     assert ssd.allocator.free_ratio() > ssd.gc_policy.config.threshold
-    # Reads after GC still find their data (strict mode would raise otherwise).
+    # Reads after GC still find their data (the read path would raise otherwise).
     for lpa in rng.sample(range(footprint), 300):
         ssd.read(lpa)
 
