@@ -12,8 +12,6 @@ differential digest tests hold on both paths).
 
 from __future__ import annotations
 
-from typing import Any
-
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
 
@@ -23,10 +21,3 @@ except ImportError:  # pragma: no cover - numpy is present in CI
     HAVE_NUMPY = False
 
 __all__ = ["np", "HAVE_NUMPY"]
-
-
-def require_numpy(feature: str) -> Any:
-    """Return ``np`` or raise a clear error naming the feature that needs it."""
-    if not HAVE_NUMPY:
-        raise RuntimeError(f"{feature} requires numpy, which is not installed")
-    return np

@@ -5,24 +5,28 @@ An FTL owns the logical-to-physical mapping table.  The SSD model
 flash state, write buffering, data caching, GC and wear leveling — and talks
 to the FTL through this interface:
 
-* :meth:`FTL.translate` resolves an LPA to a PPA for the read path, and
-  reports any flash accesses the resolution itself required (translation
-  page fetches in DFTL/SFTL, out-of-band corrections in LeaFTL);
 * :meth:`FTL.translate_range` resolves a *contiguous run* of LPAs — the
-  page span of one multi-page host command — in a single batch;
+  flash-resident page span of one host read command — in a single batch.
+  It is the one translation method an FTL must implement and the only one
+  the device calls; :meth:`FTL.translate` is its one-page case;
 * :meth:`FTL.update_batch` records a batch of freshly programmed
   ``(LPA, PPA)`` mappings after a write-buffer flush or a GC migration;
 * :meth:`FTL.resident_bytes` / :meth:`FTL.full_mapping_bytes` report the
   DRAM footprint, which drives the data-cache sizing.
 
+Flash accesses the resolution itself required (translation-page fetches
+and dirty evictions in DFTL/SFTL) are reported through
+``stats.translation_page_reads`` / ``translation_page_writes``; the device
+charges flash time from their deltas.
+
 The ``translate_range`` contract
 --------------------------------
 
 ``translate_range(lpa, npages)`` returns one :class:`TranslationResult`
-per page of ``[lpa, lpa + npages)``, in LPA order, and must resolve the
-run against the *same* mapping state ``translate`` would see (page ``i``'s
-result may not reflect updates applied after the call began).  What makes
-it more than a convenience loop is the accounting contract:
+per page of ``[lpa, lpa + npages)``, in LPA order, resolved against the
+mapping state at the time of the call (page ``i``'s result may not reflect
+updates applied after the call began); ``npages < 1`` raises
+``ValueError``.  The accounting contract:
 
 * ``stats.lookups`` is charged **once per mapping-structure resolution**,
   not once per page: one learned-segment walk that covers the whole run
@@ -35,9 +39,9 @@ it more than a convenience loop is the accounting contract:
   ``translation_page_reads`` for all of its entries in the run, plus
   whatever dirty evictions the admission forced.
 
-The abstract base provides a per-page fallback so third-party FTLs keep
-working; every built-in FTL overrides it with a genuinely batched
-implementation.
+LeaFTL alone overrides ``translate`` — with the paper's Algorithm-1
+per-LPA walk, the reference its batched ``lookup_range`` is tested
+against and what the lookup micro-benchmarks time.
 """
 
 from __future__ import annotations
@@ -56,23 +60,11 @@ class TranslationResult:
     ppa:
         The physical page address, or ``None`` if the LPA has never been
         written (the host is reading unwritten space).
-    translation_flash_reads:
-        Flash page reads the FTL performed to resolve the mapping (e.g. a
-        DFTL translation-page fetch or a LeaFTL misprediction correction).
-    translation_flash_writes:
-        Flash page writes triggered by the resolution (e.g. eviction of a
-        dirty DFTL translation page).
-    mispredicted:
-        True when a learned segment returned an inaccurate PPA that had to
-        be corrected through the OOB reverse mapping (LeaFTL only).
     levels_searched:
         Number of log-structure levels inspected (LeaFTL only; 0 otherwise).
     """
 
     ppa: Optional[int]
-    translation_flash_reads: int = 0
-    translation_flash_writes: int = 0
-    mispredicted: bool = False
     levels_searched: int = 0
 
 
@@ -110,20 +102,16 @@ class FTL(abc.ABC):
     # Address translation
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def translate(self, lpa: int) -> TranslationResult:
-        """Resolve ``lpa`` to a physical page address for the read path."""
-
     def translate_range(self, lpa: int, npages: int) -> List[TranslationResult]:
         """Resolve the contiguous run ``[lpa, lpa + npages)`` in one batch.
 
-        Returns one :class:`TranslationResult` per page, in LPA order.  See
-        the module docstring for the accounting contract; this fallback
-        simply loops :meth:`translate` (per-page charging), and every
-        built-in FTL overrides it with a batched resolution.
+        Returns one :class:`TranslationResult` per page, in LPA order; see
+        the module docstring for the accounting contract.
         """
-        if npages <= 0:
-            raise ValueError("npages must be positive")
-        return [self.translate(lpa + offset) for offset in range(npages)]
+
+    def translate(self, lpa: int) -> TranslationResult:
+        """Resolve one LPA: the one-page case of :meth:`translate_range`."""
+        return self.translate_range(lpa, 1)[0]
 
     @abc.abstractmethod
     def update_batch(self, mappings: Sequence[Tuple[int, int]]) -> None:

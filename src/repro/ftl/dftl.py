@@ -77,16 +77,14 @@ class DFTL(FTL):
             if not dirty:
                 del self._dirty_by_tp[tp]
 
-    def _evict_if_needed(self) -> Tuple[int, int]:
+    def _evict_if_needed(self) -> None:
         """Evict LRU entries until the CMT fits its budget.
 
-        Returns ``(flash_reads, flash_writes)`` incurred by dirty evictions.
+        A dirty eviction charges one translation-page read and one write.
         """
         limit = self._max_cached_entries()
-        reads = 0
-        writes = 0
         if limit is None:
-            return reads, writes
+            return
         while len(self._cmt) > limit:
             victim_lpa, (victim_ppa, dirty) = self._cmt.popitem(last=False)
             if not dirty:
@@ -101,39 +99,12 @@ class DFTL(FTL):
                 self._flash_table[lpa] = ppa
                 self._cmt[lpa] = (ppa, False)
             self._dirty_by_tp.pop(tp, None)
-            reads += 1
-            writes += 1
             self.stats.translation_page_reads += 1
             self.stats.translation_page_writes += 1
-        return reads, writes
 
     # ------------------------------------------------------------------ #
     # FTL interface
     # ------------------------------------------------------------------ #
-    def translate(self, lpa: int) -> TranslationResult:
-        self.stats.lookups += 1
-        if lpa in self._cmt:
-            ppa, _dirty = self._cmt[lpa]
-            self._touch(lpa)
-            return TranslationResult(ppa=ppa)
-
-        if lpa not in self._flash_table:
-            # Never written: no translation page holds this entry.
-            return TranslationResult(ppa=None)
-
-        # CMT miss: fetch the translation page from flash (one page read),
-        # install the entry, then evict if the CMT exceeded its budget.
-        ppa = self._flash_table[lpa]
-        self.stats.translation_page_reads += 1
-        self._cmt[lpa] = (ppa, False)
-        self._touch(lpa)
-        extra_reads, extra_writes = self._evict_if_needed()
-        return TranslationResult(
-            ppa=ppa,
-            translation_flash_reads=1 + extra_reads,
-            translation_flash_writes=extra_writes,
-        )
-
     def translate_range(self, lpa: int, npages: int) -> List[TranslationResult]:
         """Resolve a contiguous run, one translation-page visit per chunk.
 
@@ -165,18 +136,12 @@ class DFTL(FTL):
                     results.append(TranslationResult(ppa=None))
                 else:
                     ppa = self._flash_table[page]
-                    first_miss = not fetched
-                    if first_miss:
+                    if not fetched:
                         fetched = True
                         self.stats.translation_page_reads += 1
                     self._cmt[page] = (ppa, False)
                     self._touch(page)
-                    results.append(
-                        TranslationResult(
-                            ppa=ppa,
-                            translation_flash_reads=1 if first_miss else 0,
-                        )
-                    )
+                    results.append(TranslationResult(ppa=ppa))
             if fetched:
                 self._evict_if_needed()
             start = chunk_end

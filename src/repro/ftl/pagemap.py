@@ -29,10 +29,6 @@ class PageLevelFTL(FTL):
     # ------------------------------------------------------------------ #
     # FTL interface
     # ------------------------------------------------------------------ #
-    def translate(self, lpa: int) -> TranslationResult:
-        self.stats.lookups += 1
-        return TranslationResult(ppa=self._table.get(lpa))
-
     def translate_range(self, lpa: int, npages: int) -> List[TranslationResult]:
         """Resolve a contiguous run with one probe of the flat table.
 

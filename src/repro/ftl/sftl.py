@@ -136,10 +136,8 @@ class SFTL(FTL):
             del self._cached[tp_id]
             self._cached_runs -= self._pages[tp_id].run_count
 
-    def _admit(self, tp_id: int, dirty: bool) -> Tuple[int, int]:
-        """Bring ``tp_id`` into the cache; return (flash_reads, flash_writes)."""
-        reads = 0
-        writes = 0
+    def _admit(self, tp_id: int, dirty: bool) -> None:
+        """Bring ``tp_id`` into the cache, writing back dirty victims."""
         if tp_id in self._cached:
             self._cached[tp_id] = self._cached[tp_id] or dirty
             self._cached.move_to_end(tp_id)
@@ -149,42 +147,16 @@ class SFTL(FTL):
             self._cached_runs += self._pages[tp_id].run_count
         limit = self._budget_runs()
         if limit is None:
-            return reads, writes
+            return
         while self._cached_runs > limit and len(self._cached) > 1:
             victim, victim_dirty = self._cached.popitem(last=False)
             self._cached_runs -= self._pages[victim].run_count
             if victim_dirty:
-                writes += 1
                 self.stats.translation_page_writes += 1
-        return reads, writes
 
     # ------------------------------------------------------------------ #
     # FTL interface
     # ------------------------------------------------------------------ #
-    def translate(self, lpa: int) -> TranslationResult:
-        self.stats.lookups += 1
-        tp_id = self._tp_of(lpa)
-        page = self._pages.get(tp_id)
-        if page is None or lpa not in page.entries:
-            return TranslationResult(ppa=None)
-
-        reads = 0
-        writes = 0
-        if tp_id not in self._cached:
-            # Miss: fetch the condensed translation page from flash.
-            reads += 1
-            self.stats.translation_page_reads += 1
-            extra_reads, extra_writes = self._admit(tp_id, dirty=False)
-            reads += extra_reads
-            writes += extra_writes
-        else:
-            self._cached.move_to_end(tp_id)
-        return TranslationResult(
-            ppa=page.entries[lpa],
-            translation_flash_reads=reads,
-            translation_flash_writes=writes,
-        )
-
     def translate_range(self, lpa: int, npages: int) -> List[TranslationResult]:
         """Resolve a contiguous run, one condensed-page admission per chunk.
 
@@ -208,25 +180,14 @@ class SFTL(FTL):
                 if page is None or entry not in page.entries:
                     results.append(TranslationResult(ppa=None))
                     continue
-                reads = 0
-                writes = 0
                 if not admitted:
                     admitted = True
                     if tp_id not in self._cached:
-                        reads += 1
                         self.stats.translation_page_reads += 1
-                        extra_reads, extra_writes = self._admit(tp_id, dirty=False)
-                        reads += extra_reads
-                        writes += extra_writes
+                        self._admit(tp_id, dirty=False)
                     else:
                         self._cached.move_to_end(tp_id)
-                results.append(
-                    TranslationResult(
-                        ppa=page.entries[entry],
-                        translation_flash_reads=reads,
-                        translation_flash_writes=writes,
-                    )
-                )
+                results.append(TranslationResult(ppa=page.entries[entry]))
             start = chunk_end
         return results
 

@@ -37,9 +37,9 @@ translated in one :meth:`repro.ftl.base.FTL.translate_range` batch (one
 learned-segment walk resolves a whole contiguous run in LeaFTL, one
 translation-page fetch serves all its entries in DFTL/SFTL) and its flash
 accesses are issued as per-channel chunks that proceed concurrently
-through the NAND scheduler.  Single-page requests take the pre-batching
-code path unchanged, which keeps single-page replay bit-exact across the
-refactor.
+through the NAND scheduler.  There is one read path: a single-page read
+is a one-page command through the same code, so the device only ever
+calls ``translate_range``.
 
 How a replay is computed follows from what it needs, not from an option:
 :meth:`SimulatedSSD.run` replays through the event loop (:mod:`repro.sim`)
@@ -238,14 +238,10 @@ class SimulatedSSD:
         #: when breakdown capture is off (the telemetry session asks for it
         #: only while a tracer records spans).  Every accounting site below
         #: guards on ``is not None``, so the disabled path costs one
-        #: predicate per site and allocates nothing.
+        #: predicate per site and allocates nothing.  The write path adds
+        #: to it page by page; the read path fills it once per command
+        #: with the components of its slowest page (the critical path).
         self._attr: Optional[Dict[str, float]] = None
-        #: Component dict of the *page* currently resolving on the read
-        #: path; multi-page commands keep only the slowest page's dict
-        #: (the critical path), tracked via ``_attr_best``.
-        self._page_attr: Optional[Dict[str, float]] = None
-        self._attr_best: Optional[Dict[str, float]] = None
-        self._attr_best_finish = 0.0
         #: Completion horizon of the last urgent (hard-watermark) reclaim;
         #: write backpressure up to this horizon is GC throttling, beyond
         #: it plain flush-drain wait.
@@ -386,8 +382,8 @@ class SimulatedSSD:
     def write(self, lpa: int, at_us: Optional[float] = None) -> float:
         """Write one logical page; returns the request latency in microseconds.
 
-        ``at_us`` is the issue time of the request (the event-driven engine
-        passes it explicitly; the synchronous path uses the serial clock).
+        ``at_us`` is the issue time of the request: event-loop replays pass
+        it explicitly, ``None`` means the device's serial clock.
         """
         if not 0 <= lpa < self.config.logical_pages:
             self._check_lpa(lpa)
@@ -530,36 +526,18 @@ class SimulatedSSD:
     def read(self, lpa: int, at_us: Optional[float] = None) -> float:
         """Read one logical page; returns the request latency in microseconds.
 
-        ``at_us`` is the issue time of the request (the event-driven engine
-        passes it explicitly; the synchronous path uses the serial clock).
+        The one-page entry to the read path every command takes
+        (:meth:`_read_command`).  ``at_us`` is the issue time of the
+        request: event-loop replays pass it explicitly, ``None`` means the
+        device's serial clock.
         """
-        if not 0 <= lpa < self.config.logical_pages:
-            self._check_lpa(lpa)
-        start = self._now_us if at_us is None else at_us
-        stats = self.stats
-        stats.host_reads += 1
-        stats.host_read_pages += 1
+        self._check_lpa(lpa)
+        start = self._clock(at_us)
+        return self._read_command(lpa, 1, start) - start
 
-        attr = self._attr
-        if lpa in self.write_buffer:
-            stats.buffer_hits += 1
-            latency = self.config.dram_latency_us
-            if attr is not None:
-                attr["dram_us"] = attr.get("dram_us", 0.0) + latency
-        elif self.cache.lookup(lpa):
-            stats.cache_hits += 1
-            latency = self.config.dram_latency_us
-            if attr is not None:
-                attr["dram_us"] = attr.get("dram_us", 0.0) + latency
-        else:
-            latency = self._read_from_flash(lpa, start)
-        done = start + latency
-        if done > self._now_us:
-            self._now_us = done
-        stats.read_latency.record(latency)
-        return latency
-
-    def _timed_host_read(self, ppa: int, clock: float) -> float:
+    def _timed_host_read(
+        self, ppa: int, clock: float, page_attr: Optional[Dict[str, float]]
+    ) -> float:
         """Read a data page for the host, accounting queueing-wait time.
 
         The stall (time the read queued behind earlier operations on its
@@ -572,82 +550,45 @@ class SimulatedSSD:
         stall = finish - clock - self.config.read_latency_us
         if stall > 0.0:
             self.stats.read_stall_us += stall
-        page_attr = self._page_attr
         if page_attr is not None:
+            # ``page_attr`` is this page's own dict and this its one sense,
+            # so the components are set, not accumulated.
+            nand_us = finish - clock
             if stall > 0.0:
                 # Stalls while the GC pipeline is mid-victim are GC
                 # interference; otherwise the read queued behind ordinary
                 # channel traffic (flush programs, other requests,
                 # translation I/O).
-                key = "gc_wait_us" if self.gc.active else "chan_wait_us"
-                page_attr[key] = page_attr.get(key, 0.0) + stall
-                page_attr["nand_us"] = (
-                    page_attr.get("nand_us", 0.0) + (finish - clock - stall)
-                )
-            else:
-                page_attr["nand_us"] = page_attr.get("nand_us", 0.0) + (finish - clock)
+                page_attr["gc_wait_us" if self.gc.active else "chan_wait_us"] = stall
+                nand_us -= stall
+            page_attr["nand_us"] = nand_us
         return finish
 
-    def _read_from_flash(self, lpa: int, start: float) -> float:
-        translation = self.ftl.translate(lpa)
-        clock = self._sync_translation_counters(start, foreground=True)
-        attr = self._attr
-        if attr is not None and clock > start:
-            attr["translate_us"] = attr.get("translate_us", 0.0) + (clock - start)
-
-        if translation.ppa is None:
-            # Reading unwritten space: served as zeroes from the controller.
-            self.stats.unmapped_reads += 1
-            if attr is not None:
-                attr["dram_us"] = (
-                    attr.get("dram_us", 0.0) + self.config.dram_latency_us
-                )
-            return max(clock - start, 0.0) + self.config.dram_latency_us
-
-        self.stats.translation_lookups += 1
-        # Single-page command: the page's components are the request's.
-        self._page_attr = attr
-        finish = self._read_resolved_page(lpa, translation.ppa, clock)
-        self._page_attr = None
-        self.stats.flash_reads_for_host += 1
-        self.cache.insert(lpa, dirty=False)
-        return finish - start
-
-    def _read_resolved_page(self, lpa: int, ppa: int, clock: float) -> float:
+    def _read_resolved_page(
+        self, lpa: int, ppa: int, clock: float, page_attr: Optional[Dict[str, float]]
+    ) -> float:
         """Read the data page a translation resolved to; returns completion.
 
-        Handles the two recovery paths shared by the serial and batched
-        read paths: predictions landing on a FREE page (possible at block
-        boundaries with gamma > 0) fall back to the nearest programmed page
-        of the error window, and mispredictions are corrected through the
-        OOB reverse mapping at one extra flash read.
+        Senses the predicted page, verifies it against the reverse mapping
+        and corrects a misprediction through the OOB at one extra flash
+        read.  ``page_attr`` collects this page's latency components when
+        breakdown capture is on.
         """
         flash = self.flash
-        page_attr = self._page_attr
+        sensed: Optional[int] = ppa
         if not 0 <= ppa < flash.geometry.total_pages or flash.is_free(ppa):
             # The learned model pointed past the programmed region of a block
             # (or, within gamma of the array edges, past the array itself):
             # read the nearest programmed page of the error window instead and
             # correct from its OOB, which keeps the cost at two flash reads.
-            fallback = self._nearest_programmed_page(lpa, ppa)
-            if fallback is None:
+            sensed = self._nearest_programmed_page(lpa, ppa)
+            if sensed is None:
                 self._fail_translation(lpa, ppa)
-            finish = self._timed_host_read(fallback, clock)
-            if flash.lpa_of(fallback) != lpa:
-                corrected = self._correct_misprediction(lpa, ppa, fallback, finish)
-                if page_attr is not None and corrected > finish:
-                    page_attr["extra_read_us"] = (
-                        page_attr.get("extra_read_us", 0.0) + (corrected - finish)
-                    )
-                finish = corrected
-            return finish
-        finish = self._timed_host_read(ppa, clock)
-        if flash.lpa_of(ppa) != lpa:
-            corrected = self._correct_misprediction(lpa, ppa, ppa, finish)
+        finish = self._timed_host_read(sensed, clock, page_attr)
+        if flash.lpa_of(sensed) != lpa:
+            corrected = self._correct_misprediction(lpa, ppa, sensed, finish)
             if page_attr is not None and corrected > finish:
-                page_attr["extra_read_us"] = (
-                    page_attr.get("extra_read_us", 0.0) + (corrected - finish)
-                )
+                page_attr["extra_read_us"] = corrected - finish
             finish = corrected
         return finish
 
@@ -789,14 +730,13 @@ class SimulatedSSD:
     ) -> float:
         """Issue one host request at ``at_us``; returns its completion time.
 
-        Multi-page commands are first-class: a read spanning several pages
-        is translated in one :meth:`FTL.translate_range` batch and its flash
-        accesses are issued concurrently, split into per-channel chunks that
-        the NAND scheduler arbitrates — so a run striped over k channels
-        completes in roughly one read time, not k.  Multi-page writes stream
-        into the DRAM write buffer page by page (the buffer, not the NAND
-        path, absorbs them).  Single-page requests take exactly the
-        pre-batching code path, which keeps single-page replay bit-exact.
+        Every read, whatever its length, is one command through
+        :meth:`_read_command`: its flash-resident pages are translated one
+        :meth:`FTL.translate_range` batch per contiguous run and sensed
+        concurrently, split into per-channel chunks that the NAND scheduler
+        arbitrates — so a run striped over k channels completes in roughly
+        one read time, not k.  Multi-page writes stream into the DRAM write
+        buffer page by page (the buffer, not the NAND path, absorbs them).
 
         Pages running past the end of the logical space are clipped and
         counted in ``stats.clipped_pages``.
@@ -826,18 +766,16 @@ class SimulatedSSD:
                 for page in range(lpa, end):
                     clock += self.write(page, at_us=clock)
                 finish = clock
-            elif end - lpa == 1:
-                finish = clock + self.read(lpa, at_us=clock)
             else:
-                finish = self._read_multi(lpa, end - lpa, clock)
+                finish = self._read_command(lpa, end - lpa, clock)
         finally:
             self._attr = None
         if attr is not None:
             telemetry.note_request_breakdown(attr, finish - start)
         return finish
 
-    def _read_multi(self, lpa: int, npages: int, start: float) -> float:
-        """Serve one multi-page read command as a batch; returns completion.
+    def _read_command(self, lpa: int, npages: int, start: float) -> float:
+        """Serve one read command of any length; returns its completion.
 
         Pages resident in DRAM (write buffer or data cache) complete at
         DRAM latency.  The remaining pages form contiguous runs, each
@@ -847,112 +785,91 @@ class SimulatedSSD:
         channel bus — the striping the NAND scheduler arbitrates.  Each
         page's latency (its completion minus the command's issue time) is
         recorded individually; the command completes when its slowest page
-        does.
+        does, so that page's components *are* the request's critical path.
         """
-        self.stats.host_reads += npages
-        self.stats.host_read_pages += npages
+        stats = self.stats
+        stats.host_reads += npages
+        stats.host_read_pages += npages
         attr = self._attr
-        if attr is not None:
-            self._attr_best = None
-            self._attr_best_finish = start
+        dram_latency = self.config.dram_latency_us
         finish = start
+        critical: Optional[Dict[str, float]] = None
         runs: List[List[int]] = []
         for page in range(lpa, lpa + npages):
             if page in self.write_buffer:
-                self.stats.buffer_hits += 1
+                stats.buffer_hits += 1
             elif self.cache.lookup(page):
-                self.stats.cache_hits += 1
+                stats.cache_hits += 1
             else:
                 if runs and runs[-1][-1] == page - 1:
                     runs[-1].append(page)
                 else:
                     runs.append([page])
                 continue
-            latency = self.config.dram_latency_us
-            self.stats.read_latency.record(latency)
-            done = start + latency
-            if attr is not None and done >= self._attr_best_finish:
-                self._attr_best = {"dram_us": latency}
-                self._attr_best_finish = done
-            if done > finish:
-                finish = done
+            # DRAM pages all complete together, ahead of any flash page.
+            stats.read_latency.record(dram_latency)
+            finish = start + dram_latency
+            if attr is not None:
+                critical = {"dram_us": dram_latency}
         for run in runs:
-            done = self._read_run_from_flash(run, start)
-            if done > finish:
+            done, run_critical = self._read_run_from_flash(run, start, attr is not None)
+            if done >= finish:
                 finish = done
-        if attr is not None:
-            # The command completes when its slowest page does, so that
-            # page's components *are* the request's critical path.
-            best = self._attr_best
-            if best is not None:
-                for key, value in best.items():
-                    attr[key] = attr.get(key, 0.0) + value
-            self._attr_best = None
+                critical = run_critical
+        if attr is not None and critical is not None:
+            attr.update(critical)
         self._advance(finish)
         return finish
 
-    def _read_run_from_flash(self, pages: Sequence[int], start: float) -> float:
+    def _read_run_from_flash(
+        self, pages: Sequence[int], start: float, want_attr: bool
+    ) -> Tuple[float, Optional[Dict[str, float]]]:
         """Translate one contiguous run in a batch and issue it striped.
 
-        Returns the completion time of the slowest page.  Foreground
+        Returns the completion time of the slowest page and, when
+        ``want_attr``, that page's latency components.  Foreground
         translation flash traffic (DFTL/SFTL page fetches) is serial with
-        the run — every data read issues after it completes — exactly as in
-        the single-page path.
+        the run — every data read issues after it completes — so the
+        slowest page inherits it.
         """
         translations = self.ftl.translate_range(pages[0], len(pages))
         clock = self._sync_translation_counters(start, foreground=True)
-        attr = self._attr
         translate_us = clock - start if clock > start else 0.0
+        stats = self.stats
+        record_latency = stats.read_latency.record
         finish = start
+        critical: Optional[Dict[str, float]] = None
         chunks: Dict[int, List[Tuple[int, int]]] = {}
         for page, translation in zip(pages, translations):
             if translation.ppa is None:
-                # Unwritten space: served as zeroes from the controller.
-                self.stats.unmapped_reads += 1
-                latency = max(clock - start, 0.0) + self.config.dram_latency_us
-                self.stats.read_latency.record(latency)
-                done = start + latency
-                if attr is not None and done >= self._attr_best_finish:
-                    candidate = {"dram_us": self.config.dram_latency_us}
-                    if translate_us > 0.0:
-                        candidate["translate_us"] = translate_us
-                    self._attr_best = candidate
-                    self._attr_best_finish = done
-                if done > finish:
-                    finish = done
+                # Unwritten space: served as zeroes from the controller,
+                # every such page of the run at the same time.
+                stats.unmapped_reads += 1
+                latency = translate_us + self.config.dram_latency_us
+                record_latency(latency)
+                finish = start + latency
+                if want_attr:
+                    critical = {"dram_us": self.config.dram_latency_us}
                 continue
-            self.stats.translation_lookups += 1
+            stats.translation_lookups += 1
             chunks.setdefault(self._channel_of_prediction(translation.ppa), []).append(
                 (page, translation.ppa)
             )
-        stats = self.stats
-        record_latency = stats.read_latency.record
         insert = self.cache.insert
         read_resolved = self._read_resolved_page
         for channel in sorted(chunks):
             for page, ppa in chunks[channel]:
-                if attr is not None:
-                    page_dict: Dict[str, float] = {}
-                    self._page_attr = page_dict
-                page_finish = read_resolved(page, ppa, clock)
-                if attr is not None:
-                    self._page_attr = None
-                    if page_finish >= self._attr_best_finish:
-                        # This run's foreground translation I/O is serial
-                        # with every page of the run, so the critical-path
-                        # page inherits it.
-                        if translate_us > 0.0:
-                            page_dict["translate_us"] = (
-                                page_dict.get("translate_us", 0.0) + translate_us
-                            )
-                        self._attr_best = page_dict
-                        self._attr_best_finish = page_finish
+                page_attr: Optional[Dict[str, float]] = {} if want_attr else None
+                page_finish = read_resolved(page, ppa, clock, page_attr)
                 stats.flash_reads_for_host += 1
                 insert(page, dirty=False)
                 record_latency(page_finish - start)
-                if page_finish > finish:
+                if page_finish >= finish:
                     finish = page_finish
-        return finish
+                    critical = page_attr
+        if critical is not None and translate_us > 0.0:
+            critical["translate_us"] = translate_us
+        return finish, critical
 
     def _channel_of_prediction(self, ppa: int) -> int:
         """Channel a (possibly approximate) predicted PPA falls on.
@@ -1003,8 +920,10 @@ class SimulatedSSD:
         scale = self.options.time_scale if time_scale is None else time_scale
         if scale <= 0.0:
             raise ValueError("time_scale must be positive")
+        if queue_depth is not None and queue_depth < 1:
+            raise ValueError("queue_depth must be at least 1")
         depth = self.effective_queue_depth if queue_depth is None else min(
-            max(1, queue_depth), self.config.ncq_depth
+            queue_depth, self.config.ncq_depth
         )
         if mode == "open":
             loop = EventLoop(start_us=self._now_us)

@@ -42,10 +42,9 @@ class TestDFTL:
         ftl = DFTL(mapping_budget_bytes=8 * 8)  # room for only 8 entries
         ftl.update_batch([(lpa, lpa) for lpa in range(64)])
         # The oldest entries were evicted; translating one costs a flash read.
-        result = ftl.translate(0)
-        assert result.ppa == 0
-        assert result.translation_flash_reads >= 1
-        assert ftl.stats.translation_page_reads >= 1
+        before = ftl.stats.translation_page_reads
+        assert ftl.translate(0).ppa == 0
+        assert ftl.stats.translation_page_reads - before >= 1
 
     def test_dirty_eviction_writes_translation_page(self):
         ftl = DFTL(mapping_budget_bytes=8 * 8)

@@ -2,13 +2,14 @@
 
 Covers the three layers of the refactor:
 
-* ``FTL.translate_range`` — batched accounting (one lookup per mapping
-  structure resolution, one translation-page fetch per chunk) and, above
-  all, *equivalence*: the batched results must match per-page ``translate``
-  even when newer segments shadow older ones mid-run;
-* ``SimulatedSSD.submit`` — multi-page reads are striped across channels
-  and complete faster than the serial per-page baseline, while single-page
-  replay stays bit-exact with the pre-batching primitives;
+* ``FTL.translate_range`` — the one translation method: batched accounting
+  (one lookup per mapping structure resolution, one translation-page fetch
+  per chunk) and, above all, *equivalence*: the batched results must match
+  per-page ``translate`` even when newer segments shadow older ones mid-run;
+* ``SimulatedSSD.submit`` — one read path (the device translates only
+  through ``translate_range``); multi-page reads are striped across
+  channels and complete faster than the serial per-page baseline, and
+  direct ``read()``/``write()`` calls stay bit-exact with ``run()``;
 * open-loop replay — requests admitted at (scaled) trace timestamps, with
   latency measured against arrival times.
 """
@@ -21,7 +22,6 @@ import pytest
 
 from repro.config import DFTLConfig, LeaFTLConfig
 from repro.core.leaftl import LeaFTL
-from repro.ftl.base import FTL, TranslationResult
 from repro.ftl.dftl import DFTL
 from repro.ftl.pagemap import PageLevelFTL
 from repro.ftl.sftl import SFTL
@@ -35,42 +35,49 @@ from tests.conftest import make_ssd, run_through_event_loop
 # --------------------------------------------------------------------------- #
 # translate_range: batched accounting and per-page equivalence
 # --------------------------------------------------------------------------- #
-class _MiniFTL(FTL):
-    """Bare-bones FTL relying on the base-class translate_range fallback."""
-
-    def __init__(self):
-        super().__init__()
-        self._table = {}
-
-    def translate(self, lpa):
-        self.stats.lookups += 1
-        return TranslationResult(ppa=self._table.get(lpa))
-
-    def update_batch(self, mappings):
-        self._table.update(mappings)
-
-    def exists(self, lpa):
-        return lpa in self._table
-
-    def resident_bytes(self):
-        return 8 * len(self._table)
-
-    def full_mapping_bytes(self):
-        return 8 * len(self._table)
+#: Every built-in FTL, by name; ``budget`` is the mapping budget in bytes
+#: (LeaFTL and PageMap are unbudgeted).
+FTL_FACTORIES = {
+    "LeaFTL": lambda budget=None: LeaFTL(LeaFTLConfig(gamma=4)),
+    "DFTL": lambda budget=None: DFTL(
+        mapping_budget_bytes=budget, config=DFTLConfig(entries_per_translation_page=4)
+    ),
+    "SFTL": lambda budget=None: SFTL(
+        mapping_budget_bytes=budget, entries_per_translation_page=4
+    ),
+    "PageMap": lambda budget=None: PageLevelFTL(),
+}
 
 
-class TestTranslateRangeBase:
-    def test_default_fallback_loops_translate(self):
-        ftl = _MiniFTL()
-        ftl.update_batch([(lpa, 10 + lpa) for lpa in range(4)])
-        results = ftl.translate_range(0, 4)
-        assert [r.ppa for r in results] == [10, 11, 12, 13]
-        assert ftl.stats.lookups == 4  # fallback charges per page
-
-    def test_rejects_non_positive_npages(self):
-        ftl = _MiniFTL()
+class TestTranslateRangeContract:
+    @pytest.mark.parametrize("name", FTL_FACTORIES)
+    @pytest.mark.parametrize("npages", [0, -3])
+    def test_rejects_non_positive_npages(self, name, npages):
+        ftl = FTL_FACTORIES[name]()
+        ftl.update_batch([(lpa, 10 + lpa) for lpa in range(8)])
         with pytest.raises(ValueError):
-            ftl.translate_range(0, 0)
+            ftl.translate_range(0, npages)
+
+    @pytest.mark.parametrize("name", ["DFTL", "SFTL"])
+    def test_translate_is_the_one_page_range_under_eviction(self, name):
+        """``translate(lpa)`` and ``translate_range(lpa, 1)[0]`` agree in PPA
+        and in every ``FTLStats`` delta while the budget forces evictions."""
+        rng = random.Random(5)
+        history = [
+            [(lpa, 1000 * batch + lpa) for lpa in sorted(rng.sample(range(96), 24))]
+            for batch in range(6)
+        ]
+        probes = [rng.randrange(100) for _ in range(400)]
+        # Room for two entries (DFTL) / two runs (SFTL): every miss evicts.
+        scalar, ranged = FTL_FACTORIES[name](16), FTL_FACTORIES[name](16)
+        for batch in history:
+            scalar.update_batch(batch)
+            ranged.update_batch(batch)
+        for lpa in probes:
+            assert scalar.translate(lpa).ppa == ranged.translate_range(lpa, 1)[0].ppa
+            assert scalar.stats == ranged.stats
+        assert scalar.stats.translation_page_reads > 0
+        assert scalar.stats.translation_page_writes > 0  # evictions really ran
 
 
 class TestLeaFTLTranslateRange:
@@ -264,6 +271,41 @@ class TestMultiPageSubmit:
         before = ssd.ftl.stats.lookups
         ssd.process("R", 8, 8)
         assert ssd.ftl.stats.lookups - before == 1
+
+    @pytest.mark.parametrize("name", FTL_FACTORIES)
+    def test_device_translates_only_through_translate_range(self, name, monkeypatch):
+        """One read path: over a mixed 1/4/16-page replay served from flash
+        the device never calls ``FTL.translate`` and calls
+        ``translate_range`` exactly once per contiguous flash run."""
+        ftl = FTL_FACTORIES[name]()
+        ssd = make_ssd(ftl=ftl)
+        _fill_blocks(ssd, 2048)
+        rng = random.Random(3)
+        requests = [
+            ("R", rng.randrange(2000), rng.choice([1, 4, 16])) for _ in range(300)
+        ]
+        calls = {"translate": 0, "translate_range": []}
+        real_range = ftl.translate_range
+
+        def spy_translate(lpa):
+            calls["translate"] += 1
+
+        def spy_range(lpa, npages):
+            calls["translate_range"].append((lpa, npages))
+            return real_range(lpa, npages)
+
+        monkeypatch.setattr(ftl, "translate", spy_translate)
+        monkeypatch.setattr(ftl, "translate_range", spy_range)
+        expected = []
+        for op, lpa, npages in requests:
+            # Re-reading a page would hit the data cache and split the run.
+            _drop_dram_copies(ssd, 2048)
+            ssd.process(op, lpa, npages)
+            expected.append((lpa, npages))
+        assert calls["translate"] == 0
+        assert calls["translate_range"] == expected
+        assert {npages for _lpa, npages in expected} == {1, 4, 16}
+        assert ssd.stats.flash_reads_for_host == sum(n for _l, n in expected)
 
     def test_single_page_replay_is_bit_exact_with_direct_primitives(self):
         """Acceptance: queue_depth=1 single-page replay through the reworked

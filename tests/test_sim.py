@@ -249,6 +249,20 @@ class TestQueueDepthContention:
         ssd = make_ssd(config=config, options=SSDOptions(queue_depth=64))
         assert ssd.effective_queue_depth == 4
 
+    def test_run_rejects_non_positive_queue_depth_like_the_options(self):
+        """run(queue_depth=...) fails as SSDOptions(queue_depth=...) does,
+        instead of silently replaying at depth 1; nothing is submitted."""
+        ssd = make_ssd()
+        for depth in (0, -2):
+            with pytest.raises(ValueError, match="queue_depth must be at least 1"):
+                make_ssd(options=SSDOptions(queue_depth=depth))
+            with pytest.raises(ValueError, match="queue_depth must be at least 1"):
+                ssd.run([("W", 0, 1)], queue_depth=depth)
+        assert ssd.stats.requests_submitted == 0
+        # The clamp from above stays: an over-deep override runs at ncq_depth.
+        ssd.run([("W", lpa, 1) for lpa in range(64)], queue_depth=10_000)
+        assert 1 < ssd.stats.max_outstanding_requests <= ssd.config.ncq_depth
+
     def test_event_replay_is_deterministic(self):
         first = self._run_at_depth(8)
         second = self._run_at_depth(8)
