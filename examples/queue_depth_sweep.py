@@ -5,106 +5,71 @@ Run with::
 
     python examples/queue_depth_sweep.py
 
-The example builds a small LeaFTL device, fills it so garbage collection is
-active, and then replays the same read/write mix at increasing host queue
-depths through the event-driven engine.  Two opposing effects appear:
+The first table is :func:`repro.experiments.performance.queue_depth_sweep`:
+the same workload replayed after an identical serial warm-up at increasing
+host queue depths.  Two opposing effects appear:
 
 * **throughput rises** — the makespan of the replay shrinks because up to
   ``queue_depth`` requests are serviced concurrently across channels;
 * **per-request latency rises** — foreground reads queue behind the buffer
   flushes and GC migrations of concurrently outstanding writes (the
-  ``read stall`` column measures exactly that wait).
+  ``read_stall_us`` column measures exactly that wait).
 
 Depth 1 reproduces the classic synchronous simulation, so the first row is
 the baseline every other row contends against.
 
-A second table replays a multi-tenant mix (an OLTP-style tenant interleaved
-with a sequential-scan tenant) to show how a noisy neighbour inflates the
-latency of small reads.
+The second table replays a two-tenant mix (an OLTP-style tenant interleaved
+round-robin with a sequential-scan tenant through
+:func:`repro.sim.frontend.interleave_streams`) to show how a noisy neighbour
+inflates the latency of small reads.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro import DRAMBudget, LeaFTL, LeaFTLConfig, SSDConfig, SimulatedSSD
+from repro.analysis.report import print_report, render_series
+from repro.experiments.common import run_experiment
+from repro.experiments.performance import performance_setup, queue_depth_sweep
 from repro.sim.frontend import interleave_streams
-from repro.ssd.ssd import SSDOptions
+from repro.workloads.trace import Trace
 
 DEPTHS = (1, 2, 4, 8, 16, 32)
 
 
-def build_ssd(queue_depth: int) -> SimulatedSSD:
-    config = SSDConfig.tiny()
-    ftl = LeaFTL(LeaFTLConfig(gamma=4, compaction_interval_writes=50_000))
-    return SimulatedSSD(
-        config,
-        ftl,
-        dram_budget=DRAMBudget(dram_bytes=config.dram_size),
-        options=SSDOptions(queue_depth=queue_depth),
-    )
-
-
-def fill(ssd: SimulatedSSD, footprint: int) -> None:
-    """Serial warm-up: identical device state for every depth."""
-    for lpa in range(0, footprint, 64):
-        ssd.process("W", lpa, 64)
-    ssd.flush()
-
-
-def mixed_requests(seed: int, count: int, footprint: int):
-    rng = random.Random(seed)
-    requests = []
-    for _ in range(count):
-        start = rng.randrange(footprint)
-        if rng.random() < 0.4:
-            requests.append(("W", start, rng.randint(1, 32)))
-        else:
-            requests.append(("R", start, rng.randint(1, 8)))
-    return requests
-
-
-def tenant_streams(footprint: int):
+def two_tenant_trace(footprint: int) -> Trace:
     """An OLTP-style tenant (small random I/O) + a scan tenant (large reads)."""
     rng = random.Random(3)
     oltp = [("R" if rng.random() < 0.7 else "W", rng.randrange(footprint), 1)
             for _ in range(3000)]
     scans = [("R", lpa, 64) for lpa in range(0, footprint - 64, 256)]
-    return oltp, scans
-
-
-def sweep(title: str, make_requests) -> None:
-    print(f"\n=== {title} ===")
-    header = f"{'depth':>5} {'read mean us':>13} {'read p99 us':>12} " \
-             f"{'read stall ms':>14} {'makespan ms':>12} {'page kIOPS':>11}"
-    print(header)
-    print("-" * len(header))
-    for depth in DEPTHS:
-        ssd = build_ssd(depth)
-        fill(ssd, footprint=50_000)
-        ssd.begin_measurement()  # measure only the contended phase
-        stats = ssd.run(make_requests())
-        elapsed_ms = max(stats.measured_time_us / 1000.0, 1e-9)
-        # host_reads/host_writes count pages, so this is page operations
-        # per millisecond, not command IOPS.
-        page_kiops = stats.total_requests / elapsed_ms
-        print(
-            f"{depth:>5} {stats.read_latency.mean_us:>13.1f} "
-            f"{stats.read_latency.percentile(99):>12.1f} "
-            f"{stats.read_stall_us / 1000.0:>14.1f} "
-            f"{elapsed_ms:>12.1f} {page_kiops:>11.1f}"
-        )
+    return Trace.from_tuples("two-tenant", interleave_streams(oltp, scans))
 
 
 def main() -> None:
-    footprint = 50_000
-    sweep(
-        "single tenant: 40% writes / 60% reads",
-        lambda: mixed_requests(7, 4000, footprint),
+    setup = performance_setup(gamma=4, capacity_bytes=256 * 1024 * 1024)
+    table = queue_depth_sweep("OLTP", depths=DEPTHS, setup=setup)
+    print_report(
+        render_series(
+            "single tenant: OLTP by queue depth",
+            {str(depth): row for depth, row in table.items()},
+        )
     )
-    sweep(
-        "two tenants: OLTP reads + sequential scans (round-robin)",
-        lambda: list(interleave_streams(*tenant_streams(footprint))),
+
+    # Reads stay inside the warmed-up 70% of the logical space.
+    trace = two_tenant_trace(footprint=40_000)
+    rows = {}
+    for depth in DEPTHS:
+        result = run_experiment(
+            trace.name, "LeaFTL", setup.scaled(queue_depth=depth), trace=trace
+        )
+        rows[str(depth)] = {
+            "read_mean_us": result.read_mean_latency_us,
+            "read_p99_us": result.read_p99_us,
+            "read_stall_us": result.stats.read_stall_us,
+        }
+    print_report(
+        render_series("two tenants: OLTP reads + sequential scans (round-robin)", rows)
     )
 
 

@@ -1,7 +1,7 @@
 """LeaFTL core: learned segments, PLR, CRB, log-structured mapping table."""
 
 from repro.core.crb import ConflictResolutionBuffer
-from repro.core.group import GroupLookup, LPAGroup
+from repro.core.group import LPAGroup
 from repro.core.leaftl import LeaFTL, LeaFTLStats
 from repro.core.level import Level
 from repro.core.mapping_table import (
@@ -22,7 +22,6 @@ from repro.core.segment import (
 
 __all__ = [
     "ConflictResolutionBuffer",
-    "GroupLookup",
     "LPAGroup",
     "LeaFTL",
     "LeaFTLStats",

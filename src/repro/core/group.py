@@ -26,19 +26,28 @@ from repro.core.segment import (
     SEGMENT_BYTES,
     Segment,
 )
+from repro.ftl.base import TranslationResult
 
 
 @dataclass(slots=True)
-class GroupLookup:
-    """Result of a group-level LPA lookup."""
+class LookupResult(TranslationResult):
+    """A learned-table lookup answer: a translation plus the segment it used.
 
-    ppa: Optional[int]
-    levels_searched: int
+    Produced here, charged to the statistics by the table and by
+    :class:`repro.core.leaftl.LeaFTL`, and handed to the device unchanged.
+    ``levels_searched`` is at least 1 even for a miss (see
+    :meth:`repro.core.mapping_table.LogStructuredMappingTable.lookup`).
+    """
+
     segment: Optional[Segment] = None
 
     @property
     def found(self) -> bool:
         return self.ppa is not None
+
+    @property
+    def approximate(self) -> bool:
+        return self.segment is not None and not self.segment.accurate
 
 
 class LPAGroup:
@@ -256,17 +265,17 @@ class LPAGroup:
     # ------------------------------------------------------------------ #
     # Lookup (Algorithm 1, lookup)
     # ------------------------------------------------------------------ #
-    def lookup(self, lpa: int) -> GroupLookup:
+    def lookup(self, lpa: int) -> LookupResult:
         """Top-down search for the newest segment that encodes ``lpa``."""
         for depth, level in enumerate(self._levels, start=1):
             segment = level.find_covering(lpa)
             if segment is not None and self.has_lpa(segment, lpa):
-                return GroupLookup(
+                return LookupResult(
                     ppa=segment.predict(lpa), levels_searched=depth, segment=segment
                 )
-        return GroupLookup(ppa=None, levels_searched=len(self._levels))
+        return LookupResult(ppa=None, levels_searched=max(len(self._levels), 1))
 
-    def lookup_range(self, start_lpa: int, end_lpa: int) -> List[GroupLookup]:
+    def lookup_range(self, start_lpa: int, end_lpa: int) -> List[LookupResult]:
         """Resolve every LPA of ``[start_lpa, end_lpa]`` with one level walk.
 
         Equivalent to calling :meth:`lookup` per page but each level is
@@ -279,7 +288,7 @@ class LPAGroup:
         if end_lpa < start_lpa:
             raise ValueError("end_lpa must not precede start_lpa")
         count = end_lpa - start_lpa + 1
-        results: List[Optional[GroupLookup]] = [None] * count
+        results: List[Optional[LookupResult]] = [None] * count
         unresolved = count
         ceil = math.ceil
         for depth, level in enumerate(self._levels, start=1):
@@ -317,13 +326,13 @@ class LPAGroup:
                 for lpa in members:
                     index = lpa - start_lpa
                     if results[index] is None:
-                        results[index] = GroupLookup(
+                        results[index] = LookupResult(
                             ppa=int(ceil(slope * (lpa - group_base) + intercept)),
                             levels_searched=depth,
                             segment=segment,
                         )
                         unresolved -= 1
-        miss = GroupLookup(ppa=None, levels_searched=len(self._levels))
+        miss = LookupResult(ppa=None, levels_searched=max(len(self._levels), 1))
         return [result if result is not None else miss for result in results]
 
     # ------------------------------------------------------------------ #

@@ -24,11 +24,12 @@ from repro.config import LeaFTLConfig
 from repro.core.mapping_table import (
     LogStructuredMappingTable,
     LookupResult,
+    MappingTableStats,
     iter_resolution_runs,
 )
 from repro.core.plr import LearnedSegment
 from repro.flash.oob import OOBArea
-from repro.ftl.base import FTL, TranslationResult
+from repro.ftl.base import FTL
 
 
 @dataclass
@@ -78,21 +79,17 @@ class LeaFTL(FTL):
     # ------------------------------------------------------------------ #
     # FTL interface: translation
     # ------------------------------------------------------------------ #
-    def translate(self, lpa: int) -> TranslationResult:
+    def translate(self, lpa: int) -> LookupResult:
         self.stats.lookups += 1
-        result: LookupResult = self.table.lookup(lpa)
-        if not result.found:
-            return TranslationResult(ppa=None, levels_searched=result.levels_searched)
-        self.lea_stats.lookups_resolved += 1
-        self.lea_stats.record_levels(max(result.levels_searched, 1))
-        if result.approximate:
-            self.lea_stats.approximate_lookups += 1
-        return TranslationResult(
-            ppa=result.ppa,
-            levels_searched=result.levels_searched,
-        )
+        result = self.table.lookup(lpa)
+        if result.found:
+            self.lea_stats.lookups_resolved += 1
+            self.lea_stats.record_levels(result.levels_searched)
+            if result.approximate:
+                self.lea_stats.approximate_lookups += 1
+        return result
 
-    def translate_range(self, lpa: int, npages: int) -> List[TranslationResult]:
+    def translate_range(self, lpa: int, npages: int) -> List[LookupResult]:
         """Resolve a contiguous run of LPAs with one segment walk per run.
 
         This is where the learned table's batching advantage materialises:
@@ -111,13 +108,10 @@ class LeaFTL(FTL):
             self.stats.lookups += 1
             if segment is not None:
                 self.lea_stats.lookups_resolved += 1
-                self.lea_stats.record_levels(max(depth, 1))
+                self.lea_stats.record_levels(depth)
                 if not segment.accurate:
                     self.lea_stats.approximate_lookups += 1
-        return [
-            TranslationResult(ppa=found.ppa, levels_searched=found.levels_searched)
-            for found in lookups
-        ]
+        return lookups
 
     def resolve_misprediction(
         self, lpa: int, predicted_ppa: int, oob: OOBArea
@@ -160,6 +154,12 @@ class LeaFTL(FTL):
 
     def exists(self, lpa: int) -> bool:
         return self.table.exists(lpa)
+
+    def reset_stats(self) -> None:
+        """Also restart the LeaFTL and mapping-table counters."""
+        super().reset_stats()
+        self.lea_stats = LeaFTLStats()
+        self.table.stats = MappingTableStats()
 
     # ------------------------------------------------------------------ #
     # Power-fail recovery

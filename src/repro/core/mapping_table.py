@@ -21,26 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import LeaFTLConfig
-from repro.core.group import GroupLookup, LPAGroup
+from repro.core.group import LookupResult, LPAGroup
 from repro.core.plr import LearnedSegment, PLRLearner
 from repro.core.segment import Segment, group_base_of
-
-
-@dataclass(slots=True)
-class LookupResult:
-    """Outcome of a mapping-table lookup."""
-
-    ppa: Optional[int]
-    levels_searched: int = 0
-    segment: Optional[Segment] = None
-
-    @property
-    def found(self) -> bool:
-        return self.ppa is not None
-
-    @property
-    def approximate(self) -> bool:
-        return self.segment is not None and not self.segment.accurate
 
 
 def iter_resolution_runs(
@@ -181,16 +164,11 @@ class LogStructuredMappingTable:
         self.stats.lookups += 1
         group = self.group_for(lpa)
         if group is None:
-            self.stats.lookup_levels_total += 1
-            return LookupResult(ppa=None, levels_searched=1)
-        result: GroupLookup = group.lookup(lpa)
-        levels = max(result.levels_searched, 1)
-        self.stats.lookup_levels_total += levels
-        return LookupResult(
-            ppa=result.ppa,
-            levels_searched=levels,
-            segment=result.segment,
-        )
+            result = LookupResult(ppa=None, levels_searched=1)
+        else:
+            result = group.lookup(lpa)
+        self.stats.lookup_levels_total += result.levels_searched
+        return result
 
     def lookup_range(self, start_lpa: int, npages: int) -> List[LookupResult]:
         """Resolve the contiguous run ``[start_lpa, start_lpa + npages)``.
@@ -214,7 +192,6 @@ class LogStructuredMappingTable:
         end = start_lpa + npages
         group_size = self.config.group_size
         groups_get = self._groups.get
-        append = results.append
         while lpa < end:
             group_base = group_base_of(lpa, group_size)
             chunk_end = group_base + group_size
@@ -227,15 +204,7 @@ class LogStructuredMappingTable:
                     for _ in range(lpa, chunk_end)
                 )
             else:
-                for found in group.lookup_range(lpa, chunk_end - 1):
-                    levels = found.levels_searched
-                    append(
-                        LookupResult(
-                            ppa=found.ppa,
-                            levels_searched=levels if levels > 1 else 1,
-                            segment=found.segment,
-                        )
-                    )
+                results.extend(group.lookup_range(lpa, chunk_end - 1))
             lpa = chunk_end
         for _start, _stop, _segment, depth in iter_resolution_runs(
             results, start_lpa, group_size

@@ -14,8 +14,12 @@ emitting it, and classifies it as
 
 * **accurate** when every covered LPA predicts its exact PPA,
 * **approximate** when every prediction is within ``gamma``,
-* otherwise the candidate is split and relearned (a rare fallback that keeps
-  the error bound a hard guarantee rather than a statistical one).
+* otherwise the candidate is split in half and each half relearned by the
+  same greedy cone walk (a rare fallback that keeps the error bound a hard
+  guarantee rather than a statistical one).
+
+A segment never leaves its 256-LPA group, so a fit or a verification touches
+at most 256 points: both are plain loops over the standard library.
 """
 
 from __future__ import annotations
@@ -24,13 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.compat import HAVE_NUMPY, np
 from repro.core.segment import GROUP_SIZE, Segment
-
-#: Candidate sizes at or above this use the numpy batch verifier.  The
-#: vectorized path performs the same float64 multiply/add/ceil per point as
-#: the scalar loop, so the threshold only affects speed, never results.
-_VERIFY_VECTOR_MIN = 24
 
 
 @dataclass
@@ -173,19 +171,17 @@ class PLRLearner:
         self,
         points: Sequence[Tuple[int, int]],
         group_base: int,
-        cone: Optional[Tuple[float, float]] = None,
+        cone: Tuple[float, float],
     ) -> List[LearnedSegment]:
         """Fit, quantize and verify one candidate segment.
 
-        ``cone`` carries the feasible-slope bounds already narrowed by
-        :meth:`_extend_cone` so the slope needs no second pass over the
-        points; the recursive split fallback recomputes them for its halves.
+        ``cone`` carries the feasible-slope bounds :meth:`_extend_cone`
+        narrowed over exactly these points, so the slope needs no second
+        pass over them.
 
         Falls back to splitting the candidate when the quantized model cannot
         honour the error bound (a rare event caused by float16 rounding).
         """
-        if not points:
-            return []
         if len(points) == 1:
             lpa, ppa = points[0]
             return [LearnedSegment(Segment.single_point(group_base, lpa, ppa), [lpa])]
@@ -193,9 +189,7 @@ class PLRLearner:
         lpas = [lpa for lpa, _ in points]
         x0, y0 = points[0]
         xn, yn = points[-1]
-        raw_slope = (
-            self._slope_from_cone(*cone) if cone else self._choose_slope(points)
-        )
+        raw_slope = self._slope_from_cone(*cone)
         length = xn - x0
 
         for accurate in (True, False) if self.gamma > 0 else (True,):
@@ -213,25 +207,13 @@ class PLRLearner:
                 if self._verify(segment, points, exact=accurate, lpas=lpas):
                     return [LearnedSegment(segment, lpas)]
 
-        # Quantization broke the bound: split the candidate and relearn.
+        # Quantization broke the bound: split the candidate and relearn each
+        # half with the greedy cone walk.  The second half gets a new anchor,
+        # about which its points need not fit one cone; the walk splits there.
         middle = len(points) // 2
-        return self._finalize(points[:middle], group_base) + self._finalize(
+        return self._learn_group(points[:middle], group_base) + self._learn_group(
             points[middle:], group_base
         )
-
-    def _choose_slope(self, points: Sequence[Tuple[int, int]]) -> float:
-        """Slope of the fitted line through the cone anchored at the first point."""
-        x0, y0 = points[0]
-        low = -math.inf
-        high = math.inf
-        gamma = float(self.gamma)
-        for x, y in points[1:]:
-            dx = float(x - x0)
-            low = max(low, (y - gamma - y0) / dx)
-            high = min(high, (y + gamma - y0) / dx)
-        if low > high:
-            raise ValueError("inconsistent cone: caller must pass a feasible range")
-        return self._slope_from_cone(low, high)
 
     def _slope_from_cone(self, low: float, high: float) -> float:
         slope = (low + high) / 2.0 if self.gamma else low
@@ -253,21 +235,11 @@ class PLRLearner:
         slope = segment.slope
         intercept = segment.intercept
         group_base = segment.group_base
-        if HAVE_NUMPY and len(points) >= _VERIFY_VECTOR_MIN:
-            # Same float64 multiply/add/ceil per point as the scalar loop.
-            lpa_vec = np.fromiter(
-                (p[0] for p in points), dtype=np.int64, count=len(points)
-            )
-            ppas = np.fromiter((p[1] for p in points), dtype=np.int64, count=len(points))
-            predicted = np.ceil(slope * (lpa_vec - group_base) + intercept)
-            if np.abs(predicted - ppas).max() > limit:
+        ceil = math.ceil
+        for lpa, ppa in points:
+            error = ceil(slope * (lpa - group_base) + intercept) - ppa
+            if error > limit or -error > limit:
                 return False
-        else:
-            ceil = math.ceil
-            for lpa, ppa in points:
-                error = ceil(slope * (lpa - group_base) + intercept) - ppa
-                if error > limit or -error > limit:
-                    return False
         # Accurate segments must also be *enumerable* from their metadata:
         # the stride test of Algorithm 2 has to report exactly the learned
         # LPAs, otherwise lookups would claim LPAs the segment does not hold.

@@ -31,10 +31,9 @@ match what the real 8-byte encoding produces.  The intercept is kept at full
 float64 precision internally; on the device it is anchored at the group base
 and stored in 4 bytes, which this model treats as lossless.
 
-Float16 conversions go through :mod:`struct`'s IEEE ``'e'`` format, which is
-bit-identical to ``numpy.float16`` round-to-nearest-even (exhaustively
-checked in the test suite) — this keeps the learned-index core importable,
-and the whole simulator runnable, without numpy.
+Float16 conversions go through :mod:`struct`'s IEEE ``'e'`` format
+(binary16, round-to-nearest-even), so the learned-index core needs nothing
+outside the standard library.
 """
 
 from __future__ import annotations

@@ -344,15 +344,7 @@ def reset_measurement(ssd: SimulatedSSD) -> None:
     of the subsequent replay excludes the warm-up makespan.
     """
     ssd.begin_measurement()
-    ssd.ftl.stats.reset()
-    lea = getattr(ssd.ftl, "lea_stats", None)
-    if lea is not None:
-        lea.mispredictions = 0
-        lea.oob_corrections = 0
-        lea.oob_correction_failures = 0
-        lea.approximate_lookups = 0
-        lea.lookups_resolved = 0
-        lea.levels_histogram = {}
+    ssd.ftl.reset_stats()
 
 
 # --------------------------------------------------------------------------- #

@@ -25,8 +25,7 @@ no-mapping sentinel, and per-block counters in plain integer lists.  One
 flash block occupies a contiguous PPA range (see
 :mod:`repro.flash.geometry`), so block-granular operations are slice
 operations, ``valid_page_count`` is an O(1) counter read, and
-``valid_ppas_of_block`` is a vectorized ``flatnonzero`` over the block's
-slice when numpy is available (with a bit-identical scalar scan fallback).
+``valid_ppas_of_block`` is one scan over the block's state slice.
 The :class:`PageState` enum remains the public vocabulary of the API.
 """
 
@@ -37,7 +36,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.compat import HAVE_NUMPY, np
 from repro.config import SSDConfig
 from repro.flash.geometry import FlashGeometry
 from repro.flash.oob import OOBArea
@@ -112,11 +110,6 @@ class FlashArray:
         self._free_states = bytes(self._pages_per_block)
         self._valid_states = bytes([_VALID]) * self._pages_per_block
         self._free_lpas = array("q", [_NO_LPA]) * self._pages_per_block
-        # Zero-copy numpy view over the page-state bytes (the bytearray is
-        # never resized, so the view stays valid for the array's lifetime).
-        self._state_np = (
-            np.frombuffer(self._state, dtype=np.uint8) if HAVE_NUMPY else None
-        )
 
         self._scheduler = scheduler or NANDScheduler(
             config.channels, config.dies_per_channel
@@ -196,8 +189,6 @@ class FlashArray:
         """All VALID PPAs in ``block`` (ascending order)."""
         start = block * self._pages_per_block
         stop = start + self._pages_per_block
-        if self._state_np is not None:
-            return (np.flatnonzero(self._state_np[start:stop] == _VALID) + start).tolist()
         block_states = self._state[start:stop]
         return [start + offset for offset, code in enumerate(block_states) if code == _VALID]
 

@@ -14,6 +14,17 @@ to the FTL through this interface:
 * :meth:`FTL.resident_bytes` / :meth:`FTL.full_mapping_bytes` report the
   DRAM footprint, which drives the data-cache sizing.
 
+Three hooks have defaults that only LeaFTL overrides:
+
+* :meth:`FTL.oob_window` — how many neighbours' reverse mappings each side
+  the write path must store in every page's OOB (default 0; LeaFTL: γ).
+  The device reads it once, at construction;
+* :meth:`FTL.resolve_misprediction` — locate the true PPA from the OOB of a
+  page that turned out to hold another LPA (default ``None``: the device
+  scans the error window page by page);
+* :meth:`FTL.reset_stats` — zero every counter the FTL keeps (end of a
+  warm-up); an FTL with counters beyond ``stats`` extends it.
+
 Flash accesses the resolution itself required (translation-page fetches
 and dirty evictions in DFTL/SFTL) are reported through
 ``stats.translation_page_reads`` / ``translation_page_writes``; the device
@@ -48,7 +59,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+from repro.flash.oob import OOBArea
 
 
 @dataclass(slots=True)
@@ -102,7 +115,7 @@ class FTL(abc.ABC):
     # Address translation
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def translate_range(self, lpa: int, npages: int) -> List[TranslationResult]:
+    def translate_range(self, lpa: int, npages: int) -> Sequence[TranslationResult]:
         """Resolve the contiguous run ``[lpa, lpa + npages)`` in one batch.
 
         Returns one :class:`TranslationResult` per page, in LPA order; see
@@ -153,6 +166,24 @@ class FTL(abc.ABC):
 
     def maintenance(self) -> None:
         """Periodic background work (e.g. LeaFTL segment compaction)."""
+
+    def oob_window(self) -> int:
+        """Reverse-mapping window the write path must store in each OOB."""
+        return 0
+
+    def resolve_misprediction(
+        self, lpa: int, predicted_ppa: int, oob: OOBArea
+    ) -> Optional[int]:
+        """The true PPA of ``lpa`` given the OOB read at ``predicted_ppa``.
+
+        ``None`` means the OOB cannot tell, and the device falls back to
+        scanning the error window.
+        """
+        return None
+
+    def reset_stats(self) -> None:
+        """Zero the FTL's counters; mapping state is untouched."""
+        self.stats.reset()
 
     def mapped_lpa_count(self) -> Optional[int]:
         """Number of live LPAs the FTL believes are mapped, if tracked."""

@@ -183,8 +183,9 @@ class SimulatedSSD:
         if self.options.arbiter not in ARBITERS:
             raise ValueError(f"arbiter must be one of {ARBITERS}")
 
-        gamma = self._ftl_oob_window()
-        validate_gamma_fits_oob(gamma, config.oob_size)
+        #: The FTL's OOB reverse-mapping window (LeaFTL's gamma, else 0).
+        self._oob_window = ftl.oob_window()
+        validate_gamma_fits_oob(self._oob_window, config.oob_size)
 
         self.scheduler = NANDScheduler(config.channels, config.dies_per_channel)
         self.flash = FlashArray(config, scheduler=self.scheduler)
@@ -256,10 +257,6 @@ class SimulatedSSD:
     # ------------------------------------------------------------------ #
     # Small helpers
     # ------------------------------------------------------------------ #
-    def _ftl_oob_window(self) -> int:
-        window = getattr(self.ftl, "oob_window", None)
-        return int(window()) if callable(window) else 0
-
     def _cache_capacity_pages(self) -> int:
         cache_bytes = self.dram_budget.cache_bytes(self.ftl.resident_bytes())
         return max(1, cache_bytes // self.config.page_size)
@@ -496,7 +493,7 @@ class SimulatedSSD:
         # OOB windows, old-copy invalidation and the per-page scheduler
         # timing chain all happen inside (bit-identical to per-page calls).
         finish = self.flash.program_run(
-            first_ppa, lpas, old_ppas, self._ftl_oob_window(), ppa_to_lpa, at_us
+            first_ppa, lpas, old_ppas, self._oob_window, ppa_to_lpa, at_us
         )
         current_ppa.update(mappings)
         if purpose == "host":
@@ -594,7 +591,7 @@ class SimulatedSSD:
 
     def _nearest_programmed_page(self, lpa: int, predicted_ppa: int) -> Optional[int]:
         """The programmed page of the ±gamma window closest to the prediction."""
-        gamma = max(self._ftl_oob_window(), 1)
+        gamma = max(self._oob_window, 1)
         total = self.flash.geometry.total_pages
         for distance in range(0, gamma + 1):
             for candidate in (predicted_ppa - distance, predicted_ppa + distance):
@@ -617,10 +614,9 @@ class SimulatedSSD:
         """
         self.stats.mispredictions += 1
         oob = self.flash.oob_of(read_ppa)
-        resolver = getattr(self.ftl, "resolve_misprediction", None)
         correct_ppa: Optional[int] = None
-        if oob is not None and callable(resolver):
-            correct_ppa = resolver(lpa, read_ppa, oob)
+        if oob is not None:
+            correct_ppa = self.ftl.resolve_misprediction(lpa, read_ppa, oob)
 
         if (
             correct_ppa is not None
@@ -632,7 +628,7 @@ class SimulatedSSD:
             return finish
 
         # OOB could not resolve: scan the error window around the prediction.
-        gamma = max(self._ftl_oob_window(), 1)
+        gamma = max(self._oob_window, 1)
         total = self.flash.geometry.total_pages
         finish = clock
         for candidate in range(predicted_ppa - gamma, predicted_ppa + gamma + 1):

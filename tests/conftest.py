@@ -41,7 +41,7 @@ def make_ssd(
     # Provision a spare area large enough for the FTL's reverse-mapping
     # window: the default 128-byte OOB holds gamma <= 15, so gamma = 16
     # tests get the next standard spare size (256 bytes) automatically.
-    window = getattr(ftl, "oob_window", lambda: 0)()
+    window = ftl.oob_window()
     while required_oob_bytes(window) > config.oob_size:
         config = replace(config, oob_size=config.oob_size * 2)
     budget = DRAMBudget(dram_bytes=dram_bytes or config.dram_size)

@@ -12,6 +12,7 @@ from repro.experiments.common import (
     SIMULATOR_WORKLOADS,
     build_ftl,
     build_ssd,
+    reset_measurement,
     run_experiment,
     run_schemes,
     workload_by_name,
@@ -22,6 +23,7 @@ from repro.experiments.memory import (
     mapping_footprints,
     memory_setup,
 )
+from repro.obs.registry import device_snapshot
 
 
 #: A deliberately small setup so harness tests stay fast.
@@ -83,6 +85,26 @@ class TestRunExperiment:
         # Warm-up traffic must not be counted in the measured statistics.
         trace = workload_for_setup("FIU-home", FAST)
         assert result.stats.host_writes <= trace.write_pages + len(trace)
+
+    def test_reset_measurement_clears_every_ftl_counter(self):
+        """Compactions and the table's learning counters used to survive it."""
+        ssd = build_ssd("LeaFTL", FAST.scaled(compaction_interval_writes=2_000))
+        for lpa in range(0, 8192, 64):
+            ssd.process("W", lpa, 64)
+        ssd.flush()
+        ssd.process("R", 0, 8)
+        warm = device_snapshot(ssd).counters
+        assert warm["leaftl.compactions"] > 0
+        assert warm["mapping_table.segments_learned"] > 0
+        reset_measurement(ssd)
+        measured = device_snapshot(ssd).counters
+        stale = {
+            key: value
+            for key, value in measured.items()
+            if key.startswith(("ftl.", "leaftl.", "mapping_table.")) and value
+        }
+        assert stale == {}
+        assert ssd.ftl.lea_stats.levels_histogram == {}
 
     def test_run_schemes_shares_trace(self):
         results = run_schemes("MSR-prxy", FAST.scaled(warmup=False))

@@ -22,6 +22,7 @@ import pytest
 
 from repro.config import DFTLConfig, LeaFTLConfig
 from repro.core.leaftl import LeaFTL
+from repro.ftl.base import TranslationResult
 from repro.ftl.dftl import DFTL
 from repro.ftl.pagemap import PageLevelFTL
 from repro.ftl.sftl import SFTL
@@ -141,7 +142,10 @@ class TestLeaFTLTranslateRange:
             ppa += length
         batched = ftl.translate_range(0, 960)
         for lpa, result in enumerate(batched):
-            assert result.ppa == ftl.translate(lpa).ppa, f"mismatch at LPA {lpa}"
+            single = ftl.translate(lpa)
+            assert result.ppa == single.ppa, f"mismatch at LPA {lpa}"
+            assert isinstance(result, TranslationResult)
+            assert result.levels_searched == single.levels_searched >= 1
 
 
 class TestDFTLTranslateRange:

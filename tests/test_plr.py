@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.plr import PLRLearner, learn_segments
 from repro.core.segment import GROUP_SIZE
+from repro.ssd.ssd import SSDOptions
+from tests.conftest import make_ssd
 
 
 def verify_error_bound(learned, mappings, gamma):
@@ -148,6 +150,68 @@ class TestLearnerProperties:
         for gamma in (0, 4):
             learned = learn_segments(mappings, gamma=gamma)
             verify_error_bound(learned, mappings, gamma)
+
+
+@st.composite
+def jittered_batches(draw):
+    """(gamma, batch): unique LPAs over up to three groups, non-monotone PPAs.
+
+    PPAs follow the LPA rank with a per-point jitter of up to ±gamma, the
+    shape an unsorted flush or a GC migration produces: cones grow long, the
+    float16 slope often cannot hold the bound, and the split fallback runs.
+    """
+    gamma = draw(st.sampled_from([0, 1, 4, 8, 16]))
+    start = draw(st.integers(0, 1 << 16))
+    base = draw(st.integers(1 << 10, 1 << 22))
+    size = draw(st.integers(1, 200))
+    points = draw(
+        st.lists(
+            st.tuples(st.integers(0, 767), st.integers(-gamma, gamma)),
+            min_size=size,
+            max_size=size,
+            unique_by=lambda point: point[0],
+        )
+    )
+    points.sort()
+    return gamma, [
+        (start + offset, base + rank + jitter)
+        for rank, (offset, jitter) in enumerate(points)
+    ]
+
+
+class TestSplitFallback:
+    """The quantization-split fallback relearns each half; it never raises."""
+
+    @given(case=jittered_batches())
+    # A half re-anchored at its own first point need not fit one cone.
+    @example(
+        case=(
+            8,
+            [(1336, 163505), (1388, 163498), (1394, 163507), (1417, 163507),
+             (1428, 163493), (1455, 163505), (1717, 163497), (1753, 163496),
+             (1853, 163507)],
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_batch_is_learned_within_the_bound(self, case):
+        gamma, mappings = case
+        learned = learn_segments(mappings, gamma=gamma)
+        assert sorted(covered_lpas(learned)) == [lpa for lpa, _ in mappings]
+        verify_error_bound(learned, mappings, gamma)
+        for item in learned:
+            if item.accurate:
+                assert item.segment.covered_lpas_accurate_list() == item.lpas
+
+    def test_unsorted_flush_device_reads_back(self):
+        """gamma = 8 without buffer sorting used to die in ``learn``."""
+        ssd = make_ssd(gamma=8, options=SSDOptions(sort_buffer_on_flush=False))
+        rng = random.Random(0)
+        written = [rng.randrange(4096) for _ in range(5000)]
+        ssd.run([("W", lpa, 1) for lpa in written])
+        ssd.flush()
+        ssd.run([("R", lpa, 1) for lpa in sorted(set(written))])
+        assert ssd.stats.unmapped_reads == 0
+        ssd.ftl.table.validate()
 
 
 class TestConfiguredGroupSize:

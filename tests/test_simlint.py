@@ -27,7 +27,6 @@ from tools.simlint import (  # noqa: E402
     lint_file,
     lint_paths,
 )
-from tools.simlint.config import _parse_minimal_toml  # noqa: E402
 
 FIXTURES = REPO / "tests" / "simlint_fixtures"
 
@@ -116,24 +115,6 @@ class TestConfig:
         assert any("tests" in entry for entry in config.exclude)
         # Every rule scoped in the file exists in the registry.
         assert set(config.rules) <= set(RULES)
-
-    def test_minimal_toml_parser_agrees_with_tomllib(self):
-        # The py3.10 fallback parser must produce the same structure
-        # tomllib does for the repo's own config file.
-        tomllib = pytest.importorskip("tomllib")
-        text = (REPO / "simlint.toml").read_text()
-        with open(REPO / "simlint.toml", "rb") as handle:
-            reference = tomllib.load(handle)
-        flat = _parse_minimal_toml(text)
-        nested = dict(flat.get("", {}))
-        for section, values in flat.items():
-            if not section:
-                continue
-            cursor = nested
-            for part in section.split("."):
-                cursor = cursor.setdefault(part, {})
-            cursor.update(values)
-        assert nested == reference
 
     def test_unknown_rule_rejected(self, tmp_path):
         bad = tmp_path / "simlint.toml"

@@ -6,21 +6,16 @@ stats modules, ...).  Files are matched by posix-style path prefix relative
 to the config root, so ``"src/repro/sim"`` covers the whole package and
 ``"src/repro/flash/allocator.py"`` exactly one file.
 
-Python 3.11+ parses the file with :mod:`tomllib`; on 3.10 a minimal
-built-in parser covers the subset simlint uses (``[section]`` tables,
-string lists, strings, booleans) — no third-party TOML dependency.
+The file is parsed with the standard library's :mod:`tomllib` (Python
+3.11+) — no third-party TOML dependency.
 """
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
-
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on py3.10 only
-    tomllib = None  # type: ignore[assignment]
 
 from tools.simlint.engine import RULES, Rule
 
@@ -31,80 +26,9 @@ CONFIG_NAME = "simlint.toml"
 _ALWAYS_EXCLUDED = (".git", "__pycache__")
 
 
-def _parse_minimal_toml(text: str) -> Dict[str, Dict[str, object]]:
-    """Parse the TOML subset simlint.toml uses (py3.10 fallback).
-
-    Supports ``[dotted.section]`` headers, and ``key = value`` where value
-    is a string, boolean, integer, or a (possibly multi-line) list of
-    strings.  Comments and blank lines are skipped.
-    """
-    tables: Dict[str, Dict[str, object]] = {}
-    current: Dict[str, object] = tables.setdefault("", {})
-    pending_key: Optional[str] = None
-    pending_items: List[str] = []
-
-    def parse_scalar(token: str) -> object:
-        token = token.strip()
-        if token.startswith(('"', "'")):
-            return token[1:-1]
-        if token in ("true", "false"):
-            return token == "true"
-        return int(token)
-
-    def parse_list_items(body: str) -> List[str]:
-        items: List[str] = []
-        for piece in body.split(","):
-            piece = piece.strip()
-            if piece:
-                items.append(str(parse_scalar(piece)))
-        return items
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip() if not raw.lstrip().startswith("#") else ""
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if pending_key is not None:
-            closing = stripped.endswith("]")
-            body = stripped[:-1] if closing else stripped
-            pending_items.extend(parse_list_items(body))
-            if closing:
-                current[pending_key] = pending_items
-                pending_key, pending_items = None, []
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped[1:-1].strip().strip('"')
-            current = tables.setdefault(name, {})
-            continue
-        key, _, value = stripped.partition("=")
-        key, value = key.strip().strip('"'), value.strip()
-        if value.startswith("["):
-            body = value[1:]
-            if body.rstrip().endswith("]"):
-                current[key] = parse_list_items(body.rstrip()[:-1])
-            else:
-                pending_key, pending_items = key, parse_list_items(body)
-        else:
-            current[key] = parse_scalar(value)
-    return tables
-
-
 def _load_toml(path: Path) -> Dict[str, object]:
-    if tomllib is not None:
-        with path.open("rb") as handle:
-            return tomllib.load(handle)
-    # Fallback: flatten the minimal parser's dotted sections into the same
-    # nested-dict shape tomllib produces.
-    flat = _parse_minimal_toml(path.read_text(encoding="utf-8"))
-    nested: Dict[str, object] = dict(flat.get("", {}))
-    for section, values in flat.items():
-        if not section:
-            continue
-        cursor = nested
-        for part in section.split("."):
-            cursor = cursor.setdefault(part, {})  # type: ignore[assignment]
-        cursor.update(values)  # type: ignore[union-attr]
-    return nested
+    with path.open("rb") as handle:
+        return tomllib.load(handle)
 
 
 @dataclass

@@ -10,7 +10,7 @@ machine instead of by review.
 Design notes
 ------------
 * **stdlib only** — the linter must run in a bare checkout (``ast`` +
-  ``tomllib``/fallback, no third-party dependencies).
+  ``tomllib``, no third-party dependencies).
 * **one parse per file** — all applicable rules share the same
   :class:`FileContext` (source, AST, suppression map).
 * **suppressions are per line and per code** — ``# simlint: disable=SIM003``
