@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.analysis.memory import format_bytes
 from repro.analysis.report import print_report, render_table
-from repro.experiments.common import run_experiment, workload_for_setup
+from repro.experiments.common import run_experiment
 from repro.experiments.memory import memory_setup
 
 from benchmarks.conftest import memory_scale, run_once
@@ -22,8 +22,7 @@ def test_ablation_compaction_interval(benchmark):
             setup = memory_setup(gamma=0, request_scale=memory_scale()).scaled(
                 compaction_interval_writes=interval
             )
-            trace = workload_for_setup("FIU-mail", setup)
-            results[label] = run_experiment("FIU-mail", "LeaFTL", setup, trace=trace)
+            results[label] = run_experiment("FIU-mail", "LeaFTL", setup)
         return results
 
     results = run_once(benchmark, run_both)
@@ -42,11 +41,7 @@ def test_ablation_compaction_interval(benchmark):
 
 def test_ablation_compaction_latency(benchmark):
     """Wall-clock cost of one full-table compaction (paper: ~4.1 ms)."""
-    setup = memory_setup(gamma=0, request_scale=memory_scale()).scaled(
-        compaction_interval_writes=10**9
-    )
-    run_experiment("MSR-hm", "LeaFTL", setup)
-    # Rebuild a table of the same shape and time compact() directly.
+    # A table shaped like a replayed workload's; compact() is timed directly.
     from repro.config import LeaFTLConfig
     from repro.core.mapping_table import LogStructuredMappingTable
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.analysis.memory import format_bytes
 from repro.analysis.report import print_report, render_table
-from repro.experiments.common import run_experiment, workload_for_setup
+from repro.experiments.common import run_experiment
 from repro.experiments.memory import memory_setup
 
 from benchmarks.conftest import memory_scale, run_once
@@ -26,9 +26,7 @@ def test_ablation_sorted_flush(benchmark):
                 setup = memory_setup(gamma=0, request_scale=memory_scale()).scaled(
                     sort_buffer_on_flush=sorted_flush
                 )
-                trace = workload_for_setup(workload, setup)
-                outcome = run_experiment(workload, "LeaFTL", setup, trace=trace)
-                per_mode[sorted_flush] = outcome
+                per_mode[sorted_flush] = run_experiment(workload, "LeaFTL", setup)
             results[workload] = per_mode
         return results
 

@@ -6,20 +6,23 @@ LPA-PPA mappings and that the segment count drops as gamma grows.
 
 from __future__ import annotations
 
+from repro.analysis.memory import length_histogram
 from repro.analysis.report import print_report, render_series
-from repro.experiments.segments import length_histogram, segment_length_distribution
+from repro.experiments.common import axis_grid
+from repro.experiments.memory import memory_setup
 
 from benchmarks.conftest import CORE_SIMULATOR_WORKLOADS, memory_scale, run_once
 
+GAMMAS = (0, 4, 8)
+
 
 def test_fig05_segment_length_distribution(benchmark):
-    distribution = run_once(
-        benchmark,
-        segment_length_distribution,
-        CORE_SIMULATOR_WORKLOADS,
-        (0, 4, 8),
-        memory_scale(),
-    )
+    setup = memory_setup(request_scale=memory_scale())
+    grid = run_once(benchmark, axis_grid, CORE_SIMULATOR_WORKLOADS, "gamma", GAMMAS, setup)
+    distribution = {
+        gamma: [n for cells in grid.values() for n in cells[gamma].segment_lengths]
+        for gamma in GAMMAS
+    }
 
     series = {}
     counts = {}

@@ -7,16 +7,18 @@ worst case).
 
 from __future__ import annotations
 
+from repro.analysis.latency import mean_and_p99
 from repro.analysis.report import print_report, render_table
-from repro.experiments.segments import crb_size_distribution
+from repro.experiments.common import scheme_grid
+from repro.experiments.memory import memory_setup
 
 from benchmarks.conftest import CORE_SIMULATOR_WORKLOADS, memory_scale, run_once
 
 
 def test_fig10_crb_size_distribution(benchmark):
-    results = run_once(
-        benchmark, crb_size_distribution, CORE_SIMULATOR_WORKLOADS, 4, memory_scale()
-    )
+    setup = memory_setup(gamma=4, request_scale=memory_scale())
+    grid = run_once(benchmark, scheme_grid, CORE_SIMULATOR_WORKLOADS, ("LeaFTL",), setup)
+    results = {wl: mean_and_p99(cells["LeaFTL"].crb_sizes) for wl, cells in grid.items()}
 
     rows = [
         [workload, round(average, 1), round(p99, 1)]

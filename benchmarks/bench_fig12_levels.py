@@ -6,16 +6,18 @@ The paper reports a small average (a few levels) with a longer tail at the
 
 from __future__ import annotations
 
+from repro.analysis.latency import mean_and_p99
 from repro.analysis.report import print_report, render_table
-from repro.experiments.segments import level_distribution
+from repro.experiments.common import scheme_grid
+from repro.experiments.memory import memory_setup
 
 from benchmarks.conftest import CORE_SIMULATOR_WORKLOADS, memory_scale, run_once
 
 
 def test_fig12_levels_per_group(benchmark):
-    results = run_once(
-        benchmark, level_distribution, CORE_SIMULATOR_WORKLOADS, 0, memory_scale()
-    )
+    setup = memory_setup(request_scale=memory_scale())
+    grid = run_once(benchmark, scheme_grid, CORE_SIMULATOR_WORKLOADS, ("LeaFTL",), setup)
+    results = {wl: mean_and_p99(cells["LeaFTL"].level_counts) for wl, cells in grid.items()}
 
     rows = [
         [workload, round(average, 2), round(p99, 1)]

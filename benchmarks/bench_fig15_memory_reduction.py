@@ -2,28 +2,24 @@
 
 The paper reports a 7.5-37.7x reduction over DFTL and up to 5.3x (2.9x on
 average) over SFTL with gamma = 0.  The synthetic workload stand-ins give
-smaller absolute factors (see EXPERIMENTS.md) but the same ordering:
-LeaFTL < SFTL < DFTL for every workload.
+smaller absolute factors (the printed table is the record) but the same
+ordering: LeaFTL < SFTL < DFTL for every workload.
 """
 
 from __future__ import annotations
 
 from repro.analysis.memory import format_bytes
 from repro.analysis.report import print_report, render_table
-from repro.experiments.memory import average_reduction, mapping_footprints
+from repro.experiments.common import SCHEMES, project, scheme_grid
+from repro.experiments.memory import average_reduction, memory_setup
 
 from benchmarks.conftest import CORE_SIMULATOR_WORKLOADS, memory_scale, run_once
 
 
 def test_fig15_mapping_table_reduction(benchmark):
-    footprints = run_once(
-        benchmark,
-        mapping_footprints,
-        CORE_SIMULATOR_WORKLOADS,
-        ("DFTL", "SFTL", "LeaFTL"),
-        0,
-        memory_scale(),
-    )
+    setup = memory_setup(request_scale=memory_scale())
+    grid = run_once(benchmark, scheme_grid, CORE_SIMULATOR_WORKLOADS, SCHEMES, setup)
+    footprints = project(grid, "mapping_full_bytes")
 
     rows = []
     for workload, by_scheme in footprints.items():

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.latency import normalize
 from repro.analysis.report import print_report, render_series
-from repro.experiments.performance import normalized_performance
+from repro.experiments.common import SCHEMES, project, scheme_grid
 
 from benchmarks.conftest import CORE_SIMULATOR_WORKLOADS, perf_setup, run_once
 
@@ -27,7 +28,9 @@ from benchmarks.conftest import CORE_SIMULATOR_WORKLOADS, perf_setup, run_once
 @pytest.mark.parametrize("policy", ["mapping_first", "cache_reserved"])
 def test_fig16_normalized_performance(benchmark, policy):
     setup = perf_setup(dram_policy=policy)
-    table = run_once(benchmark, normalized_performance, CORE_SIMULATOR_WORKLOADS, setup)
+    grid = run_once(benchmark, scheme_grid, CORE_SIMULATOR_WORKLOADS, SCHEMES, setup)
+    latencies = project(grid, "read_mean_latency_us")
+    table = {wl: normalize(row, "DFTL") for wl, row in latencies.items()}
 
     label = "(a) DRAM mostly for mapping" if policy == "mapping_first" else "(b) 20% reserved for cache"
     print_report(render_series(

@@ -12,15 +12,18 @@ and striped across channels either way.
 
 from __future__ import annotations
 
+from repro.analysis.latency import normalize
 from repro.analysis.report import print_report, render_series
-from repro.experiments.performance import normalized_performance
+from repro.experiments.common import SCHEMES, project, scheme_grid
 
 from benchmarks.conftest import CORE_DATABASE_WORKLOADS, perf_setup, run_once
 
 
 def test_fig17_database_performance(benchmark):
     setup = perf_setup(dram_policy="cache_reserved")
-    table = run_once(benchmark, normalized_performance, CORE_DATABASE_WORKLOADS, setup)
+    grid = run_once(benchmark, scheme_grid, CORE_DATABASE_WORKLOADS, SCHEMES, setup)
+    latencies = project(grid, "read_mean_latency_us")
+    table = {wl: normalize(row, "DFTL") for wl, row in latencies.items()}
 
     print_report(render_series(
         "Figure 17: normalized read latency on database workloads (lower is better)",

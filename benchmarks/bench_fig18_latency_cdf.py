@@ -11,25 +11,30 @@ regime real tail latencies come from.
 
 from __future__ import annotations
 
+from repro.analysis.latency import latency_cdf
 from repro.analysis.report import print_report, render_series
-from repro.experiments.performance import gc_mode_comparison, latency_distribution
+from repro.experiments.common import run_schemes
+from repro.experiments.performance import gc_mode_comparison
 
 from benchmarks.conftest import bench_scale, perf_setup, run_once
 
 
-def _render_cdf(title, cdf):
+def _render_cdf(title, cells):
+    """Print and return scheme -> CDF point -> read latency of OLTP cells."""
+    cdf = {scheme: latency_cdf(cell.latency_samples) for scheme, cell in cells.items()}
     print_report(render_series(
         title,
         {scheme: {f"{p:g}%": round(v, 1) for p, v in points.items()}
          for scheme, points in cdf.items()},
     ))
+    return cdf
 
 
 def test_fig18_oltp_latency_cdf(benchmark):
     setup = perf_setup(dram_policy="cache_reserved")
-    cdf = run_once(benchmark, latency_distribution, "OLTP", setup)
+    cells = run_once(benchmark, run_schemes, "OLTP", setup)
 
-    _render_cdf("Figure 18: OLTP read latency (us) at CDF points", cdf)
+    cdf = _render_cdf("Figure 18: OLTP read latency (us) at CDF points", cells)
 
     # LeaFTL's tail (99.9th percentile) stays within 1.5x of the baselines.
     assert cdf["LeaFTL"][99.9] <= 1.5 * max(cdf["DFTL"][99.9], cdf["SFTL"][99.9], 1.0)
@@ -39,17 +44,10 @@ def test_fig18_oltp_latency_cdf(benchmark):
 
 def test_fig18_oltp_latency_cdf_contended(benchmark):
     """The queue-depth-8 CDF: reads contend with background flush/GC."""
-    setup = perf_setup(dram_policy="cache_reserved")
-    cdf = run_once(
-        benchmark,
-        latency_distribution,
-        "OLTP",
-        setup,
-        schemes=("DFTL", "LeaFTL"),
-        queue_depth=8,
-    )
+    setup = perf_setup(dram_policy="cache_reserved", queue_depth=8)
+    cells = run_once(benchmark, run_schemes, "OLTP", setup, ("DFTL", "LeaFTL"))
 
-    _render_cdf("Figure 18 (queue depth 8): OLTP read latency (us)", cdf)
+    cdf = _render_cdf("Figure 18 (queue depth 8): OLTP read latency (us)", cells)
 
     # Under contention tails are dominated by queueing, which is common to
     # every scheme — LeaFTL's stays within 2x of DFTL's at every scale.
@@ -64,16 +62,9 @@ def test_fig18_oltp_latency_cdf_open_loop(benchmark):
     regime where a slow scheme falls behind its arrival process and the
     backlog inflates every subsequent request's latency."""
     setup = perf_setup(dram_policy="cache_reserved")
-    cdf = run_once(
-        benchmark,
-        latency_distribution,
-        "OLTP",
-        setup,
-        schemes=("DFTL", "LeaFTL"),
-        replay_mode="open",
-    )
+    cells = run_once(benchmark, run_schemes, "OLTP", setup, ("DFTL", "LeaFTL"), "open")
 
-    _render_cdf("Figure 18 (open loop): OLTP read latency vs arrival (us)", cdf)
+    cdf = _render_cdf("Figure 18 (open loop): OLTP read latency vs arrival (us)", cells)
 
     # Sanity: the CDF is monotone and the tail includes arrival queueing.
     for scheme in ("DFTL", "LeaFTL"):

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from repro.analysis.memory import normalized_size
 from repro.analysis.report import print_report, render_series
-from repro.experiments.memory import gamma_sweep_footprints
+from repro.experiments.common import axis_grid, project
+from repro.experiments.memory import memory_setup
 
 from benchmarks.conftest import CORE_WORKLOADS, memory_scale, run_once
 
@@ -17,9 +18,9 @@ GAMMAS = (0, 1, 4, 16)
 
 
 def test_fig19_gamma_vs_mapping_size(benchmark):
-    footprints = run_once(
-        benchmark, gamma_sweep_footprints, CORE_WORKLOADS, GAMMAS, memory_scale()
-    )
+    setup = memory_setup(request_scale=memory_scale())
+    grid = run_once(benchmark, axis_grid, CORE_WORKLOADS, "gamma", GAMMAS, setup)
+    footprints = project(grid, "mapping_full_bytes")
 
     series = {}
     for workload, by_gamma in footprints.items():

@@ -7,8 +7,9 @@ data cache; mispredictions stay cheap (one extra read, Figure 24).
 
 from __future__ import annotations
 
+from repro.analysis.latency import normalize
 from repro.analysis.report import print_report, render_series
-from repro.experiments.performance import gamma_performance
+from repro.experiments.common import axis_grid, project
 
 from benchmarks.conftest import perf_setup, run_once
 
@@ -18,7 +19,9 @@ GAMMAS = (0, 4, 16)
 
 def test_fig21_gamma_vs_performance(benchmark):
     setup = perf_setup()
-    table = run_once(benchmark, gamma_performance, WORKLOADS, GAMMAS, setup)
+    grid = run_once(benchmark, axis_grid, WORKLOADS, "gamma", GAMMAS, setup)
+    latencies = project(grid, "read_mean_latency_us")
+    table = {wl: normalize(row, GAMMAS[0]) for wl, row in latencies.items()}
 
     print_report(render_series(
         "Figure 21: LeaFTL read latency normalized to gamma = 0 (lower is better)",

@@ -7,8 +7,9 @@ SFTL at every point.
 
 from __future__ import annotations
 
+from repro.analysis.latency import normalize
 from repro.analysis.report import print_report, render_series
-from repro.experiments.performance import dram_size_sensitivity, page_size_sensitivity
+from repro.experiments.common import SCHEMES, scheme_grid
 
 from benchmarks.conftest import perf_setup, run_once
 
@@ -18,9 +19,20 @@ DRAM_SIZES = (128 * 1024, 256 * 1024, 512 * 1024)
 PAGE_SIZES = (4096, 8192, 16384)
 
 
+def _normalized_sums(setups):
+    """axis value -> scheme -> read latency summed over WORKLOADS, DFTL = 1.0."""
+    table = {}
+    for value, setup in setups.items():
+        grid = scheme_grid(WORKLOADS, SCHEMES, setup)
+        sums = {s: sum(grid[wl][s].read_mean_latency_us for wl in WORKLOADS) for s in SCHEMES}
+        table[value] = normalize(sums, "DFTL")
+    return table
+
+
 def test_fig22a_dram_size_sensitivity(benchmark):
     setup = perf_setup(dram_policy="cache_reserved")
-    table = run_once(benchmark, dram_size_sensitivity, WORKLOADS, DRAM_SIZES, setup)
+    setups = {dram: setup.scaled(dram_bytes=dram) for dram in DRAM_SIZES}
+    table = run_once(benchmark, _normalized_sums, setups)
 
     print_report(render_series(
         "Figure 22(a): normalized read latency vs DRAM size (lower is better)",
@@ -34,7 +46,15 @@ def test_fig22a_dram_size_sensitivity(benchmark):
 
 def test_fig22b_page_size_sensitivity(benchmark):
     setup = perf_setup(dram_policy="cache_reserved")
-    table = run_once(benchmark, page_size_sensitivity, WORKLOADS, PAGE_SIZES, setup)
+    # The paper fixes the number of flash pages while growing the page size,
+    # so the capacity grows with it.
+    setups = {
+        page: setup.scaled(
+            page_size=page, capacity_bytes=setup.capacity_bytes * (page // setup.page_size)
+        )
+        for page in PAGE_SIZES
+    }
+    table = run_once(benchmark, _normalized_sums, setups)
 
     print_report(render_series(
         "Figure 22(b): normalized read latency vs flash page size (lower is better)",

@@ -7,17 +7,32 @@ reports ~90% of lookups resolved at the topmost level and 99% within 10);
 
 from __future__ import annotations
 
+from repro.analysis.latency import value_at_cdf
 from repro.analysis.report import print_report, render_series, render_table
 from repro.config import SSDConfig
-from repro.experiments.performance import lookup_level_cdf
+from repro.experiments.common import scheme_grid
 
 from benchmarks.conftest import perf_setup, run_once
 
 WORKLOADS = ("MSR-hm", "MSR-prxy", "FIU-mail", "TPCC")
+FRACTIONS = (0.90, 0.99, 0.999, 0.9999)
+
+
+def _level_stats(histogram):
+    """Mean and CDF thresholds of the levels searched per lookup."""
+    total = sum(histogram.values())
+    if not total:
+        return {}
+    row = {"mean": sum(level * count for level, count in histogram.items()) / total}
+    for fraction in FRACTIONS:
+        row[f"p{fraction * 100:g}"] = value_at_cdf(histogram, fraction)
+    return row
+
 
 def test_fig23a_levels_per_lookup(benchmark):
     setup = perf_setup()
-    table = run_once(benchmark, lookup_level_cdf, WORKLOADS, setup)
+    grid = run_once(benchmark, scheme_grid, WORKLOADS, ("LeaFTL",), setup)
+    table = {wl: _level_stats(cells["LeaFTL"].levels_histogram) for wl, cells in grid.items()}
 
     print_report(render_series(
         "Figure 23(a): levels searched per LPA lookup",

@@ -8,7 +8,7 @@ entry of an approximate segment mispredicts; gamma = 0 never mispredicts.
 from __future__ import annotations
 
 from repro.analysis.report import print_report, render_series
-from repro.experiments.performance import misprediction_ratios
+from repro.experiments.common import axis_grid, project
 
 from benchmarks.conftest import perf_setup, run_once
 
@@ -18,7 +18,9 @@ GAMMAS = (0, 4, 16)
 
 def test_fig24_misprediction_ratio(benchmark):
     setup = perf_setup()
-    table = run_once(benchmark, misprediction_ratios, WORKLOADS, GAMMAS, setup)
+    grid = run_once(benchmark, axis_grid, WORKLOADS, "gamma", GAMMAS, setup)
+    ratios = project(grid, "misprediction_ratio")
+    table = {wl: {g: 100.0 * v for g, v in row.items()} for wl, row in ratios.items()}
 
     print_report(render_series(
         "Figure 24: misprediction ratio (%) of translated flash accesses",

@@ -14,7 +14,8 @@ pages before collection → less migration traffic per host write.
 from __future__ import annotations
 
 from repro.analysis.report import print_report, render_series
-from repro.experiments.performance import aging_sweep, write_amplification
+from repro.experiments.common import SCHEMES, project, scheme_grid
+from repro.experiments.performance import aging_sweep
 
 from benchmarks.conftest import bench_scale, perf_setup, run_once
 
@@ -23,7 +24,8 @@ WORKLOADS = ("MSR-prxy", "FIU-mail", "TPCC", "OLTP")
 
 def test_fig25_write_amplification(benchmark):
     setup = perf_setup()
-    table = run_once(benchmark, write_amplification, WORKLOADS, setup)
+    grid = run_once(benchmark, scheme_grid, WORKLOADS, SCHEMES, setup)
+    table = project(grid, "write_amplification")
 
     print_report(render_series(
         "Figure 25: write amplification factor (lower is better)",

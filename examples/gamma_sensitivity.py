@@ -18,12 +18,7 @@ import argparse
 
 from repro.analysis.memory import format_bytes
 from repro.analysis.report import print_report, render_table
-from repro.experiments.common import (
-    ALL_WORKLOADS,
-    ExperimentSetup,
-    oob_size_for_gamma,
-    run_experiment,
-)
+from repro.experiments.common import ALL_WORKLOADS, ExperimentSetup, run_experiment
 
 
 def main() -> None:
@@ -38,11 +33,7 @@ def main() -> None:
     baseline_latency = None
     for gamma in args.gammas:
         print(f"running {args.workload} with gamma={gamma} ...")
-        setup = ExperimentSetup(
-            gamma=gamma,
-            oob_size=oob_size_for_gamma(gamma),
-            request_scale=args.scale,
-        )
+        setup = ExperimentSetup(gamma=gamma, request_scale=args.scale)
         result = run_experiment(args.workload, "LeaFTL", setup)
         if baseline_bytes is None:
             baseline_bytes = result.mapping_full_bytes or 1

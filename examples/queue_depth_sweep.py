@@ -5,12 +5,14 @@ Run with::
 
     python examples/queue_depth_sweep.py
 
-The first table is :func:`repro.experiments.performance.queue_depth_sweep`:
-the same workload replayed after an identical serial warm-up at increasing
-host queue depths.  Two opposing effects appear:
+The first table is the ``queue_depth`` axis of the experiment harness
+(:func:`repro.experiments.common.axis_grid`): the same workload replayed
+after an identical serial warm-up at increasing host queue depths.  Two
+opposing effects appear:
 
 * **throughput rises** — the makespan of the replay shrinks because up to
-  ``queue_depth`` requests are serviced concurrently across channels;
+  ``queue_depth`` requests are serviced concurrently across channels
+  (``page_kiops`` counts host *pages* per measured millisecond);
 * **per-request latency rises** — foreground reads queue behind the buffer
   flushes and GC migrations of concurrently outstanding writes (the
   ``read_stall_us`` column measures exactly that wait).
@@ -29,8 +31,12 @@ from __future__ import annotations
 import random
 
 from repro.analysis.report import print_report, render_series
-from repro.experiments.common import run_experiment
-from repro.experiments.performance import performance_setup, queue_depth_sweep
+from repro.experiments.common import (
+    ExperimentResult,
+    ExperimentSetup,
+    axis_grid,
+    run_experiment,
+)
 from repro.sim.frontend import interleave_streams
 from repro.workloads.trace import Trace
 
@@ -46,15 +52,27 @@ def two_tenant_trace(footprint: int) -> Trace:
     return Trace.from_tuples("two-tenant", interleave_streams(oltp, scans))
 
 
+def read_metrics(result: ExperimentResult) -> dict:
+    return {
+        "read_mean_us": result.read_mean_latency_us,
+        "read_p99_us": result.read_p99_us,
+        "read_stall_us": result.stats.read_stall_us,
+    }
+
+
 def main() -> None:
-    setup = performance_setup(gamma=4, capacity_bytes=256 * 1024 * 1024)
-    table = queue_depth_sweep("OLTP", depths=DEPTHS, setup=setup)
-    print_report(
-        render_series(
-            "single tenant: OLTP by queue depth",
-            {str(depth): row for depth, row in table.items()},
-        )
-    )
+    setup = ExperimentSetup(gamma=4, capacity_bytes=256 * 1024 * 1024)
+    cells = axis_grid(("OLTP",), "queue_depth", DEPTHS, setup)["OLTP"]
+    rows = {}
+    for depth, result in cells.items():
+        stats = result.stats
+        elapsed_ms = max(stats.measured_time_us / 1000.0, 1e-9)
+        rows[str(depth)] = {
+            **read_metrics(result),
+            "measured_time_us": stats.measured_time_us,
+            "page_kiops": stats.total_requests / elapsed_ms,
+        }
+    print_report(render_series("single tenant: OLTP by queue depth", rows))
 
     # Reads stay inside the warmed-up 70% of the logical space.
     trace = two_tenant_trace(footprint=40_000)
@@ -63,11 +81,7 @@ def main() -> None:
         result = run_experiment(
             trace.name, "LeaFTL", setup.scaled(queue_depth=depth), trace=trace
         )
-        rows[str(depth)] = {
-            "read_mean_us": result.read_mean_latency_us,
-            "read_p99_us": result.read_p99_us,
-            "read_stall_us": result.stats.read_stall_us,
-        }
+        rows[str(depth)] = read_metrics(result)
     print_report(
         render_series("two tenants: OLTP reads + sequential scans (round-robin)", rows)
     )

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+from repro.ssd.stats import nearest_rank
 
 def percentile(samples: Sequence[float], pct: float) -> float:
     """The ``pct``-th percentile of ``samples`` (nearest-rank)."""
     if not samples:
         return 0.0
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError("pct must be within [0, 100]")
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
-    return ordered[rank]
+    return sorted(samples)[nearest_rank(len(samples), pct)]
+
+def mean_and_p99(values: Sequence[float]) -> Tuple[float, float]:
+    """(mean, 99th percentile) of a per-group distribution (Figures 10, 12)."""
+    if not values:
+        return 0.0, 0.0
+    return sum(values) / len(values), percentile(values, 99)
 
 def latency_cdf(
     samples: Sequence[float],

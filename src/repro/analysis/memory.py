@@ -1,8 +1,8 @@
-"""Mapping-table memory analysis (Figures 15 and 19)."""
+"""Mapping-table memory and structure analysis (Figures 5, 15 and 19)."""
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Sequence
 
 
 def format_bytes(num_bytes: float) -> str:
@@ -58,3 +58,17 @@ def geometric_mean(values) -> float:
     for value in items:
         product *= value
     return product ** (1.0 / len(items))
+
+
+def length_histogram(
+    lengths: Sequence[int],
+    buckets: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048),
+) -> Dict[int, float]:
+    """Cumulative share of segments whose length is <= each bucket (Fig. 5 y-axis)."""
+    if not lengths:
+        return {bucket: 0.0 for bucket in buckets}
+    total = len(lengths)
+    return {
+        bucket: 100.0 * sum(1 for value in lengths if value <= bucket) / total
+        for bucket in buckets
+    }

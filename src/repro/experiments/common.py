@@ -18,10 +18,11 @@ environment variable ``REPRO_BENCH_SCALE`` control the scaling.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DFTLConfig, DRAMBudget, LeaFTLConfig, SFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
@@ -67,9 +68,9 @@ def oob_size_for_gamma(gamma: int) -> int:
 
     The reverse-mapping window needs ``(2 * gamma + 1) * 4`` bytes, so the
     common 128-byte spare covers gamma <= 15 and gamma = 16 (Figure 19's
-    largest sweep point) needs a 256-byte spare.  Gamma sweeps use this so
-    each point runs on the cheapest spare area that can actually hold its
-    OOB payload.
+    largest sweep point) needs a 256-byte spare.  ``ExperimentSetup``
+    derives its spare area from this, so each gamma runs on the cheapest
+    spare that can actually hold its OOB payload.
     """
     size = 128
     while required_oob_bytes(gamma) > size:
@@ -94,12 +95,9 @@ class ExperimentSetup:
     dram_bytes: int = 512 * 1024
     #: ``mapping_first`` (Figure 16a) or ``cache_reserved`` (Figure 16b).
     dram_policy: str = "mapping_first"
-    #: LeaFTL error bound.
+    #: LeaFTL error bound (also sizes the per-page spare area, see
+    #: :func:`oob_size_for_gamma`).
     gamma: int = 0
-    #: Per-page spare (OOB) area in bytes.  The default 128-byte spare fits
-    #: the reverse-mapping window of gamma <= 15; gamma = 16 needs 132 bytes
-    #: and therefore a 256-byte spare (see repro.flash.oob.required_oob_bytes).
-    oob_size: int = 128
     #: Fraction of the logical space written once before measuring.
     warmup_fraction: float = 0.70
     #: Whether to run the warm-up phase at all.
@@ -154,7 +152,7 @@ class ExperimentSetup:
             channels=self.channels,
             dies_per_channel=self.dies_per_channel,
             dram_size=self.dram_bytes,
-            oob_size=self.oob_size,
+            oob_size=oob_size_for_gamma(self.gamma),
             write_buffer_bytes=self.write_buffer_bytes,
             overprovisioning=self.overprovisioning,
             ncq_depth=max(32, self.queue_depth),
@@ -262,13 +260,17 @@ def warmup_ssd(ssd: SimulatedSSD, setup: ExperimentSetup) -> None:
     reset_measurement(ssd)
 
 
+#: Seed of the aging overwrite pattern the GC studies share.
+AGING_SEED = 11
+
+
 def precondition(
     ssd: SimulatedSSD,
     fill_fraction: float = 0.92,
     overwrite_fraction: float = 1.0,
     zipf_alpha: float = 0.8,
     extent: int = 256,
-    seed: int = 11,
+    seed: int = AGING_SEED,
 ) -> int:
     """Age the device into GC steady state (WiscSee-style preconditioning).
 
@@ -337,6 +339,25 @@ def steady_state_workload(
     return requests
 
 
+def aged_device(
+    scheme: str,
+    setup: ExperimentSetup,
+    num_requests: int,
+    aging_seed: int,
+    workload_seed: int,
+) -> Tuple[SimulatedSSD, List[Tuple[str, int, int]]]:
+    """An aged-device cell, ready to measure: ``(ssd, requests)``.
+
+    Builds the device, ages it with :func:`precondition` and generates the
+    :func:`steady_state_workload` over the aged footprint.  The caller runs
+    ``ssd.run(requests)`` itself, so it can attach observers or telemetry
+    between the aging and the measured phase.
+    """
+    ssd = build_ssd(scheme, setup)
+    footprint = precondition(ssd, seed=aging_seed)
+    return ssd, steady_state_workload(footprint, num_requests, seed=workload_seed)
+
+
 def reset_measurement(ssd: SimulatedSSD) -> None:
     """Clear the statistics accumulated so far (end of warm-up).
 
@@ -363,8 +384,13 @@ def workload_by_name(
     raise KeyError(f"unknown workload {name!r}; known: {ALL_WORKLOADS}")
 
 
+@functools.lru_cache(maxsize=None)
 def workload_for_setup(name: str, setup: ExperimentSetup) -> Trace:
-    """The named workload scaled for the experiment device."""
+    """The named workload scaled for the experiment device.
+
+    Generated once per ``(name, setup)``: traces are immutable, so every
+    cell replaying that workload on that setup shares the one object.
+    """
     trace = workload_by_name(name, setup.request_scale, setup.footprint_scale)
     return trace.scaled_to(setup.ssd_config().logical_pages)
 
@@ -379,7 +405,15 @@ def run_experiment(
     trace: Optional[Trace] = None,
     replay_mode: Optional[str] = None,
 ) -> ExperimentResult:
-    """Run one (workload, scheme) cell and collect every figure's inputs.
+    """One cell of the evaluation: ``workload`` replayed on ``scheme``.
+
+    The cell is the only thing in the harness that simulates, and it is
+    simulated once per process: the device is deterministic
+    (``python -m repro.verify`` is the gate), so the result is memoised on
+    ``(workload, scheme, setup, replay mode)`` and every figure that reads
+    the same configuration shares one :class:`ExperimentResult` — treat it
+    as read-only.  An explicit ``trace`` (a custom workload the name does
+    not determine) bypasses the memo and always simulates.
 
     ``replay_mode`` overrides ``setup.replay_mode``: ``"closed"`` replays
     completion-driven at ``setup.queue_depth``; ``"open"`` admits requests
@@ -389,10 +423,27 @@ def run_experiment(
     """
     setup = setup or ExperimentSetup()
     mode = setup.replay_mode if replay_mode is None else replay_mode
+    if trace is not None:
+        return simulate(workload, scheme, setup, mode, trace)
+    return memoised_cell(workload, scheme, setup, mode)
+
+
+@functools.lru_cache(maxsize=None)
+def memoised_cell(
+    workload: str, scheme: str, setup: ExperimentSetup, mode: str
+) -> ExperimentResult:
+    """The memo behind :func:`run_experiment`; ``cache_info()`` counts
+    cells simulated (misses) against cells requested (hits + misses)."""
+    return simulate(workload, scheme, setup, mode, workload_for_setup(workload, setup))
+
+
+def simulate(
+    workload: str, scheme: str, setup: ExperimentSetup, mode: str, replay: Trace
+) -> ExperimentResult:
+    """Build, warm up, replay and collect every figure's inputs (uncached)."""
     ssd = build_ssd(scheme, setup)
     if setup.warmup:
         warmup_ssd(ssd, setup)
-    replay = trace if trace is not None else workload_for_setup(workload, setup)
     if mode == "open":
         replay = replay.with_interarrival(setup.open_loop_interarrival_us)
     stats = ssd.run(replay, replay_mode=mode, time_scale=setup.time_scale)
@@ -430,12 +481,48 @@ def run_schemes(
     schemes: Sequence[str] = SCHEMES,
     replay_mode: Optional[str] = None,
 ) -> Dict[str, ExperimentResult]:
-    """Run every scheme on one workload (shares the generated trace)."""
-    setup = setup or ExperimentSetup()
-    trace = workload_for_setup(workload, setup)
+    """scheme -> cell, every scheme replaying the same workload."""
     return {
-        scheme: run_experiment(
-            workload, scheme, setup, trace=trace, replay_mode=replay_mode
-        )
+        scheme: run_experiment(workload, scheme, setup, replay_mode=replay_mode)
         for scheme in schemes
+    }
+
+
+# --------------------------------------------------------------------------- #
+# Grids: a figure is a grid of cells read one way
+# --------------------------------------------------------------------------- #
+Grid = Dict[Any, Dict[Any, ExperimentResult]]
+
+
+def scheme_grid(
+    workloads: Sequence[str], schemes: Sequence[str], setup: ExperimentSetup
+) -> Grid:
+    """workload -> scheme -> cell, all at one setup (Figures 15-18, 25)."""
+    return {workload: run_schemes(workload, setup, schemes) for workload in workloads}
+
+
+def axis_grid(
+    workloads: Sequence[str], axis: str, values: Sequence[Any], setup: ExperimentSetup
+) -> Grid:
+    """workload -> value -> LeaFTL cell with ``setup.<axis> = value``.
+
+    ``axis`` names one :class:`ExperimentSetup` field: ``gamma`` (Figures
+    5, 19-21, 24) or ``queue_depth`` (``examples/queue_depth_sweep.py``).
+    An axis that needs every scheme (Figure 22's DRAM and page sizes) is a
+    :func:`scheme_grid` per value instead.
+    """
+    return {
+        workload: {
+            value: run_experiment(workload, "LeaFTL", setup.scaled(**{axis: value}))
+            for value in values
+        }
+        for workload in workloads
+    }
+
+
+def project(grid: Grid, attribute: str) -> Dict[Any, Dict[Any, Any]]:
+    """row -> column -> one attribute of each cell's result."""
+    return {
+        row: {column: getattr(cell, attribute) for column, cell in cells.items()}
+        for row, cells in grid.items()
     }

@@ -1,30 +1,25 @@
-"""Mapping-table memory-footprint experiments (Figures 15 and 19).
+"""Setup of the footprint and structure figures (5, 10, 12, 15, 19, 20).
 
-These experiments measure how many DRAM bytes each FTL scheme needs to hold
-the mapping of a workload's entire working set — no DRAM budget, no warm-up,
-no timing — which is exactly what Figure 15 (LeaFTL vs DFTL vs SFTL) and
-Figure 19 (LeaFTL with different gamma) compare.
+These figures measure how many DRAM bytes each FTL scheme needs to hold the
+mapping of a workload's entire working set, and what the learned table looks
+like inside — no DRAM budget, no warm-up, no timing.  The figures themselves
+are grids of cells at :func:`memory_setup`
+(:func:`repro.experiments.common.scheme_grid` / ``axis_grid``), projected in
+``benchmarks/bench_figNN``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.analysis.memory import geometric_mean, reduction_factor
-from repro.experiments.common import (
-    ExperimentSetup,
-    SIMULATOR_WORKLOADS,
-    oob_size_for_gamma,
-    run_experiment,
-    workload_for_setup,
-)
+from repro.experiments.common import ExperimentSetup
 
 
 def memory_setup(gamma: int = 0, request_scale: float = 0.25) -> ExperimentSetup:
     """A setup tailored to footprint measurements (no warm-up, no budget)."""
     return ExperimentSetup(
         gamma=gamma,
-        oob_size=oob_size_for_gamma(gamma),
         warmup=False,
         request_scale=request_scale,
         # A large DRAM so no scheme is budget-limited: we want the size each
@@ -36,39 +31,6 @@ def memory_setup(gamma: int = 0, request_scale: float = 0.25) -> ExperimentSetup
     )
 
 
-def mapping_footprints(
-    workloads: Sequence[str] = tuple(SIMULATOR_WORKLOADS),
-    schemes: Sequence[str] = ("DFTL", "SFTL", "LeaFTL"),
-    gamma: int = 0,
-    request_scale: float = 0.25,
-) -> Dict[str, Dict[str, int]]:
-    """workload -> scheme -> full mapping-table bytes (Figure 15 input)."""
-    setup = memory_setup(gamma=gamma, request_scale=request_scale)
-    results: Dict[str, Dict[str, int]] = {}
-    for workload in workloads:
-        trace = workload_for_setup(workload, setup)
-        per_scheme: Dict[str, int] = {}
-        for scheme in schemes:
-            outcome = run_experiment(workload, scheme, setup, trace=trace)
-            per_scheme[scheme] = outcome.mapping_full_bytes
-        results[workload] = per_scheme
-    return results
-
-
-def memory_reduction_summary(
-    footprints: Dict[str, Dict[str, int]], target: str = "LeaFTL"
-) -> Dict[str, Dict[str, float]]:
-    """Per-workload reduction factors of ``target`` vs every other scheme."""
-    summary: Dict[str, Dict[str, float]] = {}
-    for workload, by_scheme in footprints.items():
-        summary[workload] = {
-            f"vs {scheme}": reduction_factor(size, by_scheme[target])
-            for scheme, size in by_scheme.items()
-            if scheme != target
-        }
-    return summary
-
-
 def average_reduction(
     footprints: Dict[str, Dict[str, int]], baseline: str, target: str = "LeaFTL"
 ) -> float:
@@ -78,21 +40,3 @@ def average_reduction(
         for by_scheme in footprints.values()
     ]
     return geometric_mean(factors)
-
-
-def gamma_sweep_footprints(
-    workloads: Sequence[str],
-    gammas: Sequence[int] = (0, 1, 4, 16),
-    request_scale: float = 0.25,
-) -> Dict[str, Dict[int, int]]:
-    """workload -> gamma -> LeaFTL mapping bytes (Figure 19 input)."""
-    results: Dict[str, Dict[int, int]] = {}
-    for workload in workloads:
-        per_gamma: Dict[int, int] = {}
-        for gamma in gammas:
-            setup = memory_setup(gamma=gamma, request_scale=request_scale)
-            trace = workload_for_setup(workload, setup)
-            outcome = run_experiment(workload, "LeaFTL", setup, trace=trace)
-            per_gamma[gamma] = outcome.mapping_full_bytes
-        results[workload] = per_gamma
-    return results

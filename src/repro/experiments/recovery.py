@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
+from repro.sim.events import Event
 from repro.ssd.recovery import (
     CrashTimer,
     PowerFailure,
@@ -94,19 +95,18 @@ def crash_workload(scenario: RecoveryScenario) -> List[Tuple[str, int, int]]:
     return requests
 
 
-def run_crash_recovery(
+def run_to_crash(
     scenario: RecoveryScenario,
-    interval_pages: Optional[int] = None,
-    mode: str = "oob_scan",
-) -> RecoveryOutcome:
-    """Run the workload, crash mid-burst, recover, and report the costs.
+    interval_pages: Optional[int],
+    observe: Optional[Callable[[Event], None]],
+) -> Tuple[SimulatedSSD, Dict[int, int]]:
+    """Run the workload into the injected power failure.
 
     ``interval_pages`` enables checkpointing during the run (its writes are
-    charged to the WAF whether or not recovery then uses the image);
-    ``mode`` picks the recovery strategy.  The post-recovery state is
-    sanity-checked against the durability oracle before anything is
-    reported — a recovery that lost an acked page would fail loudly here,
-    not skew a figure quietly.
+    charged to the WAF whether or not recovery then uses the image).
+    ``observe`` sees every processed event *before* the crash timer does, so
+    a digest observer commits to the crashing event too.  Returns the
+    powered-off device and the durability oracle (acked LPA -> PPA).
     """
     config = scenario.ssd_config()
     ftl = LeaFTL(
@@ -118,17 +118,20 @@ def run_crash_recovery(
         dram_budget=DRAMBudget(dram_bytes=config.dram_size),
         options=SSDOptions(queue_depth=scenario.queue_depth, gc_mode="background"),
     )
-    checkpointer = None
     if interval_pages is not None:
-        checkpointer = attach_checkpointer(ssd, interval_pages=interval_pages)
+        attach_checkpointer(ssd, interval_pages=interval_pages)
 
     timer = CrashTimer(
         after_kind="request_issue", kind_count=scenario.crash_after_issues
     )
-    ssd.event_observer = timer
-    requests = crash_workload(scenario)
+
+    def chained(event: Event) -> None:
+        observe(event)
+        timer(event)
+
+    ssd.event_observer = timer if observe is None else chained
     try:
-        ssd.run(requests)
+        ssd.run(crash_workload(scenario))
     except PowerFailure:
         pass
     if not timer.fired:
@@ -136,10 +139,32 @@ def run_crash_recovery(
             "workload finished before the injected crash; raise num_requests "
             "or lower crash_after_issues"
         )
-    oracle = ssd.power_fail()
-    result: RecoveryResult = recover(ssd, mode=mode)
+    return ssd, ssd.power_fail()
+
+
+def recover_checked(
+    ssd: SimulatedSSD, oracle: Dict[int, int], mode: str
+) -> RecoveryResult:
+    """Recover a powered-off device and check it against the oracle.
+
+    A recovery that lost an acked page fails loudly here, not by skewing a
+    figure (or a digest) quietly.
+    """
+    result = recover(ssd, mode=mode)
     if ssd._current_ppa != oracle:
         raise RuntimeError(f"{result.mode} recovery lost acked pages")
+    return result
+
+
+def run_crash_recovery(
+    scenario: RecoveryScenario,
+    interval_pages: Optional[int] = None,
+    mode: str = "oob_scan",
+) -> RecoveryOutcome:
+    """Run the workload, crash mid-burst, recover, and report the costs."""
+    ssd, oracle = run_to_crash(scenario, interval_pages, None)
+    result = recover_checked(ssd, oracle, mode)
+    checkpointer = ssd.checkpointer
     return RecoveryOutcome(
         mode=result.mode,
         interval_pages=interval_pages,

@@ -83,12 +83,7 @@ def run_steady_state(scale: float, seed: int) -> Tuple[Any, Any]:
     at queue depth 8 with background GC — the classic WAF/GC-interference
     study, instrumented.
     """
-    from repro.experiments.common import (
-        ExperimentSetup,
-        build_ssd,
-        precondition,
-        steady_state_workload,
-    )
+    from repro.experiments.common import ExperimentSetup, aged_device
 
     setup = ExperimentSetup(
         capacity_bytes=48 * 1024 * 1024,
@@ -99,12 +94,14 @@ def run_steady_state(scale: float, seed: int) -> Tuple[Any, Any]:
         gc_mode="background",
         warmup=False,
     )
-    ssd = build_ssd("LeaFTL", setup)
-    footprint = precondition(ssd, seed=seed)
-    telemetry = attach_telemetry(ssd, "on")
-    requests = steady_state_workload(
-        footprint, num_requests=max(64, int(4000 * scale)), seed=seed
+    ssd, requests = aged_device(
+        "LeaFTL",
+        setup,
+        num_requests=max(64, int(4000 * scale)),
+        aging_seed=seed,
+        workload_seed=seed,
     )
+    telemetry = attach_telemetry(ssd, "on")
     ssd.run(requests)  # simlint: disable=SIM008
     return ssd, telemetry
 

@@ -37,6 +37,8 @@ import math
 import os
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.ssd.stats import nearest_rank
+
 #: Canonical component order (report columns, tie-breaks, merge order).
 COMPONENT_ORDER: Tuple[str, ...] = (
     "queue_wait_us",
@@ -265,14 +267,6 @@ def gc_stage_summary(
 # --------------------------------------------------------------------------- #
 # Attribution
 # --------------------------------------------------------------------------- #
-def percentile_value(sorted_values: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(pct / 100.0 * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
 def _component_means(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, float]]:
     """Per-component mean microseconds and share of mean latency."""
     if not spans:
@@ -330,7 +324,7 @@ def attribute_requests(
             {k: v["mean_us"] for k, v in levels["all"]["components"].items()}
         )
         for pct in percentiles:
-            threshold = percentile_value(latencies, pct)
+            threshold = latencies[nearest_rank(len(latencies), pct)]
             tail = [s for s in group if s["latency_us"] >= threshold]
             components = _component_means(tail)
             levels[f"p{pct:g}"] = {

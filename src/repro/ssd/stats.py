@@ -18,6 +18,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 
+def nearest_rank(count: int, pct: float) -> int:
+    """Index of percentile ``pct`` (0-100) among ``count`` ascending samples.
+
+    The one nearest-rank rule of the tree: ``LatencyRecorder``, the figure
+    analysis and the telemetry attribution all pick the same sample.
+    """
+    if not 0.0 <= pct <= 100.0:
+        raise ValueError("pct must be in [0, 100]")
+    return min(count - 1, int(round(pct / 100.0 * (count - 1))))
+
+
 class LatencyRecorder:
     """Records per-request latencies with a bounded-memory reservoir.
 
@@ -87,13 +98,9 @@ class LatencyRecorder:
         """Latency at percentile ``pct`` (0-100), from the reservoir."""
         if not self._samples:
             return 0.0
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError("pct must be in [0, 100]")
         if self._sorted is None:
             self._sorted = sorted(self._samples)
-        ordered = self._sorted
-        rank = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        return self._sorted[nearest_rank(len(self._sorted), pct)]
 
     def cdf(self, points: Sequence[float] = (0, 30, 60, 90, 99, 99.9)) -> Dict[float, float]:
         """Latency at the given CDF points (mirrors Figure 18's x-axis)."""

@@ -25,7 +25,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.multi_tenant import (
@@ -33,6 +33,12 @@ from repro.experiments.multi_tenant import (
     build_tenant_host,
     reader_tenant,
     writer_tenant,
+)
+from repro.experiments.recovery import (
+    RecoveryScenario,
+    crash_workload,
+    recover_checked,
+    run_to_crash,
 )
 from repro.sim.events import Event
 
@@ -154,57 +160,14 @@ def run_recovery_once(seed: int = 1234, scale: float = 1.0) -> RunReport:
     path (an unordered scan, an unstable replay order) shows up as a
     digest mismatch exactly like a nondeterministic scheduler would.
     """
-    from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
-    from repro.core.leaftl import LeaFTL
-    from repro.ssd.recovery import (
-        CrashTimer,
-        PowerFailure,
-        attach_checkpointer,
-        recover,
+    base = RecoveryScenario(seed=seed, num_requests=max(64, int(2200 * scale)))
+    issues = len(crash_workload(base))
+    scenario = replace(
+        base, crash_after_issues=max(32, min(issues - 64, base.crash_after_issues))
     )
-    from repro.ssd.ssd import SimulatedSSD, SSDOptions
-    import random
-
-    config = SSDConfig.tiny(
-        capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10
-    )
-    ssd = SimulatedSSD(
-        config,
-        LeaFTL(LeaFTLConfig(gamma=4, compaction_interval_writes=20_000)),
-        dram_budget=DRAMBudget(dram_bytes=config.dram_size),
-        options=SSDOptions(queue_depth=8, gc_mode="background"),
-    )
-    attach_checkpointer(ssd, interval_pages=512)
-
-    rng = random.Random(seed)
-    footprint = int(config.logical_pages * 0.9)
-    requests = [("W", lpa, 8) for lpa in range(0, footprint - 8, 8)]
-    for _ in range(max(64, int(2200 * scale))):
-        span = rng.randint(1, 8)
-        lpa = int((rng.random() ** 4) * (footprint - span))
-        requests.append(("W", lpa, span))
-
     trace = EventTraceDigest()
-    timer = CrashTimer(
-        after_kind="request_issue",
-        kind_count=max(32, min(len(requests) - 64, 2600)),
-    )
-
-    def observer(event: Event) -> None:
-        trace.observe(event)
-        timer(event)
-
-    ssd.event_observer = observer
-    try:
-        ssd.run(requests)
-    except PowerFailure:
-        pass
-    if not timer.fired:
-        raise RuntimeError("recovery scenario finished before the injected crash")
-    oracle = ssd.power_fail()
-    recover(ssd, mode="checkpoint_replay")
-    if ssd._current_ppa != oracle:
-        raise RuntimeError("recovery lost acked pages")
+    ssd, oracle = run_to_crash(scenario, 512, trace.observe)
+    recover_checked(ssd, oracle, "checkpoint_replay")
     # Read back every acked LPA: folds the whole recovered translation
     # path (table, cache, OOB corrections) into the stats digest.
     for lpa in sorted(oracle):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.latency import (
     histogram_cdf,
     latency_cdf,
+    mean_and_p99,
     normalize,
     percentile,
     speedup,
@@ -16,12 +17,13 @@ from repro.analysis.latency import (
 from repro.analysis.memory import (
     format_bytes,
     geometric_mean,
+    length_histogram,
     normalized_size,
     reduction_factor,
     reduction_table,
 )
 from repro.analysis.report import render_series, render_table
-from repro.ssd.stats import LatencyRecorder, SSDStats
+from repro.ssd.stats import LatencyRecorder, SSDStats, nearest_rank
 
 
 class TestLatencyHelpers:
@@ -33,6 +35,35 @@ class TestLatencyHelpers:
 
     def test_percentile_empty(self):
         assert percentile([], 99) == 0.0
+
+    def test_percentile_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            percentile([1.0], 101)
+        with pytest.raises(ValueError):
+            nearest_rank(10, -1)
+
+    @given(
+        st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=200),
+        st.sampled_from([0, 30, 50, 90, 95, 99, 99.9, 100]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_one_rank_rule(self, samples, pct):
+        """The recorder and the figure analysis pick the same sample."""
+        recorder = LatencyRecorder()
+        for value in samples:
+            recorder.record(value)
+        expected = sorted(samples)[nearest_rank(len(samples), pct)]
+        assert percentile(samples, pct) == expected
+        assert recorder.percentile(pct) == expected
+
+    def test_mean_and_p99(self):
+        assert mean_and_p99([]) == (0.0, 0.0)
+        assert mean_and_p99(list(range(1, 101))) == (50.5, 99)
+
+    def test_length_histogram(self):
+        shares = length_histogram([1, 1, 2, 300], buckets=(1, 2, 256))
+        assert shares == {1: 50.0, 2: 75.0, 256: 75.0}
+        assert length_histogram([], buckets=(1,)) == {1: 0.0}
 
     def test_latency_cdf_points(self):
         cdf = latency_cdf([1, 2, 3, 4, 5], points=(0, 99))

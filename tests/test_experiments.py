@@ -4,25 +4,27 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import common
 from repro.experiments.common import (
     ALL_WORKLOADS,
     ExperimentSetup,
     REAL_SSD_WORKLOADS,
     SCHEMES,
     SIMULATOR_WORKLOADS,
+    axis_grid,
     build_ftl,
     build_ssd,
+    memoised_cell,
+    project,
     reset_measurement,
     run_experiment,
     run_schemes,
+    scheme_grid,
+    simulate,
     workload_by_name,
     workload_for_setup,
 )
-from repro.experiments.memory import (
-    average_reduction,
-    mapping_footprints,
-    memory_setup,
-)
+from repro.experiments.memory import average_reduction, memory_setup
 from repro.obs.registry import device_snapshot
 
 
@@ -72,6 +74,14 @@ class TestBuilders:
         assert FAST.scaled(gamma=16).gamma == 16
         assert FAST.gamma == 0
 
+    def test_spare_area_is_derived_from_gamma(self):
+        """gamma = 16 needs a 132-byte OOB window: the setup sizes the spare
+        itself instead of raising at device construction."""
+        assert FAST.ssd_config().oob_size == 128
+        assert FAST.scaled(gamma=15).ssd_config().oob_size == 128
+        assert FAST.scaled(gamma=16).ssd_config().oob_size == 256
+        assert build_ssd("LeaFTL", FAST.scaled(gamma=16)).ftl.gamma == 16
+
 
 class TestRunExperiment:
     def test_run_without_warmup(self):
@@ -120,12 +130,110 @@ class TestRunExperiment:
         assert sum(result.segment_type_counts) > 0
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Spy on ``build_ssd``: the list of schemes a device was built for."""
+    calls = []
+
+    def spy(scheme, setup):
+        calls.append(scheme)
+        return build_ssd(scheme, setup)
+
+    monkeypatch.setattr(common, "build_ssd", spy)
+    return calls
+
+
+class TestMemoisedCell:
+    """A cell is simulated once per process and then shared."""
+
+    #: Seeds no other test uses, so these cells start out uncached.
+    SETUP = FAST.scaled(warmup=False, gamma=4, seed=1501)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_memoised_cell_equals_fresh_run(self, scheme):
+        cached = run_experiment("MSR-hm", scheme, FAST)
+        assert run_experiment("MSR-hm", scheme, FAST) is cached
+        fresh = simulate(
+            "MSR-hm", scheme, FAST, "closed", workload_for_setup("MSR-hm", FAST)
+        )
+        assert fresh is not cached
+        assert fresh.stats.summary() == cached.stats.summary()
+        assert fresh.ftl_details == cached.ftl_details
+        assert fresh.latency_samples == cached.latency_samples
+
+    def test_second_call_builds_no_device(self, built):
+        first = run_experiment("FIU-mail", "LeaFTL", self.SETUP)
+        assert built == ["LeaFTL"]
+        assert run_experiment("FIU-mail", "LeaFTL", self.SETUP) is first
+        # An equal setup built separately is the same cell, and naming the
+        # setup's own replay mode is not a different one.
+        equal = FAST.scaled(warmup=False, gamma=4, seed=1501)
+        assert run_experiment("FIU-mail", "LeaFTL", equal, replay_mode="closed") is first
+        assert built == ["LeaFTL"]
+
+    def test_explicit_trace_bypasses_the_memo(self, built):
+        setup = self.SETUP.scaled(seed=1502)
+        trace = workload_for_setup("FIU-mail", setup)
+        before = memoised_cell.cache_info()
+        first = run_experiment("FIU-mail", "LeaFTL", setup, trace=trace)
+        second = run_experiment("FIU-mail", "LeaFTL", setup, trace=trace)
+        assert built == ["LeaFTL", "LeaFTL"]
+        assert first is not second
+        assert first.stats.summary() == second.stats.summary()
+        assert memoised_cell.cache_info() == before
+
+    def test_workload_is_generated_once_per_setup(self):
+        assert workload_for_setup("MSR-usr", FAST) is workload_for_setup("MSR-usr", FAST)
+
+
+class TestGrids:
+    """Each grid equals the per-cell calls it replaces."""
+
+    SETUP = FAST.scaled(warmup=False)
+    WORKLOADS = ("MSR-hm", "FIU-mail")
+
+    def test_scheme_grid(self):
+        grid = scheme_grid(self.WORKLOADS, SCHEMES, self.SETUP)
+        assert list(grid) == list(self.WORKLOADS)
+        for workload, cells in grid.items():
+            assert list(cells) == list(SCHEMES)
+            for scheme, cell in cells.items():
+                assert cell is run_experiment(workload, scheme, self.SETUP)
+                assert (cell.workload, cell.scheme) == (workload, scheme)
+
+    def test_axis_grid(self):
+        gammas = (0, 4, 16)
+        grid = axis_grid(self.WORKLOADS, "gamma", gammas, self.SETUP)
+        assert list(grid) == list(self.WORKLOADS)
+        for workload, cells in grid.items():
+            assert list(cells) == list(gammas)
+            for gamma, cell in cells.items():
+                assert cell is run_experiment(
+                    workload, "LeaFTL", self.SETUP.scaled(gamma=gamma)
+                )
+                assert (cell.scheme, cell.gamma) == ("LeaFTL", gamma)
+
+    def test_axis_grid_shares_cells_with_scheme_grid(self, built):
+        """The gamma = 0 column of the axis grid is the LeaFTL column of the
+        scheme grid — the overlap figures 5/10/12/15/19/20 no longer pay for."""
+        setup = self.SETUP.scaled(seed=1503)
+        by_scheme = scheme_grid(("MSR-hm",), SCHEMES, setup)
+        by_gamma = axis_grid(("MSR-hm",), "gamma", (0, 4), setup)
+        assert by_gamma["MSR-hm"][0] is by_scheme["MSR-hm"]["LeaFTL"]
+        assert built == ["DFTL", "SFTL", "LeaFTL", "LeaFTL"]
+
+    def test_project_reads_one_field(self):
+        grid = scheme_grid(("MSR-hm",), SCHEMES, self.SETUP)
+        table = project(grid, "mapping_full_bytes")
+        assert table == {
+            "MSR-hm": {s: grid["MSR-hm"][s].mapping_full_bytes for s in SCHEMES}
+        }
+
+
 class TestMemoryExperiments:
     def test_leaftl_smaller_than_dftl(self):
-        footprints = mapping_footprints(
-            workloads=("MSR-usr",), request_scale=0.02
-        )
-        by_scheme = footprints["MSR-usr"]
+        grid = scheme_grid(("MSR-usr",), SCHEMES, memory_setup(request_scale=0.02))
+        by_scheme = project(grid, "mapping_full_bytes")["MSR-usr"]
         assert by_scheme["LeaFTL"] < by_scheme["DFTL"]
         assert by_scheme["SFTL"] < by_scheme["DFTL"]
 
