@@ -58,13 +58,6 @@ class LPAGroup:
         self.group_size = group_size
         self._levels: List[Level] = []
         self.crb = ConflictResolutionBuffer()
-        #: Bumped by every mutating entry point (``update``/``compact``);
-        #: keys the memoized DRAM-footprint computation below.  The sampled
-        #: footprint is digest-pinned, so the cache must only ever skip
-        #: recomputation, never change the result.
-        self._mutations = 0
-        self._memory_key = (-1, 0)
-        self._memory_value = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -90,24 +83,12 @@ class LPAGroup:
         return result
 
     def memory_bytes(self, level_overhead_bytes: int = 0) -> int:
-        """DRAM footprint: 8 bytes per segment + CRB + per-level overhead.
-
-        Memoized on the group's mutation counter: the footprint is sampled
-        after every flush across *all* groups, but a flush only mutates the
-        few groups its pages fall in, so untouched groups return the cached
-        value.
-        """
-        key = (self._mutations, level_overhead_bytes)
-        if key == self._memory_key:
-            return self._memory_value
-        value = (
+        """DRAM footprint: 8 bytes per segment + CRB + per-level overhead."""
+        return (
             self.segment_count() * SEGMENT_BYTES
             + self.crb.size_bytes()
             + len(self._levels) * level_overhead_bytes
         )
-        self._memory_key = key
-        self._memory_value = value
-        return value
 
     # ------------------------------------------------------------------ #
     # Membership (Algorithm 2, has_lpa)
@@ -136,7 +117,6 @@ class LPAGroup:
         segment = learned.segment
         if segment.group_base != self.group_base:
             raise ValueError("segment belongs to a different group")
-        self._mutations += 1
         if not segment.accurate:
             self.crb.insert_segment(segment, learned.lpas)
         self._insert_at_level(segment, 0)
@@ -340,7 +320,6 @@ class LPAGroup:
     # ------------------------------------------------------------------ #
     def compact(self) -> None:
         """Merge upper levels downward until no further space can be reclaimed."""
-        self._mutations += 1
         guard = len(self._levels) + self.segment_count() + 4
         while len(self._levels) > 1 and guard > 0:
             guard -= 1
@@ -426,9 +405,6 @@ class LPAGroup:
             raise ValueError(
                 f"checkpoint payload has {len(payload) - offset} trailing bytes"
             )
-        # Invalidate the memoized footprint: the restored group must report
-        # its own (recomputed) DRAM bytes, not a stale cached value.
-        group._mutations += 1
         return group
 
     # ------------------------------------------------------------------ #

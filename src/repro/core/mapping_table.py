@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.config import LeaFTLConfig
 from repro.core.group import LookupResult, LPAGroup
@@ -96,6 +96,14 @@ class LogStructuredMappingTable:
         )
         self._groups: Dict[int, LPAGroup] = {}
         self.stats = MappingTableStats()
+        #: Running DRAM footprint (:meth:`memory_bytes`): the bytes counted
+        #: for each group, their total, the per-level overhead they were
+        #: computed at, and the bases of the groups mutated since — the
+        #: only ones the next call re-sums.
+        self._memory_total = 0
+        self._memory_of: Dict[int, int] = {}
+        self._memory_overhead = self.config.level_overhead_bytes
+        self._memory_stale: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Group access
@@ -133,8 +141,9 @@ class LogStructuredMappingTable:
             return []
         learned = self._learner.learn(mappings)
         for item in learned:
-            group = self._group_for_base(item.segment.group_base)
-            group.update(item)
+            group_base = item.segment.group_base
+            self._group_for_base(group_base).update(item)
+            self._memory_stale.add(group_base)
         self.stats.batches_learned += 1
         self.stats.segments_learned += len(learned)
         self.stats.mappings_learned += len(mappings)
@@ -187,6 +196,10 @@ class LogStructuredMappingTable:
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
+        if npages == 1:
+            # A one-page run is one resolution: the per-LPA walk answers
+            # and charges it identically without the run machinery.
+            return [self.lookup(start_lpa)]
         results: List[LookupResult] = []
         lpa = start_lpa
         end = start_lpa + npages
@@ -224,6 +237,7 @@ class LogStructuredMappingTable:
         """Compact every group (Section 3.7: run once per ~1M writes)."""
         for group in self._groups.values():
             group.compact()
+        self._memory_stale.update(self._groups)
         self.stats.compactions += 1
 
     # ------------------------------------------------------------------ #
@@ -233,9 +247,26 @@ class LogStructuredMappingTable:
         return sum(group.segment_count() for group in self._groups.values())
 
     def memory_bytes(self) -> int:
-        """Total DRAM footprint of segments, CRBs and level bookkeeping."""
+        """Total DRAM footprint of segments, CRBs and level bookkeeping.
+
+        Sampled at every flush, which mutates only the few groups its pages
+        fall in: a running total, re-summing the groups ``update`` /
+        ``compact`` / checkpoint restore touched since the last call (all
+        of them when ``config.level_overhead_bytes`` changed).  A group
+        mutated directly through :meth:`groups` / :meth:`group_for` is not
+        seen.
+        """
         overhead = self.config.level_overhead_bytes
-        return sum(group.memory_bytes(overhead) for group in self._groups.values())
+        if overhead != self._memory_overhead:
+            self._memory_overhead = overhead
+            self._memory_stale.update(self._groups)
+        counted = self._memory_of
+        for group_base in self._memory_stale:
+            size = self._groups[group_base].memory_bytes(overhead)
+            self._memory_total += size - counted.get(group_base, 0)
+            counted[group_base] = size
+        self._memory_stale.clear()
+        return self._memory_total
 
     def crb_bytes(self) -> int:
         return sum(group.crb.size_bytes() for group in self._groups.values())
@@ -311,6 +342,7 @@ class LogStructuredMappingTable:
             raise ValueError(
                 f"checkpoint payload has {len(payload) - offset} trailing bytes"
             )
+        table._memory_stale.update(table._groups)
         return table
 
     # ------------------------------------------------------------------ #

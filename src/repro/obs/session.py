@@ -199,8 +199,8 @@ def attach_telemetry(
     """
     config = TelemetryConfig.coerce(telemetry)
     if config.mode == "off":
-        ssd.telemetry = None  # simlint: disable=SIM008
+        ssd.set_telemetry(None)
         return None
     session = Telemetry(ssd, config, host=host)
-    ssd.telemetry = session  # simlint: disable=SIM008
+    ssd.set_telemetry(session)
     return session

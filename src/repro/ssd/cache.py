@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 
 @dataclass
@@ -93,30 +93,47 @@ class LRUDataCache:
 
     def insert(self, lpa: int, dirty: bool = False) -> List[Tuple[int, bool]]:
         """Insert (or refresh) ``lpa``; return the entries evicted to make room."""
+        return self.insert_many((lpa,), dirty)
+
+    def insert_many(self, lpas: Iterable[int], dirty: bool = False) -> List[Tuple[int, bool]]:
+        """Insert (or refresh) ``lpas`` in order; return every entry evicted.
+
+        Each page is inserted and the cache trimmed to capacity before the
+        next one, so a batch larger than the cache evicts its own head.
+        """
         capacity = self._capacity
-        if capacity == 0:
-            return []
-        entries = self._entries
-        if lpa in entries:
-            # Refresh; a dirty insert over a clean entry upgrades it.
-            if dirty and not entries[lpa]:
-                entries[lpa] = True
-            entries.move_to_end(lpa)
-            return []
-        entries[lpa] = dirty
-        stats = self.stats
-        stats.insertions += 1
         evicted: List[Tuple[int, bool]] = []
-        while len(entries) > capacity:
-            old = entries.popitem(last=False)
-            stats.evictions += 1
-            evicted.append(old)
+        if capacity == 0:
+            return evicted
+        entries = self._entries
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
+        insertions = 0
+        for lpa in lpas:
+            if lpa in entries:
+                # Refresh; a dirty insert over a clean entry upgrades it.
+                if dirty and not entries[lpa]:
+                    entries[lpa] = True
+                move_to_end(lpa)
+                continue
+            entries[lpa] = dirty
+            insertions += 1
+            while len(entries) > capacity:
+                evicted.append(popitem(last=False))
+        self.stats.insertions += insertions
+        self.stats.evictions += len(evicted)
         return evicted
 
     def mark_clean(self, lpa: int) -> None:
         """Clear the dirty flag after the page has been persisted to flash."""
-        if lpa in self._entries:
-            self._entries[lpa] = False
+        self.mark_clean_many((lpa,))
+
+    def mark_clean_many(self, lpas: Iterable[int]) -> None:
+        """Clear the dirty flag of every cached page of ``lpas``."""
+        entries = self._entries
+        for lpa in lpas:
+            if lpa in entries:
+                entries[lpa] = False
 
     def invalidate(self, lpa: int) -> bool:
         """Drop ``lpa`` from the cache (e.g. after TRIM); True if present."""

@@ -39,7 +39,10 @@ translation-page fetch serves all its entries in DFTL/SFTL) and its flash
 accesses are issued as per-channel chunks that proceed concurrently
 through the NAND scheduler.  There is one read path: a single-page read
 is a one-page command through the same code, so the device only ever
-calls ``translate_range``.
+calls ``translate_range``.  There is one write path the same way: a write
+of any length is one pass that hands the write buffer, the data cache and
+the latency recorder a buffer-full of pages at a time, and ``write()`` is
+its one-page command.
 
 How a replay is computed follows from what it needs, not from an option:
 :meth:`SimulatedSSD.run` replays through the event loop (:mod:`repro.sim`)
@@ -234,13 +237,16 @@ class SimulatedSSD:
         #: duck-typed for the same import-cycle reason as ``checkpointer``.
         #: ``None`` (telemetry off) keeps every hook at one predicate.
         self.telemetry: Optional[Any] = None
+        #: Whether :meth:`submit` captures critical-path breakdowns;
+        #: resolved once, by :meth:`set_telemetry`.
+        self._wants_breakdowns = False
         #: Critical-path attribution of the host request currently inside
         #: :meth:`submit`: a component -> microseconds dict, or ``None``
         #: when breakdown capture is off (the telemetry session asks for it
         #: only while a tracer records spans).  Every accounting site below
         #: guards on ``is not None``, so the disabled path costs one
         #: predicate per site and allocates nothing.  The write path adds
-        #: to it page by page; the read path fills it once per command
+        #: every page's share to it; the read path fills it once per command
         #: with the components of its slowest page (the critical path).
         self._attr: Optional[Dict[str, float]] = None
         #: Completion horizon of the last urgent (hard-watermark) reclaim;
@@ -319,6 +325,11 @@ class SimulatedSSD:
         self.stats = SSDStats()
         self._measure_start_us = self._now_us
 
+    def set_telemetry(self, session: Optional[Any]) -> None:
+        """Attach (or, with ``None``, detach) the telemetry session."""
+        self.telemetry = session
+        self._wants_breakdowns = session is not None and session.wants_breakdowns
+
     def _notify_background(self, kind: str, finish_us: float) -> None:
         """Publish a background flash completion to the event loop, if any."""
         if self._loop is not None:
@@ -379,46 +390,63 @@ class SimulatedSSD:
     def write(self, lpa: int, at_us: Optional[float] = None) -> float:
         """Write one logical page; returns the request latency in microseconds.
 
-        ``at_us`` is the issue time of the request: event-loop replays pass
-        it explicitly, ``None`` means the device's serial clock.
+        The one-page entry to the write path every command takes
+        (:meth:`_write_command`).  ``at_us`` is the issue time of the
+        request: event-loop replays pass it explicitly, ``None`` means the
+        device's serial clock.
         """
-        if not 0 <= lpa < self.config.logical_pages:
-            self._check_lpa(lpa)
-        start = self._now_us if at_us is None else at_us
+        self._check_lpa(lpa)
+        start = self._clock(at_us)
+        return self._write_command(lpa, 1, start) - start
+
+    def _write_command(self, lpa: int, npages: int, start: float) -> float:
+        """Serve one write command of any length; returns its completion.
+
+        Pages enter the DRAM write buffer (and the data cache, dirty) one
+        DRAM latency after another.  The page that fills the buffer
+        additionally waits for the previous flush to drain (double-buffering
+        backpressure) and issues the next flush at its own completion; the
+        command then carries on into the emptied buffer.  Each page's
+        latency is recorded individually.
+        """
         stats = self.stats
-        stats.host_writes += 1
-        stats.host_write_pages += 1
-
-        self.cache.insert(lpa, dirty=True)
         buffer = self.write_buffer
-        buffer.add(lpa)
-
-        latency = self.config.dram_latency_us
+        dram_latency = self.config.dram_latency_us
         attr = self._attr
-        if attr is not None:
-            attr["dram_us"] = attr.get("dram_us", 0.0) + latency
-        if buffer.is_full:
-            # Double-buffering backpressure: if the previous flush is still
-            # draining to flash, this write waits for it.
-            wait = max(0.0, self._prev_flush_finish_us - start)
-            if wait > 0.0 and attr is not None:
-                key = (
-                    "gc_wait_us"
-                    if self._prev_flush_finish_us <= self._throttle_horizon_us
-                    else "flush_wait_us"
-                )
-                attr[key] = attr.get(key, 0.0) + wait
-            latency += wait
-            done = start + latency
-            if done > self._now_us:
-                self._now_us = done
-            self._flush_buffer(at_us=done)
-        else:
-            done = start + latency
-            if done > self._now_us:
-                self._now_us = done
-        stats.write_latency.record(latency)
-        return latency
+        clock = start
+        end = lpa + npages
+        latencies: List[float] = []
+        while lpa < end:
+            taken = buffer.add_run(lpa, end)
+            self.cache.insert_many(range(lpa, lpa + taken), dirty=True)
+            lpa += taken
+            # Counted before the flush below: it samples WAF so far.
+            stats.host_writes += taken
+            stats.host_write_pages += taken
+            latencies += [dram_latency] * taken
+            filled = buffer.is_full
+            # Page after page: the clock is a running sum, not a product.
+            for _ in range(taken - 1 if filled else taken):
+                clock += dram_latency
+            if attr is not None:
+                for _ in range(taken):
+                    attr["dram_us"] = attr.get("dram_us", 0.0) + dram_latency
+            if filled:
+                wait = max(0.0, self._prev_flush_finish_us - clock)
+                if wait > 0.0 and attr is not None:
+                    key = (
+                        "gc_wait_us"
+                        if self._prev_flush_finish_us <= self._throttle_horizon_us
+                        else "flush_wait_us"
+                    )
+                    attr[key] = attr.get(key, 0.0) + wait
+                latencies[-1] = dram_latency + wait
+                clock += latencies[-1]
+                self._advance(clock)
+                self._flush_buffer(at_us=clock)
+        self._advance(clock)
+        stats.write_latency.record_many(latencies)
+        return clock
 
     def flush(self, at_us: Optional[float] = None) -> None:
         """Drain the write buffer (e.g. at the end of a trace replay)."""
@@ -497,9 +525,7 @@ class SimulatedSSD:
         )
         current_ppa.update(mappings)
         if purpose == "host":
-            mark_clean = self.cache.mark_clean
-            for lpa in lpas:
-                mark_clean(lpa)
+            self.cache.mark_clean_many(lpas)
         self._record_programs(purpose, len(mappings))
         self.allocator.seal_if_full(block)
 
@@ -731,8 +757,9 @@ class SimulatedSSD:
         :meth:`FTL.translate_range` batch per contiguous run and sensed
         concurrently, split into per-channel chunks that the NAND scheduler
         arbitrates — so a run striped over k channels completes in roughly
-        one read time, not k.  Multi-page writes stream into the DRAM write
-        buffer page by page (the buffer, not the NAND path, absorbs them).
+        one read time, not k.  Every write is one command through
+        :meth:`_write_command`: the DRAM write buffer, not the NAND path,
+        absorbs its pages, a buffer-full at a time.
 
         Pages running past the end of the logical space are clipped and
         counted in ``stats.clipped_pages``.
@@ -751,23 +778,19 @@ class SimulatedSSD:
             self.stats.clipped_pages += lpa + npages - (end if end > lpa else lpa)
             if end <= lpa:
                 return clock
-        telemetry = self.telemetry
         attr: Optional[Dict[str, float]] = None
-        if telemetry is not None and getattr(telemetry, "wants_breakdowns", False):
+        if self._wants_breakdowns:
             attr = {}
             self._attr = attr
-        start = clock
         try:
             if op == "W":
-                for page in range(lpa, end):
-                    clock += self.write(page, at_us=clock)
-                finish = clock
+                finish = self._write_command(lpa, end - lpa, clock)
             else:
                 finish = self._read_command(lpa, end - lpa, clock)
         finally:
             self._attr = None
         if attr is not None:
-            telemetry.note_request_breakdown(attr, finish - start)
+            self.telemetry.note_request_breakdown(attr, finish - clock)
         return finish
 
     def _read_command(self, lpa: int, npages: int, start: float) -> float:
@@ -796,14 +819,14 @@ class SimulatedSSD:
                 stats.buffer_hits += 1
             elif self.cache.lookup(page):
                 stats.cache_hits += 1
+            elif runs and runs[-1][-1] == page - 1:
+                runs[-1].append(page)
             else:
-                if runs and runs[-1][-1] == page - 1:
-                    runs[-1].append(page)
-                else:
-                    runs.append([page])
-                continue
+                runs.append([page])
+        dram_pages = npages - sum(map(len, runs))
+        if dram_pages:
             # DRAM pages all complete together, ahead of any flash page.
-            stats.read_latency.record(dram_latency)
+            stats.read_latency.record_many([dram_latency] * dram_pages)
             finish = start + dram_latency
             if attr is not None:
                 critical = {"dram_us": dram_latency}
@@ -832,9 +855,13 @@ class SimulatedSSD:
         clock = self._sync_translation_counters(start, foreground=True)
         translate_us = clock - start if clock > start else 0.0
         stats = self.stats
-        record_latency = stats.read_latency.record
         finish = start
         critical: Optional[Dict[str, float]] = None
+        # Per-page latencies in the order they are accounted, and the pages
+        # sensed from flash in that order: handed to the recorder and the
+        # cache as one batch each when the run is done.
+        latencies: List[float] = []
+        sensed: List[int] = []
         chunks: Dict[int, List[Tuple[int, int]]] = {}
         for page, translation in zip(pages, translations):
             if translation.ppa is None:
@@ -842,7 +869,7 @@ class SimulatedSSD:
                 # every such page of the run at the same time.
                 stats.unmapped_reads += 1
                 latency = translate_us + self.config.dram_latency_us
-                record_latency(latency)
+                latencies.append(latency)
                 finish = start + latency
                 if want_attr:
                     critical = {"dram_us": self.config.dram_latency_us}
@@ -851,18 +878,19 @@ class SimulatedSSD:
             chunks.setdefault(self._channel_of_prediction(translation.ppa), []).append(
                 (page, translation.ppa)
             )
-        insert = self.cache.insert
         read_resolved = self._read_resolved_page
         for channel in sorted(chunks):
             for page, ppa in chunks[channel]:
                 page_attr: Optional[Dict[str, float]] = {} if want_attr else None
                 page_finish = read_resolved(page, ppa, clock, page_attr)
-                stats.flash_reads_for_host += 1
-                insert(page, dirty=False)
-                record_latency(page_finish - start)
+                sensed.append(page)
+                latencies.append(page_finish - start)
                 if page_finish >= finish:
                     finish = page_finish
                     critical = page_attr
+        stats.flash_reads_for_host += len(sensed)
+        self.cache.insert_many(sensed, dirty=False)
+        stats.read_latency.record_many(latencies)
         if critical is not None and translate_us > 0.0:
             critical["translate_us"] = translate_us
         return finish, critical

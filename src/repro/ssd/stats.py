@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 def nearest_rank(count: int, pct: float) -> int:
@@ -59,20 +59,58 @@ class LatencyRecorder:
         self._min = math.inf
 
     def record(self, latency_us: float) -> None:
-        self._count += 1
+        count = self._count + 1
+        self._count = count
         self._sum += latency_us
         if latency_us > self._max:
             self._max = latency_us
         if latency_us < self._min:
             self._min = latency_us
         self._sorted = None
-        if len(self._samples) < self._reservoir_size:
+        if count <= self._reservoir_size:
             self._samples.append(latency_us)
         else:
             # Algorithm R: replace a random slot with probability size/count.
-            slot = self._rng.randrange(self._count)
+            # The draw is ``Random.randrange(count)`` unrolled to its
+            # ``getrandbits`` rejection loop (pinned by a test).
+            bits = count.bit_length()
+            getrandbits = self._rng.getrandbits
+            slot = getrandbits(bits)
+            while slot >= count:
+                slot = getrandbits(bits)
             if slot < self._reservoir_size:
                 self._samples[slot] = latency_us
+
+    def record_many(self, latencies_us: Iterable[float]) -> None:
+        """``record()`` each latency in order: same sums, same draws."""
+        count = self._count
+        total = self._sum
+        high = self._max
+        low = self._min
+        size = self._reservoir_size
+        samples = self._samples
+        getrandbits = self._rng.getrandbits
+        for latency_us in latencies_us:
+            count += 1
+            total += latency_us
+            if latency_us > high:
+                high = latency_us
+            if latency_us < low:
+                low = latency_us
+            if count <= size:
+                samples.append(latency_us)
+            else:
+                bits = count.bit_length()
+                slot = getrandbits(bits)
+                while slot >= count:
+                    slot = getrandbits(bits)
+                if slot < size:
+                    samples[slot] = latency_us
+        self._count = count
+        self._sum = total
+        self._max = high
+        self._min = low
+        self._sorted = None
 
     @property
     def count(self) -> int:

@@ -66,16 +66,31 @@ class WriteBuffer:
     # Operations
     # ------------------------------------------------------------------ #
     def add(self, lpa: int) -> None:
-        """Buffer a host write to ``lpa``.
+        """Buffer a host write to ``lpa`` (the one-page :meth:`add_run`)."""
+        self.add_run(lpa, lpa + 1)
 
-        Rewriting an LPA that is already buffered is absorbed in place — no
-        flash write will ever be issued for the earlier version.
+    def add_run(self, start_lpa: int, stop_lpa: int) -> int:
+        """Buffer host writes to ``[start_lpa, stop_lpa)`` until the buffer fills.
+
+        Takes pages in order up to and including the one that fills the
+        buffer and returns how many it took (at least one of a non-empty
+        run); the caller flushes and offers the rest again.  Rewriting an
+        LPA that is already buffered is absorbed in place (it keeps its
+        arrival position and takes no room) — no flash write will ever be
+        issued for the earlier version.
         """
-        self.stats.writes += 1
-        if lpa in self._pages:
-            self.stats.overwrites += 1
-            return
-        self._pages[lpa] = None
+        pages = self._pages
+        capacity = self._capacity
+        before = len(pages)
+        taken = 0
+        for lpa in range(start_lpa, stop_lpa):
+            pages[lpa] = None
+            taken += 1
+            if len(pages) >= capacity:
+                break
+        self.stats.writes += taken
+        self.stats.overwrites += taken - (len(pages) - before)
+        return taken
 
     def drain(self, max_pages: int = 0) -> List[int]:
         """Remove and return buffered LPAs for a flush.

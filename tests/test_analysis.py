@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,6 +172,57 @@ class TestLatencyRecorder:
         recorder = LatencyRecorder()
         assert recorder.mean_us == 0.0
         assert recorder.percentile(50) == 0.0
+
+    @staticmethod
+    def _state(recorder):
+        return (
+            recorder.count,
+            recorder.total_us,
+            recorder.min_us,
+            recorder.max_us,
+            recorder.samples(),
+            recorder._rng.getstate(),
+        )
+
+    @given(
+        batches=st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=40), max_size=12
+        ),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_record_many_is_record_in_order(self, batches, seed):
+        """One batch call == one record() per element, across the bound:
+        same running float sum, same reservoir, same RNG state."""
+        batched = LatencyRecorder(reservoir_size=16, seed=seed)
+        single = LatencyRecorder(reservoir_size=16, seed=seed)
+        for batch in batches:
+            batched.record_many(batch)
+            for value in batch:
+                single.record(value)
+            assert self._state(batched) == self._state(single)
+            assert batched.percentile(99) == single.percentile(99)
+
+    def test_reservoir_draw_is_randrange(self):
+        """The unrolled ``getrandbits`` draw is ``Random.randrange(count)``.
+
+        Percentiles are digest-pinned, so a CPython change to how
+        ``randrange`` consumes the generator must fail here, not there.
+        """
+        size, seed, total = 1000, 0x1A7E, 301_000
+        reference_rng = random.Random(seed)
+        reference = [float(value) for value in range(size)]
+        for count in range(size + 1, total + 1):
+            slot = reference_rng.randrange(count)
+            if slot < size:
+                reference[slot] = float(count - 1)
+        recorder = LatencyRecorder(reservoir_size=size, seed=seed)
+        half = total // 2
+        for value in range(half):
+            recorder.record(float(value))
+        recorder.record_many([float(value) for value in range(half, total)])
+        assert recorder.samples() == reference
+        assert recorder._rng.getstate() == reference_rng.getstate()
 
 
 class TestSSDStats:

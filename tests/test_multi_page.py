@@ -148,6 +148,29 @@ class TestLeaFTLTranslateRange:
             assert result.levels_searched == single.levels_searched >= 1
 
 
+    @pytest.mark.parametrize("gamma", [0, 4])
+    def test_one_page_range_is_the_per_lpa_walk(self, gamma):
+        """A one-page range takes the per-LPA walk: same answer as
+        ``translate`` and the same charge on every statistics object."""
+        rng = random.Random(7)
+        scalar, ranged = LeaFTL(LeaFTLConfig(gamma=gamma)), LeaFTL(LeaFTLConfig(gamma=gamma))
+        ppa = 0
+        for _ in range(60):
+            start = rng.randrange(0, 900)
+            lpas = sorted({start + rng.randrange(0, 60) for _ in range(rng.randint(1, 40))})
+            batch = [(lpa, ppa + i) for i, lpa in enumerate(lpas)]
+            ppa += len(lpas)
+            scalar.update_batch(batch)
+            ranged.update_batch(batch)
+        for lpa in (rng.randrange(0, 1200) for _ in range(600)):
+            one, (other,) = scalar.translate(lpa), ranged.translate_range(lpa, 1)
+            assert (one.ppa, one.levels_searched) == (other.ppa, other.levels_searched)
+            assert (one.segment is None) == (other.segment is None)
+            assert scalar.stats == ranged.stats
+            assert scalar.lea_stats == ranged.lea_stats
+            assert scalar.table.stats == ranged.table.stats
+
+
 class TestDFTLTranslateRange:
     def _cold_dftl(self, entries=16, per_tp=4):
         ftl = DFTL(
