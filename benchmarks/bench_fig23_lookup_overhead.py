@@ -46,7 +46,14 @@ def test_fig23a_levels_per_lookup(benchmark):
         assert row["p99"] <= 25
 
 def test_fig23b_lookup_cost_vs_flash_latency(benchmark):
-    """Host-side proxy of Figure 23(b): lookup time as % of a flash read."""
+    """Host-side proxy of Figure 23(b): lookup time as % of a flash read.
+
+    Times ``table.lookup`` — the paper's Algorithm-1 level walk, the
+    device's algorithm.  The simulated device answers reads from the
+    per-group owner index instead (``lookup_range``) and only *charges* the
+    walk's levels; pointing ``table.lookup`` at that index would change
+    what this figure measures.
+    """
     from repro.config import LeaFTLConfig
     from repro.core.mapping_table import LogStructuredMappingTable
 

@@ -59,6 +59,10 @@ def test_table3_learning_time(benchmark, gamma):
 
 @pytest.mark.parametrize("gamma", [0, 4])
 def test_table3_lookup_time(benchmark, gamma):
+    """Times ``table.lookup``, the Algorithm-1 level walk the paper's device
+    runs — not the owner index the simulator's read path answers from
+    (``lookup_range``).  Speeding ``table.lookup`` up with that index would
+    change what this table measures."""
     table = LogStructuredMappingTable(LeaFTLConfig(gamma=gamma))
     rng = random.Random(3)
     ppa = 0

@@ -8,7 +8,7 @@ Run with::
 Three demonstrations on a small LeaFTL device:
 
 1. **Batched translation** — a contiguous 8-page read is resolved by a
-   single learned-segment walk (`FTL.translate_range`), so the lookup
+   single learned segment (`FTL.translate_range`), so the lookup
    counter grows by 1 where the old per-page path charged 8.
 
 2. **Striped NAND issue** — the pages of one multi-page command are split
@@ -49,7 +49,7 @@ def fill(ssd: SimulatedSSD, footprint: int) -> None:
 
 
 def demo_batched_translation() -> None:
-    print("=== 1. batched translation: one segment walk per run ===")
+    print("=== 1. batched translation: one segment resolution per run ===")
     ssd = build_ssd()
     fill(ssd, footprint=8192)
     lpa = 512

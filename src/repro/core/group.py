@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.crb import ConflictResolutionBuffer
 from repro.core.level import Level
@@ -58,6 +58,13 @@ class LPAGroup:
         self.group_size = group_size
         self._levels: List[Level] = []
         self.crb = ConflictResolutionBuffer()
+        #: Owner index: per group-relative LPA, the last learned segment
+        #: that contained it — the segment the walk of :meth:`lookup` stops
+        #: at.  New segments enter level 0, merges strip only LPAs a newer
+        #: segment took, and demotion / compaction keep a newer overlapping
+        #: segment above an older one, so "last learned" and "topmost that
+        #: has it" are the same segment (audited by :meth:`validate`).
+        self._owners: List[Optional[Segment]] = [None] * group_size
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -83,7 +90,12 @@ class LPAGroup:
         return result
 
     def memory_bytes(self, level_overhead_bytes: int = 0) -> int:
-        """DRAM footprint: 8 bytes per segment + CRB + per-level overhead."""
+        """DRAM footprint: 8 bytes per segment + CRB + per-level overhead.
+
+        The owner index is deliberately not counted: it is simulator state.
+        The device walks its levels (:meth:`lookup`), and ``levels_searched``
+        is what that walk costs it.
+        """
         return (
             self.segment_count() * SEGMENT_BYTES
             + self.crb.size_bytes()
@@ -119,12 +131,21 @@ class LPAGroup:
             raise ValueError("segment belongs to a different group")
         if not segment.accurate:
             self.crb.insert_segment(segment, learned.lpas)
+        owners = self._owners
+        base = self.group_base
+        for lpa in learned.lpas:
+            owners[lpa - base] = segment
         self._insert_at_level(segment, 0)
 
     def _level_at(self, index: int) -> Level:
         while len(self._levels) <= index:
-            self._levels.append(Level())
+            self._levels.append(Level(depth=len(self._levels) + 1))
         return self._levels[index]
+
+    def _renumber(self) -> None:
+        """Restore ``depth == position`` after an insert or a removal."""
+        for depth, level in enumerate(self._levels, start=1):
+            level.depth = depth
 
     def _insert_at_level(self, segment: Segment, level_index: int) -> None:
         """Algorithm 1, lines 1-16: insert + merge + demote victims."""
@@ -163,6 +184,7 @@ class LPAGroup:
             fresh = Level()
             fresh.insert(victim)
             self._levels.insert(target_index, fresh)
+            self._renumber()
         else:
             target.insert(victim)
 
@@ -255,65 +277,45 @@ class LPAGroup:
                 )
         return LookupResult(ppa=None, levels_searched=max(len(self._levels), 1))
 
-    def lookup_range(self, start_lpa: int, end_lpa: int) -> List[LookupResult]:
-        """Resolve every LPA of ``[start_lpa, end_lpa]`` with one level walk.
+    def lookup_range(
+        self, start_lpa: int, end_lpa: int
+    ) -> Tuple[List[LookupResult], List[LookupResult]]:
+        """Resolve every LPA of ``[start_lpa, end_lpa]`` from the owner index.
 
-        Equivalent to calling :meth:`lookup` per page but each level is
-        visited once for the whole run: the segments intersecting the range
-        are located with one binary search per level, and every LPA they
-        encode resolves at that depth.  Pages still unresolved continue to
-        the next level, so newer (higher-level) segments shadow older ones
-        exactly as in the per-page walk.
+        Returns ``(results, runs)``.  ``results`` holds one answer per LPA,
+        equal to :meth:`lookup`'s: the owner's prediction, with the depth of
+        the owner's level as ``levels_searched`` — the levels the walk would
+        have searched to reach it — and a miss charged every level.
+        ``runs`` holds the first result of each *resolution run*, a maximal
+        stretch of LPAs with one owner (or one miss gap): the unit the
+        statistics charge, since all of its pages searched the same levels.
         """
-        if end_lpa < start_lpa:
-            raise ValueError("end_lpa must not precede start_lpa")
-        count = end_lpa - start_lpa + 1
-        results: List[Optional[LookupResult]] = [None] * count
-        unresolved = count
+        base = self.group_base
+        if not base <= start_lpa <= end_lpa < base + self.group_size:
+            raise ValueError(
+                f"[{start_lpa}, {end_lpa}] is not a range of the group at {base}"
+            )
+        results: List[LookupResult] = []
+        runs: List[LookupResult] = []
+        append = results.append
         ceil = math.ceil
-        for depth, level in enumerate(self._levels, start=1):
-            if unresolved == 0:
-                break
-            for segment in level.overlapping(start_lpa, end_lpa):
-                low = segment.start_lpa
-                if low < start_lpa:
-                    low = start_lpa
-                high = segment.end_lpa
-                if high > end_lpa:
-                    high = end_lpa
-                # Enumerate only the LPAs this segment actually encodes
-                # instead of probing every LPA of the clipped interval.
-                if segment.accurate:
-                    seg_start = segment.start_lpa
-                    if segment.length <= 0:
-                        members = (seg_start,) if low <= seg_start <= high else ()
-                    else:
-                        stride = segment.stride
-                        offset = low - seg_start
-                        phase = offset % stride
-                        if phase:
-                            low += stride - phase
-                        members = range(low, high + 1, stride)
+        low = start_lpa - base
+        previous: object = self  # matches no owner slot, not even an empty one
+        for offset, segment in enumerate(self._owners[low : end_lpa - base + 1], low):
+            if segment is not previous:
+                previous = segment
+                if segment is None:
+                    result = LookupResult(None, max(len(self._levels), 1))
                 else:
-                    members = [
-                        lpa
-                        for lpa in self.crb.lpas_of(segment)
-                        if low <= lpa <= high
-                    ]
-                slope = segment.slope
-                intercept = segment.intercept
-                group_base = segment.group_base
-                for lpa in members:
-                    index = lpa - start_lpa
-                    if results[index] is None:
-                        results[index] = LookupResult(
-                            ppa=int(ceil(slope * (lpa - group_base) + intercept)),
-                            levels_searched=depth,
-                            segment=segment,
-                        )
-                        unresolved -= 1
-        miss = LookupResult(ppa=None, levels_searched=max(len(self._levels), 1))
-        return [result if result is not None else miss for result in results]
+                    slope = segment.slope
+                    intercept = segment.intercept
+                    depth = segment.level.depth
+                    result = LookupResult(ceil(slope * offset + intercept), depth, segment)
+                runs.append(result)
+            elif segment is not None:
+                result = LookupResult(ceil(slope * offset + intercept), depth, segment)
+            append(result)
+        return results, runs
 
     # ------------------------------------------------------------------ #
     # Compaction (Algorithm 1, seg_compact)
@@ -335,6 +337,7 @@ class LPAGroup:
 
     def _drop_empty_levels(self) -> None:
         self._levels = [level for level in self._levels if not level.is_empty]
+        self._renumber()
 
     # ------------------------------------------------------------------ #
     # Checkpoint serialization (power-fail recovery)
@@ -375,7 +378,9 @@ class LPAGroup:
         insert (they were serialized non-overlapping within each level, so
         no merge logic runs) and approximate segments re-register their CRB
         ownership.  CRB LPA sets are disjoint in any valid group, so the
-        insertion order cannot change ownership.
+        insertion order cannot change ownership.  The owner index is
+        rebuilt deepest level first, so the topmost segment that has an LPA
+        ends up owning it.
         """
         group = cls(group_base, group_size)
         offset = 0
@@ -384,7 +389,7 @@ class LPAGroup:
         for _ in range(level_count):
             (segment_count,) = struct.unpack_from("<H", payload, offset)
             offset += 2
-            level = Level()
+            level = Level(depth=len(group._levels) + 1)
             for _ in range(segment_count):
                 segment = Segment.from_checkpoint_bytes(
                     payload[offset : offset + CHECKPOINT_SEGMENT_BYTES], group_base
@@ -405,6 +410,11 @@ class LPAGroup:
             raise ValueError(
                 f"checkpoint payload has {len(payload) - offset} trailing bytes"
             )
+        owners = group._owners
+        for level in reversed(group._levels):
+            for segment in level:
+                for lpa in group.covered_lpas(segment):
+                    owners[lpa - group_base] = segment
         return group
 
     # ------------------------------------------------------------------ #
@@ -412,8 +422,19 @@ class LPAGroup:
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
         """Check the structural invariants of the group."""
-        for level in self._levels:
+        for depth, level in enumerate(self._levels, start=1):
+            assert level.depth == depth, "level depths are not 1..n"
             level.validate_sorted_non_overlapping()
             for segment in level:
                 assert not segment.is_removable, "removable segment left in a level"
                 assert segment.group_base == self.group_base
+                assert segment.level is level, (
+                    f"{segment}: level back-reference is not the level holding it"
+                )
+        for lpa, owner in enumerate(self._owners, start=self.group_base):
+            assert owner is None or not owner.is_removable, (
+                f"owner index holds a removable segment at LPA {lpa}"
+            )
+            assert owner is self.lookup(lpa).segment, (
+                f"owner index disagrees with the level walk at LPA {lpa}"
+            )

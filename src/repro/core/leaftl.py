@@ -25,7 +25,6 @@ from repro.core.mapping_table import (
     LogStructuredMappingTable,
     LookupResult,
     MappingTableStats,
-    iter_resolution_runs,
 )
 from repro.core.plr import LearnedSegment
 from repro.flash.oob import OOBArea
@@ -90,27 +89,26 @@ class LeaFTL(FTL):
         return result
 
     def translate_range(self, lpa: int, npages: int) -> List[LookupResult]:
-        """Resolve a contiguous run of LPAs with one segment walk per run.
+        """Resolve a contiguous run of LPAs, charged once per resolution run.
 
         This is where the learned table's batching advantage materialises:
         a multi-page host command whose span is covered by one learned
-        segment costs a *single* level walk and a single lookup charge, not
-        one per page (see :meth:`LogStructuredMappingTable.lookup_range`).
+        segment costs a *single* lookup charge at that segment's level, not
+        one per page (see :meth:`LogStructuredMappingTable.resolve_range`,
+        whose run list both statistics layers charge from).
         ``stats.lookups`` and the Figure 23a level histogram are charged per
         segment resolution, mirroring the mapping table's accounting.
         """
-        if npages <= 0:
-            raise ValueError("npages must be positive")
-        lookups = self.table.lookup_range(lpa, npages)
-        for _start, _stop, segment, depth in iter_resolution_runs(
-            lookups, lpa, self.config.group_size
-        ):
-            self.stats.lookups += 1
+        lookups, runs = self.table.resolve_range(lpa, npages)
+        self.stats.lookups += len(runs)
+        lea_stats = self.lea_stats
+        for run in runs:
+            segment = run.segment
             if segment is not None:
-                self.lea_stats.lookups_resolved += 1
-                self.lea_stats.record_levels(depth)
+                lea_stats.lookups_resolved += 1
+                lea_stats.record_levels(run.levels_searched)
                 if not segment.accurate:
-                    self.lea_stats.approximate_lookups += 1
+                    lea_stats.approximate_lookups += 1
         return lookups
 
     def resolve_misprediction(
@@ -127,13 +125,13 @@ class LeaFTL(FTL):
         """
         self.lea_stats.mispredictions += 1
         self.stats.mispredictions += 1
-        gamma = self.config.gamma
-        for index, neighbor_lpa in enumerate(oob.neighbor_lpas):
-            if neighbor_lpa == lpa:
-                self.lea_stats.oob_corrections += 1
-                return predicted_ppa - gamma + index
-        self.lea_stats.oob_correction_failures += 1
-        return None
+        try:
+            index = oob.neighbor_lpas.index(lpa)
+        except ValueError:
+            self.lea_stats.oob_correction_failures += 1
+            return None
+        self.lea_stats.oob_corrections += 1
+        return predicted_ppa - self.config.gamma + index
 
     # ------------------------------------------------------------------ #
     # FTL interface: updates

@@ -19,9 +19,13 @@ from repro.core.segment import Segment
 class Level:
     """A sorted, non-overlapping run of segments."""
 
-    def __init__(self) -> None:
+    def __init__(self, depth: int = 0) -> None:
         self._segments: List[Segment] = []
         self._starts: List[int] = []
+        #: 1-based position in the owning group's level list — the levels a
+        #: lookup resolved here has searched (0 while in no group).  The
+        #: group renumbers whenever its level list changes shape.
+        self.depth = depth
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -85,6 +89,7 @@ class Level:
         index = bisect.bisect_left(self._starts, segment.start_lpa)
         self._segments.insert(index, segment)
         self._starts.insert(index, segment.start_lpa)
+        segment.level = self
 
     def remove(self, segment: Segment) -> None:
         """Remove ``segment`` (identity match) from the level.

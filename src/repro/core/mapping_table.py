@@ -18,48 +18,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import LeaFTLConfig
 from repro.core.group import LookupResult, LPAGroup
 from repro.core.plr import LearnedSegment, PLRLearner
-from repro.core.segment import Segment, group_base_of
-
-
-def iter_resolution_runs(
-    results: Sequence[LookupResult],
-    start_lpa: int = 0,
-    group_size: Optional[int] = None,
-) -> Iterable[Tuple[int, int, Optional[Segment], int]]:
-    """Group consecutive lookup results by the segment that resolved them.
-
-    Yields ``(start, stop, segment, depth)`` per run: a maximal stretch
-    ``results[start:stop]`` sharing one segment identity (misses —
-    ``segment is None`` — form runs of their own) and the deepest level any
-    page of the run searched.  This is the unit the batched range lookup
-    charges statistics at: one segment resolution serves the whole run.
-
-    When ``group_size`` is given (with ``start_lpa`` as the LPA of
-    ``results[0]``), runs additionally split at group boundaries: a miss
-    gap spanning two groups consulted two group structures and must charge
-    two resolutions.  Found runs never span groups — a segment lives
-    inside one group — so the split only affects misses.
-    """
-    index = 0
-    total = len(results)
-    while index < total:
-        segment = results[index].segment
-        depth = results[index].levels_searched
-        stop = index + 1
-        while stop < total and results[stop].segment is segment:
-            if group_size is not None and (start_lpa + stop) % group_size == 0:
-                break
-            levels = results[stop].levels_searched
-            if levels > depth:
-                depth = levels
-            stop += 1
-        yield index, stop, segment, depth
-        index = stop
+from repro.core.segment import group_base_of
 
 
 @dataclass
@@ -182,25 +146,31 @@ class LogStructuredMappingTable:
     def lookup_range(self, start_lpa: int, npages: int) -> List[LookupResult]:
         """Resolve the contiguous run ``[start_lpa, start_lpa + npages)``.
 
-        The run is split at group boundaries and each group resolves its
-        chunk with a single top-down level walk
-        (:meth:`repro.core.group.LPAGroup.lookup_range`), so a run covered
-        by one learned segment costs one segment resolution instead of one
-        full walk per page.
+        One result per page, each equal to :meth:`lookup`'s answer for that
+        LPA; charged per resolution run (see :meth:`resolve_range`).
+        """
+        return self.resolve_range(start_lpa, npages)[0]
 
-        Statistics are charged per *resolution*, not per page: consecutive
-        pages served by the same segment (or forming one miss gap) count as
-        one lookup, whose levels-searched is the deepest level the run
-        needed.  An 8-page run covered by one segment therefore grows
-        ``stats.lookups`` by exactly 1.
+    def resolve_range(
+        self, start_lpa: int, npages: int
+    ) -> Tuple[List[LookupResult], List[LookupResult]]:
+        """:meth:`lookup_range` plus the first result of each resolution run.
+
+        The run is split at group boundaries and each group answers its
+        chunk from its owner index
+        (:meth:`repro.core.group.LPAGroup.lookup_range`), which also finds
+        the run boundaries: consecutive pages served by the same segment,
+        or forming one miss gap inside one group, are one resolution.
+
+        Statistics are charged per *resolution*, not per page, at the level
+        the run's segment lives on.  An 8-page run covered by one segment
+        therefore grows ``stats.lookups`` by exactly 1, and a miss gap
+        spanning two groups by 2 (it consulted two group structures).
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
-        if npages == 1:
-            # A one-page run is one resolution: the per-LPA walk answers
-            # and charges it identically without the run machinery.
-            return [self.lookup(start_lpa)]
         results: List[LookupResult] = []
+        runs: List[LookupResult] = []
         lpa = start_lpa
         end = start_lpa + npages
         group_size = self.config.group_size
@@ -212,19 +182,19 @@ class LogStructuredMappingTable:
                 chunk_end = end
             group = groups_get(group_base)
             if group is None:
-                results.extend(
-                    LookupResult(ppa=None, levels_searched=1)
-                    for _ in range(lpa, chunk_end)
-                )
+                miss = LookupResult(ppa=None, levels_searched=1)
+                results += [miss] * (chunk_end - lpa)
+                runs.append(miss)
             else:
-                results.extend(group.lookup_range(lpa, chunk_end - 1))
+                chunk, chunk_runs = group.lookup_range(lpa, chunk_end - 1)
+                results += chunk
+                runs += chunk_runs
             lpa = chunk_end
-        for _start, _stop, _segment, depth in iter_resolution_runs(
-            results, start_lpa, group_size
-        ):
-            self.stats.lookups += 1
-            self.stats.lookup_levels_total += depth
-        return results
+        stats = self.stats
+        stats.lookups += len(runs)
+        for run in runs:
+            stats.lookup_levels_total += run.levels_searched
+        return results, runs
 
     def exists(self, lpa: int) -> bool:
         """Membership test; charged to the lookup stats like any lookup."""

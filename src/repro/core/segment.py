@@ -40,7 +40,10 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterator, List
+from typing import TYPE_CHECKING, Iterator, List
+
+if TYPE_CHECKING:
+    from repro.core.level import Level
 
 #: Number of contiguous LPAs covered by one group (Section 3.2).
 GROUP_SIZE = 256
@@ -129,7 +132,13 @@ class Segment:
     ``slope`` (and therefore the stride of an accurate segment) is immutable
     after construction — merges only ever trim ``start_lpa``/``length`` — so
     the stride is computed once and cached in the ``stride`` slot.
+    ``level`` is the :class:`repro.core.level.Level` that holds the segment,
+    set by ``Level.insert`` and unset until then: simulator bookkeeping that
+    lets the group's owner index charge a lookup at its owner's depth, not
+    part of the 8-byte encoding.
     """
+
+    level: Level
 
     __slots__ = (
         "group_base",
@@ -139,6 +148,7 @@ class Segment:
         "intercept",
         "accurate",
         "stride",
+        "level",
     )
 
     def __init__(

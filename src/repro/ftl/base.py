@@ -40,7 +40,7 @@ updates applied after the call began); ``npages < 1`` raises
 ``ValueError``.  The accounting contract:
 
 * ``stats.lookups`` is charged **once per mapping-structure resolution**,
-  not once per page: one learned-segment walk that covers the whole run
+  not once per page: one learned segment that answers a whole run
   (LeaFTL), one translation-page visit that serves every entry on that
   page (DFTL/SFTL), one table probe for the whole run (PageMapFTL).
   A contiguous 8-page read served by a single learned segment therefore
@@ -51,8 +51,9 @@ updates applied after the call began); ``npages < 1`` raises
   whatever dirty evictions the admission forced.
 
 LeaFTL alone overrides ``translate`` — with the paper's Algorithm-1
-per-LPA walk, the reference its batched ``lookup_range`` is tested
-against and what the lookup micro-benchmarks time.
+per-LPA walk, the reference its ``lookup_range`` (answered from a
+per-group owner index) is tested against and what the lookup
+micro-benchmarks time.
 """
 
 from __future__ import annotations

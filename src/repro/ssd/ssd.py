@@ -34,7 +34,7 @@ through the FTL under test.
 
 Host commands are multi-page natively: a read spanning several pages is
 translated in one :meth:`repro.ftl.base.FTL.translate_range` batch (one
-learned-segment walk resolves a whole contiguous run in LeaFTL, one
+learned segment answers a whole contiguous run in LeaFTL, one
 translation-page fetch serves all its entries in DFTL/SFTL) and its flash
 accesses are issued as per-channel chunks that proceed concurrently
 through the NAND scheduler.  There is one read path: a single-page read
@@ -192,6 +192,9 @@ class SimulatedSSD:
 
         self.scheduler = NANDScheduler(config.channels, config.dies_per_channel)
         self.flash = FlashArray(config, scheduler=self.scheduler)
+        #: Geometry constants of the per-page read path, resolved once.
+        self._total_pages = config.physical_pages
+        self._pages_per_channel = config.pages_per_channel
         self.allocator = BlockAllocator(self.flash)
         self.write_buffer = WriteBuffer(
             capacity_pages=config.write_buffer_pages,
@@ -599,7 +602,7 @@ class SimulatedSSD:
         """
         flash = self.flash
         sensed: Optional[int] = ppa
-        if not 0 <= ppa < flash.geometry.total_pages or flash.is_free(ppa):
+        if not 0 <= ppa < self._total_pages or flash.is_free(ppa):
             # The learned model pointed past the programmed region of a block
             # (or, within gamma of the array edges, past the array itself):
             # read the nearest programmed page of the error window instead and
@@ -618,7 +621,7 @@ class SimulatedSSD:
     def _nearest_programmed_page(self, lpa: int, predicted_ppa: int) -> Optional[int]:
         """The programmed page of the ±gamma window closest to the prediction."""
         gamma = max(self._oob_window, 1)
-        total = self.flash.geometry.total_pages
+        total = self._total_pages
         for distance in range(0, gamma + 1):
             for candidate in (predicted_ppa - distance, predicted_ppa + distance):
                 if 0 <= candidate < total and self.flash.page_state(candidate) is not PageState.FREE:
@@ -646,7 +649,7 @@ class SimulatedSSD:
 
         if (
             correct_ppa is not None
-            and 0 <= correct_ppa < self.flash.geometry.total_pages
+            and 0 <= correct_ppa < self._total_pages
             and self.flash.lpa_of(correct_ppa) == lpa
         ):
             finish = self.flash.read_page(correct_ppa, now_us=clock)
@@ -655,7 +658,7 @@ class SimulatedSSD:
 
         # OOB could not resolve: scan the error window around the prediction.
         gamma = max(self._oob_window, 1)
-        total = self.flash.geometry.total_pages
+        total = self._total_pages
         finish = clock
         for candidate in range(predicted_ppa - gamma, predicted_ppa + gamma + 1):
             if candidate == read_ppa or not 0 <= candidate < total:
@@ -902,13 +905,12 @@ class SimulatedSSD:
         space by up to gamma pages; clamping keeps the chunk grouping
         valid — the actual read path corrects the prediction itself.
         """
-        geometry = self.flash.geometry
-        last = geometry.total_pages - 1
+        last = self._total_pages - 1
         if ppa < 0:
             ppa = 0
         elif ppa > last:
             ppa = last
-        return geometry.channel_of(ppa)
+        return ppa // self._pages_per_channel
 
     def process(self, op: str, lpa: int, npages: int = 1) -> None:
         """Apply one host request (``op`` is 'R' or 'W') spanning ``npages``."""

@@ -149,9 +149,10 @@ class TestLeaFTLTranslateRange:
 
 
     @pytest.mark.parametrize("gamma", [0, 4])
-    def test_one_page_range_is_the_per_lpa_walk(self, gamma):
-        """A one-page range takes the per-LPA walk: same answer as
-        ``translate`` and the same charge on every statistics object."""
+    def test_one_page_range_matches_translate(self, gamma):
+        """A one-page range is answered from the owner index, ``translate``
+        by the Algorithm-1 walk: same answer and the same charge on every
+        statistics object."""
         rng = random.Random(7)
         scalar, ranged = LeaFTL(LeaFTLConfig(gamma=gamma)), LeaFTL(LeaFTLConfig(gamma=gamma))
         ppa = 0
