@@ -61,8 +61,8 @@ def test_fig18_oltp_latency_cdf_open_loop(benchmark):
     completions, so the CDF measures latency against arrival times — the
     regime where a slow scheme falls behind its arrival process and the
     backlog inflates every subsequent request's latency."""
-    setup = perf_setup(dram_policy="cache_reserved")
-    cells = run_once(benchmark, run_schemes, "OLTP", setup, ("DFTL", "LeaFTL"), "open")
+    setup = perf_setup(dram_policy="cache_reserved", replay_mode="open")
+    cells = run_once(benchmark, run_schemes, "OLTP", setup, ("DFTL", "LeaFTL"))
 
     cdf = _render_cdf("Figure 18 (open loop): OLTP read latency vs arrival (us)", cells)
 

@@ -18,7 +18,7 @@ Three demonstrations on a small LeaFTL device:
    as one multi-page command vs. as single-page commands back to back.
 
 3. **Open-loop replay** — requests are admitted at their trace timestamps
-   (scaled by ``SSDOptions.time_scale``) whether or not earlier requests
+   (scaled by ``run(time_scale=)``) whether or not earlier requests
    completed, so latency is measured against *arrival* times.  Tightening
    the inter-arrival spacing pushes the device past saturation and the
    backlog (max outstanding) grows.
@@ -27,18 +27,16 @@ Three demonstrations on a small LeaFTL device:
 from __future__ import annotations
 
 from repro import DRAMBudget, LeaFTL, LeaFTLConfig, SSDConfig, SimulatedSSD
-from repro.ssd.ssd import SSDOptions
 from repro.workloads.trace import IORequest, Trace
 
 
-def build_ssd(**options) -> SimulatedSSD:
+def build_ssd() -> SimulatedSSD:
     config = SSDConfig.tiny()
     ftl = LeaFTL(LeaFTLConfig(gamma=4, compaction_interval_writes=50_000))
     return SimulatedSSD(
         config,
         ftl,
         dram_budget=DRAMBudget(dram_bytes=config.dram_size),
-        options=SSDOptions(**options),
     )
 
 
@@ -90,14 +88,14 @@ def demo_open_loop() -> None:
     print(header)
     print("-" * len(header))
     for interarrival in (100.0, 25.0, 10.0, 2.0):
-        ssd = build_ssd(replay_mode="open")
+        ssd = build_ssd()
         fill(ssd, footprint=50_000)
         ssd.begin_measurement()
         requests = [
             IORequest("R", (lpa * 97) % 50_000, 4, timestamp_us=i * interarrival)
             for i, lpa in enumerate(range(2000))
         ]
-        stats = ssd.run(Trace("open-loop", requests))
+        stats = ssd.run(Trace("open-loop", requests), replay_mode="open")
         print(f"{interarrival:>16.1f} {stats.read_latency.mean_us:>13.1f} "
               f"{stats.read_latency.percentile(99):>12.1f} "
               f"{stats.max_outstanding_requests:>16d}")

@@ -80,7 +80,7 @@ def main() -> None:
         trace = trace.sorted_by_timestamp()
     mode = "open-loop" if args.open_loop else "closed-loop"
     print(f"replaying through {args.ftl} ({mode}) ...")
-    stats = ssd.run(trace)
+    stats = ssd.run(trace, replay_mode=setup.replay_mode, time_scale=setup.time_scale)
 
     rows = [
         ["mean read latency (us)", round(stats.read_latency.mean_us, 1)],

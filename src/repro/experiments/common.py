@@ -219,8 +219,6 @@ def build_ssd(scheme: str, setup: ExperimentSetup) -> SimulatedSSD:
     options = SSDOptions(
         sort_buffer_on_flush=setup.sort_buffer_on_flush,
         queue_depth=setup.queue_depth,
-        replay_mode=setup.replay_mode,
-        time_scale=setup.time_scale,
         gc_mode=setup.gc_mode,
         arbiter=setup.arbiter,
         telemetry=setup.telemetry,
@@ -403,50 +401,47 @@ def run_experiment(
     scheme: str,
     setup: Optional[ExperimentSetup] = None,
     trace: Optional[Trace] = None,
-    replay_mode: Optional[str] = None,
 ) -> ExperimentResult:
     """One cell of the evaluation: ``workload`` replayed on ``scheme``.
 
     The cell is the only thing in the harness that simulates, and it is
     simulated once per process: the device is deterministic
     (``python -m repro.verify`` is the gate), so the result is memoised on
-    ``(workload, scheme, setup, replay mode)`` and every figure that reads
-    the same configuration shares one :class:`ExperimentResult` — treat it
-    as read-only.  An explicit ``trace`` (a custom workload the name does
-    not determine) bypasses the memo and always simulates.
+    ``(workload, scheme, setup)`` and every figure that reads the same
+    configuration shares one :class:`ExperimentResult` — treat it as
+    read-only.  An explicit ``trace`` (a custom workload the name does not
+    determine) bypasses the memo and always simulates.
 
-    ``replay_mode`` overrides ``setup.replay_mode``: ``"closed"`` replays
-    completion-driven at ``setup.queue_depth``; ``"open"`` admits requests
-    at their trace timestamps (timestamp-less synthetic traces are stamped
-    with ``setup.open_loop_interarrival_us`` first), so latency-under-load
-    is measured against arrival times.
+    How the cell is replayed is part of the setup: ``setup.replay_mode``
+    ``"closed"`` replays completion-driven at ``setup.queue_depth``;
+    ``"open"`` admits requests at their trace timestamps scaled by
+    ``setup.time_scale`` (timestamp-less synthetic traces are stamped with
+    ``setup.open_loop_interarrival_us`` first), so latency-under-load is
+    measured against arrival times.
     """
     setup = setup or ExperimentSetup()
-    mode = setup.replay_mode if replay_mode is None else replay_mode
     if trace is not None:
-        return simulate(workload, scheme, setup, mode, trace)
-    return memoised_cell(workload, scheme, setup, mode)
+        return simulate(workload, scheme, setup, trace)
+    return memoised_cell(workload, scheme, setup)
 
 
 @functools.lru_cache(maxsize=None)
-def memoised_cell(
-    workload: str, scheme: str, setup: ExperimentSetup, mode: str
-) -> ExperimentResult:
+def memoised_cell(workload: str, scheme: str, setup: ExperimentSetup) -> ExperimentResult:
     """The memo behind :func:`run_experiment`; ``cache_info()`` counts
     cells simulated (misses) against cells requested (hits + misses)."""
-    return simulate(workload, scheme, setup, mode, workload_for_setup(workload, setup))
+    return simulate(workload, scheme, setup, workload_for_setup(workload, setup))
 
 
 def simulate(
-    workload: str, scheme: str, setup: ExperimentSetup, mode: str, replay: Trace
+    workload: str, scheme: str, setup: ExperimentSetup, replay: Trace
 ) -> ExperimentResult:
     """Build, warm up, replay and collect every figure's inputs (uncached)."""
     ssd = build_ssd(scheme, setup)
     if setup.warmup:
         warmup_ssd(ssd, setup)
-    if mode == "open":
+    if setup.replay_mode == "open":
         replay = replay.with_interarrival(setup.open_loop_interarrival_us)
-    stats = ssd.run(replay, replay_mode=mode, time_scale=setup.time_scale)
+    stats = ssd.run(replay, replay_mode=setup.replay_mode, time_scale=setup.time_scale)
 
     ftl = ssd.ftl
     result = ExperimentResult(
@@ -479,13 +474,9 @@ def run_schemes(
     workload: str,
     setup: Optional[ExperimentSetup] = None,
     schemes: Sequence[str] = SCHEMES,
-    replay_mode: Optional[str] = None,
 ) -> Dict[str, ExperimentResult]:
     """scheme -> cell, every scheme replaying the same workload."""
-    return {
-        scheme: run_experiment(workload, scheme, setup, replay_mode=replay_mode)
-        for scheme in schemes
-    }
+    return {scheme: run_experiment(workload, scheme, setup) for scheme in schemes}
 
 
 # --------------------------------------------------------------------------- #

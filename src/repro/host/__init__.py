@@ -27,7 +27,6 @@ from repro.host.interface import (
     HostInterface,
     HostRunResult,
     MultiQueueFrontend,
-    QUEUE_MODES,
     SubmissionQueue,
 )
 from repro.host.namespace import Namespace, NamespaceStats
@@ -44,7 +43,6 @@ __all__ = [
     "HostInterface",
     "HostRunResult",
     "MultiQueueFrontend",
-    "QUEUE_MODES",
     "SubmissionQueue",
     "Namespace",
     "NamespaceStats",

@@ -2,20 +2,21 @@
 
 Three pieces:
 
-* :class:`SubmissionQueue` — one tenant stream feeding one namespace.
-  Closed-loop queues pull their next request on demand (the stream is
-  always backlogged, completion-driven); open-loop queues receive requests
-  at their (scaled) trace timestamps via arrival events, the WiscSee-style
-  replay the single-queue :class:`repro.sim.frontend.OpenLoopFrontend`
-  introduced.
+* :class:`SubmissionQueue` — one tenant stream feeding one namespace: an
+  :class:`repro.sim.frontend.ArrivalStream` with a namespace.  Closed-loop
+  queues pull their next request on demand (the stream is always
+  backlogged, completion-driven); open-loop queues receive requests at
+  their (scaled) trace timestamps through the engine's arrival path.
 
-* :class:`MultiQueueFrontend` — the admission engine.  The device executes
-  up to ``queue_depth`` commands concurrently (its NCQ/NVMe slots); every
-  time a slot frees, the arbiter picks which eligible queue's head request
-  is admitted.  Token-bucket throttled queues are not offered to the
-  arbiter; a retry fires when their bucket refills.  With a single
-  closed-loop queue and any arbiter this degenerates *exactly* to the
-  :class:`repro.sim.frontend.HostFrontend` admission order — the
+* :class:`MultiQueueFrontend` — the multi-queue admission *policy* of the
+  one engine (:class:`repro.sim.frontend.Frontend`, which owns the device
+  slots and the issue → submit → complete cycle).  Every time a slot frees,
+  the arbiter picks which eligible queue's head request is admitted.
+  Token-bucket throttled queues are not offered to the arbiter; a retry
+  fires when their bucket refills.  On top of the pick it translates
+  namespace-relative LPAs and keeps the per-tenant accounting.  With a
+  single closed-loop queue and any arbiter this degenerates *exactly* to
+  the :class:`repro.sim.frontend.HostFrontend` admission order — the
   single-tenant regression tests pin that bit-for-bit.
 
 * :class:`HostInterface` — the user-facing object: carves namespaces out of
@@ -31,21 +32,25 @@ engine's convention).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.host.arbiter import Arbiter, TokenBucket, make_arbiter
 from repro.host.namespace import Namespace, NamespaceStats
 from repro.sim.events import Event, EventLoop, PRIORITY_FOREGROUND
-from repro.sim.frontend import FrontendStats
-from repro.workloads.trace import IORequest, ReplayItem, as_request
+from repro.sim.frontend import (
+    REPLAY_MODES,
+    ArrivalStream,
+    Command,
+    Frontend,
+    FrontendStats,
+    SubmitTarget,
+    check_queue_depth,
+)
+from repro.workloads.trace import ReplayItem
 
-#: Valid submission-queue admission modes.
-QUEUE_MODES = ("closed", "open")
 
-
-class SubmissionQueue:
+class SubmissionQueue(ArrivalStream):
     """One tenant's request stream, queued toward a namespace."""
 
     def __init__(
@@ -56,220 +61,70 @@ class SubmissionQueue:
         time_scale: float = 1.0,
         name: Optional[str] = None,
     ) -> None:
-        if mode not in QUEUE_MODES:
-            raise ValueError(f"mode must be one of {QUEUE_MODES}")
-        if time_scale <= 0.0:
-            raise ValueError("time_scale must be positive")
+        if mode not in REPLAY_MODES:
+            raise ValueError(f"mode must be one of {REPLAY_MODES}")
+        super().__init__(source, time_scale, name or namespace.name)
         self.namespace = namespace
-        self.name = name or namespace.name
         self.mode = mode
-        self.time_scale = time_scale
-        self._source: Iterator[ReplayItem] = iter(source)
-        self._exhausted = False
-        #: Requests that have arrived and wait for admission:
-        #: ``(request, ready_us, enqueue_seq)``.
-        self._pending: Deque[Tuple[IORequest, float, int]] = deque()
-        #: Set by the frontend: allocates global enqueue sequence numbers.
-        self._stamp = None
-        #: Open-loop arrival anchoring (mirrors OpenLoopFrontend).
-        self._origin_us = 0.0
-        self._first_timestamp: Optional[float] = None
-        self._last_timestamp: Optional[float] = None
-        #: Longest backlog observed (requests waiting, not yet admitted).
-        self.max_backlog = 0
+        #: What the arbiter reads (:class:`repro.host.arbiter.ArbitratedQueue`).
+        self.weight = namespace.weight
+        self.priority = namespace.priority
         #: True while the current head has already been counted as a
         #: rate-limit deferral (one count per request, not per attempt).
         self.head_deferred = False
 
-    # Arbiter-facing attributes ----------------------------------------- #
-    @property
-    def weight(self) -> int:
-        return self.namespace.weight
-
-    @property
-    def priority(self) -> int:
-        return self.namespace.priority
-
     def head_key(self) -> Tuple[float, int]:
         """(ready_time, enqueue_seq) of the head — FIFO comparison key."""
-        request, ready_us, seq = self._pending[0]
-        return (ready_us, seq)
-
-    # Frontend-facing API ------------------------------------------------ #
-    def bind(self, stamp, origin_us: float) -> None:
-        self._stamp = stamp
-        self._origin_us = origin_us
-
-    def next_source_request(self) -> Optional[IORequest]:
-        """Pull the next request off the stream (None when exhausted)."""
-        if self._exhausted:
-            return None
-        item = next(self._source, None)
-        if item is None:
-            self._exhausted = True
-            return None
-        return as_request(item)
-
-    def arrival_time(self, request: IORequest) -> float:
-        """Absolute arrival time of an open-loop request.
-
-        Timestamps are taken relative to the stream's first timestamp and
-        anchored at the replay origin, scaled by ``time_scale``.  A
-        non-monotonic timestamp raises: silently reordering (or clamping)
-        arrivals would misrepresent the offered load — sort the trace with
-        :meth:`repro.workloads.trace.Trace.sorted_by_timestamp` first.
-        """
-        if self._first_timestamp is None:
-            self._first_timestamp = request.timestamp_us
-        if (
-            self._last_timestamp is not None
-            and request.timestamp_us < self._last_timestamp
-        ):
-            raise ValueError(
-                f"queue {self.name!r}: non-monotonic trace timestamp "
-                f"{request.timestamp_us} after {self._last_timestamp}; "
-                "sort the trace (Trace.sorted_by_timestamp()) before replay"
-            )
-        self._last_timestamp = request.timestamp_us
-        offset = max(0.0, request.timestamp_us - self._first_timestamp)
-        return self._origin_us + offset * self.time_scale
-
-    def enqueue(self, request: IORequest, ready_us: float) -> None:
-        """An open-loop arrival joins the queue."""
-        assert self._stamp is not None
-        self._pending.append((request, ready_us, self._stamp()))
-        if len(self._pending) > self.max_backlog:
-            self.max_backlog = len(self._pending)
-
-    def ensure_head(self, now_us: float) -> bool:
-        """True when a head request is available for arbitration.
-
-        Closed-loop queues materialise their head lazily: the stream is
-        always backlogged, so the head becomes ready the moment admission
-        considers it.
-        """
-        if self._pending:
-            return True
-        if self.mode == "closed":
-            request = self.next_source_request()
-            if request is None:
-                return False
-            assert self._stamp is not None
-            self._pending.append((request, now_us, self._stamp()))
-            return True
-        return False
-
-    def pop(self) -> Tuple[IORequest, float]:
-        """Remove and return the head: ``(request, ready_us)``."""
-        request, ready_us, _ = self._pending.popleft()
-        self.head_deferred = False
-        return request, ready_us
-
-    @property
-    def backlog(self) -> int:
-        return len(self._pending)
+        return self.backlog[0][1:]
 
 
-class MultiQueueFrontend:
-    """Admits requests from several submission queues into one device.
-
-    The device is duck-typed exactly like the single-queue frontends:
-    anything with ``submit(op, lpa, npages, at_us) -> finish_us`` works.
-    """
+class MultiQueueFrontend(Frontend):
+    """Multi-queue policy: arbitrates several submission queues into one device."""
 
     def __init__(
-        self,
-        device,
-        loop: EventLoop,
-        queues: Sequence[SubmissionQueue],
-        arbiter: Arbiter,
-        queue_depth: int,
+        self, device: SubmitTarget, loop: EventLoop, arbiter: Arbiter, queue_depth: int
     ) -> None:
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be at least 1")
+        super().__init__(device, loop, queue_depth)
+        self._arbiter = arbiter
+        self._queues: List[SubmissionQueue] = []
+        #: Earliest pending rate-limit retry (inf = none scheduled).  A
+        #: retry needed *earlier* than the pending one is still scheduled,
+        #: or a briefly-throttled queue would wait for another's distant refill.
+        self._next_retry_us = float("inf")
+
+    def run(self, queues: Sequence[SubmissionQueue]) -> FrontendStats:
+        """Replay every queue's stream to completion; returns the stats."""
         if not queues:
             raise ValueError("at least one submission queue is required")
-        self._device = device
-        self._loop = loop
         self._queues = list(queues)
-        self._arbiter = arbiter
-        self._queue_depth = queue_depth
-        self._outstanding = 0
-        #: Slots reserved by scheduled-but-not-yet-fired issue events.
-        self._reserved = 0
-        self._seq = 0
-        #: Earliest pending rate-limit retry (inf = none scheduled).  A
-        #: retry needed *earlier* than the pending one must still be
-        #: scheduled, or a briefly-throttled queue would wait for another
-        #: queue's distant refill.
-        self._next_retry_us = float("inf")
-        self.stats = FrontendStats()
-        arbiter.bind(self._queues)
-        for queue in self._queues:
-            queue.bind(self._next_seq, loop.now_us)
-
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
-
-    @property
-    def outstanding(self) -> int:
-        return self._outstanding
-
-    # ------------------------------------------------------------------ #
-    # Replay
-    # ------------------------------------------------------------------ #
-    def run(self) -> FrontendStats:
-        """Replay every queue's stream to completion; returns the stats."""
+        self._arbiter.bind(self._queues)
         for queue in self._queues:
             if queue.mode == "open":
-                self._schedule_next_arrival(queue)
-        self._pump(self._loop.now_us)
-        self._loop.run()
-        return self.stats
+                self._open(queue)
+        return self._replay()
 
-    # ------------------------------------------------------------------ #
-    # Open-loop arrivals
-    # ------------------------------------------------------------------ #
-    def _schedule_next_arrival(self, queue: SubmissionQueue) -> None:
-        request = queue.next_source_request()
-        if request is None:
-            return
-        self._loop.schedule(
-            queue.arrival_time(request),
-            "request_arrival",
-            self._on_arrival,
-            payload=(queue, request),
-            priority=PRIORITY_FOREGROUND,
-        )
-
-    def _on_arrival(self, event: Event) -> None:
-        queue, request = event.payload  # type: ignore[misc]
-        queue.enqueue(request, event.time_us)
-        self._schedule_next_arrival(queue)
-        self._pump(event.time_us)
-
-    # ------------------------------------------------------------------ #
-    # Admission
-    # ------------------------------------------------------------------ #
-    def _free_slots(self) -> int:
-        return self._queue_depth - self._outstanding - self._reserved
-
-    def _eligible(self, now_us: float) -> Tuple[List[SubmissionQueue], Optional[float]]:
-        """Queues the arbiter may pick from, plus the earliest token-retry.
+    def pick(self, now_us: float) -> Optional[Command]:
+        """One arbitration decision: eligible queues → token buckets → arbiter.
 
         A queue is eligible when it has a head request *and* its namespace
-        has the tokens to admit it.  For throttled queues the earliest time
-        any of them could be admitted is returned so the caller can schedule
-        a single retry event instead of polling.
+        has the tokens to admit it.  For throttled queues a single retry
+        event is scheduled at the earliest time any of them could be
+        admitted (before the pick is returned: ``schedule()`` order is
+        digested) instead of polling.
         """
         candidates: List[SubmissionQueue] = []
-        retry_at: Optional[float] = None
+        retry_at = self._next_retry_us
         for queue in self._queues:
-            if not queue.ensure_head(now_us):
-                continue
-            request = queue._pending[0][0]
+            backlog = queue.backlog
+            if not backlog:
+                # A closed-loop stream is always backlogged: its head
+                # materialises (and takes its global enqueue stamp) the
+                # moment admission considers it.
+                request = queue.next_request() if queue.mode == "closed" else None
+                if request is None:
+                    continue
+                backlog.append((request, now_us, next(self._stamps)))
+            request = backlog[0][0]
             blocked_until: Optional[float] = None
             for bucket in queue.namespace.limiters:
                 cost = bucket.cost_of(request.npages)
@@ -282,85 +137,54 @@ class MultiQueueFrontend:
                     )
             if blocked_until is None:
                 candidates.append(queue)
-            else:
-                if not queue.head_deferred:
-                    # Count once per deferred admission, not once per
-                    # admission attempt while the same head waits.
-                    queue.head_deferred = True
-                    queue.namespace.stats.rate_limit_deferrals += 1
-                retry_at = (
-                    blocked_until if retry_at is None else min(retry_at, blocked_until)
-                )
-        return candidates, retry_at
-
-    def _pump(self, now_us: float) -> None:
-        """Fill free device slots: one arbitration decision per slot."""
-        while self._free_slots() > 0:
-            candidates, retry_at = self._eligible(now_us)
-            if retry_at is not None and retry_at < self._next_retry_us:
-                self._next_retry_us = retry_at
-                self._loop.schedule(
-                    retry_at,
-                    "rate_limit_retry",
-                    self._on_retry,
-                    priority=PRIORITY_FOREGROUND,
-                )
-            if not candidates:
-                return
-            queue = self._arbiter.select(candidates)
-            request, ready_us = queue.pop()
-            for bucket in queue.namespace.limiters:
-                bucket.try_consume(bucket.cost_of(request.npages), now_us)
-            self._reserved += 1
+                continue
+            if not queue.head_deferred:
+                # Count once per deferred admission, not once per
+                # admission attempt while the same head waits.
+                queue.head_deferred = True
+                queue.namespace.stats.rate_limit_deferrals += 1
+            retry_at = min(retry_at, blocked_until)
+        if retry_at < self._next_retry_us:
+            self._next_retry_us = retry_at
             self._loop.schedule(
-                now_us,
-                "request_issue",
-                self._issue,
-                payload=(queue, request, ready_us),
-                priority=PRIORITY_FOREGROUND,
+                retry_at, "rate_limit_retry", self._retry, priority=PRIORITY_FOREGROUND
             )
+        if not candidates:
+            return None
+        queue = self._arbiter.select(candidates)
+        assert isinstance(queue, SubmissionQueue)
+        request, ready_us, _ = queue.backlog.popleft()
+        queue.head_deferred = False
+        for bucket in queue.namespace.limiters:
+            bucket.try_consume(bucket.cost_of(request.npages), now_us)
+        return (queue, request, ready_us)
 
-    def _on_retry(self, event: Event) -> None:
+    def _retry(self, event: Event) -> None:
         # Clear first: if some queue is still (or newly) throttled, the
         # pump recomputes its refill time and schedules a fresh retry.
         self._next_retry_us = float("inf")
         self._pump(event.time_us)
 
-    def _issue(self, event: Event) -> None:
-        queue, request, ready_us = event.payload  # type: ignore[misc]
-        self._reserved -= 1
-        self._outstanding += 1
-        self.stats.submitted += 1
-        if self._outstanding > self.stats.max_outstanding:
-            self.stats.max_outstanding = self._outstanding
+    def submit(self, command: Command, at_us: float) -> float:
+        queue, request, ready_us = command
+        assert isinstance(queue, SubmissionQueue)
         namespace = queue.namespace
-        namespace.stats.submitted += 1
-        namespace.stats.queue_wait_us += max(0.0, event.time_us - ready_us)
+        stats = namespace.stats
+        stats.submitted += 1
+        stats.queue_wait_us += max(0.0, at_us - ready_us)
         device_lpa, npages = namespace.translate(request.lpa, request.npages)
         if request.is_read:
-            namespace.stats.read_pages += npages
+            stats.read_pages += npages
         else:
-            namespace.stats.write_pages += npages
-        finish = self._device.submit(
-            request.op, device_lpa, npages, at_us=event.time_us
-        )
-        self._loop.schedule(
-            finish,
-            "request_complete",
-            self._complete,
-            payload=(queue, request, ready_us),
-            priority=PRIORITY_FOREGROUND,
-        )
+            stats.write_pages += npages
+        return self._device.submit(request.op, device_lpa, npages, at_us=at_us)
 
-    def _complete(self, event: Event) -> None:
-        queue, request, ready_us = event.payload  # type: ignore[misc]
-        self._outstanding -= 1
-        self.stats.completed += 1
-        queue.namespace.stats.completed += 1
-        queue.namespace.record_completion(request.op, event.time_us - ready_us)
-        if event.time_us > self.stats.finished_at_us:
-            self.stats.finished_at_us = event.time_us
-        self._pump(event.time_us)
+    def retire(self, command: Command, at_us: float) -> None:
+        queue, request, ready_us = command
+        assert isinstance(queue, SubmissionQueue)
+        namespace = queue.namespace
+        namespace.stats.completed += 1
+        namespace.record_completion(request.op, at_us - ready_us)
 
 
 @dataclass
@@ -402,11 +226,14 @@ class HostInterface:
         queue_depth: Optional[int] = None,
     ) -> None:
         self._ssd = ssd
-        options = getattr(ssd, "options", None)
-        self.arbiter_name = arbiter or getattr(options, "arbiter", "round_robin")
+        self.arbiter_name = ssd.options.arbiter if arbiter is None else arbiter
         # Instantiate eagerly so an unknown name fails at construction.
         make_arbiter(self.arbiter_name)
-        self.queue_depth = queue_depth or ssd.effective_queue_depth
+        self.queue_depth = (
+            ssd.effective_queue_depth
+            if queue_depth is None
+            else check_queue_depth(queue_depth)
+        )
         self._namespaces: Dict[str, Namespace] = {}
         self._next_base_lpa = 0
 
@@ -491,13 +318,7 @@ class HostInterface:
     # ------------------------------------------------------------------ #
     # Replay
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        tenants,
-        drain: bool = True,
-        queue_depth: Optional[int] = None,
-        arbiter: Optional[str] = None,
-    ) -> HostRunResult:
+    def run(self, tenants, drain: bool = True) -> HostRunResult:
         """Replay per-tenant streams through the arbiter; returns the result.
 
         ``tenants`` is either a mapping ``{namespace_name: stream}`` (the
@@ -512,11 +333,10 @@ class HostInterface:
         frontend = MultiQueueFrontend(
             self._ssd,
             loop,
-            queues,
-            make_arbiter(arbiter or self.arbiter_name),
-            min(queue_depth or self.queue_depth, self._ssd.config.ncq_depth),
+            make_arbiter(self.arbiter_name),
+            min(self.queue_depth, self._ssd.config.ncq_depth),
         )
-        self._ssd.run_frontend(frontend, loop)
+        self._ssd.run_frontend(frontend, loop, queues)
         self._ssd.finalize_replay(drain=drain)
         return HostRunResult(
             frontend=frontend.stats,

@@ -154,48 +154,23 @@ class Tracer:
         else:
             self._add("instant", _TID_DEVICE, event.time_us, 0.0, kind)
 
-    @staticmethod
-    def _request_of(payload: Any) -> Tuple[Any, Optional[Any], Optional[float]]:
-        """``(request, queue, ready_us)`` from either frontend's payload.
-
-        Single-queue frontends carry the bare ``IORequest``; the
-        multi-queue frontend carries ``(queue, request, ready_us)``.
-        """
-        if isinstance(payload, tuple):
-            if len(payload) == 3:
-                queue, request, ready_us = payload
-                return request, queue, ready_us
-            if len(payload) == 2:
-                queue, request = payload
-                return request, queue, None
-        return payload, None, None
-
     def _on_issue(self, event: Event) -> None:
-        request, queue, ready_us = self._request_of(event.payload)
-        if request is None:
-            return
+        stream, request, ready_us = event.payload
         if self._free_slots:
             slot = heapq.heappop(self._free_slots)
         else:
             slot = self._next_slot
             self._next_slot += 1
             self.max_slots = self._next_slot
-        op = getattr(request, "op", "?")
-        args: Dict[str, Any] = {
-            "lpa": getattr(request, "lpa", -1),
-            "npages": getattr(request, "npages", 0),
-        }
-        if queue is not None:
-            args["queue"] = getattr(queue, "name", str(queue))
-        if ready_us is not None:
+        args: Dict[str, Any] = {"lpa": request.lpa, "npages": request.npages}
+        if stream is not None:
+            args["queue"] = stream.name
             args["queue_wait_us"] = max(0.0, event.time_us - ready_us)
-        self._active[id(request)] = (slot, event.time_us, op, args)
+        self._active[id(request)] = (slot, event.time_us, request.op, args)
         self._last_issued = id(request)
 
     def _on_complete(self, event: Event) -> None:
-        request, _queue, _ready_us = self._request_of(event.payload)
-        if request is None:
-            return
+        request = event.payload[1]
         self._last_issued = None
         opened = self._active.pop(id(request), None)
         if opened is None:
@@ -205,12 +180,10 @@ class Tracer:
         heapq.heappush(self._free_slots, slot)
 
     def _on_arrival(self, event: Event) -> None:
-        request, queue, _ready = self._request_of(event.payload)
-        name = getattr(request, "op", "arrival")
-        args: Optional[Dict[str, Any]] = None
-        if queue is not None:
-            args = {"queue": getattr(queue, "name", str(queue))}
-        self._add("instant", _TID_ARRIVALS, event.time_us, 0.0, name, args)
+        stream, request, _ready_us = event.payload
+        self._add(
+            "instant", _TID_ARRIVALS, event.time_us, 0.0, request.op, {"queue": stream.name}
+        )
 
     def _on_gc(self, kind: str, event: Event) -> None:
         """GC pipeline state machine (one victim in flight at a time).

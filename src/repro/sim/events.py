@@ -17,28 +17,44 @@ operations on shared hardware.
 Queue layout
 ------------
 
-Most events in a replay are fixed-latency NAND completions, so many share
-the exact same timestamp.  Instead of one global heap entry per event, the
-loop keeps a *calendar* of per-timestamp buckets: a small heap of distinct
-fire times plus, for each time, a slot holding that instant's events ordered
-by ``(priority, seq)``.  A full trace replay then pays one time-heap
-operation per distinct timestamp rather than per event, and ``run()``
-dispatches a whole same-timestamp batch without re-consulting the time
-heap.  Events scheduled *at the current instant* by a firing callback land
-in the live bucket and are interleaved by ``(priority, seq)`` exactly as
-the single-heap implementation interleaved them, so the processed-event
-order — and therefore every digest — is unchanged.
+One binary heap of ``(time_us, priority, seq, event)`` — the total order
+itself, so there is nothing to keep in step with it.  It is sized to the
+traffic a replay generates, measured on the four perf-ledger workloads
+(seed 1, scale 0.2; re-run with ``python -m tools.sim_traffic``):
+
+================  ==========  =======  ========  ========  ==============
+workload          schedule()  max      at "now"  occupied  ``*_done`` and
+                  calls       pending            (*)       ``gc_*`` kinds
+================  ==========  =======  ========  ========  ==============
+``steady_mixed``      23,756       18    48.8 %    49.6 %           2.3 %
+``read_lookup``       18,022       15    49.9 %    55.3 %           0.1 %
+``seq_stream``             0        0         —         —               —
+``tenants_wrr``       26,272       13    32.6 %    34.1 %           4.1 %
+================  ==========  =======  ========  ========  ==============
+
+(*) share of schedules landing on the current instant or on a timestamp
+that already holds a pending event.  NAND operations get no events (the
+scheduler reserves channel time arithmetically), so almost everything is
+the frontend's ``request_issue`` / ``request_complete`` pair, at most a
+couple of dozen events are ever pending, and nearly every shared timestamp
+is the current instant — a per-timestamp calendar has nothing to batch.
 
 ``Event`` is a plain ``__slots__`` class, and events that fire inside
 ``run()`` are recycled through a free list: production code never retains
 an event past its callback (``schedule()``'s return value is only used by
-tests, pre-fire), so recycling is invisible outside the loop.
+tests, pre-fire), so recycling is invisible outside the loop.  The list
+earns its lines — three loops interleaved in one process, 40 alternations,
+median [q1, q3] in k events/s: replay-shaped traffic (depth 8, issues at
+"now") 1,012 [968, 1,031] with it, 850 [823, 872] without, 913 [897, 933]
+for the per-timestamp calendar this heap replaced; 10 k random times
+scheduled up front (the ledger's micro) 422 [385, 453] / 408 [367, 428] /
+288 [250, 298].
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 #: Canonical event priorities.  Same-timestamp events fire in ascending
 #: priority order, so foreground request handling always precedes background
@@ -95,11 +111,10 @@ class Event:
         self,
         time_us: float,
         kind: str,
-        callback: Optional[Callable[["Event"], None]] = None,
-        payload: object = None,
-        priority: int = 0,
-        seq: int = -1,
-        cancelled: bool = False,
+        callback: Optional[Callable[["Event"], None]],
+        payload: Any,
+        priority: int,
+        seq: int,
     ) -> None:
         self.time_us = time_us
         self.kind = kind
@@ -107,7 +122,7 @@ class Event:
         self.payload = payload
         self.priority = priority
         self.seq = seq
-        self.cancelled = cancelled
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running when the event fires."""
@@ -125,11 +140,9 @@ class EventLoop:
 
     def __init__(self, start_us: float = 0.0) -> None:
         self._now_us = start_us
-        #: Heap of distinct fire times; one entry per live bucket.
-        self._times: List[float] = []
-        #: fire time -> heap of (priority, seq, event) slots.
-        self._buckets: Dict[float, List[Tuple[int, int, Event]]] = {}
-        self._pending = 0
+        #: The queue: ``(time_us, priority, seq, event)``; ``seq`` is unique,
+        #: so the comparison never reaches the event.
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         #: Recycled Event objects (filled by ``run()``, drained by ``schedule``).
         self._pool: List[Event] = []
@@ -150,25 +163,7 @@ class EventLoop:
     @property
     def pending(self) -> int:
         """Number of events still scheduled (cancelled ones included)."""
-        return self._pending
-
-    def __len__(self) -> int:
-        return self._pending
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next event, or ``None`` when the queue is empty."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time_us = times[0]
-            bucket = buckets.get(time_us)
-            if bucket:
-                return time_us
-            # Stale calendar slot (its events were all consumed); drop it.
-            heapq.heappop(times)
-            if bucket is not None:
-                del buckets[time_us]
-        return None
+        return len(self._heap)
 
     def chain_observer(self, fn: Callable[[Event], None]) -> None:
         """Attach ``fn`` as an observer without displacing the current one.
@@ -197,7 +192,7 @@ class EventLoop:
         time_us: float,
         kind: str,
         callback: Optional[Callable[[Event], None]] = None,
-        payload: object = None,
+        payload: Any = None,
         priority: int = 0,
     ) -> Event:
         """Schedule an event at ``time_us`` (clamped to the present).
@@ -221,21 +216,8 @@ class EventLoop:
             event.seq = seq
             event.cancelled = False
         else:
-            event = Event(
-                time_us=fire_at,
-                kind=kind,
-                callback=callback,
-                payload=payload,
-                priority=priority,
-                seq=seq,
-            )
-        bucket = self._buckets.get(fire_at)
-        if bucket is None:
-            self._buckets[fire_at] = [(priority, seq, event)]
-            heapq.heappush(self._times, fire_at)
-        else:
-            heapq.heappush(bucket, (priority, seq, event))
-        self._pending += 1
+            event = Event(fire_at, kind, callback, payload, priority, seq)
+        heapq.heappush(self._heap, (fire_at, priority, seq, event))
         return event
 
     # ------------------------------------------------------------------ #
@@ -247,18 +229,9 @@ class EventLoop:
         Events returned here are never recycled — callers (tests, mostly)
         may keep them.
         """
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time_us = times[0]
-            bucket = buckets.get(time_us)
-            if not bucket:
-                heapq.heappop(times)
-                if bucket is not None:
-                    del buckets[time_us]
-                continue
-            _, _, event = heapq.heappop(bucket)
-            self._pending -= 1
+        heap = self._heap
+        while heap:
+            time_us, _, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
             self._now_us = time_us
@@ -273,56 +246,40 @@ class EventLoop:
     def run(self, until_us: Optional[float] = None, max_events: int = 50_000_000) -> int:
         """Drain the queue (optionally only up to ``until_us``); returns count.
 
-        Dispatches bucket-at-a-time: all events sharing a timestamp fire in
-        one inner loop without touching the time heap.  ``max_events`` is a
-        runaway-loop backstop, far above anything a real trace replay
-        schedules; hitting it raises :class:`SimulationLimitError` rather
-        than silently returning a truncated simulation.
+        ``max_events`` is a runaway-loop backstop, far above anything a real
+        trace replay schedules: once that many events have fired and another
+        that would still fire is pending, :class:`SimulationLimitError` is
+        raised rather than a truncated simulation returned (the queue is left
+        intact, so a second ``run()`` resumes it).  Draining the queue with
+        exactly ``max_events`` events is a complete run.
         """
         processed = 0
-        times = self._times
-        buckets = self._buckets
+        heap = self._heap
         pool = self._pool
-        while times and processed < max_events:
-            time_us = times[0]
-            bucket = buckets.get(time_us)
-            if not bucket:
-                heapq.heappop(times)
-                if bucket is not None:
-                    del buckets[time_us]
-                continue
-            if bucket[0][2].cancelled:
-                # Drop cancelled entries first so the time bound is checked
+        pop = heapq.heappop
+        while heap:
+            time_us, _, _, event = heap[0]
+            if event.cancelled:
+                # Dropped before the bounds are tested, so both are checked
                 # against the next event that would actually fire.
-                heapq.heappop(bucket)
-                self._pending -= 1
+                pop(heap)
                 continue
             if until_us is not None and time_us > until_us:
                 break
-            # Batched dispatch: drain this instant's bucket.  Callbacks may
-            # schedule more events at the current time; they join this same
-            # bucket and are interleaved by (priority, seq) as always.
+            if processed >= max_events:
+                raise SimulationLimitError(max_events, processed)
+            pop(heap)
             self._now_us = time_us
-            while bucket and processed < max_events:
-                _, _, event = heapq.heappop(bucket)
-                self._pending -= 1
-                if event.cancelled:
-                    continue
-                self.events_processed += 1
-                processed += 1
-                if self.observer is not None:
-                    self.observer(event)
-                callback = event.callback
-                if callback is not None:
-                    callback(event)
-                # The event is dead; recycle it (nothing outside the loop
-                # holds events fired by run()).
-                event.callback = None
-                event.payload = None
-                pool.append(event)
-            if not bucket:
-                del buckets[time_us]
-                heapq.heappop(times)
-        if processed >= max_events:
-            raise SimulationLimitError(max_events, processed)
+            self.events_processed += 1
+            processed += 1
+            if self.observer is not None:
+                self.observer(event)
+            callback = event.callback
+            if callback is not None:
+                callback(event)
+            # The event is dead; recycle it (nothing outside the loop
+            # holds events fired by run()).
+            event.callback = None
+            event.payload = None
+            pool.append(event)
         return processed

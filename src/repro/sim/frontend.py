@@ -1,30 +1,45 @@
-"""Host frontends: how trace requests are admitted into the device.
+"""Host admission: one engine, three policies.
 
-Two admission policies are modelled on top of the event loop, both
-consuming :class:`repro.workloads.trace.IORequest` objects (bare
-``(op, lpa, npages)`` tuples are coerced for backward compatibility):
+How trace requests (:class:`repro.workloads.trace.IORequest` objects; bare
+``(op, lpa, npages)`` tuples are coerced) are admitted into the device.
 
-**Closed loop** (:class:`HostFrontend`) — NCQ-style depth-bounded
-admission.  Real hosts do not wait for a request to complete before
-sending the next one; they keep up to ``queue_depth`` commands outstanding
-(SATA NCQ: 32, NVMe: far more):
+**The engine** (:class:`Frontend`) owns what admission has in common:
 
-1. the first ``queue_depth`` trace requests are admitted immediately;
-2. each admitted request is issued to the device at its admission time; the
-   device reserves channel time and reports the completion time;
-3. a completion frees one slot, admitting the next trace request *at the
-   completion time* — so with depth 1 the replay degenerates to the classic
-   synchronous simulation, and with depth N foreground requests genuinely
-   overlap each other and the background flush/GC traffic their
-   predecessors triggered.
+* the device slots — requests ``outstanding`` plus slots ``reserved`` by
+  issue events that have not fired yet, against an optional ``depth``;
+* the one cycle ``_pump`` → ``request_issue`` → ``submit()`` →
+  ``request_complete`` → ``_pump``: whenever a slot may be free the engine
+  asks its policy to :meth:`~Frontend.pick` a command, until the slots are
+  full or the policy has nothing to offer;
+* the one open-loop arrival path: an :class:`ArrivalStream` delivers each
+  request at its scaled trace timestamp — ``request_arrival`` → join the
+  stream's backlog → schedule that stream's next arrival → ``_pump`` — so
+  one pending arrival per stream lives in the event queue and a full-trace
+  replay never materialises its events up front;
+* :class:`FrontendStats`.
 
-**Open loop** (:class:`OpenLoopFrontend`) — timestamped arrival-driven
-admission, the trace-replay methodology WiscSee-style simulators use.
-Each request is admitted at its recorded arrival time (relative to the
-trace's first timestamp, scaled by ``time_scale``) *whether or not* earlier
-requests have completed, so the number outstanding is a measurement — how
-far the device falls behind the arrival process — rather than a knob, and
-request latency is measured against arrival times.
+Every issue, completion and arrival event carries one payload shape, a
+:data:`Command`.  ``schedule()`` order is part of the determinism contract
+(event sequence numbers are digested), so the order above is fixed: an
+arrival enqueues, schedules the next arrival, then pumps.
+
+**The policies** are what differs — which command is next:
+
+* :class:`HostFrontend` — closed loop, NCQ style (SATA NCQ: 32 slots, NVMe
+  far more).  The next request of one iterator, ready the moment a slot
+  frees: the first ``queue_depth`` requests are admitted at once and each
+  completion admits one more *at the completion time*.  Depth 1 is the
+  classic synchronous simulation; at depth N foreground requests overlap
+  each other and the flush/GC traffic their predecessors triggered.
+* :class:`OpenLoopFrontend` — open loop, the trace-replay methodology of
+  WiscSee-style simulators.  The head of one arrived backlog, no depth
+  bound: each request is issued at its arrival time *whether or not*
+  earlier ones have completed, so the number outstanding is a measurement
+  (how far the device falls behind the arrival process) rather than a
+  knob, and latency is measured against arrival times.
+* :class:`repro.host.interface.MultiQueueFrontend` — one stream per
+  tenant (open or closed), token buckets and an arbiter, plus namespace
+  translation and per-tenant accounting.
 
 The device is duck-typed: anything with
 ``submit(op, lpa, npages, at_us) -> finish_us`` works.
@@ -32,8 +47,10 @@ The device is duck-typed: anything with
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Protocol, Tuple
+from typing import Any, Deque, Iterable, Iterator, List, Optional, Protocol, Tuple
 
 from repro.sim.events import Event, EventLoop, PRIORITY_FOREGROUND
 from repro.workloads.trace import IORequest, ReplayItem, as_request
@@ -46,8 +63,16 @@ class SubmitTarget(Protocol):
         self, op: str, lpa: int, npages: int = 1, at_us: Optional[float] = None
     ) -> float: ...
 
-#: Legacy alias: one host request as a bare tuple.
-Request = Tuple[str, int, int]
+#: Admission modes of a replay (``SimulatedSSD.run(replay_mode=)``) and of a
+#: tenant's submission queue.
+REPLAY_MODES = ("closed", "open")
+
+
+def check_queue_depth(queue_depth: int) -> int:
+    """``queue_depth`` if it is a usable slot count, else ``ValueError``."""
+    if queue_depth < 1:
+        raise ValueError("queue_depth must be at least 1")
+    return queue_depth
 
 
 @dataclass
@@ -61,206 +86,222 @@ class FrontendStats:
     finished_at_us: float = 0.0
 
 
-class HostFrontend:
-    """Admits trace requests into the device at a bounded queue depth."""
+class ArrivalStream:
+    """One request stream: its source, its arrival clock and its backlog.
 
-    def __init__(
-        self, device: SubmitTarget, loop: EventLoop, queue_depth: int = 1
-    ) -> None:
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be at least 1")
-        self._device = device
-        self._loop = loop
-        self._queue_depth = queue_depth
-        self._source: Optional[Iterator[ReplayItem]] = None
-        self._outstanding = 0
-        self.stats = FrontendStats()
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queue_depth
-
-    @property
-    def outstanding(self) -> int:
-        return self._outstanding
-
-    # ------------------------------------------------------------------ #
-    # Replay
-    # ------------------------------------------------------------------ #
-    def run(self, requests: Iterable[ReplayItem]) -> FrontendStats:
-        """Replay ``requests`` to completion; returns the frontend stats."""
-        self._source = iter(requests)
-        for _ in range(self._queue_depth):
-            if not self._admit(self._loop.now_us):
-                break
-        self._loop.run()
-        return self.stats
-
-    # ------------------------------------------------------------------ #
-    # Event handlers
-    # ------------------------------------------------------------------ #
-    def _admit(self, at_us: float) -> bool:
-        assert self._source is not None
-        item = next(self._source, None)
-        if item is None:
-            return False
-        self._loop.schedule(
-            at_us,
-            "request_issue",
-            self._issue,
-            payload=as_request(item),
-            priority=PRIORITY_FOREGROUND,
-        )
-        return True
-
-    def _issue(self, event: Event) -> None:
-        request: IORequest = event.payload  # type: ignore[assignment]
-        self._outstanding += 1
-        self.stats.submitted += 1
-        if self._outstanding > self.stats.max_outstanding:
-            self.stats.max_outstanding = self._outstanding
-        finish = self._device.submit(
-            request.op, request.lpa, request.npages, at_us=event.time_us
-        )
-        # Completions fire at foreground priority so a freed NCQ slot admits
-        # the next request before any same-timestamp background GC step runs.
-        # The request rides along as the payload so observers can pair the
-        # completion with its issue (payloads are not digested).
-        self._loop.schedule(
-            finish,
-            "request_complete",
-            self._complete,
-            priority=PRIORITY_FOREGROUND,
-            payload=request,
-        )
-
-    def _complete(self, event: Event) -> None:
-        self._outstanding -= 1
-        self.stats.completed += 1
-        if event.time_us > self.stats.finished_at_us:
-            self.stats.finished_at_us = event.time_us
-        self._admit(event.time_us)
-
-
-class OpenLoopFrontend:
-    """Admits each trace request at its (scaled) arrival timestamp.
-
-    Arrival times are taken relative to the trace's first timestamp and
-    anchored at the loop's current time, so a replay that follows a warm-up
-    phase starts its arrival process at the present.  Requests whose
-    timestamps are all zero (synthetic traces, bare tuples) degenerate to
-    simultaneous arrival — stamp them first with
-    :meth:`repro.workloads.trace.Trace.with_interarrival`.
-
-    Same-timestamp arrivals are issued in trace order (the event loop is
-    schedule-order stable), which keeps open-loop replay deterministic.
-    Timestamps must be non-decreasing: a trace with out-of-order arrival
-    times raises ``ValueError`` instead of silently distorting the offered
-    load — sort it first with
-    :meth:`repro.workloads.trace.Trace.sorted_by_timestamp`.
+    Arrival times are taken relative to the stream's first timestamp,
+    scaled by ``time_scale`` and anchored at ``origin_us`` (the loop's time
+    when the replay starts, so a replay that follows a warm-up phase starts
+    its arrival process at the present).  Requests whose timestamps are all
+    zero (synthetic traces, bare tuples) degenerate to simultaneous arrival
+    — stamp them first with
+    :meth:`repro.workloads.trace.Trace.with_interarrival`.  Same-timestamp
+    arrivals are delivered in trace order (the event loop is schedule-order
+    stable).
     """
 
     def __init__(
-        self, device: SubmitTarget, loop: EventLoop, time_scale: float = 1.0
+        self, source: Iterable[ReplayItem] = (), time_scale: float = 1.0, name: str = "host"
     ) -> None:
         if time_scale <= 0.0:
             raise ValueError("time_scale must be positive")
+        self.name = name
+        self.time_scale = time_scale
+        self.source: Iterator[ReplayItem] = iter(source)
+        #: Requests that have arrived and wait for admission:
+        #: ``(request, ready_us, enqueue_stamp)``.
+        self.backlog: Deque[Tuple[IORequest, float, int]] = deque()
+        #: Longest backlog of arrivals observed (waiting, not yet admitted).
+        self.max_backlog = 0
+        self.origin_us = 0.0
+        self._first_timestamp = 0.0
+        self._last_timestamp: Optional[float] = None
+
+    def next_request(self) -> Optional[IORequest]:
+        """Pull the next request off the source (``None`` when exhausted)."""
+        item = next(self.source, None)
+        return None if item is None else as_request(item)
+
+    def arrival_time(self, request: IORequest) -> float:
+        """Absolute arrival time of ``request``, the next one off the source.
+
+        A timestamp earlier than its predecessor's raises: silently
+        reordering (or clamping) arrivals would misrepresent the offered
+        load — sort the trace with
+        :meth:`repro.workloads.trace.Trace.sorted_by_timestamp` first.
+        """
+        timestamp = request.timestamp_us
+        last = self._last_timestamp
+        if last is None:
+            self._first_timestamp = timestamp
+        elif timestamp < last:
+            raise ValueError(
+                f"stream {self.name!r}: open-loop replay requires non-decreasing "
+                f"timestamps, got {timestamp} after {last}; "
+                "sort the trace (Trace.sorted_by_timestamp()) before replay"
+            )
+        self._last_timestamp = timestamp
+        return self.origin_us + (timestamp - self._first_timestamp) * self.time_scale
+
+    def enqueue(self, request: IORequest, ready_us: float, stamp: int) -> None:
+        """An arrival joins the backlog."""
+        self.backlog.append((request, ready_us, stamp))
+        if len(self.backlog) > self.max_backlog:
+            self.max_backlog = len(self.backlog)
+
+
+#: Payload of every issue / completion / arrival event: the stream the
+#: request came from (``None`` for the closed single-queue policy, which
+#: has no backlog to wait in), the request, and when it became ready for
+#: admission (its arrival time, or the admission time for closed loops).
+Command = Tuple[Optional[ArrivalStream], IORequest, float]
+
+
+class Frontend:
+    """The admission engine; subclasses are policies (see the module doc)."""
+
+    def __init__(self, device: SubmitTarget, loop: EventLoop, depth: Optional[int]) -> None:
         self._device = device
         self._loop = loop
-        self._time_scale = time_scale
-        self._source: Optional[Iterator[ReplayItem]] = None
-        self._origin_us = 0.0
-        self._first_timestamp: Optional[float] = None
-        self._last_timestamp: Optional[float] = None
+        self._depth = None if depth is None else check_queue_depth(depth)
         self._outstanding = 0
+        #: Slots reserved by scheduled-but-not-yet-fired issue events.
+        self._reserved = 0
+        #: Global enqueue order across this frontend's streams (FIFO ties).
+        self._stamps = itertools.count()
         self.stats = FrontendStats()
 
-    @property
-    def time_scale(self) -> float:
-        return self._time_scale
+    def run(self, traffic: Any) -> FrontendStats:
+        """Replay ``traffic`` to completion; returns the frontend stats."""
+        raise NotImplementedError
 
-    @property
-    def outstanding(self) -> int:
-        return self._outstanding
+    def pick(self, now_us: float) -> Optional[Command]:
+        """The next command to admit at ``now_us`` (``None``: nothing now)."""
+        raise NotImplementedError
 
-    def run(self, requests: Iterable[ReplayItem]) -> FrontendStats:
-        """Replay ``requests`` to completion; returns the frontend stats.
+    def submit(self, command: Command, at_us: float) -> float:
+        """Hand ``command`` to the device; returns its completion time."""
+        request = command[1]
+        return self._device.submit(request.op, request.lpa, request.npages, at_us=at_us)
 
-        Admission streams from the iterator: each arrival event schedules
-        the next one, so only one pending arrival lives in the heap at a
-        time — a full-trace replay does not materialise millions of events
-        up front.  Arrivals must carry non-decreasing timestamps; an
-        out-of-order timestamp raises ``ValueError`` rather than silently
-        misrepresenting the arrival process.
-        """
-        self._source = iter(requests)
-        self._origin_us = self._loop.now_us
-        self._schedule_next_arrival()
+    def retire(self, command: Command, at_us: float) -> None:
+        """``command`` completed at ``at_us`` (per-stream accounting hook)."""
+
+    def _replay(self) -> FrontendStats:
+        self._pump(self._loop.now_us)
         self._loop.run()
         return self.stats
 
-    def _schedule_next_arrival(self) -> None:
-        assert self._source is not None
-        item = next(self._source, None)
-        if item is None:
-            return
-        request = as_request(item)
-        if self._first_timestamp is None:
-            self._first_timestamp = request.timestamp_us
-        if (
-            self._last_timestamp is not None
-            and request.timestamp_us < self._last_timestamp
-        ):
-            raise ValueError(
-                f"open-loop replay requires non-decreasing timestamps: "
-                f"{request.timestamp_us} follows {self._last_timestamp}; "
-                "sort the trace (Trace.sorted_by_timestamp()) before replay"
+    def _pump(self, now_us: float) -> None:
+        """Fill free device slots: one :meth:`pick` per slot."""
+        depth = self._depth
+        while depth is None or self._outstanding + self._reserved < depth:
+            command = self.pick(now_us)
+            if command is None:
+                return
+            self._reserved += 1
+            self._loop.schedule(
+                now_us, "request_issue", self._issue, command, PRIORITY_FOREGROUND
             )
-        self._last_timestamp = request.timestamp_us
-        offset = max(0.0, request.timestamp_us - self._first_timestamp)
-        self._loop.schedule(
-            self._origin_us + offset * self._time_scale,
-            "request_arrival",
-            self._issue,
-            payload=request,
-            priority=PRIORITY_FOREGROUND,
-        )
 
     def _issue(self, event: Event) -> None:
-        request: IORequest = event.payload  # type: ignore[assignment]
+        command: Command = event.payload
+        self._reserved -= 1
         self._outstanding += 1
-        self.stats.submitted += 1
-        if self._outstanding > self.stats.max_outstanding:
-            self.stats.max_outstanding = self._outstanding
-        finish = self._device.submit(
-            request.op, request.lpa, request.npages, at_us=event.time_us
-        )
+        stats = self.stats
+        stats.submitted += 1
+        if self._outstanding > stats.max_outstanding:
+            stats.max_outstanding = self._outstanding
+        finish = self.submit(command, event.time_us)
+        # Completions fire at foreground priority so a freed slot admits the
+        # next request before any same-timestamp background GC step runs.
+        # The command rides along so observers can pair the completion with
+        # its issue (payloads are not digested).
         self._loop.schedule(
-            finish,
-            "request_complete",
-            self._complete,
-            priority=PRIORITY_FOREGROUND,
-            payload=request,
+            finish, "request_complete", self._complete, command, PRIORITY_FOREGROUND
         )
-        self._schedule_next_arrival()
 
     def _complete(self, event: Event) -> None:
         self._outstanding -= 1
-        self.stats.completed += 1
-        if event.time_us > self.stats.finished_at_us:
-            self.stats.finished_at_us = event.time_us
+        stats = self.stats
+        stats.completed += 1
+        now_us = event.time_us
+        if now_us > stats.finished_at_us:
+            stats.finished_at_us = now_us
+        self.retire(event.payload, now_us)
+        self._pump(now_us)
+
+    def _open(self, stream: ArrivalStream) -> None:
+        """Start ``stream``'s arrival clock at the present."""
+        stream.origin_us = self._loop.now_us
+        self._schedule_arrival(stream)
+
+    def _schedule_arrival(self, stream: ArrivalStream) -> None:
+        request = stream.next_request()
+        if request is None:
+            return
+        at_us = stream.arrival_time(request)
+        self._loop.schedule(
+            at_us, "request_arrival", self._arrive, (stream, request, at_us), PRIORITY_FOREGROUND
+        )
+
+    def _arrive(self, event: Event) -> None:
+        command: Command = event.payload
+        stream, request, _ = command
+        assert stream is not None
+        stream.enqueue(request, event.time_us, next(self._stamps))
+        self._schedule_arrival(stream)
+        self._pump(event.time_us)
 
 
-def interleave_streams(*streams: Iterable[Request]) -> Iterator[Request]:
+class HostFrontend(Frontend):
+    """Closed loop: up to ``queue_depth`` requests of one stream outstanding."""
+
+    def __init__(self, device: SubmitTarget, loop: EventLoop, queue_depth: int = 1) -> None:
+        super().__init__(device, loop, queue_depth)
+        self._source: Iterator[ReplayItem] = iter(())
+
+    def run(self, requests: Iterable[ReplayItem]) -> FrontendStats:
+        """Replay ``requests`` to completion; returns the frontend stats."""
+        self._source = iter(requests)
+        return self._replay()
+
+    def pick(self, now_us: float) -> Optional[Command]:
+        item = next(self._source, None)
+        return None if item is None else (None, as_request(item), now_us)
+
+
+class OpenLoopFrontend(Frontend):
+    """Open loop: each request of one stream issued at its arrival time."""
+
+    def __init__(self, device: SubmitTarget, loop: EventLoop, time_scale: float = 1.0) -> None:
+        super().__init__(device, loop, depth=None)
+        self._stream = ArrivalStream(time_scale=time_scale)
+
+    def run(self, requests: Iterable[ReplayItem]) -> FrontendStats:
+        """Replay ``requests`` to completion; returns the frontend stats."""
+        self._stream.source = iter(requests)
+        self._open(self._stream)
+        return self._replay()
+
+    def pick(self, now_us: float) -> Optional[Command]:
+        backlog = self._stream.backlog
+        if not backlog:
+            return None
+        request, ready_us, _ = backlog.popleft()
+        return (self._stream, request, ready_us)
+
+
+def interleave_streams(*streams: Iterable[ReplayItem]) -> Iterator[ReplayItem]:
     """Round-robin merge of several request streams (multi-tenant mixes).
 
     Each tenant's stream keeps its internal order; exhausted streams drop
     out.  Combined with ``queue_depth > 1`` this is how a shared device
     serving several workloads at once is simulated.
     """
-    iterators: List[Iterator[Request]] = [iter(stream) for stream in streams]
+    iterators: List[Iterator[ReplayItem]] = [iter(stream) for stream in streams]
     while iterators:
-        still_live: List[Iterator[Request]] = []
+        still_live: List[Iterator[ReplayItem]] = []
         for iterator in iterators:
             item = next(iterator, None)
             if item is None:

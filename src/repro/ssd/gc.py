@@ -511,7 +511,7 @@ class BackgroundGCController:
         )
 
     def _program_stage(self, event: "Event") -> None:
-        block: int = event.payload  # type: ignore[assignment]
+        block: int = event.payload
         self._schedule(
             self._migrate([block], "gc", event.time_us),
             "gc_erase",
@@ -520,7 +520,7 @@ class BackgroundGCController:
         )
 
     def _erase_stage(self, event: "Event") -> None:
-        block: int = event.payload  # type: ignore[assignment]
+        block: int = event.payload
         finish = self._erase(block, "gc", event.time_us)
         self._in_flight = None
         self._schedule(

@@ -56,12 +56,19 @@ to ``SSDOptions.queue_depth`` requests through an NCQ-style frontend, so
 foreground reads genuinely overlap the background flush/GC traffic earlier
 writes triggered — the channel contention behind Figure 18's tails.
 
-Two admission policies drive the event loop (``SSDOptions.replay_mode``):
-**closed-loop** admission is completion-driven (a finished request admits
-the next one), while **open-loop** admission fires each request at its
-trace timestamp scaled by ``SSDOptions.time_scale`` — the WiscSee-style
-replay that measures latency under load against *arrival* times instead of
-queue depth.
+The serial loop stays beside the one admission engine
+(:class:`repro.sim.frontend.Frontend`) on purpose: the frozen perf-ledger
+smoke test pins ``seq_stream`` to zero events, and replaying depth 1
+through the event loop instead was measured (PR 12) at +6.7 % median
+replay CPU on that workload.  It goes when ledger v2 re-states that pin as
+behaviour and the cost is recovered, not before.
+
+Admission is a parameter of a replay, not of the device: ``run()`` takes
+``replay_mode`` — **closed-loop** admission is completion-driven (a
+finished request admits the next one), while **open-loop** admission fires
+each request at its trace timestamp scaled by ``time_scale`` — the
+WiscSee-style replay that measures latency under load against *arrival*
+times instead of queue depth.
 
 Internally every operation takes an explicit issue clock (``at_us``), so
 the same read/write/flush/GC code serves both loops: state changes apply
@@ -86,7 +93,13 @@ from repro.flash.flash_array import FlashArray, PageState
 from repro.flash.oob import validate_gamma_fits_oob
 from repro.ftl.base import FTL
 from repro.sim.events import Event, EventLoop
-from repro.sim.frontend import HostFrontend, OpenLoopFrontend
+from repro.sim.frontend import (
+    REPLAY_MODES,
+    Frontend,
+    HostFrontend,
+    OpenLoopFrontend,
+    check_queue_depth,
+)
 from repro.sim.nand import NANDScheduler
 from repro.workloads.trace import ReplayItem, as_request
 from repro.ssd.cache import LRUDataCache
@@ -106,9 +119,6 @@ class SimulationError(RuntimeError):
     """Raised when the simulated device reaches an inconsistent state."""
 
 
-#: Valid values of :attr:`SSDOptions.replay_mode`.
-REPLAY_MODES = ("closed", "open")
-
 #: Valid values of :attr:`SSDOptions.gc_mode`.
 GC_MODES = ("sync", "background")
 
@@ -126,14 +136,6 @@ class SSDOptions:
     #: Host requests kept outstanding during trace replay (NCQ style);
     #: clamped to the device's ``SSDConfig.ncq_depth``.
     queue_depth: int = 1
-    #: Replay admission policy: ``"closed"`` keeps up to ``queue_depth``
-    #: requests outstanding (completion-driven); ``"open"`` admits each
-    #: request at its trace timestamp regardless of completions, so
-    #: latency-under-load is measured against arrival times.
-    replay_mode: str = "closed"
-    #: Multiplier on trace inter-arrival times in open-loop replay:
-    #: ``0.5`` doubles the arrival rate, ``2.0`` halves it.
-    time_scale: float = 1.0
     #: Garbage-collection scheduling: ``"sync"`` reclaims blocking at
     #: flush time; ``"background"`` pipelines per-victim read/migrate/erase
     #: events through the event loop, overlapping host I/O — ``run()``
@@ -170,12 +172,7 @@ class SimulatedSSD:
         self.ftl = ftl
         self.options = options or SSDOptions()
         self.dram_budget = dram_budget or DRAMBudget(dram_bytes=config.dram_size)
-        if self.options.queue_depth < 1:
-            raise ValueError("queue_depth must be at least 1")
-        if self.options.replay_mode not in REPLAY_MODES:
-            raise ValueError(f"replay_mode must be one of {REPLAY_MODES}")
-        if self.options.time_scale <= 0.0:
-            raise ValueError("time_scale must be positive")
+        check_queue_depth(self.options.queue_depth)
         if self.options.gc_mode not in GC_MODES:
             raise ValueError(f"gc_mode must be one of {GC_MODES}")
         # Imported lazily: the host package is the layer *above* this one
@@ -921,8 +918,8 @@ class SimulatedSSD:
         requests: Iterable[ReplayItem],
         drain: bool = True,
         queue_depth: Optional[int] = None,
-        replay_mode: Optional[str] = None,
-        time_scale: Optional[float] = None,
+        replay_mode: str = "closed",
+        time_scale: float = 1.0,
     ) -> SSDStats:
         """Replay an iterable of host requests.
 
@@ -932,31 +929,28 @@ class SimulatedSSD:
         timestamps, so open-loop replay of a tuple stream degenerates to
         simultaneous arrival.
 
-        ``queue_depth``, ``replay_mode`` and ``time_scale`` override the
-        configured options for this replay.  The event loop runs exactly
-        when something needs it: open-loop admission (requests fire at
-        their scaled trace timestamps whether or not earlier ones
-        completed), an effective depth above 1, or background GC (its
-        pipeline is events).  Otherwise the serial loop computes the same
-        depth-1 replay without one.
+        ``replay_mode`` is ``"closed"`` (keep up to ``queue_depth`` requests
+        outstanding, completion-driven; the depth defaults to
+        ``SSDOptions.queue_depth``) or ``"open"`` (admit each request at its
+        trace timestamp regardless of completions, so latency under load is
+        measured against arrival times); ``time_scale`` multiplies open-loop
+        inter-arrival times (``0.5`` doubles the arrival rate).  The event
+        loop runs exactly when something needs it: open-loop admission, an
+        effective depth above 1, or background GC (its pipeline is events).
+        Otherwise the serial loop computes the same depth-1 replay without
+        one.
         """
-        mode = self.options.replay_mode if replay_mode is None else replay_mode
-        if mode not in REPLAY_MODES:
+        if replay_mode not in REPLAY_MODES:
             raise ValueError(f"replay_mode must be one of {REPLAY_MODES}")
-        scale = self.options.time_scale if time_scale is None else time_scale
-        if scale <= 0.0:
-            raise ValueError("time_scale must be positive")
-        if queue_depth is not None and queue_depth < 1:
-            raise ValueError("queue_depth must be at least 1")
         depth = self.effective_queue_depth if queue_depth is None else min(
-            queue_depth, self.config.ncq_depth
+            check_queue_depth(queue_depth), self.config.ncq_depth
         )
-        if mode == "open":
+        if replay_mode == "open":
             loop = EventLoop(start_us=self._now_us)
-            self.run_frontend(OpenLoopFrontend(self, loop, time_scale=scale), loop, requests)
+            self.run_frontend(OpenLoopFrontend(self, loop, time_scale), loop, requests)
         elif depth > 1 or self.options.gc_mode == "background":
             loop = EventLoop(start_us=self._now_us)
-            self.run_frontend(HostFrontend(self, loop, queue_depth=depth), loop, requests)
+            self.run_frontend(HostFrontend(self, loop, depth), loop, requests)
         else:
             for request in map(as_request, requests):
                 self.stats.requests_submitted += 1
@@ -964,20 +958,15 @@ class SimulatedSSD:
                 self.stats.requests_completed += 1
         return self.finalize_replay(drain=drain)
 
-    def run_frontend(
-        self,
-        frontend: Any,  # duck-typed, see docstring; run() signatures differ
-        loop: EventLoop,
-        requests: Optional[Iterable[ReplayItem]] = None,
-    ) -> None:
-        """Replay through the event loop with the given host frontend.
+    def run_frontend(self, frontend: Frontend, loop: EventLoop, traffic: Any) -> None:
+        """Replay ``traffic`` through the event loop with the given frontend.
 
-        The frontend is duck-typed: it needs ``run()`` (or ``run(requests)``
-        when ``requests`` is given) and a ``stats`` attribute carrying
-        :class:`repro.sim.frontend.FrontendStats`.  This is the hook the
-        multi-queue host interface (:mod:`repro.host`) uses to drive the
-        device with its own admission machinery; callers are expected to
-        follow up with :meth:`finalize_replay`.
+        ``frontend`` is an admission policy of the one engine
+        (:class:`repro.sim.frontend.Frontend`) and ``traffic`` whatever its
+        ``run`` replays: a request iterable for the single-queue policies,
+        the submission queues for the multi-queue host interface
+        (:mod:`repro.host`), which drives the device through this hook.
+        Callers are expected to follow up with :meth:`finalize_replay`.
         """
         self._loop = loop
         # Chain rather than install-if-empty: a caller-installed observer
@@ -990,10 +979,7 @@ class SimulatedSSD:
         if self.telemetry is not None:
             loop.chain_observer(self.telemetry.observe)
         try:
-            if requests is None:
-                frontend.run()
-            else:
-                frontend.run(requests)
+            frontend.run(traffic)
         finally:
             self._loop = None
         self.stats.events_processed += loop.events_processed

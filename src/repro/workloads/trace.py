@@ -151,7 +151,7 @@ class Trace:
         assigns request ``i`` the timestamp ``i * interarrival_us`` so they
         can be replayed open-loop at a controlled arrival rate.  Traces that
         already carry timestamps (e.g. parsed MSR traces) keep them — use
-        ``SSDOptions.time_scale`` to speed those up or down instead.
+        ``run(time_scale=)`` to speed those up or down instead.
         """
         if interarrival_us < 0.0:
             raise ValueError("interarrival_us must be non-negative")

@@ -153,9 +153,7 @@ class TestMemoisedCell:
     def test_memoised_cell_equals_fresh_run(self, scheme):
         cached = run_experiment("MSR-hm", scheme, FAST)
         assert run_experiment("MSR-hm", scheme, FAST) is cached
-        fresh = simulate(
-            "MSR-hm", scheme, FAST, "closed", workload_for_setup("MSR-hm", FAST)
-        )
+        fresh = simulate("MSR-hm", scheme, FAST, workload_for_setup("MSR-hm", FAST))
         assert fresh is not cached
         assert fresh.stats.summary() == cached.stats.summary()
         assert fresh.ftl_details == cached.ftl_details
@@ -165,11 +163,15 @@ class TestMemoisedCell:
         first = run_experiment("FIU-mail", "LeaFTL", self.SETUP)
         assert built == ["LeaFTL"]
         assert run_experiment("FIU-mail", "LeaFTL", self.SETUP) is first
-        # An equal setup built separately is the same cell, and naming the
-        # setup's own replay mode is not a different one.
+        # An equal setup built separately is the same cell; the replay mode
+        # is part of the setup, so a different one is a different cell.
         equal = FAST.scaled(warmup=False, gamma=4, seed=1501)
-        assert run_experiment("FIU-mail", "LeaFTL", equal, replay_mode="closed") is first
+        assert run_experiment("FIU-mail", "LeaFTL", equal) is first
         assert built == ["LeaFTL"]
+        opened = run_experiment("FIU-mail", "LeaFTL", equal.scaled(replay_mode="open"))
+        assert opened is not first
+        assert built == ["LeaFTL", "LeaFTL"]
+        assert opened.stats.max_outstanding_requests > 1
 
     def test_explicit_trace_bypasses_the_memo(self, built):
         setup = self.SETUP.scaled(seed=1502)

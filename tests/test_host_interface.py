@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SSDConfig
 from repro.host.arbiter import (
@@ -28,7 +29,9 @@ from repro.host.arbiter import (
 from repro.host.interface import HostInterface, MultiQueueFrontend, SubmissionQueue
 from repro.host.namespace import Namespace
 from repro.sim.events import EventLoop
+from repro.sim.frontend import OpenLoopFrontend
 from repro.ssd.ssd import SSDOptions
+from repro.workloads.trace import IORequest
 from tests.conftest import make_ssd, run_through_event_loop
 
 
@@ -282,6 +285,70 @@ class TestSingleNamespaceEquivalence:
         assert _stats_signature(baseline) == _stats_signature(ssd)
 
 
+class _RecordingDevice:
+    """Records every submit; latency varies with the LPA so requests overlap."""
+
+    def __init__(self):
+        self.submits = []
+
+    def submit(self, op, lpa, npages, at_us):
+        self.submits.append((at_us, op, lpa, npages))
+        return at_us + 5.0 + (lpa % 7) * 30.0
+
+
+_SMALL = SSDConfig.tiny(capacity_bytes=16 * 1024 * 1024)
+_SMALL_FOOTPRINT = 2048
+
+
+@st.composite
+def _stamped_requests(draw):
+    """Requests with non-decreasing timestamps, ties common, any first stamp."""
+    timestamp = draw(st.sampled_from([0.0, 1000.0]))
+    requests = []
+    for _ in range(draw(st.integers(1, 40))):
+        timestamp += draw(st.sampled_from([0.0, 0.0, 1.0, 7.5, 40.0, 300.0]))
+        op = draw(st.sampled_from("RW"))
+        npages = draw(st.integers(1, 64 if op == "W" else 8))
+        lpa = draw(st.integers(0, _SMALL_FOOTPRINT - npages))
+        requests.append(IORequest(op, lpa, npages, timestamp_us=timestamp))
+    return requests
+
+
+@given(requests=_stamped_requests(), time_scale=st.sampled_from([0.1, 1.0, 2.5]))
+@settings(max_examples=40, deadline=None)
+def test_open_loop_frontend_is_one_open_submission_queue(requests, time_scale):
+    """The open-loop pin (``TestSingleNamespaceEquivalence`` is the closed
+    one): with a slot for every request, one open submission queue over a
+    whole-device namespace submits exactly what ``OpenLoopFrontend`` does."""
+
+    def through_the_queue(device, loop):
+        queue = SubmissionQueue(
+            Namespace("all", 0, _SMALL.logical_pages), requests, "open", time_scale
+        )
+        return MultiQueueFrontend(device, loop, make_arbiter("fifo"), len(requests)), [queue]
+
+    # A recording device: the same submits at the same times, the same stats.
+    single, multi = _RecordingDevice(), _RecordingDevice()
+    single_stats = OpenLoopFrontend(single, EventLoop(), time_scale).run(requests)
+    frontend, queues = through_the_queue(multi, EventLoop())
+    assert frontend.run(queues) == single_stats
+    assert multi.submits == single.submits
+    assert single_stats.completed == len(requests)
+
+    # A small real device (buffer flushes, flash reads): stat for stat.
+    fill = [("W", lpa, 64) for lpa in range(0, _SMALL_FOOTPRINT, 64)]
+    baseline = make_ssd(gamma=4, config=_SMALL)
+    baseline.run(fill)
+    baseline.run(requests, replay_mode="open", time_scale=time_scale)
+    ssd = make_ssd(gamma=4, config=_SMALL)
+    ssd.run(fill)
+    loop = EventLoop(start_us=ssd.now_us)
+    frontend, queues = through_the_queue(ssd, loop)
+    ssd.run_frontend(frontend, loop, queues)
+    ssd.finalize_replay()
+    assert _stats_signature(ssd) == _stats_signature(baseline)
+
+
 class TestMultiQueueFrontend:
     def test_namespace_translation_applied(self):
         ssd = make_ssd()
@@ -430,15 +497,24 @@ class TestMultiQueueFrontend:
         ssd = make_ssd()
         with pytest.raises(ValueError):
             HostInterface(ssd, arbiter="lottery")
+        with pytest.raises(ValueError):
+            HostInterface(ssd, arbiter="")
+        # A bad depth fails at construction, like SSDOptions / run(): it
+        # neither becomes the device depth (0) nor waits for run() (-1).
+        for depth in (0, -1):
+            with pytest.raises(ValueError, match="queue_depth must be at least 1"):
+                HostInterface(ssd, queue_depth=depth)
+        assert HostInterface(ssd).queue_depth == ssd.effective_queue_depth
         loop = EventLoop()
         ns = Namespace("t", 0, 64)
-        queue = SubmissionQueue(ns, [])
         with pytest.raises(ValueError):
-            MultiQueueFrontend(ssd, loop, [queue], make_arbiter("fifo"), 0)
+            MultiQueueFrontend(ssd, loop, make_arbiter("fifo"), 0)
         with pytest.raises(ValueError):
-            MultiQueueFrontend(ssd, loop, [], make_arbiter("fifo"), 1)
+            MultiQueueFrontend(ssd, loop, make_arbiter("fifo"), 1).run([])
         with pytest.raises(ValueError):
             SubmissionQueue(ns, [], mode="warp")
+        with pytest.raises(ValueError):
+            SubmissionQueue(ns, [], time_scale=0.0)
 
     def test_ssd_options_carry_default_arbiter(self):
         ssd = make_ssd(options=SSDOptions(arbiter="strict_priority"))

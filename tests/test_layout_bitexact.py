@@ -1,7 +1,8 @@
 """Differential bit-exactness goldens for the hot-path data layouts.
 
 The flat-array ``FlashArray`` (bitmap page state, lazy OOB synthesis),
-the calendar-queue ``EventLoop`` with batched dispatch, and the
+the ``EventLoop``'s queue (a per-timestamp calendar in PR 6, one heap
+since PR 19 — these goldens held across both), and the
 vectorized/analytic segment paths are all pure representation changes:
 the PR that introduced them promised byte-identical behaviour.  These
 tests pin that promise to concrete digests recorded on the pre-overhaul

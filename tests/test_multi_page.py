@@ -433,6 +433,16 @@ class TestOpenLoopFrontend:
         assert stats.submitted == stats.completed == 4
         assert stats.max_outstanding == 1  # arrivals slower than service
 
+    def test_each_request_is_an_arrival_an_issue_and_a_completion(self):
+        """The single queue admits like the multi-queue path: an arrival
+        joins the backlog and is issued by its own event (so a
+        ``CrashTimer(after_kind="request_issue")`` can land on it)."""
+        loop = EventLoop()
+        kinds = []
+        loop.observer = lambda event: kinds.append(event.kind)
+        OpenLoopFrontend(_RecordingDevice(), loop).run(self._requests(50.0))
+        assert kinds == ["request_arrival", "request_issue", "request_complete"] * 4
+
     def test_time_scale_compresses_arrivals(self):
         device = _RecordingDevice()
         frontend = OpenLoopFrontend(device, EventLoop(), time_scale=0.1)
@@ -472,11 +482,11 @@ class TestOpenLoopReplay:
         return Trace("stamped", requests)
 
     def test_run_accepts_io_requests_open_loop(self):
-        ssd = make_ssd(options=SSDOptions(replay_mode="open"))
+        ssd = make_ssd()
         _fill_blocks(ssd, 20_000)
         ssd.begin_measurement()
         trace = self._stamped_trace()
-        stats = ssd.run(trace)
+        stats = ssd.run(trace, replay_mode="open")
         # The replay cannot finish before the last request arrived.
         last_arrival = trace[-1].timestamp_us - trace[0].timestamp_us
         assert stats.measured_time_us >= last_arrival
@@ -487,10 +497,10 @@ class TestOpenLoopReplay:
 
     def test_saturation_grows_backlog_and_latency(self):
         def run(interarrival):
-            ssd = make_ssd(options=SSDOptions(replay_mode="open"))
+            ssd = make_ssd()
             _fill_blocks(ssd, 20_000)
             ssd.begin_measurement()
-            ssd.run(self._stamped_trace(interarrival=interarrival))
+            ssd.run(self._stamped_trace(interarrival=interarrival), replay_mode="open")
             return ssd.stats
 
         relaxed = run(200.0)
@@ -500,12 +510,14 @@ class TestOpenLoopReplay:
 
     def test_time_scale_stretches_the_replay(self):
         def run(scale):
-            ssd = make_ssd(
-                options=SSDOptions(replay_mode="open", time_scale=scale)
-            )
+            ssd = make_ssd()
             _fill_blocks(ssd, 20_000)
             ssd.begin_measurement()
-            return ssd.run(self._stamped_trace(interarrival=100.0))
+            return ssd.run(
+                self._stamped_trace(interarrival=100.0),
+                replay_mode="open",
+                time_scale=scale,
+            )
 
         slow = run(2.0)
         fast = run(0.5)
@@ -513,9 +525,9 @@ class TestOpenLoopReplay:
 
     def test_open_loop_replay_is_deterministic(self):
         def run():
-            ssd = make_ssd(options=SSDOptions(replay_mode="open"))
+            ssd = make_ssd()
             _fill_blocks(ssd, 20_000)
-            stats = ssd.run(self._stamped_trace())
+            stats = ssd.run(self._stamped_trace(), replay_mode="open")
             return (
                 stats.read_latency.total_us,
                 stats.write_latency.total_us,
@@ -540,6 +552,9 @@ class TestOpenLoopReplay:
         with pytest.raises(ValueError):
             ssd.run([], replay_mode="looped")
         with pytest.raises(ValueError):
-            make_ssd(options=SSDOptions(replay_mode="looped"))
-        with pytest.raises(ValueError):
             ssd.run([], replay_mode="open", time_scale=0.0)
+        # Replay parameters belong to run(), not to the device's options.
+        with pytest.raises(TypeError):
+            SSDOptions(replay_mode="open")
+        with pytest.raises(TypeError):
+            SSDOptions(time_scale=2.0)

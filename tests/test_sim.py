@@ -12,12 +12,14 @@ Covers three layers:
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SSDConfig
-from repro.sim.events import EventLoop
+from repro.sim.events import EventLoop, SimulationLimitError
 from repro.sim.frontend import HostFrontend, interleave_streams
 from repro.sim.nand import NANDScheduler
 from repro.ssd.ssd import SSDOptions
@@ -105,6 +107,164 @@ class TestEventLoop:
         assert processed == 0
         assert loop.now_us <= 50.0
         assert loop.pending == 1
+
+    def test_draining_with_exactly_max_events_is_a_complete_run(self):
+        loop = EventLoop()
+        for time_us in (1.0, 2.0, 3.0):
+            loop.schedule(time_us, "tick")
+        assert loop.run(max_events=3) == 3
+        assert loop.pending == 0
+        # An event past ``until_us`` or a cancelled one is not "still to fire".
+        loop.schedule(10.0, "soon")
+        loop.schedule(11.0, "dead").cancel()
+        loop.schedule(99.0, "later")
+        assert loop.run(until_us=50.0, max_events=1) == 1
+
+    def test_exceeding_max_events_raises_and_the_loop_resumes(self):
+        loop = EventLoop()
+        fired = []
+        for time_us in (1.0, 2.0, 3.0, 4.0, 5.0):
+            loop.schedule(time_us, "tick", lambda e: fired.append(e.time_us))
+        with pytest.raises(SimulationLimitError, match="exceeded 3 events") as caught:
+            loop.run(max_events=3)
+        assert caught.value.events_processed == 3
+        assert caught.value.max_events == 3
+        assert (fired, loop.now_us, loop.pending) == ([1.0, 2.0, 3.0], 3.0, 2)
+        assert loop.run() == 2
+        assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert loop.events_processed == 5
+
+    def test_max_events_reached_inside_a_same_timestamp_burst(self):
+        loop = EventLoop()
+        fired = []
+
+        def spawn(event):
+            fired.append(event.kind)
+            if event.kind == "b":  # joins the burst, at "now"
+                loop.schedule(event.time_us, "spawned", spawn)
+
+        for tag in ("a", "b", "c", "d"):
+            loop.schedule(7.0, tag, spawn)
+        with pytest.raises(SimulationLimitError) as caught:
+            loop.run(max_events=3)
+        assert caught.value.events_processed == 3
+        assert (fired, loop.now_us, loop.pending) == (["a", "b", "c"], 7.0, 2)
+        assert loop.run(max_events=2) == 2
+        assert fired == ["a", "b", "c", "d", "spawned"]
+
+
+# --------------------------------------------------------------------------- #
+# The loop against a reference model: a list sorted by (time, priority, seq)
+# --------------------------------------------------------------------------- #
+#: Offsets from "now": in the past (clamped), at the current instant, and a
+#: few future values that collide often, so ties are the common case.
+_OFFSETS = st.sampled_from([-5.0, 0.0, 0.0, 1.0, 2.5, 2.5, 10.0])
+_PRIORITIES = st.sampled_from([-1, 0, 0, 1, 2])
+#: One schedule: (offset, priority, schedules its callback makes when it fires).
+_SCHEDULES = st.recursive(
+    st.tuples(_OFFSETS, _PRIORITIES, st.just(())),
+    lambda children: st.tuples(
+        _OFFSETS, _PRIORITIES, st.lists(children, max_size=3).map(tuple)
+    ),
+    max_leaves=6,
+)
+_PROGRAMS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _SCHEDULES),
+        st.tuples(st.just("schedule"), _SCHEDULES),
+        st.tuples(st.just("cancel"), st.integers(0, 50)),
+        st.tuples(st.just("run_until"), _OFFSETS),
+        st.tuples(st.just("step"), st.none()),
+    ),
+    max_size=30,
+)
+
+
+def _drive(program, schedule, cancel, run, state):
+    """Run ``program`` on one implementation; returns its state after each op."""
+    states = []
+    for op, arg in program:
+        if op == "schedule":
+            schedule(state()[0], *arg)
+        elif op == "cancel":
+            cancel(arg)
+        elif op == "run_until":
+            run(until=state()[0] + arg)
+        else:
+            run(limit=1)
+        states.append(state())
+    run()
+    return states + [state()]
+
+
+def _on_the_loop(program):
+    loop = EventLoop()
+    fired, handles, idents = [], {}, itertools.count()
+
+    def schedule(now_us, offset, priority, children):
+        ident = next(idents)
+
+        def callback(event):
+            fired.append((ident, event.time_us))
+            del handles[ident]  # fired events are recycled: never touch again
+            for child in children:
+                schedule(event.time_us, *child)
+
+        handles[ident] = loop.schedule(now_us + offset, "e", callback, None, priority)
+
+    def cancel(index):
+        if handles:
+            handles.pop(sorted(handles)[index % len(handles)]).cancel()
+
+    def run(until=None, limit=None):
+        if limit:
+            loop.step()
+        else:
+            loop.run(until_us=until)
+
+    state = lambda: (loop.now_us, loop.pending, loop.events_processed, tuple(fired))  # noqa: E731
+    return _drive(program, schedule, cancel, run, state)
+
+
+def _on_the_model(program):
+    queue, fired, idents = [], [], itertools.count()  # [time, priority, seq, cancelled, children]
+    clock = {"now": 0.0, "processed": 0}
+
+    def schedule(now_us, offset, priority, children):
+        queue.append([max(now_us + offset, clock["now"]), priority, next(idents), False, children])
+
+    def cancel(index):
+        live = [entry for entry in queue if not entry[3]]
+        if live:
+            sorted(live, key=lambda entry: entry[2])[index % len(live)][3] = True
+
+    def run(until=None, limit=None):
+        while queue and limit != 0:
+            queue.sort(key=lambda entry: entry[:3])
+            time_us, _, ident, cancelled, children = queue[0]
+            if not cancelled and until is not None and time_us > until:
+                return
+            queue.pop(0)
+            if cancelled:
+                continue
+            clock["now"], clock["processed"] = time_us, clock["processed"] + 1
+            limit = limit and limit - 1
+            fired.append((ident, time_us))
+            for child in children:
+                schedule(time_us, *child)
+
+    state = lambda: (clock["now"], len(queue), clock["processed"], tuple(fired))  # noqa: E731
+    return _drive(program, schedule, cancel, run, state)
+
+
+@given(program=_PROGRAMS)
+@settings(max_examples=150, deadline=None)
+def test_event_loop_matches_the_sorted_list_model(program):
+    """schedule (future / at "now" / past, also from callbacks), cancel,
+    run(until_us=) and step() in any interleaving: the heap fires the same
+    events at the same times and reports the same now_us / pending /
+    events_processed as a list kept sorted by (time, priority, seq)."""
+    assert _on_the_loop(program) == _on_the_model(program)
 
 
 class TestNANDScheduler:
