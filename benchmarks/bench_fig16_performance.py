@@ -7,11 +7,9 @@ The paper reports LeaFTL improving storage performance by 1.6x (up to 2.7x)
 over SFTL in (a) and 1.4x / 1.6x over SFTL / DFTL in (b).  Lower normalized
 latency is better; DFTL = 1.0.
 
-Replay is closed-loop by default; set ``REPRO_REPLAY_MODE=open`` to admit
-requests at (stamped) trace timestamps instead, measuring latency against
-arrival times (see ``benchmarks/conftest.perf_setup``).  Multi-page
-commands are translated in batched ``FTL.translate_range`` runs and
-striped across channels either way.
+Replay is closed-loop (``bench_fig18`` has the open-loop panel).
+Multi-page commands are translated in batched ``FTL.translate_range`` runs
+and striped across channels.
 """
 
 from __future__ import annotations

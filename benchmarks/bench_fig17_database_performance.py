@@ -3,11 +3,9 @@
 The paper reports LeaFTL obtaining a 1.4x average speedup (up to 1.5x) over
 SFTL and DFTL across SEATS, AuctionMark, TPC-C, OLTP and CompFlow.
 
-Replay is closed-loop by default; set ``REPRO_REPLAY_MODE=open`` to admit
-requests at (stamped) trace timestamps instead, measuring latency against
-arrival times (see ``benchmarks/conftest.perf_setup``).  Multi-page
-database commands are translated in batched ``FTL.translate_range`` runs
-and striped across channels either way.
+Replay is closed-loop (``bench_fig18`` has the open-loop panel).
+Multi-page database commands are translated in batched
+``FTL.translate_range`` runs and striped across channels.
 """
 
 from __future__ import annotations

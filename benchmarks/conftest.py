@@ -23,8 +23,6 @@ file prints at the end, ``cells simulated / cells requested``.
 
 from __future__ import annotations
 
-import os
-
 from repro.experiments.common import ExperimentSetup, bench_scale, memoised_cell
 
 #: Workloads used by the heavier sweeps (a representative subset of the 12).
@@ -35,14 +33,9 @@ CORE_WORKLOADS = CORE_SIMULATOR_WORKLOADS + CORE_DATABASE_WORKLOADS
 def perf_setup(**overrides: object) -> ExperimentSetup:
     """Performance-measurement setup (warm-up enabled, small device).
 
-    Replay admission is configurable from the environment so every
-    performance figure (16/17/18, ...) can be regenerated under open-loop
-    (timestamped) replay without code changes::
-
-        REPRO_REPLAY_MODE=open REPRO_TIME_SCALE=1.0 pytest benchmarks/...
-
-    Open-loop runs admit requests at their (stamped) arrival times, so the
-    latencies include the time requests waited for a saturated device.
+    Closed-loop unless a figure says otherwise: ``bench_fig18`` passes
+    ``replay_mode="open"`` for its open-loop panel, whose latencies include
+    the time requests waited for a saturated device.
     """
     defaults = dict(
         capacity_bytes=512 * 1024 * 1024,
@@ -51,8 +44,6 @@ def perf_setup(**overrides: object) -> ExperimentSetup:
         request_scale=0.08 * bench_scale(),
         footprint_scale=0.35,
         compaction_interval_writes=100_000,
-        replay_mode=os.environ.get("REPRO_REPLAY_MODE", "closed"),
-        time_scale=float(os.environ.get("REPRO_TIME_SCALE", "1.0")),
     )
     defaults.update(overrides)
     return ExperimentSetup(**defaults)  # type: ignore[arg-type]

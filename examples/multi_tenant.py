@@ -29,6 +29,8 @@ Three views of the same contention:
 from __future__ import annotations
 
 from repro.experiments.multi_tenant import (
+    READER_SLO_US,
+    READER_WEIGHT,
     NoisyNeighborScenario,
     noisy_neighbor_sweep,
     rate_limit_comparison,
@@ -83,11 +85,12 @@ def print_rate_limit_comparison() -> None:
 
 def main() -> None:
     scenario = NoisyNeighborScenario()
+    device = scenario.device
     print(
-        f"device: {scenario.capacity_bytes // (1024 * 1024)} MB, "
-        f"{scenario.channels} channels, queue depth {scenario.queue_depth}; "
-        f"reader weight {scenario.reader_weight}, "
-        f"SLO {scenario.reader_slo_us:.0f} us\n"
+        f"device: {device.capacity_bytes // (1024 * 1024)} MB, "
+        f"{device.channels} channels, queue depth {device.queue_depth}; "
+        f"reader weight {READER_WEIGHT}, "
+        f"SLO {READER_SLO_US:.0f} us\n"
     )
     table = noisy_neighbor_sweep(arbiters=ARBITERS, scenario=scenario)
     print_arbitration_sweep(table)

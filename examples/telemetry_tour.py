@@ -3,7 +3,7 @@
 
 Run with::
 
-    PYTHONPATH=src python examples/telemetry_tour.py [--out telemetry/]
+    PYTHONPATH=src python examples/telemetry_tour.py [--out DIR]
 
 A simulator answers "how much" with its end-of-run counters; telemetry
 answers "when" and "where".  This example runs the GC-contended
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import tempfile
 
 from repro.experiments.multi_tenant import (
     build_tenant_host,
@@ -54,8 +55,9 @@ from repro.verify import VERIFY_ARBITER, verify_scenario
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--out", default="telemetry",
-        help="directory for trace/metrics/counters artifacts (default telemetry/)",
+        "--out", default=None,
+        help="directory for trace/metrics/counters artifacts "
+             "(default: a fresh temporary directory, printed at the end)",
     )
     parser.add_argument("--scale", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=1234)
@@ -132,9 +134,9 @@ def main() -> None:
         f"({len(spans)} spans analyzed)"
     )
 
-    os.makedirs(args.out, exist_ok=True)
-    written = telemetry.write_artifacts(args.out)
-    report_path = os.path.join(args.out, "report.md")
+    out = args.out or tempfile.mkdtemp(prefix="telemetry-tour-")
+    written = telemetry.write_artifacts(out)
+    report_path = os.path.join(out, "report.md")
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.write(render_report(report))
     written["report"] = report_path

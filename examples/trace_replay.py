@@ -51,10 +51,7 @@ def main() -> None:
     args = parser.parse_args()
 
     setup = ExperimentSetup(gamma=args.gamma, request_scale=args.scale,
-                            warmup=not args.no_warmup,
-                            replay_mode="open" if args.open_loop else "closed",
-                            time_scale=args.time_scale,
-                            open_loop_interarrival_us=args.interarrival_us)
+                            warmup=not args.no_warmup)
 
     if args.trace:
         trace = parse_msr_trace(args.trace, name=args.trace,
@@ -72,15 +69,15 @@ def main() -> None:
         print("warming up the device ...")
         warmup_ssd(ssd, setup)
     if args.open_loop and not trace.has_timestamps():
-        trace = trace.with_interarrival(setup.open_loop_interarrival_us)
+        trace = trace.with_interarrival(args.interarrival_us)
     if args.open_loop and not trace.timestamps_sorted():
         # Real captures sometimes interleave completion records out of
         # order; open-loop replay refuses unsorted arrivals, so repair.
         print("note: trace timestamps out of order; sorting by arrival time")
         trace = trace.sorted_by_timestamp()
-    mode = "open-loop" if args.open_loop else "closed-loop"
-    print(f"replaying through {args.ftl} ({mode}) ...")
-    stats = ssd.run(trace, replay_mode=setup.replay_mode, time_scale=setup.time_scale)
+    mode = "open" if args.open_loop else "closed"
+    print(f"replaying through {args.ftl} ({mode}-loop) ...")
+    stats = ssd.run(trace, replay_mode=mode, time_scale=args.time_scale)
 
     rows = [
         ["mean read latency (us)", round(stats.read_latency.mean_us, 1)],

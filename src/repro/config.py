@@ -210,10 +210,6 @@ class LeaFTLConfig:
     group_size: int = 256
     #: Compact the mapping table after this many host writes (Section 3.7).
     compaction_interval_writes: int = 1_000_000
-    #: Bytes charged per learned segment (S_LPA 1B + L 1B + K 2B + I 4B).
-    segment_bytes: int = 8
-    #: Per-level bookkeeping overhead charged in the memory model, bytes.
-    level_overhead_bytes: int = 4
 
     def __post_init__(self) -> None:
         if self.gamma < 0:

@@ -28,6 +28,9 @@ from repro.core.segment import (
 )
 from repro.ftl.base import TranslationResult
 
+#: Per-level bookkeeping overhead charged in the memory model, bytes.
+LEVEL_OVERHEAD_BYTES = 4
+
 
 @dataclass(slots=True)
 class LookupResult(TranslationResult):
@@ -89,7 +92,7 @@ class LPAGroup:
             result.extend(level.segments())
         return result
 
-    def memory_bytes(self, level_overhead_bytes: int = 0) -> int:
+    def memory_bytes(self) -> int:
         """DRAM footprint: 8 bytes per segment + CRB + per-level overhead.
 
         The owner index is deliberately not counted: it is simulator state.
@@ -99,7 +102,7 @@ class LPAGroup:
         return (
             self.segment_count() * SEGMENT_BYTES
             + self.crb.size_bytes()
-            + len(self._levels) * level_overhead_bytes
+            + len(self._levels) * LEVEL_OVERHEAD_BYTES
         )
 
     # ------------------------------------------------------------------ #

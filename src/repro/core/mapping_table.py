@@ -61,12 +61,10 @@ class LogStructuredMappingTable:
         self._groups: Dict[int, LPAGroup] = {}
         self.stats = MappingTableStats()
         #: Running DRAM footprint (:meth:`memory_bytes`): the bytes counted
-        #: for each group, their total, the per-level overhead they were
-        #: computed at, and the bases of the groups mutated since — the
-        #: only ones the next call re-sums.
+        #: for each group, their total, and the bases of the groups mutated
+        #: since — the only ones the next call re-sums.
         self._memory_total = 0
         self._memory_of: Dict[int, int] = {}
-        self._memory_overhead = self.config.level_overhead_bytes
         self._memory_stale: Set[int] = set()
 
     # ------------------------------------------------------------------ #
@@ -221,18 +219,13 @@ class LogStructuredMappingTable:
 
         Sampled at every flush, which mutates only the few groups its pages
         fall in: a running total, re-summing the groups ``update`` /
-        ``compact`` / checkpoint restore touched since the last call (all
-        of them when ``config.level_overhead_bytes`` changed).  A group
-        mutated directly through :meth:`groups` / :meth:`group_for` is not
-        seen.
+        ``compact`` / checkpoint restore touched since the last call.  A
+        group mutated directly through :meth:`groups` / :meth:`group_for`
+        is not seen.
         """
-        overhead = self.config.level_overhead_bytes
-        if overhead != self._memory_overhead:
-            self._memory_overhead = overhead
-            self._memory_stale.update(self._groups)
         counted = self._memory_of
         for group_base in self._memory_stale:
-            size = self._groups[group_base].memory_bytes(overhead)
+            size = self._groups[group_base].memory_bytes()
             self._memory_total += size - counted.get(group_base, 0)
             counted[group_base] = size
         self._memory_stale.clear()

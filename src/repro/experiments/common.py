@@ -34,9 +34,12 @@ from repro.ftl.sftl import SFTL
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
 from repro.ssd.stats import SSDStats
 from repro.workloads.database import DATABASE_WORKLOAD_NAMES, database_workload
-from repro.workloads.fiu import FIU_WORKLOAD_NAMES, fiu_workload
-from repro.workloads.msr import MSR_WORKLOAD_NAMES, msr_workload
-from repro.workloads.synthetic import zipf_lpa
+from repro.workloads.synthetic import (
+    FIU_WORKLOAD_NAMES,
+    MSR_WORKLOAD_NAMES,
+    synthetic_workload,
+    zipf_lpa,
+)
 from repro.workloads.trace import Trace
 
 #: FTL schemes compared throughout the evaluation.
@@ -51,16 +54,26 @@ REAL_SSD_WORKLOADS: List[str] = list(DATABASE_WORKLOAD_NAMES)
 ALL_WORKLOADS: List[str] = SIMULATOR_WORKLOADS + REAL_SSD_WORKLOADS
 
 
-def bench_scale(default: float = 1.0) -> float:
-    """Global scale factor for benchmark workload sizes.
+def bench_scale() -> float:
+    """Global scale factor for benchmark workload sizes (default 1.0).
 
     Set the ``REPRO_BENCH_SCALE`` environment variable to trade fidelity for
-    runtime (e.g. ``REPRO_BENCH_SCALE=0.1`` for a quick smoke run).
+    runtime (e.g. ``REPRO_BENCH_SCALE=0.1`` for a quick smoke run); positive
+    values below 0.01 are raised to it.
     """
     value = os.environ.get("REPRO_BENCH_SCALE")
     if not value:
-        return default
-    return max(0.01, float(value))
+        return 1.0
+    try:
+        scale = float(value)
+    except ValueError:
+        scale = float("nan")
+    if not 0.0 < scale < float("inf"):
+        raise ValueError(
+            f"REPRO_BENCH_SCALE must be a finite number > 0 (1.0 = default "
+            f"size, 0.1 = smoke run), got {value!r}"
+        )
+    return max(0.01, scale)
 
 
 def oob_size_for_gamma(gamma: int) -> int:
@@ -119,11 +132,6 @@ class ExperimentSetup:
     #: ``queue_depth``) or ``"open"`` (requests admitted at their trace
     #: timestamps — latency is measured against arrival times).
     replay_mode: str = "closed"
-    #: Multiplier on trace inter-arrival times in open-loop replay.
-    time_scale: float = 1.0
-    #: Arrival spacing stamped onto timestamp-less (synthetic) traces when
-    #: they are replayed open-loop.
-    open_loop_interarrival_us: float = 20.0
     #: Fraction of raw flash capacity reserved as over-provisioning space
     #: (the knob the aging sweep varies; the paper's default is 20 %).
     overprovisioning: float = 0.20
@@ -132,17 +140,6 @@ class ExperimentSetup:
     gc_mode: str = "sync"
     #: GC victim-selection policy: ``greedy``, ``cost_benefit``, ``d_choices``.
     gc_policy: str = "greedy"
-    #: Submission-queue arbitration policy used when the device is driven
-    #: through the multi-queue host interface (``repro.host``): ``fifo``,
-    #: ``round_robin``, ``weighted_round_robin`` or ``strict_priority``.
-    arbiter: str = "round_robin"
-    #: Observability mode passed to ``SSDOptions.telemetry``: ``"off"``
-    #: (default), ``"trace"``, ``"metrics"`` or ``"on"``.  Collectors never
-    #: perturb scheduling, so results are identical either way; artifacts
-    #: are read from ``build_ssd(...).telemetry`` after the run.
-    telemetry: str = "off"
-    #: Random seed of the warm-up pattern.
-    seed: int = 7
 
     def ssd_config(self) -> SSDConfig:
         return SSDConfig(
@@ -220,8 +217,6 @@ def build_ssd(scheme: str, setup: ExperimentSetup) -> SimulatedSSD:
         sort_buffer_on_flush=setup.sort_buffer_on_flush,
         queue_depth=setup.queue_depth,
         gc_mode=setup.gc_mode,
-        arbiter=setup.arbiter,
-        telemetry=setup.telemetry,
     )
     return SimulatedSSD(
         config=config,
@@ -232,6 +227,10 @@ def build_ssd(scheme: str, setup: ExperimentSetup) -> SimulatedSSD:
     )
 
 
+#: Random seed of the warm-up pattern.
+WARMUP_SEED = 7
+
+
 def warmup_ssd(ssd: SimulatedSSD, setup: ExperimentSetup) -> None:
     """Pre-fill the device so GC is active and mapping tables are populated.
 
@@ -240,7 +239,7 @@ def warmup_ssd(ssd: SimulatedSSD, setup: ExperimentSetup) -> None:
     populates every FTL's mapping structures without handing LeaFTL an
     artificially easy all-sequential history.
     """
-    rng = random.Random(setup.seed)
+    rng = random.Random(WARMUP_SEED)
     logical_pages = ssd.config.logical_pages
     target_pages = int(logical_pages * setup.warmup_fraction)
     extent = 2048
@@ -262,14 +261,7 @@ def warmup_ssd(ssd: SimulatedSSD, setup: ExperimentSetup) -> None:
 AGING_SEED = 11
 
 
-def precondition(
-    ssd: SimulatedSSD,
-    fill_fraction: float = 0.92,
-    overwrite_fraction: float = 1.0,
-    zipf_alpha: float = 0.8,
-    extent: int = 256,
-    seed: int = AGING_SEED,
-) -> int:
+def precondition(ssd: SimulatedSSD, seed: int = AGING_SEED) -> int:
     """Age the device into GC steady state (WiscSee-style preconditioning).
 
     Steady-state WAF and GC-interference latencies only mean something once
@@ -277,10 +269,10 @@ def precondition(
     distribution reflects the workload's skew — a freshly formatted device
     under-reports both.  The recipe:
 
-    1. **fill** — write ``fill_fraction`` of the logical space sequentially
-       in ``extent``-page runs, so every block starts fully valid;
-    2. **age** — overwrite ``overwrite_fraction`` of the filled footprint in
-       Zipf-skewed random order (``zipf_alpha``), spreading invalid pages
+    1. **fill** — write 92 % of the logical space sequentially in 256-page
+       runs, so every block starts fully valid;
+    2. **age** — overwrite the filled footprint once over, 4 pages at a
+       time in Zipf-skewed (alpha 0.8) random order, spreading invalid pages
        *unevenly* across blocks: hot blocks drain toward empty while cold
        blocks stay valid, which is the regime where victim policies differ;
     3. drain the write buffer and reset measurement, so subsequent ``run()``
@@ -289,20 +281,14 @@ def precondition(
     Returns the preconditioned footprint in pages (use it to bound the
     measured workload so it overwrites aged data rather than virgin space).
     """
-    if not 0.0 < fill_fraction <= 1.0:
-        raise ValueError("fill_fraction must be in (0, 1]")
-    if overwrite_fraction < 0.0:
-        raise ValueError("overwrite_fraction must be non-negative")
+    extent, span = 256, 4
     logical_pages = ssd.config.logical_pages
-    footprint = max(extent, int(logical_pages * fill_fraction))
-    footprint = min(footprint, logical_pages)
+    footprint = min(logical_pages, max(extent, int(logical_pages * 0.92)))
     for lpa in range(0, footprint - extent + 1, extent):
         ssd.process("W", lpa, extent)
     rng = random.Random(seed)
-    span = 4
-    overwrites = int(footprint * overwrite_fraction) // span
-    for _ in range(overwrites):
-        lpa = zipf_lpa(rng, max(1, footprint - span), zipf_alpha)
+    for _ in range(footprint // span):
+        lpa = zipf_lpa(rng, max(1, footprint - span), 0.8)
         ssd.process("W", lpa, span)
     ssd.flush()
     # Let the aging traffic drain: without this the first measured requests
@@ -338,20 +324,16 @@ def steady_state_workload(
 
 
 def aged_device(
-    scheme: str,
-    setup: ExperimentSetup,
-    num_requests: int,
-    aging_seed: int,
-    workload_seed: int,
+    setup: ExperimentSetup, num_requests: int, aging_seed: int, workload_seed: int
 ) -> Tuple[SimulatedSSD, List[Tuple[str, int, int]]]:
-    """An aged-device cell, ready to measure: ``(ssd, requests)``.
+    """An aged LeaFTL device, ready to measure: ``(ssd, requests)``.
 
     Builds the device, ages it with :func:`precondition` and generates the
     :func:`steady_state_workload` over the aged footprint.  The caller runs
     ``ssd.run(requests)`` itself, so it can attach observers or telemetry
     between the aging and the measured phase.
     """
-    ssd = build_ssd(scheme, setup)
+    ssd = build_ssd("LeaFTL", setup)
     footprint = precondition(ssd, seed=aging_seed)
     return ssd, steady_state_workload(footprint, num_requests, seed=workload_seed)
 
@@ -373,10 +355,8 @@ def workload_by_name(
     name: str, request_scale: float = 1.0, footprint_scale: float = 1.0
 ) -> Trace:
     """Build the named workload trace (MSR-like, FIU-like or database)."""
-    if name in MSR_WORKLOAD_NAMES:
-        return msr_workload(name, request_scale, footprint_scale)
-    if name in FIU_WORKLOAD_NAMES:
-        return fiu_workload(name, request_scale, footprint_scale)
+    if name in SIMULATOR_WORKLOADS:
+        return synthetic_workload(name, request_scale, footprint_scale)
     if name in DATABASE_WORKLOAD_NAMES:
         return database_workload(name, request_scale)
     raise KeyError(f"unknown workload {name!r}; known: {ALL_WORKLOADS}")
@@ -414,10 +394,9 @@ def run_experiment(
 
     How the cell is replayed is part of the setup: ``setup.replay_mode``
     ``"closed"`` replays completion-driven at ``setup.queue_depth``;
-    ``"open"`` admits requests at their trace timestamps scaled by
-    ``setup.time_scale`` (timestamp-less synthetic traces are stamped with
-    ``setup.open_loop_interarrival_us`` first), so latency-under-load is
-    measured against arrival times.
+    ``"open"`` admits requests at their trace timestamps (timestamp-less
+    synthetic traces are stamped :data:`OPEN_LOOP_INTERARRIVAL_US` apart
+    first), so latency-under-load is measured against arrival times.
     """
     setup = setup or ExperimentSetup()
     if trace is not None:
@@ -432,6 +411,11 @@ def memoised_cell(workload: str, scheme: str, setup: ExperimentSetup) -> Experim
     return simulate(workload, scheme, setup, workload_for_setup(workload, setup))
 
 
+#: Arrival spacing stamped onto timestamp-less (synthetic) traces when a
+#: cell is replayed open-loop.
+OPEN_LOOP_INTERARRIVAL_US = 20.0
+
+
 def simulate(
     workload: str, scheme: str, setup: ExperimentSetup, replay: Trace
 ) -> ExperimentResult:
@@ -440,8 +424,8 @@ def simulate(
     if setup.warmup:
         warmup_ssd(ssd, setup)
     if setup.replay_mode == "open":
-        replay = replay.with_interarrival(setup.open_loop_interarrival_us)
-    stats = ssd.run(replay, replay_mode=setup.replay_mode, time_scale=setup.time_scale)
+        replay = replay.with_interarrival(OPEN_LOOP_INTERARRIVAL_US)
+    stats = ssd.run(replay, replay_mode=setup.replay_mode)
 
     ftl = ssd.ftl
     result = ExperimentResult(

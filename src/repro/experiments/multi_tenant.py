@@ -37,75 +37,64 @@ from repro.workloads.multi_tenant import (
 ARBITER_CHOICES: Tuple[str, ...] = ARBITERS
 
 
+#: The device the QoS experiments share: small and 8-channel, so the
+#: whole sweep (solo + four arbiters) runs in seconds.
+NOISY_NEIGHBOR_DEVICE = ExperimentSetup(
+    capacity_bytes=192 * 1024 * 1024,
+    channels=8,
+    # Many dies per channel keep the program *bus* share small
+    # (``write_latency / dies``), so flush bursts contend with reads
+    # through queueing rather than monopolising the buses outright —
+    # the regime where admission arbitration has leverage.
+    dies_per_channel=32,
+    pages_per_block=64,
+    dram_bytes=2 * 1024 * 1024,
+    # Small write buffer: short flush batches keep per-channel busy
+    # windows brief (a flush programs its open block serially).
+    write_buffer_bytes=128 * 1024,
+    # Device slots (NVMe queue depth shared by all tenants).  Modest on
+    # purpose: every slot a writer command holds has its flush chained
+    # onto the channel reservations, so deep queues let the noisy
+    # neighbor reserve the NAND far ahead of the reader's arrivals.
+    queue_depth=4,
+    gamma=4,
+)
+
+# What no experiment varies about the two tenants.
+READER_INTERARRIVAL_US = 150.0
+READER_NPAGES = 16
+READER_ZIPF_ALPHA = 0.9
+READER_WEIGHT = 8
+READER_SLO_US = 1000.0
+WRITER_NPAGES = 32
+WRITER_INTERARRIVAL_US = 30.0
+
+
 @dataclass(frozen=True)
 class NoisyNeighborScenario:
     """Device + tenant parameters of the noisy-neighbor experiments.
 
-    The defaults are sized so the whole sweep (solo + four arbiters) runs
-    in seconds: a small 8-channel device, a reader namespace large enough
-    to defeat the data cache, and a writer whose bursts transiently exceed
-    the device's flush bandwidth without permanently saturating it.
+    The defaults pair :data:`NOISY_NEIGHBOR_DEVICE` with a reader namespace
+    large enough to defeat the data cache and a writer whose bursts
+    transiently exceed the device's flush bandwidth without permanently
+    saturating it.
     """
 
-    scheme: str = "LeaFTL"
-    capacity_bytes: int = 192 * 1024 * 1024
-    page_size: int = 4096
-    channels: int = 8
-    #: Many dies per channel keep the program *bus* share small
-    #: (``write_latency / dies``), so flush bursts contend with reads
-    #: through queueing rather than monopolising the buses outright —
-    #: the regime where admission arbitration has leverage.
-    dies_per_channel: int = 32
-    pages_per_block: int = 64
-    dram_bytes: int = 2 * 1024 * 1024
-    #: Small write buffer: short flush batches keep per-channel busy
-    #: windows brief (a flush programs its open block serially).
-    write_buffer_bytes: int = 128 * 1024
-    #: Device slots (NVMe queue depth shared by all tenants).  Modest on
-    #: purpose: every slot a writer command holds has its flush chained
-    #: onto the channel reservations, so deep queues let the noisy
-    #: neighbor reserve the NAND far ahead of the reader's arrivals.
-    queue_depth: int = 4
-    gamma: int = 4
-    #: GC scheduling of the device under test (``"sync"`` or
-    #: ``"background"``); the determinism harness runs the background
-    #: pipeline so its event interleaving is covered by the double run.
-    gc_mode: str = "sync"
+    #: The LeaFTL device under test; the determinism harness runs it with
+    #: background GC so that event interleaving is covered by the double run.
+    device: ExperimentSetup = NOISY_NEIGHBOR_DEVICE
 
     # Reader tenant (latency-sensitive).
     reader_pages: int = 8192
     reader_requests: int = 2000
-    reader_interarrival_us: float = 150.0
-    reader_npages: int = 16
-    reader_zipf_alpha: float = 0.9
-    reader_weight: int = 8
-    reader_slo_us: float = 1000.0
     reader_seed: int = 101
 
     # Writer tenant (noisy neighbor).
     writer_requests: int = 640
-    writer_npages: int = 32
-    writer_interarrival_us: float = 30.0
     writer_burst_length: int = 32
     writer_burst_gap_us: float = 15_000.0
     #: Fraction of the writer namespace pre-filled during warm-up.
     writer_prefill_fraction: float = 0.1
-
-    def setup(self, arbiter: str) -> ExperimentSetup:
-        return ExperimentSetup(
-            capacity_bytes=self.capacity_bytes,
-            page_size=self.page_size,
-            channels=self.channels,
-            dies_per_channel=self.dies_per_channel,
-            pages_per_block=self.pages_per_block,
-            dram_bytes=self.dram_bytes,
-            write_buffer_bytes=self.write_buffer_bytes,
-            queue_depth=self.queue_depth,
-            gamma=self.gamma,
-            arbiter=arbiter,
-            gc_mode=self.gc_mode,
-            warmup=False,
-        )
 
     def scaled(self, **overrides: object) -> "NoisyNeighborScenario":
         return replace(self, **overrides)  # type: ignore[arg-type]
@@ -121,14 +110,14 @@ def build_tenant_host(
     statistics are then reset so the measured phase reports steady state
     only.
     """
-    ssd = build_ssd(scenario.scheme, scenario.setup(arbiter))
-    host = HostInterface(ssd)
+    ssd = build_ssd("LeaFTL", scenario.device)
+    host = HostInterface(ssd, arbiter=arbiter)
     host.add_namespace(
         "reader",
         size_pages=scenario.reader_pages,
-        weight=scenario.reader_weight,
+        weight=READER_WEIGHT,
         priority=0,
-        slo_read_us=scenario.reader_slo_us,
+        slo_read_us=READER_SLO_US,
     )
     host.add_namespace("writer", weight=1, priority=1)
     writer_fill = int(
@@ -154,9 +143,9 @@ def reader_tenant(scenario: NoisyNeighborScenario) -> TenantWorkload:
         latency_sensitive_reader(
             scenario.reader_pages,
             scenario.reader_requests,
-            interarrival_us=scenario.reader_interarrival_us,
-            zipf_alpha=scenario.reader_zipf_alpha,
-            npages=scenario.reader_npages,
+            interarrival_us=READER_INTERARRIVAL_US,
+            zipf_alpha=READER_ZIPF_ALPHA,
+            npages=READER_NPAGES,
             seed=scenario.reader_seed,
         ),
         mode="open",
@@ -165,16 +154,16 @@ def reader_tenant(scenario: NoisyNeighborScenario) -> TenantWorkload:
 
 def writer_tenant(scenario: NoisyNeighborScenario) -> TenantWorkload:
     writer_pages = max(
-        scenario.writer_npages,
-        (scenario.capacity_bytes // scenario.page_size) - scenario.reader_pages,
+        WRITER_NPAGES,
+        scenario.device.ssd_config().logical_pages - scenario.reader_pages,
     )
     return TenantWorkload(
         "writer",
         sequential_writer(
             writer_pages,
             scenario.writer_requests,
-            npages=scenario.writer_npages,
-            interarrival_us=scenario.writer_interarrival_us,
+            npages=WRITER_NPAGES,
+            interarrival_us=WRITER_INTERARRIVAL_US,
             burst_length=scenario.writer_burst_length,
             burst_gap_us=scenario.writer_burst_gap_us,
         ),
@@ -250,29 +239,23 @@ def noisy_neighbor_sweep(
 
 def rate_limit_comparison(
     scenario: Optional[NoisyNeighborScenario] = None,
-    writer_bandwidth_pages_per_s: float = 60_000.0,
-    arbiter: str = "round_robin",
 ) -> Dict[str, Dict[str, Dict[str, object]]]:
     """Token-bucket QoS: the same scenario with and without a writer cap.
 
-    Arbitration shares the *admission* fairly but cannot stop an admitted
-    write burst from flooding the write buffer and flash channels; a
-    bandwidth token bucket on the writer namespace throttles the burst at
-    the source.  Returns ``{"uncapped": ..., "capped": ...}`` tenant
-    metric tables; expect the capped writer to show rate-limit deferrals
-    and the reader a lower p99.
+    Arbitration (plain round-robin here) shares the *admission* fairly but
+    cannot stop an admitted write burst from flooding the write buffer and
+    flash channels; a bandwidth token bucket on the writer namespace
+    (60 k pages/s) throttles the burst at the source.  Returns
+    ``{"uncapped": ..., "capped": ...}`` tenant metric tables; expect the
+    capped writer to show rate-limit deferrals and the reader a lower p99.
     """
     scenario = scenario or NoisyNeighborScenario()
     table: Dict[str, Dict[str, Dict[str, object]]] = {}
     for label, capped in (("uncapped", False), ("capped", True)):
-        ssd, host = build_tenant_host(scenario, arbiter)
+        ssd, host = build_tenant_host(scenario, "round_robin")
         if capped:
             host.namespace("writer").limiters.append(
-                TokenBucket(
-                    writer_bandwidth_pages_per_s,
-                    burst=scenario.writer_npages * 4,
-                    unit="pages",
-                )
+                TokenBucket(60_000.0, burst=WRITER_NPAGES * 4, unit="pages")
             )
         before = device_snapshot(ssd, host=host)
         result = host.run([reader_tenant(scenario), writer_tenant(scenario)])

@@ -19,47 +19,28 @@ from typing import Dict, Sequence
 
 from repro.experiments.common import AGING_SEED, ExperimentSetup, aged_device
 
+#: Seed of the measured steady-state mix both studies replay.
+WORKLOAD_SEED = 23
 
-def _aging_setup(
-    overprovisioning: float,
-    gc_policy: str,
-    gc_mode: str,
-    queue_depth: int,
-    capacity_bytes: int,
-) -> ExperimentSetup:
-    """Device used by the steady-state GC studies.
-
-    Small blocks (64 pages) on 8 channels keep the over-provisioning knob
-    meaningful: the physical size is rounded up to whole blocks per channel,
-    and with the paper's 256-page blocks a small device would quantise every
-    OP ratio to nearly the same block count.
-    """
-    return ExperimentSetup(
-        capacity_bytes=capacity_bytes,
-        pages_per_block=64,
-        channels=8,
-        overprovisioning=overprovisioning,
-        gc_policy=gc_policy,
-        gc_mode=gc_mode,
-        queue_depth=queue_depth,
-        warmup=False,
-    )
+#: Device of the steady-state GC studies.  Small blocks (64 pages) on 8
+#: channels keep the over-provisioning knob meaningful: the physical size is
+#: rounded up to whole blocks per channel, and with the paper's 256-page
+#: blocks a small device would quantise every OP ratio to nearly the same
+#: block count.
+AGING_DEVICE = ExperimentSetup(
+    capacity_bytes=48 * 1024 * 1024, pages_per_block=64, channels=8
+)
 
 
 def aging_sweep(
     op_ratios: Sequence[float] = (0.08, 0.16, 0.28),
     policies: Sequence[str] = ("greedy", "cost_benefit", "d_choices"),
-    gc_mode: str = "sync",
-    scheme: str = "LeaFTL",
     num_requests: int = 6000,
-    queue_depth: int = 1,
-    capacity_bytes: int = 48 * 1024 * 1024,
-    seed: int = 23,
 ) -> Dict[str, Dict[float, Dict[str, float]]]:
     """policy -> over-provisioning ratio -> steady-state GC metrics.
 
-    Each cell builds a device with the given over-provisioning ratio and
-    victim policy, ages it into steady state with
+    Each cell builds a LeaFTL device (sync GC, depth 1) with the given
+    over-provisioning ratio and victim policy, ages it into steady state with
     :func:`repro.experiments.common.precondition` (sequential fill + skewed
     overwrites), then replays an overwrite-heavy Zipf mix and reports:
 
@@ -76,11 +57,9 @@ def aging_sweep(
     for policy in policies:
         row: Dict[float, Dict[str, float]] = {}
         for op_ratio in op_ratios:
-            setup = _aging_setup(
-                op_ratio, policy, gc_mode, queue_depth, capacity_bytes
-            )
+            setup = AGING_DEVICE.scaled(overprovisioning=op_ratio, gc_policy=policy)
             ssd, requests = aged_device(
-                scheme, setup, num_requests, aging_seed=AGING_SEED, workload_seed=seed
+                setup, num_requests, aging_seed=AGING_SEED, workload_seed=WORKLOAD_SEED
             )
             stats = ssd.run(requests)
             row[op_ratio] = {
@@ -94,31 +73,24 @@ def aging_sweep(
     return table
 
 
-def gc_mode_comparison(
-    gc_policy: str = "greedy",
-    overprovisioning: float = 0.12,
-    queue_depth: int = 8,
-    scheme: str = "LeaFTL",
-    num_requests: int = 6000,
-    capacity_bytes: int = 48 * 1024 * 1024,
-    seed: int = 23,
-) -> Dict[str, Dict[str, float]]:
+def gc_mode_comparison(num_requests: int = 6000) -> Dict[str, Dict[str, float]]:
     """gc_mode -> tail-latency/WAF metrics on a contended aged device.
 
-    Replays the identical steady-state workload at ``queue_depth`` with the
-    classic synchronous reclaim loop and with the background GC pipeline.
-    Background GC migrates one victim at a time between host requests, so
-    foreground reads stall behind at most one migration stage instead of a
-    whole multi-victim reclaim burst — the p99 read latency drops sharply
-    while WAF stays comparable (collection is deferred, not skipped).
+    Replays the identical steady-state workload at queue depth 8 (greedy
+    victims, 12 % over-provisioning, LeaFTL) with the classic synchronous
+    reclaim loop and with the background GC pipeline.  Background GC
+    migrates one victim at a time between host requests, so foreground
+    reads stall behind at most one migration stage instead of a whole
+    multi-victim reclaim burst — the p99 read latency drops sharply while
+    WAF stays comparable (collection is deferred, not skipped).
     """
     table: Dict[str, Dict[str, float]] = {}
     for gc_mode in ("sync", "background"):
-        setup = _aging_setup(
-            overprovisioning, gc_policy, gc_mode, queue_depth, capacity_bytes
+        setup = AGING_DEVICE.scaled(
+            overprovisioning=0.12, gc_mode=gc_mode, queue_depth=8
         )
         ssd, requests = aged_device(
-            scheme, setup, num_requests, aging_seed=AGING_SEED, workload_seed=seed
+            setup, num_requests, aging_seed=AGING_SEED, workload_seed=WORKLOAD_SEED
         )
         stats = ssd.run(requests)
         table[gc_mode] = {

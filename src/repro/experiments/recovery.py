@@ -23,8 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
-from repro.core.leaftl import LeaFTL
+from repro.experiments.common import ExperimentSetup, build_ssd
 from repro.sim.events import Event
 from repro.ssd.recovery import (
     CrashTimer,
@@ -33,31 +32,38 @@ from repro.ssd.recovery import (
     attach_checkpointer,
     recover,
 )
-from repro.ssd.ssd import SimulatedSSD, SSDOptions
+from repro.ssd.ssd import SimulatedSSD
 
 #: Checkpoint intervals (data pages between images) swept by the benchmark.
 DEFAULT_INTERVALS = (256, 1024, 4096)
+
+
+#: The device every recovery measurement crashes: ``SSDConfig.tiny``'s
+#: geometry at 24 MB with thin over-provisioning, so the overwrite burst
+#: has background GC in flight when the power fails.
+RECOVERY_DEVICE = ExperimentSetup(
+    capacity_bytes=24 * 1024 * 1024,
+    channels=4,
+    pages_per_block=64,
+    dram_bytes=2 * 1024 * 1024,
+    write_buffer_bytes=256 * 1024,
+    overprovisioning=0.10,
+    gamma=4,
+    compaction_interval_writes=20_000,
+    queue_depth=8,
+    gc_mode="background",
+)
 
 
 @dataclass(frozen=True)
 class RecoveryScenario:
     """Workload + crash point for one recovery measurement."""
 
-    capacity_bytes: int = 24 * 1024 * 1024
-    overprovisioning: float = 0.10
-    gamma: int = 4
     #: Overwrite-skewed requests after the sequential fill pass.
     num_requests: int = 2200
     #: Crash at the N-th host request issue (mid-write-burst).
     crash_after_issues: int = 2600
-    queue_depth: int = 8
     seed: int = 20
-
-    def ssd_config(self) -> SSDConfig:
-        return SSDConfig.tiny(
-            capacity_bytes=self.capacity_bytes,
-            overprovisioning=self.overprovisioning,
-        )
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,7 @@ class RecoveryOutcome:
 def crash_workload(scenario: RecoveryScenario) -> List[Tuple[str, int, int]]:
     """Sequential fill then Zipf-skewed overwrites (keeps GC busy)."""
     rng = random.Random(scenario.seed)
-    config = scenario.ssd_config()
-    footprint = int(config.logical_pages * 0.9)
+    footprint = int(RECOVERY_DEVICE.ssd_config().logical_pages * 0.9)
     requests: List[Tuple[str, int, int]] = []
     for lpa in range(0, footprint - 8, 8):
         requests.append(("W", lpa, 8))
@@ -108,16 +113,7 @@ def run_to_crash(
     a digest observer commits to the crashing event too.  Returns the
     powered-off device and the durability oracle (acked LPA -> PPA).
     """
-    config = scenario.ssd_config()
-    ftl = LeaFTL(
-        LeaFTLConfig(gamma=scenario.gamma, compaction_interval_writes=20_000)
-    )
-    ssd = SimulatedSSD(
-        config,
-        ftl,
-        dram_budget=DRAMBudget(dram_bytes=config.dram_size),
-        options=SSDOptions(queue_depth=scenario.queue_depth, gc_mode="background"),
-    )
+    ssd = build_ssd("LeaFTL", RECOVERY_DEVICE)
     if interval_pages is not None:
         attach_checkpointer(ssd, interval_pages=interval_pages)
 

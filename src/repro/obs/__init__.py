@@ -20,8 +20,9 @@ Two pure post-processing layers turn those artifacts into explanations:
 * :mod:`repro.obs.report` — deterministic markdown renderers for the
   analyzer and differ reports.
 
-Enable per run via ``SSDOptions(telemetry="on")`` /
-``ExperimentSetup(telemetry="on")`` or :func:`attach_telemetry`; run
+Enable per run via ``SSDOptions(telemetry="on")`` or
+:func:`attach_telemetry` (on a harness-built device:
+``attach_telemetry(build_ssd(scheme, setup), "on")``); run
 ``python -m repro.obs run --scenario multi_tenant --out DIR`` for a
 ready-made traced scenario, then ``python -m repro.obs analyze DIR`` and
 ``python -m repro.obs diff DIR_A DIR_B`` over the artifacts.  Observers
@@ -49,12 +50,7 @@ from repro.obs.registry import (
     device_snapshot,
     snapshot_stats,
 )
-from repro.obs.session import (
-    TELEMETRY_MODES,
-    Telemetry,
-    TelemetryConfig,
-    attach_telemetry,
-)
+from repro.obs.session import TELEMETRY_MODES, Telemetry, attach_telemetry
 from repro.obs.report import render_diff, render_report
 from repro.obs.tracing import DEFAULT_TRACE_CAPACITY, Tracer
 
@@ -68,7 +64,6 @@ __all__ = [
     "REGISTERED_STATS",
     "TELEMETRY_MODES",
     "Telemetry",
-    "TelemetryConfig",
     "Tracer",
     "analyze_artifacts",
     "attach_telemetry",

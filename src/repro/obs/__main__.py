@@ -92,10 +92,8 @@ def run_steady_state(scale: float, seed: int) -> Tuple[Any, Any]:
         pages_per_block=64,
         queue_depth=8,
         gc_mode="background",
-        warmup=False,
     )
     ssd, requests = aged_device(
-        "LeaFTL",
         setup,
         num_requests=max(64, int(4000 * scale)),
         aging_seed=seed,

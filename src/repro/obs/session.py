@@ -1,4 +1,4 @@
-"""Telemetry session: configuration, attachment and artifact export.
+"""Telemetry session: attachment and artifact export.
 
 One :class:`Telemetry` object owns whatever collectors a run enables —
 a :class:`~repro.obs.tracing.Tracer`, a
@@ -28,68 +28,29 @@ rather than displacing it.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from typing import Any, Dict, Optional
 
-from repro.obs.metrics import DEFAULT_METRICS_INTERVAL_US, MetricsSampler
+from repro.obs.metrics import MetricsSampler
 from repro.obs.registry import device_snapshot
-from repro.obs.tracing import DEFAULT_TRACE_CAPACITY, Tracer
+from repro.obs.tracing import Tracer
 from repro.sim.events import Event
 
-#: Accepted values of ``SSDOptions.telemetry`` / ``ExperimentSetup.telemetry``.
+#: Accepted values of ``SSDOptions.telemetry`` / :func:`attach_telemetry`.
 TELEMETRY_MODES = ("off", "trace", "metrics", "on")
-
-
-@dataclasses.dataclass(frozen=True)
-class TelemetryConfig:
-    """What to collect and how much memory to spend on it."""
-
-    mode: str = "off"
-    trace_capacity: int = DEFAULT_TRACE_CAPACITY
-    metrics_interval_us: float = DEFAULT_METRICS_INTERVAL_US
-
-    def __post_init__(self) -> None:
-        if self.mode not in TELEMETRY_MODES:
-            raise ValueError(f"telemetry mode must be one of {TELEMETRY_MODES}")
-
-    @classmethod
-    def coerce(cls, value: Any) -> "TelemetryConfig":
-        """Accept a mode string or an existing config."""
-        if isinstance(value, TelemetryConfig):
-            return value
-        if isinstance(value, str):
-            return cls(mode=value)
-        raise TypeError(f"telemetry must be a mode string or TelemetryConfig, got {value!r}")
-
-    @property
-    def tracing(self) -> bool:
-        return self.mode in ("trace", "on")
-
-    @property
-    def metrics(self) -> bool:
-        return self.mode in ("metrics", "on")
 
 
 class Telemetry:
     """The per-device telemetry session the SSD model calls into."""
 
-    def __init__(
-        self,
-        ssd: Any,
-        config: TelemetryConfig,
-        host: Any = None,
-    ) -> None:
-        self.config = config
+    def __init__(self, ssd: Any, mode: str, host: Any = None) -> None:
+        if mode not in TELEMETRY_MODES:
+            raise ValueError(f"telemetry mode must be one of {TELEMETRY_MODES}")
         self._ssd = ssd
         self._host = host
-        self.tracer: Optional[Tracer] = (
-            Tracer(capacity=config.trace_capacity) if config.tracing else None
-        )
+        self.tracer: Optional[Tracer] = Tracer() if mode in ("trace", "on") else None
         self.sampler: Optional[MetricsSampler] = (
-            MetricsSampler(ssd, host=host, interval_us=config.metrics_interval_us)
-            if config.metrics
-            else None
+            MetricsSampler(ssd, host=host) if mode in ("metrics", "on") else None
         )
         if self.tracer is not None:
             # Attachment is the one sanctioned mutation: installing the
@@ -186,21 +147,17 @@ class Telemetry:
 
 def attach_telemetry(
     ssd: Any,
-    telemetry: Any = "on",
+    telemetry: str = "on",
     host: Any = None,
 ) -> Optional[Telemetry]:
     """Create a :class:`Telemetry` for ``ssd`` and install it.
 
-    ``telemetry`` is a mode string (see :data:`TELEMETRY_MODES`) or a
-    :class:`TelemetryConfig`.  Mode ``"off"`` leaves ``ssd.telemetry``
-    as ``None`` — the zero-cost disabled path — and returns ``None``.
-    ``host`` (a :class:`repro.host.interface.HostInterface`) adds
-    per-namespace queue-depth columns to the sampler.
+    ``telemetry`` is a mode string (see :data:`TELEMETRY_MODES`).  Mode
+    ``"off"`` leaves ``ssd.telemetry`` as ``None`` — the zero-cost disabled
+    path — and returns ``None``.  ``host`` (a
+    :class:`repro.host.interface.HostInterface`) adds per-namespace
+    queue-depth columns to the sampler.
     """
-    config = TelemetryConfig.coerce(telemetry)
-    if config.mode == "off":
-        ssd.set_telemetry(None)
-        return None
-    session = Telemetry(ssd, config, host=host)
+    session = None if telemetry == "off" else Telemetry(ssd, telemetry, host=host)
     ssd.set_telemetry(session)
     return session

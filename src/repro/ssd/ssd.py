@@ -107,11 +107,10 @@ from repro.ssd.gc import (
     BackgroundGCController,
     GCPolicy,
     GCPolicyConfig,
-    GreedyGCPolicy,
     make_gc_policy,
 )
 from repro.ssd.stats import SSDStats
-from repro.ssd.wear_leveling import WearLeveler, WearLevelingConfig
+from repro.ssd.wear_leveling import WearLeveler
 from repro.ssd.write_buffer import WriteBuffer
 
 
@@ -164,9 +163,7 @@ class SimulatedSSD:
         ftl: FTL,
         dram_budget: Optional[DRAMBudget] = None,
         options: Optional[SSDOptions] = None,
-        gc_config: Optional[GCPolicyConfig] = None,
-        gc_policy: Optional[GCPolicy | str] = None,
-        wear_config: Optional[WearLevelingConfig] = None,
+        gc_policy: GCPolicy | str = "greedy",
     ) -> None:
         self.config = config
         self.ftl = ftl
@@ -198,18 +195,15 @@ class SimulatedSSD:
             sort_on_flush=self.options.sort_buffer_on_flush,
         )
         self.cache = LRUDataCache(capacity_pages=self._cache_capacity_pages())
-        policy_config = gc_config or GCPolicyConfig(
-            threshold=config.gc_threshold, restore=config.gc_restore
-        )
-        if gc_policy is None:
-            self.gc_policy: GCPolicy = GreedyGCPolicy(policy_config)
-        elif isinstance(gc_policy, str):
-            self.gc_policy = make_gc_policy(gc_policy, policy_config)
-        else:
-            self.gc_policy = gc_policy
+        if isinstance(gc_policy, str):
+            gc_policy = make_gc_policy(
+                gc_policy,
+                GCPolicyConfig(threshold=config.gc_threshold, restore=config.gc_restore),
+            )
+        self.gc_policy: GCPolicy = gc_policy
         #: The one reclaim mechanism (threshold, urgent, wear, background).
         self.gc = BackgroundGCController(self, self.gc_policy)
-        self.wear_leveler = WearLeveler(wear_config)
+        self.wear_leveler = WearLeveler()
         self.stats = SSDStats()
 
         #: Ground truth of the live flash page of every LPA (page validity).

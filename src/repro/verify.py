@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.multi_tenant import (
+    NOISY_NEIGHBOR_DEVICE,
     NoisyNeighborScenario,
     build_tenant_host,
     reader_tenant,
@@ -111,11 +112,12 @@ def verify_scenario(seed: int = 1234, scale: float = 1.0) -> NoisyNeighborScenar
     smoke runs.
     """
     return NoisyNeighborScenario(
-        capacity_bytes=64 * 1024 * 1024,
-        channels=4,
-        dies_per_channel=4,
-        pages_per_block=64,
-        gc_mode="background",
+        device=NOISY_NEIGHBOR_DEVICE.scaled(
+            capacity_bytes=64 * 1024 * 1024,
+            channels=4,
+            dies_per_channel=4,
+            gc_mode="background",
+        ),
         reader_pages=4096,
         reader_requests=max(16, int(1200 * scale)),
         reader_seed=seed,

@@ -9,14 +9,11 @@ from repro.workloads.database import (
     database_profile,
     database_workload,
 )
-from repro.workloads.fiu import FIU_PROFILES, FIU_WORKLOAD_NAMES, fiu_profile, fiu_workload
-from repro.workloads.msr import MSR_PROFILES, MSR_WORKLOAD_NAMES, msr_profile, msr_workload
 from repro.workloads.multi_tenant import (
     TenantWorkload,
     fill_namespace,
     latency_sensitive_reader,
     sequential_writer,
-    tenant_trace,
 )
 from repro.workloads.parser import (
     TraceParseError,
@@ -25,12 +22,16 @@ from repro.workloads.parser import (
     write_msr_trace,
 )
 from repro.workloads.synthetic import (
+    FIU_WORKLOAD_NAMES,
+    MSR_WORKLOAD_NAMES,
+    SYNTHETIC_PROFILES,
     SyntheticWorkload,
     WorkloadProfile,
     generate,
     jittered_run,
     sequential_run,
     strided_run,
+    synthetic_workload,
     zipf_lpa,
 )
 from repro.workloads.trace import IORequest, READ, Trace, WRITE
@@ -43,19 +44,13 @@ __all__ = [
     "DatabaseWorkload",
     "database_profile",
     "database_workload",
-    "FIU_PROFILES",
     "FIU_WORKLOAD_NAMES",
-    "fiu_profile",
-    "fiu_workload",
-    "MSR_PROFILES",
     "MSR_WORKLOAD_NAMES",
-    "msr_profile",
-    "msr_workload",
+    "SYNTHETIC_PROFILES",
     "TenantWorkload",
     "fill_namespace",
     "latency_sensitive_reader",
     "sequential_writer",
-    "tenant_trace",
     "TraceParseError",
     "parse_msr_line",
     "parse_msr_trace",
@@ -66,6 +61,7 @@ __all__ = [
     "jittered_run",
     "sequential_run",
     "strided_run",
+    "synthetic_workload",
     "zipf_lpa",
     "IORequest",
     "READ",

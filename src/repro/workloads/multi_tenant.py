@@ -13,10 +13,9 @@ noisy-neighbor scenario the QoS experiments study:
   flushes and GC fallout monopolise flash channels and, without
   arbitration, the shared submission queue.
 
-Arbitrary mixes are composed from the existing generators:
-:func:`tenant_trace` stamps any synthetic :class:`WorkloadProfile` (or an
-already built :class:`Trace`) with open-loop arrival times, so every
-workload in the repertoire can play the tenant role.
+Any other :class:`Trace` can play a tenant too
+(``trace.with_interarrival()`` stamps a synthetic one for open-loop
+admission).
 
 All generators are deterministic given their seeds, and every stream
 addresses *namespace-relative* LPAs starting at 0 — the host interface
@@ -27,9 +26,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
-from repro.workloads.synthetic import SyntheticWorkload, WorkloadProfile, zipf_lpa
+from repro.workloads.synthetic import zipf_lpa
 from repro.workloads.trace import IORequest, READ, Trace, WRITE
 
 
@@ -83,7 +82,6 @@ def sequential_writer(
     interarrival_us: float = 20.0,
     burst_length: int = 0,
     burst_gap_us: float = 0.0,
-    seed: int = 202,
     name: str = "writer",
 ) -> Trace:
     """Large sequential writes cycling over the namespace (noisy neighbor).
@@ -97,7 +95,6 @@ def sequential_writer(
     """
     if footprint_pages < npages:
         raise ValueError("footprint_pages must be at least npages")
-    del seed  # Reserved for future jittered variants; kept for API symmetry.
     requests: List[IORequest] = []
     lpa = 0
     clock = 0.0
@@ -114,26 +111,6 @@ def sequential_writer(
         else:
             clock += interarrival_us
     return Trace(name, requests)
-
-
-def tenant_trace(
-    workload: Union[Trace, WorkloadProfile],
-    interarrival_us: Optional[float] = None,
-) -> Trace:
-    """Adapt any synthetic profile or existing trace into a tenant stream.
-
-    Profiles are generated with the standard synthetic machinery; when
-    ``interarrival_us`` is given, timestamp-less traces are stamped for
-    open-loop admission (traces already carrying timestamps keep them).
-    """
-    trace = (
-        SyntheticWorkload(workload).generate()
-        if isinstance(workload, WorkloadProfile)
-        else workload
-    )
-    if interarrival_us is not None:
-        trace = trace.with_interarrival(interarrival_us)
-    return trace
 
 
 def fill_namespace(size_pages: int, extent: int = 64, name: str = "fill") -> Trace:

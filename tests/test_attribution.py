@@ -26,6 +26,7 @@ if str(REPO) not in sys.path:
 
 from repro.config import SSDConfig
 from repro.experiments.multi_tenant import (
+    READER_SLO_US,
     NoisyNeighborScenario,
     build_tenant_host,
     reader_tenant,
@@ -378,4 +379,4 @@ class TestScorecard:
             assert entry["slo_violations"] >= 0.0
         # The reader's SLO gauge came from the absolute snapshot, not the
         # (zeroed) measured-phase delta.
-        assert table["scorecard"]["reader"]["slo_read_us"] == scenario.reader_slo_us
+        assert table["scorecard"]["reader"]["slo_read_us"] == READER_SLO_US

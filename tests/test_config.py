@@ -68,7 +68,6 @@ class TestLeaFTLConfig:
         config = LeaFTLConfig()
         assert config.gamma == 0
         assert config.group_size == 256
-        assert config.segment_bytes == 8
         assert config.compaction_interval_writes == 1_000_000
 
     def test_negative_gamma_rejected(self):

@@ -24,7 +24,7 @@ class TestScenarioShape:
 
     def test_uses_background_gc_and_wrr(self):
         scenario = verify_scenario()
-        assert scenario.gc_mode == "background"
+        assert scenario.device.gc_mode == "background"
         assert VERIFY_ARBITER == "weighted_round_robin"
 
     def test_tenants_mix_reads_and_writes(self):

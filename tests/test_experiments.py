@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import pkgutil
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.experiments
+from repro.config import SSDConfig
 from repro.experiments import common
 from repro.experiments.common import (
     ALL_WORKLOADS,
@@ -12,6 +21,7 @@ from repro.experiments.common import (
     SCHEMES,
     SIMULATOR_WORKLOADS,
     axis_grid,
+    bench_scale,
     build_ftl,
     build_ssd,
     memoised_cell,
@@ -83,6 +93,54 @@ class TestBuilders:
         assert build_ssd("LeaFTL", FAST.scaled(gamma=16)).ftl.gamma == 16
 
 
+class TestSettableSurface:
+    """What ``python -m tools.option_census`` counts stays where it was put."""
+
+    def test_no_scenario_redeclares_a_device_field(self):
+        device = {
+            field.name
+            for cls in (ExperimentSetup, SSDConfig)
+            for field in dataclasses.fields(cls)
+        }
+        scenarios = [
+            obj
+            for info in pkgutil.iter_modules(repro.experiments.__path__)
+            for name, obj in vars(
+                importlib.import_module(f"repro.experiments.{info.name}")
+            ).items()
+            if name.endswith("Scenario") and dataclasses.is_dataclass(obj)
+        ]
+        assert len(scenarios) >= 2
+        for scenario in scenarios:
+            own = {field.name for field in dataclasses.fields(scenario)}
+            assert own & device == set(), scenario.__name__
+
+    def test_bench_scale_is_the_only_environment_variable(self):
+        repo = Path(__file__).resolve().parent.parent
+        if str(repo) not in sys.path:
+            sys.path.insert(0, str(repo))
+        from tools.option_census import census, surfaces
+
+        reads = [
+            read
+            for read in census(surfaces())[1]
+            if re.match(r"src/|benchmarks/[^/]+\.py:", read)
+        ]
+        assert len(reads) == 1 and "REPRO_BENCH_SCALE" in reads[0], reads
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "0", "nan", "inf"])
+    def test_bad_bench_scale_fails_by_name(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", value)
+        with pytest.raises(ValueError, match="REPRO_BENCH_SCALE must be a finite number > 0"):
+            bench_scale()
+
+    def test_bench_scale_reads_the_variable(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+        assert bench_scale() == 1.0
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+        assert bench_scale() == 0.1
+
+
 class TestRunExperiment:
     def test_run_without_warmup(self):
         setup = FAST.scaled(warmup=False)
@@ -146,8 +204,9 @@ def built(monkeypatch):
 class TestMemoisedCell:
     """A cell is simulated once per process and then shared."""
 
-    #: Seeds no other test uses, so these cells start out uncached.
-    SETUP = FAST.scaled(warmup=False, gamma=4, seed=1501)
+    #: ``warmup_fraction`` is unread without a warm-up: values no other
+    #: test uses, so these cells start out uncached.
+    SETUP = FAST.scaled(warmup=False, gamma=4, warmup_fraction=0.1501)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_memoised_cell_equals_fresh_run(self, scheme):
@@ -165,7 +224,7 @@ class TestMemoisedCell:
         assert run_experiment("FIU-mail", "LeaFTL", self.SETUP) is first
         # An equal setup built separately is the same cell; the replay mode
         # is part of the setup, so a different one is a different cell.
-        equal = FAST.scaled(warmup=False, gamma=4, seed=1501)
+        equal = FAST.scaled(warmup=False, gamma=4, warmup_fraction=0.1501)
         assert run_experiment("FIU-mail", "LeaFTL", equal) is first
         assert built == ["LeaFTL"]
         opened = run_experiment("FIU-mail", "LeaFTL", equal.scaled(replay_mode="open"))
@@ -174,7 +233,7 @@ class TestMemoisedCell:
         assert opened.stats.max_outstanding_requests > 1
 
     def test_explicit_trace_bypasses_the_memo(self, built):
-        setup = self.SETUP.scaled(seed=1502)
+        setup = self.SETUP.scaled(warmup_fraction=0.1502)
         trace = workload_for_setup("FIU-mail", setup)
         before = memoised_cell.cache_info()
         first = run_experiment("FIU-mail", "LeaFTL", setup, trace=trace)
@@ -218,7 +277,7 @@ class TestGrids:
     def test_axis_grid_shares_cells_with_scheme_grid(self, built):
         """The gamma = 0 column of the axis grid is the LeaFTL column of the
         scheme grid — the overlap figures 5/10/12/15/19/20 no longer pay for."""
-        setup = self.SETUP.scaled(seed=1503)
+        setup = self.SETUP.scaled(warmup_fraction=0.1503)
         by_scheme = scheme_grid(("MSR-hm",), SCHEMES, setup)
         by_gamma = axis_grid(("MSR-hm",), "gamma", (0, 4), setup)
         assert by_gamma["MSR-hm"][0] is by_scheme["MSR-hm"]["LeaFTL"]

@@ -9,7 +9,6 @@ most recently recorded mapping, and with ``gamma = 0`` it is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -135,8 +134,8 @@ class TestMemoryAccounting:
     @settings(max_examples=40, deadline=None)
     def test_running_total_is_the_sum_over_groups(self, gamma, seed):
         """``memory_bytes()`` keeps a running total; after any mix of
-        updates, compactions, checkpoint restores and overhead changes it
-        is what a fresh sum over every group gives."""
+        updates, compactions and checkpoint restores it is what a fresh
+        sum over every group gives."""
         rng = random.Random(seed)
         table = make_table(gamma=gamma)
         ppa = 0
@@ -147,24 +146,18 @@ class TestMemoryAccounting:
                 lpas = sorted({start + rng.randrange(0, 300) for _ in range(rng.randint(1, 48))})
                 table.update([(lpa, ppa + i) for i, lpa in enumerate(lpas)])
                 ppa += len(lpas)
-            elif kind < 0.8:
+            elif kind < 0.85:
                 table.compact()
-            elif kind < 0.9:
+            else:
                 table = LogStructuredMappingTable.from_checkpoint(
                     table.serialize_checkpoint(), table.config
                 )
-            else:
-                table.config = replace(
-                    table.config, level_overhead_bytes=rng.choice((0, 4, 16))
-                )
             if rng.random() < 0.6:  # else let several mutations pile up
-                overhead = table.config.level_overhead_bytes
                 assert table.memory_bytes() == sum(
-                    group.memory_bytes(overhead) for group in table.groups()
+                    group.memory_bytes() for group in table.groups()
                 )
-        overhead = table.config.level_overhead_bytes
         assert table.memory_bytes() == sum(
-            group.memory_bytes(overhead) for group in table.groups()
+            group.memory_bytes() for group in table.groups()
         )
 
     def test_stats_track_learning(self):

@@ -116,20 +116,6 @@ class TestNonPerturbation:
         assert ssd.telemetry.tracer is not None
         assert ssd.telemetry.sampler is None
 
-    def test_experiment_setup_passthrough(self):
-        setup = ExperimentSetup(
-            capacity_bytes=16 * 1024 * 1024,
-            channels=2,
-            dies_per_channel=2,
-            pages_per_block=64,
-            warmup=False,
-            telemetry="metrics",
-        )
-        ssd = build_ssd("DFTL", setup)
-        assert ssd.telemetry is not None
-        assert ssd.telemetry.sampler is not None
-        assert ssd.telemetry.tracer is None
-
 
 class TestObserverComposition:
     def test_crash_timer_and_tracer_coexist(self):
@@ -230,11 +216,12 @@ class TestMetricsFidelity:
             pages_per_block=64,
             queue_depth=1,
             warmup=False,
-            telemetry="metrics",
         )
         ssd = build_ssd("DFTL", setup)
+        telemetry = attach_telemetry(ssd, "metrics")
+        assert telemetry.tracer is None
         ssd.run([("W", (i * 13) % 3000, 8) for i in range(1500)])
-        sampler = ssd.telemetry.sampler
+        sampler = telemetry.sampler
         assert sampler.samples > 1
         assert sampler.last("time_us") == ssd.stats.simulated_time_us
 

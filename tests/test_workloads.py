@@ -11,21 +11,20 @@ from repro.workloads import (
     DATABASE_WORKLOAD_NAMES,
     FIU_WORKLOAD_NAMES,
     MSR_WORKLOAD_NAMES,
+    SYNTHETIC_PROFILES,
     IORequest,
     Trace,
     WorkloadProfile,
     database_workload,
-    fiu_workload,
     generate,
     jittered_run,
-    msr_workload,
     parse_msr_trace,
     sequential_run,
     strided_run,
+    synthetic_workload,
     write_msr_trace,
     zipf_lpa,
 )
-from repro.workloads.msr import msr_profile
 
 
 class TestTrace:
@@ -109,23 +108,19 @@ class TestProfiles:
             )
 
     def test_generation_is_deterministic(self):
-        profile = msr_profile("hm").scaled(0.02)
+        profile = SYNTHETIC_PROFILES["MSR-hm"].scaled(0.02)
         a = generate(profile)
         b = generate(profile)
         assert [r.as_tuple() for r in a] == [r.as_tuple() for r in b]
 
     @pytest.mark.parametrize("name", MSR_WORKLOAD_NAMES + FIU_WORKLOAD_NAMES)
     def test_named_profiles_generate(self, name):
-        if name.startswith("MSR"):
-            trace = msr_workload(name, request_scale=0.02)
-        else:
-            trace = fiu_workload(name, request_scale=0.02)
+        trace = synthetic_workload(name, request_scale=0.02)
         assert len(trace) > 0
         assert trace.name == name
         # The generated mix respects the profile's read ratio within tolerance.
-        profile = msr_profile(name) if name.startswith("MSR") else None
-        if profile is not None:
-            assert abs(trace.read_ratio - profile.read_ratio) < 0.15
+        if name.startswith("MSR"):
+            assert abs(trace.read_ratio - SYNTHETIC_PROFILES[name].read_ratio) < 0.15
 
     @pytest.mark.parametrize("name", DATABASE_WORKLOAD_NAMES)
     def test_database_workloads_generate(self, name):
@@ -135,14 +130,12 @@ class TestProfiles:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
-            msr_workload("nope")
-        with pytest.raises(KeyError):
-            fiu_workload("nope")
+            synthetic_workload("nope")
         with pytest.raises(KeyError):
             database_workload("nope")
 
     def test_scaling_reduces_requests(self):
-        full = msr_profile("usr")
+        full = SYNTHETIC_PROFILES["MSR-usr"]
         scaled = full.scaled(request_scale=0.1)
         assert scaled.num_requests == pytest.approx(full.num_requests * 0.1, rel=0.01)
 
