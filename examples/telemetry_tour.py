@@ -100,7 +100,7 @@ def main() -> None:
     after = device_snapshot(ssd, host=host)
     # The run differ doubles as a "what moved" lens within one run: diff
     # the before/after snapshots with base=0 semantics for new activity.
-    diff = diff_counters(before.as_dict(), after.as_dict(), rel_threshold=0.05)
+    diff = diff_counters(before.as_dict(), after.as_dict())
     movers = [
         row for row in diff["changed"] if not row["counter"].endswith("_us")
     ]

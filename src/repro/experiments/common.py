@@ -416,6 +416,10 @@ def memoised_cell(workload: str, scheme: str, setup: ExperimentSetup) -> Experim
 OPEN_LOOP_INTERARRIVAL_US = 20.0
 
 
+class MappingBudgetExceeded(RuntimeError):
+    """A LeaFTL cell's learned table outgrew the DRAM its setup gives it."""
+
+
 def simulate(
     workload: str, scheme: str, setup: ExperimentSetup, replay: Trace
 ) -> ExperimentResult:
@@ -428,6 +432,17 @@ def simulate(
     stats = ssd.run(replay, replay_mode=setup.replay_mode)
 
     ftl = ssd.ftl
+    # DFTL and SFTL pay translation-page misses over their mapping budget;
+    # LeaFTL accepts the budget and keeps its whole table resident, so a cell
+    # over budget would compare it on DRAM the others do not get.
+    budget = setup.dram_budget().mapping_budget()
+    if isinstance(ftl, LeaFTL) and stats.peak_mapping_bytes > budget:
+        raise MappingBudgetExceeded(
+            f"{workload} / {scheme} gamma={setup.gamma}: the learned table peaked at "
+            f"{stats.peak_mapping_bytes} B, over the {budget} B mapping budget of "
+            f"{setup.dram_bytes} B DRAM ({setup.dram_policy}); LeaFTL models no "
+            "demand paging, so this cell cannot be simulated fairly"
+        )
     result = ExperimentResult(
         workload=workload,
         scheme=scheme,

@@ -5,8 +5,9 @@ Three always-available, zero-cost-when-disabled layers over the simulator:
 * :mod:`repro.obs.tracing` — :class:`Tracer` reconstructs per-request /
   GC / NAND lifecycle spans from the event stream and exports Chrome
   trace-event JSON (load in Perfetto or ``chrome://tracing``);
-* :mod:`repro.obs.metrics` — :class:`MetricsSampler` snapshots device
-  gauges on a simulated-time interval into a columnar series (CSV/JSON);
+* :mod:`repro.obs.metrics` — :class:`~repro.obs.metrics.MetricsSampler`
+  snapshots device gauges on a simulated-time interval into a columnar
+  series (``metrics.json``);
 * :mod:`repro.obs.registry` — :func:`device_snapshot` walks every
   registered ``*Stats`` dataclass into one flat namespaced
   :class:`CounterSnapshot` with a delta API.
@@ -16,7 +17,7 @@ Two pure post-processing layers turn those artifacts into explanations:
 * :mod:`repro.obs.analyze` — per-percentile critical-path latency
   attribution (:func:`analyze_artifacts`), tail-blame clustering, the
   per-namespace SLO scorecard (:func:`namespace_scorecard`) and the run
-  differ (:func:`diff_runs` / :func:`diff_counters`);
+  differ (:func:`repro.obs.analyze.diff_runs` / :func:`diff_counters`);
 * :mod:`repro.obs.report` — deterministic markdown renderers for the
   analyzer and differ reports.
 
@@ -36,34 +37,21 @@ from repro.obs.analyze import (
     attribute_requests,
     diff_counters,
     diff_metrics,
-    diff_runs,
     load_artifacts,
     namespace_scorecard,
     request_spans,
     tail_blame,
 )
-from repro.obs.metrics import DEFAULT_METRICS_INTERVAL_US, MetricsSampler
-from repro.obs.registry import (
-    CounterSnapshot,
-    EXCLUDED_FIELDS,
-    REGISTERED_STATS,
-    device_snapshot,
-    snapshot_stats,
-)
-from repro.obs.session import TELEMETRY_MODES, Telemetry, attach_telemetry
+from repro.obs.registry import CounterSnapshot, device_snapshot, snapshot_stats
 from repro.obs.report import render_diff, render_report
-from repro.obs.tracing import DEFAULT_TRACE_CAPACITY, Tracer
+from repro.obs.session import attach_telemetry
+from repro.obs.tracing import Tracer
 
+#: What something outside the package imports from ``repro.obs`` itself;
+#: the device and the harness import the submodules directly.
 __all__ = [
     "ArtifactError",
     "CounterSnapshot",
-    "DEFAULT_METRICS_INTERVAL_US",
-    "DEFAULT_TRACE_CAPACITY",
-    "EXCLUDED_FIELDS",
-    "MetricsSampler",
-    "REGISTERED_STATS",
-    "TELEMETRY_MODES",
-    "Telemetry",
     "Tracer",
     "analyze_artifacts",
     "attach_telemetry",
@@ -71,7 +59,6 @@ __all__ = [
     "device_snapshot",
     "diff_counters",
     "diff_metrics",
-    "diff_runs",
     "load_artifacts",
     "namespace_scorecard",
     "render_diff",

@@ -5,19 +5,19 @@ Four subcommands:
 ``run --scenario {multi_tenant,steady_state} --out DIR``
     Runs a named, GC-contended scenario with telemetry fully enabled and
     writes the artifacts into ``DIR``: ``trace.json`` (Chrome trace-event
-    JSON — load in Perfetto), ``metrics.csv`` / ``metrics.json`` (the
-    sampled gauge time-series) and ``counters.json`` (the final registry
-    snapshot).  The run cross-checks the sampled series against the final
-    scalar statistics before returning — the last sample's WAF and
-    free-block ratio must equal the end-of-run values.
+    JSON — load in Perfetto), ``metrics.json`` (the sampled gauge
+    time-series) and ``counters.json`` (the final registry snapshot).
+    The run cross-checks the sampled series against the final scalar
+    statistics before returning — the last sample's WAF and free-block
+    ratio must equal the end-of-run values.
 
-``check TRACE [--metrics CSV]``
-    Trace-schema sanity check used by CI: the file must be valid JSON
-    with non-decreasing timestamps and balanced, properly nested B/E
-    pairs per (pid, tid) track; the metrics CSV must have a header, at
-    least one row, and strictly increasing ``time_us``.
+``check TRACE [METRICS]``
+    Schema sanity check used by CI: the trace must be valid JSON with
+    non-decreasing timestamps and balanced, properly nested B/E pairs per
+    (pid, tid) track; the ``metrics.json`` series must have at least one
+    sample, columns of equal length and strictly increasing ``time_us``.
 
-``analyze ARTIFACTS [--out DIR] [--top K]``
+``analyze ARTIFACTS [--out DIR]``
     Post-processes an artifact directory into a latency-attribution and
     health report (:mod:`repro.obs.analyze`): per-percentile critical-path
     breakdowns, tail-blame clustering, recovery/GC summaries and the
@@ -25,12 +25,12 @@ Four subcommands:
     and ``report.md``; always prints the p99 headline blame.  Exit code 2
     on missing or malformed artifacts.
 
-``diff RUN_A RUN_B [--threshold REL] [--out DIR]``
+``diff RUN_A RUN_B [--out DIR]``
     Compares two runs' counter snapshots and metric series (aligned on
-    sim-time) into a thresholded regression report.  With ``--out``
-    writes ``diff.json`` and ``diff.md``.  Exit code 2 on missing or
-    malformed artifacts; 0 whether or not anything moved (the report
-    itself says what changed).
+    sim-time) into a regression report of what moved by 5 % or more.
+    With ``--out`` writes ``diff.json`` and ``diff.md``.  Exit code 2 on
+    missing or malformed artifacts; 0 whether or not anything moved (the
+    report itself says what changed).
 """
 
 from __future__ import annotations
@@ -39,20 +39,18 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.analyze import (
     ArtifactError,
     analyze_artifacts,
     diff_runs,
     load_artifacts,
+    load_metrics,
+    load_trace,
 )
 from repro.obs.report import render_diff, render_report
 from repro.obs.session import attach_telemetry
-
-#: Scenario registry of the ``run`` subcommand.
-SCENARIOS = ("multi_tenant", "steady_state")
-
 
 # --------------------------------------------------------------------------- #
 # Scenarios
@@ -104,30 +102,25 @@ def run_steady_state(scale: float, seed: int) -> Tuple[Any, Any]:
     return ssd, telemetry
 
 
+#: Scenario registry of the ``run`` subcommand.
+SCENARIOS = {"multi_tenant": run_multi_tenant, "steady_state": run_steady_state}
+
+
 def _cross_check(ssd: Any, telemetry: Any) -> List[str]:
     """The acceptance cross-check: last sampled gauges == final scalars."""
-    problems: List[str] = []
     sampler = telemetry.sampler
     if sampler is None or sampler.samples == 0:
         return ["no metrics samples were taken"]
-    final_waf = ssd.stats.write_amplification
-    if sampler.last("waf") != final_waf:
-        problems.append(
-            f"last sampled waf {sampler.last('waf')!r} != final {final_waf!r}"
-        )
-    final_free = float(ssd.allocator.free_block_count())
-    if sampler.last("free_blocks") != final_free:
-        problems.append(
-            f"last sampled free_blocks {sampler.last('free_blocks')!r} "
-            f"!= final {final_free!r}"
-        )
-    final_writes = float(ssd.stats.total_flash_page_writes)
-    if sampler.last("total_flash_page_writes") != final_writes:
-        problems.append(
-            f"last sampled total_flash_page_writes "
-            f"{sampler.last('total_flash_page_writes')!r} != final {final_writes!r}"
-        )
-    return problems
+    finals = {
+        "waf": ssd.stats.write_amplification,
+        "free_blocks": float(ssd.allocator.free_block_count()),
+        "total_flash_page_writes": float(ssd.stats.total_flash_page_writes),
+    }
+    return [
+        f"last sampled {column} {sampler.last(column)!r} != final {final!r}"
+        for column, final in finals.items()
+        if sampler.last(column) != final
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -135,6 +128,8 @@ def _cross_check(ssd: Any, telemetry: Any) -> List[str]:
 # --------------------------------------------------------------------------- #
 def check_trace_events(events: List[Dict[str, Any]]) -> List[str]:
     """Schema problems in a Chrome trace-event list (empty = clean)."""
+    if not events:
+        return ["empty trace"]
     problems: List[str] = []
     last_ts: Optional[float] = None
     stacks: Dict[Tuple[int, int], List[str]] = {}
@@ -180,51 +175,39 @@ def check_trace_events(events: List[Dict[str, Any]]) -> List[str]:
     return problems
 
 
-def check_trace_file(path: str) -> List[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: unreadable or invalid JSON ({exc})"]
-    events = payload.get("traceEvents")
-    if not isinstance(events, list):
-        return [f"{path}: no traceEvents list"]
-    if not events:
-        return [f"{path}: empty trace"]
-    return [f"{path}: {problem}" for problem in check_trace_events(events)]
-
-
-def check_metrics_file(path: str) -> List[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        return [f"{path}: unreadable ({exc})"]
-    if not lines:
-        return [f"{path}: empty file"]
-    header = lines[0].split(",")
-    if "time_us" not in header:
-        return [f"{path}: header has no time_us column"]
-    if len(lines) < 2:
-        return [f"{path}: no sample rows"]
-    problems: List[str] = []
-    time_index = header.index("time_us")
-    previous: Optional[float] = None
-    for row_number, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
+def check_metrics_series(metrics: Mapping[str, Any]) -> List[str]:
+    """Schema problems in a ``metrics.json`` payload (empty = clean)."""
+    series: Mapping[str, List[float]] = metrics["series"]
+    times = series.get("time_us")
+    if not times:
+        return ["no time_us samples"]
+    problems = [
+        f"column {column!r} has {len(values)} samples, time_us has {len(times)}"
+        for column, values in sorted(series.items())
+        if len(values) != len(times)
+    ]
+    for index in range(1, len(times)):
+        if times[index] <= times[index - 1]:
             problems.append(
-                f"{path}: row {row_number} has {len(cells)} cells, "
-                f"header has {len(header)}"
+                f"sample {index}: time_us {times[index]!r} does not increase"
             )
-            continue
-        value = float(cells[time_index])
-        if previous is not None and value <= previous:
-            problems.append(
-                f"{path}: row {row_number} time_us {value!r} does not increase"
-            )
-        previous = value
     return problems
+
+
+def check_file(
+    path: str,
+    load: Callable[[str], Any],
+    check: Callable[[Any], List[str]],
+) -> List[str]:
+    """Load one artifact file and run its schema check; problems name the path."""
+    try:
+        return [f"{path}: {problem}" for problem in check(load(path))]
+    except ArtifactError as exc:
+        return [str(exc)]
+
+
+def check_trace_file(path: str) -> List[str]:
+    return check_file(path, load_trace, check_trace_events)
 
 
 # --------------------------------------------------------------------------- #
@@ -247,7 +230,7 @@ def _write_report_pair(
 
 def _analyze_command(args: argparse.Namespace) -> int:
     artifacts = load_artifacts(args.artifacts)
-    report = analyze_artifacts(artifacts, top_k=args.top)
+    report = analyze_artifacts(artifacts)
     if args.out:
         _write_report_pair(args.out, "report", report, render_report(report))
     for op, table in report["requests"].get("ops", {}).items():
@@ -277,7 +260,7 @@ def _analyze_command(args: argparse.Namespace) -> int:
 
 
 def _diff_command(args: argparse.Namespace) -> int:
-    diff = diff_runs(args.run_a, args.run_b, rel_threshold=args.threshold)
+    diff = diff_runs(args.run_a, args.run_b)
     if args.out:
         _write_report_pair(args.out, "diff", diff, render_diff(diff))
     counters = diff["counters"]
@@ -314,28 +297,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     check_parser = sub.add_parser("check", help="sanity-check emitted artifacts")
     check_parser.add_argument("trace", help="path to a Chrome trace JSON")
-    check_parser.add_argument("--metrics", help="path to a metrics CSV")
+    check_parser.add_argument("metrics", nargs="?", help="path to a metrics.json")
 
     analyze_parser = sub.add_parser(
         "analyze", help="attribution + health report over an artifact directory"
     )
     analyze_parser.add_argument("artifacts", help="artifact directory from `run`")
     analyze_parser.add_argument("--out", help="write report.json / report.md here")
-    analyze_parser.add_argument(
-        "--top", type=int, default=12, help="tail-blame cluster size (default 12)"
-    )
 
     diff_parser = sub.add_parser(
         "diff", help="regression report between two artifact directories"
     )
     diff_parser.add_argument("run_a", help="base artifact directory")
     diff_parser.add_argument("run_b", help="candidate artifact directory")
-    diff_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.05,
-        help="relative-change reporting threshold (default 0.05)",
-    )
     diff_parser.add_argument("--out", help="write diff.json / diff.md here")
 
     args = parser.parse_args(argv)
@@ -350,8 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     if args.command == "run":
-        driver = run_multi_tenant if args.scenario == "multi_tenant" else run_steady_state
-        ssd, telemetry = driver(scale=args.scale, seed=args.seed)
+        ssd, telemetry = SCENARIOS[args.scenario](scale=args.scale, seed=args.seed)
         problems = _cross_check(ssd, telemetry)
         written = telemetry.write_artifacts(args.out)
         for name, path in sorted(written.items()):
@@ -368,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     problems = check_trace_file(args.trace)
     if args.metrics:
-        problems.extend(check_metrics_file(args.metrics))
+        problems.extend(check_file(args.metrics, load_metrics, check_metrics_series))
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:

@@ -39,20 +39,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ssd.stats import nearest_rank
 
-#: Canonical component order (report columns, tie-breaks, merge order).
-COMPONENT_ORDER: Tuple[str, ...] = (
-    "queue_wait_us",
-    "translate_us",
-    "dram_us",
-    "nand_us",
-    "chan_wait_us",
-    "gc_wait_us",
-    "flush_wait_us",
-    "extra_read_us",
-    "other_us",
-)
-
-#: Human-readable component labels for rendered reports.
+#: Component -> human-readable label for rendered reports, in canonical
+#: component order (report columns, tie-breaks, merge order).
 COMPONENT_LABELS: Dict[str, str] = {
     "queue_wait_us": "queue/arbitration wait",
     "translate_us": "translation I/O",
@@ -64,19 +52,25 @@ COMPONENT_LABELS: Dict[str, str] = {
     "extra_read_us": "misprediction extra reads",
     "other_us": "other/residual",
 }
+COMPONENT_ORDER: Tuple[str, ...] = tuple(COMPONENT_LABELS)
 
-#: Default SLO error budget: the tolerated violation fraction.  A burn
-#: rate of 1.0 means violations arrive exactly at budget; >1 eats into it.
-DEFAULT_SLO_ERROR_BUDGET = 0.01
+#: SLO error budget: the tolerated violation fraction.  A burn rate of
+#: 1.0 means violations arrive exactly at budget; >1 eats into it.
+SLO_ERROR_BUDGET = 0.01
 
-#: Default relative-change threshold of the run differ.
-DEFAULT_DIFF_THRESHOLD = 0.05
+#: Relative-change reporting threshold of the run differ, and the absolute
+#: movement below which a counter counts as unchanged (float noise).
+DIFF_THRESHOLD = 0.05
+DIFF_ABS_FLOOR = 1e-9
 
-#: Default top-k of the tail-blame clustering.
-DEFAULT_TAIL_K = 12
+#: How many of the slowest requests the tail-blame clustering takes.
+TAIL_K = 12
 
-#: Default violation-window width (sim-us) of the scorecard.
-DEFAULT_WINDOW_US = 1000.0
+#: Violation-window width (sim-us) of the scorecard.
+WINDOW_US = 1000.0
+
+#: Latency percentiles of the attribution tables (the ``p<N>`` levels).
+PERCENTILES = (50.0, 95.0, 99.0)
 
 
 class ArtifactError(ValueError):
@@ -96,6 +90,38 @@ def _load_json(path: str) -> Any:
         raise ArtifactError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def load_trace(path: str) -> List[Any]:
+    """The ``traceEvents`` list of a Chrome trace JSON file."""
+    payload = _load_json(path)
+    events = payload.get("traceEvents") if isinstance(payload, dict) else None
+    if not isinstance(events, list):
+        raise ArtifactError(f"{path}: no traceEvents list")
+    return events
+
+
+def load_metrics(path: str) -> Dict[str, Any]:
+    """A ``metrics.json`` payload: ``{"series": {column: [...]}, ...}``."""
+    payload = _load_json(path)
+    if not isinstance(payload, dict) or not isinstance(payload.get("series"), dict):
+        raise ArtifactError(f"{path}: no series object")
+    return payload
+
+
+def load_counters(path: str) -> Dict[str, Any]:
+    payload = _load_json(path)
+    if not isinstance(payload, dict):
+        raise ArtifactError(f"{path}: not a counter mapping")
+    return payload
+
+
+#: Artifact key -> (file name, loader), in ``write_artifacts`` order.
+_ARTIFACT_LOADERS = {
+    "trace_events": ("trace.json", load_trace),
+    "metrics": ("metrics.json", load_metrics),
+    "counters": ("counters.json", load_counters),
+}
+
+
 def load_artifacts(dirpath: str) -> Dict[str, Any]:
     """Load a telemetry artifact directory written by ``write_artifacts``.
 
@@ -107,26 +133,10 @@ def load_artifacts(dirpath: str) -> Dict[str, Any]:
     """
     if not os.path.isdir(dirpath):
         raise ArtifactError(f"{dirpath}: not a directory")
-    out: Dict[str, Any] = {"trace_events": None, "metrics": None, "counters": None}
-    trace_path = os.path.join(dirpath, "trace.json")
-    if os.path.exists(trace_path):
-        payload = _load_json(trace_path)
-        events = payload.get("traceEvents") if isinstance(payload, dict) else None
-        if not isinstance(events, list):
-            raise ArtifactError(f"{trace_path}: no traceEvents list")
-        out["trace_events"] = events
-    metrics_path = os.path.join(dirpath, "metrics.json")
-    if os.path.exists(metrics_path):
-        payload = _load_json(metrics_path)
-        if not isinstance(payload, dict) or "series" not in payload:
-            raise ArtifactError(f"{metrics_path}: no series object")
-        out["metrics"] = payload
-    counters_path = os.path.join(dirpath, "counters.json")
-    if os.path.exists(counters_path):
-        payload = _load_json(counters_path)
-        if not isinstance(payload, dict):
-            raise ArtifactError(f"{counters_path}: not a counter mapping")
-        out["counters"] = payload
+    out: Dict[str, Any] = {}
+    for key, (filename, load) in _ARTIFACT_LOADERS.items():
+        path = os.path.join(dirpath, filename)
+        out[key] = load(path) if os.path.exists(path) else None
     if all(value is None for value in out.values()):
         raise ArtifactError(
             f"{dirpath}: no telemetry artifacts "
@@ -217,12 +227,8 @@ def request_spans(events: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     return spans
 
 
-def recovery_summary(
-    events: Optional[Sequence[Mapping[str, Any]]],
-) -> List[Dict[str, Any]]:
+def recovery_summary(events: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     """Recovery-phase spans (``recovery_scan`` / ``recovery_replay``)."""
-    if not events:
-        return []
     names = _thread_names(events)
     phases: List[Dict[str, Any]] = []
     for event in events:
@@ -241,11 +247,9 @@ def recovery_summary(
 
 
 def gc_stage_summary(
-    events: Optional[Sequence[Mapping[str, Any]]],
+    events: Sequence[Mapping[str, Any]],
 ) -> Dict[str, Dict[str, float]]:
     """Total occupancy per background-GC pipeline stage (``gc`` track)."""
-    if not events:
-        return {}
     names = _thread_names(events)
     totals: Dict[str, Dict[str, float]] = {}
     open_begin: Dict[str, float] = {}
@@ -287,19 +291,24 @@ def _component_means(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, 
 
 def dominant_component(components: Mapping[str, float]) -> str:
     """The largest component; canonical order breaks exact ties."""
-    best_key = "other_us"
-    best_value = -math.inf
-    for key in _ordered_components(components):
-        value = components[key]
-        if value > best_value:
-            best_key, best_value = key, value
-    return best_key
+    ordered = _ordered_components(components)
+    return max(ordered, key=ordered.__getitem__, default="other_us")
 
 
-def attribute_requests(
-    spans: Sequence[Mapping[str, Any]],
-    percentiles: Sequence[float] = (50.0, 95.0, 99.0),
-) -> Dict[str, Any]:
+def _level(latency_us: float, cohort: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
+    """One attribution level: a cohort's mean components and the largest."""
+    components = _component_means(cohort)
+    return {
+        "latency_us": latency_us,
+        "count": len(cohort),
+        "components": components,
+        "dominant": dominant_component(
+            {k: v["mean_us"] for k, v in components.items()}
+        ),
+    }
+
+
+def attribute_requests(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     """Per-op, per-percentile attribution tables.
 
     For each op, the ``all`` level averages every request; each ``p<N>``
@@ -313,39 +322,21 @@ def attribute_requests(
             key=lambda s: (s["latency_us"], s["start_us"]),
         )
         latencies = [s["latency_us"] for s in group]
-        levels: Dict[str, Any] = {
-            "all": {
-                "latency_us": math.fsum(latencies) / len(latencies),
-                "count": len(group),
-                "components": _component_means(group),
-            }
-        }
-        levels["all"]["dominant"] = dominant_component(
-            {k: v["mean_us"] for k, v in levels["all"]["components"].items()}
-        )
-        for pct in percentiles:
+        levels = {"all": _level(math.fsum(latencies) / len(latencies), group)}
+        for pct in PERCENTILES:
             threshold = latencies[nearest_rank(len(latencies), pct)]
-            tail = [s for s in group if s["latency_us"] >= threshold]
-            components = _component_means(tail)
-            levels[f"p{pct:g}"] = {
-                "latency_us": threshold,
-                "count": len(tail),
-                "components": components,
-                "dominant": dominant_component(
-                    {k: v["mean_us"] for k, v in components.items()}
-                ),
-            }
+            levels[f"p{pct:g}"] = _level(
+                threshold, [s for s in group if s["latency_us"] >= threshold]
+            )
         ops[op] = {"count": len(group), "levels": levels}
     return {"requests": len(spans), "ops": ops}
 
 
-def tail_blame(
-    spans: Sequence[Mapping[str, Any]], top_k: int = DEFAULT_TAIL_K
-) -> Dict[str, Any]:
-    """Cluster the top-k slowest requests by their dominant component."""
+def tail_blame(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
+    """Cluster the :data:`TAIL_K` slowest requests by their dominant component."""
     ranked = sorted(
         spans, key=lambda s: (-s["latency_us"], s["start_us"], s["op"])
-    )[: max(0, top_k)]
+    )[:TAIL_K]
     details: List[Dict[str, Any]] = []
     clusters: Dict[str, List[Dict[str, Any]]] = {}
     for span in ranked:
@@ -384,20 +375,18 @@ def tail_blame(
 # --------------------------------------------------------------------------- #
 # SLO / health scorecard
 # --------------------------------------------------------------------------- #
-def _merge_windows(
-    buckets: Mapping[int, int], window_us: float
-) -> List[Dict[str, float]]:
+def _merge_windows(buckets: Mapping[int, int]) -> List[Dict[str, float]]:
     """Merge adjacent violating buckets into ``[start, end)`` windows."""
     windows: List[Dict[str, float]] = []
     for bucket in sorted(buckets):
         count = float(buckets[bucket])
-        start = bucket * window_us
+        start = bucket * WINDOW_US
         if windows and windows[-1]["end_us"] == start:
-            windows[-1]["end_us"] = start + window_us
+            windows[-1]["end_us"] = start + WINDOW_US
             windows[-1]["violations"] += count
         else:
             windows.append(
-                {"start_us": start, "end_us": start + window_us, "violations": count}
+                {"start_us": start, "end_us": start + WINDOW_US, "violations": count}
             )
     return windows
 
@@ -442,8 +431,6 @@ def namespace_scorecard(
     gauges: Optional[Mapping[str, float]] = None,
     metrics: Optional[Mapping[str, Any]] = None,
     spans: Optional[Sequence[Mapping[str, Any]]] = None,
-    window_us: float = DEFAULT_WINDOW_US,
-    error_budget: float = DEFAULT_SLO_ERROR_BUDGET,
 ) -> Dict[str, Any]:
     """Per-namespace SLO health from a counter snapshot (or delta).
 
@@ -454,8 +441,6 @@ def namespace_scorecard(
     snapshots.  ``spans`` (from :func:`request_spans`) adds sim-time
     violation windows; ``metrics`` adds device saturation gauges.
     """
-    if error_budget <= 0.0:
-        raise ValueError("error_budget must be positive")
     gauges = counters if gauges is None else gauges
     names = sorted(
         {
@@ -464,7 +449,7 @@ def namespace_scorecard(
             if key.startswith("ns.") and key.count(".") >= 2
         }
     )
-    card: Dict[str, Any] = {"error_budget": error_budget, "namespaces": {}}
+    card: Dict[str, Any] = {"error_budget": SLO_ERROR_BUDGET, "namespaces": {}}
     for name in names:
         prefix = f"ns.{name}."
 
@@ -474,7 +459,7 @@ def namespace_scorecard(
         completed = count("completed")
         violations = count("slo_violations_read") + count("slo_violations_write")
         violation_rate = violations / completed if completed > 0.0 else 0.0
-        burn_rate = violation_rate / error_budget
+        burn_rate = violation_rate / SLO_ERROR_BUDGET
         if burn_rate < 1.0:
             status = "ok"
         elif burn_rate < 10.0:
@@ -508,9 +493,9 @@ def namespace_scorecard(
                 if slo <= 0.0 or span["latency_us"] <= slo:
                     continue
                 finish = span["start_us"] + span["device_us"]
-                bucket = int(finish // window_us)
+                bucket = int(finish // WINDOW_US)
                 buckets[bucket] = buckets.get(bucket, 0) + 1
-            entry["violation_windows"] = _merge_windows(buckets, window_us)
+            entry["violation_windows"] = _merge_windows(buckets)
         card["namespaces"][name] = entry
     if metrics is not None:
         card["saturation"] = _saturation(metrics)
@@ -520,9 +505,7 @@ def namespace_scorecard(
 # --------------------------------------------------------------------------- #
 # The analyzer entry point
 # --------------------------------------------------------------------------- #
-def analyze_artifacts(
-    artifacts: Mapping[str, Any], top_k: int = DEFAULT_TAIL_K
-) -> Dict[str, Any]:
+def analyze_artifacts(artifacts: Mapping[str, Any]) -> Dict[str, Any]:
     """One structured report over a loaded artifact directory.
 
     ``artifacts`` is :func:`load_artifacts` output (or a dict with live
@@ -530,14 +513,14 @@ def analyze_artifacts(
     contains no paths or wall-clock data, so two same-seed runs produce
     byte-identical JSON.
     """
-    events = artifacts.get("trace_events")
+    events = artifacts.get("trace_events") or []
     counters = artifacts.get("counters")
     metrics = artifacts.get("metrics")
-    spans = request_spans(events) if events else []
+    spans = request_spans(events)
     report: Dict[str, Any] = {
         "schema": "repro.obs.analyze/1",
         "requests": attribute_requests(spans),
-        "tail_blame": tail_blame(spans, top_k=top_k),
+        "tail_blame": tail_blame(spans),
         "recovery": recovery_summary(events),
         "gc_stages": gc_stage_summary(events),
     }
@@ -555,68 +538,77 @@ def _relative(delta: float, base: float) -> Optional[float]:
     return delta / abs(base) if base != 0.0 else None
 
 
+def _significant(rows: List[Dict[str, Any]], name_key: str) -> List[Dict[str, Any]]:
+    """The rows whose ``rel`` reaches :data:`DIFF_THRESHOLD`, worst first.
+
+    A ``rel`` of ``None`` (the base was zero, so any appearance is
+    significant) always passes and sorts ahead of every finite change;
+    ``name_key`` breaks ties.
+    """
+    kept = [
+        row for row in rows if row["rel"] is None or abs(row["rel"]) >= DIFF_THRESHOLD
+    ]
+    kept.sort(
+        key=lambda row: (
+            -(abs(row["rel"]) if row["rel"] is not None else math.inf),
+            row[name_key],
+        )
+    )
+    return kept
+
+
 def diff_counters(
-    base: Mapping[str, float],
-    current: Mapping[str, float],
-    rel_threshold: float = DEFAULT_DIFF_THRESHOLD,
-    abs_floor: float = 1e-9,
+    base: Mapping[str, float], current: Mapping[str, float]
 ) -> Dict[str, Any]:
     """Thresholded counter diff: which counters moved, worst first.
 
-    A counter is reported when it moved by more than ``abs_floor`` and
-    either its base was zero (any appearance is significant) or its
-    relative change reaches ``rel_threshold``.  Rows sort by descending
+    A counter is reported when it moved by more than
+    :data:`DIFF_ABS_FLOOR` and either its base was zero or its relative
+    change reaches :data:`DIFF_THRESHOLD`.  Rows sort by descending
     relative magnitude (new counters first), then key.
     """
-    changed: List[Dict[str, Any]] = []
+    moved: List[Dict[str, Any]] = []
     keys = sorted(set(base) | set(current))
     for key in keys:
         base_value = float(base.get(key, 0.0))
         current_value = float(current.get(key, 0.0))
         delta = current_value - base_value
-        if abs(delta) <= abs_floor:
+        if abs(delta) <= DIFF_ABS_FLOOR:
             continue
-        rel = _relative(delta, base_value)
-        if rel is not None and abs(rel) < rel_threshold:
-            continue
-        changed.append(
+        moved.append(
             {
                 "counter": key,
                 "base": base_value,
                 "current": current_value,
                 "delta": delta,
-                "rel": rel,
+                "rel": _relative(delta, base_value),
             }
         )
-    changed.sort(
-        key=lambda row: (
-            -(abs(row["rel"]) if row["rel"] is not None else math.inf),
-            row["counter"],
-        )
-    )
-    return {"threshold": rel_threshold, "compared": len(keys), "changed": changed}
+    return {
+        "threshold": DIFF_THRESHOLD,
+        "compared": len(keys),
+        "changed": _significant(moved, "counter"),
+    }
 
 
 def diff_metrics(
-    base: Optional[Mapping[str, Any]],
-    current: Optional[Mapping[str, Any]],
-    rel_threshold: float = DEFAULT_DIFF_THRESHOLD,
+    base: Optional[Mapping[str, Any]], current: Optional[Mapping[str, Any]]
 ) -> Dict[str, Any]:
-    """Diff two metric series aligned on shared ``time_us`` samples."""
-    if base is None or current is None:
-        return {"threshold": rel_threshold, "aligned_samples": 0, "changed": []}
-    base_series: Mapping[str, List[float]] = base.get("series", {})
-    current_series: Mapping[str, List[float]] = current.get("series", {})
+    """Diff two metric series aligned on shared ``time_us`` samples.
+
+    Either side may be ``None`` (that run sampled no metrics): nothing
+    aligns and nothing is reported.
+    """
+    base_series: Mapping[str, List[float]] = (base or {}).get("series", {})
+    current_series: Mapping[str, List[float]] = (current or {}).get("series", {})
     base_times = base_series.get("time_us", [])
     current_times = current_series.get("time_us", [])
     shared = sorted(set(base_times) & set(current_times))
-    if not shared:
-        return {"threshold": rel_threshold, "aligned_samples": 0, "changed": []}
     base_index = {t: i for i, t in enumerate(base_times)}
     current_index = {t: i for i, t in enumerate(current_times)}
-    changed: List[Dict[str, Any]] = []
+    moved: List[Dict[str, Any]] = []
     columns = sorted((set(base_series) & set(current_series)) - {"time_us"})
-    for column in columns:
+    for column in columns if shared else ():
         base_values = [base_series[column][base_index[t]] for t in shared]
         current_values = [current_series[column][current_index[t]] for t in shared]
         max_abs = max(
@@ -627,35 +619,24 @@ def diff_metrics(
         base_mean = math.fsum(base_values) / len(shared)
         current_mean = math.fsum(current_values) / len(shared)
         delta = current_mean - base_mean
-        rel = _relative(delta, base_mean)
-        if rel is not None and abs(rel) < rel_threshold:
-            continue
-        changed.append(
+        moved.append(
             {
                 "column": column,
                 "base_mean": base_mean,
                 "current_mean": current_mean,
                 "delta_mean": delta,
-                "rel": rel,
+                "rel": _relative(delta, base_mean),
                 "max_abs_diff": max_abs,
             }
         )
-    changed.sort(
-        key=lambda row: (
-            -(abs(row["rel"]) if row["rel"] is not None else math.inf),
-            row["column"],
-        )
-    )
     return {
-        "threshold": rel_threshold,
+        "threshold": DIFF_THRESHOLD,
         "aligned_samples": len(shared),
-        "changed": changed,
+        "changed": _significant(moved, "column"),
     }
 
 
-def diff_runs(
-    dir_a: str, dir_b: str, rel_threshold: float = DEFAULT_DIFF_THRESHOLD
-) -> Dict[str, Any]:
+def diff_runs(dir_a: str, dir_b: str) -> Dict[str, Any]:
     """Structured regression report between two artifact directories.
 
     ``dir_a`` is the base run, ``dir_b`` the candidate.  Requires both
@@ -667,15 +648,11 @@ def diff_runs(
     current = load_artifacts(dir_b)
     if base["counters"] is None or current["counters"] is None:
         raise ArtifactError("both runs need counters.json to diff")
-    counters = diff_counters(
-        base["counters"], current["counters"], rel_threshold=rel_threshold
-    )
-    metrics = diff_metrics(
-        base["metrics"], current["metrics"], rel_threshold=rel_threshold
-    )
+    counters = diff_counters(base["counters"], current["counters"])
+    metrics = diff_metrics(base["metrics"], current["metrics"])
     return {
         "schema": "repro.obs.diff/1",
-        "threshold": rel_threshold,
+        "threshold": DIFF_THRESHOLD,
         "significant": bool(counters["changed"] or metrics["changed"]),
         "counters": counters,
         "metrics": metrics,

@@ -1,4 +1,4 @@
-"""Sim-time metrics sampling: gauge time-series with CSV/JSON export.
+"""Sim-time metrics sampling: gauge time-series with JSON export.
 
 End-of-run counters say *how much*; they cannot say *when*.  The
 :class:`MetricsSampler` snapshots the device's live gauges — free blocks,
@@ -10,9 +10,9 @@ exactly when a tenant's latency histogram went bimodal.
 
 Like the tracer, the sampler reads simulated clocks only and mutates
 nothing it observes, so enabling it leaves ``repro.verify`` digests
-unchanged; the column set is fixed at construction and every cell is
-formatted with ``repr`` floats, so two runs of the same seed export
-byte-identical files.
+unchanged; the column set is fixed at construction and ``json`` writes
+floats by ``repr``, so two runs of the same seed export byte-identical
+files.
 
 Sampling rides the same observer hook as tracing (cheap: one float
 comparison per event when no sample is due).  Serial engines process few
@@ -28,25 +28,18 @@ from typing import Any, Dict, List
 
 from repro.sim.events import Event
 
-#: Default sampling interval (simulated microseconds).
-DEFAULT_METRICS_INTERVAL_US = 1_000.0
+#: Sampling interval (simulated microseconds).
+METRICS_INTERVAL_US = 1_000.0
 
 
 class MetricsSampler:
     """Samples device gauges into a columnar sim-time series."""
 
-    def __init__(
-        self,
-        ssd: Any,
-        host: Any = None,
-        interval_us: float = DEFAULT_METRICS_INTERVAL_US,
-    ) -> None:
-        if interval_us <= 0.0:
-            raise ValueError("interval_us must be positive")
+    def __init__(self, ssd: Any, host: Any = None) -> None:
         self._ssd = ssd
         self._host = host
-        self.interval_us = interval_us
-        self._next_due = interval_us
+        self.interval_us = METRICS_INTERVAL_US
+        self._next_due = self.interval_us
         #: Bus-occupied time per channel at the previous sample, for the
         #: windowed (per-interval, not cumulative) busy fraction.
         self._bus_time_prev = [0.0] * ssd.scheduler.channels
@@ -157,19 +150,6 @@ class MetricsSampler:
             raise ValueError("no samples taken")
         return values[-1]
 
-    def rows(self) -> List[List[float]]:
-        return [
-            [self._series[column][i] for column in self._columns]
-            for i in range(self.samples)
-        ]
-
-    def to_csv(self) -> str:
-        """CSV text: header row then one ``repr``-formatted row per sample."""
-        lines = [",".join(self._columns)]
-        for row in self.rows():
-            lines.append(",".join(repr(value) for value in row))
-        return "\n".join(lines) + "\n"
-
     def to_json(self) -> str:
         """Columnar JSON: ``{"interval_us": ..., "series": {col: [...]}}``."""
         return json.dumps(
@@ -181,10 +161,6 @@ class MetricsSampler:
             sort_keys=True,
             separators=(",", ":"),
         )
-
-    def export_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_csv())
 
     def export_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

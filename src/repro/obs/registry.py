@@ -21,14 +21,12 @@ The registry walks the stats objects generically instead:
 * any other field type must appear in :data:`EXCLUDED_FIELDS` with a
   reason, or the walk raises ``TypeError``.
 
-The static-analysis side of the same contract is simlint rule **SIM007**,
-which parses :data:`REGISTERED_STATS` / :data:`EXCLUDED_FIELDS` out of this
-file and flags any ``*Stats`` dataclass (or field) the registry cannot
-reach — so a counter added anywhere in the package is export-visible or a
-lint failure, never silently missing.
-
-Both tables below are **pure literals**: SIM007 reads them with ``ast``,
-so computed keys would be invisible to the lint gate.
+That ``TypeError`` is the whole enforcement.  The tier-1 test
+``tests/test_telemetry.py::TestCounterRegistry::test_snapshot_covers_every_ssd_stats_field``
+imports every module under ``repro``, and for each ``*Stats`` dataclass it
+finds requires a :data:`REGISTERED_STATS` entry, default-constructs it and
+walks it with :func:`snapshot_stats` — so a counter added anywhere in the
+package is export-visible or a test failure, never silently missing.
 """
 
 from __future__ import annotations
@@ -36,12 +34,12 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from repro.ssd.stats import LatencyRecorder
 
 #: ``*Stats`` dataclass name -> counter-namespace prefix.  Every stats
-#: dataclass in ``src/repro`` must appear here (enforced by SIM007).
+#: dataclass in ``src/repro`` must appear here (see the module docstring).
 #: ``NamespaceStats`` instances are per-tenant, so their prefix is extended
 #: with the namespace name: ``ns.<tenant>.<field>``.
 REGISTERED_STATS = {
@@ -57,9 +55,8 @@ REGISTERED_STATS = {
 }
 
 #: ``(class name, field name) -> reason`` for fields the registry may skip.
-#: Every entry must explain what covers the data instead; SIM007 treats any
-#: non-numeric, non-LatencyRecorder field missing from this table as an
-#: unexported counter.
+#: Every entry must explain what covers the data instead; any other
+#: non-numeric, non-LatencyRecorder field makes :func:`snapshot_stats` raise.
 EXCLUDED_FIELDS = {
     ("SSDStats", "mapping_bytes_samples"): (
         "raw per-flush sample list; the registry exports the "
@@ -102,9 +99,7 @@ def snapshot_stats(stats: Any, prefix: str) -> Dict[str, float]:
         if isinstance(value, LatencyRecorder):
             for suffix, extract in _LATENCY_SUFFIXES:
                 counters[f"{key}.{suffix}"] = extract(value)
-        elif isinstance(value, bool):
-            counters[key] = float(value)
-        elif isinstance(value, (int, float)):
+        elif isinstance(value, (int, float)):  # bool included
             counters[key] = float(value)
         else:
             raise TypeError(
@@ -128,17 +123,8 @@ class CounterSnapshot:
     def __getitem__(self, key: str) -> float:
         return self.counters[key]
 
-    def get(self, key: str, default: float = 0.0) -> float:
-        return self.counters.get(key, default)
-
-    def __len__(self) -> int:
-        return len(self.counters)
-
     def __contains__(self, key: str) -> bool:
         return key in self.counters
-
-    def keys(self):
-        return sorted(self.counters)
 
     def as_dict(self) -> Dict[str, float]:
         """Key-sorted plain dictionary (stable serialization order)."""
@@ -158,8 +144,8 @@ class CounterSnapshot:
             }
         )
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def device_snapshot(ssd: Any, host: Any = None) -> CounterSnapshot:
@@ -171,24 +157,20 @@ def device_snapshot(ssd: Any, host: Any = None) -> CounterSnapshot:
     that no stats dataclass owns (free blocks, wear imbalance, resident
     mapping bytes) are exported under ``device.*``.
     """
+    ftl = ssd.ftl
+    stats_objects = {
+        "SSDStats": ssd.stats,
+        "FTLStats": ftl.stats,
+        "LeaFTLStats": getattr(ftl, "lea_stats", None),
+        "MappingTableStats": getattr(getattr(ftl, "table", None), "stats", None),
+        "CacheStats": ssd.cache.stats,
+        "WriteBufferStats": ssd.write_buffer.stats,
+        "AllocationStats": ssd.allocator.stats,
+    }
     counters: Dict[str, float] = {}
-    counters.update(snapshot_stats(ssd.stats, REGISTERED_STATS["SSDStats"]))
-    counters.update(snapshot_stats(ssd.ftl.stats, REGISTERED_STATS["FTLStats"]))
-    lea_stats = getattr(ssd.ftl, "lea_stats", None)
-    if lea_stats is not None:
-        counters.update(snapshot_stats(lea_stats, REGISTERED_STATS["LeaFTLStats"]))
-    table_stats = getattr(getattr(ssd.ftl, "table", None), "stats", None)
-    if table_stats is not None:
-        counters.update(
-            snapshot_stats(table_stats, REGISTERED_STATS["MappingTableStats"])
-        )
-    counters.update(snapshot_stats(ssd.cache.stats, REGISTERED_STATS["CacheStats"]))
-    counters.update(
-        snapshot_stats(ssd.write_buffer.stats, REGISTERED_STATS["WriteBufferStats"])
-    )
-    counters.update(
-        snapshot_stats(ssd.allocator.stats, REGISTERED_STATS["AllocationStats"])
-    )
+    for name, stats in stats_objects.items():
+        if stats is not None:
+            counters.update(snapshot_stats(stats, REGISTERED_STATS[name]))
     counters["device.free_blocks"] = float(ssd.allocator.free_block_count())
     counters["device.free_block_ratio"] = ssd.allocator.free_ratio()
     counters["device.wear_imbalance"] = ssd.allocator.wear_imbalance()

@@ -130,12 +130,9 @@ class Telemetry:
             self.tracer.export_json(path)
             written["trace"] = path
         if self.sampler is not None:
-            csv_path = os.path.join(outdir, "metrics.csv")
-            self.sampler.export_csv(csv_path)
-            written["metrics_csv"] = csv_path
-            json_path = os.path.join(outdir, "metrics.json")
-            self.sampler.export_json(json_path)
-            written["metrics_json"] = json_path
+            path = os.path.join(outdir, "metrics.json")
+            self.sampler.export_json(path)
+            written["metrics_json"] = path
         counters_path = os.path.join(outdir, "counters.json")
         snapshot = device_snapshot(self._ssd, host=self._host)
         with open(counters_path, "w", encoding="utf-8") as handle:

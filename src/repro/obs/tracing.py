@@ -65,9 +65,25 @@ _TID_TRANSLATE = 5
 _TID_RECOVERY = 6
 _TID_CHANNEL_BASE = 10
 _TID_SLOT_BASE = 100
+#: Names of the fixed tracks; channel and slot tracks are numbered from their bases.
+_TRACK_NAMES = {
+    _TID_DEVICE: "device",
+    _TID_ARRIVALS: "arrivals",
+    _TID_GC: "gc",
+    _TID_BACKGROUND: "background",
+    _TID_TRANSLATE: "translate",
+    _TID_RECOVERY: "recovery",
+}
 
 #: Default ring-buffer capacity (closed spans + instants retained).
 DEFAULT_TRACE_CAPACITY = 200_000
+
+#: GC pipeline event kind -> (stage it closes, stage it opens).
+_GC_STAGES = {
+    "gc_step": ("gc_erase", "gc_read"),
+    "gc_program": ("gc_read", "gc_migrate"),
+    "gc_erase": ("gc_migrate", "gc_erase"),
+}
 
 #: Export sort rank per phase: at equal timestamps, span *ends* must
 #: precede span *begins* on the same track for begin/end nesting to hold.
@@ -147,7 +163,7 @@ class Tracer:
             self._on_complete(event)
         elif kind == "request_arrival":
             self._on_arrival(event)
-        elif kind in ("gc_step", "gc_program", "gc_erase"):
+        elif kind in _GC_STAGES:
             self._on_gc(kind, event)
         elif kind.endswith("_done"):
             self._add("instant", _TID_BACKGROUND, event.time_us, 0.0, kind)
@@ -195,20 +211,15 @@ class Tracer:
         simply never closed — and therefore never exported.
         """
         now = event.time_us
-        block = event.payload if isinstance(event.payload, int) else None
-        open_stage = self._gc_open
-        if open_stage is not None:
-            name, start, open_block = open_stage
-            expected = {"gc_program": "gc_read", "gc_erase": "gc_migrate", "gc_step": "gc_erase"}[kind]
-            if name == expected:
+        closes, opens = _GC_STAGES[kind]
+        if self._gc_open is not None:
+            name, start, open_block = self._gc_open
+            if name == closes:
                 args = None if open_block is None else {"block": open_block}
                 self._add("span", _TID_GC, start, now - start, name, args)
-        if kind == "gc_step":
-            self._gc_open = ("gc_read", now, None)
-        elif kind == "gc_program":
-            self._gc_open = ("gc_migrate", now, block)
-        else:  # gc_erase
-            self._gc_open = ("gc_erase", now, block)
+        # The victim block rides on gc_program / gc_erase; selection has none yet.
+        block = event.payload if isinstance(event.payload, int) else None
+        self._gc_open = (opens, now, block)
 
     # ------------------------------------------------------------------ #
     # Out-of-band probes (no event exists for these)
@@ -292,19 +303,9 @@ class Tracer:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _thread_name(tid: int) -> str:
-        if tid == _TID_DEVICE:
-            return "device"
-        if tid == _TID_ARRIVALS:
-            return "arrivals"
-        if tid == _TID_GC:
-            return "gc"
-        if tid == _TID_BACKGROUND:
-            return "background"
-        if tid == _TID_TRANSLATE:
-            return "translate"
-        if tid == _TID_RECOVERY:
-            return "recovery"
-        if _TID_CHANNEL_BASE <= tid < _TID_SLOT_BASE:
+        if tid in _TRACK_NAMES:
+            return _TRACK_NAMES[tid]
+        if tid < _TID_SLOT_BASE:
             return f"ch{tid - _TID_CHANNEL_BASE}"
         return f"io-slot-{tid - _TID_SLOT_BASE}"
 
@@ -316,39 +317,24 @@ class Tracer:
         balance and nest; timestamps are the simulated microsecond clock.
         """
         keyed: List[Tuple[float, int, int, Dict[str, Any]]] = []
+
+        def emit(ph: str, tid: int, ts: float, name: str, args: Any = None, **extra: Any) -> None:
+            event = {"name": name, "ph": ph, "ts": ts, "pid": 1, "tid": tid, **extra}
+            if args:
+                event["args"] = args
+            keyed.append((ts, _PHASE_RANK[ph], len(keyed), event))
+
         tids = set()
-        order = 0
         for phase, tid, start, dur, name, args in self._records:
             tids.add(tid)
-            if phase == "span" and dur > 0.0:
-                begin: Dict[str, Any] = {
-                    "name": name, "ph": "B", "ts": start, "pid": 1, "tid": tid,
-                }
-                if args:
-                    begin["args"] = args
-                keyed.append((start, _PHASE_RANK["B"], order, begin))
-                keyed.append(
-                    (start + dur, _PHASE_RANK["E"], order + 1,
-                     {"name": name, "ph": "E", "ts": start + dur, "pid": 1, "tid": tid})
-                )
-                order += 2
-                continue
             if phase == "instant" or dur <= 0.0:
-                entry = {
-                    "name": name, "ph": "i", "ts": start, "pid": 1, "tid": tid, "s": "t",
-                }
-                if args:
-                    entry["args"] = args
-                keyed.append((start, _PHASE_RANK["i"], order, entry))
+                emit("i", tid, start, name, args, s="t")
+            elif phase == "span":
+                emit("B", tid, start, name, args)
+                emit("E", tid, start + dur, name)
             else:
-                entry = {
-                    "name": name, "ph": "X", "ts": start, "dur": dur, "pid": 1, "tid": tid,
-                }
-                if args:
-                    entry["args"] = args
-                keyed.append((start, _PHASE_RANK["X"], order, entry))
-            order += 1
-        keyed.sort(key=lambda item: (item[0], item[1], item[2]))
+                emit("X", tid, start, name, args, dur=dur)
+        keyed.sort(key=lambda item: item[:3])
         events: List[Dict[str, Any]] = [
             {
                 "name": "thread_name", "ph": "M", "pid": 1, "tid": tid,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
@@ -71,6 +72,12 @@ def parse_msr_line(
         timestamp = (_parse_ticks(timestamp_raw) - base_ticks) / _TICKS_PER_US
     except ValueError as exc:
         raise TraceParseError(f"non-numeric field in line {line!r}") from exc
+    # nan compares false with everything, so a non-finite arrival time would
+    # slip past the open-loop ordering check and into the event heap.
+    if not math.isfinite(timestamp):
+        raise TraceParseError(f"non-finite timestamp {timestamp_raw!r} in line {line!r}")
+    if offset < 0:
+        raise TraceParseError(f"negative offset {offset} in line {line!r}")
     if size <= 0:
         size = page_size
     # Page span from the first and last byte touched: a request whose byte

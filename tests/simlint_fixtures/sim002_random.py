@@ -1,9 +1,7 @@
 # Fixture for SIM002 (seeded-random-only).  See sim001 fixture for the
 # marker convention.  NOT imported — parsed by simlint only.
 import random
-import numpy as np
 from random import randint
-from numpy.random import rand
 
 
 def bad_module_level() -> float:
@@ -22,18 +20,8 @@ def bad_seed_global() -> None:
     random.seed(7)  # expect: SIM002
 
 
-def bad_numpy() -> float:
-    x = np.random.rand()  # expect: SIM002
-    y = rand()  # expect: SIM002
-    return x + y
-
-
 def bad_unseeded_instance():
     return random.Random()  # expect: SIM002
-
-
-def bad_unseeded_generator():
-    return np.random.default_rng()  # expect: SIM002
 
 
 def suppressed() -> float:
@@ -47,6 +35,5 @@ def ok_injected(rng: random.Random) -> int:
 
 def ok_seeded_construction():
     a = random.Random(42)
-    b = np.random.default_rng(7)
-    c = random.Random(seed=3)
-    return a, b, c
+    b = random.Random(seed=3)
+    return a, b

@@ -141,12 +141,12 @@ class TestAttribution:
     def test_tail_blame_ranks_slowest(self, multi_tenant_run):
         _ssd, telemetry = multi_tenant_run
         spans = spans_of(telemetry)
-        blame = tail_blame(spans, top_k=10)
-        assert blame["top_k"] == 10
+        blame = tail_blame(spans)
+        assert blame["top_k"] == 12
         latencies = [request["latency_us"] for request in blame["requests"]]
         assert latencies == sorted(latencies, reverse=True)
-        assert sum(cluster["count"] for cluster in blame["clusters"]) == 10
-        cutoff = sorted((s["latency_us"] for s in spans), reverse=True)[9]
+        assert sum(cluster["count"] for cluster in blame["clusters"]) == 12
+        cutoff = sorted((s["latency_us"] for s in spans), reverse=True)[11]
         assert min(latencies) >= cutoff
 
     def test_fifo_noisy_neighbor_blames_contention_not_nand(self):
@@ -263,7 +263,7 @@ class TestDiffer:
     def test_threshold_and_sort(self):
         base = {"a": 100.0, "b": 100.0, "c": 0.0, "d": 5.0}
         current = {"a": 104.0, "b": 150.0, "c": 3.0, "d": 5.0}
-        diff = diff_counters(base, current, rel_threshold=0.05)
+        diff = diff_counters(base, current)
         changed = {row["counter"]: row for row in diff["changed"]}
         assert "a" not in changed  # +4% is under the 5% threshold
         assert "d" not in changed  # unchanged
@@ -295,7 +295,7 @@ class TestDiffer:
                 "waf": [1.0, 1.0, 1.0, 2.0],
             }
         }
-        diff = diff_metrics(base, current, rel_threshold=0.05)
+        diff = diff_metrics(base, current)
         assert diff["aligned_samples"] == 3
         changed = {row["column"]: row for row in diff["changed"]}
         assert "waf" not in changed  # identical over the aligned window
@@ -357,9 +357,7 @@ class TestScorecard:
             }
             for start in (100.0, 1100.0, 5100.0)
         ]
-        card = namespace_scorecard(
-            self._counters(3.0, 3.0), spans=spans, window_us=1000.0
-        )
+        card = namespace_scorecard(self._counters(3.0, 3.0), spans=spans)
         windows = card["namespaces"]["reader"]["violation_windows"]
         assert [(w["start_us"], w["end_us"]) for w in windows] == [
             (0.0, 2000.0),

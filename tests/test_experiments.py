@@ -17,6 +17,7 @@ from repro.experiments import common
 from repro.experiments.common import (
     ALL_WORKLOADS,
     ExperimentSetup,
+    MappingBudgetExceeded,
     REAL_SSD_WORKLOADS,
     SCHEMES,
     SIMULATOR_WORKLOADS,
@@ -179,6 +180,17 @@ class TestRunExperiment:
         assert set(results) == set(SCHEMES)
         writes = {r.stats.host_write_pages for r in results.values()}
         assert len(writes) == 1  # identical workload replayed for each scheme
+
+    def test_leaftl_cell_over_its_mapping_budget_fails_by_name(self):
+        """LeaFTL accepts a mapping budget and ignores it (its table is
+        always resident), so a cell whose table outgrows the budget must
+        fail instead of quietly running LeaFTL on free DRAM."""
+        setup = FAST.scaled(warmup=False, dram_bytes=2 * 1024, dram_policy="cache_reserved")
+        budget = setup.dram_budget().mapping_budget()
+        with pytest.raises(MappingBudgetExceeded, match=f"over the {budget} B mapping budget"):
+            run_experiment("MSR-hm", "LeaFTL", setup)
+        # The schemes that model translation misses run at the same size.
+        assert run_experiment("MSR-hm", "DFTL", setup).stats.host_writes > 0
 
     def test_leaftl_details_populated(self):
         setup = FAST.scaled(warmup=False, gamma=4)

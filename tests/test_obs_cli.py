@@ -145,6 +145,43 @@ class TestCheckCommand:
         assert "unclosed" in capsys.readouterr().err
 
 
+    def test_clean_trace_and_metrics_pass_check(self, tmp_path, capsys):
+        run_dir = write_artifacts(tmp_path / "run")
+        trace, metrics = str(run_dir / "trace.json"), str(run_dir / "metrics.json")
+        assert main(["check", trace, metrics]) == 0
+        assert "metrics schema ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "payload, complaint",
+        [
+            ({"series": {"time_us": [0.0, 1000.0, 1000.0]}}, "does not increase"),
+            (
+                {"series": {"time_us": [0.0, 1000.0], "free_blocks": [8.0]}},
+                "'free_blocks' has 1 samples, time_us has 2",
+            ),
+            ({"series": {"time_us": []}}, "no time_us samples"),
+            ({"series": {"free_blocks": [8.0]}}, "no time_us samples"),
+            ({"columns": ["time_us"]}, "no series object"),
+            ({"series": [0.0, 1000.0]}, "no series object"),
+        ],
+    )
+    def test_malformed_metrics_fail_check(self, tmp_path, capsys, payload, complaint):
+        run_dir = write_artifacts(tmp_path / "run")
+        (run_dir / "metrics.json").write_text(json.dumps(payload))
+        trace, metrics = str(run_dir / "trace.json"), str(run_dir / "metrics.json")
+        assert main(["check", trace, metrics]) == 1
+        captured = capsys.readouterr()
+        assert complaint in captured.err
+        assert metrics in captured.err
+
+    def test_truncated_metrics_fail_check(self, tmp_path, capsys):
+        run_dir = write_artifacts(tmp_path / "run")
+        (run_dir / "metrics.json").write_text('{"series": {"time_us": [0.0')
+        trace, metrics = str(run_dir / "trace.json"), str(run_dir / "metrics.json")
+        assert main(["check", trace, metrics]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+
 class TestLoadArtifacts:
     def test_partial_directory_loads_what_exists(self, tmp_path):
         run_dir = write_artifacts(tmp_path / "run")

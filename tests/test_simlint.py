@@ -8,7 +8,6 @@ so a missed violation, a false positive on the clean code, or a broken
 suppression all fail.
 """
 
-import json
 import re
 import subprocess
 import sys
@@ -39,7 +38,6 @@ FIXTURE_OF_RULE = {
     "SIM004": "sim004_timestamp_eq.py",
     "SIM005": "sim005_mutable_defaults.py",
     "SIM006": "sim006_stats_counters.py",
-    "SIM007": "sim007_registry_coverage.py",
     "SIM008": "sim008_observer_purity.py",
 }
 
@@ -60,8 +58,12 @@ def reported(path: Path, code: str) -> set:
 
 class TestRegistry:
     def test_at_least_six_rules(self):
-        assert len(RULES) >= 6
-        assert set(FIXTURE_OF_RULE) <= set(RULES)
+        # Exactly these seven, each with a fixture; SIM007's contract is
+        # enforced at run time (tests/test_telemetry.py::TestCounterRegistry).
+        assert sorted(RULES) == [
+            "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006", "SIM008",
+        ]
+        assert set(FIXTURE_OF_RULE) == set(RULES)
 
     def test_rules_are_documented(self):
         for code, cls in RULES.items():
@@ -69,7 +71,6 @@ class TestRegistry:
             assert rule.code == code
             assert rule.name, code
             assert rule.rationale, code
-            assert rule.default_paths, code
 
 
 class TestRuleFixtures:
@@ -107,31 +108,47 @@ class TestFindingOrdering:
         assert sorted([b, a]) == [a, b]
 
 
+def write_config(directory: Path, exclude=(), **scopes) -> Path:
+    """A ``simlint.toml`` scoping every rule nowhere except ``scopes``."""
+    lines = ["[simlint]", f"exclude = {list(exclude)!r}"]
+    for code in sorted(RULES):
+        lines += [f"[rules.{code}]", f"paths = {list(scopes.get(code, ()))!r}"]
+    path = directory / "simlint.toml"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestConfig:
     def test_repo_config_loads(self):
         config = SimlintConfig.load(REPO / "simlint.toml")
         assert config.root == REPO
-        assert "src" in config.include
         assert any("tests" in entry for entry in config.exclude)
-        # Every rule scoped in the file exists in the registry.
-        assert set(config.rules) <= set(RULES)
+        # The file is the only place a scope lives: it scopes every rule.
+        assert set(config.rules) == set(RULES)
+        assert all(config.rules.values())
 
     def test_unknown_rule_rejected(self, tmp_path):
-        bad = tmp_path / "simlint.toml"
-        bad.write_text('[rules.SIM999]\npaths = ["src"]\n')
+        bad = write_config(tmp_path)
+        bad.write_text(bad.read_text() + '[rules.SIM999]\npaths = ["src"]\n')
         with pytest.raises(ValueError, match="SIM999"):
             SimlintConfig.load(bad)
 
+    def test_unscoped_rule_rejected(self, tmp_path):
+        # No per-class fallback scope: a rule the file does not scope is a
+        # config error, not a rule that silently runs somewhere (or nowhere).
+        partial = tmp_path / "simlint.toml"
+        partial.write_text('[rules.SIM001]\npaths = ["pkg/sim"]\n')
+        with pytest.raises(ValueError, match=r"SIM002 has no \[rules.SIM002\] paths"):
+            SimlintConfig.load(partial)
+
+    def test_discover_without_a_config_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no simlint.toml"):
+            SimlintConfig.discover(tmp_path)
+
     def test_path_scoping(self, tmp_path):
-        config_file = tmp_path / "simlint.toml"
-        config_file.write_text(
-            "[simlint]\n"
-            'include = ["pkg"]\n'
-            'exclude = ["pkg/generated"]\n'
-            "[rules.SIM001]\n"
-            'paths = ["pkg/sim"]\n'
+        config = SimlintConfig.load(
+            write_config(tmp_path, exclude=["pkg/generated"], SIM001=["pkg/sim"])
         )
-        config = SimlintConfig.load(config_file)
         rule = RULES["SIM001"]()
         assert config.rule_applies(rule, tmp_path / "pkg" / "sim" / "a.py")
         assert not config.rule_applies(rule, tmp_path / "pkg" / "host" / "a.py")
@@ -144,7 +161,8 @@ class TestTreeIsClean:
         # The acceptance criterion of the linter PR: the shipped tree lints
         # clean, so CI can fail on any *new* finding.
         config = SimlintConfig.load(REPO / "simlint.toml")
-        findings = lint_paths([REPO / "src", REPO / "tools"], config=config)
+        findings, files, errors = lint_paths([REPO / "src", REPO / "tools"], config)
+        assert files > 0 and errors == []
         assert findings == [], "\n".join(f.render() for f in findings)
 
 
@@ -161,29 +179,40 @@ class TestCLI:
         result = self._run("src")
         assert result.returncode == 0, result.stdout + result.stderr
 
-    def test_exit_one_and_json_on_findings(self, tmp_path):
-        config_file = tmp_path / "simlint.toml"
-        config_file.write_text("[rules.SIM005]\npaths = [\"\"]\n")
+    def test_exit_one_on_findings(self, tmp_path):
+        # The config is the one found above the linted path.
+        write_config(tmp_path, SIM005=[""])
         bad = tmp_path / "bad.py"
         bad.write_text("def f(x=[]):\n    return x\n")
-        result = self._run(
-            "--config", str(config_file), "--format", "json",
-            "--select", "SIM005", str(bad),
-        )
+        result = self._run(str(bad))
         assert result.returncode == 1
-        payload = json.loads(result.stdout)
-        assert payload["files_checked"] == 1
-        assert [f["code"] for f in payload["findings"]] == ["SIM005"]
-        assert payload["findings"][0]["line"] == 1
+        assert result.stdout.splitlines() == [
+            "bad.py:1:9: SIM005 mutable default argument is shared across calls; "
+            "default to None and create inside the function"
+        ]
+        assert "1 files checked, 1 finding(s)" in result.stderr
 
-    def test_exit_two_on_unknown_rule(self):
-        result = self._run("--select", "SIM999", "src")
+    def test_exit_two_on_syntax_error_still_lints_the_rest(self, tmp_path):
+        write_config(tmp_path, SIM005=[""])
+        (tmp_path / "bad.py").write_text("def f(x=[]):\n    return x\n")
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        result = self._run(str(tmp_path))
         assert result.returncode == 2
-        assert "unknown rule" in result.stderr
+        assert "broken.py: syntax error" in result.stderr
+        assert "bad.py:1:9: SIM005" in result.stdout
+
+    def test_exit_two_on_missing_config(self, tmp_path):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        result = self._run(str(tmp_path / "ok.py"))
+        assert result.returncode == 2
+        assert "no simlint.toml" in result.stderr
 
     def test_exit_two_on_missing_path(self):
         result = self._run("no/such/dir")
         assert result.returncode == 2
+
+    def test_exit_two_without_paths(self):
+        assert self._run().returncode == 2
 
     def test_list_rules(self):
         result = self._run("--list-rules")

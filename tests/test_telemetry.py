@@ -7,7 +7,7 @@ The observability contract has three legs, each pinned here:
   digests are identical with telemetry on or off, and a CrashTimer
   composes with the telemetry observer instead of being displaced.
 * **Determinism** — two identical runs with telemetry enabled export
-  byte-identical trace JSON, metrics CSV/JSON and counter snapshots.
+  byte-identical trace JSON, metrics JSON and counter snapshots.
 * **Fidelity** — the sampled series ends exactly at the final scalar
   statistics, the counter registry reaches every stats field, and the
   exported trace passes the Chrome trace-event schema check CI runs.
@@ -16,7 +16,9 @@ The observability contract has three legs, each pinned here:
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -26,6 +28,7 @@ REPO = Path(__file__).resolve().parent.parent
 if str(REPO) not in sys.path:
     sys.path.insert(0, str(REPO))
 
+import repro
 from repro.config import SSDConfig
 from repro.experiments.common import (
     ExperimentSetup,
@@ -41,17 +44,13 @@ from repro.experiments.multi_tenant import (
 from repro.ftl.pagemap import PageLevelFTL
 from repro.obs import (
     CounterSnapshot,
-    MetricsSampler,
     Tracer,
     attach_telemetry,
     device_snapshot,
     snapshot_stats,
 )
-from repro.obs.__main__ import (
-    check_metrics_file,
-    check_trace_events,
-    check_trace_file,
-)
+from repro.obs.__main__ import check_trace_events, check_trace_file
+from repro.obs.registry import EXCLUDED_FIELDS, REGISTERED_STATS
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
 from repro.ssd.stats import SSDStats
 from repro.verify import VERIFY_ARBITER, EventTraceDigest, run_once, verify_scenario
@@ -164,7 +163,7 @@ class TestArtifactDeterminism:
             payloads.append(
                 {name: Path(path).read_bytes() for name, path in written.items()}
             )
-        assert set(payloads[0]) == {"trace", "metrics_csv", "metrics_json", "counters"}
+        assert set(payloads[0]) == {"trace", "metrics_json", "counters"}
         for name in payloads[0]:
             assert payloads[0][name] == payloads[1][name], name
 
@@ -196,15 +195,6 @@ class TestMetricsFidelity:
         busy = sampler.series("ch0_busy_frac")
         assert all(0.0 <= value <= 1.0 for value in busy)
         assert max(busy) > 0.0
-
-    def test_csv_round_trip(self, traced, tmp_path):
-        _ssd, _host, _trace, telemetry = traced
-        path = tmp_path / "metrics.csv"
-        telemetry.sampler.export_csv(str(path))
-        assert check_metrics_file(str(path)) == []
-        lines = path.read_text().splitlines()
-        assert lines[0].split(",") == telemetry.sampler.columns
-        assert len(lines) == telemetry.sampler.samples + 1
 
     def test_serial_engine_pump_samples(self):
         """The qd=1 serial path has almost no loop events; the flush-path
@@ -286,22 +276,48 @@ class TestTraceSchema:
         assert check_trace_events(mismatched) != []
 
 
+def stats_dataclasses():
+    """Every ``*Stats`` dataclass defined in a module importable under ``repro``."""
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (
+                name.endswith("Stats")
+                and dataclasses.is_dataclass(obj)
+                and obj.__module__ == module.__name__
+            ):
+                assert name not in found, f"two stats dataclasses named {name}"
+                found[name] = obj
+    return found
+
+
 class TestCounterRegistry:
     def test_snapshot_covers_every_ssd_stats_field(self):
-        from repro.obs.registry import EXCLUDED_FIELDS
-
-        stats = SSDStats()
-        counters = snapshot_stats(stats, "ssd")
-        for field in dataclasses.fields(stats):
-            if ("SSDStats", field.name) in EXCLUDED_FIELDS:
-                continue
-            if field.name in ("read_latency", "write_latency"):
-                assert f"ssd.{field.name}.p99_us" in counters
-            else:
-                assert f"ssd.{field.name}" in counters
+        """The registry contract, over the package as it is imported: a
+        ``*Stats`` dataclass added anywhere under ``repro`` must be in
+        ``REGISTERED_STATS`` and default-constructible, and each of its
+        fields must be exported by ``snapshot_stats`` (which raises
+        ``TypeError`` on a type it cannot export) or carry an
+        ``EXCLUDED_FIELDS`` reason."""
+        classes = stats_dataclasses()
+        assert set(classes) == set(REGISTERED_STATS)
+        for name, cls in sorted(classes.items()):
+            prefix = REGISTERED_STATS[name]
+            counters = snapshot_stats(cls(), prefix)
+            for field in dataclasses.fields(cls):
+                key = f"{prefix}.{field.name}"
+                if (name, field.name) in EXCLUDED_FIELDS:
+                    assert key not in counters
+                else:
+                    assert key in counters or f"{key}.p99_us" in counters, key
+        for (name, field_name), reason in EXCLUDED_FIELDS.items():
+            assert field_name in {f.name for f in dataclasses.fields(classes[name])}
+            assert reason.strip(), (name, field_name)
         # Derived properties ride along.
-        assert "ssd.write_amplification" in counters
-        assert "ssd.cache_hit_ratio" in counters
+        ssd_counters = snapshot_stats(SSDStats(), "ssd")
+        assert "ssd.write_amplification" in ssd_counters
+        assert "ssd.cache_hit_ratio" in ssd_counters
 
     def test_unexportable_field_raises(self):
         @dataclasses.dataclass
@@ -332,10 +348,9 @@ class TestCounterRegistry:
         assert delta["a"] == 3.0
         assert delta["b"] == -5.0
         assert delta["c"] == 2.0
-        assert delta.keys() == ["a", "b", "c"]
+        assert list(delta.as_dict()) == ["a", "b", "c"]
         assert json.loads(later.to_json()) == {"a": 4.0, "c": 2.0}
-        assert "a" in later and len(later) == 2
-        assert later.get("missing", 7.0) == 7.0
+        assert "a" in later and "b" not in later
 
     def test_experiment_tables_carry_device_section(self):
         from repro.experiments.multi_tenant import run_noisy_neighbor

@@ -14,10 +14,12 @@ from repro.workloads import (
     SYNTHETIC_PROFILES,
     IORequest,
     Trace,
+    TraceParseError,
     WorkloadProfile,
     database_workload,
     generate,
     jittered_run,
+    parse_msr_line,
     parse_msr_trace,
     sequential_run,
     strided_run,
@@ -168,6 +170,27 @@ class TestMSRParser:
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             parse_msr_trace(io.StringIO("1,h,0,Trim,0,4096,0\n"))
+
+    @pytest.mark.parametrize(
+        "line, complaint",
+        [
+            ("nan,h,0,Read,0,4096,0", "non-finite timestamp 'nan'"),
+            ("inf,h,0,Read,0,4096,0", "non-finite timestamp 'inf'"),
+            ("-inf,h,0,Read,0,4096,0", "non-finite timestamp '-inf'"),
+            ("1e400,h,0,Read,0,4096,0", "non-finite timestamp '1e400'"),
+            ("5,h,0,Read,-4096,4096,0", "negative offset -4096"),
+        ],
+    )
+    def test_unusable_values_rejected_naming_the_line(self, line, complaint):
+        # A nan arrival time compares false with everything, so it would
+        # pass the open-loop ordering check and reach the event heap.
+        with pytest.raises(TraceParseError, match=complaint) as excinfo:
+            parse_msr_line(line, 4096)
+        assert repr(line) in str(excinfo.value)
+        # Whether it is the first line (the rebase origin) or a later one.
+        for text in (line + "\n", "1,h,0,Read,0,4096,0\n" + line + "\n"):
+            with pytest.raises(TraceParseError, match=complaint):
+                parse_msr_trace(io.StringIO(text))
 
     def test_max_requests(self):
         trace = parse_msr_trace(io.StringIO(self.SAMPLE), max_requests=1)

@@ -1,0 +1,59 @@
+"""Append one perf point to ``BENCH_ledger.json``: the committed trajectory of the frozen ledger.
+
+    python tools/ledger_point.py [CHECKOUT] --label "PR 21"
+
+Runs ``benchmarks/ledger/run.py --trace 0`` in CHECKOUT (default: this one) RUNS times per workload of its
+``BENCHMARK.json``, for that file's ``run_seconds``, and appends one row here: label, commit, seed, and per
+workload the simulated metrics (deterministic per seed: a run that disagrees with the first exits 1) and each
+host-clock metric's ``[median, q1, q3]`` — one box's record, never a gate (a claim needs ``tools/ab_pairs.py``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+LEDGER = Path(__file__).resolve().parents[1] / "BENCH_ledger.json"
+#: One seed for every row, so the simulated columns of two rows are comparable.
+SEED, RUNS = 1, 3
+#: Host-clock metrics; every other metric the entry point prints is simulated and must repeat exactly.
+HOST = ("host_ios_per_s", "host_pages_per_s", "setup_s", "peak_rss_mb")
+
+
+def run_once(checkout: str, workload: str, seconds: float) -> dict:
+    command = [sys.executable, "benchmarks/ledger/run.py", "--workload", workload]
+    command += ["--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
+    metrics = json.loads(done.stdout.strip().splitlines()[-1])["metrics"]
+    return {name: entry["value"] for name, entry in metrics.items()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", nargs="?", default=str(LEDGER.parent))
+    parser.add_argument("--label", required=True)
+    args = parser.parse_args()
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=args.checkout, capture_output=True, text=True)
+    spec = json.loads((Path(args.checkout) / "BENCHMARK.json").read_text(encoding="utf-8"))
+    row = {"label": args.label, "commit": commit.stdout.strip(), "seed": SEED, "runs": RUNS, "workloads": {}}
+    for workload in (entry["name"] for entry in spec["workloads"]):
+        runs = [run_once(args.checkout, workload, spec["run_seconds"]) for _ in range(RUNS)]
+        simulated = {name: value for name, value in runs[0].items() if name not in HOST}
+        if any({name: run[name] for name in simulated} != simulated for run in runs):
+            print(f"{workload}: simulated metrics differ between runs of one seed", file=sys.stderr)
+            return 1
+        quartiles = {name: statistics.quantiles([run[name] for run in runs], n=4) for name in HOST}
+        host = {name: [round(value, 4) for value in (q2, q1, q3)] for name, (q1, q2, q3) in quartiles.items()}
+        row["workloads"][workload] = {"sim": simulated, "host": host}
+        print(f"{workload}: host_pages_per_s {host['host_pages_per_s']}", file=sys.stderr)
+    rows = (json.loads(LEDGER.read_text(encoding="utf-8")) if LEDGER.exists() else []) + [row]
+    LEDGER.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,143 +1,57 @@
-"""Command-line entry point: ``python -m tools.simlint [paths...]``.
+"""Command-line entry point: ``python -m tools.simlint PATH [PATH ...]``.
 
-Exit status: 0 when clean, 1 when findings were reported, 2 on usage or
-parse errors — the contract the CI ``static-analysis`` job relies on.
+Exit status: 0 when clean, 1 when findings were reported, 2 on a usage or
+parse error or a missing / incomplete ``simlint.toml`` — the contract the
+CI ``static-analysis`` job relies on.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List
 
-from tools.simlint.config import CONFIG_NAME, SimlintConfig
-from tools.simlint.engine import RULES, iter_python_files, lint_file
+from tools.simlint import RULES, SimlintConfig, lint_paths
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.simlint",
         description="Determinism-and-correctness static analysis for the simulator.",
     )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the config's include list)",
-    )
-    parser.add_argument(
-        "--config",
-        type=Path,
-        default=None,
-        help=f"path to {CONFIG_NAME} (default: discovered from the lint roots)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all enabled rules)",
-    )
+    parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every registered rule with its rationale and exit",
     )
-    return parser
-
-
-def _list_rules() -> None:
-    for code in sorted(RULES):
-        rule = RULES[code]()
-        print(f"{code}  {rule.name}")
-        print(f"    {rule.rationale}")
-        print(f"    default scope: {', '.join(rule.default_paths)}")
-
-
-def main(argv: List[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     if args.list_rules:
-        _list_rules()
+        for code in sorted(RULES):
+            print(f"{code}  {RULES[code].name}")
+            print(f"    {RULES[code].rationale}")
         return 0
+    if not args.paths:
+        parser.error("give at least one file or directory to lint")
 
-    try:
-        if args.config is not None:
-            config = SimlintConfig.load(args.config)
-        else:
-            start = Path(args.paths[0]) if args.paths else Path.cwd()
-            config = SimlintConfig.discover(start)
-    except (OSError, ValueError) as exc:
-        print(f"simlint: config error: {exc}", file=sys.stderr)
-        return 2
-
-    selected = None
-    if args.select:
-        selected = {code.strip() for code in args.select.split(",") if code.strip()}
-        unknown = selected - set(RULES)
-        if unknown:
-            print(
-                f"simlint: unknown rule(s): {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-
-    roots = [Path(p) for p in args.paths] if args.paths else [
-        config.root / entry for entry in config.include
-    ]
+    roots = [Path(p) for p in args.paths]
     missing = [str(root) for root in roots if not root.exists()]
     if missing:
         print(f"simlint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
+    try:
+        config = SimlintConfig.discover(roots[0])
+    except (OSError, ValueError) as exc:
+        print(f"simlint: config error: {exc}", file=sys.stderr)
+        return 2
 
-    active = [
-        rule
-        for rule in config.active_rules()
-        if selected is None or rule.code in selected
-    ]
-
-    findings = []
-    errors = 0
-    files = 0
-    for path in iter_python_files(roots):
-        if config.is_excluded(path):
-            continue
-        applicable = [rule for rule in active if config.rule_applies(rule, path)]
-        if not applicable:
-            continue
-        files += 1
-        try:
-            findings.extend(lint_file(path, config.relpath(path), applicable))
-        except SyntaxError as exc:
-            errors += 1
-            print(
-                f"simlint: {config.relpath(path)}: syntax error: {exc.msg} "
-                f"(line {exc.lineno})",
-                file=sys.stderr,
-            )
-
-    findings.sort()
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "files_checked": files,
-                    "findings": [f.as_dict() for f in findings],
-                },
-                indent=2,
-            )
-        )
-    else:
-        for finding in findings:
-            print(finding.render())
-        summary = f"simlint: {files} files checked, {len(findings)} finding(s)"
-        print(summary, file=sys.stderr)
-
+    findings, files, errors = lint_paths(roots, config)
+    for error in errors:
+        print(f"simlint: {error}", file=sys.stderr)
+    for finding in findings:
+        print(finding.render())
+    print(f"simlint: {files} files checked, {len(findings)} finding(s)", file=sys.stderr)
     if errors:
         return 2
     return 1 if findings else 0

@@ -1,9 +1,11 @@
 """simlint configuration: path scoping per rule, loaded from ``simlint.toml``.
 
-The config file lives at the repository root and scopes each rule to the
-paths where its contract applies (SIM001 to the device model, SIM006 to the
-stats modules, ...).  Files are matched by posix-style path prefix relative
-to the config root, so ``"src/repro/sim"`` covers the whole package and
+The config file lives at the repository root and is the only place a
+rule's scope is written (SIM001 to the device model, SIM006 to the stats
+modules, ...): every registered rule needs a ``[rules.SIMxxx]`` table
+with a ``paths`` list, and a missing file or table is an error, not a
+fallback.  Files are matched by posix-style path prefix relative to the
+config root, so ``"src/repro/sim"`` covers the whole package and
 ``"src/repro/flash/allocator.py"`` exactly one file.
 
 The file is parsed with the standard library's :mod:`tomllib` (Python
@@ -13,78 +15,60 @@ The file is parsed with the standard library's :mod:`tomllib` (Python
 from __future__ import annotations
 
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from tools.simlint.engine import RULES, Rule
 
-#: Default name of the config file, searched upward from the lint roots.
+#: Name of the config file, searched upward from the first lint root.
 CONFIG_NAME = "simlint.toml"
 
 #: Directories never linted (match anywhere in the path).
 _ALWAYS_EXCLUDED = (".git", "__pycache__")
 
 
-def _load_toml(path: Path) -> Dict[str, object]:
-    with path.open("rb") as handle:
-        return tomllib.load(handle)
-
-
-@dataclass
-class RuleConfig:
-    """Per-rule overrides from ``[rules.SIMxxx]`` tables."""
-
-    enabled: bool = True
-    paths: Optional[Tuple[str, ...]] = None  # None = the rule's defaults
-
-
 @dataclass
 class SimlintConfig:
-    """Resolved configuration: lint roots, exclusions, per-rule scoping."""
+    """Resolved configuration: the root paths are relative to, exclusions,
+    and each rule's scope (rule code -> path prefixes)."""
 
-    root: Path = field(default_factory=Path.cwd)
-    include: Tuple[str, ...] = ("src", "tools")
-    exclude: Tuple[str, ...] = ()
-    rules: Dict[str, RuleConfig] = field(default_factory=dict)
+    root: Path
+    exclude: Tuple[str, ...]
+    rules: Dict[str, Tuple[str, ...]]
 
     @classmethod
     def load(cls, path: Path) -> "SimlintConfig":
-        data = _load_toml(path)
+        with path.open("rb") as handle:
+            data = tomllib.load(handle)
         simlint = data.get("simlint", {})
-        if not isinstance(simlint, dict):
-            raise ValueError(f"{path}: [simlint] must be a table")
-        rules: Dict[str, RuleConfig] = {}
         raw_rules = data.get("rules", {})
-        if isinstance(raw_rules, dict):
-            for code, overrides in raw_rules.items():
-                if not isinstance(overrides, dict):
-                    raise ValueError(f"{path}: [rules.{code}] must be a table")
-                if code not in RULES:
-                    raise ValueError(f"{path}: unknown rule {code!r}")
-                paths = overrides.get("paths")
-                rules[code] = RuleConfig(
-                    enabled=bool(overrides.get("enabled", True)),
-                    paths=tuple(paths) if paths is not None else None,
-                )
+        if not isinstance(simlint, dict) or not isinstance(raw_rules, dict):
+            raise ValueError(f"{path}: [simlint] and [rules] must be tables")
+        unknown = sorted(set(raw_rules) - set(RULES))
+        if unknown:
+            raise ValueError(f"{path}: unknown rule {unknown[0]!r}")
+        rules: Dict[str, Tuple[str, ...]] = {}
+        for code in sorted(RULES):
+            table = raw_rules.get(code)
+            if not isinstance(table, dict) or not isinstance(table.get("paths"), list):
+                raise ValueError(f"{path}: rule {code} has no [rules.{code}] paths list")
+            rules[code] = tuple(table["paths"])
         return cls(
             root=path.parent.resolve(),
-            include=tuple(simlint.get("include", ("src", "tools"))),
             exclude=tuple(simlint.get("exclude", ())),
             rules=rules,
         )
 
     @classmethod
     def discover(cls, start: Path) -> "SimlintConfig":
-        """Find ``simlint.toml`` at ``start`` or the nearest ancestor."""
+        """Load the ``simlint.toml`` at ``start`` or its nearest ancestor."""
         probe = start.resolve()
-        if probe.is_file():
-            probe = probe.parent
         for candidate in (probe, *probe.parents):
             config_path = candidate / CONFIG_NAME
             if config_path.is_file():
                 return cls.load(config_path)
-        return cls(root=probe)
+        raise FileNotFoundError(f"no {CONFIG_NAME} at or above {probe}")
 
     # ------------------------------------------------------------------ #
     # Scoping
@@ -104,26 +88,8 @@ class SimlintConfig:
         return any(_prefix_match(rel, prefix) for prefix in self.exclude)
 
     def rule_applies(self, rule: Rule, path: Path) -> bool:
-        override = self.rules.get(rule.code)
-        if override is not None and not override.enabled:
-            return False
-        scopes: Sequence[str]
-        if override is not None and override.paths is not None:
-            scopes = override.paths
-        else:
-            scopes = rule.default_paths
         rel = self.relpath(path)
-        return any(_prefix_match(rel, scope) for scope in scopes)
-
-    def active_rules(self) -> List[Rule]:
-        """Instantiate every enabled rule, in code order."""
-        active: List[Rule] = []
-        for code in sorted(RULES):
-            override = self.rules.get(code)
-            if override is not None and not override.enabled:
-                continue
-            active.append(RULES[code]())
-        return active
+        return any(_prefix_match(rel, scope) for scope in self.rules[rule.code])
 
 
 def _prefix_match(rel: str, scope: str) -> bool:

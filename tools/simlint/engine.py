@@ -26,7 +26,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
 
 #: Matches a suppression comment anywhere in a physical line.  Codes are
 #: comma-separated; omitting ``=CODES`` disables every rule for the line.
@@ -50,15 +50,6 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-        }
 
 
 class FileContext:
@@ -103,16 +94,14 @@ class Rule:
     """Base class of all simlint rules.
 
     Subclasses set the class attributes and implement :meth:`check`; the
-    :func:`register` decorator adds them to the registry.  ``default_paths``
-    scopes the rule when ``simlint.toml`` does not override it: a file is in
-    scope when its posix-style path (relative to the config root) starts
-    with one of the entries (``""`` means everywhere).
+    :func:`register` decorator adds them to the registry.  Where a rule
+    applies is not the rule's to say: its ``[rules.<code>]`` table in
+    ``simlint.toml`` is the one place a scope is written.
     """
 
     code: str = ""
     name: str = ""
     rationale: str = ""
-    default_paths: Tuple[str, ...] = ("",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:  # pragma: no cover
         raise NotImplementedError

@@ -9,8 +9,7 @@ negatives are acceptable, false positives are suppressed inline with
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Callable, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from tools.simlint.engine import FileContext, Finding, ImportMap, Rule, register
 
@@ -48,14 +47,6 @@ class NoWallClock(Rule):
         "explicit at_us clocks); reading the host clock makes replay "
         "timing-dependent and unreproducible."
     )
-    default_paths = (
-        "src/repro/sim",
-        "src/repro/ssd",
-        "src/repro/host",
-        "src/repro/flash",
-        "src/repro/ftl",
-        "src/repro/core",
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         imports = ImportMap(ctx.tree)
@@ -75,40 +66,15 @@ class NoWallClock(Rule):
 # --------------------------------------------------------------------------- #
 # SIM002 — randomness must be injected and seeded
 # --------------------------------------------------------------------------- #
-#: Constructors that are fine *when given a seed argument*.
-_SEEDABLE_CONSTRUCTORS = frozenset(
-    {
-        "random.Random",
-        "numpy.random.default_rng",
-        "numpy.random.RandomState",
-    }
-)
-
-#: numpy.random names that are types/helpers, not the module-level RNG.
-_NUMPY_RANDOM_SAFE = frozenset(
-    {
-        "numpy.random.Generator",
-        "numpy.random.SeedSequence",
-        "numpy.random.BitGenerator",
-        "numpy.random.PCG64",
-        "numpy.random.Philox",
-        "numpy.random.MT19937",
-        "numpy.random.SFC64",
-    }
-)
-
-
 @register
 class SeededRandomOnly(Rule):
     code = "SIM002"
     name = "seeded-random-only"
     rationale = (
         "Randomness must flow through an injected, explicitly seeded "
-        "random.Random (or numpy Generator): the module-level API draws from "
-        "shared hidden state, so results depend on import order and on every "
-        "other caller."
+        "random.Random: the module-level API draws from shared hidden state, "
+        "so results depend on import order and on every other caller."
     )
-    default_paths = ("src/repro",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         imports = ImportMap(ctx.tree)
@@ -118,7 +84,7 @@ class SeededRandomOnly(Rule):
             resolved = imports.resolve(node.func)
             if resolved is None:
                 continue
-            if resolved in _SEEDABLE_CONSTRUCTORS:
+            if resolved == "random.Random":
                 if not node.args and not node.keywords:
                     yield from self.emit(
                         ctx,
@@ -126,22 +92,16 @@ class SeededRandomOnly(Rule):
                         f"{resolved}() without a seed is entropy-seeded; "
                         "pass an explicit seed",
                     )
-                continue
-            if resolved in _NUMPY_RANDOM_SAFE or resolved == "random.SystemRandom":
-                continue
-            if resolved.startswith("random.") and resolved.count(".") == 1:
+            elif (
+                resolved.startswith("random.")
+                and resolved.count(".") == 1
+                and resolved != "random.SystemRandom"
+            ):
                 yield from self.emit(
                     ctx,
                     node,
                     f"module-level {resolved}() uses the shared global RNG; "
                     "thread a seeded random.Random instance through instead",
-                )
-            elif resolved.startswith("numpy.random."):
-                yield from self.emit(
-                    ctx,
-                    node,
-                    f"module-level {resolved}() uses numpy's global RNG; "
-                    "use an injected numpy.random.default_rng(seed) Generator",
                 )
 
 
@@ -166,6 +126,9 @@ _CONTAINER_ANNOTATIONS = frozenset(
 _SET_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference", "copy"}
 )
+#: When iterating: a dict built by dict.fromkeys(<set>) is tracked as a
+#: set, so its .keys() is the set too.
+_ITERABLE_SET_METHODS = _SET_METHODS | {"keys"}
 
 
 def _annotation_kind(node: Optional[ast.AST]) -> Optional[str]:
@@ -214,8 +177,7 @@ class _SetSymbols(ast.NodeVisitor):
     * ``dict.fromkeys(<set>)`` — the dict inherits the set's order.
     """
 
-    def __init__(self, imports: ImportMap) -> None:
-        self.imports = imports
+    def __init__(self) -> None:
         self.sets: Set[Tuple[str, str]] = set()
         self.containers: Set[Tuple[str, str]] = set()
         self._scope: List[str] = ["<module>"]
@@ -241,27 +203,39 @@ class _SetSymbols(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
     # -- classification --------------------------------------------------- #
-    def _value_is_set(self, value: ast.AST) -> bool:
-        if isinstance(value, (ast.Set, ast.SetComp)):
+    def is_set(
+        self,
+        node: ast.AST,
+        key_of: Callable[[ast.AST], Optional[Tuple[str, str]]],
+        methods: FrozenSet[str],
+    ) -> bool:
+        """Whether ``node`` evaluates to a set, by the symbols known so far.
+
+        ``key_of`` resolves a name / self-attribute to its symbol key (the
+        collecting pass and the checking pass scope names differently);
+        ``methods`` are the calls on a known set that yield its elements.
+        """
+        if isinstance(node, (ast.Set, ast.SetComp)):
             return True
-        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-            if value.func.id in _SET_CONSTRUCTORS:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in _SET_CONSTRUCTORS:
                 return True
-        if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             # set-producing methods on a known set: a.union(b), a.copy(), ...
-            inner = self._key(value.func.value)
-            if inner in self.sets and value.func.attr in _SET_METHODS:
+            if key_of(node.func.value) in self.sets and node.func.attr in methods:
                 return True
-        if isinstance(value, ast.BinOp) and isinstance(
-            value.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+        if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
         ):
-            return self._value_is_set(value.left) or self._value_is_set(value.right)
-        if isinstance(value, ast.Subscript):
+            return self.is_set(node.left, key_of, methods) or self.is_set(
+                node.right, key_of, methods
+            )
+        if isinstance(node, ast.Subscript):
             # Indexing a container-of-sets (List[Set[int]], Dict[K, Set[V]])
             # yields a set: `pool = self._free_blocks[ch]`.
-            return self._key(value.value) in self.containers
-        key = self._key(value)
-        return key in self.sets
+            if key_of(node.value) in self.containers:
+                return True
+        return key_of(node) in self.sets
 
     def _record(self, target: ast.AST, kind: Optional[str]) -> None:
         key = self._key(target)
@@ -284,7 +258,7 @@ class _SetSymbols(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         value = node.value
         kind: Optional[str] = None
-        if self._value_is_set(value):
+        if self.is_set(value, self._key, _SET_METHODS):
             kind = "set"
         elif (
             isinstance(value, ast.Call)
@@ -293,7 +267,7 @@ class _SetSymbols(ast.NodeVisitor):
             and isinstance(value.func.value, ast.Name)
             and value.func.value.id == "dict"
             and value.args
-            and self._value_is_set(value.args[0])
+            and self.is_set(value.args[0], self._key, _SET_METHODS)
         ):
             # dict.fromkeys(a_set): the dict's order is the set's order.
             kind = "set"
@@ -312,44 +286,15 @@ class NoSetIteration(Rule):
         "layout into simulated behaviour; use insertion-ordered structures "
         "(dict keys, lists) or an explicit total order."
     )
-    default_paths = (
-        "src/repro/flash/allocator.py",
-        "src/repro/sim",
-        "src/repro/ssd/gc.py",
-        "src/repro/ssd/ssd.py",
-        "src/repro/ssd/wear_leveling.py",
-        "src/repro/host/arbiter.py",
-        "src/repro/host/interface.py",
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        symbols = _SetSymbols(imports)
+        symbols = _SetSymbols()
         symbols.visit(ctx.tree)
 
         scope_stack: List[str] = ["<module>"]
 
         def is_set_expr(node: ast.AST) -> bool:
-            if isinstance(node, (ast.Set, ast.SetComp)):
-                return True
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if node.func.id in _SET_CONSTRUCTORS:
-                    return True
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                inner = key_of(node.func.value)
-                if inner in symbols.sets and node.func.attr in (
-                    _SET_METHODS | {"keys"}
-                ):
-                    return True
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-            ):
-                return is_set_expr(node.left) or is_set_expr(node.right)
-            if isinstance(node, ast.Subscript):
-                base = key_of(node.value)
-                if base in symbols.containers:
-                    return True
-            return key_of(node) in symbols.sets
+            return symbols.is_set(node, key_of, _ITERABLE_SET_METHODS)
 
         def key_of(node: ast.AST) -> Optional[Tuple[str, str]]:
             known = symbols.sets | symbols.containers
@@ -370,18 +315,12 @@ class NoSetIteration(Rule):
 
         findings: List[Finding] = []
 
-        def describe(node: ast.AST) -> str:
-            try:
-                return ast.unparse(node)
-            except Exception:  # pragma: no cover - defensive
-                return "<expr>"
-
         def flag(node: ast.AST, how: str) -> None:
             findings.extend(
                 self.emit(
                     ctx,
                     node,
-                    f"{how} iterates unordered set {describe(node)!r}; order "
+                    f"{how} iterates unordered set {ast.unparse(node)!r}; order "
                     "feeds simulated behaviour — use an insertion-ordered "
                     "structure or an explicit total order",
                 )
@@ -442,7 +381,6 @@ class NoFloatTimestampEquality(Rule):
         "on them is representation-dependent.  Compare integer ticks, use "
         "ordering comparisons, or an explicit epsilon helper."
     )
-    default_paths = ("src/repro",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -496,7 +434,6 @@ class NoMutableDefaults(Rule):
         "every call — state leaks across requests/replays and breaks "
         "run-to-run reproducibility."
     )
-    default_paths = ("src", "tools")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         imports = ImportMap(ctx.tree)
@@ -585,10 +522,6 @@ class MonotoneStatsCounters(Rule):
         "increments so merging stays additive.  Raw reassignment belongs "
         "only in __init__/reset()."
     )
-    default_paths = (
-        "src/repro/ssd/stats.py",
-        "src/repro/host/namespace.py",
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         counters = _counter_fields(ctx.tree)
@@ -636,139 +569,6 @@ class MonotoneStatsCounters(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# SIM007 — every *Stats counter must be reachable from the counter registry
-# --------------------------------------------------------------------------- #
-def _registry_tables(start: "Path") -> Tuple[Set[str], Set[Tuple[str, str]]]:
-    """Parse ``REGISTERED_STATS`` / ``EXCLUDED_FIELDS`` out of the registry.
-
-    The registry module (``src/repro/obs/registry.py``) keeps both tables
-    as pure literals precisely so this rule can read them statically.  The
-    file is located by walking up from the linted file to the directory
-    containing ``src``; results are cached per registry path.
-    """
-    registry_path: Optional[Path] = None
-    probe = start.resolve()
-    for parent in (probe, *probe.parents):
-        candidate = parent / "src" / "repro" / "obs" / "registry.py"
-        if candidate.is_file():
-            registry_path = candidate
-            break
-    if registry_path is None:
-        return set(), set()
-    cached = _REGISTRY_CACHE.get(registry_path)
-    if cached is not None:
-        return cached
-    registered: Set[str] = set()
-    excluded: Set[Tuple[str, str]] = set()
-    tree = ast.parse(registry_path.read_text(encoding="utf-8"))
-    for node in tree.body:
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        target = node.targets[0]
-        if not (isinstance(target, ast.Name) and isinstance(node.value, ast.Dict)):
-            continue
-        if target.id == "REGISTERED_STATS":
-            for key in node.value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    registered.add(key.value)
-        elif target.id == "EXCLUDED_FIELDS":
-            for key in node.value.keys:
-                if (
-                    isinstance(key, ast.Tuple)
-                    and len(key.elts) == 2
-                    and all(
-                        isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-                        for elt in key.elts
-                    )
-                ):
-                    excluded.add((key.elts[0].value, key.elts[1].value))
-    _REGISTRY_CACHE[registry_path] = (registered, excluded)
-    return registered, excluded
-
-
-_REGISTRY_CACHE: dict = {}
-
-#: Field annotations the registry walks natively (see ``snapshot_stats``):
-#: plain numerics plus the LatencyRecorder expansion.
-_REGISTRY_EXPORTABLE_ANNOTATIONS = frozenset(
-    {"int", "float", "bool", "LatencyRecorder"}
-)
-
-
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-        if name == "dataclass":
-            return True
-    return False
-
-
-@register
-class RegistryCoverage(Rule):
-    code = "SIM007"
-    name = "registry-coverage"
-    rationale = (
-        "Every *Stats dataclass counter must be reachable from the counter "
-        "registry (repro.obs.registry), or it silently misses every export "
-        "— the way checkpoint_page_writes shipped a whole PR without "
-        "appearing in any report.  Register the class in REGISTERED_STATS; "
-        "non-numeric fields need an EXCLUDED_FIELDS entry naming what "
-        "covers them."
-    )
-    default_paths = ("src/repro",)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        registered, excluded = _registry_tables(Path(ctx.path).parent)
-        if not registered:
-            # No registry found (e.g. linting a partial checkout): nothing
-            # to enforce against.
-            return
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.ClassDef)
-                and node.name.endswith("Stats")
-                and _is_dataclass_decorated(node)
-            ):
-                continue
-            if node.name not in registered:
-                yield from self.emit(
-                    ctx,
-                    node,
-                    f"stats dataclass {node.name!r} is not in "
-                    "repro.obs.registry.REGISTERED_STATS; its counters are "
-                    "invisible to every registry-based export",
-                )
-                continue
-            for stmt in node.body:
-                if not (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                ):
-                    continue
-                field_name = stmt.target.id
-                if (node.name, field_name) in excluded:
-                    continue
-                annotation = stmt.annotation
-                ann_name = ""
-                if isinstance(annotation, ast.Name):
-                    ann_name = annotation.id
-                elif isinstance(annotation, ast.Constant) and isinstance(
-                    annotation.value, str
-                ):
-                    ann_name = annotation.value
-                if ann_name not in _REGISTRY_EXPORTABLE_ANNOTATIONS:
-                    yield from self.emit(
-                        ctx,
-                        stmt,
-                        f"field {node.name}.{field_name} "
-                        f"({ast.unparse(annotation)}) is not "
-                        "registry-exportable; make it numeric or add an "
-                        "EXCLUDED_FIELDS entry explaining what covers it",
-                    )
-
-
-# --------------------------------------------------------------------------- #
 # SIM008 — observer purity in the telemetry layer
 # --------------------------------------------------------------------------- #
 #: Method names that drive or mutate the simulation.  Deliberately short
@@ -810,7 +610,6 @@ class ObserverPurity(Rule):
         "Observers may only assign to self; driving the sim belongs in "
         "scenario drivers with an explicit disable."
     )
-    default_paths = ("src/repro/obs",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
