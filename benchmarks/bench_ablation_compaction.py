@@ -28,7 +28,7 @@ def test_ablation_compaction_interval(benchmark):
     results = run_once(benchmark, run_both)
 
     rows = [
-        [label, format_bytes(outcome.mapping_full_bytes), outcome.ftl_details.get("segments", 0)]
+        [label, format_bytes(outcome.mapping_full_bytes), sum(outcome.segment_type_counts)]
         for label, outcome in results.items()
     ]
     print_report(render_table(

@@ -48,13 +48,13 @@ def _render(table) -> None:
             "Multi-tenant QoS: reader latency by arbiter",
             {
                 arbiter: {
-                    "p50_us": round(table[arbiter]["reader"]["read_p50_us"], 1),
-                    "p99_us": round(table[arbiter]["reader"]["read_p99_us"], 1),
+                    "p50_us": round(table[arbiter]["reader"]["read_latency.p50_us"], 1),
+                    "p99_us": round(table[arbiter]["reader"]["read_latency.p99_us"], 1),
                     "slo_viol": table[arbiter]["reader"]["slo_violations"],
                     "writer_p99_us": round(
                         table[arbiter]
                         .get("writer", {})
-                        .get("write_p99_us", 0.0),
+                        .get("write_latency.p99_us", 0.0),
                         1,
                     ),
                 }
@@ -71,13 +71,13 @@ def test_noisy_neighbor_isolation(benchmark):
     )
     _render(table)
 
-    solo_p99 = table["solo"]["reader"]["read_p99_us"]
+    solo_p99 = table["solo"]["reader"]["read_latency.p99_us"]
     assert solo_p99 > 0.0
     # QoS arbiters isolate the latency-sensitive tenant...
     for arbiter in ("weighted_round_robin", "strict_priority"):
-        assert table[arbiter]["reader"]["read_p99_us"] <= ISOLATION_FACTOR * solo_p99
+        assert table[arbiter]["reader"]["read_latency.p99_us"] <= ISOLATION_FACTOR * solo_p99
     # ...the shared queue demonstrably does not...
-    assert table["fifo"]["reader"]["read_p99_us"] > ISOLATION_FACTOR * solo_p99
+    assert table["fifo"]["reader"]["read_latency.p99_us"] > ISOLATION_FACTOR * solo_p99
     # ...and nobody's work was dropped to get there.
     for arbiter in ARBITERS:
         assert table[arbiter]["writer"]["completed"] == scenario.writer_requests
@@ -92,8 +92,8 @@ def test_writer_rate_limit_recovers_reader_tail(benchmark):
             "Token-bucket QoS: bandwidth-capping the writer",
             {
                 label: {
-                    "reader_p99_us": round(row["reader"]["read_p99_us"], 1),
-                    "writer_p99_us": round(row["writer"]["write_p99_us"], 1),
+                    "reader_p99_us": round(row["reader"]["read_latency.p99_us"], 1),
+                    "writer_p99_us": round(row["writer"]["write_latency.p99_us"], 1),
                     "deferrals": row["writer"]["rate_limit_deferrals"],
                 }
                 for label, row in table.items()
@@ -103,6 +103,6 @@ def test_writer_rate_limit_recovers_reader_tail(benchmark):
 
     assert table["capped"]["writer"]["rate_limit_deferrals"] > 0
     assert (
-        table["capped"]["reader"]["read_p99_us"]
-        < table["uncapped"]["reader"]["read_p99_us"]
+        table["capped"]["reader"]["read_latency.p99_us"]
+        < table["uncapped"]["reader"]["read_latency.p99_us"]
     )

@@ -39,9 +39,9 @@ from repro.experiments.multi_tenant import (
 ARBITERS = ("fifo", "round_robin", "weighted_round_robin", "strict_priority")
 
 READER_COLUMNS = (
-    ("read_p50_us", "p50 us"),
-    ("read_p95_us", "p95 us"),
-    ("read_p99_us", "p99 us"),
+    ("read_latency.p50_us", "p50 us"),
+    ("read_latency.p95_us", "p95 us"),
+    ("read_latency.p99_us", "p99 us"),
     ("queue_wait_us", "SQ wait us"),
     ("slo_violations", "SLO viol"),
 )
@@ -59,10 +59,10 @@ def print_arbitration_sweep(table) -> None:
 
 
 def print_isolation_factors(table) -> None:
-    solo_p99 = table["solo"]["reader"]["read_p99_us"]
+    solo_p99 = table["solo"]["reader"]["read_latency.p99_us"]
     print("=== isolation: contended reader p99 as a multiple of solo ===")
     for arbiter in ARBITERS:
-        factor = table[arbiter]["reader"]["read_p99_us"] / solo_p99
+        factor = table[arbiter]["reader"]["read_latency.p99_us"] / solo_p99
         verdict = "isolated (<= 3x)" if factor <= 3.0 else "NOT isolated"
         print(f"{arbiter:>22}  {factor:7.2f}x   {verdict}")
     print()
@@ -75,9 +75,9 @@ def print_rate_limit_comparison() -> None:
         reader = table[label]["reader"]
         writer = table[label]["writer"]
         print(
-            f"{label:>10}  reader p99 {reader['read_p99_us']:9.1f} us"
+            f"{label:>10}  reader p99 {reader['read_latency.p99_us']:9.1f} us"
             f"  (SLO violations {reader['slo_violations']:4.0f})"
-            f" | writer p99 {writer['write_p99_us']:10.1f} us"
+            f" | writer p99 {writer['write_latency.p99_us']:10.1f} us"
             f"  deferrals {writer['rate_limit_deferrals']:6.0f}"
         )
     print()

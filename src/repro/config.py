@@ -24,6 +24,7 @@ Both are available as constructors on :class:`SSDConfig`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 KB = 1024
@@ -97,6 +98,15 @@ class SSDConfig:
             raise ValueError("require 0 < gc_threshold < gc_restore <= 1")
         if self.ncq_depth <= 0:
             raise ValueError("ncq_depth must be positive")
+        for name in ("read_latency_us", "write_latency_us", "erase_latency_us", "dram_latency_us"):
+            latency = getattr(self, name)
+            # A NaN latency would poison every clock comparison downstream.
+            if not (math.isfinite(latency) and latency > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {latency!r}")
+        for name in ("dram_size", "write_buffer_bytes", "oob_size"):
+            size = getattr(self, name)
+            if size <= 0:
+                raise ValueError(f"{name} must be positive, got {size!r}")
 
     # ------------------------------------------------------------------ #
     # Derived geometry

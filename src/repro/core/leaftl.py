@@ -208,23 +208,3 @@ class LeaFTL(FTL):
 
     def mapped_lpa_count(self) -> Optional[int]:
         return None
-
-    # ------------------------------------------------------------------ #
-    # Reporting helpers
-    # ------------------------------------------------------------------ #
-    def describe(self) -> Dict[str, float]:
-        info = super().describe()
-        accurate, approximate = self.table.segment_type_counts()
-        info.update(
-            {
-                "gamma": float(self.config.gamma),
-                "segments": float(self.table.segment_count()),
-                "accurate_segments": float(accurate),
-                "approximate_segments": float(approximate),
-                "groups": float(self.table.group_count()),
-                "crb_bytes": float(self.table.crb_bytes()),
-                "compactions": float(self.lea_stats.compactions),
-                "oob_corrections": float(self.lea_stats.oob_corrections),
-            }
-        )
-        return info

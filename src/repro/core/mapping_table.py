@@ -116,10 +116,6 @@ class LogStructuredMappingTable:
                 self.stats.approximate_segments_learned += 1
         return learned
 
-    def update_single(self, lpa: int, ppa: int) -> List[LearnedSegment]:
-        """Insert a single mapping (degenerates to a single-point segment)."""
-        return self.update([(lpa, ppa)])
-
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #

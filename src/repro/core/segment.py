@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import TYPE_CHECKING, Iterator, List
+from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:
     from repro.core.level import Level
@@ -283,18 +283,12 @@ class Segment:
             return False
         return (lpa - start) % self.stride == 0
 
-    def covered_lpas_accurate(self) -> Iterator[int]:
-        """Iterate the LPAs an accurate segment encodes (from its metadata)."""
-        if not self.accurate:
-            raise ValueError("only accurate segments can enumerate LPAs from metadata")
-        return iter(self.covered_lpas_accurate_list())
-
     def covered_lpas_accurate_list(self) -> List[int]:
-        """The LPAs an accurate segment encodes, as a list (hot-path form).
+        """The LPAs an accurate segment encodes (from its metadata), as a list.
 
-        Equivalent to ``list(covered_lpas_accurate())`` but built with a
-        single C-level ``range`` expansion — the merge procedure calls this
-        for every victim candidate, so avoiding the generator matters.
+        Built with a single C-level ``range`` expansion — the merge
+        procedure calls this for every victim candidate, so avoiding a
+        generator matters.
         """
         length = self.length
         if length == REMOVABLE:

@@ -179,7 +179,6 @@ class ExperimentResult:
     mapping_full_bytes: int
     mapping_resident_bytes: int
     stats: SSDStats
-    ftl_details: Dict[str, float] = field(default_factory=dict)
     latency_samples: List[float] = field(default_factory=list)
     levels_histogram: Dict[int, int] = field(default_factory=dict)
     crb_sizes: List[int] = field(default_factory=list)
@@ -457,7 +456,6 @@ def simulate(
         mapping_full_bytes=ftl.full_mapping_bytes(),
         mapping_resident_bytes=ftl.resident_bytes(),
         stats=stats,
-        ftl_details=ftl.describe(),
         latency_samples=stats.read_latency.samples(),
     )
     if isinstance(ftl, LeaFTL):

@@ -19,12 +19,13 @@ quantifies, arbiter by arbiter, against the reader's solo run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.experiments.common import ExperimentSetup, build_ssd, reset_measurement
 from repro.host.arbiter import ARBITERS, TokenBucket
-from repro.obs.registry import CounterSnapshot, device_snapshot
 from repro.host.interface import HostInterface
+from repro.obs.analyze import namespace_scorecard
+from repro.obs.registry import CounterSnapshot, device_snapshot
 from repro.ssd.ssd import SimulatedSSD
 from repro.workloads.multi_tenant import (
     TenantWorkload,
@@ -171,20 +172,37 @@ def writer_tenant(scenario: NoisyNeighborScenario) -> TenantWorkload:
     )
 
 
-def _scorecard(
-    delta: Dict[str, float], after: "CounterSnapshot"
-) -> Dict[str, object]:
-    """Per-namespace SLO health over the measured phase.
+def _tables(
+    ssd: SimulatedSSD,
+    host: HostInterface,
+    before: CounterSnapshot,
+    tenants: Iterable[str],
+) -> Dict[str, Dict[str, object]]:
+    """One cell's tables, all read off the registry snapshot after the run.
 
-    The activity counts come from the measured-phase *delta* (so warmup
-    violations don't pollute the burn rate) while the configuration
-    gauges (SLO thresholds, weights) come from the absolute end snapshot
-    — a delta zeroes unchanged gauges out.
+    ``"device"`` is every counter's delta over the measured phase (GC
+    traffic, WAF inputs, cache behaviour and the ``ns.<tenant>.*`` rows
+    alike), ``"scorecard"`` the SLO health judged from it, and each tenant
+    that ran gets its own ``ns.<tenant>.*`` counters with the prefix
+    dropped — ``table["reader"]["read_latency.p99_us"]``.
     """
-    from repro.obs.analyze import namespace_scorecard
-
-    card = namespace_scorecard(delta, gauges=after.as_dict())
-    return card["namespaces"]  # type: ignore[no-any-return]
+    after = device_snapshot(ssd, host=host)
+    counters = after.as_dict()
+    table: Dict[str, Dict[str, object]] = {}
+    for tenant in tenants:
+        prefix = f"ns.{tenant}."
+        table[tenant] = {
+            key[len(prefix):]: value
+            for key, value in counters.items()
+            if key.startswith(prefix)
+        }
+    table["device"] = after.delta(before).as_dict()
+    # Activity counts come from the measured-phase delta (so warmup
+    # violations don't pollute the burn rate), the configuration gauges
+    # (SLO thresholds, weights) from the absolute end snapshot — a delta
+    # zeroes unchanged gauges out.
+    table["scorecard"] = namespace_scorecard(table["device"], gauges=counters)["namespaces"]
+    return table
 
 
 def run_noisy_neighbor(
@@ -204,14 +222,7 @@ def run_noisy_neighbor(
         tenants.append(writer_tenant(scenario))
     before = device_snapshot(ssd, host=host)
     result = host.run(tenants)
-    table = result.summary()
-    # Registry delta over the measured phase: every device counter (GC
-    # traffic, WAF inputs, cache behaviour, ...) rides along generically
-    # instead of the old hand-picked summary() merging.
-    after = device_snapshot(ssd, host=host)
-    table["device"] = after.delta(before).as_dict()
-    table["scorecard"] = _scorecard(table["device"], after)
-    return table
+    return _tables(ssd, host, before, result.namespaces)
 
 
 def noisy_neighbor_sweep(
@@ -259,9 +270,5 @@ def rate_limit_comparison(
             )
         before = device_snapshot(ssd, host=host)
         result = host.run([reader_tenant(scenario), writer_tenant(scenario)])
-        cell = result.summary()
-        after = device_snapshot(ssd, host=host)
-        cell["device"] = after.delta(before).as_dict()
-        cell["scorecard"] = _scorecard(cell["device"], after)
-        table[label] = cell
+        table[label] = _tables(ssd, host, before, result.namespaces)
     return table

@@ -104,6 +104,9 @@ class FlashArray:
         self._pages_per_block = config.pages_per_block
         self._pages_per_channel = config.pages_per_channel
         self._blocks_per_channel = config.blocks_per_channel
+        #: Blocks are striped round-robin across the dies of their channel
+        #: (die = block-in-channel % dies), so consecutively allocated
+        #: blocks land on different dies and their programs can overlap.
         self._dies_per_channel = config.dies_per_channel
         # Erase resets a block's slice wholesale; programming a run marks
         # its slice valid wholesale.

@@ -46,7 +46,6 @@ class FlashGeometry:
         self._blocks_per_channel = config.blocks_per_channel
         self._pages_per_channel = config.pages_per_channel
         self._channels = config.channels
-        self._dies_per_channel = config.dies_per_channel
         self._total_pages = config.physical_pages
         self._total_blocks = config.total_blocks
 
@@ -107,43 +106,10 @@ class FlashGeometry:
             + page
         )
 
-    def channel_of(self, ppa: int) -> int:
-        """Channel that hosts ``ppa``."""
-        self._check_ppa(ppa)
-        return ppa // self._pages_per_channel
-
-    def block_of(self, ppa: int) -> int:
-        """Global block id that hosts ``ppa``."""
-        self._check_ppa(ppa)
-        channel = ppa // self._pages_per_channel
-        within = ppa % self._pages_per_channel
-        return channel * self._blocks_per_channel + within // self._pages_per_block
-
-    def page_offset_of(self, ppa: int) -> int:
-        """Page index of ``ppa`` inside its block."""
-        self._check_ppa(ppa)
-        return (ppa % self._pages_per_channel) % self._pages_per_block
-
     def block_to_channel(self, block: int) -> int:
         """Channel that hosts global block ``block``."""
         self._check_block(block)
         return block // self._blocks_per_channel
-
-    def die_of(self, ppa: int) -> int:
-        """Die (within its channel) that hosts ``ppa``.
-
-        Blocks are striped round-robin across the dies of their channel, so
-        consecutively allocated blocks land on different dies and their
-        programs can overlap.
-        """
-        self._check_ppa(ppa)
-        block_in_channel = (ppa % self._pages_per_channel) // self._pages_per_block
-        return block_in_channel % self._dies_per_channel
-
-    def die_of_block(self, block: int) -> int:
-        """Die (within its channel) that hosts global block ``block``."""
-        self._check_block(block)
-        return (block % self._blocks_per_channel) % self._dies_per_channel
 
     def first_ppa_of_block(self, block: int) -> int:
         """The first (lowest) PPA inside global block ``block``."""

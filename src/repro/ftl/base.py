@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.flash.oob import OOBArea
 
@@ -204,15 +204,3 @@ class FTL(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support OOB-scan recovery"
         )
-
-    def describe(self) -> Dict[str, float]:
-        """Implementation-specific metrics for reports (may be extended)."""
-        return {
-            "lookups": float(self.stats.lookups),
-            "updates": float(self.stats.updates),
-            "translation_page_reads": float(self.stats.translation_page_reads),
-            "translation_page_writes": float(self.stats.translation_page_writes),
-            "mispredictions": float(self.stats.mispredictions),
-            "resident_bytes": float(self.resident_bytes()),
-            "full_mapping_bytes": float(self.full_mapping_bytes()),
-        }

@@ -198,11 +198,6 @@ class TokenBucket:
     #: Comparison slack absorbing float rounding in refill arithmetic.
     EPSILON = 1e-9
 
-    def tokens(self, now_us: float) -> float:
-        """Tokens available at ``now_us`` (refills as a side effect)."""
-        self._refill(now_us)
-        return self._tokens
-
     def can_admit(self, cost: float, now_us: float) -> bool:
         """True when ``cost`` tokens are available right now."""
         self._refill(now_us)

@@ -196,15 +196,6 @@ class HostRunResult:
     #: Deepest submission-queue backlog seen per queue name.
     max_backlog: Dict[str, int] = field(default_factory=dict)
 
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """tenant -> flat metrics (plus submission-queue depth)."""
-        table: Dict[str, Dict[str, float]] = {}
-        for name, stats in self.namespaces.items():
-            row = stats.summary()
-            row["max_backlog"] = float(self.max_backlog.get(name, 0))
-            table[name] = row
-        return table
-
 
 class HostInterface:
     """Carves namespaces out of one SSD and replays multi-tenant streams.

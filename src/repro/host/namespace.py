@@ -18,7 +18,7 @@ This module must stay importable without triggering the device model
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.host.arbiter import TokenBucket
 from repro.ssd.stats import LatencyRecorder
@@ -58,27 +58,6 @@ class NamespaceStats:
     @property
     def slo_violations(self) -> int:
         return self.slo_violations_read + self.slo_violations_write
-
-    def summary(self) -> Dict[str, float]:
-        """Flat per-tenant metrics (the multi-tenant reports print these)."""
-        return {
-            "submitted": float(self.submitted),
-            "completed": float(self.completed),
-            "read_pages": float(self.read_pages),
-            "write_pages": float(self.write_pages),
-            "clipped_pages": float(self.clipped_pages),
-            "queue_wait_us": self.queue_wait_us,
-            "rate_limit_deferrals": float(self.rate_limit_deferrals),
-            "slo_violations": float(self.slo_violations),
-            "read_mean_us": self.read_latency.mean_us,
-            "read_p50_us": self.read_latency.percentile(50),
-            "read_p95_us": self.read_latency.percentile(95),
-            "read_p99_us": self.read_latency.percentile(99),
-            "write_mean_us": self.write_latency.mean_us,
-            "write_p50_us": self.write_latency.percentile(50),
-            "write_p95_us": self.write_latency.percentile(95),
-            "write_p99_us": self.write_latency.percentile(99),
-        }
 
 
 class Namespace:

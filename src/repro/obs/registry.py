@@ -3,21 +3,27 @@
 The simulator's statistics live in nine dataclasses scattered across the
 package (:class:`~repro.ssd.stats.SSDStats`, the per-FTL stats, cache /
 write-buffer / allocator counters, per-frontend and per-namespace stats).
-Before this module, every consumer — the experiment harness, the perf
-trajectory recorder, ad-hoc report code — hand-picked fields and merged
-``summary()`` dictionaries, so newly added counters routinely missed every
-export (``checkpoint_page_writes`` shipped a whole PR before any report
-showed it).
+:func:`snapshot_stats` is the one place any of them becomes named numbers:
+no ``*Stats`` class has a ``summary()`` and no device or FTL a
+``describe()``.  Those hand-kept key lists routinely missed newly added
+counters (``checkpoint_page_writes`` shipped a whole PR before any report
+showed it), and a second list beside the walker is a second thing to
+forget.  Every reader — the experiment tables (``"device"`` and the
+per-tenant rows of :mod:`repro.experiments.multi_tenant`), the perf ledger,
+``counters.json``, the run differ and the determinism harness's stats
+digest (:func:`repro.verify.stats_digest` hashes
+``device_snapshot(ssd, host).as_dict()``) — gets the same keys, so a counter
+added anywhere is exported, digested and reported with no further edit.
 
-The registry walks the stats objects generically instead:
+The registry walks the stats objects generically:
 
 * every ``int``/``float`` dataclass field is exported as
   ``<prefix>.<field>`` (e.g. ``ssd.gc_page_writes``);
 * every numeric ``@property`` is exported the same way (derived metrics
   like ``ssd.write_amplification`` come along for free);
 * :class:`~repro.ssd.stats.LatencyRecorder` fields expand into
-  ``.count`` / ``.mean_us`` / ``.p50_us`` / ``.p95_us`` / ``.p99_us`` /
-  ``.max_us``;
+  ``.count`` / ``.total_us`` / ``.mean_us`` / ``.p50_us`` / ``.p95_us`` /
+  ``.p99_us`` / ``.max_us`` (``ssd.read_latency.p99_us``);
 * any other field type must appear in :data:`EXCLUDED_FIELDS` with a
   reason, or the walk raises ``TypeError``.
 

@@ -105,7 +105,7 @@ class Event:
         Monotonic schedule order, assigned by the loop (final tie-breaker).
     """
 
-    __slots__ = ("time_us", "kind", "callback", "payload", "priority", "seq", "cancelled")
+    __slots__ = ("time_us", "kind", "callback", "payload", "priority", "seq")
 
     def __init__(
         self,
@@ -122,11 +122,6 @@ class Event:
         self.payload = payload
         self.priority = priority
         self.seq = seq
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from running when the event fires."""
-        self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -162,7 +157,7 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        """Number of events still scheduled (cancelled ones included)."""
+        """Number of events still scheduled."""
         return len(self._heap)
 
     def chain_observer(self, fn: Callable[[Event], None]) -> None:
@@ -214,7 +209,6 @@ class EventLoop:
             event.payload = payload
             event.priority = priority
             event.seq = seq
-            event.cancelled = False
         else:
             event = Event(fire_at, kind, callback, payload, priority, seq)
         heapq.heappush(self._heap, (fire_at, priority, seq, event))
@@ -229,19 +223,16 @@ class EventLoop:
         Events returned here are never recycled — callers (tests, mostly)
         may keep them.
         """
-        heap = self._heap
-        while heap:
-            time_us, _, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            self._now_us = time_us
-            self.events_processed += 1
-            if self.observer is not None:
-                self.observer(event)
-            if event.callback is not None:
-                event.callback(event)
-            return event
-        return None
+        if not self._heap:
+            return None
+        time_us, _, _, event = heapq.heappop(self._heap)
+        self._now_us = time_us
+        self.events_processed += 1
+        if self.observer is not None:
+            self.observer(event)
+        if event.callback is not None:
+            event.callback(event)
+        return event
 
     def run(self, until_us: Optional[float] = None, max_events: int = 50_000_000) -> int:
         """Drain the queue (optionally only up to ``until_us``); returns count.
@@ -259,11 +250,6 @@ class EventLoop:
         pop = heapq.heappop
         while heap:
             time_us, _, _, event = heap[0]
-            if event.cancelled:
-                # Dropped before the bounds are tested, so both are checked
-                # against the next event that would actually fire.
-                pop(heap)
-                continue
             if until_us is not None and time_us > until_us:
                 break
             if processed >= max_events:

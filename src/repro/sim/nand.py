@@ -61,12 +61,6 @@ class NANDScheduler:
     def die_busy_until(self, channel: int, die: int) -> float:
         return self._die_busy_until[channel][die]
 
-    def channel_utilization(self, channel: int, now_us: float) -> float:
-        """Fraction of elapsed time the channel bus was occupied."""
-        if now_us <= 0.0:
-            return 0.0
-        return min(1.0, self._bus_time_us[channel] / now_us)
-
     def bus_time_us(self, channel: int) -> float:
         """Cumulative bus-occupied time of ``channel`` (for windowed rates)."""
         return self._bus_time_us[channel]

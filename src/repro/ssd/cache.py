@@ -87,10 +87,6 @@ class LRUDataCache:
         self.stats.misses += 1
         return False
 
-    def peek(self, lpa: int) -> bool:
-        """Membership test without touching recency or statistics."""
-        return lpa in self._entries
-
     def insert(self, lpa: int, dirty: bool = False) -> List[Tuple[int, bool]]:
         """Insert (or refresh) ``lpa``; return the entries evicted to make room."""
         return self.insert_many((lpa,), dirty)

@@ -27,10 +27,13 @@ SSD controller at the level of detail the LeaFTL evaluation depends on:
 * verification of every translated read against the reverse mapping, which
   is how mispredictions are detected and accounted (Figure 24).
 
-The simulator keeps a ground-truth ``LPA -> PPA`` map (the role the page
-validity table plays in real firmware) that is used **only** to maintain
-flash page validity for GC — never to answer host reads; reads always go
-through the FTL under test.
+The simulator keeps a ground-truth ``LPA -> PPA`` map, ``_current_ppa``
+(the role the page validity table plays in real firmware).  It is simulator
+state, like LeaFTL's owner index: the program path reads it to find the old
+copy to invalidate, a power failure copies it as the durability oracle, and
+nothing else does — never a host read, which always goes through the FTL
+under test (``tests/test_ssd_integration.py`` replays reads at gamma 4 over
+a map whose every read raises).
 
 Host commands are multi-page natively: a read spanning several pages is
 translated in one :meth:`repro.ftl.base.FTL.translate_range` batch (one
@@ -279,8 +282,8 @@ class SimulatedSSD:
         """Latest simulated time any resource is reserved to.
 
         The serial clock lags reservations made by the final flush/GC, so
-        both the simulated end time and the utilization denominator use
-        the maximum of the clock and every channel's busy horizon.
+        the simulated end time is the maximum of the clock and every
+        channel's busy horizon.
         """
         busiest = max(
             (self.flash.channel_busy_until(c) for c in range(self.config.channels)),
@@ -994,30 +997,3 @@ class SimulatedSSD:
         if self.telemetry is not None:
             self.telemetry.finalize(self.stats.simulated_time_us)
         return self.stats
-
-    # ------------------------------------------------------------------ #
-    # Reporting
-    # ------------------------------------------------------------------ #
-    def mapping_table_bytes(self) -> int:
-        """Current DRAM footprint of the FTL's mapping structures."""
-        return self.ftl.resident_bytes()
-
-    def describe(self) -> Dict[str, float]:
-        """Flat summary used by the experiment harness."""
-        summary = self.stats.summary()
-        # Utilization denominator: the same horizon simulated_time_us uses.
-        now = max(self._horizon_us(), 1e-9)
-        summary.update(
-            {
-                "cache_capacity_pages": float(self.cache.capacity_pages),
-                "free_block_ratio": self.allocator.free_ratio(),
-                "wear_imbalance": self.allocator.wear_imbalance(),
-                "queue_depth": float(self.effective_queue_depth),
-                "mean_channel_utilization": sum(
-                    self.scheduler.channel_utilization(c, now)
-                    for c in range(self.config.channels)
-                )
-                / self.config.channels,
-            }
-        )
-        return summary

@@ -210,7 +210,6 @@ class SSDStats:
     gc_urgent_collections: int = 0
     #: Total time host writes were stalled behind urgent reclaims (us).
     gc_write_throttle_us: float = 0.0
-    compactions: int = 0
 
     # Concurrency (event-driven engine).
     #: Host requests admitted by the replay frontend (commands, not pages;
@@ -298,68 +297,3 @@ class SSDStats:
     @property
     def peak_mapping_bytes(self) -> int:
         return max(self.mapping_bytes_samples) if self.mapping_bytes_samples else 0
-
-    def summary(self) -> Dict[str, float]:
-        """A flat dictionary convenient for table printing.
-
-        Every WAF input is a first-class key here — ``data_page_writes``
-        through ``checkpoint_page_writes`` — not just the final ratio, so
-        a report can show *where* the amplification came from.  Adding a
-        key changes the determinism harness's stats digest (its goldens
-        in ``tests/test_layout_bitexact.py`` are re-pinned deliberately);
-        the event digests are unaffected.
-        """
-        return {
-            "host_reads": float(self.host_reads),
-            "host_writes": float(self.host_writes),
-            "host_read_pages": float(self.host_read_pages),
-            "host_write_pages": float(self.host_write_pages),
-            "unmapped_reads": float(self.unmapped_reads),
-            "buffer_hits": float(self.buffer_hits),
-            "cache_hits": float(self.cache_hits),
-            "flash_reads_for_host": float(self.flash_reads_for_host),
-            "cache_hit_ratio": self.cache_hit_ratio,
-            "mean_latency_us": self.mean_latency_us,
-            "read_p50_us": self.read_latency.percentile(50),
-            "read_p95_us": self.read_latency.percentile(95),
-            "read_p99_us": self.read_latency.percentile(99),
-            "write_p95_us": self.write_latency.percentile(95),
-            "write_p99_us": self.write_latency.percentile(99),
-            # WAF and each flash-write class feeding it.
-            "write_amplification": self.write_amplification,
-            "data_page_writes": float(self.data_page_writes),
-            "gc_page_reads": float(self.gc_page_reads),
-            "gc_page_writes": float(self.gc_page_writes),
-            "gc_block_erases": float(self.gc_block_erases),
-            "wl_page_moves": float(self.wl_page_moves),
-            "translation_page_reads": float(self.translation_page_reads),
-            "translation_page_writes": float(self.translation_page_writes),
-            "checkpoint_page_writes": float(self.checkpoint_page_writes),
-            "total_flash_page_writes": float(self.total_flash_page_writes),
-            "translation_lookups": float(self.translation_lookups),
-            "mispredictions": float(self.mispredictions),
-            "misprediction_extra_reads": float(self.misprediction_extra_reads),
-            "misprediction_ratio": self.misprediction_ratio,
-            "compactions": float(self.compactions),
-            "simulated_time_us": self.simulated_time_us,
-            "measured_time_us": self.measured_time_us,
-            "mean_mapping_bytes": self.mean_mapping_bytes,
-            "peak_mapping_bytes": float(self.peak_mapping_bytes),
-            "buffer_flushes": float(self.buffer_flushes),
-            "gc_invocations": float(self.gc_invocations),
-            "gc_background_runs": float(self.gc_background_runs),
-            "gc_victim_blocks": float(self.gc_victim_blocks),
-            "gc_urgent_collections": float(self.gc_urgent_collections),
-            "gc_write_throttle_us": self.gc_write_throttle_us,
-            "read_stall_us": self.read_stall_us,
-            "requests_submitted": float(self.requests_submitted),
-            "requests_completed": float(self.requests_completed),
-            "max_outstanding_requests": float(self.max_outstanding_requests),
-            "events_processed": float(self.events_processed),
-            "background_completions": float(self.background_completions),
-            "clipped_pages": float(self.clipped_pages),
-            # Durability counters (power-fail injection + recovery).
-            "power_failures": float(self.power_failures),
-            "buffered_pages_lost": float(self.buffered_pages_lost),
-            "oob_scan_reads": float(self.oob_scan_reads),
-        }

@@ -7,8 +7,11 @@ dynamic witness that those rules actually protect the property they
 claim: it builds a scenario that exercises the event engine end to end
 (mixed read/write tenants, background garbage collection, weighted-
 round-robin arbitration), runs it twice from the same configuration and
-seed, and compares a SHA-256 digest of the full processed-event trace
-plus the device statistics.  Any nondeterminism that slips past the
+seed, and compares a SHA-256 digest of the full processed-event trace and
+another of the device's whole counter snapshot
+(:func:`repro.obs.registry.device_snapshot`: the device, FTL, mapping-table,
+cache, write-buffer, allocator and per-namespace counters, not a hand-kept
+subset).  Any nondeterminism that slips past the
 linter — a new set iteration on a scheduling path, an unkeyed tie-break,
 a clock read — shows up here as a digest mismatch.
 
@@ -26,7 +29,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.multi_tenant import (
     NOISY_NEIGHBOR_DEVICE,
@@ -41,6 +44,7 @@ from repro.experiments.recovery import (
     recover_checked,
     run_to_crash,
 )
+from repro.obs.registry import device_snapshot
 from repro.sim.events import Event
 
 #: Arbiter exercised by the harness: weighted round-robin is the policy
@@ -78,9 +82,18 @@ class EventTraceDigest:
         return self._sha.hexdigest()
 
 
-def stats_digest(summary: Dict[str, float]) -> str:
-    """SHA-256 of a stats summary (sorted keys, exact float reprs)."""
-    payload = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+def stats_digest(ssd: Any, host: Any = None) -> str:
+    """SHA-256 of the device's whole counter snapshot (exact float reprs).
+
+    The payload is :func:`repro.obs.registry.device_snapshot` — every
+    registered ``*Stats`` counter reachable from the device (``ssd.*``,
+    ``ftl.*``, ``leaftl.*``, ``mapping_table.*``, ``cache.*``,
+    ``write_buffer.*``, ``allocator.*``, the ``device.*`` gauges and, with
+    ``host``, ``ns.<tenant>.*``) — so a counter added anywhere is digested
+    with no edit here, and a pinned stats digest moves when one is added.
+    """
+    counters = device_snapshot(ssd, host).as_dict()
+    payload = json.dumps(counters, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -91,6 +104,7 @@ class RunReport:
     event_digest: str
     events_observed: int
     stats_digest: str
+    #: The digested counters, by registry key (``ssd.host_reads``, ...).
     summary: Dict[str, float]
 
     def matches(self, other: "RunReport") -> bool:
@@ -99,6 +113,15 @@ class RunReport:
             and self.events_observed == other.events_observed
             and self.stats_digest == other.stats_digest
         )
+
+
+def _report(trace: EventTraceDigest, ssd: Any, host: Any = None) -> RunReport:
+    return RunReport(
+        event_digest=trace.hexdigest(),
+        events_observed=trace.events_observed,
+        stats_digest=stats_digest(ssd, host),
+        summary=device_snapshot(ssd, host).as_dict(),
+    )
 
 
 def verify_scenario(seed: int = 1234, scale: float = 1.0) -> NoisyNeighborScenario:
@@ -140,13 +163,7 @@ def run_once(seed: int = 1234, scale: float = 1.0) -> RunReport:
     trace = EventTraceDigest()
     ssd.event_observer = trace.observe
     host.run([reader_tenant(scenario), writer_tenant(scenario)])
-    summary = ssd.stats.summary()
-    return RunReport(
-        event_digest=trace.hexdigest(),
-        events_observed=trace.events_observed,
-        stats_digest=stats_digest(summary),
-        summary=summary,
-    )
+    return _report(trace, ssd, host)
 
 
 def run_recovery_once(seed: int = 1234, scale: float = 1.0) -> RunReport:
@@ -174,13 +191,7 @@ def run_recovery_once(seed: int = 1234, scale: float = 1.0) -> RunReport:
     # path (table, cache, OOB corrections) into the stats digest.
     for lpa in sorted(oracle):
         ssd.read(lpa)
-    summary = ssd.stats.summary()
-    return RunReport(
-        event_digest=trace.hexdigest(),
-        events_observed=trace.events_observed,
-        stats_digest=stats_digest(summary),
-        summary=summary,
-    )
+    return _report(trace, ssd)
 
 
 @dataclass(frozen=True)

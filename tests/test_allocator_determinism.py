@@ -19,15 +19,14 @@ These tests pin that behaviour three ways:
   on the sync config — aggregate-equivalent but not bit-exact).
 """
 
-import hashlib
-import json
-
 from repro.config import SSDConfig
 from repro.experiments.common import precondition, steady_state_workload
 from repro.flash.flash_array import FlashArray
 from repro.flash.allocator import BlockAllocator
 from repro.ftl.pagemap import PageLevelFTL
+from repro.obs.registry import device_snapshot
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
+from repro.verify import stats_digest
 
 
 def _gc_heavy_run(gc_mode: str, queue_depth: int):
@@ -49,38 +48,21 @@ def _gc_heavy_run(gc_mode: str, queue_depth: int):
     )
     footprint = precondition(ssd, seed=11)
     requests = steady_state_workload(footprint, 6000, seed=23, read_ratio=0.35)
-    stats = ssd.run(requests)
-    summary = stats.summary()
-    summary.update(
-        {
-            "gc_page_reads": stats.gc_page_reads,
-            "gc_page_writes": stats.gc_page_writes,
-            "gc_block_erases": stats.gc_block_erases,
-            "data_page_writes": stats.data_page_writes,
-            "blocks_allocated": ssd.allocator.stats.blocks_allocated,
-            "blocks_reclaimed": ssd.allocator.stats.blocks_reclaimed,
-            "wear_imbalance": ssd.allocator.wear_imbalance(),
-            "free_blocks": ssd.allocator.free_block_count(),
-        }
-    )
-    return summary
+    ssd.run(requests)
+    return ssd
 
 
-def _digest(summary: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(summary, sort_keys=True).encode()
-    ).hexdigest()
-
-
-#: sha256 over the sorted-JSON summary of the runs above, recorded when the
-#: ordered-pool allocator landed.  A digest change means allocation ordering
+#: ``repro.verify.stats_digest`` (the whole ``device_snapshot``: the
+#: ``allocator.*`` counters and ``device.free_blocks`` / ``.wear_imbalance``
+#: included) of the runs above.  A digest change means allocation ordering
 #: (or anything downstream of it) changed — re-pin only deliberately.
-#: Re-recorded when SSDStats.summary() gained its full counter set (a pure
-#: reporting change; the allocation-order witnesses above are unchanged and
-#: the event-trace digests in test_layout_bitexact did not move).
+#: Re-recorded for reporting changes only (the counter set digested grew
+#: once with SSDStats.summary() and again in PR 22 with the move to the
+#: snapshot; the allocation-order witnesses above are unchanged and the
+#: event-trace digests in test_layout_bitexact did not move).
 GOLDEN_DIGESTS = {
-    ("sync", 1): "d56b350658c703c01e311be845698677f99171a98412d6fb7d040824ba614951",
-    ("background", 8): "b811b7ed32ca996895f6745cc3c9083899c32af0ecfca1e9cda021e8867b40a0",
+    ("sync", 1): "436df0699ce69442d75681aabc7ed8b617eb0104c90a16238215bb8ca592cb79",
+    ("background", 8): "2494c2c35444c559b14e1cbe607d8fd894159187e9145999456ce367c31c52e0",
 }
 
 
@@ -136,14 +118,15 @@ class TestTieBreakOrder:
 
 class TestGCHeavyPins:
     def test_double_run_identical(self):
-        first = _gc_heavy_run("sync", 1)
-        second = _gc_heavy_run("sync", 1)
+        first = device_snapshot(_gc_heavy_run("sync", 1))
+        second = device_snapshot(_gc_heavy_run("sync", 1))
         assert first == second
 
     def test_golden_digest_sync(self):
-        summary = _gc_heavy_run("sync", 1)
-        assert _digest(summary) == GOLDEN_DIGESTS[("sync", 1)]
+        assert stats_digest(_gc_heavy_run("sync", 1)) == GOLDEN_DIGESTS[("sync", 1)]
 
     def test_golden_digest_background(self):
-        summary = _gc_heavy_run("background", 8)
-        assert _digest(summary) == GOLDEN_DIGESTS[("background", 8)]
+        assert (
+            stats_digest(_gc_heavy_run("background", 8))
+            == GOLDEN_DIGESTS[("background", 8)]
+        )

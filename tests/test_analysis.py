@@ -25,6 +25,7 @@ from repro.analysis.memory import (
     reduction_table,
 )
 from repro.analysis.report import render_series, render_table
+from repro.obs.registry import snapshot_stats
 from repro.ssd.stats import LatencyRecorder, SSDStats, nearest_rank
 
 
@@ -248,6 +249,6 @@ class TestSSDStats:
         assert stats.cache_hit_ratio == pytest.approx(0.5)
 
     def test_summary_keys(self):
-        summary = SSDStats().summary()
+        summary = snapshot_stats(SSDStats(), "ssd")
         for key in ("mean_latency_us", "write_amplification", "misprediction_ratio"):
-            assert key in summary
+            assert f"ssd.{key}" in summary

@@ -7,6 +7,9 @@ import pytest
 from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig, GB, KB, MB, TB
 
 
+LATENCY_FIELDS = ("read_latency_us", "write_latency_us", "erase_latency_us", "dram_latency_us")
+
+
 class TestSSDConfig:
     def test_paper_simulator_matches_table1(self):
         config = SSDConfig.paper_simulator()
@@ -52,6 +55,15 @@ class TestSSDConfig:
     def test_invalid_gc_thresholds_rejected(self):
         with pytest.raises(ValueError):
             SSDConfig(gc_threshold=0.5, gc_restore=0.4)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(name, bad) for name in LATENCY_FIELDS for bad in (-5.0, 0.0, float("nan"), float("inf"))]
+        + [(name, bad) for name in ("dram_size", "write_buffer_bytes", "oob_size") for bad in (0, -1)],
+    )
+    def test_nonpositive_or_nonfinite_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive"):
+            SSDConfig.tiny(**{field: value})
 
     def test_scaled_override(self):
         config = SSDConfig.tiny().scaled(channels=8)

@@ -16,7 +16,12 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-from repro.verify import VERIFY_ARBITER, run_once, verify, verify_scenario
+import pytest
+
+from repro.experiments.multi_tenant import build_tenant_host
+from repro.ftl.pagemap import PageLevelFTL
+from repro.verify import VERIFY_ARBITER, run_once, stats_digest, verify, verify_scenario
+from tests.conftest import make_ssd
 
 
 class TestScenarioShape:
@@ -48,15 +53,44 @@ class TestDoubleRun:
         # The runs must be substantive: the event engine processed a real
         # interleaving and background GC actually reclaimed blocks.
         assert first.events_observed > 1000
-        assert first.summary["gc_background_runs"] > 0
-        assert first.summary["host_reads"] > 0
-        assert first.summary["host_writes"] > 0
+        assert first.summary["ssd.gc_background_runs"] > 0
+        assert first.summary["ssd.host_reads"] > 0
+        assert first.summary["ssd.host_writes"] > 0
 
     def test_different_seed_changes_the_trace(self):
         # The digest is sensitive to the workload, not a constant.
         a = run_once(seed=1, scale=0.25)
         b = run_once(seed=2, scale=0.25)
         assert a.event_digest != b.event_digest
+
+
+class TestStatsDigestCoverage:
+    """The stats digest commits to the whole device, not to ``SSDStats``."""
+
+    @pytest.mark.parametrize(
+        "owner, counter",
+        [
+            ("cache", "evictions"),
+            ("write_buffer", "flushes"),
+            ("allocator", "blocks_reclaimed"),
+            ("ftl", "lookups"),
+        ],
+    )
+    def test_counter_outside_ssd_stats_moves_the_digest(self, owner, counter):
+        ssd = make_ssd(ftl=PageLevelFTL())
+        ssd.run([("W", lpa, 4) for lpa in range(0, 4096, 4)] + [("R", 7, 2)])
+        before = stats_digest(ssd)
+        assert stats_digest(ssd) == before
+        stats = getattr(ssd, owner).stats
+        setattr(stats, counter, getattr(stats, counter) + 1)
+        assert stats_digest(ssd) != before
+
+    def test_namespace_counter_moves_the_digest(self):
+        scenario = verify_scenario(scale=0.05)
+        ssd, host = build_tenant_host(scenario, VERIFY_ARBITER)
+        before = stats_digest(ssd, host)
+        host.namespace("reader").stats.slo_violations_read += 1
+        assert stats_digest(ssd, host) != before
 
 
 class TestCLI:

@@ -29,19 +29,23 @@ from repro.experiments.common import (
     precondition,
     steady_state_workload,
 )
+from repro.obs.registry import device_snapshot
 from repro.verify import EventTraceDigest, run_once, stats_digest
 
 # Golden digests recorded before the flat-array/calendar-queue overhaul
 # (PR 6 tree) and required to hold forever after it.  The *stats* digests
-# were re-recorded when SSDStats.summary() gained its full counter set
-# (WAF inputs, durability counters, ...) — a pure reporting change; the
-# event counts and event digests are the originals and did not move.
+# were re-recorded twice, both pure reporting changes: when the 50-key
+# SSDStats.summary() gained its full counter set, and in PR 22 when the
+# digest moved to the whole ``device_snapshot`` (every summary() value is
+# in it unchanged under ``ssd.*``; it adds the FTL, mapping-table, cache,
+# write-buffer, allocator and per-namespace counters).  The event counts
+# and event digests are the originals and did not move.
 VERIFY_EVENTS = 1380
 VERIFY_EVENT_DIGEST = (
     "556fc4383ddfa9528115f8177041028c4d090c588260961dab61ec71e9c7a4c3"
 )
 VERIFY_STATS_DIGEST = (
-    "88b35c9d7bf62870e1e0da82ae22574cabde157c9c841b35e5a579808dabd5d0"
+    "03923e3b04b73e42c5da7b669ab9845d4e406ecc83a52b846db26e5291995f0c"
 )
 
 GC_SYNC_EVENTS = 6036
@@ -49,7 +53,7 @@ GC_SYNC_EVENT_DIGEST = (
     "416ab881a529b2a0196077d951c69619062704242acfe86b570b73f676da9465"
 )
 GC_SYNC_STATS_DIGEST = (
-    "2e02cb969f8c9336ccbcfb33ff2a1f6e8efad77e5d050cba1917853e4610d4b3"
+    "1c60830e71abacc929e43d5669529d8bf0f70050e073aa7f23073068a456df4c"
 )
 
 
@@ -88,12 +92,12 @@ class TestSyncGCGolden:
 
     def test_gc_heavy_trace_pinned(self):
         ssd, trace = self._run()
-        summary = ssd.stats.summary()
+        summary = device_snapshot(ssd)
         # The scenario must actually stress GC, or the golden proves little:
         # synchronous collections fired and relocated enough valid pages to
         # push write amplification well above 1.
-        assert summary["gc_invocations"] > 0
-        assert summary["write_amplification"] > 1.5
+        assert summary["ssd.gc_invocations"] > 0
+        assert summary["ssd.write_amplification"] > 1.5
         assert trace.events_observed == GC_SYNC_EVENTS
         assert trace.hexdigest() == GC_SYNC_EVENT_DIGEST
-        assert stats_digest(summary) == GC_SYNC_STATS_DIGEST
+        assert stats_digest(ssd) == GC_SYNC_STATS_DIGEST

@@ -84,11 +84,3 @@ class TestCompactionPolicy:
         ftl.maintenance()
         assert ftl.table.segment_count() == 1
         assert ftl.translate(5).ppa == 505
-
-    def test_describe_reports_segment_counts(self):
-        ftl = LeaFTL(LeaFTLConfig(gamma=4))
-        ftl.update_batch([(lpa, lpa) for lpa in range(64)])
-        info = ftl.describe()
-        assert info["segments"] >= 1
-        assert info["gamma"] == 4
-        assert "crb_bytes" in info

@@ -55,7 +55,7 @@ class TestBasicUpdatesAndLookups:
     def test_single_point_updates(self):
         table = make_table()
         for i, lpa in enumerate((700, 20, 431, 90)):
-            table.update_single(lpa, 10_000 + i)
+            table.update([(lpa, 10_000 + i)])
         for i, lpa in enumerate((700, 20, 431, 90)):
             assert table.lookup(lpa).ppa == 10_000 + i
 
@@ -115,7 +115,7 @@ class TestMemoryAccounting:
         sequential.update([(lpa, lpa) for lpa in range(256)])
         fragmented = make_table()
         for lpa in range(0, 256, 2):
-            fragmented.update_single(lpa, lpa * 7 + 13)
+            fragmented.update([(lpa, lpa * 7 + 13)])
         assert fragmented.memory_bytes() > sequential.memory_bytes()
 
     def test_random_mapping_no_worse_than_page_level(self):

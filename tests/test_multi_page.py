@@ -26,6 +26,7 @@ from repro.ftl.base import TranslationResult
 from repro.ftl.dftl import DFTL
 from repro.ftl.pagemap import PageLevelFTL
 from repro.ftl.sftl import SFTL
+from repro.obs.registry import device_snapshot
 from repro.sim.events import EventLoop
 from repro.sim.frontend import OpenLoopFrontend
 from repro.ssd.ssd import SSDOptions
@@ -387,7 +388,7 @@ class TestMultiPageSubmit:
         ssd.process("R", logical + 10, 4)       # fully out of range
         assert ssd.stats.clipped_pages == 10
         assert ssd.stats.host_read_pages == 0
-        assert ssd.describe()["clipped_pages"] == 10.0
+        assert device_snapshot(ssd)["ssd.clipped_pages"] == 10.0
 
     def test_negative_lpa_rejected_on_every_sub_path(self):
         ssd = make_ssd()

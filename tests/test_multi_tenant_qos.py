@@ -39,25 +39,25 @@ class TestNoisyNeighborIsolation:
             assert tenants["writer"]["completed"] == scenario.writer_requests
         assert sweep["solo"]["reader"]["completed"] == scenario.reader_requests
         # The baseline is meaningful: solo reads mostly hit flash, not DRAM.
-        assert sweep["solo"]["reader"]["read_p99_us"] > 100.0
+        assert sweep["solo"]["reader"]["read_latency.p99_us"] > 100.0
 
     def test_wrr_isolates_reader_tail(self, sweep):
-        solo_p99 = sweep["solo"]["reader"]["read_p99_us"]
-        contended = sweep["weighted_round_robin"]["reader"]["read_p99_us"]
+        solo_p99 = sweep["solo"]["reader"]["read_latency.p99_us"]
+        contended = sweep["weighted_round_robin"]["reader"]["read_latency.p99_us"]
         assert contended <= ISOLATION_FACTOR * solo_p99
 
     def test_strict_priority_isolates_reader_tail(self, sweep):
-        solo_p99 = sweep["solo"]["reader"]["read_p99_us"]
-        contended = sweep["strict_priority"]["reader"]["read_p99_us"]
+        solo_p99 = sweep["solo"]["reader"]["read_latency.p99_us"]
+        contended = sweep["strict_priority"]["reader"]["read_latency.p99_us"]
         assert contended <= ISOLATION_FACTOR * solo_p99
 
     def test_shared_queue_does_not_isolate(self, sweep):
         """FIFO admission lets the writer's bursts wreck the reader's p99."""
-        solo_p99 = sweep["solo"]["reader"]["read_p99_us"]
-        fifo_p99 = sweep["fifo"]["reader"]["read_p99_us"]
+        solo_p99 = sweep["solo"]["reader"]["read_latency.p99_us"]
+        fifo_p99 = sweep["fifo"]["reader"]["read_latency.p99_us"]
         assert fifo_p99 > ISOLATION_FACTOR * solo_p99
         # And by a wide margin over the QoS arbiters, not a rounding hair.
-        assert fifo_p99 > 2.0 * sweep["weighted_round_robin"]["reader"]["read_p99_us"]
+        assert fifo_p99 > 2.0 * sweep["weighted_round_robin"]["reader"]["read_latency.p99_us"]
 
     def test_slo_violations_track_isolation(self, sweep):
         """SLO accounting orders the arbiters the same way the tails do."""
@@ -91,8 +91,8 @@ class TestRateLimitQoS:
         assert uncapped["writer"]["rate_limit_deferrals"] == 0
         # ...and the reader's tail got materially better for it.
         assert (
-            capped["reader"]["read_p99_us"]
-            < 0.5 * uncapped["reader"]["read_p99_us"]
+            capped["reader"]["read_latency.p99_us"]
+            < 0.5 * uncapped["reader"]["read_latency.p99_us"]
         )
         # Throttling defers the writer, it does not drop its work.
         assert capped["writer"]["completed"] == uncapped["writer"]["completed"]

@@ -84,7 +84,7 @@ class TestSegmentPrediction:
             group_base=256, start_lpa=260, length=12, raw_slope=0.25,
             anchor_lpa=260, anchor_ppa=10, accurate=True,
         )
-        assert list(segment.covered_lpas_accurate()) == [260, 264, 268, 272]
+        assert segment.covered_lpas_accurate_list() == [260, 264, 268, 272]
 
     def test_group_boundary_enforced(self):
         with pytest.raises(ValueError):

@@ -153,7 +153,7 @@ def test_mapping_bytes_sampled_on_flush():
         ssd.write(lpa)
     ssd.flush()
     assert len(ssd.stats.mapping_bytes_samples) >= 1
-    assert ssd.mapping_table_bytes() > 0
+    assert ssd.ftl.resident_bytes() > 0
 
 
 def test_cache_resizes_as_mapping_grows():
@@ -218,3 +218,29 @@ def test_misprediction_handling_costs_one_extra_read():
     assert stats.misprediction_extra_reads <= stats.mispredictions * (2 * 16 + 1)
     # The common case resolves with exactly one extra read via the OOB.
     assert stats.misprediction_extra_reads >= stats.mispredictions
+
+
+def test_reads_never_consult_the_ground_truth_map():
+    """``_current_ppa`` is simulator state (the program path's old-copy
+    lookup): where the paper's device must translate, the device translates.
+    Every read of the map raises here, and a few thousand multi-page reads
+    at gamma 4 — mispredictions and their OOB corrections included — pass."""
+
+    class Unreadable(dict):
+        def _raise(self, *args, **kwargs):
+            raise AssertionError("a host read consulted the ground-truth map")
+
+        __getitem__ = get = __contains__ = __iter__ = _raise
+        keys = values = items = __len__ = _raise
+
+    rng = random.Random(29)
+    ssd = make_ssd(gamma=4)
+    footprint = 20_000
+    for _ in range(8000):
+        ssd.submit("W", rng.randrange(footprint - 4), rng.randint(1, 4))
+    ssd.flush()
+    ssd._current_ppa = Unreadable(ssd._current_ppa)
+    for _ in range(3000):
+        ssd.submit("R", rng.randrange(footprint - 8), rng.randint(2, 8))
+    assert ssd.stats.mispredictions > 0
+    assert ssd.stats.flash_reads_for_host > 3000

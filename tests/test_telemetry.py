@@ -88,10 +88,10 @@ class TestNonPerturbation:
         """The acceptance constraint: telemetry must not move the digests."""
         from repro.verify import stats_digest
 
-        ssd, _host, trace, _telemetry = traced
+        ssd, host, trace, _telemetry = traced
         assert trace.events_observed == baseline_report.events_observed
         assert trace.hexdigest() == baseline_report.event_digest
-        assert stats_digest(ssd.stats.summary()) == baseline_report.stats_digest
+        assert stats_digest(ssd, host) == baseline_report.stats_digest
 
     def test_telemetry_off_is_none(self):
         ssd = SimulatedSSD(SSDConfig.tiny(), PageLevelFTL())
@@ -337,6 +337,7 @@ class TestCounterRegistry:
         assert snapshot["ns.reader.completed"] > 0
         assert snapshot["ns.writer.completed"] > 0
         assert snapshot["device.free_blocks"] > 0
+        assert 0.0 < snapshot["device.free_block_ratio"] < 1.0
         assert "leaftl.mispredictions" in snapshot
         assert "mapping_table.segments_learned" in snapshot
         assert "ftl.lookups" in snapshot
@@ -366,7 +367,7 @@ class TestCounterRegistry:
 
 class TestSummaryKeys:
     def test_waf_inputs_are_first_class(self):
-        summary = SSDStats().summary()
+        summary = snapshot_stats(SSDStats(), "ssd")
         for key in (
             "checkpoint_page_writes",
             "data_page_writes",
@@ -380,13 +381,7 @@ class TestSummaryKeys:
             "gc_urgent_collections",
             "measured_time_us",
         ):
-            assert key in summary, key
-
-    def test_describe_inherits_new_keys(self):
-        ssd = SimulatedSSD(SSDConfig.tiny(), PageLevelFTL())
-        description = ssd.describe()
-        assert "checkpoint_page_writes" in description
-        assert "free_block_ratio" in description
+            assert f"ssd.{key}" in summary, key
 
 
 class TestCheckpointTracing:

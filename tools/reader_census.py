@@ -5,7 +5,10 @@ names it — ``pkg`` (the package itself, definition included), ``lib`` (``src``
 ``benchmarks``, ``tools``), ``examples``, ``tests``, ``ci`` (words of ``.github/workflows/ci.yml``).  Then
 every settable value — defaulted keyword, class attribute, argparse flag (shown as ``argv(--flag=default)``)
 — with the distinct values callers pass; a flag's are what follows it in an argv-style list or a CI step.
-Counts are by bare identifier (a common word over-counts); ``lib`` + ``examples`` + ``ci`` zero = no reader.
+Counts are by bare identifier (a common word over-counts).  The last line is the total a PR reports before →
+after: per package, the names (and their lines) with ``pkg`` = ``lib`` = ``examples`` = 0 — no reader outside the
+tests.  ``ci`` is shown but not counted there: CI names modules and flags, and a bare word of the workflow
+(``step``, ``run``) matching a method is not a read.
 """
 
 import ast
@@ -69,12 +72,18 @@ def readers(package):
 
 
 if __name__ == "__main__":
+    totals = []
     for package in (ROOT / arg for arg in sys.argv[1:]):
         (names, settable), (idents, passed) = definitions(package), readers(package)
         print(f"{package.relative_to(ROOT)}: {len(names)} names, {len(settable)} settable")
+        unread = []
         for shown, lines in names.items():
-            counts = (f"{scope}={idents[scope][shown.rsplit('.', 1)[1]]}" for scope in ("pkg", "lib", "examples", "tests", "ci"))
-            print(f"  {shown} [{lines} lines]", *counts)
+            bare = shown.rsplit(".", 1)[1]
+            print(f"  {shown} [{lines} lines]", *(f"{scope}={idents[scope][bare]}" for scope in ("pkg", "lib", "examples", "tests", "ci")))
+            if not any(idents[scope][bare] for scope in ("pkg", "lib", "examples")):
+                unread.append(lines)
+        totals.append(f"{package.relative_to(ROOT)} {len(unread)} names / {sum(unread)} lines")
         for (callee, keyword), default in settable.items():
             values = (f"{scope}: {', '.join(sorted(found))}" for scope, found in sorted(passed[(callee, keyword)].items()))
             print(f"  {callee}({keyword}={default[:48]}) | {' | '.join(values) or 'set by nobody'}")
+    print("no reader outside tests: " + "; ".join(totals))
