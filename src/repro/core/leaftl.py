@@ -64,13 +64,6 @@ class LeaFTL(FTL):
         self.lea_stats = LeaFTLStats()
         self._writes_since_compaction = 0
 
-    # ------------------------------------------------------------------ #
-    # Properties
-    # ------------------------------------------------------------------ #
-    @property
-    def gamma(self) -> int:
-        return self.config.gamma
-
     def oob_window(self) -> int:
         """Reverse-mapping window the write path must store in each OOB."""
         return self.config.gamma
@@ -150,9 +143,6 @@ class LeaFTL(FTL):
         self.lea_stats.compactions += 1
         self._writes_since_compaction = 0
 
-    def exists(self, lpa: int) -> bool:
-        return self.table.exists(lpa)
-
     def reset_stats(self) -> None:
         """Also restart the LeaFTL and mapping-table counters."""
         super().reset_stats()
@@ -205,6 +195,3 @@ class LeaFTL(FTL):
 
     def full_mapping_bytes(self) -> int:
         return self.table.memory_bytes()
-
-    def mapped_lpa_count(self) -> Optional[int]:
-        return None

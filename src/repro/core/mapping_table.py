@@ -190,10 +190,6 @@ class LogStructuredMappingTable:
             stats.lookup_levels_total += run.levels_searched
         return results, runs
 
-    def exists(self, lpa: int) -> bool:
-        """Membership test; charged to the lookup stats like any lookup."""
-        return self.lookup(lpa).found
-
     # ------------------------------------------------------------------ #
     # Compaction
     # ------------------------------------------------------------------ #

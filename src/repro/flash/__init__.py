@@ -2,7 +2,7 @@
 
 from repro.flash.allocator import BlockAllocator, OutOfSpaceError
 from repro.flash.flash_array import FlashArray, FlashCounters, FlashError, PageState
-from repro.flash.geometry import FlashGeometry, PageAddress
+from repro.flash.geometry import FlashGeometry
 from repro.flash.oob import (
     LPA_ENTRY_BYTES,
     OOBArea,
@@ -19,7 +19,6 @@ __all__ = [
     "FlashError",
     "PageState",
     "FlashGeometry",
-    "PageAddress",
     "OOBArea",
     "LPA_ENTRY_BYTES",
     "max_neighbor_entries",

@@ -95,13 +95,12 @@ class BlockAllocator:
         programmed, is not in the free pool and is not an active block that
         the write path is still filling.
         """
-        free: Dict[int, None] = {}
-        for pool in self._free_blocks:
-            free.update(pool)
         candidates = []
         for block in range(self._geometry.total_blocks):
-            if block in free or block in self._active_blocks:
+            if block in self._active_blocks:
                 continue
+            # A free-pool block is erased (``release_block`` insists), so
+            # the write-pointer test excludes the free pool as well.
             if self._flash.write_pointer(block) == 0:
                 continue
             candidates.append(block)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SSDConfig
 from repro.flash.geometry import FlashGeometry
@@ -86,8 +86,8 @@ class FlashArray:
     ) -> None:
         self._config = config
         self._geometry = FlashGeometry(config)
-        total_pages = self._geometry.total_pages
-        total_blocks = self._geometry.total_blocks
+        self._total_pages = total_pages = self._geometry.total_pages
+        self._total_blocks = total_blocks = self._geometry.total_blocks
 
         self._state = bytearray(total_pages)  # all _FREE
         self._lpa = array("q", [_NO_LPA]) * total_pages
@@ -104,9 +104,9 @@ class FlashArray:
         self._pages_per_block = config.pages_per_block
         self._pages_per_channel = config.pages_per_channel
         self._blocks_per_channel = config.blocks_per_channel
-        #: Blocks are striped round-robin across the dies of their channel
-        #: (die = block-in-channel % dies), so consecutively allocated
-        #: blocks land on different dies and their programs can overlap.
+        #: A program or erase proceeds inside its die after the transfer, so
+        #: operations on the dies of a channel overlap and each occupies the
+        #: bus for ``cell time / dies_per_channel`` (see :mod:`repro.sim.nand`).
         self._dies_per_channel = config.dies_per_channel
         # Erase resets a block's slice wholesale; programming a run marks
         # its slice valid wholesale.
@@ -134,15 +134,30 @@ class FlashArray:
     def config(self) -> SSDConfig:
         return self._config
 
+    def _out_of_range(self, kind: str, index: int, limit: int) -> FlashError:
+        """The error every public operation raises for a bad PPA / block id.
+
+        The flat arrays are indexed with caller-supplied integers, and a
+        Python list wraps a negative index silently: each public method
+        range-checks before it indexes.
+        """
+        return FlashError(f"{kind} {index} out of range [0, {limit})")
+
     def page_state(self, ppa: int) -> PageState:
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range("PPA", ppa, self._total_pages)
         return _CODE_TO_STATE[self._state[ppa]]
 
     def is_free(self, ppa: int) -> bool:
         """Cheap FREE test for the hot read path (no enum construction)."""
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range("PPA", ppa, self._total_pages)
         return self._state[ppa] == _FREE
 
     def lpa_of(self, ppa: int) -> Optional[int]:
         """Reverse mapping stored in the page (None if FREE/never written)."""
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range("PPA", ppa, self._total_pages)
         lpa = self._lpa[ppa]
         return None if lpa == _NO_LPA else lpa
 
@@ -154,6 +169,8 @@ class FlashArray:
         the LPA array (which, like the OOB, survives invalidation and is
         cleared by erase).
         """
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range("PPA", ppa, self._total_pages)
         oob = self._oob.get(ppa)
         if oob is not None:
             return oob
@@ -163,6 +180,8 @@ class FlashArray:
         return OOBArea(lpa=lpa, neighbor_lpas=[lpa])
 
     def erase_count(self, block: int) -> int:
+        if not 0 <= block < self._total_blocks:
+            raise self._out_of_range("block", block, self._total_blocks)
         return self._erase_count[block]
 
     def block_age(self, block: int) -> int:
@@ -172,24 +191,36 @@ class FlashArray:
         operations holds cold data; cost-benefit GC weighs this age against
         the migration cost of the block's valid pages.
         """
+        if not 0 <= block < self._total_blocks:
+            raise self._out_of_range("block", block, self._total_blocks)
         return self._op_clock - self._last_modified_op[block]
 
     def valid_page_count(self, block: int) -> int:
+        if not 0 <= block < self._total_blocks:
+            raise self._out_of_range("block", block, self._total_blocks)
         return self._valid_pages[block]
 
     def write_pointer(self, block: int) -> int:
         """Next programmable page offset within ``block``."""
+        if not 0 <= block < self._total_blocks:
+            raise self._out_of_range("block", block, self._total_blocks)
         return self._write_pointer[block]
 
     def block_is_full(self, block: int) -> bool:
+        if not 0 <= block < self._total_blocks:
+            raise self._out_of_range("block", block, self._total_blocks)
         return self._write_pointer[block] >= self._pages_per_block
 
     def block_is_free(self, block: int) -> bool:
         """True when every page of the block is FREE (freshly erased)."""
+        if not 0 <= block < self._total_blocks:
+            raise self._out_of_range("block", block, self._total_blocks)
         return self._write_pointer[block] == 0 and self._valid_pages[block] == 0
 
     def valid_ppas_of_block(self, block: int) -> List[int]:
         """All VALID PPAs in ``block`` (ascending order)."""
+        if not 0 <= block < self._total_blocks:
+            raise self._out_of_range("block", block, self._total_blocks)
         start = block * self._pages_per_block
         stop = start + self._pages_per_block
         block_states = self._state[start:stop]
@@ -207,6 +238,8 @@ class FlashArray:
         Both VALID and INVALID pages are included (their OOB reverse
         mappings survive until erase).
         """
+        if not 0 <= block < self._total_blocks:
+            raise self._out_of_range("block", block, self._total_blocks)
         start = block * self._pages_per_block
         return range(start, start + self._write_pointer[block])
 
@@ -222,38 +255,9 @@ class FlashArray:
         """
         return list(zip(self._erase_count, self._write_pointer))
 
-    def read_oob_run(self, ppas: Iterable[int], now_us: float = 0.0) -> float:
-        """Read the OOB of several pages of ONE block; returns last finish.
-
-        The recovery scan's bulk primitive: like :meth:`read_oob`, each OOB
-        read costs a full page read (the spare area cannot be sensed without
-        activating the page), but the whole per-block burst is one scheduler
-        reservation.  Programmed-but-INVALID pages are readable — their
-        reverse mappings are exactly what a scan must see to distinguish
-        stale copies.
-        """
-        run = list(ppas)
-        if not run:
-            return now_us
-        state = self._state
-        for ppa in run:
-            if state[ppa] == _FREE:
-                raise FlashError(f"OOB read of unwritten page ppa={ppa}")
-        count = len(run)
-        self.counters.oob_reads += count
-        first = run[0]
-        within = first % self._pages_per_channel
-        return self._scheduler.reserve_run(
-            first // self._pages_per_channel,
-            now_us,
-            self._config.read_latency_us,
-            count,
-            die=(within // self._pages_per_block) % self._dies_per_channel,
-        )
-
     @property
     def scheduler(self) -> NANDScheduler:
-        """The NAND scheduler arbitrating channel-bus and die occupancy."""
+        """The NAND scheduler arbitrating channel-bus occupancy."""
         return self._scheduler
 
     def channel_busy_until(self, channel: int) -> float:
@@ -275,71 +279,76 @@ class FlashArray:
     # ------------------------------------------------------------------ #
     # Flash operations
     # ------------------------------------------------------------------ #
-    def read_page(self, ppa: int, now_us: float = 0.0) -> float:
-        """Read a flash page; returns the completion time in microseconds.
+    def _sense(self, low: int, high: int, count: int, now_us: float, oob: bool) -> float:
+        """Sense ``count`` pages of ONE block back to back; returns last finish.
+
+        ``low`` / ``high`` are the burst's lowest and highest PPA.  The one
+        read primitive behind the four public entries, which differ only in
+        the counter they bump (``oob``: ``oob_reads``, else ``page_reads``).
+        The pages share a channel, so the whole burst is one scheduler
+        reservation — float for float the chain of one reservation per page
+        at the same ``now_us``.  An OOB read costs a full page read: the
+        spare area cannot be sensed without activating the page.
 
         Reading a FREE page is allowed by hardware but flagged here because
-        it always indicates an FTL bug in the simulator.
+        it always indicates an FTL bug in the simulator (INVALID pages are
+        readable).  A block is programmed in ascending order and only an
+        erase frees a page, so its FREE pages are a suffix: the burst
+        touches one exactly when ``high`` is FREE.
         """
-        if self._state[ppa] == _FREE:
-            raise FlashError(f"read of unwritten page ppa={ppa}")
-        self.counters.page_reads += 1
-        within = ppa % self._pages_per_channel
-        return self._scheduler.reserve(
-            ppa // self._pages_per_channel,
-            now_us,
-            self._config.read_latency_us,
-            die=(within // self._pages_per_block) % self._dies_per_channel,
+        pages_per_block = self._pages_per_block
+        if (
+            not 0 <= low <= high < self._total_pages
+            or low // pages_per_block != high // pages_per_block
+            or self._state[high] == _FREE
+        ):
+            raise self._unreadable(low, high, "OOB read" if oob else "read")
+        if oob:
+            self.counters.oob_reads += count
+        else:
+            self.counters.page_reads += count
+        return self._scheduler.reserve_run(
+            low // self._pages_per_channel, now_us, self._config.read_latency_us, count
         )
 
-    def read_page_run(self, ppas: List[int], now_us: float = 0.0) -> float:
+    def _unreadable(self, low: int, high: int, what: str) -> FlashError:
+        """Why :meth:`_sense` refused ``[low, high]`` (the cold path)."""
+        if not 0 <= low <= high < self._total_pages:
+            return self._out_of_range("PPA", low if low < 0 else high, self._total_pages)
+        if low // self._pages_per_block != high // self._pages_per_block:
+            return FlashError(f"{what} run ppa={low}..{high} crosses a block boundary")
+        return FlashError(f"{what} of unwritten page ppa={high}")
+
+    def read_page(self, ppa: int, now_us: float = 0.0) -> float:
+        """Read a flash page; returns the completion time in microseconds."""
+        return self._sense(ppa, ppa, 1, now_us, False)
+
+    def read_page_run(self, ppas: Sequence[int], now_us: float = 0.0) -> float:
         """Read several pages of ONE block back to back; returns last finish.
 
-        Equivalent to sequential :meth:`read_page` calls at the same
-        ``now_us`` (identical float timing chain).  All pages must lie in
-        the same block — the caller's contract — so they share a channel
-        and a die and the whole burst is one scheduler reservation.  This
-        is the GC migration read path: a victim's valid pages in one call.
+        The GC migration read path: a victim's valid pages in one call.
         """
         if not ppas:
             return now_us
-        state = self._state
-        for ppa in ppas:
-            if state[ppa] == _FREE:
-                raise FlashError(f"read of unwritten page ppa={ppa}")
-        count = len(ppas)
-        self.counters.page_reads += count
-        first = ppas[0]
-        within = first % self._pages_per_channel
-        return self._scheduler.reserve_run(
-            first // self._pages_per_channel,
-            now_us,
-            self._config.read_latency_us,
-            count,
-            die=(within // self._pages_per_block) % self._dies_per_channel,
-        )
+        return self._sense(min(ppas), max(ppas), len(ppas), now_us, False)
 
     def read_oob(self, ppa: int, now_us: float = 0.0) -> float:
         """Read only the OOB of a page (modelled with full page-read latency).
 
-        Real devices cannot read the spare area without activating the page,
-        so the latency equals a page read; the separate counter lets the
-        benchmarks attribute the cost to misprediction handling.
+        The separate counter lets the benchmarks attribute the cost to
+        misprediction handling.
         """
-        if self._state[ppa] == _FREE:
-            raise FlashError(f"OOB read of unwritten page ppa={ppa}")
-        self.counters.oob_reads += 1
-        return self._reserve_read(ppa, now_us)
+        return self._sense(ppa, ppa, 1, now_us, True)
 
-    def _reserve_read(self, ppa: int, now_us: float) -> float:
-        """Schedule a page-sized read on ``ppa``'s channel and die."""
-        within = ppa % self._pages_per_channel
-        return self._scheduler.reserve(
-            ppa // self._pages_per_channel,
-            now_us,
-            self._config.read_latency_us,
-            die=(within // self._pages_per_block) % self._dies_per_channel,
-        )
+    def read_oob_run(self, ppas: Sequence[int], now_us: float = 0.0) -> float:
+        """Read the OOB of several pages of ONE block; returns last finish.
+
+        The recovery scan's bulk primitive; the reverse mappings of INVALID
+        pages are exactly what a scan must see to distinguish stale copies.
+        """
+        if not ppas:
+            return now_us
+        return self._sense(min(ppas), max(ppas), len(ppas), now_us, True)
 
     def program_page(
         self,
@@ -355,6 +364,8 @@ class FlashArray:
         * the page must be FREE;
         * pages within a block must be programmed in ascending order.
         """
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range("PPA", ppa, self._total_pages)
         if self._state[ppa] != _FREE:
             raise FlashError(
                 f"program of non-free page ppa={ppa} ({_CODE_TO_STATE[self._state[ppa]]})"
@@ -378,16 +389,9 @@ class FlashArray:
         self.counters.page_writes += 1
         # Programs proceed inside a die; the channel bus is only occupied for
         # the data transfer share, so concurrent programs on other dies
-        # overlap.  The die itself stays busy for the full program time.
-        config = self._config
-        occupancy = config.write_latency_us / self._dies_per_channel
-        return self._scheduler.reserve(
-            ppa // self._pages_per_channel,
-            now_us,
-            occupancy,
-            die=(block % self._blocks_per_channel) % self._dies_per_channel,
-            cell_us=config.write_latency_us,
-        )
+        # overlap.
+        occupancy = self._config.write_latency_us / self._dies_per_channel
+        return self._scheduler.reserve(ppa // self._pages_per_channel, now_us, occupancy)
 
     def program_run(
         self,
@@ -413,6 +417,13 @@ class FlashArray:
         count = len(lpas)
         if count == 0:
             return now_us
+        total_pages = self._total_pages
+        # The run's first page here; its last by the block-boundary test.
+        if not 0 <= first_ppa < total_pages:
+            raise self._out_of_range("PPA", first_ppa, total_pages)
+        for old_ppa in old_ppas:
+            if old_ppa is not None and not 0 <= old_ppa < total_pages:
+                raise self._out_of_range("PPA", old_ppa, total_pages)
         pages_per_block = self._pages_per_block
         block = first_ppa // pages_per_block
         offset = first_ppa - block * pages_per_block
@@ -446,7 +457,6 @@ class FlashArray:
         if gamma:
             oob_store = self._oob
             lpa_arr = self._lpa
-            total_pages = self._geometry.total_pages
             batch_lpa = batch_lpas.get
             for index in range(count):
                 ppa = first_ppa + index
@@ -502,19 +512,15 @@ class FlashArray:
                     last_modified[old_block] = op
         self._op_clock = op
 
-        config = self._config
-        occupancy = config.write_latency_us / self._dies_per_channel
+        occupancy = self._config.write_latency_us / self._dies_per_channel
         return self._scheduler.reserve_run(
-            first_ppa // self._pages_per_channel,
-            now_us,
-            occupancy,
-            count,
-            die=(block % self._blocks_per_channel) % self._dies_per_channel,
-            cell_us=config.write_latency_us,
+            first_ppa // self._pages_per_channel, now_us, occupancy, count
         )
 
     def invalidate_page(self, ppa: int) -> None:
-        """Mark a VALID page as INVALID (its LPA was overwritten or trimmed)."""
+        """Mark a VALID page as INVALID (its LPA was overwritten)."""
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range("PPA", ppa, self._total_pages)
         if self._state[ppa] != _VALID:
             raise FlashError(f"invalidate of non-valid page ppa={ppa}")
         self._state[ppa] = _INVALID
@@ -525,6 +531,8 @@ class FlashArray:
 
     def erase_block(self, block: int, now_us: float = 0.0) -> float:
         """Erase a whole block; all its pages become FREE again."""
+        if not 0 <= block < self._total_blocks:
+            raise self._out_of_range("block", block, self._total_blocks)
         remaining_valid = self._valid_pages[block]
         if remaining_valid:
             raise FlashError(
@@ -544,15 +552,8 @@ class FlashArray:
         self._op_clock += 1
         self._last_modified_op[block] = self._op_clock
         self.counters.block_erases += 1
-        config = self._config
-        occupancy = config.erase_latency_us / self._dies_per_channel
-        return self._scheduler.reserve(
-            block // self._blocks_per_channel,
-            now_us,
-            occupancy,
-            die=(block % self._blocks_per_channel) % self._dies_per_channel,
-            cell_us=config.erase_latency_us,
-        )
+        occupancy = self._config.erase_latency_us / self._dies_per_channel
+        return self._scheduler.reserve(block // self._blocks_per_channel, now_us, occupancy)
 
     # ------------------------------------------------------------------ #
     # Bulk helpers

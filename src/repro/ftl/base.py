@@ -2,17 +2,25 @@
 
 An FTL owns the logical-to-physical mapping table.  The SSD model
 (:class:`repro.ssd.ssd.SimulatedSSD`) is responsible for everything else —
-flash state, write buffering, data caching, GC and wear leveling — and talks
-to the FTL through this interface:
+flash state, write buffering, data caching, GC and wear leveling — and the
+contract is exactly what the device, the harness and the recovery driver
+call; a method stays on :class:`FTL` only while one of them (or an example,
+the perf ledger or a reference test) calls it:
 
 * :meth:`FTL.translate_range` resolves a *contiguous run* of LPAs — the
   flash-resident page span of one host read command — in a single batch.
   It is the one translation method an FTL must implement and the only one
   the device calls; :meth:`FTL.translate` is its one-page case;
 * :meth:`FTL.update_batch` records a batch of freshly programmed
-  ``(LPA, PPA)`` mappings after a write-buffer flush or a GC migration;
+  ``(LPA, PPA)`` mappings after a write-buffer flush or a GC migration,
+  charging ``stats.updates`` once per pair.
+  It is the only way a mapping changes: an overwrite replaces the LPA's
+  mapping, and there is no TRIM — the device rejects every opcode but
+  ``R`` / ``W`` and the paper's LeaFTL never forgets an LPA;
 * :meth:`FTL.resident_bytes` / :meth:`FTL.full_mapping_bytes` report the
-  DRAM footprint, which drives the data-cache sizing.
+  DRAM footprint, which drives the data-cache sizing;
+* :meth:`FTL.rebuild_from_oob` reconstructs the table after a power
+  failure from the ``(LPA, PPA)`` pairs of an OOB scan.
 
 Three hooks have defaults that only LeaFTL overrides:
 
@@ -24,6 +32,9 @@ Three hooks have defaults that only LeaFTL overrides:
   scans the error window page by page);
 * :meth:`FTL.reset_stats` — zero every counter the FTL keeps (end of a
   warm-up); an FTL with counters beyond ``stats`` extends it.
+
+Background work is not part of the contract: LeaFTL compacts from inside
+its own ``update_batch`` (``LeaFTL.maintenance``), so no device calls it.
 
 Flash accesses the resolution itself required (translation-page fetches
 and dirty evictions in DFTL/SFTL) are reported through
@@ -135,14 +146,6 @@ class FTL(abc.ABC):
         flushed LPA-sorted (the default), both LPAs and PPAs are ascending.
         """
 
-    def update(self, lpa: int, ppa: int) -> None:
-        """Record a single mapping; convenience wrapper over update_batch."""
-        self.update_batch([(lpa, ppa)])
-
-    @abc.abstractmethod
-    def exists(self, lpa: int) -> bool:
-        """True when the FTL has a mapping for ``lpa``."""
-
     # ------------------------------------------------------------------ #
     # Memory accounting
     # ------------------------------------------------------------------ #
@@ -162,12 +165,6 @@ class FTL(abc.ABC):
     # ------------------------------------------------------------------ #
     # Hooks with default implementations
     # ------------------------------------------------------------------ #
-    def invalidate(self, lpa: int) -> None:
-        """Forget the mapping for ``lpa`` (TRIM).  Optional."""
-
-    def maintenance(self) -> None:
-        """Periodic background work (e.g. LeaFTL segment compaction)."""
-
     def oob_window(self) -> int:
         """Reverse-mapping window the write path must store in each OOB."""
         return 0
@@ -185,10 +182,6 @@ class FTL(abc.ABC):
     def reset_stats(self) -> None:
         """Zero the FTL's counters; mapping state is untouched."""
         self.stats.reset()
-
-    def mapped_lpa_count(self) -> Optional[int]:
-        """Number of live LPAs the FTL believes are mapped, if tracked."""
-        return None
 
     def rebuild_from_oob(self, mappings: Sequence[Tuple[int, int]]) -> None:
         """Reconstruct the mapping table from an OOB reverse-mapping scan.

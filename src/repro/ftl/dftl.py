@@ -48,10 +48,6 @@ class DFTL(FTL):
     # ------------------------------------------------------------------ #
     # Geometry helpers
     # ------------------------------------------------------------------ #
-    @property
-    def config(self) -> DFTLConfig:
-        return self._config
-
     def _translation_page_of(self, lpa: int) -> int:
         return lpa // self._config.entries_per_translation_page
 
@@ -155,14 +151,6 @@ class DFTL(FTL):
             self.stats.updates += 1
         self._evict_if_needed()
 
-    def exists(self, lpa: int) -> bool:
-        return lpa in self._cmt or lpa in self._flash_table
-
-    def invalidate(self, lpa: int) -> None:
-        self._cmt.pop(lpa, None)
-        self._mark_clean(lpa)
-        self._flash_table.pop(lpa, None)
-
     def rebuild_from_oob(self, mappings: Sequence[Tuple[int, int]]) -> None:
         """Rebuild the flash-resident table from an OOB scan.
 
@@ -187,12 +175,3 @@ class DFTL(FTL):
         live = set(self._flash_table)
         live.update(self._cmt)
         return len(live) * self._config.entry_bytes
-
-    def mapped_lpa_count(self) -> Optional[int]:
-        live = set(self._flash_table)
-        live.update(self._cmt)
-        return len(live)
-
-    def cmt_entry_count(self) -> int:
-        """Number of entries currently cached (for tests and reports)."""
-        return len(self._cmt)

@@ -9,7 +9,7 @@ as ground truth in tests and as the denominator in memory-reduction figures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ftl.base import FTL, TranslationResult
 
@@ -49,20 +49,11 @@ class PageLevelFTL(FTL):
             self._table[lpa] = ppa
             self.stats.updates += 1
 
-    def exists(self, lpa: int) -> bool:
-        return lpa in self._table
-
-    def invalidate(self, lpa: int) -> None:
-        self._table.pop(lpa, None)
-
     def resident_bytes(self) -> int:
         return len(self._table) * self._entry_bytes
 
     def full_mapping_bytes(self) -> int:
         return len(self._table) * self._entry_bytes
-
-    def mapped_lpa_count(self) -> Optional[int]:
-        return len(self._table)
 
     def rebuild_from_oob(self, mappings: Sequence[Tuple[int, int]]) -> None:
         self._table = dict(mappings)

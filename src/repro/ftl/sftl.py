@@ -67,10 +67,6 @@ class SFTL(FTL):
     # ------------------------------------------------------------------ #
     # Translation-page helpers
     # ------------------------------------------------------------------ #
-    @property
-    def config(self) -> SFTLConfig:
-        return self._config
-
     def _tp_of(self, lpa: int) -> int:
         return lpa // self._entries_per_tp
 
@@ -104,25 +100,6 @@ class SFTL(FTL):
         if tp_id in self._cached:
             self._cached_runs += delta
 
-    def _remove_entry(self, lpa: int) -> None:
-        tp_id = self._tp_of(lpa)
-        page = self._pages.get(tp_id)
-        if page is None or lpa not in page.entries:
-            return
-        runs_before = page.run_count
-        if self._is_continuous(page, lpa - 1, lpa):
-            page.continuities -= 1
-        if self._is_continuous(page, lpa, lpa + 1):
-            page.continuities -= 1
-        del page.entries[lpa]
-        delta = page.run_count - runs_before
-        self._total_runs += delta
-        if tp_id in self._cached:
-            self._cached_runs += delta
-        if not page.entries:
-            self._drop_from_cache(tp_id)
-            del self._pages[tp_id]
-
     # ------------------------------------------------------------------ #
     # Cache management
     # ------------------------------------------------------------------ #
@@ -130,11 +107,6 @@ class SFTL(FTL):
         if self.mapping_budget_bytes is None:
             return None
         return max(1, self.mapping_budget_bytes // self._config.run_bytes)
-
-    def _drop_from_cache(self, tp_id: int) -> None:
-        if tp_id in self._cached:
-            del self._cached[tp_id]
-            self._cached_runs -= self._pages[tp_id].run_count
 
     def _admit(self, tp_id: int, dirty: bool) -> None:
         """Bring ``tp_id`` into the cache, writing back dirty victims."""
@@ -200,13 +172,6 @@ class SFTL(FTL):
         for tp_id in touched:
             self._admit(tp_id, dirty=True)
 
-    def exists(self, lpa: int) -> bool:
-        page = self._pages.get(self._tp_of(lpa))
-        return page is not None and lpa in page.entries
-
-    def invalidate(self, lpa: int) -> None:
-        self._remove_entry(lpa)
-
     def rebuild_from_oob(self, mappings: Sequence[Tuple[int, int]]) -> None:
         """Rebuild the condensed translation pages from an OOB scan.
 
@@ -236,9 +201,6 @@ class SFTL(FTL):
             self._total_runs * self._config.run_bytes
             + len(self._pages) * self._config.page_header_bytes
         )
-
-    def mapped_lpa_count(self) -> Optional[int]:
-        return sum(len(page.entries) for page in self._pages.values())
 
     def run_count(self) -> int:
         """Total condensed runs across all translation pages."""

@@ -1,20 +1,20 @@
-"""Per-channel / per-die NAND operation scheduling.
+"""Per-channel NAND operation scheduling.
 
-Every flash read, program and erase must cross its channel bus, and the
-affected die stays busy for the full cell operation.  The scheduler owns
-both timelines:
+Every flash read, program and erase must cross its channel bus.  The
+scheduler owns the one timeline the device's decisions read:
 
 * **channel bus** — one operation at a time; a request that arrives while
   the bus is occupied starts when the bus frees up.  This is the resource
   foreground reads contend on with background flush/GC traffic.
-* **die** — the cell-level part of a program/erase proceeds inside the die
-  after the bus transfer, so operations on *different* dies of the same
-  channel overlap.
 
-Only the channel bus constrains start times; the die timeline is tracked
-for utilization reporting but does not delay operations.  A program
-occupies the bus for ``cell_time / dies_per_channel`` — the steady-state
-share of a fully pipelined channel.
+There is no per-die timeline: nothing a die did ever delayed an operation,
+and no decision, counter or artifact read when a die was busy.  What
+``dies_per_channel`` still changes is the bus share of a program or erase,
+which the flash array computes before it reserves: the cell-level part of
+the operation proceeds inside the die after the transfer, so operations on
+different dies of a channel overlap and each occupies the bus for
+``cell_time / dies_per_channel`` — the steady-state share of a fully
+pipelined channel.
 """
 
 from __future__ import annotations
@@ -23,19 +23,17 @@ from typing import Callable, List, Optional, Sequence
 
 
 class NANDScheduler:
-    """Arbitrates channel-bus and die occupancy for flash operations."""
+    """Arbitrates channel-bus occupancy for flash operations."""
 
     def __init__(self, channels: int, dies_per_channel: int = 1) -> None:
         if channels <= 0:
             raise ValueError("channels must be positive")
+        # Validated but unused, like ``reserve(die=)``: the frozen ledger
+        # passes both (ROADMAP item 1c).
         if dies_per_channel <= 0:
             raise ValueError("dies_per_channel must be positive")
         self._channels = channels
-        self._dies_per_channel = dies_per_channel
         self._bus_busy_until: List[float] = [0.0] * channels
-        self._die_busy_until: List[List[float]] = [
-            [0.0] * dies_per_channel for _ in range(channels)
-        ]
         self._bus_time_us: List[float] = [0.0] * channels
         #: Optional observation hook called as ``probe(channel, start_us,
         #: finish_us)`` for every bus reservation.  Purely observational —
@@ -50,16 +48,9 @@ class NANDScheduler:
     def channels(self) -> int:
         return self._channels
 
-    @property
-    def dies_per_channel(self) -> int:
-        return self._dies_per_channel
-
     def busy_until(self, channel: int) -> float:
         """Time until which ``channel``'s bus is occupied."""
         return self._bus_busy_until[channel]
-
-    def die_busy_until(self, channel: int, die: int) -> float:
-        return self._die_busy_until[channel][die]
 
     def bus_time_us(self, channel: int) -> float:
         """Cumulative bus-occupied time of ``channel`` (for windowed rates)."""
@@ -79,48 +70,23 @@ class NANDScheduler:
     # Scheduling
     # ------------------------------------------------------------------ #
     def reserve(
-        self,
-        channel: int,
-        at_us: float,
-        bus_us: float,
-        die: Optional[int] = None,
-        cell_us: Optional[float] = None,
+        self, channel: int, at_us: float, bus_us: float, die: Optional[int] = None
     ) -> float:
         """Schedule one operation; returns its bus completion time.
 
-        Parameters
-        ----------
-        channel / die:
-            Target coordinates.  ``die=None`` models traffic that only
-            crosses the bus (e.g. DFTL translation-page accounting).
-        bus_us:
-            Time the operation occupies the channel bus.
-        cell_us:
-            Full cell-operation time charged to the die (defaults to
-            ``bus_us``); recorded, never gating.
+        ``bus_us`` is the time the operation occupies ``channel``'s bus.
+        ``die`` is accepted and ignored (see ``__init__``).
         """
         busy = self._bus_busy_until[channel]
         start = at_us if at_us > busy else busy
         finish = start + bus_us
         self._bus_busy_until[channel] = finish
         self._bus_time_us[channel] += bus_us
-        if die is not None:
-            occupied_until = start + (cell_us if cell_us is not None else bus_us)
-            if occupied_until > self._die_busy_until[channel][die]:
-                self._die_busy_until[channel][die] = occupied_until
         if self.probe is not None:
             self.probe(channel, start, finish)
         return finish
 
-    def reserve_run(
-        self,
-        channel: int,
-        at_us: float,
-        bus_us: float,
-        count: int,
-        die: Optional[int] = None,
-        cell_us: Optional[float] = None,
-    ) -> float:
+    def reserve_run(self, channel: int, at_us: float, bus_us: float, count: int) -> float:
         """``count`` back-to-back :meth:`reserve` calls with identical args.
 
         Performs exactly the float operations of the equivalent call
@@ -137,27 +103,14 @@ class NANDScheduler:
             # which returns the current bus-busy time untouched.
             finish = self._bus_busy_until[channel]
             for _ in range(count):
-                finish = self.reserve(channel, at_us, bus_us, die=die, cell_us=cell_us)
+                finish = self.reserve(channel, at_us, bus_us)
             return finish
         busy = self._bus_busy_until[channel]
         bus_total = self._bus_time_us[channel]
-        if die is None:
-            for _ in range(count):
-                start = at_us if at_us > busy else busy
-                busy = start + bus_us
-                bus_total += bus_us
-        else:
-            die_row = self._die_busy_until[channel]
-            die_busy = die_row[die]
-            cell = cell_us if cell_us is not None else bus_us
-            for _ in range(count):
-                start = at_us if at_us > busy else busy
-                busy = start + bus_us
-                bus_total += bus_us
-                occupied_until = start + cell
-                if occupied_until > die_busy:
-                    die_busy = occupied_until
-            die_row[die] = die_busy
+        for _ in range(count):
+            start = at_us if at_us > busy else busy
+            busy = start + bus_us
+            bus_total += bus_us
         self._bus_busy_until[channel] = busy
         self._bus_time_us[channel] = bus_total
         return busy

@@ -9,13 +9,19 @@ caching — shows up here as a larger ``capacity_pages``.
 The cache capacity can be resized at runtime (the learned mapping table grows
 and shrinks as the workload evolves); shrinking evicts the least recently
 used entries immediately.
+
+There is no dirty state.  A page the host writes enters this cache and the
+write buffer together, and the buffer — not the cache — is what the flush
+programs to flash: dirty data always also lives in the write buffer, so an
+eviction never owes a write-back and no decision, counter or artifact would
+read a per-page dirty flag.  The cache therefore holds keys only.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator
 
 
 @dataclass
@@ -43,20 +49,14 @@ class CacheStats:
 
 
 class LRUDataCache:
-    """An LRU cache of flash pages, keyed by LPA.
-
-    Entries can be *clean* (populated on read) or *dirty* (populated on
-    write before the data reaches flash).  Eviction returns the evicted
-    (lpa, dirty) pairs so the caller can schedule write-back if needed; in
-    this simulator dirty data always also lives in the write buffer, so the
-    returned list is informational.
-    """
+    """An LRU set of resident LPAs (keys only; see the module docstring)."""
 
     def __init__(self, capacity_pages: int) -> None:
         if capacity_pages < 0:
             raise ValueError("capacity_pages must be non-negative")
         self._capacity = capacity_pages
-        self._entries: "OrderedDict[int, bool]" = OrderedDict()
+        #: Resident LPAs in recency order, LRU first (values unused).
+        self._entries: "OrderedDict[int, None]" = OrderedDict()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------ #
@@ -87,65 +87,61 @@ class LRUDataCache:
         self.stats.misses += 1
         return False
 
-    def insert(self, lpa: int, dirty: bool = False) -> List[Tuple[int, bool]]:
-        """Insert (or refresh) ``lpa``; return the entries evicted to make room."""
-        return self.insert_many((lpa,), dirty)
+    def insert(self, lpa: int) -> None:
+        """Insert (or refresh) ``lpa``: the one-page :meth:`insert_many`.
 
-    def insert_many(self, lpas: Iterable[int], dirty: bool = False) -> List[Tuple[int, bool]]:
-        """Insert (or refresh) ``lpas`` in order; return every entry evicted.
+        The device calls only ``insert_many``; the frozen ledger times and
+        wraps this name (ROADMAP item 1c).
+        """
+        self.insert_many((lpa,))
+
+    def insert_many(self, lpas: Iterable[int]) -> None:
+        """Insert (or refresh) ``lpas`` in order, evicting LRU pages to fit.
 
         Each page is inserted and the cache trimmed to capacity before the
         next one, so a batch larger than the cache evicts its own head.
         """
         capacity = self._capacity
-        evicted: List[Tuple[int, bool]] = []
         if capacity == 0:
-            return evicted
+            return
         entries = self._entries
         move_to_end = entries.move_to_end
         popitem = entries.popitem
-        insertions = 0
+        insertions = evictions = 0
         for lpa in lpas:
             if lpa in entries:
-                # Refresh; a dirty insert over a clean entry upgrades it.
-                if dirty and not entries[lpa]:
-                    entries[lpa] = True
                 move_to_end(lpa)
                 continue
-            entries[lpa] = dirty
+            entries[lpa] = None
             insertions += 1
             while len(entries) > capacity:
-                evicted.append(popitem(last=False))
+                popitem(last=False)
+                evictions += 1
         self.stats.insertions += insertions
-        self.stats.evictions += len(evicted)
-        return evicted
+        self.stats.evictions += evictions
 
     def mark_clean(self, lpa: int) -> None:
-        """Clear the dirty flag after the page has been persisted to flash."""
-        self.mark_clean_many((lpa,))
+        """No-op: there is no dirty state to clear.
 
-    def mark_clean_many(self, lpas: Iterable[int]) -> None:
-        """Clear the dirty flag of every cached page of ``lpas``."""
-        entries = self._entries
-        for lpa in lpas:
-            if lpa in entries:
-                entries[lpa] = False
+        Bodiless, and kept only because the frozen ledger wraps the name
+        (ROADMAP item 1c).
+        """
 
     def invalidate(self, lpa: int) -> bool:
-        """Drop ``lpa`` from the cache (e.g. after TRIM); True if present."""
-        return self._entries.pop(lpa, None) is not None
+        """Drop ``lpa`` from the cache; True if it was present."""
+        if lpa in self._entries:
+            del self._entries[lpa]
+            return True
+        return False
 
-    def resize(self, capacity_pages: int) -> List[Tuple[int, bool]]:
+    def resize(self, capacity_pages: int) -> None:
         """Change the capacity; evicts LRU entries when shrinking."""
         if capacity_pages < 0:
             raise ValueError("capacity_pages must be non-negative")
         self._capacity = capacity_pages
-        evicted: List[Tuple[int, bool]] = []
-        while len(self._entries) > self._capacity:
-            lpa, dirty = self._entries.popitem(last=False)
+        while len(self._entries) > capacity_pages:
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
-            evicted.append((lpa, dirty))
-        return evicted
 
     def clear(self) -> None:
         self._entries.clear()

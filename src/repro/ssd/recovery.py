@@ -261,23 +261,32 @@ def recover(ssd: SimulatedSSD, mode: str = "oob_scan") -> RecoveryResult:
         # durable source.
         mode = "oob_scan"
 
+    def scan(run: range) -> List[Tuple[int, int]]:
+        """Read one block's OOB run; the ``(lpa, ppa)`` of its VALID pages.
+
+        INVALID pages carry stale reverse mappings: they cost a read to be
+        recognised as such and contribute nothing.
+        """
+        nonlocal finish, flash_reads
+        if not run:
+            return []
+        finish = max(finish, flash.read_oob_run(run, now_us=start))
+        flash_reads += len(run)
+        live: List[Tuple[int, int]] = []
+        for ppa in run:
+            if flash.page_state(ppa) is PageState.VALID:
+                oob = flash.oob_of(ppa)
+                assert oob is not None and oob.lpa is not None
+                live.append((oob.lpa, ppa))
+        return live
+
     total_blocks = flash.geometry.total_blocks
     if mode == "oob_scan":
-        # Baseline: read the OOB of every programmed page (VALID pages
-        # carry live reverse mappings; INVALID ones must be read to be
-        # recognised as stale), rebuild from the VALID set.
+        # Baseline: read the OOB of every programmed page, rebuild from
+        # the VALID set.
         mappings: List[Tuple[int, int]] = []
         for block in range(total_blocks):
-            run = flash.programmed_ppas_of_block(block)
-            if not run:
-                continue
-            finish = max(finish, flash.read_oob_run(run, now_us=start))
-            flash_reads += len(run)
-            for ppa in run:
-                if flash.page_state(ppa) is PageState.VALID:
-                    oob = flash.oob_of(ppa)
-                    assert oob is not None and oob.lpa is not None
-                    mappings.append((oob.lpa, ppa))
+            mappings += scan(flash.programmed_ppas_of_block(block))
         ftl.rebuild_from_oob(mappings)
     else:
         # Restore the checkpointed table (reading the image back from the
@@ -305,16 +314,7 @@ def recover(ssd: SimulatedSSD, mode: str = "oob_scan") -> RecoveryResult:
                 run = range(base + old_wp, base + new_wp)
             else:
                 continue
-            if not run:
-                continue
-            finish = max(finish, flash.read_oob_run(run, now_us=start))
-            flash_reads += len(run)
-            replay: List[Tuple[int, int]] = []
-            for ppa in run:
-                if flash.page_state(ppa) is PageState.VALID:
-                    oob = flash.oob_of(ppa)
-                    assert oob is not None and oob.lpa is not None
-                    replay.append((oob.lpa, ppa))
+            replay = scan(run)
             if replay:
                 # Level-0 insertion shadows whatever stale mappings the
                 # checkpoint still holds for these LPAs.

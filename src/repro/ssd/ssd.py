@@ -399,7 +399,7 @@ class SimulatedSSD:
     def _write_command(self, lpa: int, npages: int, start: float) -> float:
         """Serve one write command of any length; returns its completion.
 
-        Pages enter the DRAM write buffer (and the data cache, dirty) one
+        Pages enter the DRAM write buffer (and the data cache) one
         DRAM latency after another.  The page that fills the buffer
         additionally waits for the previous flush to drain (double-buffering
         backpressure) and issues the next flush at its own completion; the
@@ -415,7 +415,7 @@ class SimulatedSSD:
         latencies: List[float] = []
         while lpa < end:
             taken = buffer.add_run(lpa, end)
-            self.cache.insert_many(range(lpa, lpa + taken), dirty=True)
+            self.cache.insert_many(range(lpa, lpa + taken))
             lpa += taken
             # Counted before the flush below: it samples WAF so far.
             stats.host_writes += taken
@@ -521,8 +521,6 @@ class SimulatedSSD:
             first_ppa, lpas, old_ppas, self._oob_window, ppa_to_lpa, at_us
         )
         current_ppa.update(mappings)
-        if purpose == "host":
-            self.cache.mark_clean_many(lpas)
         self._record_programs(purpose, len(mappings))
         self.allocator.seal_if_full(block)
 
@@ -561,7 +559,7 @@ class SimulatedSSD:
         """Read a data page for the host, accounting queueing-wait time.
 
         The stall (time the read queued behind earlier operations on its
-        channel bus or die — buffer flushes, GC migrations, other
+        channel bus — buffer flushes, GC migrations, other
         outstanding requests) is the direct measure of background traffic
         delaying foreground reads.  It is derived from the reservation the
         scheduler actually granted.
@@ -886,7 +884,7 @@ class SimulatedSSD:
                     finish = page_finish
                     critical = page_attr
         stats.flash_reads_for_host += len(sensed)
-        self.cache.insert_many(sensed, dirty=False)
+        self.cache.insert_many(sensed)
         stats.read_latency.record_many(latencies)
         if critical is not None and translate_us > 0.0:
             critical["translate_us"] = translate_us

@@ -92,36 +92,22 @@ class WriteBuffer:
         self.stats.overwrites += taken - (len(pages) - before)
         return taken
 
-    def drain(self, max_pages: int = 0) -> List[int]:
-        """Remove and return buffered LPAs for a flush.
+    def drain(self) -> List[int]:
+        """Remove and return every buffered LPA for a flush.
 
-        Parameters
-        ----------
-        max_pages:
-            Maximum number of pages to drain (0 means drain everything).
-            The SSD drains one flash block worth of pages per flush.
-
-        Returns
-        -------
-        list of int
-            LPAs in flush order: ascending LPA order when ``sort_on_flush``
-            is enabled, otherwise the original arrival order.
+        The LPAs come in flush order: ascending LPA order when
+        ``sort_on_flush`` is enabled, otherwise the original arrival order.
+        Draining an empty buffer is not a flush.
         """
         if not self._pages:
             return []
-        lpas = list(self._pages.keys())
+        lpas = list(self._pages)
         if self._sort_on_flush:
             lpas.sort()
-        if max_pages > 0:
-            lpas = lpas[:max_pages]
-        for lpa in lpas:
-            del self._pages[lpa]
+        self._pages.clear()
         self.stats.flushes += 1
         self.stats.pages_flushed += len(lpas)
         return lpas
-
-    def clear(self) -> None:
-        self._pages.clear()
 
     def discard(self) -> int:
         """Drop all buffered pages (power failure); returns how many were lost.

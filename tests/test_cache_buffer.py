@@ -24,28 +24,17 @@ class TestLRUDataCache:
         cache.insert(1)
         cache.insert(2)
         cache.lookup(1)          # 1 becomes most recently used
-        evicted = cache.insert(3)
-        assert evicted == [(2, False)]
-        assert 1 in cache and 3 in cache and 2 not in cache
-
-    def test_dirty_flag_upgrade_and_clean(self):
-        cache = LRUDataCache(capacity_pages=4)
-        cache.insert(1, dirty=False)
-        cache.insert(1, dirty=True)
-        cache.resize(0)  # evict everything
-        cache.resize(4)
-        cache.insert(2, dirty=True)
-        cache.mark_clean(2)
-        evicted = cache.resize(0)
-        assert evicted == [(2, False)]
+        cache.insert(3)
+        assert list(cache) == [1, 3]
+        assert cache.stats.evictions == 1
 
     def test_resize_shrink_evicts_lru_first(self):
         cache = LRUDataCache(capacity_pages=4)
         for lpa in range(4):
             cache.insert(lpa)
-        evicted = cache.resize(2)
-        assert [lpa for lpa, _ in evicted] == [0, 1]
-        assert len(cache) == 2
+        cache.resize(2)
+        assert list(cache) == [2, 3]
+        assert cache.stats.evictions == 2
 
     def test_zero_capacity_never_stores(self):
         cache = LRUDataCache(capacity_pages=0)
@@ -67,6 +56,65 @@ class TestLRUDataCache:
             if not cache.lookup(lpa):
                 cache.insert(lpa)
             assert len(cache) <= capacity
+
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("lookup"), st.integers(0, 12)),
+                st.tuples(st.just("insert_many"), st.lists(st.integers(0, 12), max_size=10)),
+                st.tuples(st.just("resize"), st.integers(0, 6)),
+                st.tuples(st.just("invalidate"), st.integers(0, 12)),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_plain_list_kept_in_recency_order(self, capacity, program):
+        """Same hit / miss answers, same residents in the same order and the
+        same four counters as a list whose head is the LRU page."""
+        cache = LRUDataCache(capacity_pages=capacity)
+        model, counted = [], {"hits": 0, "misses": 0, "insertions": 0, "evictions": 0}
+
+        def trim():
+            while len(model) > capacity:
+                model.pop(0)
+                counted["evictions"] += 1
+
+        for operation, argument in program:
+            if operation == "lookup":
+                hit = argument in model
+                assert cache.lookup(argument) is hit
+                counted["hits" if hit else "misses"] += 1
+                if hit:
+                    model.remove(argument)
+                    model.append(argument)
+            elif operation == "insert_many":
+                cache.insert_many(argument)
+                for lpa in argument if capacity else ():
+                    if lpa in model:
+                        model.remove(lpa)
+                    else:
+                        counted["insertions"] += 1
+                    model.append(lpa)
+                    trim()
+            elif operation == "resize":
+                cache.resize(argument)
+                capacity = argument
+                trim()
+            else:
+                assert cache.invalidate(argument) is (argument in model)
+                if argument in model:
+                    model.remove(argument)
+            assert list(cache) == model
+            assert cache.capacity_pages == capacity
+        stats = cache.stats
+        assert counted == {
+            "hits": stats.hits,
+            "misses": stats.misses,
+            "insertions": stats.insertions,
+            "evictions": stats.evictions,
+        }
 
 
 class TestWriteBuffer:
@@ -98,14 +146,6 @@ class TestWriteBuffer:
         buffer.add(2)
         assert buffer.is_full
 
-    def test_partial_drain(self):
-        buffer = WriteBuffer(capacity_pages=16)
-        for lpa in range(10):
-            buffer.add(lpa)
-        first = buffer.drain(max_pages=4)
-        assert first == [0, 1, 2, 3]
-        assert len(buffer) == 6
-
     def test_membership(self):
         buffer = WriteBuffer(capacity_pages=4)
         buffer.add(9)
@@ -115,56 +155,20 @@ class TestWriteBuffer:
         with pytest.raises(ValueError):
             WriteBuffer(capacity_pages=0)
 
-
-class TestWriteBufferPartialDrain:
-    """Partial-drain semantics: max_pages interacting with sort_on_flush."""
-
-    def test_sorted_partial_drain_takes_lowest_lpas(self):
-        buffer = WriteBuffer(capacity_pages=16)
-        for lpa in (9, 3, 12, 1, 7):
-            buffer.add(lpa)
-        assert buffer.drain(max_pages=2) == [1, 3]
-        assert len(buffer) == 3
-        assert 9 in buffer and 1 not in buffer
-        assert buffer.drain() == [7, 9, 12]
-
-    def test_unsorted_partial_drain_takes_arrival_order(self):
-        buffer = WriteBuffer(capacity_pages=16, sort_on_flush=False)
-        for lpa in (9, 3, 12, 1, 7):
-            buffer.add(lpa)
-        assert buffer.drain(max_pages=2) == [9, 3]
-        assert buffer.drain(max_pages=2) == [12, 1]
-        assert buffer.drain() == [7]
-
-    def test_partial_drain_larger_than_content_takes_all(self):
-        buffer = WriteBuffer(capacity_pages=8)
-        buffer.add(2)
-        buffer.add(1)
-        assert buffer.drain(max_pages=10) == [1, 2]
-        assert len(buffer) == 0
-
-    def test_stats_after_partial_drains(self):
-        buffer = WriteBuffer(capacity_pages=16)
-        for lpa in range(10):
-            buffer.add(lpa)
-        buffer.drain(max_pages=4)
-        buffer.drain(max_pages=4)
-        buffer.drain()
-        assert buffer.stats.flushes == 3
-        assert buffer.stats.pages_flushed == 10
-        assert buffer.stats.writes == 10
-
     def test_draining_empty_buffer_is_not_a_flush(self):
         buffer = WriteBuffer(capacity_pages=4)
         assert buffer.drain() == []
         assert buffer.stats.flushes == 0
         assert buffer.stats.pages_flushed == 0
 
-    def test_rewrite_after_partial_drain_buffers_again(self):
-        buffer = WriteBuffer(capacity_pages=8)
-        buffer.add(1)
-        buffer.add(2)
-        buffer.drain(max_pages=1)   # drains LPA 1
+    def test_drain_empties_the_buffer_and_counts_one_flush(self):
+        buffer = WriteBuffer(capacity_pages=16)
+        for lpa in (9, 3, 12, 1, 7, 3):
+            buffer.add(lpa)
+        assert buffer.drain() == [1, 3, 7, 9, 12]
+        assert len(buffer) == 0 and 9 not in buffer
         buffer.add(1)               # no longer buffered: not an overwrite
-        assert buffer.stats.overwrites == 0
-        assert sorted([2, 1]) == buffer.drain()
+        assert buffer.drain() == [1]
+        assert buffer.stats.flushes == 2
+        assert buffer.stats.pages_flushed == 6
+        assert (buffer.stats.writes, buffer.stats.overwrites) == (7, 1)

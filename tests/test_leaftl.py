@@ -15,8 +15,7 @@ class TestLeaFTLTranslation:
         ftl.update_batch([(lpa, 200 + lpa) for lpa in range(64)])
         for lpa in range(64):
             assert ftl.translate(lpa).ppa == 200 + lpa
-        assert ftl.exists(10)
-        assert not ftl.exists(1000)
+        assert ftl.translate(1000).ppa is None
 
     def test_gamma_zero_is_always_exact(self):
         rng = random.Random(1)

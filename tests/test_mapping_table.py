@@ -23,7 +23,6 @@ class TestBasicUpdatesAndLookups:
     def test_lookup_unmapped(self):
         table = make_table()
         assert not table.lookup(123).found
-        assert not table.exists(123)
 
     def test_sequential_batch(self):
         table = make_table()
@@ -255,12 +254,3 @@ class TestLookupStatsAccounting:
         assert result.levels_searched >= 1
         assert table.stats.lookup_levels_total >= 1
 
-    def test_exists_uses_the_same_stats_policy(self):
-        table = make_table()
-        table.update([(0, 100)])
-        lookups_before = table.stats.lookups
-        levels_before = table.stats.lookup_levels_total
-        assert table.exists(0)
-        assert not table.exists(999_999)
-        assert table.stats.lookups == lookups_before + 2
-        assert table.stats.lookup_levels_total >= levels_before + 2

@@ -16,7 +16,10 @@ Covers the three layers of the refactor:
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +83,84 @@ class TestTranslateRangeContract:
             assert scalar.stats == ranged.stats
         assert scalar.stats.translation_page_reads > 0
         assert scalar.stats.translation_page_writes > 0  # evictions really ran
+
+
+class TestFTLContract:
+    """The contract of ``ftl/base.py`` as the device calls it, per scheme."""
+
+    #: ``stats.lookups`` of ``translate_range(8, 8)`` after LPAs 0..63 went
+    #: in as one ascending batch: one learned segment, two 4-entry
+    #: translation pages (the factories' page size), one table probe.
+    LOOKUPS_OF_AN_8_PAGE_RUN = {"LeaFTL": 1, "DFTL": 2, "SFTL": 2, "PageMap": 1}
+
+    @pytest.mark.parametrize("name", FTL_FACTORIES)
+    def test_update_translate_rebuild_agree_with_a_dict(self, name):
+        """``update_batch`` → ``translate_range`` → ``rebuild_from_oob`` →
+        ``translate_range`` against a dict oracle; ``updates`` charged once
+        per pair, ``lookups`` once per resolution (never more than once per
+        page), the rebuild charge-free.  gamma = 0 so LeaFTL is exact, a
+        64-byte budget so DFTL / SFTL evict throughout."""
+        rng = random.Random(11)
+        ftl = LeaFTL(LeaFTLConfig(gamma=0)) if name == "LeaFTL" else FTL_FACTORIES[name](64)
+        oracle, next_ppa, pairs = {}, 0, 0
+        for _ in range(40):
+            batch = []
+            for lpa in sorted(rng.sample(range(400), rng.randint(1, 48))):
+                batch.append((lpa, next_ppa))
+                oracle[lpa] = next_ppa
+                next_ppa += 1
+            ftl.update_batch(batch)
+            pairs += len(batch)
+        assert ftl.stats.updates == pairs
+
+        def check_against_oracle():
+            for _ in range(150):
+                lpa, npages = rng.randrange(420), rng.randint(1, 24)
+                before = ftl.stats.lookups
+                results = ftl.translate_range(lpa, npages)
+                assert [r.ppa for r in results] == [
+                    oracle.get(page) for page in range(lpa, lpa + npages)
+                ]
+                assert 1 <= ftl.stats.lookups - before <= npages
+
+        check_against_oracle()
+        stats_before = dataclasses.replace(ftl.stats)
+        ftl.rebuild_from_oob(sorted((lpa, ppa) for lpa, ppa in oracle.items()))
+        assert ftl.stats == stats_before
+        check_against_oracle()
+        assert ftl.stats.updates == pairs
+        assert ftl.full_mapping_bytes() >= ftl.resident_bytes() > 0
+
+    @pytest.mark.parametrize("name", FTL_FACTORIES)
+    def test_lookups_are_charged_per_resolution_not_per_page(self, name):
+        ftl = FTL_FACTORIES[name]()
+        ftl.update_batch([(lpa, 1000 + lpa) for lpa in range(64)])
+        ftl.translate_range(8, 8)
+        assert ftl.stats.lookups == self.LOOKUPS_OF_AN_8_PAGE_RUN[name]
+
+    def test_every_contract_method_has_a_caller_outside_the_ftls(self):
+        """The contract cannot regrow uncalled methods: every public method
+        ``FTL`` declares is named somewhere outside ``src/repro/ftl``,
+        ``src/repro/core`` and the tests (``tools.reader_census`` counts)."""
+        repo = Path(__file__).resolve().parent.parent
+        if str(repo) not in sys.path:
+            sys.path.insert(0, str(repo))
+        from tools.reader_census import definitions, readers
+
+        ftl_dir, core_dir = repo / "src/repro/ftl", repo / "src/repro/core"
+        declared = [
+            name.rsplit(".", 1)[1]
+            for name in definitions(ftl_dir)[0]
+            if name.startswith("base.FTL.")
+        ]
+        assert "translate_range" in declared and len(declared) >= 9
+        outside_ftl, inside_core = readers(ftl_dir)[0], readers(core_dir)[0]["pkg"]
+        uncalled = [
+            method
+            for method in declared
+            if outside_ftl["lib"][method] - inside_core[method] + outside_ftl["examples"][method] <= 0
+        ]
+        assert uncalled == []
 
 
 class TestLeaFTLTranslateRange:

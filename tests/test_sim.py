@@ -239,13 +239,38 @@ class TestNANDScheduler:
         assert sched.reserve(1, 0.0, 10.0) == 10.0   # other channel is free
         assert sched.busy_until(0) == 20.0
 
-    def test_bus_model_ignores_die_conflicts(self):
-        sched = NANDScheduler(channels=1, dies_per_channel=2)
-        first = sched.reserve(0, 0.0, 5.0, die=0, cell_us=200.0)
-        second = sched.reserve(0, 0.0, 5.0, die=0, cell_us=200.0)
-        # Only the bus constrains: back-to-back despite the shared die.
-        assert (first, second) == (5.0, 10.0)
-        assert sched.die_busy_until(0, 0) == 205.0
+    @pytest.mark.parametrize("probed", [False, True])
+    def test_reserve_run_is_n_reserves_float_for_float(self, probed):
+        """Same bus time and busy_until as ``count`` single reservations —
+        awkward floats, an arrival inside and one past the busy horizon —
+        and with a probe every operation of the burst is seen on its own."""
+        one_by_one, batched = NANDScheduler(channels=2), NANDScheduler(channels=2)
+        seen_single, seen_batched = [], []
+        if probed:
+            one_by_one.probe = lambda *span: seen_single.append(span)
+            batched.probe = lambda *span: seen_batched.append(span)
+        for channel, at_us, bus_us, count in (
+            (0, 0.1, 0.7 / 3, 5),
+            (0, 0.3, 1.1 / 7, 3),      # arrives while the bus is busy
+            (1, 2.0, 200.0 / 3, 4),
+            (0, 1e6 + 0.1, 0.1, 64),   # arrives long after it drained
+            (1, 0.0, 5.0, 0),          # an empty burst changes nothing
+        ):
+            finish = one_by_one.busy_until(channel)
+            for _ in range(count):
+                finish = one_by_one.reserve(channel, at_us, bus_us)
+            assert batched.reserve_run(channel, at_us, bus_us, count) == finish
+            for ch in (0, 1):
+                assert batched.busy_until(ch) == one_by_one.busy_until(ch)
+                assert batched.bus_time_us(ch) == one_by_one.bus_time_us(ch)
+        assert seen_batched == seen_single
+        assert len(seen_single) == (76 if probed else 0)
+
+    def test_die_argument_changes_nothing(self):
+        """``reserve(die=)`` is accepted for the perf ledger's micro and ignored."""
+        plain, with_die = NANDScheduler(channels=1), NANDScheduler(1, 4)
+        assert plain.reserve(0, 0.0, 5.0) == with_die.reserve(0, 0.0, 5.0, die=3) == 5.0
+        assert plain.reserve(0, 0.0, 5.0) == with_die.reserve(0, 0.0, 5.0, die=3) == 10.0
 
     def test_utilization_tracks_bus_time(self):
         sched = NANDScheduler(channels=1)
