@@ -42,7 +42,7 @@ def build_ssd() -> SimulatedSSD:
 
 def fill(ssd: SimulatedSSD, footprint: int) -> None:
     for lpa in range(0, footprint, 64):
-        ssd.process("W", lpa, 64)
+        ssd.submit("W", lpa, 64)
     ssd.flush()
 
 

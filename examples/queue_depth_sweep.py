@@ -67,10 +67,11 @@ def main() -> None:
     for depth, result in cells.items():
         stats = result.stats
         elapsed_ms = max(stats.measured_time_us / 1000.0, 1e-9)
+        pages = stats.host_read_pages + stats.host_write_pages
         rows[str(depth)] = {
             **read_metrics(result),
             "measured_time_us": stats.measured_time_us,
-            "page_kiops": stats.total_requests / elapsed_ms,
+            "page_kiops": pages / elapsed_ms,
         }
     print_report(render_series("single tenant: OLTP by queue depth", rows))
 

@@ -31,7 +31,7 @@ def main() -> None:
     # 2. Write three access patterns the paper's Figure 1 motivates.
     print("writing: 64 MB sequential file ...")
     for lpa in range(0, 16_384, 64):
-        ssd.process("W", lpa, 64)
+        ssd.submit("W", lpa, 64)
 
     print("writing: strided records (every 4th page) ...")
     for lpa in range(100_000, 140_000, 4):
@@ -68,7 +68,7 @@ def main() -> None:
     print(f"memory reduction        : {page_level_bytes / max(1, ftl.resident_bytes()):.1f}x")
 
     print("\n=== device statistics ===")
-    print(f"host reads / writes     : {stats.host_reads} / {stats.host_writes}")
+    print(f"host reads / writes     : {stats.host_read_pages} / {stats.host_write_pages}")
     print(f"cache hit ratio         : {stats.cache_hit_ratio:.2%}")
     print(f"mean read latency       : {stats.read_latency.mean_us:.1f} us")
     print(f"p99 read latency        : {stats.read_latency.percentile(99):.1f} us")

@@ -69,7 +69,7 @@ def main() -> None:
     before = device_snapshot(ssd, host=host)
 
     print("== Running the GC-contended two-tenant scenario (telemetry on) ==")
-    host.run([reader_tenant(scenario), writer_tenant(scenario)])
+    host.run({"reader": reader_tenant(scenario), "writer": writer_tenant(scenario)})
 
     tracer = telemetry.tracer
     print(f"\n== Tracer: {tracer.recorded} records "

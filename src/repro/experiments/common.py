@@ -245,12 +245,12 @@ def warmup_ssd(ssd: SimulatedSSD, setup: ExperimentSetup) -> None:
     lpa = 0
     written = 0
     while written < target_pages and lpa < logical_pages - extent:
-        ssd.process("W", lpa, extent)
+        ssd.submit("W", lpa, extent)
         written += extent
         lpa += extent
         if rng.random() < 0.25:
             scattered = rng.randrange(0, logical_pages - 8)
-            ssd.process("W", scattered, rng.randint(1, 4))
+            ssd.submit("W", scattered, rng.randint(1, 4))
             written += 4
     ssd.flush()
     reset_measurement(ssd)
@@ -284,11 +284,11 @@ def precondition(ssd: SimulatedSSD, seed: int = AGING_SEED) -> int:
     logical_pages = ssd.config.logical_pages
     footprint = min(logical_pages, max(extent, int(logical_pages * 0.92)))
     for lpa in range(0, footprint - extent + 1, extent):
-        ssd.process("W", lpa, extent)
+        ssd.submit("W", lpa, extent)
     rng = random.Random(seed)
     for _ in range(footprint // span):
         lpa = zipf_lpa(rng, max(1, footprint - span), 0.8)
-        ssd.process("W", lpa, span)
+        ssd.submit("W", lpa, span)
     ssd.flush()
     # Let the aging traffic drain: without this the first measured requests
     # queue behind the preconditioning's final flush/GC reservations and the

@@ -28,11 +28,11 @@ from repro.obs.analyze import namespace_scorecard
 from repro.obs.registry import CounterSnapshot, device_snapshot
 from repro.ssd.ssd import SimulatedSSD
 from repro.workloads.multi_tenant import (
-    TenantWorkload,
     fill_namespace,
     latency_sensitive_reader,
     sequential_writer,
 )
+from repro.workloads.trace import Trace
 
 #: Arbiters compared by the sweep, baseline (no QoS) first.
 ARBITER_CHOICES: Tuple[str, ...] = ARBITERS
@@ -124,13 +124,9 @@ def build_tenant_host(
     writer_fill = int(
         host.namespace("writer").size_pages * scenario.writer_prefill_fraction
     )
-    fills = [
-        TenantWorkload("reader", fill_namespace(scenario.reader_pages), mode="closed"),
-    ]
+    fills = {"reader": fill_namespace(scenario.reader_pages)}
     if writer_fill > 0:
-        fills.append(
-            TenantWorkload("writer", fill_namespace(writer_fill), mode="closed")
-        )
+        fills["writer"] = fill_namespace(writer_fill)
     host.run(fills)
     ssd.quiesce()
     reset_measurement(ssd)
@@ -138,37 +134,31 @@ def build_tenant_host(
     return ssd, host
 
 
-def reader_tenant(scenario: NoisyNeighborScenario) -> TenantWorkload:
-    return TenantWorkload(
-        "reader",
-        latency_sensitive_reader(
-            scenario.reader_pages,
-            scenario.reader_requests,
-            interarrival_us=READER_INTERARRIVAL_US,
-            zipf_alpha=READER_ZIPF_ALPHA,
-            npages=READER_NPAGES,
-            seed=scenario.reader_seed,
-        ),
-        mode="open",
+def reader_tenant(scenario: NoisyNeighborScenario) -> Trace:
+    """The reader namespace's stream (timestamped: replays open-loop)."""
+    return latency_sensitive_reader(
+        scenario.reader_pages,
+        scenario.reader_requests,
+        interarrival_us=READER_INTERARRIVAL_US,
+        zipf_alpha=READER_ZIPF_ALPHA,
+        npages=READER_NPAGES,
+        seed=scenario.reader_seed,
     )
 
 
-def writer_tenant(scenario: NoisyNeighborScenario) -> TenantWorkload:
+def writer_tenant(scenario: NoisyNeighborScenario) -> Trace:
+    """The writer namespace's stream (timestamped: replays open-loop)."""
     writer_pages = max(
         WRITER_NPAGES,
         scenario.device.ssd_config().logical_pages - scenario.reader_pages,
     )
-    return TenantWorkload(
-        "writer",
-        sequential_writer(
-            writer_pages,
-            scenario.writer_requests,
-            npages=WRITER_NPAGES,
-            interarrival_us=WRITER_INTERARRIVAL_US,
-            burst_length=scenario.writer_burst_length,
-            burst_gap_us=scenario.writer_burst_gap_us,
-        ),
-        mode="open",
+    return sequential_writer(
+        writer_pages,
+        scenario.writer_requests,
+        npages=WRITER_NPAGES,
+        interarrival_us=WRITER_INTERARRIVAL_US,
+        burst_length=scenario.writer_burst_length,
+        burst_gap_us=scenario.writer_burst_gap_us,
     )
 
 
@@ -217,12 +207,12 @@ def run_noisy_neighbor(
     """
     scenario = scenario or NoisyNeighborScenario()
     ssd, host = build_tenant_host(scenario, arbiter)
-    tenants = [reader_tenant(scenario)]
+    tenants = {"reader": reader_tenant(scenario)}
     if include_writer:
-        tenants.append(writer_tenant(scenario))
+        tenants["writer"] = writer_tenant(scenario)
     before = device_snapshot(ssd, host=host)
-    result = host.run(tenants)
-    return _tables(ssd, host, before, result.namespaces)
+    host.run(tenants)
+    return _tables(ssd, host, before, tenants)
 
 
 def noisy_neighbor_sweep(
@@ -269,6 +259,7 @@ def rate_limit_comparison(
                 TokenBucket(60_000.0, burst=WRITER_NPAGES * 4, unit="pages")
             )
         before = device_snapshot(ssd, host=host)
-        result = host.run([reader_tenant(scenario), writer_tenant(scenario)])
-        table[label] = _tables(ssd, host, before, result.namespaces)
+        tenants = {"reader": reader_tenant(scenario), "writer": writer_tenant(scenario)}
+        host.run(tenants)
+        table[label] = _tables(ssd, host, before, tenants)
     return table

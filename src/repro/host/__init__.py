@@ -4,8 +4,10 @@ This package is the layer *above* the device model: it carves one
 :class:`repro.ssd.ssd.SimulatedSSD` into disjoint namespaces, gives each
 tenant its own submission queue, and arbitrates which queue's head request
 is admitted every time a device slot frees — round-robin, weighted
-round-robin or strict priority, optionally throttled by per-namespace
-token buckets (IOPS / bandwidth caps).
+round-robin or strict priority, optionally throttled by token buckets
+(IOPS / bandwidth caps) appended to a namespace's ``limiters``.  Tenants
+are handed over as one ``{namespace: stream}`` mapping: a trace carrying
+timestamps replays open-loop, any other stream closed-loop.
 
 * :mod:`repro.host.namespace` — namespaces + per-tenant statistics;
 * :mod:`repro.host.arbiter` — arbitration policies and token buckets;
@@ -25,7 +27,6 @@ from repro.host.arbiter import (
 )
 from repro.host.interface import (
     HostInterface,
-    HostRunResult,
     MultiQueueFrontend,
     SubmissionQueue,
 )
@@ -41,7 +42,6 @@ __all__ = [
     "WeightedRoundRobinArbiter",
     "make_arbiter",
     "HostInterface",
-    "HostRunResult",
     "MultiQueueFrontend",
     "SubmissionQueue",
     "Namespace",

@@ -22,6 +22,7 @@ bucket's earliest-available time, so throttling costs no busy-waiting.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Protocol, Sequence
 
 #: Names accepted by :func:`make_arbiter` (and ``SSDOptions.arbiter``).
@@ -52,8 +53,6 @@ class Arbiter:
     *eligible* subset — queues that are non-empty and not token-throttled.
     """
 
-    name = "arbiter"
-
     def bind(self, queues: Sequence[ArbitratedQueue]) -> None:
         self._queues: List[ArbitratedQueue] = list(queues)
 
@@ -69,16 +68,12 @@ class FifoArbiter(Arbiter):
     no-QoS baseline: a burst from one tenant queues ahead of everyone else.
     """
 
-    name = "fifo"
-
     def select(self, candidates: Sequence[ArbitratedQueue]) -> ArbitratedQueue:
         return min(candidates, key=lambda queue: queue.head_key())
 
 
 class RoundRobinArbiter(Arbiter):
     """Cycle over the queues, one grant each (NVMe's default arbitration)."""
-
-    name = "round_robin"
 
     def bind(self, queues: Sequence[ArbitratedQueue]) -> None:
         super().bind(queues)
@@ -104,8 +99,6 @@ class WeightedRoundRobinArbiter(Arbiter):
     work-conserving: an idle tenant's share is redistributed instead of
     leaving the device idle.
     """
-
-    name = "weighted_round_robin"
 
     def bind(self, queues: Sequence[ArbitratedQueue]) -> None:
         super().bind(queues)
@@ -136,8 +129,6 @@ class StrictPriorityArbiter(Arbiter):
     the strongest isolation, at the cost of potential starvation of the
     background tenants (use WRR when those still need guaranteed progress).
     """
-
-    name = "strict_priority"
 
     def select(self, candidates: Sequence[ArbitratedQueue]) -> ArbitratedQueue:
         return min(candidates, key=lambda queue: (queue.priority, queue.head_key()))
@@ -170,10 +161,13 @@ class TokenBucket:
     UNITS = ("requests", "pages")
 
     def __init__(self, rate_per_s: float, burst: float, unit: str = "requests") -> None:
-        if rate_per_s <= 0.0:
-            raise ValueError("rate_per_s must be positive")
-        if burst < 1.0:
-            raise ValueError("burst must be at least 1")
+        # A nan rate would schedule every retry at "now" and spin the replay.
+        if not 0.0 < rate_per_s < math.inf:
+            raise ValueError(
+                f"rate_per_s must be positive and finite, got {rate_per_s!r}"
+            )
+        if not 1.0 <= burst < math.inf:
+            raise ValueError(f"burst must be at least 1 and finite, got {burst!r}")
         if unit not in self.UNITS:
             raise ValueError(f"unit must be one of {self.UNITS}")
         self.rate_per_s = rate_per_s

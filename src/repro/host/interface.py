@@ -20,8 +20,10 @@ Three pieces:
   single-tenant regression tests pin that bit-for-bit.
 
 * :class:`HostInterface` — the user-facing object: carves namespaces out of
-  one :class:`repro.ssd.ssd.SimulatedSSD`, builds queues for the tenant
-  streams, runs the replay and returns per-tenant statistics.
+  one :class:`repro.ssd.ssd.SimulatedSSD`, takes the tenant streams as one
+  ``{namespace: stream}`` mapping (a stream's timestamps pick its queue's
+  admission mode), runs the replay and returns the per-namespace
+  statistics.
 
 Per-tenant latency is measured against the request's *ready time*: the
 arrival timestamp for open-loop streams (so submission-queue waiting counts
@@ -32,10 +34,9 @@ engine's convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.host.arbiter import Arbiter, TokenBucket, make_arbiter
+from repro.host.arbiter import Arbiter, make_arbiter
 from repro.host.namespace import Namespace, NamespaceStats
 from repro.sim.events import Event, EventLoop, PRIORITY_FOREGROUND
 from repro.sim.frontend import (
@@ -45,9 +46,8 @@ from repro.sim.frontend import (
     Frontend,
     FrontendStats,
     SubmitTarget,
-    check_queue_depth,
 )
-from repro.workloads.trace import ReplayItem
+from repro.workloads.trace import ReplayItem, Trace
 
 
 class SubmissionQueue(ArrivalStream):
@@ -59,11 +59,10 @@ class SubmissionQueue(ArrivalStream):
         source: Iterable[ReplayItem],
         mode: str = "closed",
         time_scale: float = 1.0,
-        name: Optional[str] = None,
     ) -> None:
         if mode not in REPLAY_MODES:
             raise ValueError(f"mode must be one of {REPLAY_MODES}")
-        super().__init__(source, time_scale, name or namespace.name)
+        super().__init__(source, time_scale, namespace.name)
         self.namespace = namespace
         self.mode = mode
         #: What the arbiter reads (:class:`repro.host.arbiter.ArbitratedQueue`).
@@ -187,44 +186,26 @@ class MultiQueueFrontend(Frontend):
         namespace.record_completion(request.op, at_us - ready_us)
 
 
-@dataclass
-class HostRunResult:
-    """Everything one multi-tenant replay reports."""
-
-    frontend: FrontendStats
-    namespaces: Dict[str, NamespaceStats]
-    #: Deepest submission-queue backlog seen per queue name.
-    max_backlog: Dict[str, int] = field(default_factory=dict)
-
-
 class HostInterface:
     """Carves namespaces out of one SSD and replays multi-tenant streams.
 
     >>> host = HostInterface(ssd, arbiter="weighted_round_robin")
     >>> host.add_namespace("db", size_pages=4096, weight=4, slo_read_us=200.0)
     >>> host.add_namespace("batch", size_pages=8192)
-    >>> result = host.run({"db": db_trace, "batch": batch_trace})
+    >>> per_tenant = host.run({"db": db_trace, "batch": batch_trace})
 
-    The default arbiter comes from ``ssd.options.arbiter`` and the default
-    slot count from ``ssd.effective_queue_depth``, so the host layer honours
-    the same knobs single-queue replays use.
+    The default arbiter comes from ``ssd.options.arbiter`` and the slot
+    count is ``ssd.effective_queue_depth``, so the host layer honours the
+    same knobs single-queue replays use.  A rate limit is a token bucket
+    appended to a namespace:
+    ``host.namespace("batch").limiters.append(TokenBucket(...))``.
     """
 
-    def __init__(
-        self,
-        ssd,
-        arbiter: Optional[str] = None,
-        queue_depth: Optional[int] = None,
-    ) -> None:
+    def __init__(self, ssd, arbiter: Optional[str] = None) -> None:
         self._ssd = ssd
         self.arbiter_name = ssd.options.arbiter if arbiter is None else arbiter
         # Instantiate eagerly so an unknown name fails at construction.
         make_arbiter(self.arbiter_name)
-        self.queue_depth = (
-            ssd.effective_queue_depth
-            if queue_depth is None
-            else check_queue_depth(queue_depth)
-        )
         self._namespaces: Dict[str, Namespace] = {}
         self._next_base_lpa = 0
 
@@ -238,45 +219,26 @@ class HostInterface:
     def namespace(self, name: str) -> Namespace:
         return self._namespaces[name]
 
-    def free_pages(self) -> int:
-        """Logical pages not yet claimed by any namespace."""
-        return self._ssd.config.logical_pages - self._next_base_lpa
-
     def add_namespace(
         self,
         name: str,
         size_pages: Optional[int] = None,
-        base_lpa: Optional[int] = None,
         weight: int = 1,
         priority: int = 0,
         slo_read_us: Optional[float] = None,
         slo_write_us: Optional[float] = None,
-        iops_limit: Optional[float] = None,
-        iops_burst: float = 8.0,
-        bandwidth_pages_per_s: Optional[float] = None,
-        bandwidth_burst_pages: float = 64.0,
     ) -> Namespace:
         """Carve a namespace out of the device's logical space.
 
-        Without ``base_lpa`` the namespace is placed after the last one;
-        without ``size_pages`` it takes all remaining logical pages.  The
-        optional ``iops_limit`` / ``bandwidth_pages_per_s`` caps attach
-        token-bucket rate limiters (QoS throttles independent of the
-        arbiter).
+        The namespace is placed after the last one; without ``size_pages``
+        it takes all remaining logical pages.
         """
         if name in self._namespaces:
             raise ValueError(f"namespace {name!r} already exists")
-        if base_lpa is None:
-            base_lpa = self._next_base_lpa
+        logical_pages = self._ssd.config.logical_pages
+        base_lpa = self._next_base_lpa
         if size_pages is None:
-            size_pages = self._ssd.config.logical_pages - base_lpa
-        limiters: List[TokenBucket] = []
-        if iops_limit is not None:
-            limiters.append(TokenBucket(iops_limit, iops_burst, unit="requests"))
-        if bandwidth_pages_per_s is not None:
-            limiters.append(
-                TokenBucket(bandwidth_pages_per_s, bandwidth_burst_pages, unit="pages")
-            )
+            size_pages = logical_pages - base_lpa
         namespace = Namespace(
             name,
             base_lpa,
@@ -285,20 +247,14 @@ class HostInterface:
             priority=priority,
             slo_read_us=slo_read_us,
             slo_write_us=slo_write_us,
-            limiters=tuple(limiters),
         )
-        if namespace.end_lpa > self._ssd.config.logical_pages:
+        if namespace.end_lpa > logical_pages:
             raise ValueError(
                 f"namespace {name!r} ends at LPA {namespace.end_lpa}, past the "
-                f"device's {self._ssd.config.logical_pages} logical pages"
+                f"device's {logical_pages} logical pages"
             )
-        for existing in self._namespaces.values():
-            if namespace.overlaps(existing):
-                raise ValueError(
-                    f"namespace {name!r} overlaps namespace {existing.name!r}"
-                )
         self._namespaces[name] = namespace
-        self._next_base_lpa = max(self._next_base_lpa, namespace.end_lpa)
+        self._next_base_lpa = namespace.end_lpa
         return namespace
 
     def reset_stats(self) -> None:
@@ -309,77 +265,41 @@ class HostInterface:
     # ------------------------------------------------------------------ #
     # Replay
     # ------------------------------------------------------------------ #
-    def run(self, tenants, drain: bool = True) -> HostRunResult:
-        """Replay per-tenant streams through the arbiter; returns the result.
+    def run(
+        self, tenants: Mapping[str, Iterable[ReplayItem]]
+    ) -> Dict[str, NamespaceStats]:
+        """Replay ``{namespace_name: stream}`` through the arbiter.
 
-        ``tenants`` is either a mapping ``{namespace_name: stream}`` (the
-        admission mode is inferred: open-loop when the stream is a
-        :class:`~repro.workloads.trace.Trace` carrying timestamps, closed
-        otherwise) or an iterable of objects with ``namespace``/``trace``/
-        ``mode`` attributes (see
-        :class:`repro.workloads.multi_tenant.TenantWorkload`).
+        The stream picks its admission mode: a
+        :class:`~repro.workloads.trace.Trace` carrying timestamps is
+        open-loop (each request arrives at its timestamp); any other stream
+        — a timestamp-less trace such as a warm-up fill, or bare
+        ``(op, lpa, npages)`` tuples — is closed-loop (always backlogged, a
+        completion admits the next request).  The replay ends with the
+        device's drain flush.  Returns each replayed namespace's
+        statistics, in ``tenants`` order.
         """
-        queues = self._build_queues(tenants)
+        queues: List[SubmissionQueue] = []
+        for name, stream in tenants.items():
+            if name not in self._namespaces:
+                raise KeyError(
+                    f"unknown namespace {name!r}; known: {sorted(self._namespaces)}"
+                )
+            queues.append(
+                SubmissionQueue(self._namespaces[name], stream, _infer_mode(stream))
+            )
         loop = EventLoop(start_us=self._ssd.now_us)
         frontend = MultiQueueFrontend(
             self._ssd,
             loop,
             make_arbiter(self.arbiter_name),
-            min(self.queue_depth, self._ssd.config.ncq_depth),
+            self._ssd.effective_queue_depth,
         )
         self._ssd.run_frontend(frontend, loop, queues)
-        self._ssd.finalize_replay(drain=drain)
-        return HostRunResult(
-            frontend=frontend.stats,
-            namespaces={
-                queue.namespace.name: queue.namespace.stats for queue in queues
-            },
-            max_backlog={queue.name: queue.max_backlog for queue in queues},
-        )
-
-    def _build_queues(self, tenants) -> List[SubmissionQueue]:
-        queues: List[SubmissionQueue] = []
-        if hasattr(tenants, "items"):
-            specs = [
-                (name, stream, _infer_mode(stream), 1.0, None)
-                for name, stream in tenants.items()
-            ]
-        else:
-            specs = [
-                (
-                    spec.namespace,
-                    spec.trace,
-                    getattr(spec, "mode", "auto"),
-                    getattr(spec, "time_scale", 1.0),
-                    getattr(spec, "name", None),
-                )
-                for spec in tenants
-            ]
-        for ns_name, stream, mode, time_scale, queue_name in specs:
-            if ns_name not in self._namespaces:
-                raise KeyError(
-                    f"unknown namespace {ns_name!r}; "
-                    f"known: {sorted(self._namespaces)}"
-                )
-            if mode == "auto":
-                mode = _infer_mode(stream)
-            queues.append(
-                SubmissionQueue(
-                    self._namespaces[ns_name],
-                    stream,
-                    mode=mode,
-                    time_scale=time_scale,
-                    name=queue_name,
-                )
-            )
-        if not queues:
-            raise ValueError("no tenant streams to replay")
-        return queues
+        self._ssd.finalize_replay()
+        return {queue.namespace.name: queue.namespace.stats for queue in queues}
 
 
-def _infer_mode(stream) -> str:
+def _infer_mode(stream: Iterable[ReplayItem]) -> str:
     """Open-loop when the stream is a trace carrying timestamps."""
-    has_timestamps = getattr(stream, "has_timestamps", None)
-    if callable(has_timestamps) and has_timestamps():
-        return "open"
-    return "closed"
+    return "open" if isinstance(stream, Trace) and stream.has_timestamps() else "closed"

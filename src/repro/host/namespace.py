@@ -17,6 +17,7 @@ This module must stay importable without triggering the device model
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -64,9 +65,10 @@ class Namespace:
     """One tenant's logical address region plus its QoS attributes.
 
     ``weight`` feeds weighted-round-robin arbitration, ``priority`` feeds
-    strict-priority arbitration (lower value = more urgent), and
-    ``limiters`` (token buckets) cap the namespace's admission rate
-    regardless of the arbiter in use.
+    strict-priority arbitration (lower value = more urgent), and the token
+    buckets appended to ``limiters`` cap the namespace's admission rate
+    regardless of the arbiter in use.  An SLO is a positive, finite
+    latency bound; ``None`` means no SLO.
     """
 
     def __init__(
@@ -78,7 +80,6 @@ class Namespace:
         priority: int = 0,
         slo_read_us: Optional[float] = None,
         slo_write_us: Optional[float] = None,
-        limiters: Tuple[TokenBucket, ...] = (),
     ) -> None:
         if base_lpa < 0:
             raise ValueError("base_lpa must be non-negative")
@@ -87,8 +88,11 @@ class Namespace:
         if weight < 1:
             raise ValueError("weight must be at least 1")
         for slo in (slo_read_us, slo_write_us):
-            if slo is not None and slo <= 0.0:
-                raise ValueError("SLO thresholds must be positive")
+            # A nan or inf bound would never count a violation.
+            if slo is not None and not 0.0 < slo < math.inf:
+                raise ValueError(
+                    f"SLO thresholds must be positive and finite, got {slo!r}"
+                )
         self.name = name
         self.base_lpa = base_lpa
         self.size_pages = size_pages
@@ -96,16 +100,13 @@ class Namespace:
         self.priority = priority
         self.slo_read_us = slo_read_us
         self.slo_write_us = slo_write_us
-        self.limiters: List[TokenBucket] = list(limiters)
+        self.limiters: List[TokenBucket] = []
         self.stats = NamespaceStats()
 
     @property
     def end_lpa(self) -> int:
         """One past the last device LPA owned by this namespace."""
         return self.base_lpa + self.size_pages
-
-    def overlaps(self, other: "Namespace") -> bool:
-        return self.base_lpa < other.end_lpa and other.base_lpa < self.end_lpa
 
     def translate(self, lpa: int, npages: int) -> Tuple[int, int]:
         """Map a namespace-relative request to device LPAs.

@@ -72,7 +72,8 @@ def run_multi_tenant(scale: float, seed: int) -> Tuple[Any, Any]:
     ssd, host = build_tenant_host(scenario, VERIFY_ARBITER)
     telemetry = attach_telemetry(ssd, "on", host=host)
     # A scenario driver, not an observer: driving the sim is its job.
-    host.run([reader_tenant(scenario), writer_tenant(scenario)])  # simlint: disable=SIM008
+    tenants = {"reader": reader_tenant(scenario), "writer": writer_tenant(scenario)}
+    host.run(tenants)  # simlint: disable=SIM008
     return ssd, telemetry
 
 

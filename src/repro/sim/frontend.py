@@ -77,13 +77,17 @@ def check_queue_depth(queue_depth: int) -> int:
 
 @dataclass
 class FrontendStats:
-    """Counters describing one frontend run."""
+    """Counters describing one frontend run.
+
+    Their one reader is :meth:`repro.ssd.ssd.SimulatedSSD.run_frontend`,
+    which folds them into ``requests_submitted`` / ``requests_completed`` /
+    ``max_outstanding_requests``; the replay's end time is the device's
+    ``simulated_time_us``.
+    """
 
     submitted: int = 0
     completed: int = 0
     max_outstanding: int = 0
-    #: Completion time of the last request (us).
-    finished_at_us: float = 0.0
 
 
 class ArrivalStream:
@@ -111,8 +115,6 @@ class ArrivalStream:
         #: Requests that have arrived and wait for admission:
         #: ``(request, ready_us, enqueue_stamp)``.
         self.backlog: Deque[Tuple[IORequest, float, int]] = deque()
-        #: Longest backlog of arrivals observed (waiting, not yet admitted).
-        self.max_backlog = 0
         self.origin_us = 0.0
         self._first_timestamp = 0.0
         self._last_timestamp: Optional[float] = None
@@ -142,12 +144,6 @@ class ArrivalStream:
             )
         self._last_timestamp = timestamp
         return self.origin_us + (timestamp - self._first_timestamp) * self.time_scale
-
-    def enqueue(self, request: IORequest, ready_us: float, stamp: int) -> None:
-        """An arrival joins the backlog."""
-        self.backlog.append((request, ready_us, stamp))
-        if len(self.backlog) > self.max_backlog:
-            self.max_backlog = len(self.backlog)
 
 
 #: Payload of every issue / completion / arrival event: the stream the
@@ -223,11 +219,8 @@ class Frontend:
 
     def _complete(self, event: Event) -> None:
         self._outstanding -= 1
-        stats = self.stats
-        stats.completed += 1
+        self.stats.completed += 1
         now_us = event.time_us
-        if now_us > stats.finished_at_us:
-            stats.finished_at_us = now_us
         self.retire(event.payload, now_us)
         self._pump(now_us)
 
@@ -249,7 +242,7 @@ class Frontend:
         command: Command = event.payload
         stream, request, _ = command
         assert stream is not None
-        stream.enqueue(request, event.time_us, next(self._stamps))
+        stream.backlog.append((request, event.time_us, next(self._stamps)))
         self._schedule_arrival(stream)
         self._pump(event.time_us)
 

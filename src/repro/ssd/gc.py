@@ -101,9 +101,6 @@ class GCPolicyConfig:
 class GCPolicy(abc.ABC):
     """Victim-selection policy: decides *when* and *which*, never *how*."""
 
-    #: Name the policy registers under (reports, :func:`make_gc_policy`).
-    name: str = "base"
-
     def __init__(self, config: Optional[GCPolicyConfig] = None) -> None:
         self.config = config or GCPolicyConfig()
 
@@ -150,8 +147,6 @@ class GCPolicy(abc.ABC):
 class GreedyGCPolicy(GCPolicy):
     """Greedy (min-valid-pages-first) victim selection."""
 
-    name = "greedy"
-
     def select_victims(
         self, flash: FlashArray, allocator: BlockAllocator, urgent: bool = False
     ) -> List[int]:
@@ -174,8 +169,6 @@ class CostBenefitGCPolicy(GCPolicy):
     invalidations are deferred until collecting them is cheaper.
     """
 
-    name = "cost_benefit"
-
     def select_victims(
         self, flash: FlashArray, allocator: BlockAllocator, urgent: bool = False
     ) -> List[int]:
@@ -197,8 +190,6 @@ class DChoicesGCPolicy(GCPolicy):
     the classic "power of d choices" trade-off.  The sampling RNG is seeded,
     so replays remain deterministic.
     """
-
-    name = "d_choices"
 
     def __init__(
         self,
@@ -226,17 +217,14 @@ class DChoicesGCPolicy(GCPolicy):
         return victims
 
 
-def make_gc_policy(
-    name: str, config: Optional[GCPolicyConfig] = None, **kwargs: object
-) -> GCPolicy:
+def make_gc_policy(name: str, config: Optional[GCPolicyConfig] = None) -> GCPolicy:
     """Instantiate a victim policy by name (see :data:`GC_POLICIES`)."""
-    key = name.replace("-", "_").lower()
-    if key == "greedy":
+    if name == "greedy":
         return GreedyGCPolicy(config)
-    if key == "cost_benefit":
+    if name == "cost_benefit":
         return CostBenefitGCPolicy(config)
-    if key == "d_choices":
-        return DChoicesGCPolicy(config, **kwargs)  # type: ignore[arg-type]
+    if name == "d_choices":
+        return DChoicesGCPolicy(config)
     raise ValueError(f"unknown GC policy {name!r}; known: {GC_POLICIES}")
 
 

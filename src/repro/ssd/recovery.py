@@ -129,7 +129,6 @@ class CheckpointImage:
     #: checkpoint time; recovery diffs these against the post-crash state
     #: to find exactly the pages programmed since.
     block_generations: List[Tuple[int, int]]
-    taken_at_us: float
 
 
 class MappingCheckpointer:
@@ -189,7 +188,6 @@ class MappingCheckpointer:
             payload=payload,
             pages=pages,
             block_generations=flash.block_generations(),
-            taken_at_us=at_us,
         )
         self.checkpoints_taken += 1
         self._programs_since = 0

@@ -418,7 +418,6 @@ class SimulatedSSD:
             self.cache.insert_many(range(lpa, lpa + taken))
             lpa += taken
             # Counted before the flush below: it samples WAF so far.
-            stats.host_writes += taken
             stats.host_write_pages += taken
             latencies += [dram_latency] * taken
             filled = buffer.is_full
@@ -802,7 +801,6 @@ class SimulatedSSD:
         does, so that page's components *are* the request's critical path.
         """
         stats = self.stats
-        stats.host_reads += npages
         stats.host_read_pages += npages
         attr = self._attr
         dram_latency = self.config.dram_latency_us
@@ -869,7 +867,6 @@ class SimulatedSSD:
                 if want_attr:
                     critical = {"dram_us": self.config.dram_latency_us}
                 continue
-            stats.translation_lookups += 1
             chunks.setdefault(self._channel_of_prediction(translation.ppa), []).append(
                 (page, translation.ppa)
             )
@@ -903,10 +900,6 @@ class SimulatedSSD:
         elif ppa > last:
             ppa = last
         return ppa // self._pages_per_channel
-
-    def process(self, op: str, lpa: int, npages: int = 1) -> None:
-        """Apply one host request (``op`` is 'R' or 'W') spanning ``npages``."""
-        self.submit(op, lpa, npages)
 
     def run(
         self,

@@ -8,14 +8,19 @@ The benchmarks derive every paper figure from this single statistics object:
 * translation counters → DFTL/SFTL translation-page overhead;
 * misprediction counters → Figure 24;
 * mapping-table footprint samples → Figure 15/19.
+
+Every quantity has one counter: host traffic is counted in pages
+(``host_read_pages`` / ``host_write_pages``; commands are
+``requests_submitted`` / ``requests_completed``), and a host page read from
+flash through a translation is ``flash_reads_for_host``, the denominator of
+the misprediction ratio.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 
 def nearest_rank(count: int, pct: float) -> int:
@@ -33,8 +38,8 @@ class LatencyRecorder:
     """Records per-request latencies with a bounded-memory reservoir.
 
     All latencies contribute to the running sum/count (exact mean), while a
-    reservoir of at most ``reservoir_size`` samples supports percentile and
-    CDF queries without storing millions of floats.  Once the reservoir is
+    reservoir of at most ``reservoir_size`` samples supports percentile
+    queries without storing millions of floats.  Once the reservoir is
     full, uniform reservoir sampling (Vitter's algorithm R) keeps every
     recorded latency equally likely to be retained — unlike every-k-th
     striding, which systematically misses periodic tail events.  The
@@ -56,37 +61,15 @@ class LatencyRecorder:
         self._count = 0
         self._sum = 0.0
         self._max = 0.0
-        self._min = math.inf
 
     def record(self, latency_us: float) -> None:
-        count = self._count + 1
-        self._count = count
-        self._sum += latency_us
-        if latency_us > self._max:
-            self._max = latency_us
-        if latency_us < self._min:
-            self._min = latency_us
-        self._sorted = None
-        if count <= self._reservoir_size:
-            self._samples.append(latency_us)
-        else:
-            # Algorithm R: replace a random slot with probability size/count.
-            # The draw is ``Random.randrange(count)`` unrolled to its
-            # ``getrandbits`` rejection loop (pinned by a test).
-            bits = count.bit_length()
-            getrandbits = self._rng.getrandbits
-            slot = getrandbits(bits)
-            while slot >= count:
-                slot = getrandbits(bits)
-            if slot < self._reservoir_size:
-                self._samples[slot] = latency_us
+        self.record_many((latency_us,))
 
     def record_many(self, latencies_us: Iterable[float]) -> None:
-        """``record()`` each latency in order: same sums, same draws."""
+        """Record each latency in order (the one body behind ``record``)."""
         count = self._count
         total = self._sum
         high = self._max
-        low = self._min
         size = self._reservoir_size
         samples = self._samples
         getrandbits = self._rng.getrandbits
@@ -95,11 +78,13 @@ class LatencyRecorder:
             total += latency_us
             if latency_us > high:
                 high = latency_us
-            if latency_us < low:
-                low = latency_us
             if count <= size:
                 samples.append(latency_us)
             else:
+                # Algorithm R: replace a random slot with probability
+                # size/count.  The draw is ``Random.randrange(count)``
+                # unrolled to its ``getrandbits`` rejection loop (pinned by
+                # a test).
                 bits = count.bit_length()
                 slot = getrandbits(bits)
                 while slot >= count:
@@ -109,7 +94,6 @@ class LatencyRecorder:
         self._count = count
         self._sum = total
         self._max = high
-        self._min = low
         self._sorted = None
 
     @property
@@ -128,10 +112,6 @@ class LatencyRecorder:
     def max_us(self) -> float:
         return self._max if self._count else 0.0
 
-    @property
-    def min_us(self) -> float:
-        return self._min if self._count else 0.0
-
     def percentile(self, pct: float) -> float:
         """Latency at percentile ``pct`` (0-100), from the reservoir."""
         if not self._samples:
@@ -139,10 +119,6 @@ class LatencyRecorder:
         if self._sorted is None:
             self._sorted = sorted(self._samples)
         return self._sorted[nearest_rank(len(self._sorted), pct)]
-
-    def cdf(self, points: Sequence[float] = (0, 30, 60, 90, 99, 99.9)) -> Dict[float, float]:
-        """Latency at the given CDF points (mirrors Figure 18's x-axis)."""
-        return {p: self.percentile(p) for p in points}
 
     def samples(self) -> List[float]:
         """A copy of the sampled latencies (for plotting/analysis)."""
@@ -154,8 +130,6 @@ class SSDStats:
     """All counters exposed by :class:`repro.ssd.ssd.SimulatedSSD`."""
 
     # Host-visible traffic.
-    host_reads: int = 0
-    host_writes: int = 0
     host_read_pages: int = 0
     host_write_pages: int = 0
     unmapped_reads: int = 0
@@ -194,7 +168,6 @@ class SSDStats:
     oob_scan_reads: int = 0
 
     # Address translation behaviour.
-    translation_lookups: int = 0
     mispredictions: int = 0
     misprediction_extra_reads: int = 0
 
@@ -245,10 +218,6 @@ class SSDStats:
     # Derived metrics
     # ------------------------------------------------------------------ #
     @property
-    def total_requests(self) -> int:
-        return self.host_reads + self.host_writes
-
-    @property
     def cache_hit_ratio(self) -> float:
         served = self.buffer_hits + self.cache_hits + self.flash_reads_for_host
         if served == 0:
@@ -276,9 +245,9 @@ class SSDStats:
     @property
     def misprediction_ratio(self) -> float:
         """Fraction of translated flash-page accesses that mispredicted (Fig. 24)."""
-        if self.translation_lookups == 0:
+        if self.flash_reads_for_host == 0:
             return 0.0
-        return self.mispredictions / self.translation_lookups
+        return self.mispredictions / self.flash_reads_for_host
 
     @property
     def mean_latency_us(self) -> float:

@@ -104,7 +104,7 @@ class RunReport:
     event_digest: str
     events_observed: int
     stats_digest: str
-    #: The digested counters, by registry key (``ssd.host_reads``, ...).
+    #: The digested counters, by registry key (``ssd.host_read_pages``, ...).
     summary: Dict[str, float]
 
     def matches(self, other: "RunReport") -> bool:
@@ -162,7 +162,7 @@ def run_once(seed: int = 1234, scale: float = 1.0) -> RunReport:
     ssd, host = build_tenant_host(scenario, VERIFY_ARBITER)
     trace = EventTraceDigest()
     ssd.event_observer = trace.observe
-    host.run([reader_tenant(scenario), writer_tenant(scenario)])
+    host.run({"reader": reader_tenant(scenario), "writer": writer_tenant(scenario)})
     return _report(trace, ssd, host)
 
 

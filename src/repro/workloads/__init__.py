@@ -10,7 +10,6 @@ from repro.workloads.database import (
     database_workload,
 )
 from repro.workloads.multi_tenant import (
-    TenantWorkload,
     fill_namespace,
     latency_sensitive_reader,
     sequential_writer,
@@ -47,7 +46,6 @@ __all__ = [
     "FIU_WORKLOAD_NAMES",
     "MSR_WORKLOAD_NAMES",
     "SYNTHETIC_PROFILES",
-    "TenantWorkload",
     "fill_namespace",
     "latency_sensitive_reader",
     "sequential_writer",

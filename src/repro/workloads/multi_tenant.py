@@ -13,9 +13,12 @@ noisy-neighbor scenario the QoS experiments study:
   flushes and GC fallout monopolise flash channels and, without
   arbitration, the shared submission queue.
 
-Any other :class:`Trace` can play a tenant too
-(``trace.with_interarrival()`` stamps a synthetic one for open-loop
-admission).
+The host interface takes them as one ``{namespace: trace}`` mapping, and
+a trace's timestamps pick its admission mode: both tenants above carry
+timestamps and replay open-loop, while :func:`fill_namespace` (a warm-up)
+carries none and replays closed-loop.  Any other :class:`Trace` can play a
+tenant too (``trace.with_interarrival()`` stamps a synthetic one for
+open-loop admission).
 
 All generators are deterministic given their seeds, and every stream
 addresses *namespace-relative* LPAs starting at 0 — the host interface
@@ -25,31 +28,10 @@ relocates them into the tenant's region of the device.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.workloads.synthetic import zipf_lpa
 from repro.workloads.trace import IORequest, READ, Trace, WRITE
-
-
-@dataclass(frozen=True)
-class TenantWorkload:
-    """One tenant's stream bound to a namespace.
-
-    ``mode`` selects the admission semantics of the tenant's submission
-    queue: ``"open"`` (requests arrive at their trace timestamps — latency
-    is measured against arrival), ``"closed"`` (the stream is backlogged;
-    a completion admits the next request) or ``"auto"`` (open when the
-    trace carries timestamps).
-    """
-
-    namespace: str
-    trace: Trace
-    mode: str = "auto"
-    #: Multiplier on inter-arrival times in open-loop admission.
-    time_scale: float = 1.0
-    #: Display name of the submission queue (defaults to the namespace).
-    name: Optional[str] = None
 
 
 def latency_sensitive_reader(
@@ -114,10 +96,11 @@ def sequential_writer(
 
 
 def fill_namespace(size_pages: int, extent: int = 64, name: str = "fill") -> Trace:
-    """A closed-loop sequential fill of a namespace (warm-up phase).
+    """A sequential fill of a namespace (warm-up phase).
 
     Writes the whole region once in ``extent``-page commands so subsequent
-    reads hit programmed flash instead of being served as zeroes.
+    reads hit programmed flash instead of being served as zeroes.  The
+    requests carry no timestamps, so the fill replays closed-loop.
     """
     if size_pages <= 0:
         raise ValueError("size_pages must be positive")

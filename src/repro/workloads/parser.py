@@ -76,6 +76,11 @@ def parse_msr_line(
     # slip past the open-loop ordering check and into the event heap.
     if not math.isfinite(timestamp):
         raise TraceParseError(f"non-finite timestamp {timestamp_raw!r} in line {line!r}")
+    if timestamp < 0.0:
+        raise TraceParseError(
+            f"timestamp {timestamp_raw!r} precedes the trace's first arrival "
+            f"in line {line!r}; sort the capture by timestamp first"
+        )
     if offset < 0:
         raise TraceParseError(f"negative offset {offset} in line {line!r}")
     if size <= 0:

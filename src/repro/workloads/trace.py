@@ -8,6 +8,7 @@ constructors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -47,6 +48,13 @@ class IORequest:
             raise ValueError("lpa must be non-negative")
         if self.npages <= 0:
             raise ValueError("npages must be positive")
+        # One chained compare also rejects nan, which every ordering
+        # comparison (the open-loop order check included) lets through.
+        if not 0.0 <= self.timestamp_us < math.inf:
+            raise ValueError(
+                "timestamp_us must be finite and non-negative, "
+                f"got {self.timestamp_us!r}"
+            )
 
     @property
     def is_read(self) -> bool:
@@ -121,8 +129,10 @@ class Trace:
     def has_timestamps(self) -> bool:
         """True when at least one request carries a non-zero arrival time.
 
-        Timestamps are non-negative, so an ordering comparison against the
-        zero default avoids exact float equality (simlint SIM004).
+        :class:`IORequest` keeps timestamps finite and non-negative, so an
+        ordering comparison against the zero default avoids exact float
+        equality (simlint SIM004).  The host interface replays a tenant
+        trace open-loop exactly when this is true.
         """
         return any(r.timestamp_us > 0.0 for r in self._requests)
 

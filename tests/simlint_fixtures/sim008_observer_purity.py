@@ -15,7 +15,7 @@ class BadObserver:
         ssd.clock = 0.0  # expect: SIM008
 
     def tamper_nested(self):
-        self.ssd.stats.host_reads = 0  # expect: SIM008
+        self.ssd.stats.host_read_pages = 0  # expect: SIM008
 
     def tamper_augmented(self, device):
         device.events_processed += 1  # expect: SIM008

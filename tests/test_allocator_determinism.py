@@ -57,12 +57,13 @@ def _gc_heavy_run(gc_mode: str, queue_depth: int):
 #: included) of the runs above.  A digest change means allocation ordering
 #: (or anything downstream of it) changed — re-pin only deliberately.
 #: Re-recorded for reporting changes only (the counter set digested grew
-#: once with SSDStats.summary() and again in PR 22 with the move to the
-#: snapshot; the allocation-order witnesses above are unchanged and the
-#: event-trace digests in test_layout_bitexact did not move).
+#: once with SSDStats.summary() and again with the move to the snapshot,
+#: then lost four duplicate ``ssd.*`` keys; the
+#: allocation-order witnesses above are unchanged and the event-trace
+#: digests in test_layout_bitexact did not move).
 GOLDEN_DIGESTS = {
-    ("sync", 1): "436df0699ce69442d75681aabc7ed8b617eb0104c90a16238215bb8ca592cb79",
-    ("background", 8): "2494c2c35444c559b14e1cbe607d8fd894159187e9145999456ce367c31c52e0",
+    ("sync", 1): "bd5cf8dab2b381d7030f31174f9dcfe0a9dd6afe5c257b9846255e77d2f7334e",
+    ("background", 8): "5871ad6ff065679eb6c829e517cef8975f236ba428212b0c8f0d3d628eaadd01",
 }
 
 

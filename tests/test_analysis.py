@@ -140,7 +140,6 @@ class TestLatencyRecorder:
         assert recorder.mean_us == pytest.approx(500.5)
         assert recorder.percentile(99) >= 950
         assert recorder.max_us == 1000
-        assert recorder.min_us == 1
 
     def test_reservoir_stays_bounded(self):
         recorder = LatencyRecorder(reservoir_size=100)
@@ -179,7 +178,6 @@ class TestLatencyRecorder:
         return (
             recorder.count,
             recorder.total_us,
-            recorder.min_us,
             recorder.max_us,
             recorder.samples(),
             recorder._rng.getstate(),
@@ -237,7 +235,7 @@ class TestSSDStats:
 
     def test_misprediction_ratio(self):
         stats = SSDStats()
-        stats.translation_lookups = 200
+        stats.flash_reads_for_host = 200
         stats.mispredictions = 20
         assert stats.misprediction_ratio == pytest.approx(0.1)
 

@@ -157,7 +157,7 @@ class TestAttribution:
         )
         ssd, host = build_tenant_host(scenario, "fifo")
         telemetry = attach_telemetry(ssd, "trace", host=host)
-        host.run([reader_tenant(scenario), writer_tenant(scenario)])
+        host.run({"reader": reader_tenant(scenario), "writer": writer_tenant(scenario)})
         spans = spans_of(telemetry)
         attribution = attribute_requests(spans)
         p99 = attribution["ops"]["R"]["levels"]["p99"]

@@ -36,8 +36,8 @@ class TestScenarioShape:
         from repro.experiments.multi_tenant import reader_tenant, writer_tenant
 
         scenario = verify_scenario()
-        reader = reader_tenant(scenario).trace
-        writer = writer_tenant(scenario).trace
+        reader = reader_tenant(scenario)
+        writer = writer_tenant(scenario)
         assert reader.read_requests > 0 and reader.write_requests == 0
         assert writer.write_requests > 0 and writer.read_requests == 0
 
@@ -54,8 +54,8 @@ class TestDoubleRun:
         # interleaving and background GC actually reclaimed blocks.
         assert first.events_observed > 1000
         assert first.summary["ssd.gc_background_runs"] > 0
-        assert first.summary["ssd.host_reads"] > 0
-        assert first.summary["ssd.host_writes"] > 0
+        assert first.summary["ssd.host_read_pages"] > 0
+        assert first.summary["ssd.host_write_pages"] > 0
 
     def test_different_seed_changes_the_trace(self):
         # The digest is sensitive to the workload, not a constant.

@@ -147,21 +147,21 @@ class TestRunExperiment:
         setup = FAST.scaled(warmup=False)
         result = run_experiment("MSR-hm", "LeaFTL", setup)
         assert result.mapping_full_bytes > 0
-        assert result.stats.host_writes > 0
+        assert result.stats.host_write_pages > 0
 
     def test_run_with_warmup_resets_stats(self):
         result = run_experiment("FIU-home", "DFTL", FAST)
         # Warm-up traffic must not be counted in the measured statistics.
         trace = workload_for_setup("FIU-home", FAST)
-        assert result.stats.host_writes <= trace.write_pages + len(trace)
+        assert result.stats.host_write_pages <= trace.write_pages + len(trace)
 
     def test_reset_measurement_clears_every_ftl_counter(self):
         """Compactions and the table's learning counters used to survive it."""
         ssd = build_ssd("LeaFTL", FAST.scaled(compaction_interval_writes=2_000))
         for lpa in range(0, 8192, 64):
-            ssd.process("W", lpa, 64)
+            ssd.submit("W", lpa, 64)
         ssd.flush()
-        ssd.process("R", 0, 8)
+        ssd.submit("R", 0, 8)
         warm = device_snapshot(ssd).counters
         assert warm["leaftl.compactions"] > 0
         assert warm["mapping_table.segments_learned"] > 0
@@ -190,7 +190,7 @@ class TestRunExperiment:
         with pytest.raises(MappingBudgetExceeded, match=f"over the {budget} B mapping budget"):
             run_experiment("MSR-hm", "LeaFTL", setup)
         # The schemes that model translation misses run at the same size.
-        assert run_experiment("MSR-hm", "DFTL", setup).stats.host_writes > 0
+        assert run_experiment("MSR-hm", "DFTL", setup).stats.host_write_pages > 0
 
     def test_leaftl_details_populated(self):
         setup = FAST.scaled(warmup=False, gamma=4)

@@ -16,6 +16,7 @@ import pytest
 from repro.host.interface import HostInterface
 from repro.sim.events import EventLoop
 from repro.sim.frontend import HostFrontend, OpenLoopFrontend
+from repro.ssd.ssd import SSDOptions
 from repro.workloads.trace import IORequest, Trace
 from tests.conftest import make_ssd
 
@@ -48,16 +49,16 @@ class TestEmptyTrace:
         ssd = make_ssd()
         stats = ssd.run([])
         assert stats.requests_submitted == 0
-        assert stats.total_requests == 0
+        assert stats.host_read_pages == stats.host_write_pages == 0
 
     def test_host_interface_with_one_empty_stream(self):
-        ssd = make_ssd()
-        host = HostInterface(ssd, queue_depth=4)
+        ssd = make_ssd(options=SSDOptions(queue_depth=4))
+        host = HostInterface(ssd)
         host.add_namespace("a", size_pages=256)
         host.add_namespace("b", size_pages=256)
         result = host.run({"a": [], "b": [("W", 0, 4)]})
-        assert result.namespaces["a"].completed == 0
-        assert result.namespaces["b"].completed == 1
+        assert result["a"].completed == 0
+        assert result["b"].completed == 1
 
 
 class TestShortTrace:
@@ -111,8 +112,8 @@ class TestNonMonotonicTimestamps:
             ssd.run(_unsorted_trace(), replay_mode="open")
 
     def test_multi_queue_open_replay_raises(self):
-        ssd = make_ssd()
-        host = HostInterface(ssd, queue_depth=2)
+        ssd = make_ssd(options=SSDOptions(queue_depth=2))
+        host = HostInterface(ssd)
         host.add_namespace("t", size_pages=256)
         with pytest.raises(ValueError, match="stream 't': " + _ORDER_ERROR):
             host.run({"t": _unsorted_trace()})

@@ -139,7 +139,6 @@ class TestGCPolicy:
     def test_make_gc_policy_registry(self):
         assert isinstance(make_gc_policy("greedy"), GreedyGCPolicy)
         assert isinstance(make_gc_policy("cost_benefit"), CostBenefitGCPolicy)
-        assert isinstance(make_gc_policy("cost-benefit"), CostBenefitGCPolicy)
         assert isinstance(make_gc_policy("d_choices"), DChoicesGCPolicy)
         config = GCPolicyConfig(threshold=0.3, restore=0.4)
         assert make_gc_policy("greedy", config).config is config
@@ -305,9 +304,9 @@ class TestBackgroundGC:
         ssd = make_ssd(config=config, options=SSDOptions(gc_mode="background"))
         footprint = int(ssd.config.logical_pages * 0.9)
         for lpa in range(0, footprint, 64):
-            ssd.process("W", lpa, 64)
+            ssd.submit("W", lpa, 64)
         for lpa in range(0, footprint, 128):
-            ssd.process("W", lpa, 32)
+            ssd.submit("W", lpa, 32)
         ssd.flush()
         assert ssd.stats.gc_invocations > 0
         assert ssd.stats.gc_background_runs == 0

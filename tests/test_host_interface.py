@@ -4,13 +4,16 @@ Covers four layers:
 
 * arbitration policies in isolation (deterministic grant orders);
 * token buckets (refill arithmetic, burst clamping);
-* namespaces (carving, overlap rejection, translation, clipping);
+* namespaces (carving, translation, clipping, SLO validation);
 * the full frontend: single-namespace replay must match the classic
-  ``HostFrontend`` path bit-for-bit, and rate limits must shape admission.
+  ``HostFrontend`` path bit-for-bit, a ``{namespace: stream}`` mapping must
+  replay exactly like hand-built submission queues whose mode the stream's
+  timestamps pick, and rate limits must shape admission.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import SSDConfig
 from repro.host.arbiter import (
     ARBITERS,
+    Arbiter,
     FifoArbiter,
     RoundRobinArbiter,
     StrictPriorityArbiter,
@@ -28,10 +32,12 @@ from repro.host.arbiter import (
 )
 from repro.host.interface import HostInterface, MultiQueueFrontend, SubmissionQueue
 from repro.host.namespace import Namespace
+from repro.obs.registry import snapshot_stats
 from repro.sim.events import EventLoop
 from repro.sim.frontend import OpenLoopFrontend
 from repro.ssd.ssd import SSDOptions
-from repro.workloads.trace import IORequest
+from repro.verify import EventTraceDigest
+from repro.workloads.trace import IORequest, Trace
 from tests.conftest import make_ssd, run_through_event_loop
 
 
@@ -50,8 +56,9 @@ class _FakeQueue:
 
 class TestArbiters:
     def test_make_arbiter_knows_every_name(self):
-        for name in ARBITERS:
-            assert make_arbiter(name).name == name
+        policies = [make_arbiter(name) for name in ARBITERS]
+        assert all(isinstance(policy, Arbiter) for policy in policies)
+        assert len({type(policy) for policy in policies}) == len(ARBITERS)
         with pytest.raises(ValueError):
             make_arbiter("lottery")
 
@@ -128,6 +135,18 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(100.0, 1.0, unit="bytes")
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        """A nan rate made ``available_at`` nan: every retry clamped to
+        "now" and the replay spun until the event limit."""
+        with pytest.raises(ValueError, match=f"rate_per_s .* got {rate!r}"):
+            TokenBucket(rate, 8.0)
+
+    @pytest.mark.parametrize("burst", [math.nan, math.inf])
+    def test_non_finite_burst_rejected(self, burst):
+        with pytest.raises(ValueError, match=f"burst .* got {burst!r}"):
+            TokenBucket(1000.0, burst)
+
     def test_burst_then_refill(self):
         bucket = TokenBucket(1_000_000.0, burst=2.0)  # 1 token/us
         assert bucket.try_consume(1.0, 0.0)
@@ -158,6 +177,13 @@ class TestNamespace:
         with pytest.raises(ValueError):
             ns.translate(50, 1)
 
+    @pytest.mark.parametrize("slo", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["slo_read_us", "slo_write_us"])
+    def test_unusable_slo_rejected(self, field, slo):
+        """A nan or inf SLO would never count a violation; None means none."""
+        with pytest.raises(ValueError, match="SLO thresholds must be positive and finite"):
+            Namespace("t", 0, 10, **{field: slo})
+
     def test_slo_violations_counted(self):
         ns = Namespace("t", 0, 10, slo_read_us=100.0)
         ns.record_completion("R", 50.0)
@@ -172,10 +198,8 @@ class TestNamespace:
         b = host.add_namespace("b", size_pages=2000)
         assert (a.base_lpa, a.size_pages) == (0, 1000)
         assert b.base_lpa == 1000
-        with pytest.raises(ValueError):
-            host.add_namespace("c", base_lpa=500, size_pages=10)
-        with pytest.raises(ValueError):
-            host.add_namespace("a2", base_lpa=0, size_pages=10)
+        with pytest.raises(ValueError, match="already exists"):
+            host.add_namespace("a", size_pages=10)
 
     def test_last_namespace_takes_remaining_space(self):
         ssd = make_ssd()
@@ -183,7 +207,6 @@ class TestNamespace:
         host.add_namespace("a", size_pages=1000)
         rest = host.add_namespace("rest")
         assert rest.size_pages == ssd.config.logical_pages - 1000
-        assert host.free_pages() == 0
         with pytest.raises(ValueError):
             host.add_namespace("overflow", size_pages=1)
 
@@ -263,12 +286,12 @@ class TestSingleNamespaceEquivalence:
         baseline.run(requests)
 
         ssd = make_ssd(gamma=4, config=_CONFIG, options=SSDOptions(queue_depth=8))
-        host = HostInterface(ssd, arbiter=arbiter, queue_depth=8)
+        host = HostInterface(ssd, arbiter=arbiter)
         host.add_namespace("all")
         result = host.run({"all": requests})
 
         assert _stats_signature(baseline) == _stats_signature(ssd)
-        assert result.namespaces["all"].completed == len(requests)
+        assert result["all"].completed == len(requests)
 
     def test_matches_event_engine_at_depth_one(self):
         """Transitively pins serial equivalence: test_sim pins serial ==
@@ -278,7 +301,7 @@ class TestSingleNamespaceEquivalence:
         run_through_event_loop(baseline, requests)
 
         ssd = make_ssd(gamma=4, config=_CONFIG, options=SSDOptions(queue_depth=1))
-        host = HostInterface(ssd, queue_depth=1)
+        host = HostInterface(ssd)
         host.add_namespace("all")
         host.run({"all": requests})
 
@@ -349,10 +372,87 @@ def test_open_loop_frontend_is_one_open_submission_queue(requests, time_scale):
     assert _stats_signature(ssd) == _stats_signature(baseline)
 
 
+_TENANT_PAGES = 512
+
+
+@st.composite
+def _tenant_mix(draw):
+    """One to three tenants, each a timestamped trace, a timestamp-less
+    trace or a bare tuple list; returns the ``{namespace: stream}`` mapping
+    and, per namespace, the mode the experiment harness used to name by
+    hand (``"open"`` for its timestamped tenants, ``"closed"`` for its
+    warm-up fills)."""
+    streams, modes = {}, {}
+    for index in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["stamped", "unstamped", "tuples"]))
+        timestamp = 1.0
+        requests = []
+        for _ in range(draw(st.integers(1, 25))):
+            op = draw(st.sampled_from("RW"))
+            npages = draw(st.integers(1, 16))
+            lpa = draw(st.integers(0, _TENANT_PAGES - npages))
+            timestamp += draw(st.sampled_from([0.0, 1.0, 7.5, 40.0, 300.0]))
+            stamp = timestamp if kind == "stamped" else 0.0
+            requests.append(IORequest(op, lpa, npages, timestamp_us=stamp))
+        name = f"t{index}"
+        if kind == "tuples":
+            streams[name] = [request.as_tuple() for request in requests]
+        else:
+            streams[name] = Trace(name, requests)
+        modes[name] = "open" if kind == "stamped" else "closed"
+    return streams, modes
+
+
+@given(mix=_tenant_mix(), arbiter=st.sampled_from(ARBITERS))
+@settings(max_examples=30, deadline=None)
+def test_mapping_replays_like_hand_built_queues(mix, arbiter):
+    """``host.run(mapping)`` is a ``MultiQueueFrontend`` over one
+    ``SubmissionQueue`` per tenant whose admission mode the stream's
+    timestamps pick: same events, same device stats, same tenant stats."""
+    streams, modes = mix
+    fill = [("W", lpa, 64) for lpa in range(0, 3 * _TENANT_PAGES, 64)]
+
+    def device():
+        options = SSDOptions(queue_depth=4, arbiter=arbiter)
+        ssd = make_ssd(gamma=4, config=_SMALL, options=options)
+        ssd.run(fill)
+        digest = EventTraceDigest()
+        ssd.event_observer = digest.observe
+        return ssd, digest
+
+    ssd, digest = device()
+    host = HostInterface(ssd)
+    for name in streams:
+        host.add_namespace(name, size_pages=_TENANT_PAGES)
+    per_tenant = host.run(streams)
+
+    twin, twin_digest = device()
+    queues = [
+        SubmissionQueue(
+            Namespace(name, index * _TENANT_PAGES, _TENANT_PAGES), stream, modes[name]
+        )
+        for index, (name, stream) in enumerate(streams.items())
+    ]
+    loop = EventLoop(start_us=twin.now_us)
+    frontend = MultiQueueFrontend(twin, loop, make_arbiter(arbiter), 4)
+    twin.run_frontend(frontend, loop, queues)
+    twin.finalize_replay()
+
+    assert digest.hexdigest() == twin_digest.hexdigest()
+    assert digest.events_observed == twin_digest.events_observed
+    assert _stats_signature(ssd) == _stats_signature(twin)
+    assert list(per_tenant) == list(streams)
+    for queue in queues:
+        name = queue.namespace.name
+        assert snapshot_stats(per_tenant[name], "ns") == snapshot_stats(
+            queue.namespace.stats, "ns"
+        )
+
+
 class TestMultiQueueFrontend:
     def test_namespace_translation_applied(self):
-        ssd = make_ssd()
-        host = HostInterface(ssd, queue_depth=2)
+        ssd = make_ssd(options=SSDOptions(queue_depth=2))
+        host = HostInterface(ssd)
         host.add_namespace("a", size_pages=1024)
         host.add_namespace("b", size_pages=1024)
         host.run(
@@ -370,7 +470,7 @@ class TestMultiQueueFrontend:
 
     def test_requests_clipped_at_namespace_not_device(self):
         ssd = make_ssd()
-        host = HostInterface(ssd, queue_depth=1)
+        host = HostInterface(ssd)
         ns = host.add_namespace("small", size_pages=64)
         host.add_namespace("rest")
         host.run({"small": [("W", 60, 8)]})
@@ -394,37 +494,31 @@ class TestMultiQueueFrontend:
             host.run({})
 
     def test_iops_limit_paces_admission(self):
-        ssd = make_ssd()
-        host = HostInterface(ssd, queue_depth=4)
-        ns = host.add_namespace(
-            "capped", size_pages=4096, iops_limit=1000.0, iops_burst=2.0
-        )
+        ssd = make_ssd(options=SSDOptions(queue_depth=4))
+        host = HostInterface(ssd)
+        ns = host.add_namespace("capped", size_pages=4096)
+        ns.limiters.append(TokenBucket(1000.0, 2.0, unit="requests"))
         result = host.run({"capped": [("W", i * 4, 4) for i in range(50)]})
         # 50 requests at 1000 IOPS (burst 2) need ~48 ms of simulated time.
         assert ssd.stats.simulated_time_us >= 47_000.0
         assert ns.stats.rate_limit_deferrals > 0
-        assert result.namespaces["capped"].completed == 50
+        assert result["capped"].completed == 50
 
     def test_bandwidth_limit_charges_pages(self):
-        ssd = make_ssd()
-        host = HostInterface(ssd, queue_depth=4)
-        host.add_namespace(
-            "capped",
-            size_pages=4096,
-            bandwidth_pages_per_s=1_000_000.0,
-            bandwidth_burst_pages=8.0,
-        )
+        ssd = make_ssd(options=SSDOptions(queue_depth=4))
+        host = HostInterface(ssd)
+        ns = host.add_namespace("capped", size_pages=4096)
+        ns.limiters.append(TokenBucket(1_000_000.0, 8.0, unit="pages"))
         host.run({"capped": [("W", i * 8, 8) for i in range(100)]})
         # 800 pages at 1 page/us with burst 8: at least ~790 us of pacing.
         assert ssd.stats.simulated_time_us >= 790.0
 
     def test_deferrals_counted_once_per_request(self):
         """One deferred admission = one count, however many retries it takes."""
-        ssd = make_ssd()
-        host = HostInterface(ssd, queue_depth=4)
-        ns = host.add_namespace(
-            "capped", size_pages=4096, iops_limit=1_000_000.0, iops_burst=1.0
-        )
+        ssd = make_ssd(options=SSDOptions(queue_depth=4))
+        host = HostInterface(ssd)
+        ns = host.add_namespace("capped", size_pages=4096)
+        ns.limiters.append(TokenBucket(1_000_000.0, 1.0, unit="requests"))
         host.run({"capped": [("W", i * 4, 1) for i in range(10)]})
         # The first request rides the burst token; the other nine are each
         # deferred exactly once while their token accrues.
@@ -438,16 +532,12 @@ class TestMultiQueueFrontend:
         retry just ~1 us after its own arrival — it must be admitted on
         its own refill clock, not slow's.
         """
-        from repro.workloads.trace import IORequest, Trace
-
-        ssd = make_ssd()
-        host = HostInterface(ssd, queue_depth=4)
-        slow = host.add_namespace(
-            "slow", size_pages=1024, iops_limit=10.0, iops_burst=1.0
-        )
-        quick = host.add_namespace(
-            "quick", size_pages=1024, iops_limit=1_000_000.0, iops_burst=1.0
-        )
+        ssd = make_ssd(options=SSDOptions(queue_depth=4))
+        host = HostInterface(ssd)
+        slow = host.add_namespace("slow", size_pages=1024)
+        slow.limiters.append(TokenBucket(10.0, 1.0, unit="requests"))
+        quick = host.add_namespace("quick", size_pages=1024)
+        quick.limiters.append(TokenBucket(1_000_000.0, 1.0, unit="requests"))
         quick_trace = Trace(
             "quick",
             [
@@ -458,7 +548,7 @@ class TestMultiQueueFrontend:
         result = host.run(
             {"slow": [("W", 0, 1), ("W", 1, 1)], "quick": quick_trace}
         )
-        assert result.namespaces["quick"].completed == 2
+        assert result["quick"].completed == 2
         # slow's second request really did wait for its distant refill...
         assert slow.stats.write_latency.max_us > 90_000.0
         # ...while quick's second was admitted on its ~1 us refill, not
@@ -466,8 +556,8 @@ class TestMultiQueueFrontend:
         assert quick.stats.write_latency.max_us < 5_000.0
 
     def test_unlimited_tenant_not_deferred(self):
-        ssd = make_ssd()
-        host = HostInterface(ssd, queue_depth=4)
+        ssd = make_ssd(options=SSDOptions(queue_depth=4))
+        host = HostInterface(ssd)
         ns = host.add_namespace("free", size_pages=4096)
         host.run({"free": [("W", i * 4, 4) for i in range(50)]})
         assert ns.stats.rate_limit_deferrals == 0
@@ -475,9 +565,8 @@ class TestMultiQueueFrontend:
     def test_open_loop_queue_waits_counted(self):
         """Arrival-to-completion latency includes submission-queue wait."""
         ssd = make_ssd()
-        host = HostInterface(ssd, queue_depth=1)
+        host = HostInterface(ssd)
         host.add_namespace("t", size_pages=4096)
-        from repro.workloads.trace import IORequest, Trace
 
         # Two reads arriving back-to-back: the second queues behind the
         # first (depth 1), so its recorded latency exceeds service time.
@@ -488,8 +577,7 @@ class TestMultiQueueFrontend:
                 IORequest("W", 64, 64, timestamp_us=1.0),
             ],
         )
-        result = host.run({"t": trace})
-        ns = result.namespaces["t"]
+        ns = host.run({"t": trace})["t"]
         assert ns.completed == 2
         assert ns.queue_wait_us > 0.0
 
@@ -499,12 +587,6 @@ class TestMultiQueueFrontend:
             HostInterface(ssd, arbiter="lottery")
         with pytest.raises(ValueError):
             HostInterface(ssd, arbiter="")
-        # A bad depth fails at construction, like SSDOptions / run(): it
-        # neither becomes the device depth (0) nor waits for run() (-1).
-        for depth in (0, -1):
-            with pytest.raises(ValueError, match="queue_depth must be at least 1"):
-                HostInterface(ssd, queue_depth=depth)
-        assert HostInterface(ssd).queue_depth == ssd.effective_queue_depth
         loop = EventLoop()
         ns = Namespace("t", 0, 64)
         with pytest.raises(ValueError):

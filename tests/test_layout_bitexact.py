@@ -34,18 +34,21 @@ from repro.verify import EventTraceDigest, run_once, stats_digest
 
 # Golden digests recorded before the flat-array/calendar-queue overhaul
 # (PR 6 tree) and required to hold forever after it.  The *stats* digests
-# were re-recorded twice, both pure reporting changes: when the 50-key
-# SSDStats.summary() gained its full counter set, and in PR 22 when the
-# digest moved to the whole ``device_snapshot`` (every summary() value is
+# were re-recorded three times, all pure reporting changes: when the 50-key
+# SSDStats.summary() gained its full counter set, when the digest moved
+# to the whole ``device_snapshot`` (every summary() value is
 # in it unchanged under ``ssd.*``; it adds the FTL, mapping-table, cache,
-# write-buffer, allocator and per-namespace counters).  The event counts
+# write-buffer, allocator and per-namespace counters), and when four
+# duplicate keys left the snapshot (``ssd.host_reads`` /
+# ``host_writes`` / ``translation_lookups`` / ``total_requests``, each equal
+# to a surviving counter; every other value unchanged).  The event counts
 # and event digests are the originals and did not move.
 VERIFY_EVENTS = 1380
 VERIFY_EVENT_DIGEST = (
     "556fc4383ddfa9528115f8177041028c4d090c588260961dab61ec71e9c7a4c3"
 )
 VERIFY_STATS_DIGEST = (
-    "03923e3b04b73e42c5da7b669ab9845d4e406ecc83a52b846db26e5291995f0c"
+    "c50cb2917c532d1110c2ccda056b3805784de6a098dcb08154039009b7c2e33f"
 )
 
 GC_SYNC_EVENTS = 6036
@@ -53,7 +56,7 @@ GC_SYNC_EVENT_DIGEST = (
     "416ab881a529b2a0196077d951c69619062704242acfe86b570b73f676da9465"
 )
 GC_SYNC_STATS_DIGEST = (
-    "1c60830e71abacc929e43d5669529d8bf0f70050e073aa7f23073068a456df4c"
+    "118762fff93cc3aa0f369562a41e9d407dbd4e89f2411b4e25380c109a9c721e"
 )
 
 

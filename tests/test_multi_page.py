@@ -324,7 +324,7 @@ def _fill_blocks(ssd, pages):
     """Fill ``pages`` LPAs via whole-block writes (one block per flush)."""
     per_block = ssd.config.pages_per_block
     for lpa in range(0, pages, per_block):
-        ssd.process("W", lpa, per_block)
+        ssd.submit("W", lpa, per_block)
     ssd.flush()
 
 
@@ -368,7 +368,7 @@ class TestMultiPageSubmit:
         _fill_blocks(ssd, 512)
         _drop_dram_copies(ssd, 64)
         before = ssd.stats.read_latency.count
-        ssd.process("R", 0, 8)
+        ssd.submit("R", 0, 8)
         assert ssd.stats.read_latency.count - before == 8
         assert ssd.stats.host_read_pages == 8
 
@@ -379,7 +379,7 @@ class TestMultiPageSubmit:
         _fill_blocks(ssd, 512)
         _drop_dram_copies(ssd, 64)
         before = ssd.ftl.stats.lookups
-        ssd.process("R", 8, 8)
+        ssd.submit("R", 8, 8)
         assert ssd.ftl.stats.lookups - before == 1
 
     @pytest.mark.parametrize("name", FTL_FACTORIES)
@@ -410,7 +410,7 @@ class TestMultiPageSubmit:
         for op, lpa, npages in requests:
             # Re-reading a page would hit the data cache and split the run.
             _drop_dram_copies(ssd, 2048)
-            ssd.process(op, lpa, npages)
+            ssd.submit(op, lpa, npages)
             expected.append((lpa, npages))
         assert calls["translate"] == 0
         assert calls["translate_range"] == expected
@@ -463,10 +463,10 @@ class TestMultiPageSubmit:
     def test_clipped_pages_are_counted(self):
         ssd = make_ssd()
         logical = ssd.config.logical_pages
-        ssd.process("W", logical - 2, 8)        # 6 pages run past the end
+        ssd.submit("W", logical - 2, 8)        # 6 pages run past the end
         assert ssd.stats.clipped_pages == 6
         assert ssd.stats.host_write_pages == 2  # the in-range pages served
-        ssd.process("R", logical + 10, 4)       # fully out of range
+        ssd.submit("R", logical + 10, 4)       # fully out of range
         assert ssd.stats.clipped_pages == 10
         assert ssd.stats.host_read_pages == 0
         assert device_snapshot(ssd)["ssd.clipped_pages"] == 10.0
@@ -479,7 +479,7 @@ class TestMultiPageSubmit:
 
     def test_multi_page_write_still_streams_through_the_buffer(self):
         ssd = make_ssd()
-        ssd.process("W", 0, 100)
+        ssd.submit("W", 0, 100)
         assert ssd.stats.host_write_pages == 100
         ssd.flush()
         assert ssd.stats.data_page_writes == 100
@@ -573,7 +573,7 @@ class TestOpenLoopReplay:
         last_arrival = trace[-1].timestamp_us - trace[0].timestamp_us
         assert stats.measured_time_us >= last_arrival
         assert stats.events_processed > 0
-        assert stats.host_reads + stats.host_writes == sum(
+        assert stats.host_read_pages + stats.host_write_pages == sum(
             r.npages for r in trace
         )
 

@@ -49,7 +49,7 @@ def write_artifacts(dirpath: Path, counters=None) -> Path:
         )
     )
     (dirpath / "counters.json").write_text(
-        json.dumps(counters or {"ssd.host_reads": 2.0, "ssd.host_writes": 4.0})
+        json.dumps(counters or {"ssd.host_read_pages": 2.0, "ssd.host_write_pages": 4.0})
     )
     return dirpath
 
@@ -102,10 +102,10 @@ class TestDiffCommand:
     def test_diff_reports_moved_counters(self, tmp_path, capsys):
         base = write_artifacts(tmp_path / "a")
         current = write_artifacts(
-            tmp_path / "b", counters={"ssd.host_reads": 3.0, "ssd.host_writes": 4.0}
+            tmp_path / "b", counters={"ssd.host_read_pages": 3.0, "ssd.host_write_pages": 4.0}
         )
         assert main(["diff", str(base), str(current)]) == 0
-        assert "ssd.host_reads" in capsys.readouterr().out
+        assert "ssd.host_read_pages" in capsys.readouterr().out
 
     def test_diff_without_counters_exits_2(self, tmp_path, capsys):
         base = write_artifacts(tmp_path / "a")

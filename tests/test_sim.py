@@ -377,7 +377,7 @@ class TestQueueDepthContention:
         shallow = self._run_at_depth(1)
         deep = self._run_at_depth(8)
         # Same logical work...
-        assert deep.stats.host_reads == shallow.stats.host_reads
+        assert deep.stats.host_read_pages == shallow.stats.host_read_pages
         assert deep.stats.data_page_writes == shallow.stats.data_page_writes
         # ...but reads queue behind overlapping background traffic.
         assert deep.stats.read_stall_us > shallow.stats.read_stall_us * 2
@@ -447,7 +447,8 @@ class TestHostFrontend:
         # Two admitted at t=0, the next two at the first completions.
         assert [t for t, _, _ in device.issues] == [0.0, 0.0, 10.0, 10.0]
         assert stats.max_outstanding == 2
-        assert stats.finished_at_us == 20.0
+        # The last completion is the loop's last event.
+        assert loop.now_us == 20.0
 
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):

@@ -58,7 +58,7 @@ def test_mixed_workload_runs_clean_in_strict_mode(ftl_factory):
     requests = mixed_requests(rng, 4000, footprint=12_000)
     stats = ssd.run(requests)
     total_pages = sum(npages for _op, _lpa, npages in requests)
-    assert stats.host_reads + stats.host_writes == total_pages
+    assert stats.host_read_pages + stats.host_write_pages == total_pages
     assert stats.simulated_time_us > 0
 
 
@@ -122,9 +122,9 @@ def test_gc_reclaims_space_and_preserves_data():
     # must migrate their surviving pages (fully-valid blocks are skipped —
     # migrating them would reclaim nothing).
     for lpa in range(0, footprint, 64):
-        ssd.process("W", lpa, 64)
+        ssd.submit("W", lpa, 64)
     for lpa in range(0, footprint, 128):
-        ssd.process("W", lpa, 32)
+        ssd.submit("W", lpa, 32)
     ssd.flush()
     assert ssd.stats.gc_invocations > 0
     assert ssd.stats.gc_page_writes > 0
@@ -140,7 +140,7 @@ def test_write_amplification_accounts_gc_traffic():
     footprint = int(config.logical_pages * 0.9)
     for _ in range(2):
         for lpa in range(0, footprint, 64):
-            ssd.process("W", lpa, 64)
+            ssd.submit("W", lpa, 64)
     ssd.flush()
     waf = ssd.stats.write_amplification
     assert waf >= 1.0
@@ -179,7 +179,7 @@ def test_unsorted_flush_option_produces_more_segments():
         rng = random.Random(11)
         for _ in range(6000):
             start = rng.randrange(0, 30_000)
-            ssd.process("W", start, rng.randint(1, 16))
+            ssd.submit("W", start, rng.randint(1, 16))
         ssd.flush()
         return ssd.ftl.table.segment_count()
 
@@ -194,7 +194,7 @@ def test_wear_leveling_keeps_erase_counts_bounded():
     passes = int(config.physical_pages / hot) + 4
     for _ in range(passes):
         for lpa in range(0, hot, 64):
-            ssd.process("W", lpa, 64)
+            ssd.submit("W", lpa, 64)
     ssd.flush()
     counts = ssd.flash.erase_counts()
     assert max(counts) >= 1

@@ -69,7 +69,7 @@ def _traced_run(telemetry_mode="on", crash_timer=False):
     trace = EventTraceDigest()
     ssd.event_observer = trace.observe
     telemetry = attach_telemetry(ssd, telemetry_mode, host=host)
-    host.run([reader_tenant(scenario), writer_tenant(scenario)])
+    host.run({"reader": reader_tenant(scenario), "writer": writer_tenant(scenario)})
     return ssd, host, trace, telemetry
 
 
@@ -330,7 +330,7 @@ class TestCounterRegistry:
     def test_device_snapshot_namespaces(self, traced):
         ssd, host, _trace, _telemetry = traced
         snapshot = device_snapshot(ssd, host=host)
-        assert snapshot["ssd.host_writes"] > 0
+        assert snapshot["ssd.host_write_pages"] > 0
         assert snapshot["cache.hits"] >= 0
         assert snapshot["write_buffer.flushes"] > 0
         assert snapshot["allocator.blocks_allocated"] > 0
@@ -359,7 +359,7 @@ class TestCounterRegistry:
         scenario = verify_scenario(seed=SEED, scale=0.05)
         table = run_noisy_neighbor(VERIFY_ARBITER, scenario)
         assert "device" in table
-        assert table["device"]["ssd.host_writes"] > 0
+        assert table["device"]["ssd.host_write_pages"] > 0
         # The delta is over the measured phase only: monotone counters
         # cannot go negative.
         assert table["device"]["ssd.data_page_writes"] >= 0

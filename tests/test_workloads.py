@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,19 @@ class TestTrace:
             IORequest("R", -1, 1)
         with pytest.raises(ValueError):
             IORequest("R", 0, 0)
+
+    @pytest.mark.parametrize("stamp", [-1.0, -1e-9, -math.inf, math.inf, math.nan])
+    def test_unusable_timestamp_rejected(self, stamp):
+        """nan passed the open-loop order check (``5 < nan`` is False), inf
+        made ``simulated_time_us`` inf, and a negative stamp made
+        ``has_timestamps()`` false, so the tenant replayed closed-loop."""
+        complaint = "timestamp_us must be finite and non-negative, got " + repr(stamp)
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            IORequest("R", 0, 1, timestamp_us=stamp)
+
+    @pytest.mark.parametrize("stamp", [0.0, 0, 7.5, 1e15])
+    def test_finite_non_negative_timestamp_accepted(self, stamp):
+        assert IORequest("R", 0, 1, timestamp_us=stamp).timestamp_us == stamp
 
     def test_summary_statistics(self):
         trace = Trace("t", [IORequest("W", 0, 4), IORequest("R", 2, 2), IORequest("R", 100, 1)])
@@ -191,6 +206,13 @@ class TestMSRParser:
         for text in (line + "\n", "1,h,0,Read,0,4096,0\n" + line + "\n"):
             with pytest.raises(TraceParseError, match=complaint):
                 parse_msr_trace(io.StringIO(text))
+
+    def test_arrival_before_the_first_line_rejected_naming_the_line(self):
+        # Rebased against the first line, it would be a negative timestamp.
+        early = "5,h,0,Read,0,4096,0"
+        with pytest.raises(TraceParseError, match="precedes the trace's first arrival") as excinfo:
+            parse_msr_trace(io.StringIO("10,h,0,Read,0,4096,0\n" + early + "\n"))
+        assert repr(early + "\n") in str(excinfo.value)
 
     def test_max_requests(self):
         trace = parse_msr_trace(io.StringIO(self.SAMPLE), max_requests=1)

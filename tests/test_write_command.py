@@ -64,7 +64,6 @@ def recorder_state(recorder: LatencyRecorder):
     return (
         recorder.count,
         recorder.total_us,
-        recorder.min_us,
         recorder.max_us,
         recorder.samples(),
         recorder._rng.getstate(),

@@ -1,6 +1,6 @@
 """Settable-value census: ``python -m tools.option_census [SURFACE ...]``.
 
-For every config / scenario dataclass under ``src/`` and ``SimulatedSSD.__init__``: each field, its
+For every config / scenario dataclass under ``src/`` and every entry point in ``ENTRY_POINTS``: each field, its
 default and the distinct values callers pass, by who calls — ``lib`` (``src``, ``benchmarks``, ``tools``),
 ``examples``, ``tests`` (``tests/`` and any ``test_*.py``).  ``~`` marks a value arriving through a
 forwarder (``.scaled()``, ``replace()``, ``dict()``, ``*_setup()``, an ``axis_grid`` axis), attributed to
@@ -15,6 +15,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCOPE_OF_DIR = {"src": "lib", "benchmarks": "lib", "tools": "lib", "examples": "examples", "tests": "tests"}
+SUFFIXES = ("Config", "Setup", "Scenario", "Options", "Budget")
+#: Dataclasses that are settable surfaces although their names carry none of the suffixes.
+DATACLASSES = ("TenantWorkload",)
+#: Non-dataclass entry points, by the call name that sets them: a class name sets its ``__init__``.
+ENTRY_POINTS = {
+    "SimulatedSSD": "SimulatedSSD.__init__",
+    "HostInterface": "HostInterface.__init__",
+    "add_namespace": "HostInterface.add_namespace",
+    "Namespace": "Namespace.__init__",
+    "SubmissionQueue": "SubmissionQueue.__init__",
+    "TokenBucket": "TokenBucket.__init__",
+}
 
 
 def parsed(directory):
@@ -27,13 +39,13 @@ def surfaces():
     found = {}
     for _, tree in parsed("src"):
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-            if cls.name.endswith(("Config", "Setup", "Scenario", "Options", "Budget")) and cls.decorator_list:
+            if (cls.name.endswith(SUFFIXES) or cls.name in DATACLASSES) and cls.decorator_list:
                 fields = (stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign))
                 found[cls.name] = {f.target.id: ast.unparse(f.value) if f.value else "<required>" for f in fields}
-            for init in (s for s in cls.body if cls.name == "SimulatedSSD" and getattr(s, "name", "") == "__init__"):
-                args, defaults = init.args.args[1:], [ast.unparse(d) for d in init.args.defaults]
+            for method in (s for s in cls.body if f"{cls.name}.{getattr(s, 'name', '')}" in ENTRY_POINTS.values()):
+                args, defaults = method.args.args[1:], [ast.unparse(d) for d in method.args.defaults]
                 sources = ["<required>"] * (len(args) - len(defaults)) + defaults
-                found["SimulatedSSD.__init__"] = {arg.arg: src for arg, src in zip(args, sources)}
+                found[f"{cls.name}.{method.name}"] = {arg.arg: src for arg, src in zip(args, sources)}
     return found
 
 
@@ -52,7 +64,7 @@ def census(found):
                 if not isinstance(node, ast.Call):
                     continue
                 name = getattr(node.func, "id", getattr(node.func, "attr", ""))
-                surface = name if name in found else name + ".__init__"
+                surface = ENTRY_POINTS.get(name, name)
                 passed = [(kw.arg, ast.unparse(kw.value)) for kw in node.keywords if kw.arg]
                 if surface in found:
                     for field, value in list(zip(found[surface], map(ast.unparse, node.args))) + passed:
@@ -72,9 +84,9 @@ if __name__ == "__main__":
     uses, environ = census(found)
     chosen = sys.argv[1:] or sorted(found)
     for surface in chosen:
-        print(f"{surface}: {len(found[surface])} settable")
-        for field, default in found[surface].items():
+        print(f"{surface}: {len(found.get(surface, {}))} settable" + ("" if surface in found else " (not defined)"))
+        for field, default in found.get(surface, {}).items():
             columns = (f"{scope}: {', '.join(sorted(v))}" for scope, v in sorted(uses[surface][field].items()))
             print(f"  {field} = {default} | {' | '.join(columns) or 'set by nobody'}")
     print(f"os.environ reads: {len(environ)}", *environ, sep="\n  ")
-    print(f"total settable: {sum(len(found[s]) for s in chosen) + len(environ)} ({' + '.join(chosen)} + environ)")
+    print(f"total settable: {sum(len(found.get(s, {})) for s in chosen) + len(environ)} ({' + '.join(chosen)} + environ)")
