@@ -7,7 +7,8 @@ The array models the FTL-visible behaviour of NAND flash:
 * each block has an erase counter (used for wear-leveling studies and the
   write-amplification figure);
 * each page has an OOB area storing reverse mappings (see
-  :mod:`repro.flash.oob`);
+  :mod:`repro.flash.oob`) — a view of the page array, not a stored copy
+  (below);
 * every read/program/erase is accounted per channel so the SSD model can
   compute request latencies under channel parallelism.
 
@@ -27,6 +28,17 @@ flash block occupies a contiguous PPA range (see
 operations, ``valid_page_count`` is an O(1) counter read, and
 ``valid_ppas_of_block`` is one scan over the block's state slice.
 The :class:`PageState` enum remains the public vocabulary of the API.
+
+The OOB is written once, when a page is programmed, and is derived on
+demand from the LPA array wherever that gives the same contents.  A page
+``program_run`` wrote keeps only its window ``gamma`` and the block offset
+its run ended at: every window entry below that offset names a page
+programmed no later than the run, whose LPA survives until the block's
+erase (which frees the page too), and every entry at or above it was FREE,
+hence ``None``.  Only windows that reach into a neighbouring block — which
+can be erased and reprogrammed while this page lives — are captured as
+stored :class:`OOBArea` objects, at most ``2 * gamma`` per block, plus the
+OOB of pages written by ``program_page``.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SSDConfig
@@ -91,7 +104,12 @@ class FlashArray:
 
         self._state = bytearray(total_pages)  # all _FREE
         self._lpa = array("q", [_NO_LPA]) * total_pages
+        #: Stored OOB: edge windows and ``program_page`` areas only.
         self._oob: Dict[int, OOBArea] = {}
+        #: Per page, the window gamma ``program_run`` wrote it with and the
+        #: block offset that run ended at (read only while gamma > 0).
+        self._gamma = bytearray(total_pages)
+        self._run_end = array("H", [0]) * total_pages
         # Per-block parallel counters (indexed by global block id).
         self._erase_count: List[int] = [0] * total_blocks
         self._valid_pages: List[int] = [0] * total_blocks
@@ -164,10 +182,11 @@ class FlashArray:
     def oob_of(self, ppa: int) -> Optional[OOBArea]:
         """The OOB contents of ``ppa`` (None if the page was never written).
 
-        Pages programmed through the gamma-0 run path have no stored entry:
-        their OOB is exactly ``OOBArea(lpa, [lpa])``, synthesized here from
-        the LPA array (which, like the OOB, survives invalidation and is
-        cleared by erase).
+        A stored area (edge window, ``program_page``) is returned as is.
+        Otherwise the area is rebuilt from the LPA array, which like the OOB
+        survives invalidation and is cleared by erase: ``OOBArea(lpa,
+        [lpa])`` at gamma 0, else the in-block window cut at the page's run
+        end and padded with ``None`` (see the module docstring).
         """
         if not 0 <= ppa < self._total_pages:
             raise self._out_of_range("PPA", ppa, self._total_pages)
@@ -177,7 +196,11 @@ class FlashArray:
         lpa = self._lpa[ppa]
         if lpa == _NO_LPA:
             return None
-        return OOBArea(lpa=lpa, neighbor_lpas=[lpa])
+        gamma = self._gamma[ppa]
+        if not gamma:
+            return OOBArea(lpa, [lpa])
+        stop = min(ppa + gamma + 1, ppa - ppa % self._pages_per_block + self._run_end[ppa])
+        return OOBArea(lpa, self._lpa[ppa - gamma : stop].tolist() + [None] * (ppa + gamma + 1 - stop))
 
     def erase_count(self, block: int) -> int:
         if not 0 <= block < self._total_blocks:
@@ -409,9 +432,11 @@ class FlashArray:
         window followed by ``invalidate_page`` of the LPA's old copy
         (``old_ppas[i]``, ``None`` when the LPA had no live page) — with the
         op-clock interleave, the OOB contents and the scheduler's float
-        timing chain preserved bit for bit.  ``batch_lpas`` maps the run's
-        own PPAs to their LPAs so neighbour windows can see pages of the
-        same batch regardless of programming order.  Returns the bus
+        timing chain preserved bit for bit.  A window holds, per PPA of
+        ``[ppa - gamma, ppa + gamma]``, the LPA flash held there once the
+        whole run was programmed (``None`` for a FREE page or one off the
+        array).  ``batch_lpas`` is accepted and unused: the run's own LPAs
+        are in the LPA array before any window is read.  Returns the bus
         completion time of the last program.
         """
         count = len(lpas)
@@ -426,10 +451,11 @@ class FlashArray:
                 raise self._out_of_range("PPA", old_ppa, total_pages)
         pages_per_block = self._pages_per_block
         block = first_ppa // pages_per_block
-        offset = first_ppa - block * pages_per_block
+        base = block * pages_per_block
+        offset = first_ppa - base
         stop = first_ppa + count
         state = self._state
-        if stop > (block + 1) * pages_per_block:
+        if stop > base + pages_per_block:
             raise FlashError(
                 f"program run of {count} pages at ppa={first_ppa} crosses "
                 f"the boundary of block {block}"
@@ -445,72 +471,44 @@ class FlashArray:
                     f"program of non-free page ppa={ppa} ({_CODE_TO_STATE[state[ppa]]})"
                 )
 
+        end = offset + count
         state[first_ppa:stop] = self._valid_states[:count]
         self._lpa[first_ppa:stop] = array("q", lpas)
+        if gamma:
+            self._gamma[first_ppa:stop] = bytes([gamma]) * count
+            self._run_end[first_ppa:stop] = array("H", [end]) * count
         self._valid_pages[block] += count
-        self._write_pointer[block] = offset + count
+        self._write_pointer[block] = end
         self.counters.page_writes += count
 
         valid_pages = self._valid_pages
         last_modified = self._last_modified_op
         op = self._op_clock
-        if gamma:
-            oob_store = self._oob
-            lpa_arr = self._lpa
-            batch_lpa = batch_lpas.get
-            for index in range(count):
-                ppa = first_ppa + index
-                lpa = lpas[index]
-                # The ±gamma neighbour window (see the write path's OOB
-                # contract): pages of the current batch take precedence
-                # (batch_lpas values are host LPAs, never None), then
-                # whatever flash holds.
-                neighbors: List[Optional[int]] = []
-                append = neighbors.append
-                for neighbor_ppa in range(ppa - gamma, ppa + gamma + 1):
-                    if neighbor_ppa == ppa:
-                        append(lpa)
-                        continue
-                    value = batch_lpa(neighbor_ppa)
-                    if value is None and 0 <= neighbor_ppa < total_pages:
-                        stored = lpa_arr[neighbor_ppa]
-                        if stored != _NO_LPA:
-                            value = stored
-                    append(value)
-                oob_store[ppa] = OOBArea(lpa=lpa, neighbor_lpas=neighbors)
+        for index in range(count):
+            op += 1
+            last_modified[block] = op
+            old_ppa = old_ppas[index]
+            if old_ppa is not None:
+                if state[old_ppa] != _VALID:
+                    raise FlashError(f"invalidate of non-valid page ppa={old_ppa}")
+                state[old_ppa] = _INVALID
+                old_block = old_ppa // pages_per_block
+                valid_pages[old_block] -= 1
                 op += 1
-                last_modified[block] = op
-                old_ppa = old_ppas[index]
-                if old_ppa is not None:
-                    if state[old_ppa] != _VALID:
-                        raise FlashError(
-                            f"invalidate of non-valid page ppa={old_ppa}"
-                        )
-                    state[old_ppa] = _INVALID
-                    old_block = old_ppa // pages_per_block
-                    valid_pages[old_block] -= 1
-                    op += 1
-                    last_modified[old_block] = op
-        else:
-            # gamma == 0: the OOB degenerates to ``OOBArea(lpa, [lpa])``,
-            # which :meth:`oob_of` synthesizes on demand from the LPA array
-            # (it persists until erase exactly like the stored OOB would),
-            # so the hot loop skips the per-page allocation and dict store.
-            for index in range(count):
-                op += 1
-                last_modified[block] = op
-                old_ppa = old_ppas[index]
-                if old_ppa is not None:
-                    if state[old_ppa] != _VALID:
-                        raise FlashError(
-                            f"invalidate of non-valid page ppa={old_ppa}"
-                        )
-                    state[old_ppa] = _INVALID
-                    old_block = old_ppa // pages_per_block
-                    valid_pages[old_block] -= 1
-                    op += 1
-                    last_modified[old_block] = op
+                last_modified[old_block] = op
         self._op_clock = op
+
+        if gamma:
+            # Edge pages' windows reach into a neighbouring block, which may
+            # be erased and reprogrammed while they live: capture those now.
+            low_stop = base + min(end, gamma)
+            high_start = max(first_ppa, low_stop, base + pages_per_block - gamma)
+            lpa_arr = self._lpa
+            for ppa in chain(range(first_ppa, low_stop), range(high_start, stop)):
+                self._oob[ppa] = OOBArea(lpa_arr[ppa], [
+                    lpa_arr[n] if 0 <= n < total_pages and lpa_arr[n] != _NO_LPA else None
+                    for n in range(ppa - gamma, ppa + gamma + 1)
+                ])
 
         occupancy = self._config.write_latency_us / self._dies_per_channel
         return self._scheduler.reserve_run(
@@ -543,6 +541,7 @@ class FlashArray:
         stop = start + self._pages_per_block
         self._state[start:stop] = self._free_states
         self._lpa[start:stop] = self._free_lpas
+        self._gamma[start:stop] = self._free_states
         oob = self._oob
         if oob:
             for ppa in range(start, stop):

@@ -24,7 +24,7 @@ from typing import List, Optional
 LPA_ENTRY_BYTES = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class OOBArea:
     """The OOB contents of a single flash page.
 
@@ -35,8 +35,11 @@ class OOBArea:
     neighbor_lpas:
         ``2 * gamma + 1`` entries holding the LPAs of the PPAs in
         ``[ppa - gamma, ppa + gamma]`` at the time the page was written.
-        Index ``gamma`` corresponds to the page itself.  Entries that fall
-        outside the flash block are ``None`` (the paper stores null bytes).
+        Index ``gamma`` corresponds to the page itself.  An entry is
+        ``None`` for a PPA off the array or FREE at program time.  The
+        window does not stop at the page's own block: near a block edge it
+        names the neighbouring block's LPAs as they were at program time,
+        and those go stale once that block is erased and reprogrammed.
     """
 
     lpa: Optional[int] = None

@@ -273,9 +273,10 @@ def recover(ssd: SimulatedSSD, mode: str = "oob_scan") -> RecoveryResult:
         live: List[Tuple[int, int]] = []
         for ppa in run:
             if flash.page_state(ppa) is PageState.VALID:
-                oob = flash.oob_of(ppa)
-                assert oob is not None and oob.lpa is not None
-                live.append((oob.lpa, ppa))
+                # The OOB's own reverse mapping, without its neighbour window.
+                lpa = flash.lpa_of(ppa)
+                assert lpa is not None
+                live.append((lpa, ppa))
         return live
 
     total_blocks = flash.geometry.total_blocks

@@ -507,8 +507,6 @@ class SimulatedSSD:
         mappings: List[Tuple[int, int]] = [
             (lpa, first_ppa + offset) for offset, lpa in enumerate(chunk)
         ]
-        ppa_to_lpa = {ppa: lpa for lpa, ppa in mappings}
-
         current_ppa = self._current_ppa
         current_ppa_get = current_ppa.get
         lpas = list(chunk)
@@ -516,9 +514,7 @@ class SimulatedSSD:
         # One batched flash call programs the whole run: page-state updates,
         # OOB windows, old-copy invalidation and the per-page scheduler
         # timing chain all happen inside (bit-identical to per-page calls).
-        finish = self.flash.program_run(
-            first_ppa, lpas, old_ppas, self._oob_window, ppa_to_lpa, at_us
-        )
+        finish = self.flash.program_run(first_ppa, lpas, old_ppas, self._oob_window, {}, at_us)
         current_ppa.update(mappings)
         self._record_programs(purpose, len(mappings))
         self.allocator.seal_if_full(block)
@@ -625,12 +621,14 @@ class SimulatedSSD:
         """Recover the true PPA after a misprediction (Section 3.5).
 
         ``read_ppa`` is the page whose data and OOB were just fetched; its
-        OOB stores the reverse mappings of its ±gamma neighbourhood, so the
-        correction normally costs exactly one more flash read.  If the OOB
-        cannot resolve the LPA (the window crossed a block boundary when the
-        page was written), the simulator falls back to scanning the error
-        window page by page, which is the paper's baseline log(gamma)
-        strategy.
+        OOB stores the reverse mappings of its ±gamma neighbourhood as they
+        were when it was programmed, so the correction normally costs
+        exactly one more flash read.  The OOB cannot resolve the LPA when
+        the true page's entry is out of date: ``None`` because that page was
+        still FREE then, or a stale LPA because the window reaches into the
+        adjacent block and that block has been erased and reprogrammed
+        since.  The simulator then falls back to scanning the error window
+        page by page, which is the paper's baseline log(gamma) strategy.
         """
         self.stats.mispredictions += 1
         oob = self.flash.oob_of(read_ppa)

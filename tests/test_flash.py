@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Dict, List, Optional
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SSDConfig
 from repro.flash.allocator import BlockAllocator, OutOfSpaceError
@@ -242,11 +245,11 @@ class TestOOBHelpers:
 
 
 class TestOOBParity:
-    """Lazy (gamma=0, synthesized) vs stored (gamma>0) OOB equivalence.
+    """The OOB's own reverse mapping through the page lifecycle, at gamma 0 and 2.
 
-    The recovery scan reads each programmed page's own reverse mapping
-    through ``oob_of()``; these tests pin that the synthesized and stored
-    representations agree on that field through the page lifecycle.
+    At gamma 2 the first two pages of the block hold stored edge windows
+    and the rest are derived from the page array; both must name the
+    page's own LPA until the block's erase.
     """
 
     def _program_pattern(self, flash, gamma):
@@ -297,3 +300,141 @@ class TestOOBParity:
         flash.erase_block(0)
         for ppa in expected:
             assert flash.oob_of(ppa) is None
+
+
+#: Four blocks of eight pages on two channels: every window of gamma <= 3
+#: either stays in its block or reaches exactly one neighbour.
+TINY_FLASH = SSDConfig(
+    capacity_bytes=32 * 4096, page_size=4096, pages_per_block=8, channels=2, overprovisioning=0.0
+)
+
+
+class TestOOBView:
+    """The OOB is derived from the page array except where a window leaves its block."""
+
+    def test_edge_window_keeps_the_neighbour_block_as_it_was_at_program_time(self):
+        """A window reaching into the adjacent block is a snapshot, not a view.
+
+        Block 1's first page sees block 0's last two LPAs; after block 0 is
+        erased and reprogrammed it still names the old ones — this is how
+        an OOB correction fails over to the error-window scan on an aged
+        device.  Block 0's last page saw block 1 FREE, and keeps ``None``
+        after block 1 is programmed.
+        """
+        flash = FlashArray(TINY_FLASH)
+        flash.program_run(0, list(range(8)), [None] * 8, 2, {})
+        flash.program_run(8, [20, 21], [None] * 2, 2, {})
+        assert flash.oob_of(7).neighbor_lpas == [5, 6, 7, None, None]
+        assert flash.oob_of(8).neighbor_lpas == [6, 7, 20, 21, None]
+        for ppa in range(8):
+            flash.invalidate_page(ppa)
+        flash.erase_block(0)
+        flash.program_run(0, list(range(100, 108)), [None] * 8, 2, {})
+        assert flash.oob_of(8).neighbor_lpas == [6, 7, 20, 21, None]
+        assert flash.oob_of(7).neighbor_lpas == [105, 106, 107, 20, 21]
+        assert flash.oob_of(9).neighbor_lpas == [7, 20, 21, None, None]
+
+    def test_only_edge_windows_are_stored(self):
+        flash = FlashArray(TINY_FLASH)
+        flash.program_run(0, list(range(8)), [None] * 8, 2, {})
+        assert sorted(flash._oob) == [0, 1, 6, 7]
+        flash.program_run(8, list(range(8)), [None] * 8, 0, {})
+        assert sorted(flash._oob) == [0, 1, 6, 7]
+
+    def test_erase_forgets_the_window_gamma(self):
+        flash = FlashArray(TINY_FLASH)
+        flash.program_run(0, list(range(8)), [None] * 8, 2, {})
+        for ppa in range(8):
+            flash.invalidate_page(ppa)
+        flash.erase_block(0)
+        flash.program_run(0, list(range(10, 18)), [None] * 8, 0, {})
+        assert [flash.oob_of(ppa) for ppa in range(8)] == [
+            OOBArea(lpa, [lpa]) for lpa in range(10, 18)
+        ]
+
+
+def _eager_window(
+    ppa: int, lpa: int, gamma: int, batch_lpas: Dict[int, int], lpa_at: Dict[int, int], total: int
+) -> List[Optional[int]]:
+    """The window ``program_run`` used to build and store for every page.
+
+    Pages of the current batch take precedence, then whatever flash holds
+    (``lpa_at``: LPA by programmed PPA), ``None`` for a FREE page or one
+    off the array.
+    """
+    neighbors: List[Optional[int]] = []
+    for neighbor_ppa in range(ppa - gamma, ppa + gamma + 1):
+        if neighbor_ppa == ppa:
+            neighbors.append(lpa)
+            continue
+        value = batch_lpas.get(neighbor_ppa)
+        if value is None and 0 <= neighbor_ppa < total:
+            value = lpa_at.get(neighbor_ppa)
+        neighbors.append(value)
+    return neighbors
+
+
+@given(gamma=st.sampled_from([0, 1, 2, 3]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_oob_view_equals_the_eager_snapshot(gamma, data):
+    """``oob_of`` against an eager model: after every step, for every PPA.
+
+    Steps are ``program_run`` (any length the block still has room for,
+    invalidating the LPAs' old copies), ``invalidate_page``, drain-and-erase
+    of a block (often the neighbour of an edge page) and ``program_page``.
+    The model stores each page's OOB at program time, as the device did
+    before windows became a view of the page array.
+    """
+    flash = FlashArray(TINY_FLASH)
+    pages, total = TINY_FLASH.pages_per_block, TINY_FLASH.physical_pages
+    blocks = total // pages
+    lpa_at: Dict[int, int] = {}
+    model: Dict[int, OOBArea] = {}
+    live: Dict[int, int] = {}  # lpa -> its VALID ppa
+    lpa_values = st.integers(0, 23)
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        open_blocks = [b for b in range(blocks) if flash.write_pointer(b) < pages]
+        written = [b for b in range(blocks) if flash.write_pointer(b)]
+        kinds = (["run", "page"] if open_blocks else []) + (["invalidate", "erase"] if written else [])
+        kind = data.draw(st.sampled_from(kinds), label="step")
+        if kind in ("run", "page"):
+            block = data.draw(st.sampled_from(open_blocks), label="block")
+            first = block * pages + flash.write_pointer(block)
+            room = (block + 1) * pages - first
+            if kind == "run":
+                count = data.draw(st.integers(1, room), label="count")
+                lpas = data.draw(st.lists(lpa_values, min_size=count, max_size=count, unique=True))
+                old_ppas = [live.get(lpa) for lpa in lpas]
+                batch = {first + index: lpa for index, lpa in enumerate(lpas)}
+                for ppa, lpa in batch.items():
+                    model[ppa] = OOBArea(lpa, _eager_window(ppa, lpa, gamma, batch, lpa_at, total))
+                flash.program_run(first, lpas, old_ppas, gamma, {})
+            else:
+                lpas = [data.draw(lpa_values, label="lpa")]
+                old_ppas = [live.get(lpas[0])]
+                model[first] = OOBArea(lpas[0])
+                flash.program_page(first, lpas[0])
+                if old_ppas[0] is not None:
+                    flash.invalidate_page(old_ppas[0])
+            # An old copy keeps its reverse mapping until its block's erase.
+            for offset, lpa in enumerate(lpas):
+                lpa_at[first + offset] = lpa
+                live[lpa] = first + offset
+        elif kind == "invalidate":
+            valid = [ppa for b in written for ppa in flash.valid_ppas_of_block(b)]
+            if not valid:
+                continue
+            ppa = data.draw(st.sampled_from(valid), label="ppa")
+            flash.invalidate_page(ppa)
+            del live[lpa_at[ppa]]
+        else:
+            block = data.draw(st.sampled_from(written), label="erase")
+            for ppa in flash.valid_ppas_of_block(block):
+                flash.invalidate_page(ppa)
+                del live[lpa_at[ppa]]
+            flash.erase_block(block)
+            for ppa in range(block * pages, (block + 1) * pages):
+                lpa_at.pop(ppa, None)
+                model.pop(ppa, None)
+        for ppa in range(total):
+            assert flash.oob_of(ppa) == model.get(ppa), (kind, ppa)

@@ -4,9 +4,13 @@
 
 Runs ``benchmarks/ledger/run.py --trace 0`` in each checkout, the side that
 goes first flipped every pair, and prints per host metric each side's
-median [q1, q3], the median per-pair change/parent ratio and the pairs the
-change won.  Exits 1 when a simulated metric differs between two runs: the
-simulator is deterministic per seed, so that is a behaviour change, not noise.
+median [q1, q3], the median per-pair change/parent ratio, the pairs the
+change won and a verdict: ``gain`` (or ``loss``) when the change wins (or
+loses) at least 9/10 of the pairs, ties counting for neither, and the two
+medians differ by more than the parent's interquartile range; otherwise
+``unresolved``.  Exits 1 when a simulated metric differs between two runs:
+the simulator is deterministic per seed, so that is a behaviour change, not
+noise.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import statistics
 import subprocess
 import sys
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 #: Host-clock metrics and whether higher is better; every other metric the
 #: entry point prints is simulated and must repeat exactly.
@@ -31,9 +35,28 @@ def run_once(checkout: str, args: argparse.Namespace) -> Dict[str, float]:
     return {name: entry["value"] for name, entry in metrics.items()}
 
 
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return q1, median, q3
+
+
 def spread(values: List[float]) -> str:
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+    q1, median, q3 = quartiles(values)
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def verdict(parent: List[float], change: List[float], higher: bool) -> Tuple[int, str]:
+    """Pairs the change won, and ``gain`` / ``loss`` / ``unresolved``."""
+    sign = 1 if higher else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    q1, _, q3 = quartiles(parent)
+    better = sign * (statistics.median(change) - statistics.median(parent))
+    if 10 * wins >= 9 * len(parent) and better > q3 - q1:
+        return wins, "gain"
+    if 10 * losses >= 9 * len(parent) and -better > q3 - q1:
+        return wins, "loss"
+    return wins, "unresolved"
 
 
 def main() -> int:
@@ -58,10 +81,10 @@ def main() -> int:
     print(f"{args.workload} seed {args.seed}: {args.pairs} pairs, simulated metrics identical")
     for name, higher in HOST.items():
         parent, change = ([run[name] for run in runs[side]] for side in ("parent", "change"))
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        wins, label = verdict(parent, change, higher)
         ratio = statistics.median(c / p for p, c in zip(parent, change))
         print(f"{name}: parent {spread(parent)}  change {spread(change)}"
-              f"  median ratio {ratio:.3f}  wins {wins}/{args.pairs}")
+              f"  median ratio {ratio:.3f}  wins {wins}/{args.pairs}  {label}")
     return 0
 
 

@@ -6,12 +6,15 @@ Runs ``benchmarks/ledger/run.py --trace 0`` in CHECKOUT (default: this one) RUNS
 ``BENCHMARK.json``, for that file's ``run_seconds``, and appends one row here: label, commit, seed, and per
 workload the simulated metrics (deterministic per seed: a run that disagrees with the first exits 1) and each
 host-clock metric's ``[median, q1, q3]`` — one box's record, never a gate (a claim needs ``tools/ab_pairs.py``).
+``env`` names that box (interpreter, platform, CPU count), so a drift between rows can at least be attributed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -40,6 +43,7 @@ def main() -> int:
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=args.checkout, capture_output=True, text=True)
     spec = json.loads((Path(args.checkout) / "BENCHMARK.json").read_text(encoding="utf-8"))
     row = {"label": args.label, "commit": commit.stdout.strip(), "seed": SEED, "runs": RUNS, "workloads": {}}
+    row["env"] = {"python": sys.version, "platform": platform.platform(), "cpu_count": os.cpu_count()}
     for workload in (entry["name"] for entry in spec["workloads"]):
         runs = [run_once(args.checkout, workload, spec["run_seconds"]) for _ in range(RUNS)]
         simulated = {name: value for name, value in runs[0].items() if name not in HOST}
