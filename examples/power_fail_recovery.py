@@ -35,12 +35,12 @@ def main() -> None:
     )
     parser.add_argument(
         "--crash-at", type=int, default=2600,
-        help="crash at the N-th host request issue (default 2600)",
+        help="crash at the N-th host request completion (default 2600)",
     )
     parser.add_argument("--seed", type=int, default=20)
     args = parser.parse_args()
 
-    scenario = RecoveryScenario(crash_after_issues=args.crash_at, seed=args.seed)
+    scenario = RecoveryScenario(crash_after_completions=args.crash_at, seed=args.seed)
 
     print("crashing mid-burst, recovering via full OOB scan ...")
     scan = run_crash_recovery(scenario, mode="oob_scan")

@@ -61,8 +61,8 @@ class RecoveryScenario:
 
     #: Overwrite-skewed requests after the sequential fill pass.
     num_requests: int = 2200
-    #: Crash at the N-th host request issue (mid-write-burst).
-    crash_after_issues: int = 2600
+    #: Crash at the N-th host request completion (mid-write-burst).
+    crash_after_completions: int = 2600
     seed: int = 20
 
 
@@ -118,7 +118,7 @@ def run_to_crash(
         attach_checkpointer(ssd, interval_pages=interval_pages)
 
     timer = CrashTimer(
-        after_kind="request_issue", kind_count=scenario.crash_after_issues
+        after_kind="request_complete", kind_count=scenario.crash_after_completions
     )
 
     def chained(event: Event) -> None:
@@ -133,7 +133,7 @@ def run_to_crash(
     if not timer.fired:
         raise RuntimeError(
             "workload finished before the injected crash; raise num_requests "
-            "or lower crash_after_issues"
+            "or lower crash_after_completions"
         )
     return ssd, ssd.power_fail()
 

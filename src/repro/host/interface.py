@@ -10,7 +10,7 @@ Three pieces:
 
 * :class:`MultiQueueFrontend` — the multi-queue admission *policy* of the
   one engine (:class:`repro.sim.frontend.Frontend`, which owns the device
-  slots and the issue → submit → complete cycle).  Every time a slot frees,
+  slots and the pick → submit → complete cycle).  Every time a slot frees,
   the arbiter picks which eligible queue's head request is admitted.
   Token-bucket throttled queues are not offered to the arbiter; a retry
   fires when their bucket refills.  On top of the pick it translates

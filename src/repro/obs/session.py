@@ -68,7 +68,7 @@ class Telemetry:
             self.sampler.observe(event)
 
     def pump(self, now_us: float) -> None:
-        """Clock tick from loop-less paths (serial engine flushes)."""
+        """Clock tick outside the event stream (serial flushes, replay start)."""
         if self.sampler is not None:
             self.sampler.pump(now_us)
 
@@ -84,19 +84,14 @@ class Telemetry:
 
     @property
     def wants_breakdowns(self) -> bool:
-        """Whether the device should compute critical-path breakdowns.
-
-        Only meaningful while a tracer records request spans — there is
-        nothing to attach a breakdown to otherwise, so the device skips
-        the accounting entirely.
-        """
+        """Whether the device reports each replay submit (it opens a span)."""
         return self.tracer is not None
 
     def note_request_breakdown(
-        self, components: Dict[str, float], total_us: float
+        self, components: Dict[str, float], start_us: float, finish_us: float
     ) -> None:
         if self.tracer is not None:
-            self.tracer.note_request_breakdown(components, total_us)
+            self.tracer.note_request_breakdown(components, start_us, finish_us)
 
     def note_recovery(
         self,

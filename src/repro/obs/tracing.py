@@ -2,8 +2,8 @@
 
 The :class:`Tracer` hangs off the event loop's observer hook
 (:meth:`repro.sim.events.EventLoop.chain_observer`) and reconstructs what
-the discrete-event simulation *did* — per-request lifecycle spans from
-``request_issue`` to ``request_complete``, the background GC pipeline's
+the discrete-event simulation *did* — per-request lifecycle spans from the
+device's submit to ``request_complete``, the background GC pipeline's
 read / migrate / erase stages, translation-page flash traffic and (via the
 NAND scheduler's probe hook) every channel-bus reservation — into a file
 ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_ load
@@ -21,7 +21,8 @@ Design constraints, in order:
   fields, so two runs of the same seed export byte-identical JSON.
 * **Bounded memory.**  Closed spans and instants land in a ring buffer
   (``deque(maxlen=...)``); a trace of a billion-event replay keeps the
-  last ``capacity`` records and counts the rest in :attr:`dropped`.
+  last :data:`TRACE_CAPACITY` records and counts the rest in
+  :attr:`dropped`.
   Because the ring holds only *closed* spans, eviction can never orphan a
   "B" without its "E": begin/end pairs are generated at export time from
   whole records, so the exported stream is balanced by construction.
@@ -75,8 +76,8 @@ _TRACK_NAMES = {
     _TID_RECOVERY: "recovery",
 }
 
-#: Default ring-buffer capacity (closed spans + instants retained).
-DEFAULT_TRACE_CAPACITY = 200_000
+#: Ring-buffer capacity (closed spans + instants retained).
+TRACE_CAPACITY = 200_000
 
 #: GC pipeline event kind -> (stage it closes, stage it opens).
 _GC_STAGES = {
@@ -93,31 +94,23 @@ _PHASE_RANK = {"E": 0, "i": 1, "X": 1, "B": 2}
 class Tracer:
     """Reconstructs lifecycle spans from the processed-event stream."""
 
-    def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
         #: Closed records: ``(phase, tid, start_us, dur_us, name, args)``
         #: where phase is "span" (export as B/E), "x" (export as X) or
         #: "instant" (export as i).  dur_us is 0.0 for instants.
         self._records: Deque[Tuple[str, int, float, float, str, Optional[Dict[str, Any]]]] = deque(
-            maxlen=capacity
+            maxlen=TRACE_CAPACITY
         )
         self._appended = 0
-        #: id(request) -> (slot, issue_ts, name, args) for in-flight spans.
-        self._active: Dict[int, Tuple[int, float, str, Dict[str, Any]]] = {}
+        #: In-flight spans by finish instant, in submit order:
+        #: ``finish_us -> deque of (slot, start_us, args)``.
+        self._in_flight: Dict[float, Deque[Tuple[int, float, Dict[str, Any]]]] = {}
         #: Min-heap of freed NCQ slot numbers (smallest reused first, so
-        #: slot assignment is a deterministic function of the event order).
+        #: slot assignment is a deterministic function of the submit order).
         self._free_slots: List[int] = []
         self._next_slot = 0
-        self.max_slots = 0
         #: Open GC stage: ``(span name, start_ts, victim block)`` or None.
         self._gc_open: Optional[Tuple[str, float, Optional[int]]] = None
-        #: ``id(request)`` of the most recently issued request.  The device
-        #: submits synchronously inside the ``request_issue`` callback (the
-        #: tracer's observer runs first), so a breakdown arriving mid-submit
-        #: belongs to this span; any completion clears it.
-        self._last_issued: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -157,9 +150,7 @@ class Tracer:
         before the event's callback, while its payload is still intact.
         """
         kind = event.kind
-        if kind == "request_issue":
-            self._on_issue(event)
-        elif kind == "request_complete":
+        if kind == "request_complete":
             self._on_complete(event)
         elif kind == "request_arrival":
             self._on_arrival(event)
@@ -170,29 +161,23 @@ class Tracer:
         else:
             self._add("instant", _TID_DEVICE, event.time_us, 0.0, kind)
 
-    def _on_issue(self, event: Event) -> None:
+    def _on_complete(self, event: Event) -> None:
+        """Close the oldest span waiting on this instant (see
+        :meth:`note_request_breakdown`), named after the completing command."""
+        now = event.time_us
+        waiting = self._in_flight.get(now)
+        if waiting is None:
+            return
+        slot, start, args = waiting.popleft()
+        if not waiting:
+            del self._in_flight[now]
         stream, request, ready_us = event.payload
-        if self._free_slots:
-            slot = heapq.heappop(self._free_slots)
-        else:
-            slot = self._next_slot
-            self._next_slot += 1
-            self.max_slots = self._next_slot
-        args: Dict[str, Any] = {"lpa": request.lpa, "npages": request.npages}
+        args["lpa"] = request.lpa
+        args["npages"] = request.npages
         if stream is not None:
             args["queue"] = stream.name
-            args["queue_wait_us"] = max(0.0, event.time_us - ready_us)
-        self._active[id(request)] = (slot, event.time_us, request.op, args)
-        self._last_issued = id(request)
-
-    def _on_complete(self, event: Event) -> None:
-        request = event.payload[1]
-        self._last_issued = None
-        opened = self._active.pop(id(request), None)
-        if opened is None:
-            return
-        slot, start, name, args = opened
-        self._add("span", _TID_SLOT_BASE + slot, start, event.time_us - start, name, args)
+            args["queue_wait_us"] = max(0.0, start - ready_us)
+        self._add("span", _TID_SLOT_BASE + slot, start, now - start, request.op, args)
         heapq.heappush(self._free_slots, slot)
 
     def _on_arrival(self, event: Event) -> None:
@@ -249,26 +234,27 @@ class Tracer:
             self._add("instant", _TID_TRANSLATE, start_us, 0.0, "translate", args)
 
     def note_request_breakdown(
-        self, components: Dict[str, float], total_us: float
+        self, components: Dict[str, float], start_us: float, finish_us: float
     ) -> None:
-        """Critical-path components of the request the device is serving.
+        """Open the span of the request the device just accepted.
 
-        Called from inside :meth:`repro.ssd.ssd.SimulatedSSD.submit`, i.e.
-        during the ``request_issue`` callback that follows :meth:`_on_issue`
-        — the components attach to the span opened there.  Submissions that
-        opened no span (the serial fast path, open-loop device replay)
-        are silently dropped: there is no span to annotate.
+        Called from inside :meth:`repro.ssd.ssd.SimulatedSSD.submit` on
+        every submit of a replay through the event loop (closed, open and
+        multi-queue alike; the serial loop reports none).  The request takes
+        its NCQ slot now and waits under its finish instant, carrying its
+        critical-path ``components``, for the ``request_complete`` event
+        the frontend schedules at that instant.  Completions at one instant
+        fire in submit order, so the oldest span waiting there is theirs.
         """
-        last = self._last_issued
-        if last is None:
-            return
-        opened = self._active.get(last)
-        if opened is None:
-            return
-        args = opened[3]
-        args["device_us"] = total_us
+        if self._free_slots:
+            slot = heapq.heappop(self._free_slots)
+        else:
+            slot = self._next_slot
+            self._next_slot += 1
+        args: Dict[str, Any] = {"device_us": finish_us - start_us}
         if components:
             args["breakdown"] = dict(components)
+        self._in_flight.setdefault(finish_us, deque()).append((slot, start_us, args))
 
     def note_recovery(
         self,

@@ -22,22 +22,23 @@ itself, so there is nothing to keep in step with it.  It is sized to the
 traffic a replay generates, measured on the four perf-ledger workloads
 (seed 1, scale 0.2; re-run with ``python -m tools.sim_traffic``):
 
-================  ==========  =======  ========  ========  ==============
-workload          schedule()  max      at "now"  occupied  ``*_done`` and
-                  calls       pending            (*)       ``gc_*`` kinds
-================  ==========  =======  ========  ========  ==============
-``steady_mixed``      23,756       18    48.8 %    49.6 %           2.3 %
-``read_lookup``       18,022       15    49.9 %    55.3 %           0.1 %
-``seq_stream``             0        0         —         —               —
-``tenants_wrr``       26,272       13    32.6 %    34.1 %           4.1 %
-================  ==========  =======  ========  ========  ==============
+================  ==========  ========  =======  ========  ========  ==============
+workload          schedule()  per       max      at "now"  occupied  ``*_done`` and
+                  calls       request   pending            (*)       ``gc_*`` kinds
+================  ==========  ========  =======  ========  ========  ==============
+``steady_mixed``      12,156     1.048       18     0.0 %     1.5 %           4.6 %
+``read_lookup``        9,022     1.002       15     0.0 %    10.7 %           0.2 %
+``seq_stream``             0     0.000        0         —         —               —
+``tenants_wrr``       17,872     2.128       13     1.0 %     3.1 %           6.0 %
+================  ==========  ========  =======  ========  ========  ==============
 
 (*) share of schedules landing on the current instant or on a timestamp
 that already holds a pending event.  NAND operations get no events (the
-scheduler reserves channel time arithmetically), so almost everything is
-the frontend's ``request_issue`` / ``request_complete`` pair, at most a
-couple of dozen events are ever pending, and nearly every shared timestamp
-is the current instant — a per-timestamp calendar has nothing to batch.
+scheduler reserves channel time arithmetically) and admission submits
+inline, so almost everything is one ``request_complete`` per request (plus
+one ``request_arrival`` per open-loop request), at most a couple of dozen
+events are ever pending, and few schedules share a timestamp — a
+per-timestamp calendar has nothing to batch.
 
 ``Event`` is a plain ``__slots__`` class, and events that fire inside
 ``run()`` are recycled through a free list: production code never retains
@@ -92,7 +93,7 @@ class Event:
     time_us:
         Absolute simulated time at which the event fires.
     kind:
-        Free-form tag (``"request_issue"``, ``"gc_program_done"``, ...)
+        Free-form tag (``"request_complete"``, ``"gc_program_done"``, ...)
         used by tests and tracing.
     callback:
         Invoked as ``callback(event)`` when the event fires; ``None`` makes

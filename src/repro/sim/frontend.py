@@ -5,12 +5,12 @@ How trace requests (:class:`repro.workloads.trace.IORequest` objects; bare
 
 **The engine** (:class:`Frontend`) owns what admission has in common:
 
-* the device slots — requests ``outstanding`` plus slots ``reserved`` by
-  issue events that have not fired yet, against an optional ``depth``;
-* the one cycle ``_pump`` → ``request_issue`` → ``submit()`` →
-  ``request_complete`` → ``_pump``: whenever a slot may be free the engine
-  asks its policy to :meth:`~Frontend.pick` a command, until the slots are
-  full or the policy has nothing to offer;
+* the device slots — requests ``outstanding`` against an optional ``depth``;
+* the one cycle ``_pump`` → ``submit()`` → ``request_complete`` →
+  ``_pump``: whenever a slot may be free the engine asks its policy to
+  :meth:`~Frontend.pick` a command and submits it on the spot, at the
+  current instant, until the slots are full or the policy has nothing to
+  offer — admission is not an event;
 * the one open-loop arrival path: an :class:`ArrivalStream` delivers each
   request at its scaled trace timestamp — ``request_arrival`` → join the
   stream's backlog → schedule that stream's next arrival → ``_pump`` — so
@@ -18,10 +18,14 @@ How trace requests (:class:`repro.workloads.trace.IORequest` objects; bare
   replay never materialises its events up front;
 * :class:`FrontendStats`.
 
-Every issue, completion and arrival event carries one payload shape, a
+Every completion and arrival event carries one payload shape, a
 :data:`Command`.  ``schedule()`` order is part of the determinism contract
 (event sequence numbers are digested), so the order above is fixed: an
-arrival enqueues, schedules the next arrival, then pumps.
+arrival enqueues, schedules the next arrival, then pumps; a pick is
+submitted, and its completion scheduled, before the next pick.  So a
+completion can fire ahead of an arrival or rate-limit retry at its instant
+that an engine deferring each submit to an issue event would deliver first;
+``tests/test_sim.py`` checks the two engines agree everywhere else.
 
 **The policies** are what differs — which command is next:
 
@@ -48,6 +52,7 @@ The device is duck-typed: anything with
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Iterable, Iterator, List, Optional, Protocol, Tuple
@@ -107,8 +112,9 @@ class ArrivalStream:
     def __init__(
         self, source: Iterable[ReplayItem] = (), time_scale: float = 1.0, name: str = "host"
     ) -> None:
-        if time_scale <= 0.0:
-            raise ValueError("time_scale must be positive")
+        # One chained compare also rejects nan and inf.
+        if not 0.0 < time_scale < math.inf:
+            raise ValueError(f"time_scale must be finite and positive, got {time_scale!r}")
         self.name = name
         self.time_scale = time_scale
         self.source: Iterator[ReplayItem] = iter(source)
@@ -146,7 +152,7 @@ class ArrivalStream:
         return self.origin_us + (timestamp - self._first_timestamp) * self.time_scale
 
 
-#: Payload of every issue / completion / arrival event: the stream the
+#: Payload of every completion / arrival event: the stream the
 #: request came from (``None`` for the closed single-queue policy, which
 #: has no backlog to wait in), the request, and when it became ready for
 #: admission (its arrival time, or the admission time for closed loops).
@@ -161,8 +167,6 @@ class Frontend:
         self._loop = loop
         self._depth = None if depth is None else check_queue_depth(depth)
         self._outstanding = 0
-        #: Slots reserved by scheduled-but-not-yet-fired issue events.
-        self._reserved = 0
         #: Global enqueue order across this frontend's streams (FIFO ties).
         self._stamps = itertools.count()
         self.stats = FrontendStats()
@@ -189,33 +193,25 @@ class Frontend:
         return self.stats
 
     def _pump(self, now_us: float) -> None:
-        """Fill free device slots: one :meth:`pick` per slot."""
+        """Fill free device slots: one :meth:`pick` and one submit per slot."""
         depth = self._depth
-        while depth is None or self._outstanding + self._reserved < depth:
+        stats = self.stats
+        while depth is None or self._outstanding < depth:
             command = self.pick(now_us)
             if command is None:
                 return
-            self._reserved += 1
+            self._outstanding += 1
+            stats.submitted += 1
+            if self._outstanding > stats.max_outstanding:
+                stats.max_outstanding = self._outstanding
+            finish = self.submit(command, now_us)
+            # Completions fire at foreground priority so a freed slot admits
+            # the next request before any same-timestamp background GC step
+            # runs.  The command rides along for retire() and for observers
+            # (payloads are not digested).
             self._loop.schedule(
-                now_us, "request_issue", self._issue, command, PRIORITY_FOREGROUND
+                finish, "request_complete", self._complete, command, PRIORITY_FOREGROUND
             )
-
-    def _issue(self, event: Event) -> None:
-        command: Command = event.payload
-        self._reserved -= 1
-        self._outstanding += 1
-        stats = self.stats
-        stats.submitted += 1
-        if self._outstanding > stats.max_outstanding:
-            stats.max_outstanding = self._outstanding
-        finish = self.submit(command, event.time_us)
-        # Completions fire at foreground priority so a freed slot admits the
-        # next request before any same-timestamp background GC step runs.
-        # The command rides along so observers can pair the completion with
-        # its issue (payloads are not digested).
-        self._loop.schedule(
-            finish, "request_complete", self._complete, command, PRIORITY_FOREGROUND
-        )
 
     def _complete(self, event: Event) -> None:
         self._outstanding -= 1

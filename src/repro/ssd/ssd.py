@@ -62,9 +62,10 @@ writes triggered — the channel contention behind Figure 18's tails.
 The serial loop stays beside the one admission engine
 (:class:`repro.sim.frontend.Frontend`) on purpose: the frozen perf-ledger
 smoke test pins ``seq_stream`` to zero events, and replaying depth 1
-through the event loop instead was measured (PR 12) at +6.7 % median
-replay CPU on that workload.  It goes when ledger v2 re-states that pin as
-behaviour and the cost is recovered, not before.
+through the event loop instead costs +3.0 % median replay CPU on that
+workload (one event per request, seed 1, scale 0.25, 40 alternated pairs,
+IQR −0.4 % to +4.9 %; 2-vCPU Xeon, CPython 3.11).  It goes when ledger v2
+re-states that pin as behaviour and the cost is recovered, not before.
 
 Admission is a parameter of a replay, not of the device: ``run()`` takes
 ``replay_mode`` — **closed-loop** admission is completion-driven (a
@@ -234,8 +235,8 @@ class SimulatedSSD:
         #: duck-typed for the same import-cycle reason as ``checkpointer``.
         #: ``None`` (telemetry off) keeps every hook at one predicate.
         self.telemetry: Optional[Any] = None
-        #: Whether :meth:`submit` captures critical-path breakdowns;
-        #: resolved once, by :meth:`set_telemetry`.
+        #: Whether :meth:`submit` reports to the tracer; set by
+        #: :meth:`run_frontend` for the replay's duration.
         self._wants_breakdowns = False
         #: Critical-path attribution of the host request currently inside
         #: :meth:`submit`: a component -> microseconds dict, or ``None``
@@ -325,7 +326,6 @@ class SimulatedSSD:
     def set_telemetry(self, session: Optional[Any]) -> None:
         """Attach (or, with ``None``, detach) the telemetry session."""
         self.telemetry = session
-        self._wants_breakdowns = session is not None and session.wants_breakdowns
 
     def _notify_background(self, kind: str, finish_us: float) -> None:
         """Publish a background flash completion to the event loop, if any."""
@@ -769,6 +769,8 @@ class SimulatedSSD:
             end = logical_pages
             self.stats.clipped_pages += lpa + npages - (end if end > lpa else lpa)
             if end <= lpa:
+                if self._wants_breakdowns:
+                    self.telemetry.note_request_breakdown({}, clock, clock)
                 return clock
         attr: Optional[Dict[str, float]] = None
         if self._wants_breakdowns:
@@ -782,7 +784,7 @@ class SimulatedSSD:
         finally:
             self._attr = None
         if attr is not None:
-            self.telemetry.note_request_breakdown(attr, finish - clock)
+            self.telemetry.note_request_breakdown(attr, clock, finish)
         return finish
 
     def _read_command(self, lpa: int, npages: int, start: float) -> float:
@@ -964,10 +966,13 @@ class SimulatedSSD:
             loop.chain_observer(self.event_observer)
         if self.telemetry is not None:
             loop.chain_observer(self.telemetry.observe)
+            self._wants_breakdowns = self.telemetry.wants_breakdowns
+            self.telemetry.pump(loop.now_us)  # the first submits precede any event
         try:
             frontend.run(traffic)
         finally:
             self._loop = None
+            self._wants_breakdowns = False
         self.stats.events_processed += loop.events_processed
         self.stats.requests_submitted += frontend.stats.submitted
         self.stats.requests_completed += frontend.stats.completed

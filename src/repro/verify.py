@@ -180,10 +180,9 @@ def run_recovery_once(seed: int = 1234, scale: float = 1.0) -> RunReport:
     digest mismatch exactly like a nondeterministic scheduler would.
     """
     base = RecoveryScenario(seed=seed, num_requests=max(64, int(2200 * scale)))
-    issues = len(crash_workload(base))
-    scenario = replace(
-        base, crash_after_issues=max(32, min(issues - 64, base.crash_after_issues))
-    )
+    requests = len(crash_workload(base))
+    crash_at = max(32, min(requests - 64, base.crash_after_completions))
+    scenario = replace(base, crash_after_completions=crash_at)
     trace = EventTraceDigest()
     ssd, oracle = run_to_crash(scenario, 512, trace.observe)
     recover_checked(ssd, oracle, "checkpoint_replay")

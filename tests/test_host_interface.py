@@ -595,8 +595,9 @@ class TestMultiQueueFrontend:
             MultiQueueFrontend(ssd, loop, make_arbiter("fifo"), 1).run([])
         with pytest.raises(ValueError):
             SubmissionQueue(ns, [], mode="warp")
-        with pytest.raises(ValueError):
-            SubmissionQueue(ns, [], time_scale=0.0)
+        for time_scale in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="time_scale"):
+                SubmissionQueue(ns, [], time_scale=time_scale)
 
     def test_ssd_options_carry_default_arbiter(self):
         ssd = make_ssd(options=SSDOptions(arbiter="strict_priority"))

@@ -41,22 +41,26 @@ from repro.verify import EventTraceDigest, run_once, stats_digest
 # write-buffer, allocator and per-namespace counters), and when four
 # duplicate keys left the snapshot (``ssd.host_reads`` /
 # ``host_writes`` / ``translation_lookups`` / ``total_requests``, each equal
-# to a surviving counter; every other value unchanged).  The event counts
-# and event digests are the originals and did not move.
-VERIFY_EVENTS = 1380
+# to a surviving counter; every other value unchanged).  The event counts,
+# the event digests and both stats digests moved together once, when
+# admission stopped scheduling a ``request_issue`` event per request and
+# submitted inline instead (1380 -> 960 and 6036 -> 3036 events): every
+# other event kept its time, kind and priority in order, and
+# ``ssd.events_processed`` was the only counter that changed.
+VERIFY_EVENTS = 960
 VERIFY_EVENT_DIGEST = (
-    "556fc4383ddfa9528115f8177041028c4d090c588260961dab61ec71e9c7a4c3"
+    "c67b138370451955451c3d6235b3ae6310f06335edd766f16b1e4be23dc7afc6"
 )
 VERIFY_STATS_DIGEST = (
-    "c50cb2917c532d1110c2ccda056b3805784de6a098dcb08154039009b7c2e33f"
+    "233ab0c0f08ae1015bf0e16bf53d9f33bafb330d1b0d3411952b0eaea9c29ac1"
 )
 
-GC_SYNC_EVENTS = 6036
+GC_SYNC_EVENTS = 3036
 GC_SYNC_EVENT_DIGEST = (
-    "416ab881a529b2a0196077d951c69619062704242acfe86b570b73f676da9465"
+    "446a28b82cf23ed65df981aa19ce6a31e47532a18c195ef33636b7b27b2d4f49"
 )
 GC_SYNC_STATS_DIGEST = (
-    "118762fff93cc3aa0f369562a41e9d407dbd4e89f2411b4e25380c109a9c721e"
+    "e7f940c54ce8f130d0165cc86e1d071fc9e0e96e2bc43c6911cbadb5bc245351"
 )
 
 

@@ -17,6 +17,7 @@ Covers the three layers of the refactor:
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import sys
 from pathlib import Path
@@ -517,13 +518,13 @@ class TestOpenLoopFrontend:
 
     def test_each_request_is_an_arrival_an_issue_and_a_completion(self):
         """The single queue admits like the multi-queue path: an arrival
-        joins the backlog and is issued by its own event (so a
-        ``CrashTimer(after_kind="request_issue")`` can land on it)."""
+        joins the backlog and is submitted inside the arrival's callback,
+        so a request is two events, its arrival and its completion."""
         loop = EventLoop()
         kinds = []
         loop.observer = lambda event: kinds.append(event.kind)
         OpenLoopFrontend(_RecordingDevice(), loop).run(self._requests(50.0))
-        assert kinds == ["request_arrival", "request_issue", "request_complete"] * 4
+        assert kinds == ["request_arrival", "request_complete"] * 4
 
     def test_time_scale_compresses_arrivals(self):
         device = _RecordingDevice()
@@ -545,8 +546,9 @@ class TestOpenLoopFrontend:
         assert [t for t, _, _ in device.issues] == [0.0, 0.0, 0.0]
 
     def test_invalid_time_scale_rejected(self):
-        with pytest.raises(ValueError):
-            OpenLoopFrontend(_RecordingDevice(), EventLoop(), time_scale=0.0)
+        for time_scale in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="time_scale"):
+                OpenLoopFrontend(_RecordingDevice(), EventLoop(), time_scale=time_scale)
 
 
 class TestOpenLoopReplay:
@@ -633,8 +635,9 @@ class TestOpenLoopReplay:
         ssd = make_ssd()
         with pytest.raises(ValueError):
             ssd.run([], replay_mode="looped")
-        with pytest.raises(ValueError):
-            ssd.run([], replay_mode="open", time_scale=0.0)
+        for time_scale in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="time_scale"):
+                ssd.run([], replay_mode="open", time_scale=time_scale)
         # Replay parameters belong to run(), not to the device's options.
         with pytest.raises(TypeError):
             SSDOptions(replay_mode="open")

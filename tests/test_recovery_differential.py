@@ -50,10 +50,10 @@ FTL_FACTORIES = {
     "PageMap": lambda: PageLevelFTL(),
 }
 
-#: Crash triggers: mid-write-burst (N-th host issue), mid-GC-migration
+#: Crash triggers: mid-write-burst (N-th host completion), mid-GC-migration
 #: (N-th GC pipeline event), idle (after the replay fully drains).
 CRASH_POINTS = {
-    "mid_write": ("request_issue", 2600),
+    "mid_write": ("request_complete", 2600),
     "mid_gc": ("gc", 40),
     "idle": None,
 }
@@ -184,7 +184,7 @@ def test_checkpoint_recovery_faster_than_scan():
     def crashed_device() -> SimulatedSSD:
         ssd = build_ssd("LeaFTL-g4")
         attach_checkpointer(ssd, interval_pages=512)
-        ssd.event_observer = CrashTimer(after_kind="request_issue", kind_count=2600)
+        ssd.event_observer = CrashTimer(after_kind="request_complete", kind_count=2600)
         with pytest.raises(PowerFailure):
             ssd.run(requests)
         return ssd

@@ -1,8 +1,10 @@
 """Tests for the event-driven simulation engine.
 
-Covers three layers:
+Covers four layers:
 
 * the event loop itself (deterministic ordering of same-timestamp events);
+* admission: inline submission against a reference engine that schedules
+  an issue event per admission;
 * the NAND scheduler (bus-only gating, die occupancy recorded);
 * the full device: the event engine at ``queue_depth = 1`` must reproduce
   the synchronous simulator bit-for-bit, and at higher depths foreground
@@ -12,6 +14,7 @@ Covers three layers:
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -19,10 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SSDConfig
-from repro.sim.events import EventLoop, SimulationLimitError
-from repro.sim.frontend import HostFrontend, interleave_streams
+from repro.host.arbiter import ARBITERS, TokenBucket, make_arbiter
+from repro.host.interface import MultiQueueFrontend, SubmissionQueue
+from repro.host.namespace import Namespace
+from repro.obs.registry import snapshot_stats
+from repro.sim.events import PRIORITY_FOREGROUND, EventLoop, SimulationLimitError
+from repro.sim.frontend import REPLAY_MODES, HostFrontend, OpenLoopFrontend, interleave_streams
 from repro.sim.nand import NANDScheduler
 from repro.ssd.ssd import SSDOptions
+from repro.workloads.trace import IORequest
 from tests.conftest import make_ssd, run_through_event_loop
 
 
@@ -229,6 +237,153 @@ def test_event_loop_matches_the_sorted_list_model(program):
     events at the same times and reports the same now_us / pending /
     events_processed as a list kept sorted by (time, priority, seq)."""
     assert _on_the_loop(program) == _on_the_model(program)
+
+
+class _ScheduledIssue:
+    """The admission engine before inline submission, kept as the reference:
+    each pick reserves a slot and schedules a ``request_issue`` event at the
+    current instant, whose callback submits."""
+
+    _reserved = 0
+
+    def _pump(self, now_us):
+        while self._depth is None or self._outstanding + self._reserved < self._depth:
+            command = self.pick(now_us)
+            if command is None:
+                return
+            self._reserved += 1
+            self._loop.schedule(now_us, "request_issue", self._issue, command, PRIORITY_FOREGROUND)
+
+    def _issue(self, event):
+        self._reserved -= 1
+        self._outstanding += 1
+        self.stats.submitted += 1
+        self.stats.max_outstanding = max(self.stats.max_outstanding, self._outstanding)
+        finish = self.submit(event.payload, event.time_us)
+        self._loop.schedule(
+            finish, "request_complete", self._complete, event.payload, PRIORITY_FOREGROUND
+        )
+
+
+class _TieDevice:
+    """Records every submit; latencies cycle through a list holding 0 and
+    repeats, so completions share instants with submits, arrivals and each
+    other — where a same-instant reorder would show."""
+
+    def __init__(self, latencies):
+        self.latencies = latencies
+        self.submits = []
+
+    def submit(self, op, lpa, npages, at_us):
+        self.submits.append((at_us, op, lpa, npages))
+        return at_us + self.latencies[len(self.submits) % len(self.latencies)]
+
+
+_NS_PAGES = 64
+
+
+@st.composite
+def _tie_requests(draw, max_size=20):
+    """Requests inside one namespace, timestamps non-decreasing with ties."""
+    timestamp, requests = 0.0, []
+    for _ in range(draw(st.integers(1, max_size))):
+        timestamp += draw(st.sampled_from([0.0, 0.0, 1.0, 5.0]))
+        npages = draw(st.integers(1, 8))
+        lpa = draw(st.integers(0, _NS_PAGES - npages))
+        requests.append(IORequest(draw(st.sampled_from("RW")), lpa, npages, timestamp_us=timestamp))
+    return requests
+
+
+#: One tenant of the multi-queue case: (mode, requests, weight, token
+#: bucket (rate per s, burst) or None).
+_TENANTS = st.lists(
+    st.tuples(
+        st.sampled_from(REPLAY_MODES),
+        _tie_requests(max_size=10),
+        st.integers(1, 3),
+        st.none() | st.tuples(st.sampled_from([2e4, 1e5, 1e6]), st.sampled_from([1, 2])),
+    ),
+    min_size=1,
+    max_size=3,
+)
+_TRAFFIC = st.one_of(
+    st.tuples(st.just("closed"), st.integers(1, 8), _tie_requests()),
+    st.tuples(st.just("open"), st.sampled_from([0.5, 1.0]), _tie_requests()),
+    st.tuples(st.just("multi"), st.tuples(st.sampled_from(ARBITERS), st.integers(1, 8)), _TENANTS),
+)
+
+
+def _admit(traffic, latencies, scheduled):
+    """Replay ``traffic`` on a fresh engine; returns everything it did."""
+    kind, param, load = traffic
+    device, loop, events = _TieDevice(latencies), EventLoop(), []
+    loop.observer = lambda event: events.append((event.time_us, event.kind, event.priority))
+    tenants = []
+    if kind == "multi":
+        frontend_cls, args = MultiQueueFrontend, (make_arbiter(param[0]), param[1])
+        for index, (mode, requests, weight, bucket) in enumerate(load):
+            namespace = Namespace(f"t{index}", index * _NS_PAGES, _NS_PAGES, weight=weight)
+            if bucket is not None:
+                namespace.limiters.append(TokenBucket(*bucket))
+            tenants.append(SubmissionQueue(namespace, requests, mode))
+        load = tenants
+    else:
+        frontend_cls, args = (HostFrontend, OpenLoopFrontend)[kind == "open"], (param,)
+    if scheduled:
+        frontend_cls = type("Scheduled" + frontend_cls.__name__, (_ScheduledIssue, frontend_cls), {})
+    stats = frontend_cls(device, loop, *args).run(load)
+    events = [event for event in events if event[1] != "request_issue"]
+    per_tenant = [snapshot_stats(queue.namespace.stats, "ns") for queue in tenants]
+    return device.submits, stats, events, per_tenant
+
+
+def _completion_tie(events):
+    """Whether a completion shares its instant with another event."""
+    at = collections.Counter(time_us for time_us, _, _ in events)
+    return any(at[time_us] > 1 for time_us, kind, _ in events if kind == "request_complete")
+
+
+@given(
+    traffic=_TRAFFIC,
+    latencies=st.lists(st.sampled_from([0.0, 0.0, 0.5, 5.0, 5.0]), min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_inline_admission_is_the_scheduled_issue_minus_its_events(traffic, latencies):
+    """Closed loop at depth 1-8, open loop, and multi-queue with token
+    buckets: submitting inside ``_pump`` gives the same device submits, the
+    same frontend and tenant stats, and the same (time, kind, priority)
+    event stream as scheduling a ``request_issue`` event per admission,
+    once those events are dropped.
+
+    The one place the two part is a completion that shares its instant
+    with another event: the inline engine schedules a completion when it
+    submits, earlier than the reference did, so such a completion can fire
+    ahead of a same-instant arrival or retry (see the test below), and
+    ``max_outstanding`` can count a same-instant submit before the
+    completion.  The closed loop is equal even then (its only events are
+    completions, each admitting one request), and the open loop still
+    submits the same commands at the same times."""
+    inline = _admit(traffic, latencies, scheduled=False)
+    reference = _admit(traffic, latencies, scheduled=True)
+    if traffic[0] == "closed" or not (_completion_tie(inline[2]) or _completion_tie(reference[2])):
+        assert inline == reference
+    elif traffic[0] == "open":
+        assert inline[0] == reference[0]
+    assert inline[1].completed == reference[1].completed == len(inline[0]) > 0
+
+
+def test_inline_completion_can_overtake_a_same_instant_arrival():
+    """Three simultaneous arrivals on a zero-latency device: the first
+    request completes at its own instant, and inline admission schedules
+    that completion before the third arrival (the reference scheduled the
+    third arrival first).  Both submit the same three commands at 0."""
+    traffic = ("open", 1.0, [IORequest("R", lpa, 1) for lpa in range(3)])
+    inline = _admit(traffic, [0.0], scheduled=False)
+    reference = _admit(traffic, [0.0], scheduled=True)
+    assert inline[0] == reference[0] == [(0.0, "R", lpa, 1) for lpa in range(3)]
+    arrive, complete = (0.0, "request_arrival", 0), (0.0, "request_complete", 0)
+    assert inline[2] == [arrive, arrive, complete, arrive, complete, complete]
+    assert reference[2] == [arrive, arrive, arrive, complete, complete, complete]
 
 
 class TestNANDScheduler:

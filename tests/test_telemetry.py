@@ -49,6 +49,7 @@ from repro.obs import (
     device_snapshot,
     snapshot_stats,
 )
+from repro.obs import tracing
 from repro.obs.__main__ import check_trace_events, check_trace_file
 from repro.obs.registry import EXCLUDED_FIELDS, REGISTERED_STATS
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
@@ -131,7 +132,7 @@ class TestObserverComposition:
             )
             telemetry = attach_telemetry(ssd, telemetry_mode)
             trace = EventTraceDigest()
-            timer = CrashTimer(after_kind="request_issue", kind_count=200)
+            timer = CrashTimer(after_kind="request_complete", kind_count=200)
 
             def observer(event):
                 trace.observe(event)
@@ -251,8 +252,9 @@ class TestTraceSchema:
         instant_names = {e["name"] for e in events if e["ph"] == "i"}
         assert "gc_read" in instant_names and "gc_migrate" in instant_names
 
-    def test_ring_buffer_bounds_memory(self):
-        tracer = Tracer(capacity=16)
+    def test_ring_buffer_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(tracing, "TRACE_CAPACITY", 16)
+        tracer = Tracer()
         for index in range(100):
             tracer.nand_op(0, float(index), float(index) + 1.0)
         assert tracer.recorded == 16

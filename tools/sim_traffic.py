@@ -1,8 +1,10 @@
 """Event-loop traffic per ledger workload: ``python -m tools.sim_traffic [SEED [SCALE]]``.
 
 Wraps ``EventLoop.schedule`` from outside and prints the table ``sim/events.py`` is sized to:
-calls, the most events ever pending, the share scheduled at the current instant, the share landing
-on an occupied timestamp (that instant, or one already holding a pending event), count per kind.
+calls, calls per completed request (the ledger's ``sim.events_per_io``: every scheduled event
+fires), the most events ever pending, the share scheduled at the current instant, the share
+landing on an occupied timestamp (that instant, or one already holding a pending event), count
+per kind.
 """
 
 import sys
@@ -31,13 +33,17 @@ def traffic(name, seed, scale, original=EventLoop.schedule):
         tally["max_pending"] = max(tally["max_pending"], loop.pending)
         return event
 
-    prepared = prepare(name, seed, scale)
+    prepared = prepare(name, seed, scale)  # ends in begin_measurement(): stats count the replay
     EventLoop.schedule = schedule
     prepared.replay()
     EventLoop.schedule = original
+    completed = prepared.ssd.stats.requests_completed
     calls = sum(kinds.values())
     shares = {key: f"{100 * tally[key] / max(calls, 1):.1f}%" for key in ("at_now", "occupied")}
-    return f"{name}: schedule={calls} max_pending={tally['max_pending']} {shares} {dict(kinds.most_common())}"
+    return (
+        f"{name}: schedule={calls} per_request={calls / max(completed, 1):.3f} "
+        f"max_pending={tally['max_pending']} {shares} {dict(kinds.most_common())}"
+    )
 
 
 if __name__ == "__main__":
