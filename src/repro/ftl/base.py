@@ -38,8 +38,11 @@ its own ``update_batch`` (``LeaFTL.maintenance``), so no device calls it.
 
 Flash accesses the resolution itself required (translation-page fetches
 and dirty evictions in DFTL/SFTL) are reported through
-``stats.translation_page_reads`` / ``translation_page_writes``; the device
-charges flash time from their deltas.
+``stats.translation_page_reads`` / ``translation_page_writes``.  The device
+charges flash time from each call's delta: what those counters grew by
+across the one ``translate_range`` or ``update_batch`` call that caused
+the I/O.  A counter change anywhere else (a reset, a rebuild) is never
+charged.
 
 The ``translate_range`` contract
 --------------------------------

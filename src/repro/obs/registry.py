@@ -64,10 +64,6 @@ REGISTERED_STATS = {
 #: Every entry must explain what covers the data instead; any other
 #: non-numeric, non-LatencyRecorder field makes :func:`snapshot_stats` raise.
 EXCLUDED_FIELDS = {
-    ("SSDStats", "mapping_bytes_samples"): (
-        "raw per-flush sample list; the registry exports the "
-        "mean_mapping_bytes/peak_mapping_bytes aggregate properties"
-    ),
     ("LeaFTLStats", "levels_histogram"): (
         "levels-searched histogram (Figure 23a); the aggregate is exported "
         "as mapping_table.mean_levels_per_lookup"

@@ -35,10 +35,10 @@ tid       track
 1         ``device`` — rate-limit retries, checkpoints, instants
 2         ``arrivals`` — open-loop request arrivals
 3         ``gc`` — background GC pipeline stages
-4         ``background`` — flush/GC/wear completion instants
 5         ``translate`` — translation-page flash I/O (may overlap)
 6         ``recovery`` — power-fail recovery phases (scan / replay)
-10 + c    ``ch<c>`` — NAND channel-bus reservations
+10 + c    ``ch<c>`` — NAND channel-bus reservations (flush programs,
+          GC/wear migrations and erases included)
 100 + s   ``io-slot-<s>`` — request lifecycle spans (slot = NCQ slot)
 ========  =====================================================
 
@@ -61,7 +61,6 @@ from repro.sim.events import Event
 _TID_DEVICE = 1
 _TID_ARRIVALS = 2
 _TID_GC = 3
-_TID_BACKGROUND = 4
 _TID_TRANSLATE = 5
 _TID_RECOVERY = 6
 _TID_CHANNEL_BASE = 10
@@ -71,7 +70,6 @@ _TRACK_NAMES = {
     _TID_DEVICE: "device",
     _TID_ARRIVALS: "arrivals",
     _TID_GC: "gc",
-    _TID_BACKGROUND: "background",
     _TID_TRANSLATE: "translate",
     _TID_RECOVERY: "recovery",
 }
@@ -156,8 +154,6 @@ class Tracer:
             self._on_arrival(event)
         elif kind in _GC_STAGES:
             self._on_gc(kind, event)
-        elif kind.endswith("_done"):
-            self._add("instant", _TID_BACKGROUND, event.time_us, 0.0, kind)
         else:
             self._add("instant", _TID_DEVICE, event.time_us, 0.0, kind)
 

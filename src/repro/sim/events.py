@@ -22,23 +22,25 @@ itself, so there is nothing to keep in step with it.  It is sized to the
 traffic a replay generates, measured on the four perf-ledger workloads
 (seed 1, scale 0.2; re-run with ``python -m tools.sim_traffic``):
 
-================  ==========  ========  =======  ========  ========  ==============
-workload          schedule()  per       max      at "now"  occupied  ``*_done`` and
-                  calls       request   pending            (*)       ``gc_*`` kinds
-================  ==========  ========  =======  ========  ========  ==============
-``steady_mixed``      12,156     1.048       18     0.0 %     1.5 %           4.6 %
-``read_lookup``        9,022     1.002       15     0.0 %    10.7 %           0.2 %
-``seq_stream``             0     0.000        0         —         —               —
-``tenants_wrr``       17,872     2.128       13     1.0 %     3.1 %           6.0 %
-================  ==========  ========  =======  ========  ========  ==============
+================  ==========  ========  =======  ========  ========  ============
+workload          schedule()  per       max      at "now"  occupied  ``gc_*``
+                  calls       request   pending            (*)       kinds
+================  ==========  ========  =======  ========  ========  ============
+``steady_mixed``      11,600     1.000        8     0.0 %     1.5 %         0.0 %
+``read_lookup``        9,000     1.000        8     0.0 %    10.7 %         0.0 %
+``seq_stream``             0     0.000        0         —         —             —
+``tenants_wrr``       17,376     2.069        7     1.0 %     2.5 %         3.3 %
+================  ==========  ========  =======  ========  ========  ============
 
 (*) share of schedules landing on the current instant or on a timestamp
 that already holds a pending event.  NAND operations get no events (the
-scheduler reserves channel time arithmetically) and admission submits
-inline, so almost everything is one ``request_complete`` per request (plus
-one ``request_arrival`` per open-loop request), at most a couple of dozen
-events are ever pending, and few schedules share a timestamp — a
-per-timestamp calendar has nothing to batch.
+scheduler reserves channel time arithmetically; flush programs and
+blocking-reclaim erases included), and admission submits inline, so
+everything but the background GC pipeline's three stages is one
+``request_complete`` per request (plus one ``request_arrival`` per
+open-loop request): at most a handful of events are ever pending, and few
+schedules share a timestamp — a per-timestamp calendar has nothing to
+batch.
 
 ``Event`` is a plain ``__slots__`` class, and events that fire inside
 ``run()`` are recycled through a free list: production code never retains
@@ -58,12 +60,13 @@ import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
 #: Canonical event priorities.  Same-timestamp events fire in ascending
-#: priority order, so foreground request handling always precedes background
-#: completion bookkeeping, which precedes garbage-collection pipeline steps.
-#: Keeping the ordering in one place makes the interleaving semantics of the
-#: whole simulator auditable (and deterministic by construction).
+#: priority order, so foreground request handling always precedes
+#: garbage-collection pipeline steps.  Flush programs and blocking-reclaim
+#: erases get no event at all: they are channel reservations, which the NAND
+#: probe already reports.  Keeping the ordering in one place makes the
+#: interleaving semantics of the whole simulator auditable (and
+#: deterministic by construction).
 PRIORITY_FOREGROUND = 0
-PRIORITY_BACKGROUND = 1
 PRIORITY_GC = 2
 
 
@@ -93,7 +96,7 @@ class Event:
     time_us:
         Absolute simulated time at which the event fires.
     kind:
-        Free-form tag (``"request_complete"``, ``"gc_program_done"``, ...)
+        Free-form tag (``"request_complete"``, ``"gc_program"``, ...)
         used by tests and tracing.
     callback:
         Invoked as ``callback(event)`` when the event fires; ``None`` makes

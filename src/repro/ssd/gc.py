@@ -367,12 +367,10 @@ class BackgroundGCController:
         for block in blocks:
             self._read(block, purpose, clock)
         finish = self._migrate(blocks, purpose, clock)
-        erases = [self._erase(block, purpose, clock) for block in blocks]
-        erased = [done for done in erases if done is not None]
-        if erased:
-            last_erase = max(erased)
-            self._device._notify_background(f"{purpose}_erase_done", last_erase)
-            finish = max(finish, last_erase)
+        for block in blocks:
+            erased = self._erase(block, purpose, clock)
+            if erased is not None:
+                finish = max(finish, erased)
         return finish
 
     def on_flush(self, clock: float) -> None:

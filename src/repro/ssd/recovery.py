@@ -28,9 +28,12 @@ Recovery time is dominated by modeled flash reads: one page-read latency
 per scanned OOB (the spare area cannot be sensed without activating the
 page), issued as one per-block burst through the NAND scheduler so the
 channels drain in parallel.  Checkpoint writes are charged as real page
-writes (``stats.checkpoint_page_writes`` feeds the WAF) plus channel
-time; checkpoint images live in a small reserved metadata region, so they
-do not consume data blocks or interact with GC.  The in-DRAM rebuild
+writes (``stats.checkpoint_page_writes`` feeds the WAF), and their channel
+time, like the image's read-back, through
+:meth:`repro.ssd.ssd.SimulatedSSD.charge_metadata_pages`, the device's one
+charge for translation and checkpoint pages: checkpoint images live in a
+small reserved metadata region, so they do not consume data blocks or
+interact with GC.  The in-DRAM rebuild
 itself (dict inserts, segment relearning) is charge-free, as is reading
 the page-validity bitmap — firmware metadata in the model.  FTL rebuild
 entry points are pure state reconstructions and charge no translation
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.flash.flash_array import PageState
 from repro.sim.events import Event
@@ -175,19 +178,13 @@ class MappingCheckpointer:
         # in-payload encoding exists only for bit-exact restoration.
         pages = max(1, math.ceil(ftl.resident_bytes() / ssd.config.page_size))
         ssd.stats.checkpoint_page_writes += pages
-        flash = ssd.flash
-        write_us = ssd.config.write_latency_us
-        finish = at_us
-        for _ in range(pages):
-            done = flash.occupy_channel(ssd._next_background_channel(), at_us, write_us)
-            finish = max(finish, done)
-        telemetry = getattr(ssd, "telemetry", None)
-        if telemetry is not None:
-            telemetry.note_checkpoint(at_us, finish, pages)
+        finish = ssd.charge_metadata_pages(at_us, writes=pages)
+        if ssd.telemetry is not None:
+            ssd.telemetry.note_checkpoint(at_us, finish, pages)
         self.image = CheckpointImage(
             payload=payload,
             pages=pages,
-            block_generations=flash.block_generations(),
+            block_generations=ssd.flash.block_generations(),
         )
         self.checkpoints_taken += 1
         self._programs_since = 0
@@ -279,12 +276,11 @@ def recover(ssd: SimulatedSSD, mode: str = "oob_scan") -> RecoveryResult:
                 live.append((lpa, ppa))
         return live
 
-    total_blocks = flash.geometry.total_blocks
     if mode == "oob_scan":
         # Baseline: read the OOB of every programmed page, rebuild from
         # the VALID set.
         mappings: List[Tuple[int, int]] = []
-        for block in range(total_blocks):
+        for block in range(flash.geometry.total_blocks):
             mappings += scan(flash.programmed_ppas_of_block(block))
         ftl.rebuild_from_oob(mappings)
     else:
@@ -294,12 +290,7 @@ def recover(ssd: SimulatedSSD, mode: str = "oob_scan") -> RecoveryResult:
         # programmed range is post-checkpoint; otherwise only the pages
         # the write pointer grew over are new.
         assert image is not None
-        read_us = ssd.config.read_latency_us
-        for _ in range(image.pages):
-            finish = max(
-                finish,
-                flash.occupy_channel(ssd._next_background_channel(), start, read_us),
-            )
+        finish = ssd.charge_metadata_pages(start, reads=image.pages)
         checkpoint_pages_read = image.pages
         ftl.restore_checkpoint(image.payload)
         old_generations = image.block_generations
@@ -320,30 +311,11 @@ def recover(ssd: SimulatedSSD, mode: str = "oob_scan") -> RecoveryResult:
                 ftl.replay_mappings(replay)
                 replayed_pages += len(replay)
 
-    # Re-derive the remaining DRAM state from the durable substrate.  The
-    # validity bitmap and reverse-LPA array are firmware metadata in the
-    # model, so this costs no charged reads.
-    rebuilt: Dict[int, int] = {}
-    for block in range(total_blocks):
-        for ppa in flash.valid_ppas_of_block(block):
-            lpa = flash.lpa_of(ppa)
-            assert lpa is not None
-            rebuilt[lpa] = ppa
-    ssd._current_ppa = rebuilt
-    ssd.allocator.rebuild_from_flash()
-    ssd.cache.resize(ssd._cache_capacity_pages())
-    # Re-anchor the translation-traffic deltas: the rebuild is charge-free
-    # and must not surface as phantom translation I/O on the next request.
-    ssd._translation_reads_seen = ftl.stats.translation_page_reads
-    ssd._translation_writes_seen = ftl.stats.translation_page_writes
     ssd.stats.oob_scan_reads += flash_reads
-    # The device is not ready before its recovery I/O completes.
-    ssd._advance(finish)
-    ssd._prev_flush_finish_us = max(ssd._prev_flush_finish_us, finish)
+    recovered_lpas = ssd.finish_recovery(finish)
 
-    telemetry = getattr(ssd, "telemetry", None)
-    if telemetry is not None:
-        telemetry.note_recovery(
+    if ssd.telemetry is not None:
+        ssd.telemetry.note_recovery(
             "recovery_scan" if mode == "oob_scan" else "recovery_replay",
             start,
             finish,
@@ -351,7 +323,7 @@ def recover(ssd: SimulatedSSD, mode: str = "oob_scan") -> RecoveryResult:
                 "flash_reads": flash_reads,
                 "checkpoint_pages_read": checkpoint_pages_read,
                 "replayed_pages": replayed_pages,
-                "recovered_lpas": len(rebuilt),
+                "recovered_lpas": recovered_lpas,
             },
         )
 
@@ -360,6 +332,6 @@ def recover(ssd: SimulatedSSD, mode: str = "oob_scan") -> RecoveryResult:
         flash_reads=flash_reads,
         checkpoint_pages_read=checkpoint_pages_read,
         replayed_pages=replayed_pages,
-        recovered_lpas=len(rebuilt),
+        recovered_lpas=recovered_lpas,
         recovery_time_us=finish - start,
     )

@@ -214,8 +214,7 @@ class SimulatedSSD:
         self._current_ppa: Dict[int, int] = {}
         self._now_us = 0.0
         self._prev_flush_finish_us = 0.0
-        self._translation_reads_seen = 0
-        self._translation_writes_seen = 0
+        #: Channel the last metadata page occupied (see charge_metadata_pages).
         self._background_channel = 0
         self._measure_start_us = 0.0
         #: Event loop attached while a replay runs through one.
@@ -327,59 +326,55 @@ class SimulatedSSD:
         """Attach (or, with ``None``, detach) the telemetry session."""
         self.telemetry = session
 
-    def _notify_background(self, kind: str, finish_us: float) -> None:
-        """Publish a background flash completion to the event loop, if any."""
-        if self._loop is not None:
-            self._loop.schedule(
-                finish_us, kind, self._on_background_done, priority=1
-            )
-
-    def _on_background_done(self, event: Event) -> None:
-        self.stats.background_completions += 1
-
     def _check_lpa(self, lpa: int) -> None:
         if not 0 <= lpa < self.config.logical_pages:
             raise ValueError(f"LPA {lpa} outside the device ({self.config.logical_pages} pages)")
 
-    def _next_background_channel(self) -> int:
-        self._background_channel = (self._background_channel + 1) % self.config.channels
-        return self._background_channel
-
     # ------------------------------------------------------------------ #
-    # Translation-page traffic accounting (DFTL / SFTL)
+    # Metadata page traffic (translation pages, checkpoints)
     # ------------------------------------------------------------------ #
-    def _sync_translation_counters(self, start_us: float, foreground: bool) -> float:
-        """Charge flash time for translation-page I/O the FTL just performed.
+    def charge_metadata_pages(self, start_us: float, reads: int = 0, writes: int = 0) -> float:
+        """Occupy flash for metadata pages issued at ``start_us``; returns the finish.
 
-        Returns the completion time of that I/O; ``start_us`` when none
-        happened.  Foreground charges (read path) are serial with the host
-        request; background charges only occupy a channel.
+        Mapping metadata (DFTL/SFTL translation pages, checkpoint images)
+        lives outside the data blocks, so each page only holds a channel for
+        one read or program time: the next channel in rotation, reads first.
         """
-        reads = self.ftl.stats.translation_page_reads - self._translation_reads_seen
-        writes = self.ftl.stats.translation_page_writes - self._translation_writes_seen
-        self._translation_reads_seen = self.ftl.stats.translation_page_reads
-        self._translation_writes_seen = self.ftl.stats.translation_page_writes
+        channels = self.config.channels
+        channel = self._background_channel
+        finish = start_us
+        for count, latency in (
+            (reads, self.config.read_latency_us),
+            (writes, self.config.write_latency_us),
+        ):
+            for _ in range(count):
+                channel = (channel + 1) % channels
+                finish = max(finish, self.flash.occupy_channel(channel, start_us, latency))
+        self._background_channel = channel
+        return finish
+
+    def _charge_translation(
+        self, start_us: float, reads_before: int, writes_before: int, foreground: bool
+    ) -> float:
+        """Charge the translation-page I/O of the FTL call that just returned.
+
+        ``reads_before`` / ``writes_before`` are the FTL's counters before
+        that call, so the charge is exactly its delta.  Returns the I/O's
+        completion for a foreground call (the read path, serial with the
+        host request) and ``start_us`` otherwise: background charges only
+        occupy a channel.
+        """
+        ftl_stats = self.ftl.stats
+        reads = ftl_stats.translation_page_reads - reads_before
+        writes = ftl_stats.translation_page_writes - writes_before
         if reads == 0 and writes == 0:
             return start_us
         self.stats.translation_page_reads += reads
         self.stats.translation_page_writes += writes
-        finish = start_us
-        background_finish = start_us
-        for _ in range(reads):
-            channel = self._next_background_channel()
-            done = self.flash.occupy_channel(channel, start_us, self.config.read_latency_us)
-            finish = max(finish, done) if foreground else finish
-            background_finish = max(background_finish, done)
-        for _ in range(writes):
-            channel = self._next_background_channel()
-            done = self.flash.occupy_channel(channel, start_us, self.config.write_latency_us)
-            finish = max(finish, done) if foreground else finish
-            background_finish = max(background_finish, done)
+        finish = self.charge_metadata_pages(start_us, reads, writes)
         if self.telemetry is not None:
-            self.telemetry.note_translation(
-                start_us, background_finish, reads, writes, foreground
-            )
-        return finish
+            self.telemetry.note_translation(start_us, finish, reads, writes, foreground)
+        return finish if foreground else start_us
 
     # ------------------------------------------------------------------ #
     # Host write path
@@ -454,12 +449,13 @@ class SimulatedSSD:
         lpas = self.write_buffer.drain()
         if not lpas:
             return
-        self.stats.buffer_flushes += 1
+        stats = self.stats
+        stats.buffer_flushes += 1
         finish = self._program_batch(lpas, purpose="host", at_us=clock)
         self._prev_flush_finish_us = max(self._prev_flush_finish_us, finish)
         if self.checkpointer is not None:
             self.checkpointer.note_programs(len(lpas), clock)
-        self.stats.mapping_bytes_samples.append(self.ftl.resident_bytes())
+        stats.peak_mapping_bytes = max(stats.peak_mapping_bytes, self.ftl.resident_bytes())
         self.cache.resize(self._cache_capacity_pages())
         self.gc.on_flush(clock)
         self._maybe_level_wear(clock)
@@ -498,7 +494,6 @@ class SimulatedSSD:
             finish = max(
                 finish, self._program_chunk(block, next_ppa, chunk, purpose, clock)
             )
-        self._notify_background(f"{purpose}_program_done", finish)
         return finish
 
     def _program_chunk(
@@ -519,8 +514,10 @@ class SimulatedSSD:
         self._record_programs(purpose, len(mappings))
         self.allocator.seal_if_full(block)
 
+        ftl_stats = self.ftl.stats
+        reads, writes = ftl_stats.translation_page_reads, ftl_stats.translation_page_writes
         self.ftl.update_batch(mappings)
-        self._sync_translation_counters(at_us, foreground=False)
+        self._charge_translation(at_us, reads, writes, foreground=False)
         return finish
 
     def _record_programs(self, purpose: str, pages: int) -> None:
@@ -736,6 +733,30 @@ class SimulatedSSD:
             self.checkpointer.on_power_fail()
         return oracle
 
+    def finish_recovery(self, ready_us: float) -> int:
+        """Re-derive the DRAM state beside the mapping table after a crash.
+
+        The last step of :func:`repro.ssd.recovery.recover`, once the FTL
+        holds its rebuilt table: the validity map and the allocator come
+        back from flash (firmware metadata in the model, so no charged
+        reads), the cache gets whatever DRAM the table leaves free, and the
+        device serves nothing before its recovery I/O completes at
+        ``ready_us``.  Returns the number of live LPAs.
+        """
+        flash = self.flash
+        rebuilt: Dict[int, int] = {}
+        for block in range(flash.geometry.total_blocks):
+            for ppa in flash.valid_ppas_of_block(block):
+                lpa = flash.lpa_of(ppa)
+                assert lpa is not None
+                rebuilt[lpa] = ppa
+        self._current_ppa = rebuilt
+        self.allocator.rebuild_from_flash()
+        self.cache.resize(self._cache_capacity_pages())
+        self._advance(ready_us)
+        self._prev_flush_finish_us = max(self._prev_flush_finish_us, ready_us)
+        return len(rebuilt)
+
     # ------------------------------------------------------------------ #
     # Trace replay
     # ------------------------------------------------------------------ #
@@ -844,8 +865,10 @@ class SimulatedSSD:
         the run — every data read issues after it completes — so the
         slowest page inherits it.
         """
+        ftl_stats = self.ftl.stats
+        reads, writes = ftl_stats.translation_page_reads, ftl_stats.translation_page_writes
         translations = self.ftl.translate_range(pages[0], len(pages))
-        clock = self._sync_translation_counters(start, foreground=True)
+        clock = self._charge_translation(start, reads, writes, foreground=True)
         translate_us = clock - start if clock > start else 0.0
         stats = self.stats
         finish = start
@@ -940,10 +963,14 @@ class SimulatedSSD:
             loop = EventLoop(start_us=self._now_us)
             self.run_frontend(HostFrontend(self, loop, depth), loop, requests)
         else:
+            stats = self.stats
             for request in map(as_request, requests):
-                self.stats.requests_submitted += 1
+                stats.requests_submitted += 1
                 self.submit(request.op, request.lpa, request.npages)
-                self.stats.requests_completed += 1
+                stats.requests_completed += 1
+            if stats.requests_submitted:
+                # Depth 1: whenever a request was submitted, one was in flight.
+                stats.max_outstanding_requests = max(stats.max_outstanding_requests, 1)
         return self.finalize_replay(drain=drain)
 
     def run_frontend(self, frontend: Frontend, loop: EventLoop, traffic: Any) -> None:

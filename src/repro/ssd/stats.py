@@ -7,7 +7,7 @@ The benchmarks derive every paper figure from this single statistics object:
 * flash operation counters → Figure 25 (write amplification factor);
 * translation counters → DFTL/SFTL translation-page overhead;
 * misprediction counters → Figure 24;
-* mapping-table footprint samples → Figure 15/19.
+* the mapping-table footprint peak → Figure 15/19.
 
 Every quantity has one counter: host traffic is counted in pages
 (``host_read_pages`` / ``host_write_pages``; commands are
@@ -195,10 +195,8 @@ class SSDStats:
     read_stall_us: float = 0.0
     #: Events processed by the event loop (0 for the synchronous fast path).
     events_processed: int = 0
-    #: Background flash completions (flush programs, GC migrations, erases)
-    #: observed by the event loop while host requests were in flight.
-    background_completions: int = 0
-    #: Largest number of host requests simultaneously outstanding.
+    #: Largest number of host requests simultaneously outstanding (1 for
+    #: the synchronous fast path once it has replayed anything).
     max_outstanding_requests: int = 0
 
     # Timing.
@@ -208,11 +206,12 @@ class SSDStats:
     #: (equals ``simulated_time_us`` when no measurement anchor was set).
     measured_time_us: float = 0.0
 
+    # Mapping-table footprint.
+    #: Largest resident size (bytes) seen at a buffer flush.
+    peak_mapping_bytes: int = 0
+
     read_latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     write_latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-
-    # Mapping-table footprint samples (bytes), recorded at every flush.
-    mapping_bytes_samples: List[int] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
     # Derived metrics
@@ -256,13 +255,3 @@ class SSDStats:
         if total == 0:
             return 0.0
         return (self.read_latency.total_us + self.write_latency.total_us) / total
-
-    @property
-    def mean_mapping_bytes(self) -> float:
-        if not self.mapping_bytes_samples:
-            return 0.0
-        return sum(self.mapping_bytes_samples) / len(self.mapping_bytes_samples)
-
-    @property
-    def peak_mapping_bytes(self) -> int:
-        return max(self.mapping_bytes_samples) if self.mapping_bytes_samples else 0

@@ -16,9 +16,11 @@ import pytest
 
 from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
+from repro.experiments.common import ExperimentSetup, build_ssd, warmup_ssd
 from repro.ftl.dftl import DFTL
 from repro.ftl.pagemap import PageLevelFTL
 from repro.ftl.sftl import SFTL
+from repro.ssd.recovery import recover
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
 from tests.conftest import make_ssd
 
@@ -152,8 +154,54 @@ def test_mapping_bytes_sampled_on_flush():
     for lpa in range(0, 4096, 8):
         ssd.write(lpa)
     ssd.flush()
-    assert len(ssd.stats.mapping_bytes_samples) >= 1
+    assert ssd.stats.peak_mapping_bytes > 0
     assert ssd.ftl.resident_bytes() > 0
+
+
+#: A small harness device whose DRAM holds only part of a DFTL / SFTL map,
+#: so the warm-up and every replay pay translation-page reads and writes.
+_TRANSLATION_SETUP = ExperimentSetup(
+    capacity_bytes=16 * 1024 * 1024,
+    channels=4,
+    dies_per_channel=2,
+    pages_per_block=64,
+    dram_bytes=32 * 1024,
+    write_buffer_bytes=64 * 1024,
+)
+
+
+@pytest.mark.parametrize("scheme", ["DFTL", "SFTL", "LeaFTL", "PageMap"])
+def test_device_charges_exactly_the_ftl_translation_io(scheme):
+    """The device's translation-page counts equal the FTL's over every
+    replay: after a warm-up that reset the FTL's counters, and after a
+    power failure whose recovery rebuilt the table."""
+    ssd = build_ssd(scheme, _TRANSLATION_SETUP)
+    warmup_ssd(ssd, _TRANSLATION_SETUP)
+    footprint = ssd.config.logical_pages - 32
+
+    def replay(seed):
+        device, ftl = ssd.stats, ssd.ftl.stats
+        before = (
+            device.translation_page_reads, device.translation_page_writes,
+            ftl.translation_page_reads, ftl.translation_page_writes,
+        )
+        ssd.run(mixed_requests(random.Random(seed), 600, footprint))
+        device_io = (
+            device.translation_page_reads - before[0],
+            device.translation_page_writes - before[1],
+        )
+        ftl_io = (
+            ftl.translation_page_reads - before[2],
+            ftl.translation_page_writes - before[3],
+        )
+        assert device_io == ftl_io
+        if scheme in ("DFTL", "SFTL"):
+            assert min(ftl_io) > 0, "the replay must miss on translation pages"
+
+    replay(1)
+    ssd.power_fail()
+    recover(ssd, "oob_scan")
+    replay(2)
 
 
 def test_cache_resizes_as_mapping_grows():

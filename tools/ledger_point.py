@@ -6,7 +6,9 @@ Runs ``benchmarks/ledger/run.py --trace 0`` in CHECKOUT (default: this one) RUNS
 ``BENCHMARK.json``, for that file's ``run_seconds``, and appends one row here: label, commit, seed, and per
 workload the simulated metrics (deterministic per seed: a run that disagrees with the first exits 1) and each
 host-clock metric's ``[median, q1, q3]`` — one box's record, never a gate (a claim needs ``tools/ab_pairs.py``).
-``env`` names that box (interpreter, platform, CPU count), so a drift between rows can at least be attributed.
+One ``--trace 1`` run per workload adds the ``exact`` work counters, which repeat on any machine: a row-to-row
+change in one of them is a code change.  ``env`` names the box (interpreter, platform, CPU count), so a drift
+between rows' host columns can at least be attributed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 LEDGER = Path(__file__).resolve().parents[1] / "BENCH_ledger.json"
@@ -25,11 +28,21 @@ LEDGER = Path(__file__).resolve().parents[1] / "BENCH_ledger.json"
 SEED, RUNS = 1, 3
 #: Host-clock metrics; every other metric the entry point prints is simulated and must repeat exactly.
 HOST = ("host_ios_per_s", "host_pages_per_s", "setup_s", "peak_rss_mb")
+#: Work counters taken from the traced run (it prints every per-layer metric; these are the machine-free ones).
+EXACT = (
+    "sim.events_per_io",
+    "sim.nand_reserve_calls",
+    "core.points_fitted_per_host_page",
+    "core.levels_per_lookup",
+    "ssd.gc_pages_moved_per_erase",
+    "flash.pages_programmed",
+    "flash.pages_read",
+)
 
 
-def run_once(checkout: str, workload: str, seconds: float) -> dict:
+def run_once(checkout: str, workload: str, seconds: float, trace: int = 0) -> dict:
     command = [sys.executable, "benchmarks/ledger/run.py", "--workload", workload]
-    command += ["--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+    command += ["--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
     metrics = json.loads(done.stdout.strip().splitlines()[-1])["metrics"]
     return {name: entry["value"] for name, entry in metrics.items()}
@@ -52,8 +65,12 @@ def main() -> int:
             return 1
         quartiles = {name: statistics.quantiles([run[name] for run in runs], n=4) for name in HOST}
         host = {name: [round(value, 4) for value in (q2, q1, q3)] for name, (q1, q2, q3) in quartiles.items()}
-        row["workloads"][workload] = {"sim": simulated, "host": host}
-        print(f"{workload}: host_pages_per_s {host['host_pages_per_s']}", file=sys.stderr)
+        started = time.perf_counter()
+        traced = run_once(args.checkout, workload, spec["run_seconds"], trace=1)
+        exact = {name: traced[name] for name in EXACT}
+        row["workloads"][workload] = {"sim": simulated, "host": host, "exact": exact}
+        print(f"{workload}: host_pages_per_s {host['host_pages_per_s']}; traced run "
+              f"{time.perf_counter() - started:.0f} s, {exact}", file=sys.stderr)
     rows = (json.loads(LEDGER.read_text(encoding="utf-8")) if LEDGER.exists() else []) + [row]
     LEDGER.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]\n", encoding="utf-8")
     return 0
