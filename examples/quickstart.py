@@ -57,7 +57,7 @@ def main() -> None:
     stats = ssd.stats
     table = ftl.table
     accurate, approximate = table.segment_type_counts()
-    page_level_bytes = len(ssd._current_ppa) * 8
+    page_level_bytes = len(ssd.live_mappings()) * 8
 
     print("\n=== learned mapping table ===")
     print(f"segments learned        : {table.segment_count()}")

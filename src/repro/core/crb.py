@@ -9,54 +9,66 @@ group, it remembers which LPAs belong to which approximate segment.
 The paper stores the CRB as a nearly-sorted byte array of group-relative LPA
 offsets where the LPAs of one segment are contiguous, segments are separated
 by a null byte, and no LPA appears twice (newer segments steal LPAs from
-older ones).  This implementation keeps one sorted LPA list per approximate
-segment keyed by segment identity, which preserves all of those invariants —
-uniqueness, per-segment contiguity, sorted order — while avoiding the
-paper's S_LPA-collision renaming rule (object identity already disambiguates
-two segments that start at the same LPA).  The byte accounting matches the
-paper: one byte per stored LPA offset plus one separator byte per segment.
+older ones).  This implementation holds exactly those bytes: per approximate
+segment, a ``bytearray`` of its group-relative offsets in ascending order —
+one run of the paper's array, with the run's separator implied by the end of
+the ``bytearray`` — so :meth:`ConflictResolutionBuffer.size_bytes` is the
+stored bytes plus one separator per segment.  Runs are keyed by segment
+identity, which avoids the paper's S_LPA-collision renaming rule (identity
+already disambiguates two segments that start at the same LPA).
+
+Beside the runs, the CRB keeps one owner slot per LPA offset, allocated
+with its first approximate segment: simulator state, like the group's owner
+index, that makes :meth:`ConflictResolutionBuffer.owner` a list read instead
+of a scan of the runs, and is not counted in the DRAM footprint.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.segment import Segment
+from repro.core.segment import GROUP_SIZE, Segment
 
 
 class ConflictResolutionBuffer:
-    """Per-group registry of the LPAs owned by each approximate segment."""
+    """The CRB of one LPA group: the LPA offsets each approximate segment owns."""
 
-    def __init__(self) -> None:
-        #: segment -> sorted list of LPAs it currently owns.
-        self._lpas_of: Dict[Segment, List[int]] = {}
-        #: lpa -> owning segment (the inverse index; keeps lookups O(1)).
-        self._owner_of: Dict[int, Segment] = {}
+    def __init__(self, group_base: int, group_size: int = GROUP_SIZE) -> None:
+        self._base = group_base
+        self._size = group_size
+        #: segment -> the group-relative offsets it owns (ascending, never empty).
+        self._runs: Dict[Segment, bytearray] = {}
+        #: Per group-relative offset, the segment whose run holds it: empty
+        #: until the first insert, then ``group_size`` slots.
+        self._owner: List[Optional[Segment]] = []
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         """Number of LPA entries stored (excludes separators)."""
-        return len(self._owner_of)
+        return sum(map(len, self._runs.values()))
 
     def segment_count(self) -> int:
-        return len(self._lpas_of)
+        return len(self._runs)
 
     def size_bytes(self) -> int:
         """DRAM bytes: one byte per LPA offset plus a null byte per segment."""
-        return len(self._owner_of) + len(self._lpas_of)
+        return len(self) + len(self._runs)
 
     def owner(self, lpa: int) -> Optional[Segment]:
         """The approximate segment that currently owns ``lpa`` (if any)."""
-        return self._owner_of.get(lpa)
+        offset = lpa - self._base
+        owner = self._owner
+        return owner[offset] if 0 <= offset < len(owner) else None
 
     def lpas_of(self, segment: Segment) -> List[int]:
         """The LPAs currently owned by ``segment`` (sorted, possibly empty)."""
-        return list(self._lpas_of.get(segment, []))
+        base = self._base
+        return [base + offset for offset in self._runs.get(segment, b"")]
 
     def contains_segment(self, segment: Segment) -> bool:
-        return segment in self._lpas_of
+        return segment in self._runs
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -65,58 +77,70 @@ class ConflictResolutionBuffer:
         """Register a new approximate segment and the LPAs it owns.
 
         Any of those LPAs previously owned by another segment are removed
-        from that segment's entry first (the paper's "no redundant LPAs"
-        invariant): the newest segment always wins ownership.
+        from that segment's run first (the paper's "no redundant LPAs"
+        invariant): the newest segment always wins ownership.  A segment
+        is registered once; the LPAs must lie in the group.
         """
-        owned = sorted(set(lpas))
-        if not owned:
+        base = self._base
+        offsets = sorted({lpa - base for lpa in lpas})
+        if not offsets:
             return
-        for lpa in owned:
-            previous = self._owner_of.get(lpa)
-            if previous is not None and previous is not segment:
-                self._discard_lpa(previous, lpa)
-            self._owner_of[lpa] = segment
-        self._lpas_of[segment] = owned
+        if segment in self._runs:
+            raise ValueError(f"{segment} is already registered in the CRB")
+        if offsets[0] < 0 or offsets[-1] >= self._size:
+            raise ValueError(
+                f"LPAs {base + offsets[0]}..{base + offsets[-1]} reach outside "
+                f"the group [{base}, {base + self._size})"
+            )
+        owner = self._owner
+        if not owner:
+            owner = self._owner = [None] * self._size
+        robbed: Dict[Segment, None] = {}
+        for offset in offsets:
+            previous = owner[offset]
+            if previous is not None:
+                robbed[previous] = None
+            owner[offset] = segment
+        for previous in robbed:
+            kept = bytearray([offset for offset in self._runs[previous] if owner[offset] is previous])
+            if kept:
+                self._runs[previous] = kept
+            else:
+                del self._runs[previous]
+        self._runs[segment] = bytearray(offsets)
 
     def remove_segment(self, segment: Segment) -> None:
         """Drop a segment and all LPAs it owns (segment removed from the table)."""
-        owned = self._lpas_of.pop(segment, None)
-        if not owned:
+        run = self._runs.pop(segment, None)
+        if run is None:
             return
-        for lpa in owned:
-            if self._owner_of.get(lpa) is segment:
-                del self._owner_of[lpa]
+        owner = self._owner
+        for offset in run:
+            owner[offset] = None
 
     def retain_lpas(self, segment: Segment, keep: Iterable[int]) -> None:
-        """Restrict ``segment``'s entry to ``keep`` (outdated LPAs dropped).
+        """Restrict ``segment``'s run to ``keep`` (outdated LPAs dropped).
 
         Used by the merge procedure (Algorithm 2, line 25) after a victim
         segment has been trimmed: only the still-valid LPAs remain owned.
         """
-        if segment not in self._lpas_of:
+        run = self._runs.get(segment)
+        if run is None:
             return
-        keep_set = set(keep)
-        current = self._lpas_of[segment]
-        remaining = [lpa for lpa in current if lpa in keep_set]
-        for lpa in current:
-            if lpa not in keep_set and self._owner_of.get(lpa) is segment:
-                del self._owner_of[lpa]
-        if remaining:
-            self._lpas_of[segment] = remaining
+        base = self._base
+        keep_offsets = {lpa - base for lpa in keep}
+        owner = self._owner
+        kept = bytearray()
+        for offset in run:
+            if offset in keep_offsets:
+                kept.append(offset)
+            else:
+                owner[offset] = None
+        if kept:
+            self._runs[segment] = kept
         else:
-            del self._lpas_of[segment]
-
-    def _discard_lpa(self, segment: Segment, lpa: int) -> None:
-        entry = self._lpas_of.get(segment)
-        if entry is None:
-            return
-        try:
-            entry.remove(lpa)
-        except ValueError:
-            return
-        if not entry:
-            del self._lpas_of[segment]
+            del self._runs[segment]
 
     def clear(self) -> None:
-        self._lpas_of.clear()
-        self._owner_of.clear()
+        self._runs.clear()
+        self._owner = []

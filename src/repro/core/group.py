@@ -60,7 +60,7 @@ class LPAGroup:
         self.group_base = group_base
         self.group_size = group_size
         self._levels: List[Level] = []
-        self.crb = ConflictResolutionBuffer()
+        self.crb = ConflictResolutionBuffer(group_base, group_size)
         #: Owner index: per group-relative LPA, the last learned segment
         #: that contained it — the segment the walk of :meth:`lookup` stops
         #: at.  New segments enter level 0, merges strip only LPAs a newer

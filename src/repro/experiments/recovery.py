@@ -147,7 +147,7 @@ def recover_checked(
     figure (or a digest) quietly.
     """
     result = recover(ssd, mode=mode)
-    if ssd._current_ppa != oracle:
+    if ssd.live_mappings() != oracle:
         raise RuntimeError(f"{result.mode} recovery lost acked pages")
     return result
 

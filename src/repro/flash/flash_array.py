@@ -26,7 +26,10 @@ no-mapping sentinel, and per-block counters in plain integer lists.  One
 flash block occupies a contiguous PPA range (see
 :mod:`repro.flash.geometry`), so block-granular operations are slice
 operations, ``valid_page_count`` is an O(1) counter read, and
-``valid_ppas_of_block`` is one scan over the block's state slice.
+``valid_ppas_of_block`` is one scan over the block's state slice.  The
+per-page OOB state is a window gamma (``bytearray``) and a run end
+(``array('H')``); the few stored edge windows are ``array('q')`` slices of
+the LPA array, not lists of integer objects.
 The :class:`PageState` enum remains the public vocabulary of the API.
 
 The OOB is written once, when a page is programmed, and is derived on
@@ -36,9 +39,12 @@ its run ended at: every window entry below that offset names a page
 programmed no later than the run, whose LPA survives until the block's
 erase (which frees the page too), and every entry at or above it was FREE,
 hence ``None``.  Only windows that reach into a neighbouring block — which
-can be erased and reprogrammed while this page lives — are captured as
-stored :class:`OOBArea` objects, at most ``2 * gamma`` per block, plus the
-OOB of pages written by ``program_page``.
+can be erased and reprogrammed while this page lives — are captured, at
+most ``2 * gamma`` per block: each as the ``array('q')`` slice of the LPA
+array it covered at program time (``-1`` for a FREE page or one off the
+array), from which ``oob_of`` builds the :class:`OOBArea` on demand as it
+does for every other page.  The OOB of a page written by ``program_page``
+is stored as the area it was given.
 """
 
 from __future__ import annotations
@@ -104,7 +110,10 @@ class FlashArray:
 
         self._state = bytearray(total_pages)  # all _FREE
         self._lpa = array("q", [_NO_LPA]) * total_pages
-        #: Stored OOB: edge windows and ``program_page`` areas only.
+        #: Edge windows: per page whose window reaches a neighbouring
+        #: block, that window as it was at program time (``-1`` = ``None``).
+        self._edge_windows: Dict[int, array[int]] = {}
+        #: The OOB areas ``program_page`` was given.
         self._oob: Dict[int, OOBArea] = {}
         #: Per page, the window gamma ``program_run`` wrote it with and the
         #: block offset that run ended at (read only while gamma > 0).
@@ -182,11 +191,12 @@ class FlashArray:
     def oob_of(self, ppa: int) -> Optional[OOBArea]:
         """The OOB contents of ``ppa`` (None if the page was never written).
 
-        A stored area (edge window, ``program_page``) is returned as is.
-        Otherwise the area is rebuilt from the LPA array, which like the OOB
-        survives invalidation and is cleared by erase: ``OOBArea(lpa,
-        [lpa])`` at gamma 0, else the in-block window cut at the page's run
-        end and padded with ``None`` (see the module docstring).
+        A ``program_page`` area is returned as is.  Otherwise the area is
+        built from the LPA array, which like the OOB survives invalidation
+        and is cleared by erase: ``OOBArea(lpa, [lpa])`` at gamma 0, the
+        stored window of an edge page (block offset below gamma or within
+        gamma of the block's end), else the in-block window cut at the
+        page's run end and padded with ``None`` (see the module docstring).
         """
         if not 0 <= ppa < self._total_pages:
             raise self._out_of_range("PPA", ppa, self._total_pages)
@@ -199,7 +209,12 @@ class FlashArray:
         gamma = self._gamma[ppa]
         if not gamma:
             return OOBArea(lpa, [lpa])
-        stop = min(ppa + gamma + 1, ppa - ppa % self._pages_per_block + self._run_end[ppa])
+        pages_per_block = self._pages_per_block
+        offset = ppa % pages_per_block
+        if offset < gamma or offset >= pages_per_block - gamma:
+            window = self._edge_windows[ppa]
+            return OOBArea(lpa, [None if entry == _NO_LPA else entry for entry in window])
+        stop = min(ppa + gamma + 1, ppa - offset + self._run_end[ppa])
         return OOBArea(lpa, self._lpa[ppa - gamma : stop].tolist() + [None] * (ppa + gamma + 1 - stop))
 
     def erase_count(self, block: int) -> int:
@@ -500,15 +515,17 @@ class FlashArray:
 
         if gamma:
             # Edge pages' windows reach into a neighbouring block, which may
-            # be erased and reprogrammed while they live: capture those now.
+            # be erased and reprogrammed while they live: capture those now,
+            # padded with the sentinel where they run off the array.
             low_stop = base + min(end, gamma)
             high_start = max(first_ppa, low_stop, base + pages_per_block - gamma)
             lpa_arr = self._lpa
+            pad = array("q", [_NO_LPA])
+            windows = self._edge_windows
             for ppa in chain(range(first_ppa, low_stop), range(high_start, stop)):
-                self._oob[ppa] = OOBArea(lpa_arr[ppa], [
-                    lpa_arr[n] if 0 <= n < total_pages and lpa_arr[n] != _NO_LPA else None
-                    for n in range(ppa - gamma, ppa + gamma + 1)
-                ])
+                low, high = ppa - gamma, ppa + gamma + 1
+                # A sequence times a negative count is empty: no pad inside.
+                windows[ppa] = pad * -low + lpa_arr[max(low, 0) : high] + pad * (high - total_pages)
 
         occupancy = self._config.write_latency_us / self._dies_per_channel
         return self._scheduler.reserve_run(
@@ -542,10 +559,10 @@ class FlashArray:
         self._state[start:stop] = self._free_states
         self._lpa[start:stop] = self._free_lpas
         self._gamma[start:stop] = self._free_states
-        oob = self._oob
-        if oob:
-            for ppa in range(start, stop):
-                oob.pop(ppa, None)
+        for stored in (self._edge_windows, self._oob):
+            if stored:
+                for ppa in range(start, stop):
+                    stored.pop(ppa, None)
         self._erase_count[block] += 1
         self._write_pointer[block] = 0
         self._op_clock += 1

@@ -28,12 +28,15 @@ SSD controller at the level of detail the LeaFTL evaluation depends on:
   is how mispredictions are detected and accounted (Figure 24).
 
 The simulator keeps a ground-truth ``LPA -> PPA`` map, ``_current_ppa``
-(the role the page validity table plays in real firmware).  It is simulator
-state, like LeaFTL's owner index: the program path reads it to find the old
-copy to invalidate, a power failure copies it as the durability oracle, and
-nothing else does — never a host read, which always goes through the FTL
-under test (``tests/test_ssd_integration.py`` replays reads at gamma 4 over
-a map whose every read raises).
+(the role the page validity table plays in real firmware): an ``array('q')``
+of one slot per logical page, ``-1`` where the LPA has no live page.  It is
+simulator state, like LeaFTL's owner index: the program path reads it to
+find the old copy to invalidate, and only the device indexes it.  Everything
+else — a power failure's durability oracle, recovery checks, tests — reads
+it as a dict through :meth:`SimulatedSSD.live_mappings`; never a host read,
+which always goes through the FTL under test
+(``tests/test_ssd_integration.py`` replays reads at gamma 4 over a map
+whose every index raises).
 
 Host commands are multi-page natively: a read spanning several pages is
 translated in one :meth:`repro.ftl.base.FTL.translate_range` batch (one
@@ -88,6 +91,7 @@ hooks; ``SSDOptions.arbiter`` names the default arbitration policy.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
@@ -124,6 +128,9 @@ class SimulationError(RuntimeError):
 
 #: Valid values of :attr:`SSDOptions.gc_mode`.
 GC_MODES = ("sync", "background")
+
+#: ``_current_ppa`` slot of an LPA with no live page.
+_UNMAPPED = -1
 
 #: Which allocator write stream each program purpose lands in: host data is
 #: hot, GC/wear-leveling migrations are cold (Section 3.6 stream separation).
@@ -211,7 +218,7 @@ class SimulatedSSD:
         self.stats = SSDStats()
 
         #: Ground truth of the live flash page of every LPA (page validity).
-        self._current_ppa: Dict[int, int] = {}
+        self._current_ppa = self._unmapped()
         self._now_us = 0.0
         self._prev_flush_finish_us = 0.0
         #: Channel the last metadata page occupied (see charge_metadata_pages).
@@ -325,6 +332,14 @@ class SimulatedSSD:
     def set_telemetry(self, session: Optional[Any]) -> None:
         """Attach (or, with ``None``, detach) the telemetry session."""
         self.telemetry = session
+
+    def _unmapped(self) -> array[int]:
+        """A ground-truth map in which no LPA has a live page."""
+        return array("q", [_UNMAPPED]) * self.config.logical_pages
+
+    def live_mappings(self) -> Dict[int, int]:
+        """The live flash page of every mapped LPA: the ground truth as a dict."""
+        return {lpa: ppa for lpa, ppa in enumerate(self._current_ppa) if ppa != _UNMAPPED}
 
     def _check_lpa(self, lpa: int) -> None:
         if not 0 <= lpa < self.config.logical_pages:
@@ -503,14 +518,14 @@ class SimulatedSSD:
             (lpa, first_ppa + offset) for offset, lpa in enumerate(chunk)
         ]
         current_ppa = self._current_ppa
-        current_ppa_get = current_ppa.get
         lpas = list(chunk)
-        old_ppas = [current_ppa_get(lpa) for lpa in lpas]
+        old_ppas = [None if (ppa := current_ppa[lpa]) == _UNMAPPED else ppa for lpa in lpas]
         # One batched flash call programs the whole run: page-state updates,
         # OOB windows, old-copy invalidation and the per-page scheduler
         # timing chain all happen inside (bit-identical to per-page calls).
         finish = self.flash.program_run(first_ppa, lpas, old_ppas, self._oob_window, {}, at_us)
-        current_ppa.update(mappings)
+        for lpa, ppa in mappings:
+            current_ppa[lpa] = ppa
         self._record_programs(purpose, len(mappings))
         self.allocator.seal_if_full(block)
 
@@ -713,8 +728,8 @@ class SimulatedSSD:
         Returns the durability **oracle**: the last-acked flash location of
         every LPA at the instant of the crash.  Programs apply their state
         atomically at issue, so flash is never torn — the oracle is simply
-        a copy of the validity map, and the differential recovery tests
-        assert every oracle LPA reads back after recovery.
+        :meth:`live_mappings` of the validity map, and the differential
+        recovery tests assert every oracle LPA reads back after recovery.
 
         Between ``power_fail()`` and :func:`repro.ssd.recovery.recover` the
         device must not serve host I/O (behaviour is undefined, exactly as
@@ -722,11 +737,11 @@ class SimulatedSSD:
         """
         clock = self._clock(at_us)
         self._advance(clock)
-        oracle = dict(self._current_ppa)
+        oracle = self.live_mappings()
         self.stats.power_failures += 1
         self.stats.buffered_pages_lost += self.write_buffer.discard()
         self.cache.clear()
-        self._current_ppa.clear()
+        self._current_ppa = self._unmapped()
         self.gc = BackgroundGCController(self, self.gc_policy)
         self._loop = None
         if self.checkpointer is not None:
@@ -744,7 +759,7 @@ class SimulatedSSD:
         ``ready_us``.  Returns the number of live LPAs.
         """
         flash = self.flash
-        rebuilt: Dict[int, int] = {}
+        rebuilt = self._unmapped()
         for block in range(flash.geometry.total_blocks):
             for ppa in flash.valid_ppas_of_block(block):
                 lpa = flash.lpa_of(ppa)
@@ -755,7 +770,7 @@ class SimulatedSSD:
         self.cache.resize(self._cache_capacity_pages())
         self._advance(ready_us)
         self._prev_flush_finish_us = max(self._prev_flush_finish_us, ready_us)
-        return len(rebuilt)
+        return len(rebuilt) - rebuilt.count(_UNMAPPED)
 
     # ------------------------------------------------------------------ #
     # Trace replay

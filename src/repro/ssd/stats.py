@@ -19,6 +19,7 @@ the misprediction ratio.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
@@ -53,7 +54,8 @@ class LatencyRecorder:
             raise ValueError("reservoir_size must be positive")
         self._reservoir_size = reservoir_size
         self._rng = random.Random(seed)
-        self._samples: List[float] = []
+        #: The reservoir as 8-byte doubles, not a list of float objects.
+        self._samples = array("d")
         #: Sorted view of the reservoir, rebuilt lazily on the first
         #: percentile query after a record (summaries ask for several
         #: percentiles back to back; one sort serves them all).
@@ -122,7 +124,7 @@ class LatencyRecorder:
 
     def samples(self) -> List[float]:
         """A copy of the sampled latencies (for plotting/analysis)."""
-        return list(self._samples)
+        return self._samples.tolist()
 
 
 @dataclass

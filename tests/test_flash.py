@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional
 
 import pytest
@@ -335,11 +336,15 @@ class TestOOBView:
         assert flash.oob_of(9).neighbor_lpas == [7, 20, 21, None, None]
 
     def test_only_edge_windows_are_stored(self):
+        """An edge window is the LPA array's slice, ``-1`` where FREE or off it."""
         flash = FlashArray(TINY_FLASH)
         flash.program_run(0, list(range(8)), [None] * 8, 2, {})
-        assert sorted(flash._oob) == [0, 1, 6, 7]
+        assert sorted(flash._edge_windows) == [0, 1, 6, 7]
+        assert flash._edge_windows[0] == array("q", [-1, -1, 0, 1, 2])
+        assert flash._edge_windows[7] == array("q", [5, 6, 7, -1, -1])
         flash.program_run(8, list(range(8)), [None] * 8, 0, {})
-        assert sorted(flash._oob) == [0, 1, 6, 7]
+        assert sorted(flash._edge_windows) == [0, 1, 6, 7]
+        assert not flash._oob
 
     def test_erase_forgets_the_window_gamma(self):
         flash = FlashArray(TINY_FLASH)

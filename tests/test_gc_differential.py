@@ -112,7 +112,7 @@ def test_gc_heavy_replay_agrees_with_oracle(ftl_name, queue_depth, gc_mode):
     assert stats.unmapped_reads == expected_unmapped
 
     # Ground-truth page map covers exactly the oracle's pages...
-    assert set(ssd._current_ppa) == written
+    assert set(ssd.live_mappings()) == written
     # ...and flash validity accounting agrees page for page.
     total_valid = sum(
         ssd.flash.valid_page_count(block)

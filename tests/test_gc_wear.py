@@ -196,13 +196,14 @@ class TestStreamSeparation:
 def assert_gc_invariants(ssd):
     """No LPA maps to an erased page; validity equals the reverse-map size."""
     flash = ssd.flash
-    for lpa, ppa in ssd._current_ppa.items():
+    live = ssd.live_mappings()
+    for lpa, ppa in live.items():
         assert flash.page_state(ppa) is PageState.VALID, (lpa, ppa)
         assert flash.lpa_of(ppa) == lpa
     total_valid = sum(
         flash.valid_page_count(block) for block in range(flash.geometry.total_blocks)
     )
-    assert total_valid == len(ssd._current_ppa)
+    assert total_valid == len(live)
 
 
 class TestBackgroundGC:

@@ -463,8 +463,7 @@ class TestMultiQueueFrontend:
         )
         # Both tenants wrote "their" LPA 0; the device saw disjoint pages.
         assert ssd.stats.host_write_pages == 8
-        assert ssd._current_ppa  # device LPAs 0..3 and 1024..1027 live
-        written = sorted(ssd._current_ppa)
+        written = sorted(ssd.live_mappings())  # device LPAs 0..3 and 1024..1027
         assert written[:4] == [0, 1, 2, 3]
         assert written[4:] == [1024, 1025, 1026, 1027]
 

@@ -7,7 +7,7 @@ state is discarded.  Whatever recovery path runs afterwards — full OOB
 scan for any FTL, or checkpoint + replay for LeaFTL — the recovered device
 must:
 
-* reconstruct the ground-truth validity map bit-exactly (``_current_ppa``
+* reconstruct the ground-truth validity map bit-exactly (``live_mappings()``
   equals the oracle — acked data is never lost, unacked in-flight writes
   may be lost but never torn);
 * translate every acked LPA back to live data (the device raises on any
@@ -102,7 +102,7 @@ def crash(ssd: SimulatedSSD, requests, crash_point: str):
 def assert_recovered(ssd: SimulatedSSD, oracle, seed: int) -> None:
     """Post-recovery invariants common to both recovery modes."""
     # Bit-exact durability: the rebuilt ground truth IS the oracle.
-    assert ssd._current_ppa == oracle
+    assert ssd.live_mappings() == oracle
     # Every acked LPA reads back through the FTL under test; the device
     # raises on unrecoverable translations and the read path verifies the
     # translated PPA against the durable OOB reverse mapping.
@@ -199,7 +199,7 @@ def test_checkpoint_recovery_faster_than_scan():
 
     # Same crash point, same durable contents recovered either way.
     assert oracle_scan == oracle_ckpt
-    assert ssd_scan._current_ppa == ssd_ckpt._current_ppa
+    assert ssd_scan.live_mappings() == ssd_ckpt.live_mappings()
     assert ckpt.flash_reads < scan.flash_reads
     assert ckpt.recovery_time_us < scan.recovery_time_us
 
@@ -214,7 +214,7 @@ def test_checkpoint_falls_back_to_scan_before_first_image():
     oracle = ssd.power_fail()
     result = recover(ssd, mode="checkpoint_replay")
     assert result.mode == "oob_scan"
-    assert ssd._current_ppa == oracle
+    assert ssd.live_mappings() == oracle
 
 
 def test_unacked_writes_may_be_lost_but_never_torn():

@@ -271,15 +271,20 @@ def test_misprediction_handling_costs_one_extra_read():
 def test_reads_never_consult_the_ground_truth_map():
     """``_current_ppa`` is simulator state (the program path's old-copy
     lookup): where the paper's device must translate, the device translates.
-    Every read of the map raises here, and a few thousand multi-page reads
+    Every index of the map raises here, and a few thousand multi-page reads
     at gamma 4 — mispredictions and their OOB corrections included — pass."""
 
-    class Unreadable(dict):
+    class Unreadable:
+        """Wraps the map array; every index, scan or method of it raises."""
+
+        def __init__(self, wrapped):
+            self.wrapped = wrapped
+
         def _raise(self, *args, **kwargs):
             raise AssertionError("a host read consulted the ground-truth map")
 
-        __getitem__ = get = __contains__ = __iter__ = _raise
-        keys = values = items = __len__ = _raise
+        __getitem__ = __setitem__ = __contains__ = __iter__ = __len__ = _raise
+        __getattr__ = _raise
 
     rng = random.Random(29)
     ssd = make_ssd(gamma=4)

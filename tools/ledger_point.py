@@ -7,8 +7,10 @@ Runs ``benchmarks/ledger/run.py --trace 0`` in CHECKOUT (default: this one) RUNS
 workload the simulated metrics (deterministic per seed: a run that disagrees with the first exits 1) and each
 host-clock metric's ``[median, q1, q3]`` — one box's record, never a gate (a claim needs ``tools/ab_pairs.py``).
 One ``--trace 1`` run per workload adds the ``exact`` work counters, which repeat on any machine: a row-to-row
-change in one of them is a code change.  ``env`` names the box (interpreter, platform, CPU count), so a drift
-between rows' host columns can at least be attributed.
+change in one of them is a code change.  Among them, ``calls_per_host_page`` is the Python and C calls one
+replay executes per host page, counted with ``sys.setprofile`` in a fresh interpreter that imports the
+checkout's ledger workloads read-only (seed 1, scale ``CALLS_SCALE``).  ``env`` names the box (interpreter,
+platform, CPU count), so a drift between rows' host columns can at least be attributed.
 """
 
 from __future__ import annotations
@@ -38,6 +40,29 @@ EXACT = (
     "flash.pages_programmed",
     "flash.pages_read",
 )
+#: Scale of the profiled replay behind ``calls_per_host_page``: every call pays a Python callback there.
+CALLS_SCALE = 0.25
+#: The child that counts them: ``python -c CALLS_SCRIPT WORKLOAD SEED SCALE`` prints calls per host page.
+CALLS_SCRIPT = """
+import sys
+from benchmarks.ledger.workloads import prepare
+
+prepared = prepare(sys.argv[1], int(sys.argv[2]), float(sys.argv[3]))
+calls = 0
+
+
+def count(frame, event, arg):
+    global calls
+    if event == "call" or event == "c_call":
+        calls += 1
+
+
+sys.setprofile(count)
+prepared.replay()
+sys.setprofile(None)
+stats = prepared.ssd.stats
+print(calls / (stats.host_read_pages + stats.host_write_pages))
+"""
 
 
 def run_once(checkout: str, workload: str, seconds: float, trace: int = 0) -> dict:
@@ -46,6 +71,15 @@ def run_once(checkout: str, workload: str, seconds: float, trace: int = 0) -> di
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
     metrics = json.loads(done.stdout.strip().splitlines()[-1])["metrics"]
     return {name: entry["value"] for name, entry in metrics.items()}
+
+
+def calls_per_host_page(checkout: str, workload: str) -> float:
+    """Calls one seed-``SEED`` replay of ``workload`` at ``CALLS_SCALE`` executes per host page."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(checkout) / "src"), checkout])
+    command = [sys.executable, "-c", CALLS_SCRIPT, workload, str(SEED), str(CALLS_SCALE)]
+    done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    return float(done.stdout.split()[-1])
 
 
 def main() -> int:
@@ -68,6 +102,7 @@ def main() -> int:
         started = time.perf_counter()
         traced = run_once(args.checkout, workload, spec["run_seconds"], trace=1)
         exact = {name: traced[name] for name in EXACT}
+        exact["calls_per_host_page"] = calls_per_host_page(args.checkout, workload)
         row["workloads"][workload] = {"sim": simulated, "host": host, "exact": exact}
         print(f"{workload}: host_pages_per_s {host['host_pages_per_s']}; traced run "
               f"{time.perf_counter() - started:.0f} s, {exact}", file=sys.stderr)
