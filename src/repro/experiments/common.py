@@ -126,7 +126,7 @@ class ExperimentSetup:
     #: Sort the write buffer by LPA before flushing (ablation knob).
     sort_buffer_on_flush: bool = True
     #: Host requests kept outstanding during replay (1 = the classic
-    #: synchronous simulation; > 1 uses the event-driven engine).
+    #: synchronous simulation; > 1 overlaps requests).
     queue_depth: int = 1
     #: Replay admission policy: ``"closed"`` (completion-driven, bounded by
     #: ``queue_depth``) or ``"open"`` (requests admitted at their trace

@@ -15,10 +15,10 @@ floats by ``repr``, so two runs of the same seed export byte-identical
 files.
 
 Sampling rides the same observer hook as tracing (cheap: one float
-comparison per event when no sample is due).  Serial engines process few
-events, so :meth:`pump` exists for the flush path to call; the final
-sample is taken by :meth:`finalize` so the last row always reflects the
-end-of-run state regardless of interval phase.
+comparison per event when no sample is due).  Flushes also happen between
+events and outside any replay, so :meth:`pump` exists for the flush path
+to call; the final sample is taken by :meth:`finalize` so the last row
+always reflects the end-of-run state regardless of interval phase.
 """
 
 from __future__ import annotations

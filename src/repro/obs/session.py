@@ -68,7 +68,7 @@ class Telemetry:
             self.sampler.observe(event)
 
     def pump(self, now_us: float) -> None:
-        """Clock tick outside the event stream (serial flushes, replay start)."""
+        """Clock tick outside the event stream (flushes, replay start)."""
         if self.sampler is not None:
             self.sampler.pump(now_us)
 

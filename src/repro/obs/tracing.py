@@ -235,12 +235,14 @@ class Tracer:
         """Open the span of the request the device just accepted.
 
         Called from inside :meth:`repro.ssd.ssd.SimulatedSSD.submit` on
-        every submit of a replay through the event loop (closed, open and
-        multi-queue alike; the serial loop reports none).  The request takes
-        its NCQ slot now and waits under its finish instant, carrying its
-        critical-path ``components``, for the ``request_complete`` event
-        the frontend schedules at that instant.  Completions at one instant
-        fire in submit order, so the oldest span waiting there is theirs.
+        every submit of a replay (closed at any depth, open and multi-queue
+        alike; a direct ``read()`` / ``write()`` outside a replay reports
+        none).  The request takes its NCQ slot now and waits under its
+        finish instant, carrying its critical-path ``components``, for the
+        ``request_complete`` event the frontend schedules at that instant —
+        observed whether the loop dispatches it or the frontend takes it in
+        place.  Completions at one instant fire in submit order, so the
+        oldest span waiting there is theirs.
         """
         if self._free_slots:
             slot = heapq.heappop(self._free_slots)

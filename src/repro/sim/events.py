@@ -5,8 +5,10 @@ objects at absolute times; the loop pops them in ``(time, priority,
 schedule-order)`` order and invokes their callbacks.  Two events with the
 same timestamp and priority always fire in the order they were scheduled,
 which makes every simulation run bit-reproducible — a property the
-regression tests rely on when comparing the event-driven engine against the
-synchronous fast path.
+regression tests rely on when comparing an engine against its reference
+model.  A caller may also take the next event in place
+(:meth:`EventLoop.take_if_next`): the frontend does so for a completion it
+just scheduled, so a depth-1 replay dispatches nothing.
 
 The design follows the classic discrete-event simulator split used by
 WiscSee and FTL-SIM: an ``EventLoop`` plus a host frontend
@@ -22,15 +24,15 @@ itself, so there is nothing to keep in step with it.  It is sized to the
 traffic a replay generates, measured on the four perf-ledger workloads
 (seed 1, scale 0.2; re-run with ``python -m tools.sim_traffic``):
 
-================  ==========  ========  =======  ========  ========  ============
-workload          schedule()  per       max      at "now"  occupied  ``gc_*``
-                  calls       request   pending            (*)       kinds
-================  ==========  ========  =======  ========  ========  ============
-``steady_mixed``      11,600     1.000        8     0.0 %     1.5 %         0.0 %
-``read_lookup``        9,000     1.000        8     0.0 %    10.7 %         0.0 %
-``seq_stream``             0     0.000        0         —         —             —
-``tenants_wrr``       17,376     2.069        7     1.0 %     2.5 %         3.3 %
-================  ==========  ========  =======  ========  ========  ============
+================  ==========  ========  ===========  =======  ========  ========  ========
+workload          schedule()  taken in  dispatched   max      at "now"  occupied  ``gc_*``
+                  calls       place     per request  pending            (*)       kinds
+================  ==========  ========  ===========  =======  ========  ========  ========
+``steady_mixed``      11,600     8,272        0.287        8     0.0 %     1.5 %     0.0 %
+``read_lookup``        9,000     1,269        0.859        8     0.0 %    10.7 %     0.0 %
+``seq_stream``         2,800     2,800        0.000        1     0.0 %     0.0 %     0.0 %
+``tenants_wrr``       17,376     4,389        1.546        7     1.0 %     2.5 %     3.3 %
+================  ==========  ========  ===========  =======  ========  ========  ========
 
 (*) share of schedules landing on the current instant or on a timestamp
 that already holds a pending event.  NAND operations get no events (the
@@ -40,18 +42,21 @@ everything but the background GC pipeline's three stages is one
 ``request_complete`` per request (plus one ``request_arrival`` per
 open-loop request): at most a handful of events are ever pending, and few
 schedules share a timestamp — a per-timestamp calendar has nothing to
-batch.
+batch.  "Taken in place" completions are scheduled and observed but never
+dispatched; the rest are ``run()``'s traffic (the ledger's
+``sim.events_per_io``).
 
 ``Event`` is a plain ``__slots__`` class, and events that fire inside
-``run()`` are recycled through a free list: production code never retains
-an event past its callback (``schedule()``'s return value is only used by
-tests, pre-fire), so recycling is invisible outside the loop.  The list
-earns its lines — three loops interleaved in one process, 40 alternations,
-median [q1, q3] in k events/s: replay-shaped traffic (depth 8, issues at
-"now") 1,012 [968, 1,031] with it, 850 [823, 872] without, 913 [897, 933]
-for the per-timestamp calendar this heap replaced; 10 k random times
-scheduled up front (the ledger's micro) 422 [385, 453] / 408 [367, 428] /
-288 [250, 298].
+``run()`` or are taken in place are recycled through a free list:
+production code never retains an event past its firing (the frontend's
+pump holds ``schedule()``'s return value only within one pump call, to
+take that completion in place), so recycling is invisible outside the
+loop.  The list earns its lines — three loops interleaved in one process,
+40 alternations, median [q1, q3] in k events/s: replay-shaped traffic
+(depth 8, issues at "now") 1,012 [968, 1,031] with it, 850 [823, 872]
+without, 913 [897, 933] for the per-timestamp calendar this heap replaced;
+10 k random times scheduled up front (the ledger's micro) 422 [385, 453] /
+408 [367, 428] / 288 [250, 298].
 """
 
 from __future__ import annotations
@@ -143,10 +148,13 @@ class EventLoop:
         #: so the comparison never reaches the event.
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
-        #: Recycled Event objects (filled by ``run()``, drained by ``schedule``).
+        #: Recycled Event objects (filled by ``run()`` and ``take_if_next``,
+        #: drained by ``schedule``).
         self._pool: List[Event] = []
+        #: Events ``run()`` / ``step()`` dispatched (not those taken in place).
         self.events_processed = 0
-        #: Called with every processed event, before its callback runs.
+        #: Called with every event that fires, dispatched or taken in place,
+        #: before its callback runs.
         #: The determinism harness (:mod:`repro.verify`) hangs a trace
         #: digest here; ``None`` keeps the hot path branch-only.
         self.observer: Optional[Callable[[Event], None]] = None
@@ -221,6 +229,26 @@ class EventLoop:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
+    def take_if_next(self, event: Event) -> bool:
+        """Take ``event`` in place if it is the one ``run()`` would fire next.
+
+        Pops it, advances the clock and calls the observer exactly as
+        ``run()`` would, then recycles it; the caller does the callback's
+        work itself, and ``events_processed`` does not count the event.
+        Returns whether the event was taken.
+        """
+        heap = self._heap
+        if not heap or heap[0][3] is not event:
+            return False
+        heapq.heappop(heap)
+        self._now_us = event.time_us
+        if self.observer is not None:
+            self.observer(event)
+        event.callback = None
+        event.payload = None
+        self._pool.append(event)
+        return True
+
     def step(self) -> Optional[Event]:
         """Process the next event; returns it, or ``None`` if queue is empty.
 

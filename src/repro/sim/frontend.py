@@ -10,7 +10,10 @@ How trace requests (:class:`repro.workloads.trace.IORequest` objects; bare
   ``_pump``: whenever a slot may be free the engine asks its policy to
   :meth:`~Frontend.pick` a command and submits it on the spot, at the
   current instant, until the slots are full or the policy has nothing to
-  offer — admission is not an event;
+  offer — admission is not an event.  A completion that is then the
+  loop's next event is taken where it was scheduled instead of being
+  dispatched: the observers see it as usual, ``events_processed`` does
+  not count it, so a depth-1 replay dispatches no event at all;
 * the one open-loop arrival path: an :class:`ArrivalStream` delivers each
   request at its scaled trace timestamp — ``request_arrival`` → join the
   stream's backlog → schedule that stream's next arrival → ``_pump`` — so
@@ -25,7 +28,10 @@ arrival enqueues, schedules the next arrival, then pumps; a pick is
 submitted, and its completion scheduled, before the next pick.  So a
 completion can fire ahead of an arrival or rate-limit retry at its instant
 that an engine deferring each submit to an issue event would deliver first;
-``tests/test_sim.py`` checks the two engines agree everywhere else.
+``tests/test_sim.py`` checks the two engines agree everywhere else.  Taking
+a completion in place changes no order at all: the same test file checks
+that a pump dispatching every completion gives the same submits, stats and
+observed ``(time, kind, priority, seq)`` stream.
 
 **The policies** are what differs — which command is next:
 
@@ -193,25 +199,44 @@ class Frontend:
         return self.stats
 
     def _pump(self, now_us: float) -> None:
-        """Fill free device slots: one :meth:`pick` and one submit per slot."""
+        """Fill free device slots: one :meth:`pick` and one submit per slot.
+
+        Once nothing more can be admitted, the completion scheduled last is
+        taken in place if it is the loop's next event
+        (:meth:`EventLoop.take_if_next`), and the pump goes on at its
+        instant: what ``run()`` would do next, minus the dispatch.  Every
+        caller pumps last, so nothing else would run in between.
+        """
         depth = self._depth
         stats = self.stats
-        while depth is None or self._outstanding < depth:
-            command = self.pick(now_us)
-            if command is None:
+        loop = self._loop
+        while True:
+            last: Optional[Event] = None
+            while depth is None or self._outstanding < depth:
+                command = self.pick(now_us)
+                if command is None:
+                    break
+                self._outstanding += 1
+                stats.submitted += 1
+                if self._outstanding > stats.max_outstanding:
+                    stats.max_outstanding = self._outstanding
+                finish = self.submit(command, now_us)
+                # Completions fire at foreground priority so a freed slot
+                # admits the next request before any same-timestamp
+                # background GC step runs.  The command rides along for
+                # retire() and for observers (payloads are not digested).
+                last = loop.schedule(
+                    finish, "request_complete", self._complete, command, PRIORITY_FOREGROUND
+                )
+            if last is None:
                 return
-            self._outstanding += 1
-            stats.submitted += 1
-            if self._outstanding > stats.max_outstanding:
-                stats.max_outstanding = self._outstanding
-            finish = self.submit(command, now_us)
-            # Completions fire at foreground priority so a freed slot admits
-            # the next request before any same-timestamp background GC step
-            # runs.  The command rides along for retire() and for observers
-            # (payloads are not digested).
-            self._loop.schedule(
-                finish, "request_complete", self._complete, command, PRIORITY_FOREGROUND
-            )
+            # Read before the take, which recycles the event.
+            command, now_us = last.payload, last.time_us
+            if not loop.take_if_next(last):
+                return
+            self._outstanding -= 1
+            stats.completed += 1
+            self.retire(command, now_us)
 
     def _complete(self, event: Event) -> None:
         self._outstanding -= 1

@@ -50,25 +50,18 @@ of any length is one pass that hands the write buffer, the data cache and
 the latency recorder a buffer-full of pages at a time, and ``write()`` is
 its one-page command.
 
-How a replay is computed follows from what it needs, not from an option:
-:meth:`SimulatedSSD.run` replays through the event loop (:mod:`repro.sim`)
-exactly when something needs one — open-loop admission, more than one
-request outstanding, or background GC (whose pipeline *is* events) — and
-otherwise runs the serial loop, each request issued at the completion of
-its predecessor.  At depth 1 with sync GC the
-two are identical stat for stat (regression-tested), so the serial loop is
-purely the cheaper way to compute the same replay; higher depths admit up
-to ``SSDOptions.queue_depth`` requests through an NCQ-style frontend, so
+There is one way to replay: :meth:`SimulatedSSD.run` always runs the one
+admission engine (:class:`repro.sim.frontend.Frontend`) on an event loop
+(:mod:`repro.sim`), at whatever depth.  Depth 1 is the classic serial
+replay, each request issued at the completion of its predecessor; higher
+depths admit up to ``SSDOptions.queue_depth`` requests NCQ-style, so
 foreground reads genuinely overlap the background flush/GC traffic earlier
-writes triggered — the channel contention behind Figure 18's tails.
-
-The serial loop stays beside the one admission engine
-(:class:`repro.sim.frontend.Frontend`) on purpose: the frozen perf-ledger
-smoke test pins ``seq_stream`` to zero events, and replaying depth 1
-through the event loop instead costs +3.0 % median replay CPU on that
-workload (one event per request, seed 1, scale 0.25, 40 alternated pairs,
-IQR −0.4 % to +4.9 %; 2-vCPU Xeon, CPython 3.11).  It goes when ledger v2
-re-states that pin as behaviour and the cost is recovered, not before.
+writes triggered — the channel contention behind Figure 18's tails.  A
+completion that is the loop's next event is taken where it was submitted
+rather than dispatched, so a depth-1 replay under sync GC dispatches no
+event (``stats.events_processed`` is 0) while the event observers — the
+determinism digest, a crash timer, the tracer — still see every
+completion.
 
 Admission is a parameter of a replay, not of the device: ``run()`` takes
 ``replay_mode`` — **closed-loop** admission is completion-driven (a
@@ -78,9 +71,9 @@ WiscSee-style replay that measures latency under load against *arrival*
 times instead of queue depth.
 
 Internally every operation takes an explicit issue clock (``at_us``), so
-the same read/write/flush/GC code serves both loops: state changes apply
-in submission order while timing is resolved through the per-channel NAND
-scheduler.
+the same read/write/flush/GC code serves replays and direct calls alike:
+state changes apply in submission order while timing is resolved through
+the per-channel NAND scheduler.
 
 Above the device, the NVMe-style multi-queue host interface
 (:mod:`repro.host`) carves the logical space into namespaces and drives
@@ -109,7 +102,7 @@ from repro.sim.frontend import (
     check_queue_depth,
 )
 from repro.sim.nand import NANDScheduler
-from repro.workloads.trace import ReplayItem, as_request
+from repro.workloads.trace import ReplayItem
 from repro.ssd.cache import LRUDataCache
 from repro.ssd.gc import (
     BackgroundGCController,
@@ -148,9 +141,9 @@ class SSDOptions:
     queue_depth: int = 1
     #: Garbage-collection scheduling: ``"sync"`` reclaims blocking at
     #: flush time; ``"background"`` pipelines per-victim read/migrate/erase
-    #: events through the event loop, overlapping host I/O — ``run()``
-    #: always replays it through the loop; only flushes outside a replay
-    #: (direct ``write()`` calls, the final drain) reclaim blocking.
+    #: events through the event loop every replay runs on, overlapping host
+    #: I/O; only flushes outside a replay (direct ``write()`` calls, the
+    #: final drain) reclaim blocking.
     gc_mode: str = "sync"
     #: Default submission-queue arbitration policy used when this device is
     #: driven through the multi-queue host interface
@@ -476,8 +469,8 @@ class SimulatedSSD:
         self._maybe_level_wear(clock)
         self._throttle_if_critical(clock)
         if self.telemetry is not None:
-            # Serial replays process few loop events, so the flush clock is
-            # the sampling heartbeat that keeps metrics flowing there.
+            # The sampling heartbeat between events, and for flushes outside
+            # any replay (direct writes, the final drain).
             self.telemetry.pump(clock)
 
     # ------------------------------------------------------------------ #
@@ -960,32 +953,21 @@ class SimulatedSSD:
         ``SSDOptions.queue_depth``) or ``"open"`` (admit each request at its
         trace timestamp regardless of completions, so latency under load is
         measured against arrival times); ``time_scale`` multiplies open-loop
-        inter-arrival times (``0.5`` doubles the arrival rate).  The event
-        loop runs exactly when something needs it: open-loop admission, an
-        effective depth above 1, or background GC (its pipeline is events).
-        Otherwise the serial loop computes the same depth-1 replay without
-        one.
+        inter-arrival times (``0.5`` doubles the arrival rate).  Every
+        replay runs on a fresh event loop through :meth:`run_frontend`.
         """
         if replay_mode not in REPLAY_MODES:
             raise ValueError(f"replay_mode must be one of {REPLAY_MODES}")
         depth = self.effective_queue_depth if queue_depth is None else min(
             check_queue_depth(queue_depth), self.config.ncq_depth
         )
-        if replay_mode == "open":
-            loop = EventLoop(start_us=self._now_us)
-            self.run_frontend(OpenLoopFrontend(self, loop, time_scale), loop, requests)
-        elif depth > 1 or self.options.gc_mode == "background":
-            loop = EventLoop(start_us=self._now_us)
-            self.run_frontend(HostFrontend(self, loop, depth), loop, requests)
-        else:
-            stats = self.stats
-            for request in map(as_request, requests):
-                stats.requests_submitted += 1
-                self.submit(request.op, request.lpa, request.npages)
-                stats.requests_completed += 1
-            if stats.requests_submitted:
-                # Depth 1: whenever a request was submitted, one was in flight.
-                stats.max_outstanding_requests = max(stats.max_outstanding_requests, 1)
+        loop = EventLoop(start_us=self._now_us)
+        frontend = (
+            OpenLoopFrontend(self, loop, time_scale)
+            if replay_mode == "open"
+            else HostFrontend(self, loop, depth)
+        )
+        self.run_frontend(frontend, loop, requests)
         return self.finalize_replay(drain=drain)
 
     def run_frontend(self, frontend: Frontend, loop: EventLoop, traffic: Any) -> None:

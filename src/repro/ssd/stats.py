@@ -186,19 +186,20 @@ class SSDStats:
     #: Total time host writes were stalled behind urgent reclaims (us).
     gc_write_throttle_us: float = 0.0
 
-    # Concurrency (event-driven engine).
-    #: Host requests admitted by the replay frontend (commands, not pages;
-    #: the serial fast path counts each replayed request as one command).
+    # Concurrency (the replay engine, :mod:`repro.sim.frontend`).
+    #: Host requests admitted by the replay frontend (commands, not pages).
     requests_submitted: int = 0
     #: Host requests whose completion the frontend observed.
     requests_completed: int = 0
     #: Time foreground data reads spent queued behind busy channels (us) —
     #: the direct measure of reads delayed by flush/GC/other-request traffic.
     read_stall_us: float = 0.0
-    #: Events processed by the event loop (0 for the synchronous fast path).
+    #: Events the replay's event loop dispatched.  A completion taken in
+    #: place by the frontend is observed but not dispatched, so a depth-1
+    #: replay under sync GC counts 0.
     events_processed: int = 0
-    #: Largest number of host requests simultaneously outstanding (1 for
-    #: the synchronous fast path once it has replayed anything).
+    #: Largest number of host requests simultaneously outstanding (1 for a
+    #: depth-1 replay once it has replayed anything).
     max_outstanding_requests: int = 0
 
     # Timing.

@@ -11,8 +11,6 @@ from dataclasses import replace
 from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
 from repro.flash.oob import required_oob_bytes
-from repro.sim.events import EventLoop
-from repro.sim.frontend import HostFrontend
 from repro.ssd.ssd import SimulatedSSD
 
 
@@ -46,18 +44,6 @@ def make_ssd(
         config = replace(config, oob_size=config.oob_size * 2)
     budget = DRAMBudget(dram_bytes=dram_bytes or config.dram_size)
     return SimulatedSSD(config=config, ftl=ftl, dram_budget=budget, **ssd_kwargs)
-
-
-def run_through_event_loop(ssd: SimulatedSSD, requests, drain: bool = True):
-    """Depth-1 replay through the event loop.
-
-    ``run()`` computes this replay with the serial loop (nothing needs
-    events at depth 1 under sync GC); the equivalence tests build the event
-    side by hand to keep the two pinned to each other.
-    """
-    loop = EventLoop(start_us=ssd.now_us)
-    ssd.run_frontend(HostFrontend(ssd, loop, queue_depth=1), loop, requests)
-    return ssd.finalize_replay(drain=drain)
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ critical-path component breakdown (queue wait, translation, DRAM, NAND,
 channel contention, GC interference, flush backpressure, extra reads,
 residual) sums *exactly* to the end-to-end latency.  That additivity is
 property-tested here across the paths that produce spans — the
-GC-contended multi-tenant run, a qd8 steady-state replay, and a
-qd1-forced-events replay — alongside determinism of the analyzer output,
+GC-contended multi-tenant run, a qd8 steady-state replay, and a qd1
+replay that dispatches no event — alongside determinism of the analyzer output,
 the differ's threshold semantics, tail-blame's FIFO diagnosis, the
 recovery spans, and the SLO scorecard.
 """
@@ -49,7 +49,6 @@ from repro.obs import (
 from repro.obs.__main__ import run_multi_tenant, run_steady_state
 from repro.ssd.recovery import recover
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
-from tests.conftest import run_through_event_loop
 
 SEED = 1234
 
@@ -90,7 +89,9 @@ class TestAdditivity:
         _ssd, telemetry = run_steady_state(scale=0.1, seed=SEED)
         assert_additive(spans_of(telemetry))
 
-    def test_qd1_forced_events_breakdowns_sum_to_latency(self):
+    def test_qd1_run_traces_every_request_and_breakdowns_sum_to_latency(self):
+        """A depth-1 ``run()`` dispatches no event, yet every completion
+        reaches the tracer: one ``io-slot-0`` span per request."""
         ssd = SimulatedSSD(
             SSDConfig.tiny(),
             PageLevelFTL(),
@@ -101,7 +102,10 @@ class TestAdditivity:
         pages = min(512, ssd.config.logical_pages // 2)
         requests = [("W", (3 * i) % pages, 2) for i in range(3000)]
         requests += [("R", (7 * i) % pages, 2) for i in range(1000)]
-        run_through_event_loop(ssd, requests)
+        ssd.run(requests)
+        assert ssd.stats.events_processed == 0
+        tracks = {e["args"]["name"] for e in ssd.telemetry.tracer.trace_events() if e["ph"] == "M"}
+        assert {name for name in tracks if name.startswith("io-slot-")} == {"io-slot-0"}
         spans = spans_of(ssd.telemetry)
         assert len(spans) == len(requests)
         assert_additive(spans)

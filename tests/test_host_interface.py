@@ -38,7 +38,7 @@ from repro.sim.frontend import OpenLoopFrontend
 from repro.ssd.ssd import SSDOptions
 from repro.verify import EventTraceDigest
 from repro.workloads.trace import IORequest, Trace
-from tests.conftest import make_ssd, run_through_event_loop
+from tests.conftest import make_ssd
 
 
 class _FakeQueue:
@@ -294,11 +294,12 @@ class TestSingleNamespaceEquivalence:
         assert result["all"].completed == len(requests)
 
     def test_matches_event_engine_at_depth_one(self):
-        """Transitively pins serial equivalence: test_sim pins serial ==
-        events at depth 1; here host == events at depth 1, stat for stat."""
+        """Transitively pins serial equivalence: test_sim pins ``run()`` ==
+        a serial submit loop at depth 1; here host == ``run()`` at depth 1,
+        stat for stat."""
         requests = _contended_workload()
         baseline = make_ssd(gamma=4, config=_CONFIG)
-        run_through_event_loop(baseline, requests)
+        baseline.run(requests)
 
         ssd = make_ssd(gamma=4, config=_CONFIG, options=SSDOptions(queue_depth=1))
         host = HostInterface(ssd)

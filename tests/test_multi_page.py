@@ -35,7 +35,7 @@ from repro.sim.events import EventLoop
 from repro.sim.frontend import OpenLoopFrontend
 from repro.ssd.ssd import SSDOptions
 from repro.workloads.trace import IORequest, Trace
-from tests.conftest import make_ssd, run_through_event_loop
+from tests.conftest import make_ssd
 
 
 # --------------------------------------------------------------------------- #
@@ -345,7 +345,7 @@ class TestMultiPageSubmit:
             _fill_blocks(ssd, 2048)
             _drop_dram_copies(ssd, span)
             start = ssd.now_us
-            run_through_event_loop(ssd, requests, drain=False)
+            ssd.run(requests, drain=False)
             return ssd, ssd.now_us - start
 
         ssd_batched, batched = run([("R", 0, span)])

@@ -16,7 +16,7 @@ must:
 * keep serving new writes correctly after recovery.
 
 Crashes land mid-write-burst, mid-GC-migration and at idle, across all
-four FTL schemes.
+four FTL schemes, and at a completion of a depth-1 synchronous-GC replay.
 """
 
 from __future__ import annotations
@@ -72,12 +72,12 @@ def overwrite_workload(seed: int, num_requests: int = 2200):
     return requests
 
 
-def build_ssd(ftl_name: str) -> SimulatedSSD:
+def build_ssd(ftl_name: str, queue_depth: int = 8, gc_mode: str = "background") -> SimulatedSSD:
     return SimulatedSSD(
         CONFIG,
         FTL_FACTORIES[ftl_name](),
         dram_budget=DRAMBudget(dram_bytes=CONFIG.dram_size),
-        options=SSDOptions(queue_depth=8, gc_mode="background"),
+        options=SSDOptions(queue_depth=queue_depth, gc_mode=gc_mode),
     )
 
 
@@ -141,6 +141,30 @@ def test_oob_scan_recovery(ftl_name, crash_point):
     assert result.recovered_lpas == len(oracle)
     assert result.recovery_time_us > 0
     assert_recovered(ssd, oracle, seed)
+
+
+@pytest.mark.parametrize("ftl_name", sorted(FTL_FACTORIES))
+def test_depth_one_sync_replay_crashes_at_a_completion(ftl_name):
+    """A qd1 sync-GC replay dispatches no event, yet every completion
+    reaches the crash timer: the crash lands mid-replay, and the recovered
+    device reads back every acked LPA."""
+    seed = zlib.crc32(f"recovery/{ftl_name}/qd1".encode()) & 0xFFFF
+    requests = overwrite_workload(seed)
+    ssd = build_ssd(ftl_name, queue_depth=1, gc_mode="sync")
+    timer = CrashTimer(after_kind="request_complete", kind_count=2600)
+    ssd.event_observer = timer
+    with pytest.raises(PowerFailure):
+        ssd.run(requests)
+    assert timer.fired
+    assert ssd.stats.host_write_pages < sum(npages for _, _, npages in requests)
+    oracle = ssd.power_fail()
+    assert oracle
+    recover(ssd, mode="oob_scan")
+    assert ssd.live_mappings() == oracle
+    before = ssd.stats.unmapped_reads
+    for lpa in sorted(oracle):
+        ssd.read(lpa)
+    assert ssd.stats.unmapped_reads == before
 
 
 @pytest.mark.parametrize("crash_point", sorted(CRASH_POINTS))

@@ -4,10 +4,11 @@ Covers four layers:
 
 * the event loop itself (deterministic ordering of same-timestamp events);
 * admission: inline submission against a reference engine that schedules
-  an issue event per admission;
+  an issue event per admission, and in-place completion against a
+  reference pump that leaves every completion to ``run()``;
 * the NAND scheduler (bus-only gating, die occupancy recorded);
-* the full device: the event engine at ``queue_depth = 1`` must reproduce
-  the synchronous simulator bit-for-bit, and at higher depths foreground
+* the full device: ``run()`` at ``queue_depth = 1`` must reproduce a
+  serial submit loop bit-for-bit, and at higher depths foreground
   reads must be measurably delayed by concurrent flush/GC traffic while
   the replay makespan shrinks.
 """
@@ -31,7 +32,7 @@ from repro.sim.frontend import REPLAY_MODES, HostFrontend, OpenLoopFrontend, int
 from repro.sim.nand import NANDScheduler
 from repro.ssd.ssd import SSDOptions
 from repro.workloads.trace import IORequest
-from tests.conftest import make_ssd, run_through_event_loop
+from tests.conftest import make_ssd
 
 
 class TestEventLoop:
@@ -265,6 +266,24 @@ class _ScheduledIssue:
         )
 
 
+class _DispatchedCompletions:
+    """The pump before in-place completion, kept as the reference: every
+    completion is scheduled and left for ``run()`` to dispatch."""
+
+    def _pump(self, now_us):
+        while self._depth is None or self._outstanding < self._depth:
+            command = self.pick(now_us)
+            if command is None:
+                return
+            self._outstanding += 1
+            self.stats.submitted += 1
+            self.stats.max_outstanding = max(self.stats.max_outstanding, self._outstanding)
+            finish = self.submit(command, now_us)
+            self._loop.schedule(
+                finish, "request_complete", self._complete, command, PRIORITY_FOREGROUND
+            )
+
+
 class _TieDevice:
     """Records every submit; latencies cycle through a list holding 0 and
     repeats, so completions share instants with submits, arrivals and each
@@ -313,11 +332,25 @@ _TRAFFIC = st.one_of(
 )
 
 
-def _admit(traffic, latencies, scheduled):
-    """Replay ``traffic`` on a fresh engine; returns everything it did."""
+def _admit(traffic, latencies, reference=None):
+    """Replay ``traffic`` on a fresh engine, or with a ``reference`` pump.
+
+    Returns everything it did: the device submits, the frontend stats, the
+    observed ``(time, kind, priority, seq)`` stream, the per-tenant stats,
+    and ``(events run() dispatched, completions taken in place)``.
+    """
     kind, param, load = traffic
-    device, loop, events = _TieDevice(latencies), EventLoop(), []
-    loop.observer = lambda event: events.append((event.time_us, event.kind, event.priority))
+    device, loop, events, taken = _TieDevice(latencies), EventLoop(), [], []
+    loop.observer = lambda event: events.append(
+        (event.time_us, event.kind, event.priority, event.seq)
+    )
+    take_if_next = loop.take_if_next
+
+    def counted_take(event):
+        taken.append(take_if_next(event))
+        return taken[-1]
+
+    loop.take_if_next = counted_take
     tenants = []
     if kind == "multi":
         frontend_cls, args = MultiQueueFrontend, (make_arbiter(param[0]), param[1])
@@ -329,12 +362,19 @@ def _admit(traffic, latencies, scheduled):
         load = tenants
     else:
         frontend_cls, args = (HostFrontend, OpenLoopFrontend)[kind == "open"], (param,)
-    if scheduled:
-        frontend_cls = type("Scheduled" + frontend_cls.__name__, (_ScheduledIssue, frontend_cls), {})
+    if reference is not None:
+        frontend_cls = type(reference.__name__ + frontend_cls.__name__, (reference, frontend_cls), {})
     stats = frontend_cls(device, loop, *args).run(load)
-    events = [event for event in events if event[1] != "request_issue"]
     per_tenant = [snapshot_stats(queue.namespace.stats, "ns") for queue in tenants]
-    return device.submits, stats, events, per_tenant
+    return device.submits, stats, events, per_tenant, (loop.events_processed, sum(taken))
+
+
+def _without_issues(run):
+    """An ``_admit`` result without ``request_issue`` events, sequence
+    numbers (issue events take some) or event counts."""
+    submits, stats, events, per_tenant, _ = run
+    events = [event[:3] for event in events if event[1] != "request_issue"]
+    return submits, stats, events, per_tenant
 
 
 def _completion_tie(events):
@@ -343,10 +383,31 @@ def _completion_tie(events):
     return any(at[time_us] > 1 for time_us, kind, _ in events if kind == "request_complete")
 
 
-@given(
-    traffic=_TRAFFIC,
-    latencies=st.lists(st.sampled_from([0.0, 0.0, 0.5, 5.0, 5.0]), min_size=1, max_size=6),
-)
+#: Device latencies: zero and repeats, so completions tie with everything.
+_TIE_LATENCIES = st.lists(st.sampled_from([0.0, 0.0, 0.5, 5.0, 5.0]), min_size=1, max_size=6)
+
+
+@given(traffic=_TRAFFIC, latencies=_TIE_LATENCIES)
+@settings(max_examples=300, deadline=None)
+def test_in_place_completion_is_the_dispatched_one_exactly(traffic, latencies):
+    """Closed loop at depth 1-8, open loop, and multi-queue with token
+    buckets: taking the pump's last completion in place when it is the
+    loop's next event gives the same device submits, frontend and tenant
+    stats and observed ``(time, kind, priority, seq)`` stream as leaving
+    every completion to ``run()`` — ties included.  ``run()`` dispatches
+    exactly the events not taken in place, and none at closed depth 1."""
+    *change, (processed, taken) = _admit(traffic, latencies)
+    *reference, (reference_processed, reference_taken) = _admit(
+        traffic, latencies, _DispatchedCompletions
+    )
+    assert change == reference
+    assert reference_taken == 0
+    assert reference_processed == processed + taken
+    if traffic[:2] == ("closed", 1):
+        assert processed == 0
+
+
+@given(traffic=_TRAFFIC, latencies=_TIE_LATENCIES)
 @settings(max_examples=300, deadline=None)
 def test_inline_admission_is_the_scheduled_issue_minus_its_events(traffic, latencies):
     """Closed loop at depth 1-8, open loop, and multi-queue with token
@@ -363,8 +424,8 @@ def test_inline_admission_is_the_scheduled_issue_minus_its_events(traffic, laten
     completion.  The closed loop is equal even then (its only events are
     completions, each admitting one request), and the open loop still
     submits the same commands at the same times."""
-    inline = _admit(traffic, latencies, scheduled=False)
-    reference = _admit(traffic, latencies, scheduled=True)
+    inline = _without_issues(_admit(traffic, latencies))
+    reference = _without_issues(_admit(traffic, latencies, _ScheduledIssue))
     if traffic[0] == "closed" or not (_completion_tie(inline[2]) or _completion_tie(reference[2])):
         assert inline == reference
     elif traffic[0] == "open":
@@ -378,8 +439,8 @@ def test_inline_completion_can_overtake_a_same_instant_arrival():
     that completion before the third arrival (the reference scheduled the
     third arrival first).  Both submit the same three commands at 0."""
     traffic = ("open", 1.0, [IORequest("R", lpa, 1) for lpa in range(3)])
-    inline = _admit(traffic, [0.0], scheduled=False)
-    reference = _admit(traffic, [0.0], scheduled=True)
+    inline = _without_issues(_admit(traffic, [0.0]))
+    reference = _without_issues(_admit(traffic, [0.0], _ScheduledIssue))
     assert inline[0] == reference[0] == [(0.0, "R", lpa, 1) for lpa in range(3)]
     arrive, complete = (0.0, "request_arrival", 0), (0.0, "request_complete", 0)
     assert inline[2] == [arrive, arrive, complete, arrive, complete, complete]
@@ -466,30 +527,33 @@ def _contended_workload(footprint: int = _CONTENDED_FOOTPRINT):
 
 
 def _stats_signature(ssd):
-    """Every counter of the device, minus the one that names the engine."""
-    counters = device_snapshot(ssd).as_dict()
-    del counters["ssd.events_processed"]
-    return counters, ssd.flash.counters
+    """Every counter of the device and of its flash array."""
+    return device_snapshot(ssd).as_dict(), ssd.flash.counters
 
 
 class TestEngineEquivalence:
     def test_event_engine_at_depth_one_matches_serial_exactly(self):
-        """Acceptance: queue_depth=1 events == synchronous, stat for stat."""
+        """Acceptance: ``run()`` at queue_depth=1 == a serial loop that
+        submits each request at the device clock, stat for stat."""
         requests = _contended_workload()
         serial = make_ssd(gamma=4, config=_CONTENDED_CONFIG)
-        serial.run(requests)
-        events = make_ssd(gamma=4, config=_CONTENDED_CONFIG)
-        run_through_event_loop(events, requests)
-        assert _stats_signature(serial) == _stats_signature(events)
-        # Both engines kept exactly one request in flight.
-        assert serial.stats.max_outstanding_requests == 1
-        # The event side really ran through the loop.
-        assert events.stats.events_processed > 0
-        assert serial.stats.events_processed == 0
+        for op, lpa, npages in requests:
+            serial.submit(op, lpa, npages)
+        serial.stats.requests_submitted = serial.stats.requests_completed = len(requests)
+        serial.stats.max_outstanding_requests = 1
+        serial.finalize_replay()
+        replayed = make_ssd(gamma=4, config=_CONTENDED_CONFIG)
+        replayed.run(requests)
+        assert _stats_signature(replayed) == _stats_signature(serial)
+        # The replay kept exactly one request in flight and dispatched no
+        # event: every completion was taken where it was submitted.
+        assert replayed.stats.max_outstanding_requests == 1
+        assert replayed.stats.events_processed == 0
 
-    def test_auto_engine_picks_serial_at_depth_one(self):
+    def test_depth_one_dispatches_no_event(self):
         ssd = make_ssd()
         ssd.run(_mixed_requests(1, 200, 5000))
+        assert ssd.stats.requests_completed == 200
         assert ssd.stats.events_processed == 0
 
     def test_gc_active_during_equivalence_workload(self):

@@ -198,8 +198,9 @@ class TestMetricsFidelity:
         assert max(busy) > 0.0
 
     def test_serial_engine_pump_samples(self):
-        """The qd=1 serial path has almost no loop events; the flush-path
-        pump must still produce a usable series."""
+        """A qd=1 replay dispatches no loop event (its completions are
+        observed in place); with the flush-path pump it still produces a
+        usable series."""
         setup = ExperimentSetup(
             capacity_bytes=16 * 1024 * 1024,
             channels=2,

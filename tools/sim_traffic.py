@@ -1,10 +1,10 @@
 """Event-loop traffic per ledger workload: ``python -m tools.sim_traffic [SEED [SCALE]]``.
 
-Wraps ``EventLoop.schedule`` from outside and prints the table ``sim/events.py`` is sized to:
-calls, calls per completed request (the ledger's ``sim.events_per_io``: every scheduled event
-fires), the most events ever pending, the share scheduled at the current instant, the share
-landing on an occupied timestamp (that instant, or one already holding a pending event), count
-per kind.
+Wraps ``EventLoop.schedule`` and ``EventLoop.take_if_next`` from outside and prints the table
+``sim/events.py`` is sized to: calls, completions taken in place (scheduled and observed, never
+dispatched), events dispatched per completed request (the ledger's ``sim.events_per_io``), the
+most events ever pending, the share scheduled at the current instant, the share landing on an
+occupied timestamp (that instant, or one already holding a pending event), count per kind.
 """
 
 import sys
@@ -17,11 +17,11 @@ from benchmarks.ledger.workloads import SPECS, prepare  # noqa: E402
 from repro.sim.events import EventLoop  # noqa: E402
 
 
-def traffic(name, seed, scale, original=EventLoop.schedule):
+def traffic(name, seed, scale, original=EventLoop.schedule, take=EventLoop.take_if_next):
     kinds, live, tally, loops = Counter(), Counter(), Counter(), []  # live: fire time -> pending there
 
     def schedule(loop, time_us, kind, callback=None, payload=None, priority=0):
-        if loop not in loops:  # a fired event leaves ``live``
+        if loop not in loops:  # an event that fires (either way) leaves ``live``
             loops.append(loop)
             loop.chain_observer(lambda event: live.subtract([event.time_us]))
         fire_at = max(time_us, loop.now_us)
@@ -33,15 +33,23 @@ def traffic(name, seed, scale, original=EventLoop.schedule):
         tally["max_pending"] = max(tally["max_pending"], loop.pending)
         return event
 
+    def take_if_next(loop, event):
+        taken = take(loop, event)
+        tally["taken"] += taken
+        return taken
+
     prepared = prepare(name, seed, scale)  # ends in begin_measurement(): stats count the replay
-    EventLoop.schedule = schedule
-    prepared.replay()
-    EventLoop.schedule = original
+    EventLoop.schedule, EventLoop.take_if_next = schedule, take_if_next
+    try:
+        prepared.replay()
+    finally:
+        EventLoop.schedule, EventLoop.take_if_next = original, take
     completed = prepared.ssd.stats.requests_completed
     calls = sum(kinds.values())
     shares = {key: f"{100 * tally[key] / max(calls, 1):.1f}%" for key in ("at_now", "occupied")}
     return (
-        f"{name}: schedule={calls} per_request={calls / max(completed, 1):.3f} "
+        f"{name}: schedule={calls} taken={tally['taken']} "
+        f"dispatched_per_request={(calls - tally['taken']) / max(completed, 1):.3f} "
         f"max_pending={tally['max_pending']} {shares} {dict(kinds.most_common())}"
     )
 
