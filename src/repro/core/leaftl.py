@@ -9,10 +9,10 @@ interface used by the SSD model:
   levels were searched (Figure 23a) and whether the result may be
   approximate;
 * ``resolve_misprediction`` implements the OOB-based correction of
-  Section 3.5: given the OOB of the mispredicted page (which the read path
-  already fetched), it locates the correct PPA among the stored reverse
-  mappings of the ``[-gamma, +gamma]`` neighbourhood, so a misprediction
-  costs exactly one extra flash read.
+  Section 3.5: given the OOB window of the mispredicted page (which the
+  read path already fetched), it locates the correct PPA among the stored
+  reverse mappings of the ``[-gamma, +gamma]`` neighbourhood, so a
+  misprediction costs exactly one extra flash read.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.core.mapping_table import (
     MappingTableStats,
 )
 from repro.core.plr import LearnedSegment
-from repro.flash.oob import OOBArea
 from repro.ftl.base import FTL
 
 
@@ -105,21 +104,23 @@ class LeaFTL(FTL):
         return lookups
 
     def resolve_misprediction(
-        self, lpa: int, predicted_ppa: int, oob: OOBArea
+        self, lpa: int, predicted_ppa: int, window: Sequence[int]
     ) -> Optional[int]:
-        """Find the correct PPA from the OOB of the mispredicted page.
+        """Find the correct PPA from the OOB window of the mispredicted page.
 
-        The OOB stores the reverse mappings (LPAs) of the flash pages in
-        ``[predicted_ppa - gamma, predicted_ppa + gamma]``.  The error bound
-        of approximate segments guarantees the true PPA lies in that window,
-        so scanning the (at most ``2 * gamma + 1``) entries yields the answer
-        without any additional flash access beyond the read that fetched the
-        OOB itself.
+        ``window`` is the reverse-mapping window the read of
+        ``predicted_ppa`` fetched with the page
+        (:meth:`repro.flash.flash_array.FlashArray.oob_window_of`): entry
+        ``i`` is the LPA of page ``predicted_ppa - gamma + i``, ``-1`` where
+        it held none.  The error bound of approximate segments puts the
+        true PPA in ``[predicted_ppa - gamma, predicted_ppa + gamma]``, so
+        scanning the (at most ``2 * gamma + 1``) entries yields the answer
+        without any flash access beyond the read that fetched the OOB.
         """
         self.lea_stats.mispredictions += 1
         self.stats.mispredictions += 1
         try:
-            index = oob.neighbor_lpas.index(lpa)
+            index = window.index(lpa)
         except ValueError:
             self.lea_stats.oob_correction_failures += 1
             return None

@@ -42,9 +42,24 @@ hence ``None``.  Only windows that reach into a neighbouring block — which
 can be erased and reprogrammed while this page lives — are captured, at
 most ``2 * gamma`` per block: each as the ``array('q')`` slice of the LPA
 array it covered at program time (``-1`` for a FREE page or one off the
-array), from which ``oob_of`` builds the :class:`OOBArea` on demand as it
-does for every other page.  The OOB of a page written by ``program_page``
-is stored as the area it was given.
+array).  The area a ``program_page`` call was given is stored the same
+way.  One accessor, :meth:`FlashArray.oob_window_of`, serves every page:
+the stored window, else the in-block slice of the LPA array cut at the
+page's run end.  :meth:`FlashArray.oob_of` wraps it as an
+:class:`OOBArea`; the read path's misprediction fix reads the window
+itself.
+
+Host reads
+----------
+
+A host read senses a *channel chunk* in one call
+(:meth:`FlashArray.read_chunk`): per page it checks the reverse mapping of
+the predicted page straight from the LPA array and, only when that check
+fails, asks its caller which page to sense instead and which correction
+reads follow it.  Every read is timed inline on the scheduler's
+timelines, float for float the chain of one :meth:`NANDScheduler.reserve`
+per read: a page's sense at the chunk's issue time, each correction read
+at the previous read's finish.
 """
 
 from __future__ import annotations
@@ -53,7 +68,7 @@ import enum
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SSDConfig
 from repro.flash.geometry import FlashGeometry
@@ -110,11 +125,10 @@ class FlashArray:
 
         self._state = bytearray(total_pages)  # all _FREE
         self._lpa = array("q", [_NO_LPA]) * total_pages
-        #: Edge windows: per page whose window reaches a neighbouring
-        #: block, that window as it was at program time (``-1`` = ``None``).
-        self._edge_windows: Dict[int, array[int]] = {}
-        #: The OOB areas ``program_page`` was given.
-        self._oob: Dict[int, OOBArea] = {}
+        #: Stored windows (``-1`` = ``None``): per page whose window reaches
+        #: a neighbouring block, that window as it was at program time, and
+        #: the window of the area each ``program_page`` call was given.
+        self._windows: Dict[int, array[int]] = {}
         #: Per page, the window gamma ``program_run`` wrote it with and the
         #: block offset that run ended at (read only while gamma > 0).
         self._gamma = bytearray(total_pages)
@@ -188,34 +202,46 @@ class FlashArray:
         lpa = self._lpa[ppa]
         return None if lpa == _NO_LPA else lpa
 
-    def oob_of(self, ppa: int) -> Optional[OOBArea]:
-        """The OOB contents of ``ppa`` (None if the page was never written).
+    def oob_window_of(self, ppa: int) -> Optional[array[int]]:
+        """The reverse-mapping window in ``ppa``'s OOB (None if never written).
 
-        A ``program_page`` area is returned as is.  Otherwise the area is
-        built from the LPA array, which like the OOB survives invalidation
-        and is cleared by erase: ``OOBArea(lpa, [lpa])`` at gamma 0, the
-        stored window of an edge page (block offset below gamma or within
-        gamma of the block's end), else the in-block window cut at the
-        page's run end and padded with ``None`` (see the module docstring).
+        Entry ``i`` is the LPA page ``ppa - gamma + i`` held, ``-1`` for
+        ``None``.  A stored window (an edge page's or a ``program_page``
+        area's; see the module docstring) is returned as is and must not
+        be mutated.  Otherwise it is a slice of the LPA array, which like
+        the OOB survives invalidation and is cleared by erase: ``[lpa]`` at
+        gamma 0, else ``[ppa - gamma, ppa + gamma]`` cut at the page's run
+        end, past which every entry is ``None``.
         """
         if not 0 <= ppa < self._total_pages:
             raise self._out_of_range("PPA", ppa, self._total_pages)
-        oob = self._oob.get(ppa)
-        if oob is not None:
-            return oob
-        lpa = self._lpa[ppa]
-        if lpa == _NO_LPA:
+        window = self._windows.get(ppa)
+        if window is not None:
+            return window
+        lpas = self._lpa
+        if lpas[ppa] == _NO_LPA:
             return None
         gamma = self._gamma[ppa]
         if not gamma:
-            return OOBArea(lpa, [lpa])
-        pages_per_block = self._pages_per_block
-        offset = ppa % pages_per_block
-        if offset < gamma or offset >= pages_per_block - gamma:
-            window = self._edge_windows[ppa]
-            return OOBArea(lpa, [None if entry == _NO_LPA else entry for entry in window])
-        stop = min(ppa + gamma + 1, ppa - offset + self._run_end[ppa])
-        return OOBArea(lpa, self._lpa[ppa - gamma : stop].tolist() + [None] * (ppa + gamma + 1 - stop))
+            return lpas[ppa : ppa + 1]
+        stop = ppa - ppa % self._pages_per_block + self._run_end[ppa]
+        return lpas[ppa - gamma : stop if stop <= ppa + gamma else ppa + gamma + 1]
+
+    def oob_of(self, ppa: int) -> Optional[OOBArea]:
+        """The OOB contents of ``ppa`` (None if the page was never written).
+
+        :meth:`oob_window_of` as an :class:`OOBArea`: ``-1`` entries become
+        ``None`` and a window cut at its run end is padded with ``None`` to
+        ``2 * gamma + 1`` entries.  The area's ``lpa`` is the page's own.
+        """
+        window = self.oob_window_of(ppa)
+        if window is None:
+            return None
+        neighbors: List[Optional[int]] = [None if entry == _NO_LPA else entry for entry in window]
+        gamma = self._gamma[ppa]
+        if gamma:
+            neighbors += [None] * (2 * gamma + 1 - len(neighbors))
+        return OOBArea(self._lpa[ppa], neighbors)
 
     def erase_count(self, block: int) -> int:
         if not 0 <= block < self._total_blocks:
@@ -388,6 +414,70 @@ class FlashArray:
             return now_us
         return self._sense(min(ppas), max(ppas), len(ppas), now_us, True)
 
+    def read_chunk(
+        self,
+        lpas: Sequence[int],
+        ppas: Sequence[int],
+        now_us: float,
+        misprediction_reads: Callable[[int, int], Tuple[int, Sequence[int]]],
+    ) -> Tuple[List[float], List[float]]:
+        """Sense host pages, predicted at ``ppas``, all issued at ``now_us``.
+
+        The host read path's one flash call per channel chunk.  Page ``i``
+        is done with one read when ``ppas[i]`` is a programmed page holding
+        ``lpas[i]`` (its reverse mapping, read from the LPA array).
+        Otherwise ``misprediction_reads(lpa, ppa)`` names the page to sense
+        in its place (``ppa`` itself when it is programmed) and the
+        correction reads that follow it (Section 3.5), or raises.  Every
+        sensed page passes :meth:`_sense`'s range and not-FREE checks.
+
+        Reads are timed float for float like one :meth:`NANDScheduler.reserve`
+        per read, in order, on the sensed page's channel: a page's sense
+        starts at ``now_us``, each correction read at the previous read's
+        finish.  Returns per page the finish of its sense and of its last
+        read.
+        """
+        total_pages = self._total_pages
+        state = self._state
+        lpa_array = self._lpa
+        pages_per_channel = self._pages_per_channel
+        latency = self._config.read_latency_us
+        busy_until, bus_time = self._scheduler.timelines()
+        probe = self._scheduler.probe
+        sensed: List[float] = []
+        finished: List[float] = []
+        reads = len(ppas)
+        for lpa, ppa in zip(lpas, ppas):
+            corrections: Sequence[int] = ()
+            if not (0 <= ppa < total_pages and lpa_array[ppa] == lpa and state[ppa] != _FREE):
+                ppa, corrections = misprediction_reads(lpa, ppa)
+                if not 0 <= ppa < total_pages or state[ppa] == _FREE:
+                    raise self._unreadable(ppa, ppa, "read")
+                reads += len(corrections)
+            channel = ppa // pages_per_channel
+            busy = busy_until[channel]
+            start = now_us if now_us > busy else busy
+            finish = start + latency
+            busy_until[channel] = finish
+            bus_time[channel] += latency
+            if probe is not None:
+                probe(channel, start, finish)
+            sensed.append(finish)
+            for ppa in corrections:
+                if not 0 <= ppa < total_pages or state[ppa] == _FREE:
+                    raise self._unreadable(ppa, ppa, "read")
+                channel = ppa // pages_per_channel
+                busy = busy_until[channel]
+                start = finish if finish > busy else busy
+                finish = start + latency
+                busy_until[channel] = finish
+                bus_time[channel] += latency
+                if probe is not None:
+                    probe(channel, start, finish)
+            finished.append(finish)
+        self.counters.page_reads += reads
+        return sensed, finished
+
     def program_page(
         self,
         ppa: int,
@@ -397,7 +487,9 @@ class FlashArray:
     ) -> float:
         """Program a FREE page with the data of ``lpa``.
 
-        NAND constraints enforced:
+        The OOB stores ``oob``'s neighbour window (none when ``oob`` is
+        ``None``); its own reverse mapping is ``lpa``.  NAND constraints
+        enforced:
 
         * the page must be FREE;
         * pages within a block must be programmed in ascending order.
@@ -419,7 +511,10 @@ class FlashArray:
 
         self._state[ppa] = _VALID
         self._lpa[ppa] = lpa
-        self._oob[ppa] = oob if oob is not None else OOBArea(lpa=lpa)
+        neighbors = () if oob is None else oob.neighbor_lpas
+        self._windows[ppa] = array(
+            "q", [_NO_LPA if entry is None else entry for entry in neighbors]
+        )
         self._valid_pages[block] += 1
         self._write_pointer[block] = offset + 1
         self._op_clock += 1
@@ -521,7 +616,7 @@ class FlashArray:
             high_start = max(first_ppa, low_stop, base + pages_per_block - gamma)
             lpa_arr = self._lpa
             pad = array("q", [_NO_LPA])
-            windows = self._edge_windows
+            windows = self._windows
             for ppa in chain(range(first_ppa, low_stop), range(high_start, stop)):
                 low, high = ppa - gamma, ppa + gamma + 1
                 # A sequence times a negative count is empty: no pad inside.
@@ -559,10 +654,10 @@ class FlashArray:
         self._state[start:stop] = self._free_states
         self._lpa[start:stop] = self._free_lpas
         self._gamma[start:stop] = self._free_states
-        for stored in (self._edge_windows, self._oob):
-            if stored:
-                for ppa in range(start, stop):
-                    stored.pop(ppa, None)
+        windows = self._windows
+        if windows:
+            for ppa in range(start, stop):
+                windows.pop(ppa, None)
         self._erase_count[block] += 1
         self._write_pointer[block] = 0
         self._op_clock += 1

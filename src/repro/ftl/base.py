@@ -27,9 +27,9 @@ Three hooks have defaults that only LeaFTL overrides:
 * :meth:`FTL.oob_window` — how many neighbours' reverse mappings each side
   the write path must store in every page's OOB (default 0; LeaFTL: γ).
   The device reads it once, at construction;
-* :meth:`FTL.resolve_misprediction` — locate the true PPA from the OOB of a
-  page that turned out to hold another LPA (default ``None``: the device
-  scans the error window page by page);
+* :meth:`FTL.resolve_misprediction` — locate the true PPA from the OOB
+  window of a page that turned out to hold another LPA (default ``None``:
+  the device scans the error window page by page);
 * :meth:`FTL.reset_stats` — zero every counter the FTL keeps (end of a
   warm-up); an FTL with counters beyond ``stats`` extends it.
 
@@ -75,8 +75,6 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
-
-from repro.flash.oob import OOBArea
 
 
 @dataclass(slots=True)
@@ -173,12 +171,15 @@ class FTL(abc.ABC):
         return 0
 
     def resolve_misprediction(
-        self, lpa: int, predicted_ppa: int, oob: OOBArea
+        self, lpa: int, predicted_ppa: int, window: Sequence[int]
     ) -> Optional[int]:
-        """The true PPA of ``lpa`` given the OOB read at ``predicted_ppa``.
+        """The true PPA of ``lpa`` given the OOB window read at ``predicted_ppa``.
 
-        ``None`` means the OOB cannot tell, and the device falls back to
-        scanning the error window.
+        ``window`` is that page's reverse-mapping window as the flash array
+        stores it (:meth:`repro.flash.flash_array.FlashArray.oob_window_of`):
+        entry ``i`` is the LPA of page ``predicted_ppa - oob_window() + i``,
+        ``-1`` where it held none.  ``None`` means the window cannot tell,
+        and the device falls back to scanning the error window.
         """
         return None
 

@@ -19,7 +19,7 @@ pipelined channel.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 class NANDScheduler:
@@ -55,6 +55,16 @@ class NANDScheduler:
     def bus_time_us(self, channel: int) -> float:
         """Cumulative bus-occupied time of ``channel`` (for windowed rates)."""
         return self._bus_time_us[channel]
+
+    def timelines(self) -> Tuple[List[float], List[float]]:
+        """The live per-channel bus-busy-until and bus-time lists.
+
+        For a caller that chains reservations inline, one loop for a whole
+        burst (:meth:`repro.flash.flash_array.FlashArray.read_chunk`): per
+        operation it must perform exactly :meth:`reserve`'s float
+        operations on these lists and call :attr:`probe` the same way.
+        """
+        return self._bus_busy_until, self._bus_time_us
 
     def least_busy_channel(self, candidates: Optional[Sequence[int]] = None) -> int:
         """The channel whose bus frees up earliest (ties → lowest index).

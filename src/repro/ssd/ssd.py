@@ -43,12 +43,17 @@ translated in one :meth:`repro.ftl.base.FTL.translate_range` batch (one
 learned segment answers a whole contiguous run in LeaFTL, one
 translation-page fetch serves all its entries in DFTL/SFTL) and its flash
 accesses are issued as per-channel chunks that proceed concurrently
-through the NAND scheduler.  There is one read path: a single-page read
-is a one-page command through the same code, so the device only ever
-calls ``translate_range``.  There is one write path the same way: a write
-of any length is one pass that hands the write buffer, the data cache and
-the latency recorder a buffer-full of pages at a time, and ``write()`` is
-its one-page command.
+through the NAND scheduler.  A chunk is one flash call
+(:meth:`repro.flash.flash_array.FlashArray.read_chunk`): it senses the
+chunk's predicted pages in order, checks each against its reverse mapping
+in the page array and, for a misprediction only, calls back into the
+device for the page to sense instead and the fix reads after it (the OOB
+window read, else the error-window scan).  There is one read path: a
+single-page read is a one-page command through the same code, so the
+device only ever calls ``translate_range``.  There is one write path the
+same way: a write of any length is one pass that hands the write buffer,
+the data cache and the latency recorder a buffer-full of pages at a time,
+and ``write()`` is its one-page command.
 
 There is one way to replay: :meth:`SimulatedSSD.run` always runs the one
 admission engine (:class:`repro.sim.frontend.Frontend`) on an event loop
@@ -90,7 +95,7 @@ from typing import Any, Callable, Dict, Iterable, List, NoReturn, Optional, Sequ
 
 from repro.config import DRAMBudget, SSDConfig
 from repro.flash.allocator import BlockAllocator
-from repro.flash.flash_array import FlashArray, PageState
+from repro.flash.flash_array import FlashArray
 from repro.flash.oob import validate_gamma_fits_oob
 from repro.ftl.base import FTL
 from repro.sim.events import Event, EventLoop
@@ -553,117 +558,66 @@ class SimulatedSSD:
         start = self._clock(at_us)
         return self._read_command(lpa, 1, start) - start
 
-    def _timed_host_read(
-        self, ppa: int, clock: float, page_attr: Optional[Dict[str, float]]
-    ) -> float:
-        """Read a data page for the host, accounting queueing-wait time.
+    def _misprediction_reads(self, lpa: int, ppa: int) -> Tuple[int, Sequence[int]]:
+        """What a read of ``lpa`` predicted at ``ppa`` senses: a page, then its fixes.
 
-        The stall (time the read queued behind earlier operations on its
-        channel bus — buffer flushes, GC migrations, other
-        outstanding requests) is the direct measure of background traffic
-        delaying foreground reads.  It is derived from the reservation the
-        scheduler actually granted.
-        """
-        finish = self.flash.read_page(ppa, now_us=clock)
-        stall = finish - clock - self.config.read_latency_us
-        if stall > 0.0:
-            self.stats.read_stall_us += stall
-        if page_attr is not None:
-            # ``page_attr`` is this page's own dict and this its one sense,
-            # so the components are set, not accumulated.
-            nand_us = finish - clock
-            if stall > 0.0:
-                # Stalls while the GC pipeline is mid-victim are GC
-                # interference; otherwise the read queued behind ordinary
-                # channel traffic (flush programs, other requests,
-                # translation I/O).
-                page_attr["gc_wait_us" if self.gc.active else "chan_wait_us"] = stall
-                nand_us -= stall
-            page_attr["nand_us"] = nand_us
-        return finish
-
-    def _read_resolved_page(
-        self, lpa: int, ppa: int, clock: float, page_attr: Optional[Dict[str, float]]
-    ) -> float:
-        """Read the data page a translation resolved to; returns completion.
-
-        Senses the predicted page, verifies it against the reverse mapping
-        and corrects a misprediction through the OOB at one extra flash
-        read.  ``page_attr`` collects this page's latency components when
-        breakdown capture is on.
+        :meth:`FlashArray.read_chunk` asks only when ``ppa`` is not a
+        programmed page holding ``lpa``.  A prediction past the programmed
+        region of a block (or, within gamma of the array's edges, past the
+        array itself) senses the nearest programmed page of the error
+        window instead, which needs no fix when it holds ``lpa``.  Any
+        other sensed page is a misprediction (Section 3.5): its OOB stores
+        the reverse mappings of its ±gamma neighbourhood as they were when
+        it was programmed, so the fix is normally exactly one more read.
+        The OOB cannot resolve the LPA when the true page's entry is out of
+        date: ``None`` because that page was still FREE then, or a stale
+        LPA because the window reaches into the adjacent block and that
+        block has been erased and reprogrammed since.  The fix then scans
+        the error window around the prediction page by page (the paper's
+        baseline log(gamma) strategy) up to the first page holding ``lpa``.
         """
         flash = self.flash
-        sensed: Optional[int] = ppa
-        if not 0 <= ppa < self._total_pages or flash.is_free(ppa):
-            # The learned model pointed past the programmed region of a block
-            # (or, within gamma of the array edges, past the array itself):
-            # read the nearest programmed page of the error window instead and
-            # correct from its OOB, which keeps the cost at two flash reads.
-            sensed = self._nearest_programmed_page(lpa, ppa)
-            if sensed is None:
+        total = self._total_pages
+        sensed = ppa
+        if not 0 <= ppa < total or flash.is_free(ppa):
+            nearest = self._nearest_programmed_page(ppa)
+            if nearest is None:
                 self._fail_translation(lpa, ppa)
-        finish = self._timed_host_read(sensed, clock, page_attr)
-        if flash.lpa_of(sensed) != lpa:
-            corrected = self._correct_misprediction(lpa, ppa, sensed, finish)
-            if page_attr is not None and corrected > finish:
-                page_attr["extra_read_us"] = corrected - finish
-            finish = corrected
-        return finish
+            sensed = nearest
+            if flash.lpa_of(sensed) == lpa:
+                return sensed, ()
+        stats = self.stats
+        stats.mispredictions += 1
+        window = flash.oob_window_of(sensed)
+        assert window is not None  # the sensed page is programmed
+        correct_ppa = self.ftl.resolve_misprediction(lpa, sensed, window)
+        if (
+            correct_ppa is not None
+            and 0 <= correct_ppa < total
+            and flash.lpa_of(correct_ppa) == lpa
+        ):
+            stats.misprediction_extra_reads += 1
+            return sensed, (correct_ppa,)
+        gamma = max(self._oob_window, 1)
+        scan: List[int] = []
+        for candidate in range(ppa - gamma, ppa + gamma + 1):
+            if candidate == sensed or not 0 <= candidate < total or flash.is_free(candidate):
+                continue
+            scan.append(candidate)
+            stats.misprediction_extra_reads += 1
+            if flash.lpa_of(candidate) == lpa:
+                return sensed, scan
+        self._fail_translation(lpa, ppa)
 
-    def _nearest_programmed_page(self, lpa: int, predicted_ppa: int) -> Optional[int]:
+    def _nearest_programmed_page(self, predicted_ppa: int) -> Optional[int]:
         """The programmed page of the ±gamma window closest to the prediction."""
         gamma = max(self._oob_window, 1)
         total = self._total_pages
         for distance in range(0, gamma + 1):
             for candidate in (predicted_ppa - distance, predicted_ppa + distance):
-                if 0 <= candidate < total and self.flash.page_state(candidate) is not PageState.FREE:
+                if 0 <= candidate < total and not self.flash.is_free(candidate):
                     return candidate
         return None
-
-    def _correct_misprediction(
-        self, lpa: int, predicted_ppa: int, read_ppa: int, clock: float
-    ) -> float:
-        """Recover the true PPA after a misprediction (Section 3.5).
-
-        ``read_ppa`` is the page whose data and OOB were just fetched; its
-        OOB stores the reverse mappings of its ±gamma neighbourhood as they
-        were when it was programmed, so the correction normally costs
-        exactly one more flash read.  The OOB cannot resolve the LPA when
-        the true page's entry is out of date: ``None`` because that page was
-        still FREE then, or a stale LPA because the window reaches into the
-        adjacent block and that block has been erased and reprogrammed
-        since.  The simulator then falls back to scanning the error window
-        page by page, which is the paper's baseline log(gamma) strategy.
-        """
-        self.stats.mispredictions += 1
-        oob = self.flash.oob_of(read_ppa)
-        correct_ppa: Optional[int] = None
-        if oob is not None:
-            correct_ppa = self.ftl.resolve_misprediction(lpa, read_ppa, oob)
-
-        if (
-            correct_ppa is not None
-            and 0 <= correct_ppa < self._total_pages
-            and self.flash.lpa_of(correct_ppa) == lpa
-        ):
-            finish = self.flash.read_page(correct_ppa, now_us=clock)
-            self.stats.misprediction_extra_reads += 1
-            return finish
-
-        # OOB could not resolve: scan the error window around the prediction.
-        gamma = max(self._oob_window, 1)
-        total = self._total_pages
-        finish = clock
-        for candidate in range(predicted_ppa - gamma, predicted_ppa + gamma + 1):
-            if candidate == read_ppa or not 0 <= candidate < total:
-                continue
-            if self.flash.page_state(candidate) is PageState.FREE:
-                continue
-            finish = self.flash.read_page(candidate, now_us=finish)
-            self.stats.misprediction_extra_reads += 1
-            if self.flash.lpa_of(candidate) == lpa:
-                return finish
-        self._fail_translation(lpa, predicted_ppa)
 
     def _fail_translation(self, lpa: int, predicted_ppa: int) -> NoReturn:
         """The error window holds no copy of the LPA: a device bug, fail loudly."""
@@ -835,16 +789,22 @@ class SimulatedSSD:
         dram_latency = self.config.dram_latency_us
         finish = start
         critical: Optional[Dict[str, float]] = None
-        runs: List[List[int]] = []
-        for page in range(lpa, lpa + npages):
+        runs: List[range] = []
+        run_start = lpa
+        end = lpa + npages
+        for page in range(lpa, end):
             if page in self.write_buffer:
                 stats.buffer_hits += 1
             elif self.cache.lookup(page):
                 stats.cache_hits += 1
-            elif runs and runs[-1][-1] == page - 1:
-                runs[-1].append(page)
             else:
-                runs.append([page])
+                continue
+            # A DRAM-resident page ends the flash run before it.
+            if page > run_start:
+                runs.append(range(run_start, page))
+            run_start = page + 1
+        if end > run_start:
+            runs.append(range(run_start, end))
         dram_pages = npages - sum(map(len, runs))
         if dram_pages:
             # DRAM pages all complete together, ahead of any flash page.
@@ -865,13 +825,19 @@ class SimulatedSSD:
     def _read_run_from_flash(
         self, pages: Sequence[int], start: float, want_attr: bool
     ) -> Tuple[float, Optional[Dict[str, float]]]:
-        """Translate one contiguous run in a batch and issue it striped.
+        """Translate one contiguous run in a batch and sense it by channel chunk.
 
         Returns the completion time of the slowest page and, when
         ``want_attr``, that page's latency components.  Foreground
         translation flash traffic (DFTL/SFTL page fetches) is serial with
         the run — every data read issues after it completes — so the
-        slowest page inherits it.
+        slowest page inherits it.  Each chunk is one
+        :meth:`FlashArray.read_chunk` call, which asks
+        :meth:`_misprediction_reads` for a page's fix only when the
+        predicted page does not hold its LPA.  A page's stall is the time
+        its sense queued behind earlier operations on its channel bus —
+        buffer flushes, GC migrations, other outstanding requests — the
+        direct measure of background traffic delaying foreground reads.
         """
         ftl_stats = self.ftl.stats
         reads, writes = ftl_stats.translation_page_reads, ftl_stats.translation_page_writes
@@ -886,9 +852,15 @@ class SimulatedSSD:
         # cache as one batch each when the run is done.
         latencies: List[float] = []
         sensed: List[int] = []
-        chunks: Dict[int, List[Tuple[int, int]]] = {}
+        # Channel -> the chunk's LPAs and predicted PPAs.  Predictions of
+        # approximate segments can overshoot the physical space by up to
+        # gamma pages: clamped here for the grouping only.
+        chunks: Dict[int, Tuple[List[int], List[int]]] = {}
+        last_ppa = self._total_pages - 1
+        pages_per_channel = self._pages_per_channel
         for page, translation in zip(pages, translations):
-            if translation.ppa is None:
+            ppa = translation.ppa
+            if ppa is None:
                 # Unwritten space: served as zeroes from the controller,
                 # every such page of the run at the same time.
                 stats.unmapped_reads += 1
@@ -898,39 +870,42 @@ class SimulatedSSD:
                 if want_attr:
                     critical = {"dram_us": self.config.dram_latency_us}
                 continue
-            chunks.setdefault(self._channel_of_prediction(translation.ppa), []).append(
-                (page, translation.ppa)
-            )
-        read_resolved = self._read_resolved_page
+            channel = (0 if ppa < 0 else ppa if ppa < last_ppa else last_ppa) // pages_per_channel
+            chunk = chunks.get(channel)
+            if chunk is None:
+                chunks[channel] = chunk = ([], [])
+            chunk[0].append(page)
+            chunk[1].append(ppa)
+        read_latency = self.config.read_latency_us
         for channel in sorted(chunks):
-            for page, ppa in chunks[channel]:
-                page_attr: Optional[Dict[str, float]] = {} if want_attr else None
-                page_finish = read_resolved(page, ppa, clock, page_attr)
-                sensed.append(page)
+            lpas, ppas = chunks[channel]
+            senses, finishes = self.flash.read_chunk(lpas, ppas, clock, self._misprediction_reads)
+            sensed += lpas
+            for sense, page_finish in zip(senses, finishes):
+                stall = sense - clock - read_latency
+                if stall > 0.0:
+                    stats.read_stall_us += stall
                 latencies.append(page_finish - start)
                 if page_finish >= finish:
                     finish = page_finish
-                    critical = page_attr
+                    if want_attr:
+                        critical = {}
+                        nand_us = sense - clock
+                        if stall > 0.0:
+                            # Stalls while the GC pipeline is mid-victim are
+                            # GC interference; otherwise the read queued
+                            # behind ordinary channel traffic.
+                            critical["gc_wait_us" if self.gc.active else "chan_wait_us"] = stall
+                            nand_us -= stall
+                        critical["nand_us"] = nand_us
+                        if page_finish > sense:
+                            critical["extra_read_us"] = page_finish - sense
         stats.flash_reads_for_host += len(sensed)
         self.cache.insert_many(sensed)
         stats.read_latency.record_many(latencies)
         if critical is not None and translate_us > 0.0:
             critical["translate_us"] = translate_us
         return finish, critical
-
-    def _channel_of_prediction(self, ppa: int) -> int:
-        """Channel a (possibly approximate) predicted PPA falls on.
-
-        Predictions of approximate segments can overshoot the physical
-        space by up to gamma pages; clamping keeps the chunk grouping
-        valid — the actual read path corrects the prediction itself.
-        """
-        last = self._total_pages - 1
-        if ppa < 0:
-            ppa = 0
-        elif ppa > last:
-            ppa = last
-        return ppa // self._pages_per_channel
 
     def run(
         self,

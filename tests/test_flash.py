@@ -127,12 +127,46 @@ class TestFlashArray:
             flash.read_page_run([3, pages])
         assert (flash.counters.page_reads, flash.counters.oob_reads) == (3, 4)
 
+    def test_read_chunk_senses_each_page_then_its_fixes(self, flash):
+        for offset in range(4):
+            flash.program_page(offset, lpa=10 + offset)
+        single = FlashArray(flash.config)
+        for offset in range(4):
+            single.program_page(offset, lpa=10 + offset)
+        asked = []
+
+        def fixes(lpa, ppa):
+            asked.append((lpa, ppa))
+            return ppa, [2]
+
+        # LPA 12 is predicted at page 3, which holds 13: sense 3, then fix at 2.
+        first = single.read_page(0, now_us=5.0)
+        mispredicted = single.read_page(3, now_us=5.0)
+        fixed = single.read_page(2, now_us=mispredicted)
+        last = single.read_page(3, now_us=5.0)
+        assert flash.read_chunk([10, 12, 13], [0, 3, 3], 5.0, fixes) == (
+            [first, mispredicted, last],
+            [first, fixed, last],
+        )
+        assert asked == [(12, 3)]
+        assert flash.counters.page_reads == single.counters.page_reads == 4
+        assert flash.channel_busy_until(0) == single.channel_busy_until(0)
+        with pytest.raises(FlashError, match="unwritten page ppa=4"):
+            flash.read_chunk([12], [3], 0.0, lambda lpa, ppa: (ppa, [4]))
+
     #: Every public page / block operation, called with the index under test.
     PAGE_OPERATIONS = {
         "page_state": lambda flash, ppa: flash.page_state(ppa),
         "is_free": lambda flash, ppa: flash.is_free(ppa),
         "lpa_of": lambda flash, ppa: flash.lpa_of(ppa),
         "oob_of": lambda flash, ppa: flash.oob_of(ppa),
+        "oob_window_of": lambda flash, ppa: flash.oob_window_of(ppa),
+        "read_chunk": lambda flash, ppa: flash.read_chunk(
+            [1], [ppa], 0.0, lambda lpa, at: (at, ())
+        ),
+        "read_chunk(fix)": lambda flash, ppa: flash.read_chunk(
+            [99], [flash.geometry.total_pages - 1], 0.0, lambda lpa, at: (at, [ppa])
+        ),
         "read_page": lambda flash, ppa: flash.read_page(ppa),
         "read_oob": lambda flash, ppa: flash.read_oob(ppa),
         "read_page_run": lambda flash, ppa: flash.read_page_run([ppa]),
@@ -339,12 +373,11 @@ class TestOOBView:
         """An edge window is the LPA array's slice, ``-1`` where FREE or off it."""
         flash = FlashArray(TINY_FLASH)
         flash.program_run(0, list(range(8)), [None] * 8, 2, {})
-        assert sorted(flash._edge_windows) == [0, 1, 6, 7]
-        assert flash._edge_windows[0] == array("q", [-1, -1, 0, 1, 2])
-        assert flash._edge_windows[7] == array("q", [5, 6, 7, -1, -1])
+        assert sorted(flash._windows) == [0, 1, 6, 7]
+        assert flash._windows[0] == array("q", [-1, -1, 0, 1, 2])
+        assert flash._windows[7] == array("q", [5, 6, 7, -1, -1])
         flash.program_run(8, list(range(8)), [None] * 8, 0, {})
-        assert sorted(flash._edge_windows) == [0, 1, 6, 7]
-        assert not flash._oob
+        assert sorted(flash._windows) == [0, 1, 6, 7]
 
     def test_erase_forgets_the_window_gamma(self):
         flash = FlashArray(TINY_FLASH)
@@ -382,7 +415,7 @@ def _eager_window(
 @given(gamma=st.sampled_from([0, 1, 2, 3]), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_oob_view_equals_the_eager_snapshot(gamma, data):
-    """``oob_of`` against an eager model: after every step, for every PPA.
+    """``oob_of`` and ``oob_window_of`` against an eager model, after every step.
 
     Steps are ``program_run`` (any length the block still has room for,
     invalidating the LPAs' old copies), ``invalidate_page``, drain-and-erase
@@ -442,4 +475,14 @@ def test_oob_view_equals_the_eager_snapshot(gamma, data):
                 lpa_at.pop(ppa, None)
                 model.pop(ppa, None)
         for ppa in range(total):
-            assert flash.oob_of(ppa) == model.get(ppa), (kind, ppa)
+            expected = model.get(ppa)
+            assert flash.oob_of(ppa) == expected, (kind, ppa)
+            window = flash.oob_window_of(ppa)
+            if expected is None:
+                assert window is None, (kind, ppa)
+                continue
+            # The accessor's window: -1 for None, maybe cut where only None follows.
+            entries = [None if lpa == -1 else lpa for lpa in window]
+            tail = expected.neighbor_lpas[len(entries) :]
+            assert (window.typecode, entries + tail) == ("q", expected.neighbor_lpas), (kind, ppa)
+            assert tail == [None] * len(tail), (kind, ppa)

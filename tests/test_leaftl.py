@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 from repro.config import LeaFTLConfig
 from repro.core.leaftl import LeaFTL
-from repro.flash.oob import OOBArea
 
 
 class TestLeaFTLTranslation:
@@ -54,18 +54,20 @@ class TestLeaFTLTranslation:
 class TestMispredictionResolution:
     def test_resolve_through_oob(self):
         ftl = LeaFTL(LeaFTLConfig(gamma=4))
-        # The OOB of the (mispredicted) page holds the reverse mappings of
-        # PPAs [predicted - 4, predicted + 4]; LPA 77 lives two slots left.
-        oob = OOBArea(lpa=50, neighbor_lpas=[70, 71, 77, 49, 50, 51, 52, 53, 54])
-        correct = ftl.resolve_misprediction(lpa=77, predicted_ppa=100, oob=oob)
+        # The OOB window of the (mispredicted) page holds the reverse
+        # mappings of PPAs [predicted - 4, predicted + 4]; LPA 77 lives two
+        # slots left.
+        window = array("q", [70, 71, 77, 49, 50, 51, 52, 53, 54])
+        correct = ftl.resolve_misprediction(lpa=77, predicted_ppa=100, window=window)
         assert correct == 98
         assert ftl.lea_stats.mispredictions == 1
         assert ftl.lea_stats.oob_corrections == 1
 
     def test_resolution_failure_reported(self):
         ftl = LeaFTL(LeaFTLConfig(gamma=2))
-        oob = OOBArea(lpa=1, neighbor_lpas=[None, None, 1, 2, 3])
-        assert ftl.resolve_misprediction(lpa=99, predicted_ppa=10, oob=oob) is None
+        # ``-1``: the two pages left of the mispredicted one were FREE.
+        window = array("q", [-1, -1, 1, 2, 3])
+        assert ftl.resolve_misprediction(lpa=99, predicted_ppa=10, window=window) is None
         assert ftl.lea_stats.oob_correction_failures == 1
 
 
