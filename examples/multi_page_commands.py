@@ -52,8 +52,8 @@ def demo_batched_translation() -> None:
     fill(ssd, footprint=8192)
     lpa = 512
     before = ssd.ftl.stats.lookups
-    results = ssd.ftl.translate_range(lpa, 8)
-    print(f"translate_range({lpa}, 8): resolved {sum(r.ppa is not None for r in results)}"
+    ppas = ssd.ftl.translate_range(lpa, 8)
+    print(f"translate_range({lpa}, 8): resolved {sum(ppa is not None for ppa in ppas)}"
           f"/8 pages, lookup counter grew by {ssd.ftl.stats.lookups - before} (not 8)")
 
 

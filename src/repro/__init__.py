@@ -51,7 +51,7 @@ from repro.core import (
     Segment,
     learn_segments,
 )
-from repro.ftl import DFTL, FTL, PageLevelFTL, SFTL, TranslationResult
+from repro.ftl import DFTL, FTL, PageLevelFTL, SFTL
 from repro.host import (
     ARBITERS,
     HostInterface,
@@ -87,7 +87,6 @@ __all__ = [
     "FTL",
     "PageLevelFTL",
     "SFTL",
-    "TranslationResult",
     "ARBITERS",
     "HostInterface",
     "Namespace",

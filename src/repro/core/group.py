@@ -26,22 +26,24 @@ from repro.core.segment import (
     SEGMENT_BYTES,
     Segment,
 )
-from repro.ftl.base import TranslationResult
 
 #: Per-level bookkeeping overhead charged in the memory model, bytes.
 LEVEL_OVERHEAD_BYTES = 4
 
 
 @dataclass(slots=True)
-class LookupResult(TranslationResult):
-    """A learned-table lookup answer: a translation plus the segment it used.
+class LookupResult:
+    """A learned-table answer: the predicted PPA, the levels searched and the segment.
 
-    Produced here, charged to the statistics by the table and by
-    :class:`repro.core.leaftl.LeaFTL`, and handed to the device unchanged.
+    :meth:`LPAGroup.lookup` (the Algorithm-1 walk) returns one per LPA,
+    :meth:`LPAGroup.lookup_range` one per resolution run (with the run's
+    first PPA): the record the statistics are charged from.
     ``levels_searched`` is at least 1 even for a miss (see
     :meth:`repro.core.mapping_table.LogStructuredMappingTable.lookup`).
     """
 
+    ppa: Optional[int]
+    levels_searched: int
     segment: Optional[Segment] = None
 
     @property
@@ -282,43 +284,43 @@ class LPAGroup:
 
     def lookup_range(
         self, start_lpa: int, end_lpa: int
-    ) -> Tuple[List[LookupResult], List[LookupResult]]:
+    ) -> Tuple[List[Optional[int]], List[LookupResult]]:
         """Resolve every LPA of ``[start_lpa, end_lpa]`` from the owner index.
 
-        Returns ``(results, runs)``.  ``results`` holds one answer per LPA,
-        equal to :meth:`lookup`'s: the owner's prediction, with the depth of
-        the owner's level as ``levels_searched`` — the levels the walk would
-        have searched to reach it — and a miss charged every level.
-        ``runs`` holds the first result of each *resolution run*, a maximal
-        stretch of LPAs with one owner (or one miss gap): the unit the
-        statistics charge, since all of its pages searched the same levels.
+        Returns ``(ppas, runs)``.  ``ppas`` holds one PPA per LPA, equal to
+        :meth:`lookup`'s: the owner's prediction, ``None`` for a miss.
+        ``runs`` holds one :class:`LookupResult` per *resolution run*, a
+        maximal stretch of LPAs with one owner (or one miss gap): the unit
+        the statistics charge, since all of its pages searched the same
+        levels — the depth of the owner's level, what the walk would have
+        searched to reach it, and every level for a miss.
         """
         base = self.group_base
         if not base <= start_lpa <= end_lpa < base + self.group_size:
             raise ValueError(
                 f"[{start_lpa}, {end_lpa}] is not a range of the group at {base}"
             )
-        results: List[LookupResult] = []
+        ppas: List[Optional[int]] = []
         runs: List[LookupResult] = []
-        append = results.append
+        append = ppas.append
         ceil = math.ceil
         low = start_lpa - base
         previous: object = self  # matches no owner slot, not even an empty one
         for offset, segment in enumerate(self._owners[low : end_lpa - base + 1], low):
-            if segment is not previous:
-                previous = segment
-                if segment is None:
-                    result = LookupResult(None, max(len(self._levels), 1))
-                else:
-                    slope = segment.slope
-                    intercept = segment.intercept
-                    depth = segment.level.depth
-                    result = LookupResult(ceil(slope * offset + intercept), depth, segment)
-                runs.append(result)
-            elif segment is not None:
-                result = LookupResult(ceil(slope * offset + intercept), depth, segment)
-            append(result)
-        return results, runs
+            if segment is previous:
+                append(None if segment is None else ceil(slope * offset + intercept))
+                continue
+            previous = segment
+            if segment is None:
+                append(None)
+                runs.append(LookupResult(None, max(len(self._levels), 1)))
+            else:
+                slope = segment.slope
+                intercept = segment.intercept
+                ppa = ceil(slope * offset + intercept)
+                append(ppa)
+                runs.append(LookupResult(ppa, segment.level.depth, segment))
+        return ppas, runs
 
     # ------------------------------------------------------------------ #
     # Compaction (Algorithm 1, seg_compact)

@@ -5,14 +5,15 @@ interface used by the SSD model:
 
 * ``update_batch`` learns new segments from every write-buffer flush or GC
   migration batch and triggers periodic segment compaction;
-* ``translate`` resolves reads through the learned table, reporting how many
-  levels were searched (Figure 23a) and whether the result may be
-  approximate;
+* ``translate_range`` resolves a read run through the learned table to one
+  (possibly approximate) PPA per page, charging the levels searched
+  (Figure 23a) once per resolution run; ``translate`` is the paper's
+  per-LPA Algorithm-1 walk, the reference the range is tested against;
 * ``resolve_misprediction`` implements the OOB-based correction of
   Section 3.5: given the OOB window of the mispredicted page (which the
-  read path already fetched), it locates the correct PPA among the stored
-  reverse mappings of the ``[-gamma, +gamma]`` neighbourhood, so a
-  misprediction costs exactly one extra flash read.
+  read path already fetched), it names the pages of the
+  ``[-gamma, +gamma]`` neighbourhood whose stored reverse mapping is the
+  LPA, so a misprediction costs exactly one extra flash read.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ class LeaFTL(FTL):
     # FTL interface: translation
     # ------------------------------------------------------------------ #
     def translate(self, lpa: int) -> LookupResult:
+        """Resolve one LPA by the Algorithm-1 level walk (the reference).
+
+        The device never calls it: it translates through
+        :meth:`translate_range`, whose owner index must agree with this
+        walk page for page.
+        """
         self.stats.lookups += 1
         result = self.table.lookup(lpa)
         if result.found:
@@ -80,7 +87,7 @@ class LeaFTL(FTL):
                 self.lea_stats.approximate_lookups += 1
         return result
 
-    def translate_range(self, lpa: int, npages: int) -> List[LookupResult]:
+    def translate_range(self, lpa: int, npages: int) -> List[Optional[int]]:
         """Resolve a contiguous run of LPAs, charged once per resolution run.
 
         This is where the learned table's batching advantage materialises:
@@ -91,7 +98,7 @@ class LeaFTL(FTL):
         ``stats.lookups`` and the Figure 23a level histogram are charged per
         segment resolution, mirroring the mapping table's accounting.
         """
-        lookups, runs = self.table.resolve_range(lpa, npages)
+        ppas, runs = self.table.resolve_range(lpa, npages)
         self.stats.lookups += len(runs)
         lea_stats = self.lea_stats
         for run in runs:
@@ -101,12 +108,12 @@ class LeaFTL(FTL):
                 lea_stats.record_levels(run.levels_searched)
                 if not segment.accurate:
                     lea_stats.approximate_lookups += 1
-        return lookups
+        return ppas
 
     def resolve_misprediction(
         self, lpa: int, predicted_ppa: int, window: Sequence[int]
-    ) -> Optional[int]:
-        """Find the correct PPA from the OOB window of the mispredicted page.
+    ) -> List[int]:
+        """The pages the OOB window of the mispredicted page names for ``lpa``.
 
         ``window`` is the reverse-mapping window the read of
         ``predicted_ppa`` fetched with the page
@@ -116,16 +123,27 @@ class LeaFTL(FTL):
         true PPA in ``[predicted_ppa - gamma, predicted_ppa + gamma]``, so
         scanning the (at most ``2 * gamma + 1``) entries yields the answer
         without any flash access beyond the read that fetched the OOB.
+        Every page other than ``predicted_ppa`` whose entry is ``lpa`` is
+        returned, in PPA order: the window also names superseded copies,
+        and the device reads the one its page-validity table says is live.
         """
         self.lea_stats.mispredictions += 1
         self.stats.mispredictions += 1
-        try:
+        gamma = self.config.gamma
+        first = predicted_ppa - gamma
+        copies = window.count(lpa)
+        if copies == 1:  # the usual case, found by C-level scans alone
             index = window.index(lpa)
-        except ValueError:
+            named = [] if index == gamma else [first + index]
+        elif copies:
+            named = [first + i for i, entry in enumerate(window) if entry == lpa and i != gamma]
+        else:
+            named = []
+        if named:
+            self.lea_stats.oob_corrections += 1
+        else:
             self.lea_stats.oob_correction_failures += 1
-            return None
-        self.lea_stats.oob_corrections += 1
-        return predicted_ppa - self.config.gamma + index
+        return named
 
     # ------------------------------------------------------------------ #
     # FTL interface: updates

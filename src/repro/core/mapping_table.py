@@ -137,18 +137,18 @@ class LogStructuredMappingTable:
         self.stats.lookup_levels_total += result.levels_searched
         return result
 
-    def lookup_range(self, start_lpa: int, npages: int) -> List[LookupResult]:
+    def lookup_range(self, start_lpa: int, npages: int) -> List[Optional[int]]:
         """Resolve the contiguous run ``[start_lpa, start_lpa + npages)``.
 
-        One result per page, each equal to :meth:`lookup`'s answer for that
-        LPA; charged per resolution run (see :meth:`resolve_range`).
+        One PPA per page, each equal to :meth:`lookup`'s for that LPA;
+        charged per resolution run (see :meth:`resolve_range`).
         """
         return self.resolve_range(start_lpa, npages)[0]
 
     def resolve_range(
         self, start_lpa: int, npages: int
-    ) -> Tuple[List[LookupResult], List[LookupResult]]:
-        """:meth:`lookup_range` plus the first result of each resolution run.
+    ) -> Tuple[List[Optional[int]], List[LookupResult]]:
+        """:meth:`lookup_range` plus one :class:`LookupResult` per resolution run.
 
         The run is split at group boundaries and each group answers its
         chunk from its owner index
@@ -163,7 +163,7 @@ class LogStructuredMappingTable:
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
-        results: List[LookupResult] = []
+        ppas: List[Optional[int]] = []
         runs: List[LookupResult] = []
         lpa = start_lpa
         end = start_lpa + npages
@@ -176,19 +176,18 @@ class LogStructuredMappingTable:
                 chunk_end = end
             group = groups_get(group_base)
             if group is None:
-                miss = LookupResult(ppa=None, levels_searched=1)
-                results += [miss] * (chunk_end - lpa)
-                runs.append(miss)
+                ppas += [None] * (chunk_end - lpa)
+                runs.append(LookupResult(ppa=None, levels_searched=1))
             else:
                 chunk, chunk_runs = group.lookup_range(lpa, chunk_end - 1)
-                results += chunk
+                ppas += chunk
                 runs += chunk_runs
             lpa = chunk_end
         stats = self.stats
         stats.lookups += len(runs)
         for run in runs:
             stats.lookup_levels_total += run.levels_searched
-        return results, runs
+        return ppas, runs
 
     # ------------------------------------------------------------------ #
     # Compaction

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DFTLConfig, DRAMBudget, LeaFTLConfig, SFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
-from repro.flash.oob import required_oob_bytes
+from repro.flash.oob import oob_size_for_gamma
 from repro.ftl.base import FTL
 from repro.ftl.dftl import DFTL
 from repro.ftl.pagemap import PageLevelFTL
@@ -76,21 +76,6 @@ def bench_scale() -> float:
     return max(0.01, scale)
 
 
-def oob_size_for_gamma(gamma: int) -> int:
-    """Smallest standard spare-area size (128, 256, ... bytes) fitting gamma.
-
-    The reverse-mapping window needs ``(2 * gamma + 1) * 4`` bytes, so the
-    common 128-byte spare covers gamma <= 15 and gamma = 16 (Figure 19's
-    largest sweep point) needs a 256-byte spare.  ``ExperimentSetup``
-    derives its spare area from this, so each gamma runs on the cheapest
-    spare that can actually hold its OOB payload.
-    """
-    size = 128
-    while required_oob_bytes(gamma) > size:
-        size *= 2
-    return size
-
-
 @dataclass(frozen=True)
 class ExperimentSetup:
     """Device + policy configuration for one experiment run."""
@@ -109,7 +94,7 @@ class ExperimentSetup:
     #: ``mapping_first`` (Figure 16a) or ``cache_reserved`` (Figure 16b).
     dram_policy: str = "mapping_first"
     #: LeaFTL error bound (also sizes the per-page spare area, see
-    #: :func:`oob_size_for_gamma`).
+    #: :func:`repro.flash.oob.oob_size_for_gamma`).
     gamma: int = 0
     #: Fraction of the logical space written once before measuring.
     warmup_fraction: float = 0.70

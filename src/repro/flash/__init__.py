@@ -5,8 +5,7 @@ from repro.flash.flash_array import FlashArray, FlashCounters, FlashError, PageS
 from repro.flash.geometry import FlashGeometry
 from repro.flash.oob import (
     LPA_ENTRY_BYTES,
-    OOBArea,
-    max_neighbor_entries,
+    oob_size_for_gamma,
     required_oob_bytes,
     validate_gamma_fits_oob,
 )
@@ -19,9 +18,8 @@ __all__ = [
     "FlashError",
     "PageState",
     "FlashGeometry",
-    "OOBArea",
     "LPA_ENTRY_BYTES",
-    "max_neighbor_entries",
+    "oob_size_for_gamma",
     "required_oob_bytes",
     "validate_gamma_fits_oob",
 ]

@@ -6,7 +6,7 @@ The array models the FTL-visible behaviour of NAND flash:
   must be erased (at block granularity) before it can be programmed again;
 * each block has an erase counter (used for wear-leveling studies and the
   write-amplification figure);
-* each page has an OOB area storing reverse mappings (see
+* each page has an OOB area storing reverse mappings (sized by
   :mod:`repro.flash.oob`) — a view of the page array, not a stored copy
   (below);
 * every read/program/erase is accounted per channel so the SSD model can
@@ -42,12 +42,10 @@ hence ``None``.  Only windows that reach into a neighbouring block — which
 can be erased and reprogrammed while this page lives — are captured, at
 most ``2 * gamma`` per block: each as the ``array('q')`` slice of the LPA
 array it covered at program time (``-1`` for a FREE page or one off the
-array).  The area a ``program_page`` call was given is stored the same
+array).  The window a ``program_page`` call was given is stored the same
 way.  One accessor, :meth:`FlashArray.oob_window_of`, serves every page:
 the stored window, else the in-block slice of the LPA array cut at the
-page's run end.  :meth:`FlashArray.oob_of` wraps it as an
-:class:`OOBArea`; the read path's misprediction fix reads the window
-itself.
+page's run end; the read path's misprediction fix reads that window.
 
 Host reads
 ----------
@@ -72,7 +70,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SSDConfig
 from repro.flash.geometry import FlashGeometry
-from repro.flash.oob import OOBArea
 from repro.sim.nand import NANDScheduler
 
 
@@ -127,7 +124,7 @@ class FlashArray:
         self._lpa = array("q", [_NO_LPA]) * total_pages
         #: Stored windows (``-1`` = ``None``): per page whose window reaches
         #: a neighbouring block, that window as it was at program time, and
-        #: the window of the area each ``program_page`` call was given.
+        #: the window each ``program_page`` call was given.
         self._windows: Dict[int, array[int]] = {}
         #: Per page, the window gamma ``program_run`` wrote it with and the
         #: block offset that run ended at (read only while gamma > 0).
@@ -195,6 +192,17 @@ class FlashArray:
             raise self._out_of_range("PPA", ppa, self._total_pages)
         return self._state[ppa] == _FREE
 
+    def is_live_copy(self, ppa: int, lpa: int) -> bool:
+        """Whether ``ppa`` is a VALID page holding ``lpa`` (cheap hot-path test).
+
+        Only such a page answers for ``lpa``: a superseded INVALID copy
+        keeps its reverse mapping, and OOB windows keep naming it, until
+        its block is erased.
+        """
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range("PPA", ppa, self._total_pages)
+        return self._lpa[ppa] == lpa and self._state[ppa] == _VALID
+
     def lpa_of(self, ppa: int) -> Optional[int]:
         """Reverse mapping stored in the page (None if FREE/never written)."""
         if not 0 <= ppa < self._total_pages:
@@ -206,8 +214,8 @@ class FlashArray:
         """The reverse-mapping window in ``ppa``'s OOB (None if never written).
 
         Entry ``i`` is the LPA page ``ppa - gamma + i`` held, ``-1`` for
-        ``None``.  A stored window (an edge page's or a ``program_page``
-        area's; see the module docstring) is returned as is and must not
+        none.  A stored window (an edge page's or a ``program_page``
+        call's; see the module docstring) is returned as is and must not
         be mutated.  Otherwise it is a slice of the LPA array, which like
         the OOB survives invalidation and is cleared by erase: ``[lpa]`` at
         gamma 0, else ``[ppa - gamma, ppa + gamma]`` cut at the page's run
@@ -226,22 +234,6 @@ class FlashArray:
             return lpas[ppa : ppa + 1]
         stop = ppa - ppa % self._pages_per_block + self._run_end[ppa]
         return lpas[ppa - gamma : stop if stop <= ppa + gamma else ppa + gamma + 1]
-
-    def oob_of(self, ppa: int) -> Optional[OOBArea]:
-        """The OOB contents of ``ppa`` (None if the page was never written).
-
-        :meth:`oob_window_of` as an :class:`OOBArea`: ``-1`` entries become
-        ``None`` and a window cut at its run end is padded with ``None`` to
-        ``2 * gamma + 1`` entries.  The area's ``lpa`` is the page's own.
-        """
-        window = self.oob_window_of(ppa)
-        if window is None:
-            return None
-        neighbors: List[Optional[int]] = [None if entry == _NO_LPA else entry for entry in window]
-        gamma = self._gamma[ppa]
-        if gamma:
-            neighbors += [None] * (2 * gamma + 1 - len(neighbors))
-        return OOBArea(self._lpa[ppa], neighbors)
 
     def erase_count(self, block: int) -> int:
         if not 0 <= block < self._total_blocks:
@@ -424,12 +416,13 @@ class FlashArray:
         """Sense host pages, predicted at ``ppas``, all issued at ``now_us``.
 
         The host read path's one flash call per channel chunk.  Page ``i``
-        is done with one read when ``ppas[i]`` is a programmed page holding
-        ``lpas[i]`` (its reverse mapping, read from the LPA array).
-        Otherwise ``misprediction_reads(lpa, ppa)`` names the page to sense
-        in its place (``ppa`` itself when it is programmed) and the
-        correction reads that follow it (Section 3.5), or raises.  Every
-        sensed page passes :meth:`_sense`'s range and not-FREE checks.
+        is done with one read when ``ppas[i]`` is the live copy of
+        ``lpas[i]``: a VALID page whose reverse mapping, read from the LPA
+        array, is that LPA.  Otherwise ``misprediction_reads(lpa, ppa)``
+        names the page to sense in its place (``ppa`` itself when it is
+        programmed) and the correction reads that follow it (Section 3.5),
+        or raises.  Every sensed page passes :meth:`_sense`'s range and
+        not-FREE checks.
 
         Reads are timed float for float like one :meth:`NANDScheduler.reserve`
         per read, in order, on the sensed page's channel: a page's sense
@@ -449,7 +442,8 @@ class FlashArray:
         reads = len(ppas)
         for lpa, ppa in zip(lpas, ppas):
             corrections: Sequence[int] = ()
-            if not (0 <= ppa < total_pages and lpa_array[ppa] == lpa and state[ppa] != _FREE):
+            # :meth:`is_live_copy`, inline.
+            if not (0 <= ppa < total_pages and lpa_array[ppa] == lpa and state[ppa] == _VALID):
                 ppa, corrections = misprediction_reads(lpa, ppa)
                 if not 0 <= ppa < total_pages or state[ppa] == _FREE:
                     raise self._unreadable(ppa, ppa, "read")
@@ -482,14 +476,15 @@ class FlashArray:
         self,
         ppa: int,
         lpa: int,
-        oob: Optional[OOBArea] = None,
+        window: Sequence[int] = (),
         now_us: float = 0.0,
     ) -> float:
         """Program a FREE page with the data of ``lpa``.
 
-        The OOB stores ``oob``'s neighbour window (none when ``oob`` is
-        ``None``); its own reverse mapping is ``lpa``.  NAND constraints
-        enforced:
+        Its own reverse mapping is ``lpa``, and its OOB stores ``window``
+        as given, in the format :meth:`oob_window_of` returns: entry ``i``
+        the LPA of page ``ppa - gamma + i``, ``-1`` for none.  NAND
+        constraints enforced:
 
         * the page must be FREE;
         * pages within a block must be programmed in ascending order.
@@ -511,10 +506,7 @@ class FlashArray:
 
         self._state[ppa] = _VALID
         self._lpa[ppa] = lpa
-        neighbors = () if oob is None else oob.neighbor_lpas
-        self._windows[ppa] = array(
-            "q", [_NO_LPA if entry is None else entry for entry in neighbors]
-        )
+        self._windows[ppa] = array("q", window)
         self._valid_pages[block] += 1
         self._write_pointer[block] = offset + 1
         self._op_clock += 1

@@ -1,54 +1,25 @@
-"""Out-of-band (OOB) metadata model.
+"""Out-of-band (OOB) metadata: the byte budget of the reverse-mapping window.
 
 Every flash page carries a small spare area (128-256 bytes in modern SSDs).
 LeaFTL uses it for two purposes (Section 3.5, Figure 11):
 
-* the *reverse mapping* of the page itself (``lpa``), used by any FTL to
+* the *reverse mapping* of the page itself (its LPA), used by any FTL to
   verify translations and to rebuild the mapping table after a crash, and
 * the reverse mappings of the page's *neighbour* PPAs within the error bound
   ``[-gamma, +gamma]``, so that a mispredicted lookup can be corrected with
   the single flash read it already performed instead of up to ``log(gamma)``
   additional reads.
 
-The simulator stores OOB contents as plain Python integers; the byte budget
-is enforced so that a configuration whose ``gamma`` does not fit in the OOB
-is rejected, exactly like real hardware would force.
+The contents live in the flash array, which hands a page's window out as an
+``array('q')`` of LPAs (:meth:`repro.flash.flash_array.FlashArray.oob_window_of`).
+This module sizes it: a configuration whose ``gamma`` does not fit in the
+OOB is rejected, exactly like real hardware would force.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
 #: Bytes used to store one reverse-mapping entry (a 4-byte LPA).
 LPA_ENTRY_BYTES = 4
-
-
-@dataclass(slots=True)
-class OOBArea:
-    """The OOB contents of a single flash page.
-
-    Attributes
-    ----------
-    lpa:
-        Reverse mapping of the page itself (``None`` for an unwritten page).
-    neighbor_lpas:
-        ``2 * gamma + 1`` entries holding the LPAs of the PPAs in
-        ``[ppa - gamma, ppa + gamma]`` at the time the page was written.
-        Index ``gamma`` corresponds to the page itself.  An entry is
-        ``None`` for a PPA off the array or FREE at program time.  The
-        window does not stop at the page's own block: near a block edge it
-        names the neighbouring block's LPAs as they were at program time,
-        and those go stale once that block is erased and reprogrammed.
-    """
-
-    lpa: Optional[int] = None
-    neighbor_lpas: List[Optional[int]] = field(default_factory=list)
-
-
-def max_neighbor_entries(oob_size: int) -> int:
-    """How many reverse-mapping entries fit in an OOB area of ``oob_size``."""
-    return oob_size // LPA_ENTRY_BYTES
 
 
 def required_oob_bytes(gamma: int) -> int:
@@ -61,6 +32,19 @@ def required_oob_bytes(gamma: int) -> int:
     requires a 256-byte spare area.
     """
     return (2 * gamma + 1) * LPA_ENTRY_BYTES
+
+
+def oob_size_for_gamma(gamma: int) -> int:
+    """Smallest standard spare-area size (128, 256, ... bytes) fitting gamma.
+
+    The common 128-byte spare covers gamma <= 15 and gamma = 16 (Figure
+    19's largest sweep point) needs a 256-byte spare, so each gamma runs
+    on the cheapest spare that can actually hold its OOB payload.
+    """
+    size = 128
+    while required_oob_bytes(gamma) > size:
+        size *= 2
+    return size
 
 
 def validate_gamma_fits_oob(gamma: int, oob_size: int) -> None:

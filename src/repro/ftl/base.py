@@ -10,7 +10,7 @@ the perf ledger or a reference test) calls it:
 * :meth:`FTL.translate_range` resolves a *contiguous run* of LPAs — the
   flash-resident page span of one host read command — in a single batch.
   It is the one translation method an FTL must implement and the only one
-  the device calls; :meth:`FTL.translate` is its one-page case;
+  the device calls;
 * :meth:`FTL.update_batch` records a batch of freshly programmed
   ``(LPA, PPA)`` mappings after a write-buffer flush or a GC migration,
   charging ``stats.updates`` once per pair.
@@ -27,9 +27,9 @@ Three hooks have defaults that only LeaFTL overrides:
 * :meth:`FTL.oob_window` — how many neighbours' reverse mappings each side
   the write path must store in every page's OOB (default 0; LeaFTL: γ).
   The device reads it once, at construction;
-* :meth:`FTL.resolve_misprediction` — locate the true PPA from the OOB
-  window of a page that turned out to hold another LPA (default ``None``:
-  the device scans the error window page by page);
+* :meth:`FTL.resolve_misprediction` — name the candidate PPAs of an LPA
+  from the OOB window of a page that turned out not to be its live copy
+  (default: none, and the device scans the error window page by page);
 * :meth:`FTL.reset_stats` — zero every counter the FTL keeps (end of a
   warm-up); an FTL with counters beyond ``stats`` extends it.
 
@@ -47,8 +47,10 @@ charged.
 The ``translate_range`` contract
 --------------------------------
 
-``translate_range(lpa, npages)`` returns one :class:`TranslationResult`
-per page of ``[lpa, lpa + npages)``, in LPA order, resolved against the
+``translate_range(lpa, npages)`` returns one PPA per page of
+``[lpa, lpa + npages)``, in LPA order (``None`` for an LPA that was never
+written; a learned prediction may be off by up to the error bound and
+even fall off the array), resolved against the
 mapping state at the time of the call (page ``i``'s result may not reflect
 updates applied after the call began); ``npages < 1`` raises
 ``ValueError``.  The accounting contract:
@@ -64,34 +66,18 @@ updates applied after the call began); ``npages < 1`` raises
   ``translation_page_reads`` for all of its entries in the run, plus
   whatever dirty evictions the admission forced.
 
-LeaFTL alone overrides ``translate`` — with the paper's Algorithm-1
-per-LPA walk, the reference its ``lookup_range`` (answered from a
-per-group owner index) is tested against and what the lookup
-micro-benchmarks time.
+There is no one-page ``translate`` on the contract: a one-page lookup is
+``translate_range(lpa, 1)[0]``.  LeaFTL alone has a ``translate`` — the
+paper's Algorithm-1 per-LPA walk, the reference its ``lookup_range``
+(answered from a per-group owner index) is tested against and what the
+lookup micro-benchmarks time.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-
-@dataclass(slots=True)
-class TranslationResult:
-    """Outcome of a single LPA→PPA translation.
-
-    Attributes
-    ----------
-    ppa:
-        The physical page address, or ``None`` if the LPA has never been
-        written (the host is reading unwritten space).
-    levels_searched:
-        Number of log-structure levels inspected (LeaFTL only; 0 otherwise).
-    """
-
-    ppa: Optional[int]
-    levels_searched: int = 0
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -128,16 +114,13 @@ class FTL(abc.ABC):
     # Address translation
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def translate_range(self, lpa: int, npages: int) -> Sequence[TranslationResult]:
+    def translate_range(self, lpa: int, npages: int) -> List[Optional[int]]:
         """Resolve the contiguous run ``[lpa, lpa + npages)`` in one batch.
 
-        Returns one :class:`TranslationResult` per page, in LPA order; see
-        the module docstring for the accounting contract.
+        Returns one PPA per page, in LPA order, ``None`` where the LPA has
+        never been written; see the module docstring for the accounting
+        contract.
         """
-
-    def translate(self, lpa: int) -> TranslationResult:
-        """Resolve one LPA: the one-page case of :meth:`translate_range`."""
-        return self.translate_range(lpa, 1)[0]
 
     @abc.abstractmethod
     def update_batch(self, mappings: Sequence[Tuple[int, int]]) -> None:
@@ -172,16 +155,17 @@ class FTL(abc.ABC):
 
     def resolve_misprediction(
         self, lpa: int, predicted_ppa: int, window: Sequence[int]
-    ) -> Optional[int]:
-        """The true PPA of ``lpa`` given the OOB window read at ``predicted_ppa``.
+    ) -> Sequence[int]:
+        """The PPAs that may hold ``lpa``, from the OOB window read at ``predicted_ppa``.
 
         ``window`` is that page's reverse-mapping window as the flash array
         stores it (:meth:`repro.flash.flash_array.FlashArray.oob_window_of`):
         entry ``i`` is the LPA of page ``predicted_ppa - oob_window() + i``,
-        ``-1`` where it held none.  ``None`` means the window cannot tell,
-        and the device falls back to scanning the error window.
+        ``-1`` where it held none.  The device reads the first candidate
+        that is a VALID page holding ``lpa``; when none is, it falls back
+        to scanning the error window.
         """
-        return None
+        return ()
 
     def reset_stats(self) -> None:
         """Zero the FTL's counters; mapping state is untouched."""

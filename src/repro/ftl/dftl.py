@@ -23,7 +23,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DFTLConfig
-from repro.ftl.base import FTL, TranslationResult
+from repro.ftl.base import FTL
 
 
 class DFTL(FTL):
@@ -101,7 +101,7 @@ class DFTL(FTL):
     # ------------------------------------------------------------------ #
     # FTL interface
     # ------------------------------------------------------------------ #
-    def translate_range(self, lpa: int, npages: int) -> List[TranslationResult]:
+    def translate_range(self, lpa: int, npages: int) -> List[Optional[int]]:
         """Resolve a contiguous run, one translation-page visit per chunk.
 
         The run is split at translation-page boundaries; within a chunk a
@@ -114,7 +114,7 @@ class DFTL(FTL):
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
-        results: List[TranslationResult] = []
+        results: List[Optional[int]] = []
         per_tp = self._config.entries_per_translation_page
         start = lpa
         end = lpa + npages
@@ -127,9 +127,9 @@ class DFTL(FTL):
                 if page in self._cmt:
                     ppa, _dirty = self._cmt[page]
                     self._touch(page)
-                    results.append(TranslationResult(ppa=ppa))
+                    results.append(ppa)
                 elif page not in self._flash_table:
-                    results.append(TranslationResult(ppa=None))
+                    results.append(None)
                 else:
                     ppa = self._flash_table[page]
                     if not fetched:
@@ -137,7 +137,7 @@ class DFTL(FTL):
                         self.stats.translation_page_reads += 1
                     self._cmt[page] = (ppa, False)
                     self._touch(page)
-                    results.append(TranslationResult(ppa=ppa))
+                    results.append(ppa)
             if fetched:
                 self._evict_if_needed()
             start = chunk_end

@@ -9,9 +9,9 @@ as ground truth in tests and as the denominator in memory-reduction figures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.ftl.base import FTL, TranslationResult
+from repro.ftl.base import FTL
 
 
 class PageLevelFTL(FTL):
@@ -29,7 +29,7 @@ class PageLevelFTL(FTL):
     # ------------------------------------------------------------------ #
     # FTL interface
     # ------------------------------------------------------------------ #
-    def translate_range(self, lpa: int, npages: int) -> List[TranslationResult]:
+    def translate_range(self, lpa: int, npages: int) -> List[Optional[int]]:
         """Resolve a contiguous run with one probe of the flat table.
 
         The fully-resident table needs no per-page structure walks, so the
@@ -39,10 +39,7 @@ class PageLevelFTL(FTL):
         if npages <= 0:
             raise ValueError("npages must be positive")
         self.stats.lookups += 1
-        return [
-            TranslationResult(ppa=self._table.get(page))
-            for page in range(lpa, lpa + npages)
-        ]
+        return [self._table.get(page) for page in range(lpa, lpa + npages)]
 
     def update_batch(self, mappings: Sequence[Tuple[int, int]]) -> None:
         for lpa, ppa in mappings:

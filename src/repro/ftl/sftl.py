@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import SFTLConfig
-from repro.ftl.base import FTL, TranslationResult
+from repro.ftl.base import FTL
 
 
 @dataclass
@@ -129,7 +129,7 @@ class SFTL(FTL):
     # ------------------------------------------------------------------ #
     # FTL interface
     # ------------------------------------------------------------------ #
-    def translate_range(self, lpa: int, npages: int) -> List[TranslationResult]:
+    def translate_range(self, lpa: int, npages: int) -> List[Optional[int]]:
         """Resolve a contiguous run, one condensed-page admission per chunk.
 
         The run is split at translation-page boundaries; the first mapped
@@ -139,7 +139,7 @@ class SFTL(FTL):
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
-        results: List[TranslationResult] = []
+        results: List[Optional[int]] = []
         start = lpa
         end = lpa + npages
         while start < end:
@@ -150,7 +150,7 @@ class SFTL(FTL):
             admitted = False
             for entry in range(start, chunk_end):
                 if page is None or entry not in page.entries:
-                    results.append(TranslationResult(ppa=None))
+                    results.append(None)
                     continue
                 if not admitted:
                     admitted = True
@@ -159,7 +159,7 @@ class SFTL(FTL):
                         self._admit(tp_id, dirty=False)
                     else:
                         self._cached.move_to_end(tp_id)
-                results.append(TranslationResult(ppa=page.entries[entry]))
+                results.append(page.entries[entry])
             start = chunk_end
         return results
 

@@ -24,8 +24,10 @@ SSD controller at the level of detail the LeaFTL evaluation depends on:
 * OOB reverse mappings written with every page, including the
   ``[-gamma, +gamma]`` neighbour window LeaFTL needs to correct
   mispredictions with a single extra flash read (Section 3.5);
-* verification of every translated read against the reverse mapping, which
-  is how mispredictions are detected and accounted (Figure 24).
+* verification of every translated read against the reverse mapping and
+  the page state (a superseded copy still holds its LPA but no longer
+  answers for it), which is how mispredictions are detected and accounted
+  (Figure 24).
 
 The simulator keeps a ground-truth ``LPA -> PPA`` map, ``_current_ppa``
 (the role the page validity table plays in real firmware): an ``array('q')``
@@ -561,20 +563,24 @@ class SimulatedSSD:
     def _misprediction_reads(self, lpa: int, ppa: int) -> Tuple[int, Sequence[int]]:
         """What a read of ``lpa`` predicted at ``ppa`` senses: a page, then its fixes.
 
-        :meth:`FlashArray.read_chunk` asks only when ``ppa`` is not a
-        programmed page holding ``lpa``.  A prediction past the programmed
-        region of a block (or, within gamma of the array's edges, past the
-        array itself) senses the nearest programmed page of the error
-        window instead, which needs no fix when it holds ``lpa``.  Any
-        other sensed page is a misprediction (Section 3.5): its OOB stores
-        the reverse mappings of its ±gamma neighbourhood as they were when
-        it was programmed, so the fix is normally exactly one more read.
-        The OOB cannot resolve the LPA when the true page's entry is out of
-        date: ``None`` because that page was still FREE then, or a stale
-        LPA because the window reaches into the adjacent block and that
-        block has been erased and reprogrammed since.  The fix then scans
-        the error window around the prediction page by page (the paper's
-        baseline log(gamma) strategy) up to the first page holding ``lpa``.
+        :meth:`FlashArray.read_chunk` asks only when ``ppa`` is not the
+        live copy of ``lpa``.  A page answers for an LPA only while it is
+        VALID: the LPA array and the OOB windows also name the superseded
+        copies of an LPA until their block is erased, and the page-validity
+        table tells them apart.  A prediction past the programmed region of
+        a block (or, within gamma of the array's edges, past the array
+        itself) senses the nearest programmed page of the error window
+        instead, which needs no fix when it is the live copy.  Any other
+        sensed page is a misprediction (Section 3.5): its OOB stores the
+        reverse mappings of its ±gamma neighbourhood as they were when it
+        was programmed, so the fix is normally exactly one more read — of
+        the first page the window names for ``lpa`` that is live.  The OOB
+        cannot resolve the LPA when the true page's entry is out of date:
+        no LPA (``-1``) because that page was still FREE then, or a stale LPA
+        because the window reaches into the adjacent block and that block
+        has been erased and reprogrammed since.  The fix then scans the
+        error window around the prediction page by page (the paper's
+        baseline log(gamma) strategy) up to the live copy.
         """
         flash = self.flash
         total = self._total_pages
@@ -584,20 +590,16 @@ class SimulatedSSD:
             if nearest is None:
                 self._fail_translation(lpa, ppa)
             sensed = nearest
-            if flash.lpa_of(sensed) == lpa:
+            if flash.is_live_copy(sensed, lpa):
                 return sensed, ()
         stats = self.stats
         stats.mispredictions += 1
         window = flash.oob_window_of(sensed)
         assert window is not None  # the sensed page is programmed
-        correct_ppa = self.ftl.resolve_misprediction(lpa, sensed, window)
-        if (
-            correct_ppa is not None
-            and 0 <= correct_ppa < total
-            and flash.lpa_of(correct_ppa) == lpa
-        ):
-            stats.misprediction_extra_reads += 1
-            return sensed, (correct_ppa,)
+        for correct_ppa in self.ftl.resolve_misprediction(lpa, sensed, window):
+            if 0 <= correct_ppa < total and flash.is_live_copy(correct_ppa, lpa):
+                stats.misprediction_extra_reads += 1
+                return sensed, (correct_ppa,)
         gamma = max(self._oob_window, 1)
         scan: List[int] = []
         for candidate in range(ppa - gamma, ppa + gamma + 1):
@@ -605,7 +607,7 @@ class SimulatedSSD:
                 continue
             scan.append(candidate)
             stats.misprediction_extra_reads += 1
-            if flash.lpa_of(candidate) == lpa:
+            if flash.is_live_copy(candidate, lpa):
                 return sensed, scan
         self._fail_translation(lpa, ppa)
 
@@ -841,7 +843,7 @@ class SimulatedSSD:
         """
         ftl_stats = self.ftl.stats
         reads, writes = ftl_stats.translation_page_reads, ftl_stats.translation_page_writes
-        translations = self.ftl.translate_range(pages[0], len(pages))
+        predicted = self.ftl.translate_range(pages[0], len(pages))
         clock = self._charge_translation(start, reads, writes, foreground=True)
         translate_us = clock - start if clock > start else 0.0
         stats = self.stats
@@ -858,8 +860,7 @@ class SimulatedSSD:
         chunks: Dict[int, Tuple[List[int], List[int]]] = {}
         last_ppa = self._total_pages - 1
         pages_per_channel = self._pages_per_channel
-        for page, translation in zip(pages, translations):
-            ppa = translation.ppa
+        for page, ppa in zip(pages, predicted):
             if ppa is None:
                 # Unwritten space: served as zeroes from the controller,
                 # every such page of the run at the same time.

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
-from repro.flash.oob import required_oob_bytes
+from repro.flash.oob import oob_size_for_gamma, required_oob_bytes
 from repro.ssd.ssd import SimulatedSSD
 
 
@@ -40,8 +40,8 @@ def make_ssd(
     # window: the default 128-byte OOB holds gamma <= 15, so gamma = 16
     # tests get the next standard spare size (256 bytes) automatically.
     window = ftl.oob_window()
-    while required_oob_bytes(window) > config.oob_size:
-        config = replace(config, oob_size=config.oob_size * 2)
+    if required_oob_bytes(window) > config.oob_size:
+        config = replace(config, oob_size=oob_size_for_gamma(window))
     budget = DRAMBudget(dram_bytes=dram_bytes or config.dram_size)
     return SimulatedSSD(config=config, ftl=ftl, dram_budget=budget, **ssd_kwargs)
 

@@ -108,7 +108,7 @@ class TestTieBreakOrder:
         for block in pool:
             if block != preferred:
                 ppa = flash.geometry.first_ppa_of_block(block)
-                flash.program_page(ppa, lpa=0, oob=None)
+                flash.program_page(ppa, lpa=0)
                 flash.invalidate_page(ppa)
                 flash.erase_block(block)
         assert allocator.allocate_block(channel=channel) == preferred

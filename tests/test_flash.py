@@ -13,8 +13,7 @@ from repro.flash.allocator import BlockAllocator, OutOfSpaceError
 from repro.flash.flash_array import FlashArray, FlashError, PageState
 from repro.flash.geometry import FlashGeometry
 from repro.flash.oob import (
-    OOBArea,
-    max_neighbor_entries,
+    oob_size_for_gamma,
     required_oob_bytes,
     validate_gamma_fits_oob,
 )
@@ -84,11 +83,9 @@ class TestFlashArray:
             flash.invalidate_page(0)
 
     def test_oob_round_trip(self, flash):
-        oob = OOBArea(lpa=5, neighbor_lpas=[None, 5, 6])
-        flash.program_page(0, lpa=5, oob=oob)
-        stored = flash.oob_of(0)
-        assert stored.lpa == 5
-        assert stored.neighbor_lpas == [None, 5, 6]
+        flash.program_page(0, lpa=5, window=[-1, 5, 6])
+        assert flash.lpa_of(0) == 5
+        assert flash.oob_window_of(0) == array("q", [-1, 5, 6])
 
     def test_channel_occupancy_serializes_reads(self, flash):
         flash.program_page(0, lpa=0)
@@ -151,6 +148,10 @@ class TestFlashArray:
         assert asked == [(12, 3)]
         assert flash.counters.page_reads == single.counters.page_reads == 4
         assert flash.channel_busy_until(0) == single.channel_busy_until(0)
+        # A superseded copy still holds its LPA but no longer answers for it.
+        flash.invalidate_page(0)
+        flash.read_chunk([10], [0], 5.0, fixes)
+        assert asked == [(12, 3), (10, 0)]
         with pytest.raises(FlashError, match="unwritten page ppa=4"):
             flash.read_chunk([12], [3], 0.0, lambda lpa, ppa: (ppa, [4]))
 
@@ -158,8 +159,8 @@ class TestFlashArray:
     PAGE_OPERATIONS = {
         "page_state": lambda flash, ppa: flash.page_state(ppa),
         "is_free": lambda flash, ppa: flash.is_free(ppa),
+        "is_live_copy": lambda flash, ppa: flash.is_live_copy(ppa, 1),
         "lpa_of": lambda flash, ppa: flash.lpa_of(ppa),
-        "oob_of": lambda flash, ppa: flash.oob_of(ppa),
         "oob_window_of": lambda flash, ppa: flash.oob_window_of(ppa),
         "read_chunk": lambda flash, ppa: flash.read_chunk(
             [1], [ppa], 0.0, lambda lpa, at: (at, ())
@@ -262,8 +263,11 @@ class TestOOBHelpers:
         assert required_oob_bytes(15) == 124
         assert required_oob_bytes(16) == 132
 
-    def test_max_entries(self):
-        assert max_neighbor_entries(128) == 32
+    def test_spare_size_for_gamma(self):
+        # The smallest standard spare area (128, 256, ... bytes) that fits.
+        assert [oob_size_for_gamma(gamma) for gamma in (0, 15, 16, 31, 32)] == [
+            128, 128, 256, 256, 512
+        ]
 
     def test_gamma_must_fit(self):
         validate_gamma_fits_oob(4, 128)
@@ -305,9 +309,7 @@ class TestOOBParity:
         flash = FlashArray(config)
         expected = self._program_pattern(flash, gamma)
         for ppa, lpa in expected.items():
-            oob = flash.oob_of(ppa)
-            assert oob is not None
-            assert oob.lpa == lpa
+            assert flash.oob_window_of(ppa)[gamma] == lpa
 
     @pytest.mark.parametrize("gamma", [0, 2])
     def test_own_lpa_survives_invalidate(self, config, gamma):
@@ -319,14 +321,12 @@ class TestOOBParity:
             if flash.page_state(ppa) is PageState.VALID:
                 flash.invalidate_page(ppa)
         for ppa, lpa in expected.items():
-            oob = flash.oob_of(ppa)
-            assert oob is not None
-            assert oob.lpa == lpa
+            assert flash.oob_window_of(ppa)[gamma] == lpa
 
     @pytest.mark.parametrize("gamma", [0, 2])
     def test_erase_clears_oob(self, config, gamma):
-        # Erase is the one OOB-invalidation story: stored areas are popped
-        # wholesale and the synthesized view returns None alike.
+        # Erase is the one OOB-invalidation story: stored windows are popped
+        # wholesale and the derived view returns None alike.
         flash = FlashArray(config)
         expected = self._program_pattern(flash, gamma)
         for ppa in expected:
@@ -334,7 +334,7 @@ class TestOOBParity:
                 flash.invalidate_page(ppa)
         flash.erase_block(0)
         for ppa in expected:
-            assert flash.oob_of(ppa) is None
+            assert flash.oob_window_of(ppa) is None
 
 
 #: Four blocks of eight pages on two channels: every window of gamma <= 3
@@ -353,21 +353,21 @@ class TestOOBView:
         Block 1's first page sees block 0's last two LPAs; after block 0 is
         erased and reprogrammed it still names the old ones — this is how
         an OOB correction fails over to the error-window scan on an aged
-        device.  Block 0's last page saw block 1 FREE, and keeps ``None``
-        after block 1 is programmed.
+        device.  Block 0's last page saw block 1 FREE, and keeps ``-1`` (no
+        LPA) after block 1 is programmed.
         """
         flash = FlashArray(TINY_FLASH)
         flash.program_run(0, list(range(8)), [None] * 8, 2, {})
         flash.program_run(8, [20, 21], [None] * 2, 2, {})
-        assert flash.oob_of(7).neighbor_lpas == [5, 6, 7, None, None]
-        assert flash.oob_of(8).neighbor_lpas == [6, 7, 20, 21, None]
+        assert flash.oob_window_of(7).tolist() == [5, 6, 7, -1, -1]
+        assert flash.oob_window_of(8).tolist() == [6, 7, 20, 21, -1]
         for ppa in range(8):
             flash.invalidate_page(ppa)
         flash.erase_block(0)
         flash.program_run(0, list(range(100, 108)), [None] * 8, 2, {})
-        assert flash.oob_of(8).neighbor_lpas == [6, 7, 20, 21, None]
-        assert flash.oob_of(7).neighbor_lpas == [105, 106, 107, 20, 21]
-        assert flash.oob_of(9).neighbor_lpas == [7, 20, 21, None, None]
+        assert flash.oob_window_of(8).tolist() == [6, 7, 20, 21, -1]
+        assert flash.oob_window_of(7).tolist() == [105, 106, 107, 20, 21]
+        assert flash.oob_window_of(9).tolist() == [7, 20, 21, -1, -1]
 
     def test_only_edge_windows_are_stored(self):
         """An edge window is the LPA array's slice, ``-1`` where FREE or off it."""
@@ -386,8 +386,8 @@ class TestOOBView:
             flash.invalidate_page(ppa)
         flash.erase_block(0)
         flash.program_run(0, list(range(10, 18)), [None] * 8, 0, {})
-        assert [flash.oob_of(ppa) for ppa in range(8)] == [
-            OOBArea(lpa, [lpa]) for lpa in range(10, 18)
+        assert [flash.oob_window_of(ppa).tolist() for ppa in range(8)] == [
+            [lpa] for lpa in range(10, 18)
         ]
 
 
@@ -415,7 +415,7 @@ def _eager_window(
 @given(gamma=st.sampled_from([0, 1, 2, 3]), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_oob_view_equals_the_eager_snapshot(gamma, data):
-    """``oob_of`` and ``oob_window_of`` against an eager model, after every step.
+    """``oob_window_of`` and ``lpa_of`` against an eager model, after every step.
 
     Steps are ``program_run`` (any length the block still has room for,
     invalidating the LPAs' old copies), ``invalidate_page``, drain-and-erase
@@ -427,7 +427,7 @@ def test_oob_view_equals_the_eager_snapshot(gamma, data):
     pages, total = TINY_FLASH.pages_per_block, TINY_FLASH.physical_pages
     blocks = total // pages
     lpa_at: Dict[int, int] = {}
-    model: Dict[int, OOBArea] = {}
+    model: Dict[int, List[Optional[int]]] = {}  # ppa -> its window
     live: Dict[int, int] = {}  # lpa -> its VALID ppa
     lpa_values = st.integers(0, 23)
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
@@ -445,12 +445,12 @@ def test_oob_view_equals_the_eager_snapshot(gamma, data):
                 old_ppas = [live.get(lpa) for lpa in lpas]
                 batch = {first + index: lpa for index, lpa in enumerate(lpas)}
                 for ppa, lpa in batch.items():
-                    model[ppa] = OOBArea(lpa, _eager_window(ppa, lpa, gamma, batch, lpa_at, total))
+                    model[ppa] = _eager_window(ppa, lpa, gamma, batch, lpa_at, total)
                 flash.program_run(first, lpas, old_ppas, gamma, {})
             else:
                 lpas = [data.draw(lpa_values, label="lpa")]
                 old_ppas = [live.get(lpas[0])]
-                model[first] = OOBArea(lpas[0])
+                model[first] = []
                 flash.program_page(first, lpas[0])
                 if old_ppas[0] is not None:
                     flash.invalidate_page(old_ppas[0])
@@ -475,14 +475,14 @@ def test_oob_view_equals_the_eager_snapshot(gamma, data):
                 lpa_at.pop(ppa, None)
                 model.pop(ppa, None)
         for ppa in range(total):
+            assert flash.lpa_of(ppa) == lpa_at.get(ppa), (kind, ppa)
             expected = model.get(ppa)
-            assert flash.oob_of(ppa) == expected, (kind, ppa)
             window = flash.oob_window_of(ppa)
             if expected is None:
                 assert window is None, (kind, ppa)
                 continue
             # The accessor's window: -1 for None, maybe cut where only None follows.
             entries = [None if lpa == -1 else lpa for lpa in window]
-            tail = expected.neighbor_lpas[len(entries) :]
-            assert (window.typecode, entries + tail) == ("q", expected.neighbor_lpas), (kind, ppa)
+            tail = expected[len(entries) :]
+            assert (window.typecode, entries + tail) == ("q", expected), (kind, ppa)
             assert tail == [None] * len(tail), (kind, ppa)

@@ -16,8 +16,8 @@ class TestPageLevelFTL:
     def test_translate_and_update(self):
         ftl = PageLevelFTL()
         ftl.update_batch([(5, 100)])
-        assert ftl.translate(5).ppa == 100
-        assert ftl.translate(6).ppa is None
+        assert ftl.translate_range(5, 1)[0] == 100
+        assert ftl.translate_range(6, 1)[0] is None
 
     def test_memory_is_eight_bytes_per_entry(self):
         ftl = PageLevelFTL()
@@ -30,14 +30,14 @@ class TestDFTL:
         ftl = DFTL(mapping_budget_bytes=None)
         ftl.update_batch([(lpa, 100 + lpa) for lpa in range(50)])
         for lpa in range(50):
-            assert ftl.translate(lpa).ppa == 100 + lpa
+            assert ftl.translate_range(lpa, 1)[0] == 100 + lpa
 
     def test_cmt_miss_costs_translation_read(self):
         ftl = DFTL(mapping_budget_bytes=8 * 8)  # room for only 8 entries
         ftl.update_batch([(lpa, lpa) for lpa in range(64)])
         # The oldest entries were evicted; translating one costs a flash read.
         before = ftl.stats.translation_page_reads
-        assert ftl.translate(0).ppa == 0
+        assert ftl.translate_range(0, 1)[0] == 0
         assert ftl.stats.translation_page_reads - before >= 1
 
     def test_dirty_eviction_writes_translation_page(self):
@@ -65,8 +65,8 @@ class TestDFTL:
         ftl.update_batch([(101, 1), (102, 2), (103, 3)])
         assert ftl.stats.translation_page_writes - writes_before == 1
         # The batched write-back persisted the sibling mappings correctly.
-        assert ftl.translate(1).ppa == 101
-        assert ftl.translate(3).ppa == 103
+        assert ftl.translate_range(1, 1)[0] == 101
+        assert ftl.translate_range(3, 1)[0] == 103
 
     def test_budget_respected(self):
         budget = 16 * 8
@@ -81,7 +81,7 @@ class TestDFTL:
 
     def test_unmapped_lookup(self):
         ftl = DFTL()
-        assert ftl.translate(999).ppa is None
+        assert ftl.translate_range(999, 1)[0] is None
 
     def test_eviction_correctness_random_history(self):
         rng = random.Random(2)
@@ -93,7 +93,7 @@ class TestDFTL:
             ftl.update_batch([(lpa, ppa)])
             truth[lpa] = ppa
         for lpa, ppa in truth.items():
-            assert ftl.translate(lpa).ppa == ppa
+            assert ftl.translate_range(lpa, 1)[0] == ppa
 
 
 class TestSFTL:
@@ -118,7 +118,7 @@ class TestSFTL:
             ftl.update_batch([(lpa, ppa)])
             truth[lpa] = ppa
         for lpa, ppa in truth.items():
-            assert ftl.translate(lpa).ppa == ppa
+            assert ftl.translate_range(lpa, 1)[0] == ppa
 
     def test_run_accounting_incremental_matches_rescan(self):
         rng = random.Random(6)
@@ -147,7 +147,7 @@ class TestSFTL:
         ftl = SFTL(mapping_budget_bytes=64)
         ftl.update_batch([(lpa * 3, lpa) for lpa in range(200)])
         before = ftl.stats.translation_page_reads
-        ftl.translate(0)
+        ftl.translate_range(0, 1)
         assert ftl.stats.translation_page_reads >= before
 
     @given(seed=st.integers(min_value=0, max_value=1000))

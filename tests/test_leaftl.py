@@ -59,15 +59,17 @@ class TestMispredictionResolution:
         # slots left.
         window = array("q", [70, 71, 77, 49, 50, 51, 52, 53, 54])
         correct = ftl.resolve_misprediction(lpa=77, predicted_ppa=100, window=window)
-        assert correct == 98
+        assert correct == [98]
         assert ftl.lea_stats.mispredictions == 1
         assert ftl.lea_stats.oob_corrections == 1
+        # The sensed page's own entry names no other page.
+        assert ftl.resolve_misprediction(lpa=50, predicted_ppa=100, window=window) == []
 
     def test_resolution_failure_reported(self):
         ftl = LeaFTL(LeaFTLConfig(gamma=2))
         # ``-1``: the two pages left of the mispredicted one were FREE.
         window = array("q", [-1, -1, 1, 2, 3])
-        assert ftl.resolve_misprediction(lpa=99, predicted_ppa=10, window=window) is None
+        assert ftl.resolve_misprediction(lpa=99, predicted_ppa=10, window=window) == []
         assert ftl.lea_stats.oob_correction_failures == 1
 
 

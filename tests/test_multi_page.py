@@ -4,8 +4,9 @@ Covers the three layers of the refactor:
 
 * ``FTL.translate_range`` — the one translation method: batched accounting
   (one lookup per mapping structure resolution, one translation-page fetch
-  per chunk) and, above all, *equivalence*: the batched results must match
-  per-page ``translate`` even when newer segments shadow older ones mid-run;
+  per chunk) and, above all, *equivalence*: the batched PPAs must match
+  one-page lookups (LeaFTL's Algorithm-1 ``translate``) even when newer
+  segments shadow older ones mid-run;
 * ``SimulatedSSD.submit`` — one read path (the device translates only
   through ``translate_range``); multi-page reads are striped across
   channels and complete faster than the serial per-page baseline, and
@@ -26,7 +27,6 @@ import pytest
 
 from repro.config import DFTLConfig, LeaFTLConfig
 from repro.core.leaftl import LeaFTL
-from repro.ftl.base import TranslationResult
 from repro.ftl.dftl import DFTL
 from repro.ftl.pagemap import PageLevelFTL
 from repro.ftl.sftl import SFTL
@@ -64,27 +64,6 @@ class TestTranslateRangeContract:
         with pytest.raises(ValueError):
             ftl.translate_range(0, npages)
 
-    @pytest.mark.parametrize("name", ["DFTL", "SFTL"])
-    def test_translate_is_the_one_page_range_under_eviction(self, name):
-        """``translate(lpa)`` and ``translate_range(lpa, 1)[0]`` agree in PPA
-        and in every ``FTLStats`` delta while the budget forces evictions."""
-        rng = random.Random(5)
-        history = [
-            [(lpa, 1000 * batch + lpa) for lpa in sorted(rng.sample(range(96), 24))]
-            for batch in range(6)
-        ]
-        probes = [rng.randrange(100) for _ in range(400)]
-        # Room for two entries (DFTL) / two runs (SFTL): every miss evicts.
-        scalar, ranged = FTL_FACTORIES[name](16), FTL_FACTORIES[name](16)
-        for batch in history:
-            scalar.update_batch(batch)
-            ranged.update_batch(batch)
-        for lpa in probes:
-            assert scalar.translate(lpa).ppa == ranged.translate_range(lpa, 1)[0].ppa
-            assert scalar.stats == ranged.stats
-        assert scalar.stats.translation_page_reads > 0
-        assert scalar.stats.translation_page_writes > 0  # evictions really ran
-
 
 class TestFTLContract:
     """The contract of ``ftl/base.py`` as the device calls it, per scheme."""
@@ -118,8 +97,7 @@ class TestFTLContract:
             for _ in range(150):
                 lpa, npages = rng.randrange(420), rng.randint(1, 24)
                 before = ftl.stats.lookups
-                results = ftl.translate_range(lpa, npages)
-                assert [r.ppa for r in results] == [
+                assert ftl.translate_range(lpa, npages) == [
                     oracle.get(page) for page in range(lpa, lpa + npages)
                 ]
                 assert 1 <= ftl.stats.lookups - before <= npages
@@ -154,7 +132,7 @@ class TestFTLContract:
             for name in definitions(ftl_dir)[0]
             if name.startswith("base.FTL.")
         ]
-        assert "translate_range" in declared and len(declared) >= 9
+        assert "translate_range" in declared and len(declared) >= 8
         outside_ftl, inside_core = readers(ftl_dir)[0], readers(core_dir)[0]["pkg"]
         uncalled = [
             method
@@ -174,25 +152,23 @@ class TestLeaFTLTranslateRange:
         """Acceptance: an 8-page run on one segment grows lookups by 1."""
         ftl = self._learned_ftl()
         before = ftl.stats.lookups
-        results = ftl.translate_range(8, 8)
+        ppas = ftl.translate_range(8, 8)
         assert ftl.stats.lookups - before == 1
-        assert [r.ppa for r in results] == [1008 + i for i in range(8)]
+        assert ppas == [1008 + i for i in range(8)]
 
     def test_matches_per_page_translate(self):
         ftl = self._learned_ftl(gamma=4)
         batched = ftl.translate_range(0, 64)
-        for offset, result in enumerate(batched):
-            assert result.ppa == ftl.translate(offset).ppa
+        for offset, ppa in enumerate(batched):
+            assert ppa == ftl.translate(offset).ppa
 
     def test_newer_segment_shadows_older_one_mid_run(self):
         """A page overwritten after the initial run must resolve through the
         newer (higher-level) segment, not the stale run segment."""
         ftl = self._learned_ftl()
         ftl.update_batch([(20, 5000)])  # single-point overwrite inside the run
-        results = ftl.translate_range(16, 8)
-        assert results[4].ppa == 5000
-        assert results[3].ppa == 1019
-        assert results[5].ppa == 1021
+        ppas = ftl.translate_range(16, 8)
+        assert ppas[3:6] == [1019, 5000, 1021]
 
     def test_segment_change_mid_run_charges_per_resolution(self):
         ftl = self._learned_ftl()
@@ -204,17 +180,20 @@ class TestLeaFTLTranslateRange:
 
     def test_miss_pages_return_none(self):
         ftl = self._learned_ftl()
-        results = ftl.translate_range(60, 8)  # 60-63 mapped, 64-67 not
-        assert [r.ppa is not None for r in results] == [True] * 4 + [False] * 4
+        ppas = ftl.translate_range(60, 8)  # 60-63 mapped, 64-67 not
+        assert [ppa is not None for ppa in ppas] == [True] * 4 + [False] * 4
 
     def test_range_spanning_groups(self):
         ftl = LeaFTL(LeaFTLConfig(gamma=0))
         ftl.update_batch([(lpa, 2000 + lpa) for lpa in range(250, 262)])
-        results = ftl.translate_range(250, 12)  # crosses the 256 boundary
-        assert [r.ppa for r in results] == [2250 + i for i in range(12)]
+        ppas = ftl.translate_range(250, 12)  # crosses the 256 boundary
+        assert ppas == [2250 + i for i in range(12)]
 
     def test_random_history_equivalence(self):
-        """Batched and per-page translation agree after a messy history."""
+        """Batched and per-page translation agree after a messy history: the
+        same PPA per page, and each page's walk searched the levels its
+        resolution run's record charges.  A run is a stretch of pages the
+        walk answers from one segment, a miss gap split at group edges."""
         rng = random.Random(42)
         ftl = LeaFTL(LeaFTLConfig(gamma=4))
         ppa = 0
@@ -223,12 +202,17 @@ class TestLeaFTLTranslateRange:
             length = rng.randint(1, 40)
             ftl.update_batch([(lpa, ppa + i) for i, lpa in enumerate(range(start, start + length))])
             ppa += length
-        batched = ftl.translate_range(0, 960)
-        for lpa, result in enumerate(batched):
+        assert ftl.translate_range(0, 960) == [ftl.translate(lpa).ppa for lpa in range(960)]
+        _ppas, runs = ftl.table.resolve_range(0, 960)
+        records = iter(runs)
+        previous: object = records  # no page's segment
+        for lpa in range(960):
             single = ftl.translate(lpa)
-            assert result.ppa == single.ppa, f"mismatch at LPA {lpa}"
-            assert isinstance(result, TranslationResult)
-            assert result.levels_searched == single.levels_searched >= 1
+            if single.segment is not previous or (single.segment is None and lpa % 256 == 0):
+                previous, record = single.segment, next(records)
+            assert record.segment is single.segment, f"run mismatch at LPA {lpa}"
+            assert record.levels_searched == single.levels_searched >= 1
+        assert next(records, None) is None
 
 
     @pytest.mark.parametrize("gamma", [0, 4])
@@ -247,9 +231,8 @@ class TestLeaFTLTranslateRange:
             scalar.update_batch(batch)
             ranged.update_batch(batch)
         for lpa in (rng.randrange(0, 1200) for _ in range(600)):
-            one, (other,) = scalar.translate(lpa), ranged.translate_range(lpa, 1)
-            assert (one.ppa, one.levels_searched) == (other.ppa, other.levels_searched)
-            assert (one.segment is None) == (other.segment is None)
+            assert scalar.translate(lpa).ppa == ranged.translate_range(lpa, 1)[0]
+            # The levels searched are charged to the table and the histogram.
             assert scalar.stats == ranged.stats
             assert scalar.lea_stats == ranged.lea_stats
             assert scalar.table.stats == ranged.table.stats
@@ -268,8 +251,8 @@ class TestDFTLTranslateRange:
     def test_one_fetch_serves_all_entries_of_a_translation_page(self):
         ftl = self._cold_dftl()
         before = ftl.stats.translation_page_reads
-        results = ftl.translate_range(0, 4)  # all on translation page 0
-        assert [r.ppa for r in results] == [100, 101, 102, 103]
+        ppas = ftl.translate_range(0, 4)  # all on translation page 0
+        assert ppas == [100, 101, 102, 103]
         assert ftl.stats.translation_page_reads - before == 1
 
     def test_lookups_charged_per_translation_page_chunk(self):
@@ -280,15 +263,15 @@ class TestDFTLTranslateRange:
 
     def test_matches_per_page_translate(self):
         ftl = self._cold_dftl()
-        batched = [r.ppa for r in ftl.translate_range(0, 16)]
+        batched = ftl.translate_range(0, 16)
         fresh = self._cold_dftl()
-        assert batched == [fresh.translate(lpa).ppa for lpa in range(16)]
+        assert batched == [fresh.translate_range(lpa, 1)[0] for lpa in range(16)]
 
     def test_unmapped_entries_do_not_fetch(self):
         ftl = self._cold_dftl(entries=2)
         before = ftl.stats.translation_page_reads
-        results = ftl.translate_range(4, 4)  # translation page 1: nothing mapped
-        assert all(r.ppa is None for r in results)
+        ppas = ftl.translate_range(4, 4)  # translation page 1: nothing mapped
+        assert ppas == [None] * 4
         assert ftl.stats.translation_page_reads == before
 
 
@@ -297,15 +280,15 @@ class TestSFTLTranslateRange:
         ftl = SFTL(mapping_budget_bytes=None)
         ftl.update_batch([(lpa, 300 + lpa) for lpa in range(32)])
         before = ftl.stats.lookups
-        results = ftl.translate_range(0, 16)
-        assert [r.ppa for r in results] == [300 + i for i in range(16)]
+        ppas = ftl.translate_range(0, 16)
+        assert ppas == [300 + i for i in range(16)]
         assert ftl.stats.lookups - before == 1  # one condensed-page chunk
 
     def test_matches_per_page_translate(self):
         ftl = SFTL(mapping_budget_bytes=None)
         ftl.update_batch([(lpa, 300 + 2 * lpa) for lpa in range(0, 40, 2)])
-        batched = [r.ppa for r in ftl.translate_range(0, 40)]
-        assert batched == [ftl.translate(lpa).ppa for lpa in range(40)]
+        batched = ftl.translate_range(0, 40)
+        assert batched == [ftl.translate_range(lpa, 1)[0] for lpa in range(40)]
 
 
 class TestPageMapTranslateRange:
@@ -313,8 +296,8 @@ class TestPageMapTranslateRange:
         ftl = PageLevelFTL()
         ftl.update_batch([(lpa, 40 + lpa) for lpa in range(8)])
         before = ftl.stats.lookups
-        results = ftl.translate_range(2, 4)
-        assert [r.ppa for r in results] == [42, 43, 44, 45]
+        ppas = ftl.translate_range(2, 4)
+        assert ppas == [42, 43, 44, 45]
         assert ftl.stats.lookups - before == 1
 
 
@@ -386,7 +369,7 @@ class TestMultiPageSubmit:
     @pytest.mark.parametrize("name", FTL_FACTORIES)
     def test_device_translates_only_through_translate_range(self, name, monkeypatch):
         """One read path: over a mixed 1/4/16-page replay served from flash
-        the device never calls ``FTL.translate`` and calls
+        the device never calls LeaFTL's ``translate`` and calls
         ``translate_range`` exactly once per contiguous flash run."""
         ftl = FTL_FACTORIES[name]()
         ssd = make_ssd(ftl=ftl)
@@ -405,7 +388,8 @@ class TestMultiPageSubmit:
             calls["translate_range"].append((lpa, npages))
             return real_range(lpa, npages)
 
-        monkeypatch.setattr(ftl, "translate", spy_translate)
+        # Only LeaFTL has a ``translate``; the spy stands in on every scheme.
+        monkeypatch.setattr(ftl, "translate", spy_translate, raising=False)
         monkeypatch.setattr(ftl, "translate_range", spy_range)
         expected = []
         for op, lpa, npages in requests:

@@ -5,8 +5,9 @@ per LPA: the last learned segment that contained it) and charges a lookup
 at the depth of the owner's level; ``LPAGroup.lookup`` — the paper's
 top-down level walk — is the reference.  The property below drives both
 through flush-shaped histories with compactions and checkpoint round trips
-and requires, after every step, the same answer, the same levels searched
-and the *same segment object* for every page of random windows, and that
+and requires, after every step, the same PPA for every page of random
+windows, one run record per resolution run carrying the levels searched
+and the *same segment object* as the walk of each of its pages, and that
 every statistics layer grows by exactly one charge per resolution run.
 """
 
@@ -105,18 +106,28 @@ def counters(ftl: LeaFTL) -> dict:
     }
 
 
-def expected_charges(
-    answers: List[Tuple[Optional[int], int, Optional[Segment]]], start: int, group_size: int
-) -> dict:
-    """One charge per run of the walk's answers: a maximal stretch with one
-    segment identity, a miss gap split wherever it crosses a group boundary."""
+Answer = Tuple[Optional[int], int, Optional[Segment]]
+
+
+def run_starts(answers: List[Answer], start: int, group_size: int) -> List[bool]:
+    """Per page, whether it opens a resolution run of the walk's answers: a
+    maximal stretch with one segment identity, a miss gap split wherever it
+    crosses a group boundary."""
+    opens = []
+    previous: object = opens  # no answer's segment
+    for lpa, (_ppa, _depth, segment) in enumerate(answers, start):
+        opens.append(segment is not previous or (segment is None and lpa % group_size == 0))
+        previous = segment
+    return opens
+
+
+def expected_charges(answers: List[Answer], start: int, group_size: int) -> dict:
+    """One charge per resolution run, at the run's level."""
     charge = {key: 0 for key in ("lookups", "table.lookups", "table.levels", "resolved", "approximate")}
     charge["histogram"] = Counter()
-    previous: object = charge  # no answer's segment
-    for lpa, (_ppa, depth, segment) in enumerate(answers, start):
-        if segment is previous and (segment is not None or lpa % group_size):
+    for opens, (_ppa, depth, segment) in zip(run_starts(answers, start, group_size), answers):
+        if not opens:
             continue
-        previous = segment
         charge["lookups"] += 1
         charge["table.lookups"] += 1
         charge["table.levels"] += depth
@@ -147,21 +158,28 @@ def test_range_resolution_is_the_walk_page_by_page_and_charges_per_run(history):
         for start, npages in windows:
             answers = [walk(ftl, lpa) for lpa in range(start, start + npages)]
             before = counters(ftl)
-            results = ftl.translate_range(start, npages)
-            assert [(r.ppa, r.levels_searched, r.segment) for r in results] == answers
-            for result, (_ppa, _depth, segment) in zip(results, answers):
-                assert result.segment is segment  # identity, not equality
+            assert ftl.translate_range(start, npages) == [ppa for ppa, _, _ in answers]
             after = counters(ftl)
             grown = {key: after[key] - before[key] for key in after}
             assert grown == expected_charges(answers, start, group_size)
+            _ppas, runs = ftl.table.resolve_range(start, npages)
+            records = iter(runs)
+            for opens, (_ppa, depth, segment) in zip(
+                run_starts(answers, start, group_size), answers
+            ):
+                if opens:
+                    record = next(records)
+                assert record.levels_searched == depth
+                assert record.segment is segment  # identity, not equality
+            assert next(records, None) is None
 
 
 def test_miss_gap_is_charged_once_per_group_it_crosses():
     ftl = LeaFTL(LeaFTLConfig(gamma=0))
     ftl.update_batch([(lpa, 9000 + lpa) for lpa in range(200, 240)])  # group 0 only
     before = dataclasses.replace(ftl.table.stats)
-    results = ftl.translate_range(250, 600)  # groups 0 (written), 1-3 (never)
-    assert all(result.ppa is None for result in results)
+    ppas = ftl.translate_range(250, 600)  # groups 0 (written), 1-3 (never)
+    assert ppas == [None] * 600
     assert ftl.table.stats.lookups - before.lookups == 4
     assert ftl.table.stats.lookup_levels_total - before.lookup_levels_total == 4
     assert ftl.lea_stats.lookups_resolved == 0

@@ -7,11 +7,16 @@ correction reads (``SimulatedSSD._misprediction_reads``) only when that check
 fails.  Its reference is the per-page path it replaced, kept here as a
 test-only subclass: per page, ``_read_resolved_page`` senses through
 ``FlashArray.read_page``, ``_timed_host_read`` accounts the stall and
-``_correct_misprediction`` builds the sensed page's ``OOBArea`` and reads the
+``_correct_misprediction`` reads the sensed page's OOB window and then the
 fix, each read one scheduler reservation.  Both devices replay the same
 histories on a tiny aged device, and everything observable must be equal:
 per-page latencies, flash counters, device / FTL / LeaFTL stats, every
 channel's timeline, the scheduler probe's stream and the breakdown dicts.
+
+Both follow one rule: a page answers for an LPA only while it is VALID.
+A read oracle checks the device against the ground truth after every
+batch: each host read's last sensed page is the LPA's live page, and the
+FTL predicts every live LPA within ±gamma of it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
+from repro.flash.flash_array import PageState
+from repro.ftl.pagemap import PageLevelFTL
 from repro.ssd.ssd import SimulatedSSD, SimulationError, SSDOptions
 from repro.ssd.stats import LatencyRecorder
 
@@ -47,6 +54,11 @@ CONFIG = SSDConfig(
 WRITTEN = 400
 
 
+def answers_for(ssd: SimulatedSSD, ppa: int, lpa: int) -> bool:
+    """A page answers for an LPA only while it is VALID."""
+    return ssd.flash.lpa_of(ppa) == lpa and ssd.flash.page_state(ppa) is PageState.VALID
+
+
 class _PerPageReference(SimulatedSSD):
     """The read path before chunked sensing, page by page (the reference)."""
 
@@ -55,7 +67,7 @@ class _PerPageReference(SimulatedSSD):
     ) -> Tuple[float, Optional[Dict[str, float]]]:
         ftl_stats = self.ftl.stats
         reads, writes = ftl_stats.translation_page_reads, ftl_stats.translation_page_writes
-        translations = self.ftl.translate_range(pages[0], len(pages))
+        predicted = self.ftl.translate_range(pages[0], len(pages))
         clock = self._charge_translation(start, reads, writes, foreground=True)
         translate_us = clock - start if clock > start else 0.0
         stats = self.stats
@@ -64,8 +76,8 @@ class _PerPageReference(SimulatedSSD):
         latencies: List[float] = []
         sensed: List[int] = []
         chunks: Dict[int, List[Tuple[int, int]]] = {}
-        for page, translation in zip(pages, translations):
-            if translation.ppa is None:
+        for page, ppa in zip(pages, predicted):
+            if ppa is None:
                 stats.unmapped_reads += 1
                 latency = translate_us + self.config.dram_latency_us
                 latencies.append(latency)
@@ -73,8 +85,8 @@ class _PerPageReference(SimulatedSSD):
                 if want_attr:
                     critical = {"dram_us": self.config.dram_latency_us}
                 continue
-            channel = min(max(translation.ppa, 0), self._total_pages - 1) // self._pages_per_channel
-            chunks.setdefault(channel, []).append((page, translation.ppa))
+            channel = min(max(ppa, 0), self._total_pages - 1) // self._pages_per_channel
+            chunks.setdefault(channel, []).append((page, ppa))
         for channel in sorted(chunks):
             for page, ppa in chunks[channel]:
                 page_attr: Optional[Dict[str, float]] = {} if want_attr else None
@@ -116,7 +128,7 @@ class _PerPageReference(SimulatedSSD):
             if sensed is None:
                 self._fail(lpa, ppa)
         finish = self._timed_host_read(sensed, clock, page_attr)
-        if flash.lpa_of(sensed) != lpa:
+        if not answers_for(self, sensed, lpa):
             corrected = self._correct_misprediction(lpa, ppa, sensed, finish)
             if page_attr is not None and corrected > finish:
                 page_attr["extra_read_us"] = corrected - finish
@@ -135,17 +147,11 @@ class _PerPageReference(SimulatedSSD):
         self, lpa: int, predicted_ppa: int, read_ppa: int, clock: float
     ) -> float:
         self.stats.mispredictions += 1
-        oob = self.flash.oob_of(read_ppa)
-        correct_ppa: Optional[int] = None
-        if oob is not None:
-            correct_ppa = self.ftl.resolve_misprediction(lpa, read_ppa, oob.neighbor_lpas)
-        if (
-            correct_ppa is not None
-            and 0 <= correct_ppa < self._total_pages
-            and self.flash.lpa_of(correct_ppa) == lpa
-        ):
-            self.stats.misprediction_extra_reads += 1
-            return self.flash.read_page(correct_ppa, now_us=clock)
+        window = self.flash.oob_window_of(read_ppa)
+        for correct_ppa in self.ftl.resolve_misprediction(lpa, read_ppa, window):
+            if 0 <= correct_ppa < self._total_pages and answers_for(self, correct_ppa, lpa):
+                self.stats.misprediction_extra_reads += 1
+                return self.flash.read_page(correct_ppa, now_us=clock)
         gamma = max(self._oob_window, 1)
         finish = clock
         for candidate in range(predicted_ppa - gamma, predicted_ppa + gamma + 1):
@@ -155,7 +161,7 @@ class _PerPageReference(SimulatedSSD):
                 continue
             finish = self.flash.read_page(candidate, now_us=finish)
             self.stats.misprediction_extra_reads += 1
-            if self.flash.lpa_of(candidate) == lpa:
+            if answers_for(self, candidate, lpa):
                 return finish
         self._fail(lpa, predicted_ppa)
 
@@ -164,7 +170,8 @@ class _PerPageReference(SimulatedSSD):
 
 
 class _FixCounting(SimulatedSSD):
-    """The device under test, logging what each misprediction cost."""
+    """The device under test, logging what each misprediction cost and what
+    each host read sensed last."""
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
@@ -172,15 +179,35 @@ class _FixCounting(SimulatedSSD):
         self.fixes: List[Tuple[bool, int]] = []
         #: Mispredicted pages fixed on another channel than the sensed page.
         self.cross_channel_fixes = 0
+        #: Per host page sensed from flash: (LPA, the last page sensed for
+        #: it, the LPA's live page when it was read).
+        self.last_sensed: List[Tuple[int, int, Optional[int]]] = []
+        read_chunk = self.flash.read_chunk
+
+        def logged_read_chunk(lpas, ppas, now_us, misprediction_reads):
+            live = self.live_mappings()
+            last = dict(zip(lpas, ppas))
+
+            def logged_fix(lpa: int, ppa: int) -> Tuple[int, Sequence[int]]:
+                sensed, fixes = misprediction_reads(lpa, ppa)
+                last[lpa] = fixes[-1] if fixes else sensed
+                return sensed, fixes
+
+            done = read_chunk(lpas, ppas, now_us, logged_fix)
+            self.last_sensed += [(lpa, last[lpa], live.get(lpa)) for lpa in lpas]
+            return done
+
+        self.flash.read_chunk = logged_read_chunk  # type: ignore[method-assign]
 
     def _misprediction_reads(self, lpa: int, ppa: int) -> Tuple[int, Sequence[int]]:
         before = self.stats.mispredictions
         sensed, fixes = super()._misprediction_reads(lpa, ppa)
         if self.stats.mispredictions > before:
-            neighbors = self.flash.oob_of(sensed).neighbor_lpas
-            named = lpa in neighbors and self.flash.lpa_of(
-                sensed - self._oob_window + neighbors.index(lpa)
-            ) == lpa
+            first = sensed - self._oob_window
+            named = any(
+                entry == lpa and first + index != sensed and answers_for(self, first + index, lpa)
+                for index, entry in enumerate(self.flash.oob_window_of(sensed))
+            )
             self.fixes.append((named, len(fixes)))
             channels = {ppa // self._pages_per_channel for ppa in (sensed, *fixes)}
             self.cross_channel_fixes += len(channels) > 1
@@ -213,21 +240,30 @@ class _Breakdowns:
         pass
 
 
+def aging(rng: random.Random) -> List[Tuple[str, int, int]]:
+    """A fill, then overwrites until blocks were reclaimed."""
+    history = [("W", lpa, 8) for lpa in range(0, WRITTEN, 8)]
+    return history + [("W", rng.randrange(WRITTEN - 8), rng.randint(1, 8)) for _ in range(200)]
+
+
+def aged_device(cls: type, gamma: int, gc_mode: str, history) -> SimulatedSSD:
+    ssd = cls(
+        CONFIG,
+        LeaFTL(LeaFTLConfig(gamma=gamma, compaction_interval_writes=400)),
+        dram_budget=DRAMBudget(dram_bytes=1, min_cache_bytes=2 * 4 * KB),
+        options=SSDOptions(gc_mode=gc_mode),
+    )
+    ssd.run(history, queue_depth=1)
+    ssd.quiesce()
+    return ssd
+
+
 def aged_pair(gamma: int, gc_mode: str, seed: int) -> Tuple[SimulatedSSD, SimulatedSSD]:
-    """Two identical devices, filled and overwritten until blocks were reclaimed."""
-    rng = random.Random(seed)
-    aging = [("W", lpa, 8) for lpa in range(0, WRITTEN, 8)]
-    aging += [("W", rng.randrange(WRITTEN - 8), rng.randint(1, 8)) for _ in range(200)]
+    """Two identical aged devices, probe and breakdowns on."""
+    history = aging(random.Random(seed))
     devices = []
     for cls in (_FixCounting, _PerPageReference):
-        ssd = cls(
-            CONFIG,
-            LeaFTL(LeaFTLConfig(gamma=gamma, compaction_interval_writes=400)),
-            dram_budget=DRAMBudget(dram_bytes=1, min_cache_bytes=2 * 4 * KB),
-            options=SSDOptions(gc_mode=gc_mode),
-        )
-        ssd.run(aging, queue_depth=1)
-        ssd.quiesce()
+        ssd = aged_device(cls, gamma, gc_mode, history)
         ssd.set_telemetry(_Breakdowns())
         spans: List[Tuple[int, float, float]] = []
         ssd.scheduler.probe = lambda *span, spans=spans: spans.append(span)
@@ -274,13 +310,34 @@ def check_fix_bound(ssd: _FixCounting, gamma: int) -> None:
     assert ssd.stats.misprediction_extra_reads == sum(reads for _, reads in ssd.fixes)
 
 
+def check_reads(ssd: _FixCounting) -> None:
+    """The read oracle's first half: every host read ended on the live page."""
+    stale = [read for read in ssd.last_sensed if read[1] != read[2]]
+    assert stale == [], "(lpa, last sensed page, live page)"
+
+
+def check_predictions(ssd: SimulatedSSD, gamma: int) -> None:
+    """The read oracle's second half: the FTL predicts every live LPA
+    within ±gamma of its live page, exactly at gamma 0.  One
+    ``translate_range`` over the whole space, charged like any other."""
+    predicted = ssd.ftl.translate_range(0, ssd.logical_pages)
+    off = {
+        lpa: (predicted[lpa], ppa)
+        for lpa, ppa in ssd.live_mappings().items()
+        if predicted[lpa] is None or abs(predicted[lpa] - ppa) > gamma
+    }
+    assert off == {}, "lpa: (prediction, live page)"
+
+
 def replay_both(gamma: int, gc_mode: str, seed: int, batches, queue_depth: int) -> _FixCounting:
     chunked, reference = aged_pair(gamma, gc_mode, seed)
     assert observed(chunked) == observed(reference)
     for batch in batches:
         for ssd in (chunked, reference):
             ssd.run(batch, drain=False, queue_depth=queue_depth)
+            check_predictions(ssd, gamma)  # on both, so their stats stay equal
         assert observed(chunked) == observed(reference), batch
+        check_reads(chunked)
     check_fix_bound(chunked, gamma)
     return chunked
 
@@ -336,3 +393,92 @@ def test_chunked_reads_equal_the_reference_through_stale_edge_windows(gamma):
     assert any(reads > 1 for _, reads in ssd.fixes) or gamma == 1
     components = {name for parts, _, _ in ssd.telemetry.requests for name, _ in parts}
     assert {"nand_us", "chan_wait_us", "gc_wait_us", "extra_read_us", "dram_us"} <= components
+
+
+def test_a_window_naming_the_lpa_twice_lands_on_the_valid_copy():
+    """Page 7's window names LPA 30 at PPA 3 (superseded) and at PPA 6 (live):
+    the fix reads 6, with one extra read."""
+    ssd = _FixCounting(SSDConfig.tiny(write_buffer_bytes=16 * KB), LeaFTL(LeaFTLConfig(gamma=4)))
+    for lpa in (10, 11, 12, 30, 4, 5, 30, 31):  # two 4-page flushes
+        ssd.write(lpa)
+    assert ssd.live_mappings()[30] == 6
+    assert ssd.flash.page_state(3) is PageState.INVALID and ssd.flash.lpa_of(3) == 30
+    window = ssd.flash.oob_window_of(7)
+    assert window.tolist() == [30, 4, 5, 30, 31]
+    assert LeaFTL(LeaFTLConfig(gamma=4)).resolve_misprediction(30, 7, window) == [3, 6]
+    assert ssd.ftl.translate_range(30, 1) == [7]
+    ssd.cache.invalidate(30)
+    ssd.read(30)
+    assert ssd.last_sensed == [(30, 6, 6)]
+    assert ssd.fixes == [(True, 1)]
+
+
+@pytest.mark.parametrize("gamma", [1, 4])
+def test_a_prediction_on_a_superseded_copy_is_a_misprediction(gamma):
+    """Predicted at PPA 544, which still holds LPA 272 but is INVALID (the live
+    copy is 543): the read is a misprediction fixed on the live page, not a
+    hit on the stale one."""
+    rng = random.Random(8)
+    ssd = aged_device(_FixCounting, gamma, "sync", aging(rng))  # as aged_pair(gamma, "sync", 8)
+    requests = [
+        ("R" if rng.random() < 0.6 else "W", rng.randrange(500), rng.randint(1, 16))
+        for _ in range(300)
+    ]
+    stale_hits = []
+    real = ssd._misprediction_reads
+
+    def watch(lpa: int, ppa: int) -> Tuple[int, Sequence[int]]:
+        if (lpa, ppa) == (272, 544):
+            stale_hits.append((ssd.flash.page_state(544), ssd.live_mappings()[272]))
+        return real(lpa, ppa)
+
+    ssd._misprediction_reads = watch  # type: ignore[method-assign]
+    ssd.run(requests, queue_depth=4)
+    check_reads(ssd)
+    assert stale_hits and set(stale_hits) == {(PageState.INVALID, 543)}
+    check_fix_bound(ssd, gamma)
+
+
+class _Mispredicts(PageLevelFTL):
+    """An exact page map with a ±gamma OOB window that predicts one LPA at a
+    chosen PPA; its OOB names nothing, so every fix is the error-window scan."""
+
+    def __init__(self, gamma: int) -> None:
+        super().__init__()
+        self.gamma = gamma
+        self.wrong: Dict[int, int] = {}
+
+    def oob_window(self) -> int:
+        return self.gamma
+
+    def translate_range(self, lpa: int, npages: int) -> List[Optional[int]]:
+        ppas = super().translate_range(lpa, npages)
+        for page, ppa in self.wrong.items():
+            if lpa <= page < lpa + npages:
+                ppas[page - lpa] = ppa
+        return ppas
+
+
+@pytest.mark.parametrize(
+    "flushes, lpa, predicted, live, reads",
+    [
+        # The scan from PPA 2 passes LPA 30's superseded copy at 3 on the way to 6.
+        ([[10, 11, 12, 30], [4, 5, 30, 31]], 30, 2, 6, 6),
+        # Predicted off the array: the nearest programmed page, 0, is LPA 10's
+        # superseded copy, so the read is a misprediction fixed at 1.
+        ([[10], [10]], 10, -1, 1, 1),
+    ],
+)
+def test_the_scan_and_the_nearest_page_skip_a_superseded_copy(flushes, lpa, predicted, live, reads):
+    ftl = _Mispredicts(gamma=4)
+    ssd = _FixCounting(SSDConfig.tiny(write_buffer_bytes=16 * KB), ftl)
+    for batch in flushes:
+        for page in batch:
+            ssd.write(page)
+        ssd.flush()
+    assert ssd.live_mappings()[lpa] == live
+    ftl.wrong[lpa] = predicted
+    ssd.cache.invalidate(lpa)
+    ssd.read(lpa)
+    assert ssd.last_sensed == [(lpa, live, live)]
+    assert ssd.fixes == [(False, reads)]
