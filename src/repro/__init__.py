@@ -62,7 +62,6 @@ from repro.host import (
 from repro.sim import EventLoop, HostFrontend, NANDScheduler, interleave_streams
 from repro.ssd import (
     GCPolicy,
-    GCPolicyConfig,
     SimulatedSSD,
     SSDOptions,
     SSDStats,
@@ -97,7 +96,6 @@ __all__ = [
     "NANDScheduler",
     "interleave_streams",
     "GCPolicy",
-    "GCPolicyConfig",
     "make_gc_policy",
     "SimulatedSSD",
     "SSDOptions",

@@ -19,6 +19,7 @@ environment variable ``REPRO_BENCH_SCALE`` control the scaling.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import random
 from dataclasses import dataclass, field, replace
@@ -125,6 +126,16 @@ class ExperimentSetup:
     gc_mode: str = "sync"
     #: GC victim-selection policy: ``greedy``, ``cost_benefit``, ``d_choices``.
     gc_policy: str = "greedy"
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.warmup_fraction <= 1.0:
+            raise ValueError(
+                f"warmup_fraction must be in [0, 1], got {self.warmup_fraction!r}"
+            )
+        for name in ("request_scale", "footprint_scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     def ssd_config(self) -> SSDConfig:
         return SSDConfig(

@@ -100,7 +100,7 @@ class MetricsSampler:
             "free_block_ratio": ssd.allocator.free_ratio(),
             "gc_running": 1.0 if gc.active else 0.0,
             "gc_backlog": float(gc.backlog),
-            "gc_urgent": 1.0 if ssd.gc_policy.below_hard_watermark(ssd.allocator) else 0.0,
+            "gc_urgent": 1.0 if gc.below_hard_watermark() else 0.0,
             "cache_hit_ratio": stats.cache_hit_ratio,
             "write_buffer_fill": len(ssd.write_buffer) / ssd.write_buffer.capacity_pages,
             "waf": stats.write_amplification,

@@ -1,4 +1,4 @@
-"""SSD substrate: cache, write buffer, GC, wear leveling and the device model."""
+"""SSD substrate: cache, write buffer, reclaim (GC and wear leveling) and the device model."""
 
 from repro.ssd.cache import CacheStats, LRUDataCache
 from repro.ssd.gc import (
@@ -7,13 +7,11 @@ from repro.ssd.gc import (
     DChoicesGCPolicy,
     GC_POLICIES,
     GCPolicy,
-    GCPolicyConfig,
     GreedyGCPolicy,
     make_gc_policy,
 )
 from repro.ssd.ssd import SimulatedSSD, SimulationError, SSDOptions
 from repro.ssd.stats import LatencyRecorder, SSDStats
-from repro.ssd.wear_leveling import WearLeveler, WearLevelingConfig
 from repro.ssd.write_buffer import WriteBuffer, WriteBufferStats
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "DChoicesGCPolicy",
     "GC_POLICIES",
     "GCPolicy",
-    "GCPolicyConfig",
     "GreedyGCPolicy",
     "make_gc_policy",
     "SimulatedSSD",
@@ -32,8 +29,6 @@ __all__ = [
     "SSDOptions",
     "LatencyRecorder",
     "SSDStats",
-    "WearLeveler",
-    "WearLevelingConfig",
     "WriteBuffer",
     "WriteBufferStats",
 ]

@@ -1,14 +1,18 @@
-"""Garbage collection: victim policies and the one reclaim mechanism.
+"""Reclaim: garbage collection and static wear leveling, which and when.
 
-LeaFTL preserves the conventional GC of modern SSDs (Section 3.6 of the
+LeaFTL preserves the conventional reclaim of modern SSDs (Section 3.6 of the
 paper): when the free-block ratio drops below a threshold, victim blocks are
 selected, their valid pages migrated to freshly allocated blocks and the
-victims erased.  This module owns all of it.  The *policy* side decides when
-to collect and which blocks to pick; :class:`BackgroundGCController` is the
-*mechanism* — the only code in the tree that reads, migrates and erases a
-victim.  The device model (:class:`repro.ssd.ssd.SimulatedSSD`) just calls
-it from its flush hook and supplies the cold-stream program path that
-relearns the migrated mappings.
+victims erased; static wear leveling migrates cold data the same way.  The
+migrated mappings are relearned like a buffer flush.  This module owns all
+of it.  The victim *policies* choose which blocks to collect, and nothing
+else.  :class:`BackgroundGCController` decides when reclaim runs and how:
+its thresholds come once from :class:`repro.config.SSDConfig`, it keeps the
+wear-leveling throttle window and the write-throttle horizon, and it is the
+only code in the tree that reads, migrates and erases a victim.  The device
+model (:class:`repro.ssd.ssd.SimulatedSSD`) just calls
+:meth:`BackgroundGCController.after_flush` from its flush hook and supplies
+the cold-stream program path that relearns the migrated mappings.
 
 Victim policies (all behind the :class:`GCPolicy` interface):
 
@@ -39,11 +43,15 @@ pages, *migrate* the still-valid LPAs (sorted, relearned like a buffer
 flush) into the cold stream, *erase* the drained victim and return it to
 the free pool — and four drivers that differ only in when the stages run:
 
-* **threshold reclaim**, **urgent reclaim** (hard watermark) and
-  **wear-leveling passes** run the stages back to back at one issue clock
-  over a batch of victims bounded by the free pool
-  (:meth:`BackgroundGCController.collect`), blocking the flush that
-  triggered them;
+* **threshold reclaim** (below ``SSDConfig.gc_threshold``, until
+  ``gc_restore``), **wear-leveling passes** (the coldest block, once the
+  erase-count spread exceeds :data:`WEAR_IMBALANCE`, checked at most once
+  every :data:`WEAR_CHECK_ERASES` erases) and **urgent reclaim** (below
+  the hard watermark, ``min(0.04, gc_threshold / 2)``) run the stages back
+  to back at one issue clock over a batch of victims bounded by the free
+  pool (:meth:`BackgroundGCController.collect`), blocking the flush that
+  triggered them; urgent reclaim also holds back the host's next
+  buffer-filling write until it completes;
 * **background GC** runs the same stages one victim at a time, each stage
   an event issued at the previous stage's completion.  Foreground requests
   that arrive between stages reserve the NAND channels first, so a read
@@ -55,7 +63,6 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.flash.allocator import BlockAllocator
@@ -69,52 +76,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: Victim-policy names accepted by :func:`make_gc_policy`.
 GC_POLICIES = ("greedy", "cost_benefit", "d_choices")
 
-
-@dataclass
-class GCPolicyConfig:
-    """Thresholds controlling garbage collection."""
-
-    #: Start GC when the free-block ratio drops below this value.
-    threshold: float = 0.15
-    #: Stop GC once the free-block ratio recovers to this value.
-    restore: float = 0.25
-    #: Upper bound of victims processed per invocation (keeps pauses short).
-    max_victims_per_invocation: int = 64
-    #: Critically-low free-block ratio: below it host writes are throttled
-    #: behind an urgent synchronous reclaim, and victim selection may fall
-    #: back to fully-valid blocks as a last resort.  ``None`` (the default)
-    #: derives it from the threshold — ``min(0.04, threshold / 2)`` — so any
-    #: valid threshold yields a valid watermark.
-    hard_watermark: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.threshold < self.restore <= 1.0:
-            raise ValueError("require 0 < threshold < restore <= 1")
-        if self.max_victims_per_invocation <= 0:
-            raise ValueError("max_victims_per_invocation must be positive")
-        if self.hard_watermark is None:
-            self.hard_watermark = min(0.04, self.threshold / 2.0)
-        if not 0.0 < self.hard_watermark < self.threshold:
-            raise ValueError("require 0 < hard_watermark < threshold")
+#: Victims one policy call returns at most (keeps blocking pauses short).
+MAX_VICTIMS_PER_INVOCATION = 64
+#: A wear-leveling pass runs once the spread between the most and the least
+#: erased block exceeds this many erases.
+WEAR_IMBALANCE = 8
+#: Block erases between two wear checks (the throttle window).
+WEAR_CHECK_ERASES = 64
 
 
 class GCPolicy(abc.ABC):
-    """Victim-selection policy: decides *when* and *which*, never *how*."""
-
-    def __init__(self, config: Optional[GCPolicyConfig] = None) -> None:
-        self.config = config or GCPolicyConfig()
-
-    def should_collect(self, allocator: BlockAllocator) -> bool:
-        """True when the free-block ratio fell below the GC threshold."""
-        return allocator.free_ratio() < self.config.threshold
-
-    def should_stop(self, allocator: BlockAllocator) -> bool:
-        """True when enough free blocks have been reclaimed."""
-        return allocator.free_ratio() >= self.config.restore
-
-    def below_hard_watermark(self, allocator: BlockAllocator) -> bool:
-        """True when free blocks are critically low (urgent reclaim regime)."""
-        return allocator.free_ratio() < self.config.hard_watermark
+    """Victim-selection policy: decides *which* blocks, never when or how."""
 
     def eligible_victims(
         self, flash: FlashArray, allocator: BlockAllocator, urgent: bool = False
@@ -157,7 +129,7 @@ class GreedyGCPolicy(GCPolicy):
         """
         candidates = self.eligible_victims(flash, allocator, urgent)
         ordered = flash.blocks_by_valid_pages(candidates)
-        return ordered[: self.config.max_victims_per_invocation]
+        return ordered[:MAX_VICTIMS_PER_INVOCATION]
 
 
 class CostBenefitGCPolicy(GCPolicy):
@@ -180,7 +152,7 @@ class CostBenefitGCPolicy(GCPolicy):
             return flash.block_age(block) * (1.0 - utilization) / (1.0 + utilization)
 
         ordered = sorted(candidates, key=lambda block: (-score(block), block))
-        return ordered[: self.config.max_victims_per_invocation]
+        return ordered[:MAX_VICTIMS_PER_INVOCATION]
 
 
 class DChoicesGCPolicy(GCPolicy):
@@ -191,13 +163,7 @@ class DChoicesGCPolicy(GCPolicy):
     so replays remain deterministic.
     """
 
-    def __init__(
-        self,
-        config: Optional[GCPolicyConfig] = None,
-        d: int = 8,
-        seed: int = 17,
-    ) -> None:
-        super().__init__(config)
+    def __init__(self, d: int = 8, seed: int = 17) -> None:
         if d <= 0:
             raise ValueError("d must be positive")
         self.d = d
@@ -208,7 +174,7 @@ class DChoicesGCPolicy(GCPolicy):
     ) -> List[int]:
         pool = self.eligible_victims(flash, allocator, urgent)
         victims: List[int] = []
-        limit = min(self.config.max_victims_per_invocation, len(pool))
+        limit = min(MAX_VICTIMS_PER_INVOCATION, len(pool))
         while pool and len(victims) < limit:
             sample = self._rng.sample(pool, min(self.d, len(pool)))
             best = min(sample, key=lambda b: (flash.valid_page_count(b), b))
@@ -217,25 +183,29 @@ class DChoicesGCPolicy(GCPolicy):
         return victims
 
 
-def make_gc_policy(name: str, config: Optional[GCPolicyConfig] = None) -> GCPolicy:
+def make_gc_policy(name: str) -> GCPolicy:
     """Instantiate a victim policy by name (see :data:`GC_POLICIES`)."""
     if name == "greedy":
-        return GreedyGCPolicy(config)
+        return GreedyGCPolicy()
     if name == "cost_benefit":
-        return CostBenefitGCPolicy(config)
+        return CostBenefitGCPolicy()
     if name == "d_choices":
-        return DChoicesGCPolicy(config)
+        return DChoicesGCPolicy()
     raise ValueError(f"unknown GC policy {name!r}; known: {GC_POLICIES}")
 
 
 class BackgroundGCController:
-    """The device's one reclaim mechanism and the drivers that schedule it.
+    """The device's one reclaim owner: when reclaim runs, and how.
 
     (It covers blocking reclaim too; the name is the one the perf ledger
-    imports.)  Blocking reclaim — :meth:`on_flush`, :meth:`reclaim_urgent`,
-    wear-leveling passes through :meth:`collect` — runs the three stages
-    back to back inside the flush that triggered it.  The event pipeline
-    keeps one victim in flight, staged through events:
+    imports.)  The device calls :meth:`after_flush` once per buffer flush;
+    every trigger is decided here — the GC thresholds and the hard
+    watermark (from :class:`repro.config.SSDConfig`), the wear-leveling
+    throttle window and the write-throttle horizon.  Blocking reclaim —
+    threshold and urgent reclaim, wear-leveling passes, all through
+    :meth:`collect` — runs the three stages back to back inside the flush
+    that triggered it.  The event pipeline keeps one victim in flight,
+    staged through events:
 
     1. **read** — the victim's valid pages are read (reserving their channel
        through the NAND scheduler at the event's timestamp);
@@ -249,16 +219,54 @@ class BackgroundGCController:
     foreground requests issued between stages take their place in the
     channel FCFS order ahead of the *next* GC stage — the yielding that
     bounds GC interference to roughly one stage instead of a whole
-    multi-victim reclaim burst.  The pipeline stops once the policy's
-    restore watermark is reached (or no eligible victim remains).
+    multi-victim reclaim burst.  The pipeline stops once the restore
+    watermark is reached (or no eligible victim remains).
     """
 
     def __init__(self, device: "SimulatedSSD", policy: GCPolicy) -> None:
         self._device = device
+        #: Which victims; the controller never asks it anything else.
         self.policy = policy
+        config = device.config
+        self._threshold = config.gc_threshold
+        self._restore = config.gc_restore
+        self._hard_watermark = min(0.04, config.gc_threshold / 2.0)
+        #: Block erases counted when the last wear-leveling pass ran.
+        self._wear_window_start = 0
+        #: Completion horizon of the last urgent reclaim; write backpressure
+        #: up to this horizon is GC throttling, beyond it plain flush-drain
+        #: wait.
+        self.throttle_horizon_us = 0.0
+        self.reset_pipeline()
+
+    def reset_pipeline(self) -> None:
+        """Forget the event pipeline (a power failure kills its events).
+
+        The wear window and the throttle horizon are device history and
+        survive.
+        """
         self._active = False
         self._pending: List[int] = []
         self._in_flight: Optional[int] = None
+
+    # ------------------------------------------------------------------ #
+    # When: the watermarks, read off the free pool
+    # ------------------------------------------------------------------ #
+    def should_collect(self) -> bool:
+        """True when the free-block ratio fell below the GC threshold."""
+        return self._device.allocator.free_ratio() < self._threshold
+
+    def should_stop(self) -> bool:
+        """True when enough free blocks have been reclaimed."""
+        return self._device.allocator.free_ratio() >= self._restore
+
+    def below_hard_watermark(self) -> bool:
+        """True when free blocks are critically low (urgent reclaim regime).
+
+        Below it host writes are throttled behind an urgent blocking
+        reclaim, and victim selection may fall back to fully valid blocks.
+        """
+        return self._device.allocator.free_ratio() < self._hard_watermark
 
     @property
     def active(self) -> bool:
@@ -373,7 +381,20 @@ class BackgroundGCController:
                 finish = max(finish, erased)
         return finish
 
-    def on_flush(self, clock: float) -> None:
+    def after_flush(self, clock: float) -> float:
+        """Run the reclaim a buffer flush at ``clock`` calls for.
+
+        In order: threshold reclaim, a wear-leveling pass, urgent reclaim.
+        Returns the urgent reclaim's completion (``clock`` when none ran):
+        the device's next buffer-filling write waits for it through the
+        double-buffering backpressure, which is how real controllers
+        throttle hosts.
+        """
+        self._reclaim_threshold(clock)
+        self._level_wear(clock)
+        return self._reclaim_urgent(clock)
+
+    def _reclaim_threshold(self, clock: float) -> None:
         """Threshold reclaim, checked after every buffer flush.
 
         Under ``gc_mode="background"`` with an event loop attached the work
@@ -382,17 +403,17 @@ class BackgroundGCController:
         here until the restore watermark, blocking the flush.
         """
         device = self._device
-        policy, allocator = self.policy, device.allocator
+        allocator = device.allocator
         if device.options.gc_mode == "background" and device._loop is not None:
             self._start_pipeline(clock)
             return
-        if self._active or not policy.should_collect(allocator):
+        if self._active or not self.should_collect():
             return
         device.stats.gc_invocations += 1
-        while not policy.should_stop(allocator):
+        while not self.should_stop():
             free_before = allocator.free_block_count()
-            victims = policy.select_victims(
-                device.flash, allocator, urgent=policy.below_hard_watermark(allocator)
+            victims = self.policy.select_victims(
+                device.flash, allocator, urgent=self.below_hard_watermark()
             )
             if not victims:
                 break
@@ -402,25 +423,57 @@ class BackgroundGCController:
                 # stop rather than amplify writes indefinitely.
                 break
 
-    def reclaim_urgent(self, clock: float) -> float:
+    def _level_wear(self, clock: float) -> None:
+        """Static wear leveling: move the coldest block's data (Section 3.6).
+
+        Checked at most once every :data:`WEAR_CHECK_ERASES` block erases.
+        A check that finds the erase-count spread within
+        :data:`WEAR_IMBALANCE` leaves the window open, so the next flush
+        asks again; only a pass restarts it.  The pass migrates one block:
+        the least erased one holding valid data (most valid pages first),
+        whose data is long-lived, so the block itself rejoins the pool for
+        hot data.  While the pipeline is mid-run its victim must not be
+        stolen, so wear evens out on the next quiet check instead.
+        """
+        flash = self._device.flash
+        erases = flash.counters.block_erases
+        if self._active or erases - self._wear_window_start < WEAR_CHECK_ERASES:
+            return
+        counts = flash.erase_counts()
+        if max(counts) - min(counts) <= WEAR_IMBALANCE:
+            return
+        self._wear_window_start = erases
+        cold = [
+            block
+            for block in self._device.allocator.gc_candidates()
+            if flash.valid_page_count(block) > 0
+        ]
+        if cold:
+            coldest = min(
+                cold, key=lambda b: (flash.erase_count(b), -flash.valid_page_count(b))
+            )
+            self.collect([coldest], "wear", clock)
+
+    def _reclaim_urgent(self, clock: float) -> float:
         """Hard watermark: reclaim until it clears; returns the completion.
 
         Runs whatever the GC mode (background GC lagging a write burst is
         the usual cause): batches of at most four victims, each issued at
         the previous batch's completion, never touching the pipeline's
-        in-flight victim.  Returns ``clock`` when there was nothing to do.
+        in-flight victim.  The stall is charged to host writes.  Returns
+        ``clock`` when there was nothing to do.
         """
-        device = self._device
-        policy, allocator = self.policy, device.allocator
-        if not policy.below_hard_watermark(allocator):
+        if not self.below_hard_watermark():
             return clock
+        device = self._device
+        allocator = device.allocator
         device.stats.gc_urgent_collections += 1
         finish = clock
-        while policy.below_hard_watermark(allocator):
+        while self.below_hard_watermark():
             free_before = allocator.free_block_count()
             victims = [
                 block
-                for block in policy.select_victims(device.flash, allocator, urgent=True)
+                for block in self.policy.select_victims(device.flash, allocator, urgent=True)
                 if block != self._in_flight
             ][:4]
             if not victims:
@@ -428,6 +481,9 @@ class BackgroundGCController:
             finish = max(finish, self.collect(victims, "gc", finish))
             if allocator.free_block_count() <= free_before:
                 break
+        if finish > clock:
+            device.stats.gc_write_throttle_us += finish - clock
+            self.throttle_horizon_us = max(self.throttle_horizon_us, finish)
         return finish
 
     # ------------------------------------------------------------------ #
@@ -436,7 +492,7 @@ class BackgroundGCController:
     def _start_pipeline(self, at_us: float) -> None:
         """Kick off a background run if one is due and none is running."""
         device = self._device
-        if self._active or not self.policy.should_collect(device.allocator):
+        if self._active or not self.should_collect():
             return
         self._active = True
         device.stats.gc_invocations += 1
@@ -456,7 +512,7 @@ class BackgroundGCController:
 
     def _select_step(self, event: "Event") -> None:
         self._in_flight = None
-        if self.policy.should_stop(self._device.allocator):
+        if self.should_stop():
             self._active = False
             self._pending.clear()
             return
@@ -474,7 +530,7 @@ class BackgroundGCController:
 
     def _next_victim(self) -> Optional[int]:
         device = self._device
-        urgent = self.policy.below_hard_watermark(device.allocator)
+        urgent = self.below_hard_watermark()
         queue = self._pending
         if not queue:
             queue = list(

@@ -13,14 +13,15 @@ SSD controller at the level of detail the LeaFTL evaluation depends on:
   the same channel;
 * garbage collection with pluggable victim policies (greedy, cost-benefit,
   d-choices) and throttled wear leveling that relearn the mappings of
-  migrated pages (Section 3.6).  All reclaim lives in :mod:`repro.ssd.gc`
-  — one read → migrate → erase mechanism, run either blocking at flush
-  time (``SSDOptions.gc_mode="sync"``) or as a background event pipeline
-  (``"background"``) one victim at a time overlapping host I/O; this module
-  only calls it from the flush hook and turns an urgent (hard-watermark)
-  reclaim into host write backpressure.  Host data and migrated (cold)
-  data are programmed into separate allocator streams so they never share
-  a flash block;
+  migrated pages (Section 3.6).  All reclaim, and every decision of when it
+  runs, lives in :mod:`repro.ssd.gc` — one read → migrate → erase
+  mechanism, run either blocking at flush time
+  (``SSDOptions.gc_mode="sync"``) or as a background event pipeline
+  (``"background"``) one victim at a time overlapping host I/O.  This
+  module calls it once per flush and waits the next buffer-filling write
+  for the urgent reclaim it reports.  Host data and migrated (cold) data
+  are programmed into separate allocator streams so they never share a
+  flash block;
 * OOB reverse mappings written with every page, including the
   ``[-gamma, +gamma]`` neighbour window LeaFTL needs to correct
   mispredictions with a single extra flash read (Section 3.5);
@@ -111,14 +112,8 @@ from repro.sim.frontend import (
 from repro.sim.nand import NANDScheduler
 from repro.workloads.trace import ReplayItem
 from repro.ssd.cache import LRUDataCache
-from repro.ssd.gc import (
-    BackgroundGCController,
-    GCPolicy,
-    GCPolicyConfig,
-    make_gc_policy,
-)
+from repro.ssd.gc import BackgroundGCController, GCPolicy, make_gc_policy
 from repro.ssd.stats import SSDStats
-from repro.ssd.wear_leveling import WearLeveler
 from repro.ssd.write_buffer import WriteBuffer
 
 
@@ -174,7 +169,7 @@ class SimulatedSSD:
         ftl: FTL,
         dram_budget: Optional[DRAMBudget] = None,
         options: Optional[SSDOptions] = None,
-        gc_policy: GCPolicy | str = "greedy",
+        gc_policy: str = "greedy",
     ) -> None:
         self.config = config
         self.ftl = ftl
@@ -206,15 +201,9 @@ class SimulatedSSD:
             sort_on_flush=self.options.sort_buffer_on_flush,
         )
         self.cache = LRUDataCache(capacity_pages=self._cache_capacity_pages())
-        if isinstance(gc_policy, str):
-            gc_policy = make_gc_policy(
-                gc_policy,
-                GCPolicyConfig(threshold=config.gc_threshold, restore=config.gc_restore),
-            )
-        self.gc_policy: GCPolicy = gc_policy
-        #: The one reclaim mechanism (threshold, urgent, wear, background).
+        self.gc_policy: GCPolicy = make_gc_policy(gc_policy)
+        #: The one reclaim owner (threshold, urgent, wear, background).
         self.gc = BackgroundGCController(self, self.gc_policy)
-        self.wear_leveler = WearLeveler()
         self.stats = SSDStats()
 
         #: Ground truth of the live flash page of every LPA (page validity).
@@ -253,10 +242,6 @@ class SimulatedSSD:
         #: every page's share to it; the read path fills it once per command
         #: with the components of its slowest page (the critical path).
         self._attr: Optional[Dict[str, float]] = None
-        #: Completion horizon of the last urgent (hard-watermark) reclaim;
-        #: write backpressure up to this horizon is GC throttling, beyond
-        #: it plain flush-drain wait.
-        self._throttle_horizon_us = 0.0
         if self.options.telemetry != "off":
             # Lazy import: repro.obs sits above this module in the layer
             # stack (its registry imports repro.ssd.stats).
@@ -442,7 +427,7 @@ class SimulatedSSD:
                 if wait > 0.0 and attr is not None:
                     key = (
                         "gc_wait_us"
-                        if self._prev_flush_finish_us <= self._throttle_horizon_us
+                        if self._prev_flush_finish_us <= self.gc.throttle_horizon_us
                         else "flush_wait_us"
                     )
                     attr[key] = attr.get(key, 0.0) + wait
@@ -472,9 +457,9 @@ class SimulatedSSD:
             self.checkpointer.note_programs(len(lpas), clock)
         stats.peak_mapping_bytes = max(stats.peak_mapping_bytes, self.ftl.resident_bytes())
         self.cache.resize(self._cache_capacity_pages())
-        self.gc.on_flush(clock)
-        self._maybe_level_wear(clock)
-        self._throttle_if_critical(clock)
+        self._prev_flush_finish_us = max(
+            self._prev_flush_finish_us, self.gc.after_flush(clock)
+        )
         if self.telemetry is not None:
             # The sampling heartbeat between events, and for flushes outside
             # any replay (direct writes, the final drain).
@@ -628,39 +613,6 @@ class SimulatedSSD:
         )
 
     # ------------------------------------------------------------------ #
-    # Reclaim hooks (the mechanism itself lives in repro.ssd.gc)
-    # ------------------------------------------------------------------ #
-    def _throttle_if_critical(self, clock: float) -> None:
-        """Hard watermark: stall host writes behind an urgent reclaim.
-
-        When the free pool drops below the hard watermark (background GC
-        lagging a write burst), the device reclaims synchronously and the
-        reclaim's completion time extends the flush horizon — the next
-        buffer-filling write waits for it through the double-buffering
-        backpressure, which is how real controllers throttle hosts.
-        """
-        finish = self.gc.reclaim_urgent(clock)
-        if finish > clock:
-            self.stats.gc_write_throttle_us += finish - clock
-            self._prev_flush_finish_us = max(self._prev_flush_finish_us, finish)
-            self._throttle_horizon_us = max(self._throttle_horizon_us, finish)
-
-    def _maybe_level_wear(self, clock: float) -> None:
-        leveler = self.wear_leveler
-        if self.gc.active or not leveler.due(self.flash):
-            # While the background GC pipeline is mid-flight its victim must
-            # not be stolen by a wear-leveling migration; wear evens out on
-            # the next quiet check instead.  ``due()`` is pure, so a skipped
-            # check here does not consume the throttle window.
-            return
-        if not leveler.imbalanced(self.flash):
-            return
-        # Only an actual leveling pass restarts the throttle window.
-        leveler.acknowledge(self.flash)
-        for block in leveler.select_cold_blocks(self.flash, self.allocator):
-            self.gc.collect([block], "wear", clock)
-
-    # ------------------------------------------------------------------ #
     # Power failure
     # ------------------------------------------------------------------ #
     def power_fail(self, at_us: Optional[float] = None) -> Dict[int, int]:
@@ -691,7 +643,7 @@ class SimulatedSSD:
         self.stats.buffered_pages_lost += self.write_buffer.discard()
         self.cache.clear()
         self._current_ppa = self._unmapped()
-        self.gc = BackgroundGCController(self, self.gc_policy)
+        self.gc.reset_pipeline()
         self._loop = None
         if self.checkpointer is not None:
             self.checkpointer.on_power_fail()

@@ -94,6 +94,32 @@ class TestBuilders:
         assert build_ssd("LeaFTL", FAST.scaled(gamma=16)).ftl.config.gamma == 16
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("warmup_fraction", 1.5),
+        ("warmup_fraction", -0.2),
+        ("warmup_fraction", float("nan")),
+        ("request_scale", -1),
+        ("request_scale", 0),
+        ("request_scale", float("nan")),
+        ("request_scale", float("inf")),
+        ("footprint_scale", 0),
+        ("footprint_scale", -0.5),
+        ("footprint_scale", float("nan")),
+        ("footprint_scale", float("inf")),
+    ],
+)
+def test_setup_rejects_out_of_range_fields_by_name(name, value):
+    """``warmup_fraction`` lies in [0, 1] and both scales are finite and
+    > 0; anything else used to run silently or die deep inside a replay."""
+    with pytest.raises(ValueError, match=name):
+        ExperimentSetup(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        FAST.scaled(**{name: value})
+    FAST.scaled(warmup_fraction=0.0).scaled(warmup_fraction=1.0)
+
+
 class TestSettableSurface:
     """What ``python -m tools.option_census`` counts stays where it was put."""
 

@@ -23,15 +23,14 @@ from repro.config import SSDConfig
 from repro.experiments.common import precondition, steady_state_workload
 from repro.flash.allocator import BlockAllocator
 from repro.flash.flash_array import FlashArray, PageState
+from repro.ssd import gc
 from repro.ssd.gc import (
     CostBenefitGCPolicy,
     DChoicesGCPolicy,
-    GCPolicyConfig,
     GreedyGCPolicy,
     make_gc_policy,
 )
 from repro.ssd.ssd import SSDOptions
-from repro.ssd.wear_leveling import WearLeveler, WearLevelingConfig
 from tests.conftest import make_ssd
 
 
@@ -54,24 +53,27 @@ def _sealed_block(flash, allocator, valid, invalid=0, lpa_base=0):
 
 class TestGCPolicy:
     def test_thresholds_validated(self):
+        """The thresholds are declared once, on SSDConfig; the controller
+        derives the hard watermark from them: min(0.04, threshold / 2)."""
         with pytest.raises(ValueError):
-            GCPolicyConfig(threshold=0.5, restore=0.4)
-        with pytest.raises(ValueError):
-            GCPolicyConfig(max_victims_per_invocation=0)
-        with pytest.raises(ValueError):
-            GCPolicyConfig(hard_watermark=0.2)  # >= threshold
-        with pytest.raises(ValueError):
-            GCPolicyConfig(hard_watermark=0.0)
+            SSDConfig.tiny(gc_threshold=0.5, gc_restore=0.4)
+        for threshold, watermark in ((0.15, 0.04), (0.06, 0.03)):
+            ssd = make_ssd(config=SSDConfig.tiny(gc_threshold=threshold))
+            allocator = ssd.allocator
+            while allocator.free_ratio() >= watermark:
+                assert not ssd.gc.below_hard_watermark()
+                allocator.allocate_block()
+            assert ssd.gc.below_hard_watermark()
 
-    def test_should_collect_tracks_free_ratio(self, flash):
-        allocator = BlockAllocator(flash)
-        policy = GreedyGCPolicy(GCPolicyConfig(threshold=0.5, restore=0.6))
-        assert not policy.should_collect(allocator)
-        total = allocator.total_blocks
+    def test_should_collect_tracks_free_ratio(self):
+        ssd = make_ssd(config=SSDConfig.tiny(gc_threshold=0.5, gc_restore=0.6))
+        assert not ssd.gc.should_collect()
+        assert ssd.gc.should_stop()
+        total = ssd.allocator.total_blocks
         for _ in range(int(total * 0.6)):
-            allocator.allocate_block()
-        assert policy.should_collect(allocator)
-        assert not policy.should_stop(allocator)
+            ssd.allocator.allocate_block()
+        assert ssd.gc.should_collect()
+        assert not ssd.gc.should_stop()
 
     def test_greedy_victim_order(self, flash):
         allocator = BlockAllocator(flash)
@@ -82,9 +84,10 @@ class TestGCPolicy:
         ordered_valid = [flash.valid_page_count(b) for b in victims]
         assert ordered_valid == sorted(ordered_valid)
 
-    def test_victim_limit(self, flash):
+    def test_victim_limit(self, flash, monkeypatch):
+        monkeypatch.setattr(gc, "MAX_VICTIMS_PER_INVOCATION", 2)
         allocator = BlockAllocator(flash)
-        policy = GreedyGCPolicy(GCPolicyConfig(max_victims_per_invocation=2))
+        policy = GreedyGCPolicy()
         for index in range(5):
             _sealed_block(flash, allocator, valid=1, lpa_base=index * 10)
         assert len(policy.select_victims(flash, allocator)) == 2
@@ -120,28 +123,24 @@ class TestGCPolicy:
         assert GreedyGCPolicy().select_victims(flash, allocator)[0] == sparse
         assert policy.select_victims(flash, allocator)[0] == old
 
-    def test_d_choices_deterministic_and_bounded(self, flash):
+    def test_d_choices_deterministic_and_bounded(self, flash, monkeypatch):
+        monkeypatch.setattr(gc, "MAX_VICTIMS_PER_INVOCATION", 3)
         allocator = BlockAllocator(flash)
         for index, valid in enumerate((6, 2, 4, 1, 5, 3)):
             _sealed_block(flash, allocator, valid=valid, invalid=1, lpa_base=index * 50)
-        config = GCPolicyConfig(max_victims_per_invocation=3)
-        first = DChoicesGCPolicy(config, d=2, seed=5).select_victims(flash, allocator)
-        second = DChoicesGCPolicy(config, d=2, seed=5).select_victims(flash, allocator)
+        first = DChoicesGCPolicy(d=2, seed=5).select_victims(flash, allocator)
+        second = DChoicesGCPolicy(d=2, seed=5).select_victims(flash, allocator)
         assert first == second
         assert len(first) == 3
         assert set(first) <= set(allocator.gc_candidates())
         # With d covering the whole pool it degenerates to exact greedy.
-        exhaustive = DChoicesGCPolicy(config, d=100, seed=1).select_victims(
-            flash, allocator
-        )
-        assert exhaustive == GreedyGCPolicy(config).select_victims(flash, allocator)
+        exhaustive = DChoicesGCPolicy(d=100, seed=1).select_victims(flash, allocator)
+        assert exhaustive == GreedyGCPolicy().select_victims(flash, allocator)
 
     def test_make_gc_policy_registry(self):
         assert isinstance(make_gc_policy("greedy"), GreedyGCPolicy)
         assert isinstance(make_gc_policy("cost_benefit"), CostBenefitGCPolicy)
         assert isinstance(make_gc_policy("d_choices"), DChoicesGCPolicy)
-        config = GCPolicyConfig(threshold=0.3, restore=0.4)
-        assert make_gc_policy("greedy", config).config is config
         with pytest.raises(ValueError):
             make_gc_policy("round_robin")
 
@@ -311,7 +310,7 @@ class TestBackgroundGC:
         ssd.flush()
         assert ssd.stats.gc_invocations > 0
         assert ssd.stats.gc_background_runs == 0
-        assert ssd.allocator.free_ratio() > ssd.gc_policy.config.hard_watermark
+        assert not ssd.gc.below_hard_watermark()
 
 
 class TestGoldenAccounting:
@@ -345,35 +344,54 @@ GOLDEN_WAF = 7.2907020164301715
 
 
 class TestWearLeveler:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            WearLevelingConfig(imbalance_threshold=0)
+    """The wear pass through the controller (details in test_wear_leveling)."""
 
-    def test_due_throttling(self, flash):
-        leveler = WearLeveler(WearLevelingConfig(check_interval_erases=4))
-        assert not leveler.due(flash)
-        flash.counters.block_erases = 10
-        # due() is a pure probe: it stays due until a pass is acknowledged.
-        assert leveler.due(flash)
-        assert leveler.due(flash)
-        # Only an acknowledged leveling pass restarts the throttle window.
-        leveler.acknowledge(flash)
-        assert not leveler.due(flash)
+    @staticmethod
+    def _recorded(monkeypatch, **constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(gc, name, value)
+        ssd = make_ssd()
+        passes = []
+        ssd.gc.collect = lambda victims, purpose, clock: passes.append(
+            (list(victims), purpose)
+        ) or clock
+        return ssd, passes
 
-    def test_imbalance_detection(self, flash):
-        leveler = WearLeveler(WearLevelingConfig(imbalance_threshold=2))
-        assert not leveler.imbalanced(flash)
-        # Erase one block many times to create imbalance.
-        block = 0
+    def test_due_throttling(self, monkeypatch):
+        ssd, passes = self._recorded(monkeypatch, WEAR_CHECK_ERASES=4, WEAR_IMBALANCE=2)
+        _sealed_block(ssd.flash, ssd.allocator, valid=4)
+        ssd.gc.after_flush(0.0)
+        assert passes == []
         for _ in range(4):
-            flash.erase_block(block)
-        assert leveler.imbalanced(flash)
+            ssd.flash.erase_block(100)
+        ssd.gc.after_flush(0.0)
+        assert passes == [([0], "wear")]
+        # Only a pass restarts the throttle window.
+        ssd.gc.after_flush(0.0)
+        assert len(passes) == 1
 
-    def test_cold_block_selection_prefers_low_erase_counts(self, flash):
-        allocator = BlockAllocator(flash)
-        leveler = WearLeveler()
+    def test_imbalance_detection(self, monkeypatch):
+        ssd, passes = self._recorded(monkeypatch, WEAR_CHECK_ERASES=1, WEAR_IMBALANCE=2)
+        _sealed_block(ssd.flash, ssd.allocator, valid=4)
+        for _ in range(2):
+            ssd.flash.erase_block(100)
+        ssd.gc.after_flush(0.0)
+        assert passes == []
+        # Erase one block many times to create imbalance.
+        for _ in range(2):
+            ssd.flash.erase_block(100)
+        ssd.gc.after_flush(0.0)
+        assert len(passes) == 1
+
+    def test_cold_block_selection_prefers_low_erase_counts(self, monkeypatch):
+        ssd, passes = self._recorded(monkeypatch, WEAR_CHECK_ERASES=1, WEAR_IMBALANCE=2)
+        flash, allocator = ssd.flash, ssd.allocator
         for index in range(3):
             _sealed_block(flash, allocator, valid=1, lpa_base=index * 10)
-        cold = leveler.select_cold_blocks(flash, allocator)
-        assert cold
-        assert flash.valid_page_count(cold[0]) > 0
+        for _ in range(4):
+            flash.erase_block(100)
+        ssd.gc.after_flush(0.0)
+        assert len(passes) == 1
+        (cold,), purpose = passes[0]
+        assert flash.valid_page_count(cold) > 0
+        assert flash.erase_count(cold) == min(flash.erase_counts())

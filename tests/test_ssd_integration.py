@@ -130,7 +130,7 @@ def test_gc_reclaims_space_and_preserves_data():
     ssd.flush()
     assert ssd.stats.gc_invocations > 0
     assert ssd.stats.gc_page_writes > 0
-    assert ssd.allocator.free_ratio() > ssd.gc_policy.config.threshold
+    assert ssd.allocator.free_ratio() > ssd.config.gc_threshold
     # Reads after GC still find their data (the read path would raise otherwise).
     for lpa in rng.sample(range(footprint), 300):
         ssd.read(lpa)
