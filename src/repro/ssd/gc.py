@@ -47,9 +47,10 @@ the free pool — and four drivers that differ only in when the stages run:
   ``gc_restore``), **wear-leveling passes** (the coldest block, once the
   erase-count spread exceeds :data:`WEAR_IMBALANCE`, checked at most once
   every :data:`WEAR_CHECK_ERASES` erases) and **urgent reclaim** (below
-  the hard watermark, ``min(0.04, gc_threshold / 2)``) run the stages back
-  to back at one issue clock over a batch of victims bounded by the free
-  pool (:meth:`BackgroundGCController.collect`), blocking the flush that
+  the hard watermark: ``min(0.04, gc_threshold / 2)``, and at least one
+  host flush plus two blocks) run the stages back to back at one issue
+  clock over a batch of victims bounded by the free pool
+  (:meth:`BackgroundGCController.collect`), blocking the flush that
   triggered them; urgent reclaim also holds back the host's next
   buffer-filling write until it completes;
 * **background GC** runs the same stages one victim at a time, each stage
@@ -62,6 +63,7 @@ the free pool — and four drivers that differ only in when the stages run:
 from __future__ import annotations
 
 import abc
+import math
 import random
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
@@ -230,7 +232,14 @@ class BackgroundGCController:
         config = device.config
         self._threshold = config.gc_threshold
         self._restore = config.gc_restore
-        self._hard_watermark = min(0.04, config.gc_threshold / 2.0)
+        # Never below one host flush plus two blocks — the pipeline's
+        # in-flight migration and urgent reclaim's own destination — so on
+        # a small device the host cannot take the last block reclaim needs.
+        flush_blocks = math.ceil(config.write_buffer_pages / config.pages_per_block)
+        self._hard_watermark = max(
+            min(0.04, config.gc_threshold / 2.0),
+            (flush_blocks + 2) / config.total_blocks,
+        )
         #: Block erases counted when the last wear-leveling pass ran.
         self._wear_window_start = 0
         #: Completion horizon of the last urgent reclaim; write backpressure
@@ -263,8 +272,10 @@ class BackgroundGCController:
     def below_hard_watermark(self) -> bool:
         """True when free blocks are critically low (urgent reclaim regime).
 
-        Below it host writes are throttled behind an urgent blocking
-        reclaim, and victim selection may fall back to fully valid blocks.
+        The watermark is ``min(0.04, gc_threshold / 2)`` of the blocks, or
+        one host flush plus two blocks when that is more.  Below it host
+        writes are throttled behind an urgent blocking reclaim, and victim
+        selection may fall back to fully valid blocks.
         """
         return self._device.allocator.free_ratio() < self._hard_watermark
 
@@ -339,6 +350,16 @@ class BackgroundGCController:
     # ------------------------------------------------------------------ #
     # Blocking drivers: the stages back to back at one issue clock
     # ------------------------------------------------------------------ #
+    def _free_pages(self) -> int:
+        """Pages a migration can program now: the free pool plus the room
+        left in the cold stream's open block."""
+        device = self._device
+        flash, allocator = device.flash, device.allocator
+        pages_per_block = flash.geometry.pages_per_block
+        cold = allocator.stream_block("cold")
+        room = 0 if cold is None else pages_per_block - flash.write_pointer(cold)
+        return allocator.free_block_count() * pages_per_block + room
+
     def _bounded(self, victims: Sequence[int]) -> List[int]:
         """Prefix of ``victims`` whose migration fits the current free pool.
 
@@ -460,8 +481,11 @@ class BackgroundGCController:
         Runs whatever the GC mode (background GC lagging a write burst is
         the usual cause): batches of at most four victims, each issued at
         the previous batch's completion, never touching the pipeline's
-        in-flight victim.  The stall is charged to host writes.  Returns
-        ``clock`` when there was nothing to do.
+        in-flight victim.  It stops early only when a batch frees no page:
+        progress is counted in pages (:meth:`_free_pages`), because a batch
+        whose migration opened a fresh cold block frees no *block* net, yet
+        leaves that block's room for the next batch.  The stall is charged
+        to host writes.  Returns ``clock`` when there was nothing to do.
         """
         if not self.below_hard_watermark():
             return clock
@@ -470,7 +494,7 @@ class BackgroundGCController:
         device.stats.gc_urgent_collections += 1
         finish = clock
         while self.below_hard_watermark():
-            free_before = allocator.free_block_count()
+            free_before = self._free_pages()
             victims = [
                 block
                 for block in self.policy.select_victims(device.flash, allocator, urgent=True)
@@ -479,7 +503,7 @@ class BackgroundGCController:
             if not victims:
                 break
             finish = max(finish, self.collect(victims, "gc", finish))
-            if allocator.free_block_count() <= free_before:
+            if self._free_pages() <= free_before:
                 break
         if finish > clock:
             device.stats.gc_write_throttle_us += finish - clock

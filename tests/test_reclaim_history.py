@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+import pytest
+
 from repro.config import LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
 from repro.ssd.recovery import recover
@@ -37,14 +39,21 @@ def fill(ssd: SimulatedSSD) -> List[Request]:
     return [("W", lpa, 16) for lpa in range(0, n - 16, 16)]
 
 
-def hot_spot(ssd: SimulatedSSD, seed: int, count: int) -> List[Request]:
-    """90 % short writes into the first sixteenth, 10 % 4-page reads."""
+def hot_spot(
+    ssd: SimulatedSSD,
+    seed: int,
+    count: int,
+    hot: int = 16,
+    write_share: float = 0.9,
+    max_pages: int = 8,
+) -> List[Request]:
+    """Short writes into the first ``1 / hot`` of the LPAs, else 4-page reads."""
     n = ssd.logical_pages
     rng = random.Random(seed)
     requests: List[Request] = []
     for _ in range(count):
-        if rng.random() < 0.9:
-            requests.append(("W", rng.randrange(n // 16), rng.randint(1, 8)))
+        if rng.random() < write_share:
+            requests.append(("W", rng.randrange(n // hot), rng.randint(1, max_pages)))
         else:
             requests.append(("R", rng.randrange(n - 8), 4))
     return requests
@@ -96,3 +105,81 @@ def test_wear_passes_survive_a_power_failure():
     assert_gc_invariants(ssd)
     for lpa in ssd.live_mappings():
         ssd.read(lpa)
+
+
+def test_hard_watermark_covers_a_flush_and_two_blocks():
+    """On 24 blocks 4 % is under one block, so urgent reclaim used to start
+    only once the pool was empty.  The floor is one flush (one block here)
+    plus the pipeline's in-flight migration plus urgent reclaim's own
+    destination: three blocks."""
+    ssd = small_device("background")
+    allocator = ssd.allocator
+    assert allocator.total_blocks == 24
+    assert ssd.config.write_buffer_pages == ssd.flash.geometry.pages_per_block
+    while allocator.free_block_count() > 3:
+        allocator.allocate_block()
+    assert not ssd.gc.below_hard_watermark()
+    allocator.allocate_block()
+    assert ssd.gc.below_hard_watermark()
+
+
+def test_background_reclaim_keeps_a_small_device_writable():
+    """The reproduction: background reclaim let a host flush run out of
+    blocks while six fully invalid blocks waited for the pipeline."""
+    ssd = small_device("background", queue_depth=4)
+    ssd.run(fill(ssd))
+    ssd.run(hot_spot(ssd, seed=1, count=8000))
+    assert ssd.stats.gc_urgent_collections > 0
+    assert not ssd.gc.active
+    assert_gc_invariants(ssd)
+    for lpa in ssd.live_mappings():
+        ssd.read(lpa)
+
+
+def test_urgent_reclaim_counts_progress_in_pages():
+    """Garbage spread thin (victims about half valid): a batch whose
+    migration opens a fresh cold block frees no block net, yet leaves that
+    block's room to the next batch.  Stopping there, as a block count did,
+    left the pool a block short and the reclaim itself ran dry."""
+    ssd = small_device("background", queue_depth=8, op=0.15)
+    assert ssd.allocator.total_blocks == 20
+    ssd.run(fill(ssd))
+    ssd.run(hot_spot(ssd, seed=491, count=3000, hot=4, write_share=0.5, max_pages=16))
+    assert ssd.stats.gc_urgent_collections > 0
+    assert_gc_invariants(ssd)
+
+
+#: The background runs of the 4 / 5 / 6 MB x OP 0.2 / 0.25 / 0.3 x depth
+#: 2 / 4 / 8 x seed 1-2 sweep that ran out of blocks, each replayed a
+#: little past the request it died at; synchronous reclaim survived all 54
+#: runs.  All 16 are 4 MB devices, and OP 0.3 rounds to the same 24 blocks
+#: as OP 0.25 (``test_op_03_is_the_op_025_device``), so its five failures
+#: replay the five listed here request for request.
+SWEEP_FAILURES = [
+    # (op, queue depth, seed, requests)
+    (0.2, 2, 1, 1000),
+    (0.2, 2, 2, 500),
+    (0.2, 4, 1, 500),
+    (0.2, 4, 2, 1000),
+    (0.2, 8, 1, 500),
+    (0.2, 8, 2, 500),
+    (0.25, 2, 1, 7000),
+    (0.25, 4, 1, 2000),
+    (0.25, 4, 2, 3000),
+    (0.25, 8, 1, 1500),
+    (0.25, 8, 2, 2500),
+]
+
+
+def test_op_03_is_the_op_025_device():
+    a, b = small_device("background", op=0.25), small_device("background", op=0.3)
+    assert a.config.total_blocks == b.config.total_blocks == 24
+    assert a.logical_pages == b.logical_pages
+
+
+@pytest.mark.parametrize("op, queue_depth, seed, requests", SWEEP_FAILURES)
+def test_background_reclaim_survives_the_small_device_sweep(op, queue_depth, seed, requests):
+    ssd = small_device("background", queue_depth=queue_depth, op=op)
+    ssd.run(fill(ssd))
+    ssd.run(hot_spot(ssd, seed=seed, count=8000)[:requests])
+    assert_gc_invariants(ssd)
