@@ -18,10 +18,10 @@ SSD controller at the level of detail the LeaFTL evaluation depends on:
   mechanism, run either blocking at flush time
   (``SSDOptions.gc_mode="sync"``) or as a background event pipeline
   (``"background"``) one victim at a time overlapping host I/O.  This
-  module calls it once per flush and waits the next buffer-filling write
-  for the urgent reclaim it reports.  Host data and migrated (cold) data
-  are programmed into separate allocator streams so they never share a
-  flash block;
+  module calls it once per flush and holds the next buffer-filling write
+  until the urgent reclaim it reports completes.  Host data and migrated
+  (cold) data are programmed into separate allocator streams so they never
+  share a flash block;
 * OOB reverse mappings written with every page, including the
   ``[-gamma, +gamma]`` neighbour window LeaFTL needs to correct
   mispredictions with a single extra flash read (Section 3.5);
