@@ -54,7 +54,8 @@ def _sealed_block(flash, allocator, valid, invalid=0, lpa_base=0):
 class TestGCPolicy:
     def test_thresholds_validated(self):
         """The thresholds are declared once, on SSDConfig; the controller
-        derives the hard watermark from them: min(0.04, threshold / 2)."""
+        derives the hard watermark from them: min(0.04, threshold / 2) on a
+        device where that exceeds one flush plus two blocks."""
         with pytest.raises(ValueError):
             SSDConfig.tiny(gc_threshold=0.5, gc_restore=0.4)
         for threshold, watermark in ((0.15, 0.04), (0.06, 0.03)):
@@ -352,9 +353,12 @@ class TestWearLeveler:
             monkeypatch.setattr(gc, name, value)
         ssd = make_ssd()
         passes = []
-        ssd.gc.collect = lambda victims, purpose, clock: passes.append(
-            (list(victims), purpose)
-        ) or clock
+
+        def collect(victims, purpose, clock):
+            passes.append((list(victims), purpose))
+            return clock
+
+        ssd.gc.collect = collect
         return ssd, passes
 
     def test_due_throttling(self, monkeypatch):
