@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.crb import ConflictResolutionBuffer
 from repro.core.level import Level
@@ -192,6 +192,91 @@ class LPAGroup:
             self._renumber()
         else:
             target.insert(victim)
+
+    # ------------------------------------------------------------------ #
+    # Carry (a reclaim migration that moved whole owners)
+    # ------------------------------------------------------------------ #
+    def carry(
+        self, points: Sequence[Tuple[int, int]], old_ppa: Mapping[int, int], gamma: int
+    ) -> List[Segment]:
+        """Re-base the owners of ``points`` in place when they moved whole.
+
+        ``points`` are the ``(lpa, ppa)`` pairs of one candidate segment of
+        a migration batch, ``old_ppa`` each LPA's page before the move.  The
+        candidate is carried when it is made only of *whole owners*: owner
+        index segments every LPA of which is among the points, all moved by
+        one PPA shift (one owner at gamma 0, where a fresh fit could fuse
+        no two owners without growing the table).  Each owner's intercept
+        takes its shift, and every point must then predict exactly from an
+        accurate owner and within ``gamma`` from an approximate one.  A
+        carried owner keeps its level, interval and CRB entries, and holds
+        its LPAs' newest mappings like the segment a fresh fit would learn.
+
+        Returns the carried owners; empty, with nothing changed, otherwise.
+        """
+        owners = self._owners
+        base = self.group_base
+        first = owners[points[0][0] - base]
+        if first is None:
+            return []
+        intercept = self._rebased(first, points, old_ppa, gamma)
+        if intercept is not None:
+            first.intercept = intercept
+            return [first]
+        if gamma == 0:
+            return []
+        runs: Dict[Segment, List[Tuple[int, int]]] = {}
+        for point in points:
+            owner = owners[point[0] - base]
+            if owner is None:
+                return []
+            runs.setdefault(owner, []).append(point)
+        if len(runs) == 1:  # the one owner was just refused
+            return []
+        rebased: List[Tuple[Segment, float]] = []
+        for owner, owned in runs.items():
+            intercept = self._rebased(owner, owned, old_ppa, gamma)
+            if intercept is None:
+                return []
+            rebased.append((owner, intercept))
+        for owner, intercept in rebased:
+            owner.intercept = intercept
+        return [owner for owner, _ in rebased]
+
+    def _rebased(
+        self,
+        owner: Segment,
+        points: Sequence[Tuple[int, int]],
+        old_ppa: Mapping[int, int],
+        gamma: int,
+    ) -> Optional[float]:
+        """``owner``'s intercept moved by the shift of ``points``, or ``None``.
+
+        ``None`` unless ``points`` are exactly the LPAs ``owner`` owns, all
+        moved by one shift, and the moved intercept predicts each within the
+        owner's bound (0 when accurate, else ``gamma``).
+        """
+        owners = self._owners
+        base = self.group_base
+        start = owner.start_lpa - base
+        if owners[start : start + owner.length + 1].count(owner) != len(points):
+            return None
+        lpa, ppa = points[0]
+        shift = ppa - old_ppa[lpa]
+        intercept = owner.intercept + shift
+        slope = owner.slope
+        limit = 0 if owner.accurate else gamma
+        ceil = math.ceil
+        for lpa, ppa in points:
+            error = ceil(slope * (lpa - base) + intercept) - ppa
+            if (
+                owners[lpa - base] is not owner
+                or ppa - old_ppa[lpa] != shift
+                or error > limit
+                or -error > limit
+            ):
+                return None
+        return intercept
 
     # ------------------------------------------------------------------ #
     # Merge (Algorithm 2)

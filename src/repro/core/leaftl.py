@@ -3,8 +3,10 @@
 LeaFTL plugs the log-structured learned mapping table into the generic FTL
 interface used by the SSD model:
 
-* ``update_batch`` learns new segments from every write-buffer flush or GC
-  migration batch and triggers periodic segment compaction;
+* ``update_batch`` learns new segments from every write-buffer flush and
+  ``migrate_batch`` from every reclaim batch, carrying the segments a
+  migration moved whole instead of fitting them again; both trigger
+  periodic segment compaction;
 * ``translate_range`` resolves a read run through the learned table to one
   (possibly approximate) PPA per page, charging the levels searched
   (Figure 23a) once per resolution run; ``translate`` is the paper's
@@ -149,7 +151,25 @@ class LeaFTL(FTL):
     # FTL interface: updates
     # ------------------------------------------------------------------ #
     def update_batch(self, mappings: Sequence[Tuple[int, int]]) -> List[LearnedSegment]:
-        learned = self.table.update(mappings)
+        return self._learn(mappings, None)
+
+    def migrate_batch(
+        self, mappings: Sequence[Tuple[int, int]], old_ppas: Sequence[int]
+    ) -> List[LearnedSegment]:
+        """Relearn a reclaim batch, carrying what moved as whole segments.
+
+        Section 3.6 relearns migrated pages like a flush.  A candidate
+        segment of that relearn made only of whole owners is carried
+        instead: re-based to its new PPAs in place, so the table gets the
+        same answers without a shadowed copy waiting for compaction
+        (:meth:`LogStructuredMappingTable.update`).
+        """
+        return self._learn(mappings, old_ppas)
+
+    def _learn(
+        self, mappings: Sequence[Tuple[int, int]], old_ppas: Optional[Sequence[int]]
+    ) -> List[LearnedSegment]:
+        learned = self.table.update(mappings, old_ppas)
         self.stats.updates += len(mappings)
         self._writes_since_compaction += len(mappings)
         if self._writes_since_compaction >= self.config.compaction_interval_writes:

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import LeaFTLConfig
 from repro.core.group import LookupResult, LPAGroup
 from repro.core.plr import LearnedSegment, PLRLearner
-from repro.core.segment import group_base_of
+from repro.core.segment import Segment, group_base_of
 
 
 @dataclass
@@ -37,6 +37,10 @@ class MappingTableStats:
     accurate_segments_learned: int = 0
     approximate_segments_learned: int = 0
     mappings_learned: int = 0
+    #: Of those learned, the segments and mappings a reclaim migration
+    #: carried forward re-based instead of fitting them again.
+    segments_carried: int = 0
+    mappings_carried: int = 0
     compactions: int = 0
 
     @property
@@ -93,27 +97,56 @@ class LogStructuredMappingTable:
     # ------------------------------------------------------------------ #
     # Updates
     # ------------------------------------------------------------------ #
-    def update(self, mappings: Sequence[Tuple[int, int]]) -> List[LearnedSegment]:
+    def update(
+        self,
+        mappings: Sequence[Tuple[int, int]],
+        old_ppas: Optional[Sequence[int]] = None,
+    ) -> List[LearnedSegment]:
         """Learn segments from a flush batch and insert them into the log.
 
-        Returns the learned segments (used by tests and by the segment
+        ``old_ppas``, given for a reclaim migration, names the page each
+        pair moved from.  The cone walk then offers every candidate segment
+        to its group's :meth:`repro.core.group.LPAGroup.carry`: one made of
+        whole owners is carried (re-based in place) instead of fitted and
+        inserted, so it leaves no shadowed copy below level 0.  Carried
+        mappings and segments count as learned, and in ``*_carried``.
+
+        Returns the fitted segments (used by tests and by the segment
         distribution experiments).
         """
         if not mappings:
             return []
-        learned = self._learner.learn(mappings)
+        stats = self.stats
+        carried: List[Segment] = []
+        carry: Optional[Callable[[Sequence[Tuple[int, int]]], bool]] = None
+        if old_ppas is not None:
+            old_ppa = dict(zip([lpa for lpa, _ in mappings], old_ppas))
+            groups, group_size, gamma = self._groups, self.config.group_size, self.gamma
+
+            def carry_whole(points: Sequence[Tuple[int, int]]) -> bool:
+                group = groups.get(group_base_of(points[0][0], group_size))
+                owners = [] if group is None else group.carry(points, old_ppa, gamma)
+                if owners:
+                    carried.extend(owners)
+                    stats.mappings_carried += len(points)
+                return bool(owners)
+
+            carry = carry_whole
+
+        learned = self._learner.learn(mappings, carry)
         for item in learned:
             group_base = item.segment.group_base
             self._group_for_base(group_base).update(item)
             self._memory_stale.add(group_base)
-        self.stats.batches_learned += 1
-        self.stats.segments_learned += len(learned)
-        self.stats.mappings_learned += len(mappings)
-        for item in learned:
-            if item.accurate:
-                self.stats.accurate_segments_learned += 1
+        stats.batches_learned += 1
+        stats.segments_learned += len(learned) + len(carried)
+        stats.segments_carried += len(carried)
+        stats.mappings_learned += len(mappings)
+        for segment in [item.segment for item in learned] + carried:
+            if segment.accurate:
+                stats.accurate_segments_learned += 1
             else:
-                self.stats.approximate_segments_learned += 1
+                stats.approximate_segments_learned += 1
         return learned
 
     # ------------------------------------------------------------------ #

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.segment import GROUP_SIZE, Segment
 
@@ -65,7 +65,11 @@ class PLRLearner:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def learn(self, mappings: Sequence[Tuple[int, int]]) -> List[LearnedSegment]:
+    def learn(
+        self,
+        mappings: Sequence[Tuple[int, int]],
+        carry: Optional[Callable[[Sequence[Tuple[int, int]]], bool]] = None,
+    ) -> List[LearnedSegment]:
         """Learn segments from a batch of ``(lpa, ppa)`` pairs.
 
         The batch is the content of one write-buffer flush: LPAs are unique.
@@ -73,10 +77,16 @@ class PLRLearner:
         buffer-sorting co-design of Section 3.3, where ascending LPAs receive
         ascending PPAs).  Segments never span a group boundary because the
         1-byte ``S_LPA`` field is a group-relative offset.
+
+        ``carry``, when given, is offered every candidate segment the cone
+        walk closes (its points, before any fitting); a candidate for which
+        it returns true is taken as already encoded and yields no segment.
         """
         if not mappings:
             return []
-        points = sorted(mappings, key=lambda pair: pair[0])
+        # Plain tuple order: with unique LPAs it is the LPA order, and a
+        # duplicate LPA still lands next to its twin for the check below.
+        points = sorted(mappings)
         self._check_unique(points)
 
         learned: List[LearnedSegment] = []
@@ -86,21 +96,26 @@ class PLRLearner:
         for index, (lpa, _ppa) in enumerate(points):
             base = lpa // group_size * group_size
             if base != current_group:
-                learned.extend(self._learn_group(points[run_start:index], current_group))
+                learned.extend(
+                    self._learn_group(points[run_start:index], current_group, carry)
+                )
                 run_start = index
                 current_group = base
-        learned.extend(self._learn_group(points[run_start:], current_group))
+        learned.extend(self._learn_group(points[run_start:], current_group, carry))
         return learned
 
     # ------------------------------------------------------------------ #
     # Per-group learning
     # ------------------------------------------------------------------ #
     def _learn_group(
-        self, points: Sequence[Tuple[int, int]], group_base: int
+        self,
+        points: Sequence[Tuple[int, int]],
+        group_base: int,
+        carry: Optional[Callable[[Sequence[Tuple[int, int]]], bool]] = None,
     ) -> List[LearnedSegment]:
         """Greedy cone-based PLR over the points of a single group."""
         count = len(points)
-        if count == 1:
+        if count == 1 and carry is None:
             # Isolated write: degenerate single-point segment, no cone walk.
             lpa, ppa = points[0]
             return [
@@ -110,9 +125,11 @@ class PLRLearner:
         start = 0
         while start < count:
             end, low, high = self._extend_cone(points, start)
-            segments.extend(
-                self._finalize(points[start:end], group_base, cone=(low, high))
-            )
+            candidate = points[start:end]
+            if carry is None or not carry(candidate):
+                segments.extend(
+                    self._finalize(candidate, group_base, cone=(low, high))
+                )
             start = end
         return segments
 

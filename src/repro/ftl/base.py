@@ -12,8 +12,9 @@ the perf ledger or a reference test) calls it:
   It is the one translation method an FTL must implement and the only one
   the device calls;
 * :meth:`FTL.update_batch` records a batch of freshly programmed
-  ``(LPA, PPA)`` mappings after a write-buffer flush or a GC migration,
-  charging ``stats.updates`` once per pair.
+  ``(LPA, PPA)`` mappings after a write-buffer flush (and, through the
+  ``migrate_batch`` default, a reclaim migration), charging
+  ``stats.updates`` once per pair.
   It is the only way a mapping changes: an overwrite replaces the LPA's
   mapping, and there is no TRIM — the device rejects every opcode but
   ``R`` / ``W`` and the paper's LeaFTL never forgets an LPA;
@@ -22,7 +23,11 @@ the perf ledger or a reference test) calls it:
 * :meth:`FTL.rebuild_from_oob` reconstructs the table after a power
   failure from the ``(LPA, PPA)`` pairs of an OOB scan.
 
-Three hooks have defaults that only LeaFTL overrides:
+Four hooks have defaults that only LeaFTL overrides:
+
+* :meth:`FTL.migrate_batch` — record the batch a reclaim migration
+  programmed, with the page each pair moved from (default:
+  ``update_batch``; LeaFTL carries the learned segments that moved whole);
 
 * :meth:`FTL.oob_window` — how many neighbours' reverse mappings each side
   the write path must store in every page's OOB (default 0; LeaFTL: γ).
@@ -34,14 +39,15 @@ Three hooks have defaults that only LeaFTL overrides:
   warm-up); an FTL with counters beyond ``stats`` extends it.
 
 Background work is not part of the contract: LeaFTL compacts from inside
-its own ``update_batch`` (``LeaFTL.maintenance``), so no device calls it.
+its own ``update_batch`` / ``migrate_batch`` (``LeaFTL.maintenance``), so
+no device calls it.
 
 Flash accesses the resolution itself required (translation-page fetches
 and dirty evictions in DFTL/SFTL) are reported through
 ``stats.translation_page_reads`` / ``translation_page_writes``.  The device
 charges flash time from each call's delta: what those counters grew by
-across the one ``translate_range`` or ``update_batch`` call that caused
-the I/O.  A counter change anywhere else (a reset, a rebuild) is never
+across the one ``translate_range``, ``update_batch`` or ``migrate_batch``
+call that caused the I/O.  A counter change anywhere else (a reset, a rebuild) is never
 charged.
 
 The ``translate_range`` contract
@@ -124,11 +130,21 @@ class FTL(abc.ABC):
 
     @abc.abstractmethod
     def update_batch(self, mappings: Sequence[Tuple[int, int]]) -> None:
-        """Record freshly written ``(lpa, ppa)`` pairs (buffer flush or GC).
+        """Record freshly written ``(lpa, ppa)`` pairs (a buffer flush).
 
         The pairs arrive in programming order: when the write buffer is
         flushed LPA-sorted (the default), both LPAs and PPAs are ascending.
         """
+
+    def migrate_batch(
+        self, mappings: Sequence[Tuple[int, int]], old_ppas: Sequence[int]
+    ) -> None:
+        """Record the ``(lpa, ppa)`` pairs a reclaim migration programmed.
+
+        ``old_ppas[i]`` is the page pair ``i`` moved from.  The default is
+        :meth:`update_batch`; LeaFTL uses the shifts to carry segments.
+        """
+        self.update_batch(mappings)
 
     # ------------------------------------------------------------------ #
     # Memory accounting

@@ -4,8 +4,10 @@ LeaFTL preserves the conventional reclaim of modern SSDs (Section 3.6 of the
 paper): when the free-block ratio drops below a threshold, victim blocks are
 selected, their valid pages migrated to freshly allocated blocks and the
 victims erased; static wear leveling migrates cold data the same way.  The
-migrated mappings are relearned like a buffer flush.  This module owns all
-of it.  The victim *policies* choose which blocks to collect, and nothing
+migrated mappings are relearned like a buffer flush, except what moved as a
+whole learned segment: LeaFTL carries that segment forward re-based to its
+new pages (see :meth:`BackgroundGCController._migrate`).  This module owns
+all of it.  The victim *policies* choose which blocks to collect, and nothing
 else.  :class:`BackgroundGCController` decides when reclaim runs and how:
 its thresholds come once from :class:`repro.config.SSDConfig`, it keeps the
 wear-leveling throttle window and the write-throttle horizon, and it is the
@@ -40,7 +42,7 @@ allowed (the device must make forward progress even if only wear-moving).
 
 The mechanism is three stages written once — *read* a victim's valid
 pages, *migrate* the still-valid LPAs (sorted, relearned like a buffer
-flush) into the cold stream, *erase* the drained victim and return it to
+flush or carried) into the cold stream, *erase* the drained victim and return it to
 the free pool — and four drivers that differ only in when the stages run:
 
 * **threshold reclaim** (below ``SSDConfig.gc_threshold``, until
@@ -318,7 +320,14 @@ class BackgroundGCController:
         pages the host overwrote in between are stale and must not be
         migrated (their read was wasted bandwidth, exactly as in a real
         controller).  Section 3.6: migrated pages are sorted by LPA and
-        relearned like a regular buffer flush.
+        relearned like a regular buffer flush.  The device hands each chunk
+        to ``FTL.migrate_batch`` with the pages it left, and LeaFTL carries
+        a candidate segment made of whole owners (every LPA of each moved
+        here by one PPA shift) instead of fitting it: re-based in place, it
+        answers as the relearned segment would, so the table is still the
+        one §3.6 describes, without the shadowed copy a relearn leaves
+        below level 0 until compaction.  Which pages move, and where, is
+        the same either way.
         """
         flash = self._device.flash
         lpas: List[int] = []

@@ -12,16 +12,15 @@ SSD controller at the level of detail the LeaFTL evaluation depends on:
   its channel, so background flushes and GC delay later reads that land on
   the same channel;
 * garbage collection with pluggable victim policies (greedy, cost-benefit,
-  d-choices) and throttled wear leveling that relearn the mappings of
-  migrated pages (Section 3.6).  All reclaim, and every decision of when it
-  runs, lives in :mod:`repro.ssd.gc` — one read → migrate → erase
-  mechanism, run either blocking at flush time
-  (``SSDOptions.gc_mode="sync"``) or as a background event pipeline
-  (``"background"``) one victim at a time overlapping host I/O.  This
-  module calls it once per flush and holds the next buffer-filling write
-  until the urgent reclaim it reports completes.  Host data and migrated
-  (cold) data are programmed into separate allocator streams so they never
-  share a flash block;
+  d-choices) and throttled wear leveling, whose migrated mappings reach the
+  FTL with the pages they left (``FTL.migrate_batch``): LeaFTL carries a
+  segment that moved whole and relearns the rest (Section 3.6).  All
+  reclaim, and when it runs, lives in :mod:`repro.ssd.gc`: one read →
+  migrate → erase mechanism, blocking at flush time (``SSDOptions.gc_mode``
+  ``"sync"``) or as a background event pipeline (``"background"``), one
+  victim at a time.  This module calls it once per flush and holds the next
+  buffer-filling write until the urgent reclaim it reports completes.  Host
+  and migrated (cold) data go to separate allocator streams, never one block;
 * OOB reverse mappings written with every page, including the
   ``[-gamma, +gamma]`` neighbour window LeaFTL needs to correct
   mispredictions with a single extra flash read (Section 3.5);
@@ -94,7 +93,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, cast
 
 from repro.config import DRAMBudget, SSDConfig
 from repro.flash.allocator import BlockAllocator
@@ -499,11 +498,9 @@ class SimulatedSSD:
     def _program_chunk(
         self, block: int, first_ppa: int, chunk: Sequence[int], purpose: str, at_us: float
     ) -> float:
-        mappings: List[Tuple[int, int]] = [
-            (lpa, first_ppa + offset) for offset, lpa in enumerate(chunk)
-        ]
         current_ppa = self._current_ppa
         lpas = list(chunk)
+        mappings = list(zip(lpas, range(first_ppa, first_ppa + len(lpas))))
         old_ppas = [None if (ppa := current_ppa[lpa]) == _UNMAPPED else ppa for lpa in lpas]
         # One batched flash call programs the whole run: page-state updates,
         # OOB windows, old-copy invalidation and the per-page scheduler
@@ -514,9 +511,12 @@ class SimulatedSSD:
         self._record_programs(purpose, len(mappings))
         self.allocator.seal_if_full(block)
 
-        ftl_stats = self.ftl.stats
-        reads, writes = ftl_stats.translation_page_reads, ftl_stats.translation_page_writes
-        self.ftl.update_batch(mappings)
+        ftl = self.ftl
+        reads, writes = ftl.stats.translation_page_reads, ftl.stats.translation_page_writes
+        if purpose == "host":
+            ftl.update_batch(mappings)
+        else:  # a migration: every LPA it moved had a page
+            ftl.migrate_batch(mappings, cast(List[int], old_ppas))
         self._charge_translation(at_us, reads, writes, foreground=False)
         return finish
 

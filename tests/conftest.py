@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from dataclasses import replace
 
@@ -49,3 +50,9 @@ def make_ssd(
 @pytest.fixture
 def tiny_leaftl_ssd() -> SimulatedSSD:
     return make_ssd()
+
+
+#: ``--hypothesis-profile=deep``: the properties that size their example
+#: count from the loaded profile (``tests/test_carry_differential.py``) run
+#: this many; CI's explicit carry-vs-relearn step loads it.
+settings.register_profile("deep", max_examples=200)

@@ -90,6 +90,38 @@ class TestLearnerProperties:
         with pytest.raises(ValueError):
             learn_segments([(1, 10), (1, 11)], gamma=0)
 
+    @pytest.mark.parametrize("batch", [[(1, 11), (5, 3), (1, 10)], [(7, 2), (3, 9), (7, 2)]])
+    def test_duplicate_lpas_rejected_in_any_order(self, batch):
+        """Tuple order sorts a duplicate LPA next to its twin, whatever the
+        PPAs: the check names it like the LPA-keyed sort did."""
+        lpa = batch[0][0]
+        with pytest.raises(ValueError, match=f"^duplicate LPA {lpa} in one learning batch$"):
+            learn_segments(batch, gamma=0)
+
+    @given(
+        lpas=st.lists(st.integers(0, 4 * GROUP_SIZE), min_size=1, max_size=300, unique=True),
+        gamma=st.sampled_from([0, 1, 4]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shuffled_batch_learns_the_sorted_batch_segments(self, lpas, gamma, seed):
+        """The learner orders a batch itself: a shuffled flush learns the
+        segments of the sorted one, field for field."""
+        rng = random.Random(seed)
+        ppas = sorted(rng.sample(range(10 * len(lpas)), len(lpas)))
+        mappings = list(zip(sorted(lpas), ppas))
+        shuffled = mappings[:]
+        rng.shuffle(shuffled)
+
+        def fields(learned):
+            return [
+                (item.lpas, segment.start_lpa, segment.length, segment.slope, segment.intercept, segment.accurate)
+                for item in learned
+                for segment in (item.segment,)
+            ]
+
+        assert fields(learn_segments(shuffled, gamma)) == fields(learn_segments(mappings, gamma))
+
     def test_empty_batch(self):
         assert learn_segments([], gamma=0) == []
 

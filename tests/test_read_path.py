@@ -413,29 +413,43 @@ def test_a_window_naming_the_lpa_twice_lands_on_the_valid_copy():
     assert ssd.fixes == [(True, 1)]
 
 
-@pytest.mark.parametrize("gamma", [1, 4])
-def test_a_prediction_on_a_superseded_copy_is_a_misprediction(gamma):
-    """Predicted at PPA 544, which still holds LPA 272 but is INVALID (the live
-    copy is 543): the read is a misprediction fixed on the live page, not a
-    hit on the stale one."""
-    rng = random.Random(8)
-    ssd = aged_device(_FixCounting, gamma, "sync", aging(rng))  # as aged_pair(gamma, "sync", 8)
+#: Histories whose reads predict an LPA onto a superseded (INVALID) copy
+#: of it: (gamma, seed, LPAs written and read, read share, pages per
+#: command at most, commands) and the (LPA, stale page, live page) hit.
+#: Since reclaim carries whole segments instead of refitting them, the
+#: gamma 1 case of the gamma 4 history (272 predicted at 544, live at 543)
+#: no longer occurs; a hot 24-LPA range reproduces the condition there.
+SUPERSEDED_HITS = [
+    ((1, 159, 24, 0.7, 8, 600), (14, 240, 239)),
+    ((4, 8, 500, 0.6, 16, 300), (272, 544, 543)),
+]
+
+
+@pytest.mark.parametrize("history, hit", SUPERSEDED_HITS, ids=["1", "4"])
+def test_a_prediction_on_a_superseded_copy_is_a_misprediction(history, hit):
+    """Predicted on a page that still holds the LPA but is INVALID (the live
+    copy is its neighbour): the read is a misprediction fixed on the live
+    page, not a hit on the stale one."""
+    gamma, seed, lpas, reads, pages, count = history
+    lpa, stale, live = hit
+    rng = random.Random(seed)
+    ssd = aged_device(_FixCounting, gamma, "sync", aging(rng))
     requests = [
-        ("R" if rng.random() < 0.6 else "W", rng.randrange(500), rng.randint(1, 16))
-        for _ in range(300)
+        ("R" if rng.random() < reads else "W", rng.randrange(lpas), rng.randint(1, pages))
+        for _ in range(count)
     ]
     stale_hits = []
     real = ssd._misprediction_reads
 
-    def watch(lpa: int, ppa: int) -> Tuple[int, Sequence[int]]:
-        if (lpa, ppa) == (272, 544):
-            stale_hits.append((ssd.flash.page_state(544), ssd.live_mappings()[272]))
-        return real(lpa, ppa)
+    def watch(read_lpa: int, ppa: int) -> Tuple[int, Sequence[int]]:
+        if (read_lpa, ppa) == (lpa, stale):
+            stale_hits.append((ssd.flash.page_state(stale), ssd.live_mappings()[lpa]))
+        return real(read_lpa, ppa)
 
     ssd._misprediction_reads = watch  # type: ignore[method-assign]
     ssd.run(requests, queue_depth=4)
     check_reads(ssd)
-    assert stale_hits and set(stale_hits) == {(PageState.INVALID, 543)}
+    assert stale_hits and set(stale_hits) == {(PageState.INVALID, live)}
     check_fix_bound(ssd, gamma)
 
 

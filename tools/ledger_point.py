@@ -9,7 +9,9 @@ host-clock metric's ``[median, q1, q3]`` — one box's record, never a gate (a c
 One ``--trace 1`` run per workload adds the ``exact`` work counters, which repeat on any machine: a row-to-row
 change in one of them is a code change.  Among them, ``calls_per_host_page`` is the Python and C calls one
 replay executes per host page, counted with ``sys.setprofile`` in a fresh interpreter that imports the
-checkout's ledger workloads read-only (seed 1, scale ``CALLS_SCALE``).  ``env`` names the box (interpreter,
+checkout's ledger workloads read-only (seed 1, scale ``CALLS_SCALE``); the same replay gives
+``core.mappings_fitted_per_host_page``, the mappings it fitted (learned minus carried) per host write page,
+which ``core.points_fitted_per_host_page`` (every mapping installed, carried ones included) cannot show.  ``env`` names the box (interpreter,
 platform, CPU count), so a drift between rows' host columns can at least be attributed.
 """
 
@@ -24,6 +26,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Tuple
 
 LEDGER = Path(__file__).resolve().parents[1] / "BENCH_ledger.json"
 #: One seed for every row, so the simulated columns of two rows are comparable.
@@ -42,12 +45,15 @@ EXACT = (
 )
 #: Scale of the profiled replay behind ``calls_per_host_page``: every call pays a Python callback there.
 CALLS_SCALE = 0.25
-#: The child that counts them: ``python -c CALLS_SCRIPT WORKLOAD SEED SCALE`` prints calls per host page.
+#: The child that counts them: ``python -c CALLS_SCRIPT WORKLOAD SEED SCALE`` prints calls per host page, then
+#: the mappings the replay fitted (learned minus carried, from the registry snapshot) per host write page.
 CALLS_SCRIPT = """
 import sys
 from benchmarks.ledger.workloads import prepare
+from repro.obs.registry import device_snapshot
 
 prepared = prepare(sys.argv[1], int(sys.argv[2]), float(sys.argv[3]))
+before = device_snapshot(prepared.ssd)
 calls = 0
 
 
@@ -62,6 +68,9 @@ prepared.replay()
 sys.setprofile(None)
 stats = prepared.ssd.stats
 print(calls / (stats.host_read_pages + stats.host_write_pages))
+d = device_snapshot(prepared.ssd).delta(before)
+carried = d["mapping_table.mappings_carried"] if "mapping_table.mappings_carried" in d else 0.0
+print((d["mapping_table.mappings_learned"] - carried) / max(d["ssd.host_write_pages"], 1.0))
 """
 
 
@@ -73,13 +82,14 @@ def run_once(checkout: str, workload: str, seconds: float, trace: int = 0) -> di
     return {name: entry["value"] for name, entry in metrics.items()}
 
 
-def calls_per_host_page(checkout: str, workload: str) -> float:
-    """Calls one seed-``SEED`` replay of ``workload`` at ``CALLS_SCALE`` executes per host page."""
+def profiled_counts(checkout: str, workload: str) -> Tuple[float, float]:
+    """Calls per host page and mappings fitted per host write page, one seed-``SEED`` replay at ``CALLS_SCALE``."""
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join([str(Path(checkout) / "src"), checkout])
     command = [sys.executable, "-c", CALLS_SCRIPT, workload, str(SEED), str(CALLS_SCALE)]
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True, check=True)
-    return float(done.stdout.split()[-1])
+    calls, fitted = done.stdout.split()[-2:]
+    return float(calls), float(fitted)
 
 
 def main() -> int:
@@ -102,7 +112,9 @@ def main() -> int:
         started = time.perf_counter()
         traced = run_once(args.checkout, workload, spec["run_seconds"], trace=1)
         exact = {name: traced[name] for name in EXACT}
-        exact["calls_per_host_page"] = calls_per_host_page(args.checkout, workload)
+        exact["calls_per_host_page"], exact["core.mappings_fitted_per_host_page"] = profiled_counts(
+            args.checkout, workload
+        )
         row["workloads"][workload] = {"sim": simulated, "host": host, "exact": exact}
         print(f"{workload}: host_pages_per_s {host['host_pages_per_s']}; traced run "
               f"{time.perf_counter() - started:.0f} s, {exact}", file=sys.stderr)
