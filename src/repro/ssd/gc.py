@@ -42,8 +42,9 @@ allowed (the device must make forward progress even if only wear-moving).
 
 The mechanism is three stages written once — *read* a victim's valid
 pages, *migrate* the still-valid LPAs (sorted, relearned like a buffer
-flush or carried) into the cold stream, *erase* the drained victim and return it to
-the free pool — and four drivers that differ only in when the stages run:
+flush or carried) into the cold stream, *erase* the drained victim and
+return it to the free pool — and four drivers that differ only in when the
+stages run:
 
 * **threshold reclaim** (below ``SSDConfig.gc_threshold``, until
   ``gc_restore``), **wear-leveling passes** (the coldest block, once the
@@ -323,11 +324,11 @@ class BackgroundGCController:
         relearned like a regular buffer flush.  The device hands each chunk
         to ``FTL.migrate_batch`` with the pages it left, and LeaFTL carries
         a candidate segment made of whole owners (every LPA of each moved
-        here by one PPA shift) instead of fitting it: re-based in place, it
-        answers as the relearned segment would, so the table is still the
-        one §3.6 describes, without the shadowed copy a relearn leaves
-        below level 0 until compaction.  Which pages move, and where, is
-        the same either way.
+        here by one PPA shift) instead of fitting it: re-based in place and
+        re-verified, it meets the bound a relearned segment must (exact,
+        or within γ), so lookups still get §3.6's answers, without the
+        shadowed copy a relearn leaves below level 0 until compaction.
+        Which pages move, and where, is the same either way.
         """
         flash = self._device.flash
         lpas: List[int] = []

@@ -9,13 +9,15 @@ Section 3.6, kept here as a test-only subclass whose ``migrate_batch`` is
 the contract's default, ``update_batch``.
 
 Both replay the same generated histories (writes, reads, flushes, power
-failures, forced GC and wear passes) on a tiny aged device whose data cache is pinned to its
-minimum, so the table's size cannot steer the cache.  Under sync GC, after
-every step, the flash layout is the reference's page for page, the two
-tables pass ``validate()``, and every live LPA is predicted within ±γ; at
-γ = 0 the translations are equal and the carrying table holds no more
-segments than the relearned one.  Under background GC the device reads
-back what the host wrote.
+failures, forced GC and wear passes) on a tiny aged device whose data cache
+is pinned to its minimum, so the table's size cannot steer the cache.
+Under sync GC, after every step, the flash layout is the reference's page
+for page (at γ > 0 while the two devices' channel timelines agree: a
+misprediction fix one side only reads can move where the cold stream opens
+its next block), the two tables pass ``validate()``, and every live LPA is
+predicted within ±γ; at γ = 0 the translations are equal and the carrying
+table holds no more segments than the relearned one.  Under background GC
+the device reads back what the host wrote.
 
 A second property holds the layout against an exact FTL: at γ = 0 under
 sync GC, LeaFTL and the page-level map make the same flash programs and
@@ -110,22 +112,21 @@ def apply(ssd: SimulatedSSD, step: Step) -> None:
             ssd.gc.collect([blocks[a % len(blocks)]], purpose, ssd.now_us)
 
 
-def flash_state(ssd: SimulatedSSD, reads: bool) -> dict:
-    """The layout: page states, reverse map, erase counts and counters.
-
-    Reads are left out at γ > 0: a misprediction's fix is one more flash
-    read, and the two tables mispredict different pages.
-    """
+def flash_state(ssd: SimulatedSSD) -> dict:
+    """The layout: page states, reverse map, erase counts and counters."""
     flash = ssd.flash
-    counters = asdict(flash.counters)
-    if not reads:
-        del counters["page_reads"], counters["oob_reads"]
     return {
         "states": bytes(flash._state),
         "lpas": flash._lpa.tolist(),
         "erases": flash.erase_counts(),
-        "counters": counters,
+        "counters": asdict(flash.counters),
     }
+
+
+def timelines(ssd: SimulatedSSD) -> List[Tuple[float, float]]:
+    """Every channel's busy-until and bus time."""
+    scheduler = ssd.scheduler
+    return [(scheduler.busy_until(ch), scheduler.bus_time_us(ch)) for ch in range(ssd.config.channels)]
 
 
 def predictions(ssd: SimulatedSSD, gamma: int) -> List:
@@ -141,9 +142,12 @@ def predictions(ssd: SimulatedSSD, gamma: int) -> List:
 
 
 lpas = st.integers(min_value=0, max_value=CONFIG.logical_pages - 1)
-step = st.one_of(
+command = st.one_of(
     st.tuples(st.just("W"), lpas, st.integers(min_value=1, max_value=12)),
     st.tuples(st.just("R"), lpas, st.integers(min_value=1, max_value=16)),
+)
+step = st.one_of(
+    command,
     st.tuples(st.sampled_from(["F", "P"]), st.just(0), st.just(0)),
     st.tuples(st.sampled_from(["G", "L"]), st.integers(0, 63), st.just(0)),
 )
@@ -158,11 +162,22 @@ def test_carry_keeps_the_relearned_layout_and_answers(gamma, steps, seed):
     reference = device(leaftl(RelearningLeaFTL, gamma), "sync")
     for ssd in (carrying, reference):
         ssd.run(aging(seed), drain=False, queue_depth=1)
+    lockstep = True
     for index, item in enumerate(steps):
         for ssd in (carrying, reference):
             apply(ssd, item)
-        assert flash_state(carrying, gamma == 0) == flash_state(reference, gamma == 0), (index, item)
-        assert carrying.live_mappings() == reference.live_mappings()
+        # The cold stream opens its next block on the least busy channel.
+        # At gamma > 0 the two tables mispredict different reads, and a fix
+        # read on one side only can steer a later migration elsewhere: the
+        # layouts must agree while the channel timelines do, and at gamma 0
+        # they always do.
+        lockstep = lockstep and timelines(carrying) == timelines(reference)
+        assert lockstep or gamma > 0, (index, item)
+        if lockstep:
+            assert flash_state(carrying) == flash_state(reference), (index, item)
+            assert carrying.live_mappings() == reference.live_mappings()
+        else:
+            assert carrying.live_mappings().keys() == reference.live_mappings().keys()
         carrying.ftl.table.validate()
         reference.ftl.table.validate()
         answers = [predictions(ssd, gamma) for ssd in (carrying, reference)]
@@ -173,7 +188,7 @@ def test_carry_keeps_the_relearned_layout_and_answers(gamma, steps, seed):
 
 
 @pytest.mark.parametrize("gamma", [0, 4])
-@given(steps=st.lists(step.filter(lambda s: s[0] in "RW"), min_size=1, max_size=40), seed=st.integers(0, 3))
+@given(steps=st.lists(command, min_size=1, max_size=40), seed=st.integers(0, 3))
 @settings(max_examples=EXAMPLES, deadline=None)
 def test_carry_reads_back_under_background_gc(gamma, steps, seed):
     ssd = device(leaftl(LeaFTL, gamma), "background")
@@ -220,6 +235,8 @@ def test_a_migration_carries_whole_owners_and_counts_them():
 def test_leaftl_programs_and_erases_like_the_page_map(steps, seed):
     """ROADMAP item 2e: at γ = 0, with the table inside its DRAM budget,
     the learned FTL leaves the layout to the write path and reclaim alone."""
+    # Both tables fit in the first 4 KB of 64 (512 LPAs x 8 B for the page
+    # map), so both data caches are 15 pages and the two devices read alike.
     dram = DRAMBudget(dram_bytes=64 * KB, min_cache_bytes=8 * KB)
     learned = device(leaftl(LeaFTL, 0), "sync", dram)
     exact = device(PageLevelFTL(), "sync", dram)
@@ -228,4 +245,5 @@ def test_leaftl_programs_and_erases_like_the_page_map(steps, seed):
         for item in steps:
             apply(ssd, item)
     assert learned.stats.peak_mapping_bytes <= dram.mapping_budget()
-    assert flash_state(learned, reads=False) == flash_state(exact, reads=False)
+    assert learned.cache.capacity_pages == exact.cache.capacity_pages == 15
+    assert flash_state(learned) == flash_state(exact)
