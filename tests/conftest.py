@@ -53,6 +53,8 @@ def tiny_leaftl_ssd() -> SimulatedSSD:
 
 
 #: ``--hypothesis-profile=deep``: the properties that size their example
-#: count from the loaded profile (``tests/test_carry_differential.py``) run
-#: this many; CI's explicit carry-vs-relearn step loads it.
+#: count from the loaded profile run this many — the whole-device machine
+#: (``tests/test_device_machine.py``, with longer histories too) and the
+#: carry-vs-relearn differential (``tests/test_carry_differential.py``);
+#: CI's explicit steps for both load it.
 settings.register_profile("deep", max_examples=200)

@@ -16,8 +16,9 @@ for page (at γ > 0 while the two devices' channel timelines agree: a
 misprediction fix one side only reads can move where the cold stream opens
 its next block), the two tables pass ``validate()``, and every live LPA is
 predicted within ±γ; at γ = 0 the translations are equal and the carrying
-table holds no more segments than the relearned one.  Under background GC
-the device reads back what the host wrote.
+table holds no more segments than the relearned one.  The oracles are the
+whole-device machine's (``tests/test_device_machine.py``), which also
+checks the carrying device on its own, under background GC as well.
 
 A second property holds the layout against an exact FTL: at γ = 0 under
 sync GC, LeaFTL and the page-level map make the same flash programs and
@@ -34,33 +35,23 @@ from typing import List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
+from repro.config import DRAMBudget, LeaFTLConfig
 from repro.core.leaftl import LeaFTL
 from repro.ftl.base import FTL
 from repro.ftl.pagemap import PageLevelFTL
 from repro.ssd.recovery import recover
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
-from tests.test_gc_wear import assert_gc_invariants
+from tests.test_device_machine import (
+    DEEP, DEVICES, PINNED_CACHE, Step, assert_gc_invariants, check_predictions, force_reclaim,
+)
 
 KB = 1024
 #: 512 logical pages on 44 blocks of 16 pages, an 8-page write buffer:
 #: reclaim runs every few flushes.
-CONFIG = SSDConfig(
-    capacity_bytes=512 * 4 * KB,
-    pages_per_block=16,
-    channels=4,
-    dies_per_channel=1,
-    write_buffer_bytes=8 * 4 * KB,
-    overprovisioning=0.25,
-)
-#: The data cache at its floor whatever the table's size.
-PINNED_CACHE = DRAMBudget(dram_bytes=1, min_cache_bytes=2 * 4 * KB)
+CONFIG = DEVICES["512-lpa"]
 #: Examples per property and γ: a few in tier-1; CI's explicit step loads
 #: the ``deep`` profile (``tests/conftest.py``) and runs its count instead.
-DEEP = settings().max_examples > settings.get_profile("default").max_examples
 EXAMPLES = settings().max_examples if DEEP else 8
-
-Step = Tuple[str, int, int]
 
 
 class RelearningLeaFTL(LeaFTL):
@@ -102,14 +93,7 @@ def apply(ssd: SimulatedSSD, step: Step) -> None:
         ssd.power_fail()
         recover(ssd, "oob_scan")
     else:
-        blocks = [
-            block
-            for block in ssd.allocator.gc_candidates()
-            if ssd.flash.valid_page_count(block) > 0
-        ]
-        if blocks:
-            purpose = "gc" if op == "G" else "wear"
-            ssd.gc.collect([blocks[a % len(blocks)]], purpose, ssd.now_us)
+        force_reclaim(ssd, "gc" if op == "G" else "wear", a)
 
 
 def flash_state(ssd: SimulatedSSD) -> dict:
@@ -127,18 +111,6 @@ def timelines(ssd: SimulatedSSD) -> List[Tuple[float, float]]:
     """Every channel's busy-until and bus time."""
     scheduler = ssd.scheduler
     return [(scheduler.busy_until(ch), scheduler.bus_time_us(ch)) for ch in range(ssd.config.channels)]
-
-
-def predictions(ssd: SimulatedSSD, gamma: int) -> List:
-    """Every LPA's prediction; asserts each live one is within ±γ."""
-    predicted = ssd.ftl.translate_range(0, ssd.logical_pages)
-    off = {
-        lpa: (predicted[lpa], ppa)
-        for lpa, ppa in ssd.live_mappings().items()
-        if predicted[lpa] is None or abs(predicted[lpa] - ppa) > gamma
-    }
-    assert off == {}, "lpa: (prediction, live page)"
-    return predicted
 
 
 lpas = st.integers(min_value=0, max_value=CONFIG.logical_pages - 1)
@@ -180,31 +152,11 @@ def test_carry_keeps_the_relearned_layout_and_answers(gamma, steps, seed):
             assert carrying.live_mappings().keys() == reference.live_mappings().keys()
         carrying.ftl.table.validate()
         reference.ftl.table.validate()
-        answers = [predictions(ssd, gamma) for ssd in (carrying, reference)]
+        answers = [check_predictions(ssd, gamma) for ssd in (carrying, reference)]
         if gamma == 0:
             assert answers[0] == answers[1]
             assert carrying.ftl.table.segment_count() <= reference.ftl.table.segment_count()
     assert_gc_invariants(carrying)
-
-
-@pytest.mark.parametrize("gamma", [0, 4])
-@given(steps=st.lists(command, min_size=1, max_size=40), seed=st.integers(0, 3))
-@settings(max_examples=EXAMPLES, deadline=None)
-def test_carry_reads_back_under_background_gc(gamma, steps, seed):
-    ssd = device(leaftl(LeaFTL, gamma), "background")
-    written = set()
-    for op, lpa, npages in aging(seed) + steps:
-        if op == "W":
-            written.update(range(lpa, min(lpa + npages, ssd.logical_pages)))
-    ssd.run(aging(seed) + steps, queue_depth=4)
-    assert set(ssd.live_mappings()) == written
-    assert_gc_invariants(ssd)
-    ssd.ftl.table.validate()
-    predictions(ssd, gamma)
-    before = ssd.stats.unmapped_reads
-    for lpa in sorted(written):
-        ssd.read(lpa)
-    assert ssd.stats.unmapped_reads == before
 
 
 def test_a_migration_carries_whole_owners_and_counts_them():

@@ -1,13 +1,15 @@
-"""Tests for GC policies, background GC invariants and wear leveling.
+"""Tests for GC policies, stream separation and background GC.
+
+Wear leveling is tested in ``tests/test_wear_leveling.py``.
 
 Layered coverage:
 
 * victim policies in isolation (greedy / cost-benefit / d-choices, the
   fully-valid-victim exclusion, the hard-watermark fallback);
 * allocator write-stream separation (hot host data vs cold migrations);
-* background-GC end-to-end invariants: after every drained replay no LPA
-  maps to an erased page, flash validity accounting equals the ground-truth
-  reverse map, and per-block erase counts never regress;
+* background GC against the hard watermark and the in-flight victim (the
+  whole-device machine, ``tests/test_device_machine.py``, checks the
+  reclaim invariants after every step of generated histories);
 * the hard watermark throttling host writes when the pipeline lags;
 * the tail-latency acceptance property: background GC beats synchronous GC
   at p99 on a contended aged device without amplifying writes;
@@ -22,7 +24,7 @@ import pytest
 from repro.config import SSDConfig
 from repro.experiments.common import precondition, steady_state_workload
 from repro.flash.allocator import BlockAllocator
-from repro.flash.flash_array import FlashArray, PageState
+from repro.flash.flash_array import FlashArray
 from repro.ssd import gc
 from repro.ssd.gc import (
     CostBenefitGCPolicy,
@@ -32,6 +34,7 @@ from repro.ssd.gc import (
 )
 from repro.ssd.ssd import SSDOptions
 from tests.conftest import make_ssd
+from tests.test_device_machine import assert_gc_invariants
 
 
 @pytest.fixture
@@ -193,19 +196,6 @@ class TestStreamSeparation:
         assert hot is not None and cold is not None and hot != cold
 
 
-def assert_gc_invariants(ssd):
-    """No LPA maps to an erased page; validity equals the reverse-map size."""
-    flash = ssd.flash
-    live = ssd.live_mappings()
-    for lpa, ppa in live.items():
-        assert flash.page_state(ppa) is PageState.VALID, (lpa, ppa)
-        assert flash.lpa_of(ppa) == lpa
-    total_valid = sum(
-        flash.valid_page_count(block) for block in range(flash.geometry.total_blocks)
-    )
-    assert total_valid == len(live)
-
-
 class TestBackgroundGC:
     def _aged_ssd(self, gc_mode, queue_depth=8):
         config = SSDConfig.tiny(capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
@@ -216,22 +206,6 @@ class TestBackgroundGC:
         )
         footprint = precondition(ssd, seed=11)
         return ssd, footprint
-
-    def test_invariants_hold_after_every_drain(self):
-        ssd, footprint = self._aged_ssd("background")
-        erase_before = ssd.flash.erase_counts()
-        for phase in range(4):
-            ssd.run(steady_state_workload(footprint, 700, seed=30 + phase))
-            # run() drained the event loop, so the pipeline is quiescent.
-            assert not ssd.gc.active
-            assert_gc_invariants(ssd)
-            erase_now = ssd.flash.erase_counts()
-            assert all(
-                now >= before for now, before in zip(erase_now, erase_before)
-            ), "erase counts regressed"
-            erase_before = erase_now
-        assert ssd.stats.gc_background_runs > 0
-        assert ssd.stats.gc_victim_blocks > 0
 
     def test_background_gc_flattens_tail_at_equal_waf(self):
         """Acceptance: at queue depth 8 on an aged device, background GC
@@ -342,60 +316,3 @@ GOLDEN_GC_PAGE_READS = 35387
 GOLDEN_GC_PAGE_WRITES = 35003
 GOLDEN_GC_BLOCK_ERASES = 606
 GOLDEN_WAF = 7.2907020164301715
-
-
-class TestWearLeveler:
-    """The wear pass through the controller (details in test_wear_leveling)."""
-
-    @staticmethod
-    def _recorded(monkeypatch, **constants):
-        for name, value in constants.items():
-            monkeypatch.setattr(gc, name, value)
-        ssd = make_ssd()
-        passes = []
-
-        def collect(victims, purpose, clock):
-            passes.append((list(victims), purpose))
-            return clock
-
-        ssd.gc.collect = collect
-        return ssd, passes
-
-    def test_due_throttling(self, monkeypatch):
-        ssd, passes = self._recorded(monkeypatch, WEAR_CHECK_ERASES=4, WEAR_IMBALANCE=2)
-        _sealed_block(ssd.flash, ssd.allocator, valid=4)
-        ssd.gc.after_flush(0.0)
-        assert passes == []
-        for _ in range(4):
-            ssd.flash.erase_block(100)
-        ssd.gc.after_flush(0.0)
-        assert passes == [([0], "wear")]
-        # Only a pass restarts the throttle window.
-        ssd.gc.after_flush(0.0)
-        assert len(passes) == 1
-
-    def test_imbalance_detection(self, monkeypatch):
-        ssd, passes = self._recorded(monkeypatch, WEAR_CHECK_ERASES=1, WEAR_IMBALANCE=2)
-        _sealed_block(ssd.flash, ssd.allocator, valid=4)
-        for _ in range(2):
-            ssd.flash.erase_block(100)
-        ssd.gc.after_flush(0.0)
-        assert passes == []
-        # Erase one block many times to create imbalance.
-        for _ in range(2):
-            ssd.flash.erase_block(100)
-        ssd.gc.after_flush(0.0)
-        assert len(passes) == 1
-
-    def test_cold_block_selection_prefers_low_erase_counts(self, monkeypatch):
-        ssd, passes = self._recorded(monkeypatch, WEAR_CHECK_ERASES=1, WEAR_IMBALANCE=2)
-        flash, allocator = ssd.flash, ssd.allocator
-        for index in range(3):
-            _sealed_block(flash, allocator, valid=1, lpa_base=index * 10)
-        for _ in range(4):
-            flash.erase_block(100)
-        ssd.gc.after_flush(0.0)
-        assert len(passes) == 1
-        (cold,), purpose = passes[0]
-        assert flash.valid_page_count(cold) > 0
-        assert flash.erase_count(cold) == min(flash.erase_counts())

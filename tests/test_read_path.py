@@ -14,9 +14,10 @@ per-page latencies, flash counters, device / FTL / LeaFTL stats, every
 channel's timeline, the scheduler probe's stream and the breakdown dicts.
 
 Both follow one rule: a page answers for an LPA only while it is VALID.
-A read oracle checks the device against the ground truth after every
-batch: each host read's last sensed page is the LPA's live page, and the
-FTL predicts every live LPA within ±gamma of it.
+The whole-device machine's read oracle (``tests/test_device_machine.py``)
+checks the device against the ground truth after every batch: each host
+read's last sensed page is the LPA's live page, and the FTL predicts every
+live LPA within ±gamma of it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from repro.flash.flash_array import PageState
 from repro.ftl.pagemap import PageLevelFTL
 from repro.ssd.ssd import SimulatedSSD, SimulationError, SSDOptions
 from repro.ssd.stats import LatencyRecorder
+from tests.test_device_machine import (
+    FixCounting, answers_for, check_fix_bound, check_predictions, check_reads,
+)
 
 KB = 1024
 #: 512 logical pages on 28 channels of two 16-page blocks: a read run
@@ -52,11 +56,6 @@ CONFIG = SSDConfig(
 )
 #: LPAs at or above this are never written: their reads are unmapped.
 WRITTEN = 400
-
-
-def answers_for(ssd: SimulatedSSD, ppa: int, lpa: int) -> bool:
-    """A page answers for an LPA only while it is VALID."""
-    return ssd.flash.lpa_of(ppa) == lpa and ssd.flash.page_state(ppa) is PageState.VALID
 
 
 class _PerPageReference(SimulatedSSD):
@@ -169,51 +168,6 @@ class _PerPageReference(SimulatedSSD):
         raise SimulationError(f"unrecoverable misprediction for LPA {lpa}: {predicted_ppa}")
 
 
-class _FixCounting(SimulatedSSD):
-    """The device under test, logging what each misprediction cost and what
-    each host read sensed last."""
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        #: Per mispredicted page: (OOB named the true page, extra reads).
-        self.fixes: List[Tuple[bool, int]] = []
-        #: Mispredicted pages fixed on another channel than the sensed page.
-        self.cross_channel_fixes = 0
-        #: Per host page sensed from flash: (LPA, the last page sensed for
-        #: it, the LPA's live page when it was read).
-        self.last_sensed: List[Tuple[int, int, Optional[int]]] = []
-        read_chunk = self.flash.read_chunk
-
-        def logged_read_chunk(lpas, ppas, now_us, misprediction_reads):
-            live = self.live_mappings()
-            last = dict(zip(lpas, ppas))
-
-            def logged_fix(lpa: int, ppa: int) -> Tuple[int, Sequence[int]]:
-                sensed, fixes = misprediction_reads(lpa, ppa)
-                last[lpa] = fixes[-1] if fixes else sensed
-                return sensed, fixes
-
-            done = read_chunk(lpas, ppas, now_us, logged_fix)
-            self.last_sensed += [(lpa, last[lpa], live.get(lpa)) for lpa in lpas]
-            return done
-
-        self.flash.read_chunk = logged_read_chunk  # type: ignore[method-assign]
-
-    def _misprediction_reads(self, lpa: int, ppa: int) -> Tuple[int, Sequence[int]]:
-        before = self.stats.mispredictions
-        sensed, fixes = super()._misprediction_reads(lpa, ppa)
-        if self.stats.mispredictions > before:
-            first = sensed - self._oob_window
-            named = any(
-                entry == lpa and first + index != sensed and answers_for(self, first + index, lpa)
-                for index, entry in enumerate(self.flash.oob_window_of(sensed))
-            )
-            self.fixes.append((named, len(fixes)))
-            channels = {ppa // self._pages_per_channel for ppa in (sensed, *fixes)}
-            self.cross_channel_fixes += len(channels) > 1
-        return sensed, fixes
-
-
 class _Breakdowns:
     """A telemetry stand-in that keeps only what the device reports."""
 
@@ -262,7 +216,7 @@ def aged_pair(gamma: int, gc_mode: str, seed: int) -> Tuple[SimulatedSSD, Simula
     """Two identical aged devices, probe and breakdowns on."""
     history = aging(random.Random(seed))
     devices = []
-    for cls in (_FixCounting, _PerPageReference):
+    for cls in (FixCounting, _PerPageReference):
         ssd = aged_device(cls, gamma, gc_mode, history)
         ssd.set_telemetry(_Breakdowns())
         spans: List[Tuple[int, float, float]] = []
@@ -297,39 +251,7 @@ def observed(ssd: SimulatedSSD) -> dict:
     }
 
 
-def check_fix_bound(ssd: _FixCounting, gamma: int) -> None:
-    """One extra read when the OOB names the true page, else at most 2γ."""
-    for named, reads in ssd.fixes:
-        if named:
-            assert reads == 1
-        else:
-            assert 1 <= reads <= 2 * max(gamma, 1)
-    lea = ssd.ftl.lea_stats
-    assert lea.mispredictions == lea.oob_corrections + lea.oob_correction_failures
-    assert ssd.stats.mispredictions == lea.mispredictions == len(ssd.fixes)
-    assert ssd.stats.misprediction_extra_reads == sum(reads for _, reads in ssd.fixes)
-
-
-def check_reads(ssd: _FixCounting) -> None:
-    """The read oracle's first half: every host read ended on the live page."""
-    stale = [read for read in ssd.last_sensed if read[1] != read[2]]
-    assert stale == [], "(lpa, last sensed page, live page)"
-
-
-def check_predictions(ssd: SimulatedSSD, gamma: int) -> None:
-    """The read oracle's second half: the FTL predicts every live LPA
-    within ±gamma of its live page, exactly at gamma 0.  One
-    ``translate_range`` over the whole space, charged like any other."""
-    predicted = ssd.ftl.translate_range(0, ssd.logical_pages)
-    off = {
-        lpa: (predicted[lpa], ppa)
-        for lpa, ppa in ssd.live_mappings().items()
-        if predicted[lpa] is None or abs(predicted[lpa] - ppa) > gamma
-    }
-    assert off == {}, "lpa: (prediction, live page)"
-
-
-def replay_both(gamma: int, gc_mode: str, seed: int, batches, queue_depth: int) -> _FixCounting:
+def replay_both(gamma: int, gc_mode: str, seed: int, batches, queue_depth: int) -> FixCounting:
     chunked, reference = aged_pair(gamma, gc_mode, seed)
     assert observed(chunked) == observed(reference)
     for batch in batches:
@@ -398,7 +320,7 @@ def test_chunked_reads_equal_the_reference_through_stale_edge_windows(gamma):
 def test_a_window_naming_the_lpa_twice_lands_on_the_valid_copy():
     """Page 7's window names LPA 30 at PPA 3 (superseded) and at PPA 6 (live):
     the fix reads 6, with one extra read."""
-    ssd = _FixCounting(SSDConfig.tiny(write_buffer_bytes=16 * KB), LeaFTL(LeaFTLConfig(gamma=4)))
+    ssd = FixCounting(SSDConfig.tiny(write_buffer_bytes=16 * KB), LeaFTL(LeaFTLConfig(gamma=4)))
     for lpa in (10, 11, 12, 30, 4, 5, 30, 31):  # two 4-page flushes
         ssd.write(lpa)
     assert ssd.live_mappings()[30] == 6
@@ -433,7 +355,7 @@ def test_a_prediction_on_a_superseded_copy_is_a_misprediction(history, hit):
     gamma, seed, lpas, reads, pages, count = history
     lpa, stale, live = hit
     rng = random.Random(seed)
-    ssd = aged_device(_FixCounting, gamma, "sync", aging(rng))
+    ssd = aged_device(FixCounting, gamma, "sync", aging(rng))
     requests = [
         ("R" if rng.random() < reads else "W", rng.randrange(lpas), rng.randint(1, pages))
         for _ in range(count)
@@ -485,7 +407,7 @@ class _Mispredicts(PageLevelFTL):
 )
 def test_the_scan_and_the_nearest_page_skip_a_superseded_copy(flushes, lpa, predicted, live, reads):
     ftl = _Mispredicts(gamma=4)
-    ssd = _FixCounting(SSDConfig.tiny(write_buffer_bytes=16 * KB), ftl)
+    ssd = FixCounting(SSDConfig.tiny(write_buffer_bytes=16 * KB), ftl)
     for batch in flushes:
         for page in batch:
             ssd.write(page)

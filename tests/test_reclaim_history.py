@@ -18,7 +18,7 @@ from repro.config import LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
 from repro.ssd.recovery import recover
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
-from tests.test_gc_wear import assert_gc_invariants
+from tests.test_device_machine import assert_gc_invariants
 
 MB = 1024 * 1024
 
