@@ -17,9 +17,8 @@ Erase latency          1.5 ms
 Overprovisioning       20 %
 =====================  ==========
 
-The real-SSD prototype of the paper (Section 3.9) uses a second
-configuration: 1 TB capacity, 16 KB pages, 16 channels, 256 pages/block.
-Both are available as constructors on :class:`SSDConfig`.
+The paper's real-SSD prototype (Section 3.9: 1 TB, 16 KB pages) is not
+modelled; :meth:`SSDConfig.paper_simulator` is the Table 1 device.
 """
 
 from __future__ import annotations
@@ -158,18 +157,6 @@ class SSDConfig:
     def paper_simulator(cls, **overrides: object) -> "SSDConfig":
         """The Table 1 simulator configuration (2 TB, 4 KB pages, 1 GB DRAM)."""
         return replace(cls(), **overrides)  # type: ignore[arg-type]
-
-    @classmethod
-    def paper_prototype(cls, **overrides: object) -> "SSDConfig":
-        """The open-channel SSD prototype (1 TB, 16 KB pages, Section 3.9)."""
-        base = cls(
-            capacity_bytes=1 * TB,
-            page_size=16 * KB,
-            pages_per_block=256,
-            channels=16,
-            dram_size=256 * MB,
-        )
-        return replace(base, **overrides)  # type: ignore[arg-type]
 
     @classmethod
     def small(cls, **overrides: object) -> "SSDConfig":

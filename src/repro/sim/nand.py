@@ -29,7 +29,7 @@ class NANDScheduler:
         if channels <= 0:
             raise ValueError("channels must be positive")
         # Validated but unused, like ``reserve(die=)``: the frozen ledger
-        # passes both (ROADMAP item 8c).
+        # passes both (ROADMAP item 11c).
         if dies_per_channel <= 0:
             raise ValueError("dies_per_channel must be positive")
         self._channels = channels

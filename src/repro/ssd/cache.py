@@ -91,7 +91,7 @@ class LRUDataCache:
         """Insert (or refresh) ``lpa``: the one-page :meth:`insert_many`.
 
         The device calls only ``insert_many``; the frozen ledger times and
-        wraps this name (ROADMAP item 8c).
+        wraps this name (ROADMAP item 11c).
         """
         self.insert_many((lpa,))
 
@@ -124,7 +124,7 @@ class LRUDataCache:
         """No-op: there is no dirty state to clear.
 
         Bodiless, and kept only because the frozen ledger wraps the name
-        (ROADMAP item 8c).
+        (ROADMAP item 11c).
         """
 
     def invalidate(self, lpa: int) -> bool:

@@ -24,11 +24,6 @@ class TestSSDConfig:
         assert config.erase_latency_us == pytest.approx(1500.0)
         assert config.overprovisioning == pytest.approx(0.20)
 
-    def test_paper_prototype_geometry(self):
-        config = SSDConfig.paper_prototype()
-        assert config.capacity_bytes == 1 * TB
-        assert config.page_size == 16 * KB
-
     def test_physical_capacity_includes_overprovisioning(self):
         config = SSDConfig.tiny()
         assert config.physical_pages > config.logical_pages
