@@ -518,9 +518,59 @@ def test_a_fixed_history_reaches_every_outcome():
         ("power_failure", dict(mode="oob_scan")),
         ("host_batch", dict(first=[("W", 10, 16), ("R", 3, 8)], second=[("R", 0, 16)])),
     ]
+    drive(state, steps)
+    assert OUTCOMES <= state.reached, OUTCOMES - state.reached
+
+
+def drive(state: DeviceMachine, steps: Sequence[Tuple[str, dict]]) -> None:
+    """Run fixed steps through the machine's rules, every oracle after each."""
     state.check()
     for name, arguments in steps:
         getattr(state, name)(**arguments)
         state.check()
     state.teardown()
-    assert OUTCOMES <= state.reached, OUTCOMES - state.reached
+
+
+#: Outcomes every configuration's fixed history must reach.
+EVERY_CONFIGURATION = {
+    "forced gc pass",
+    "forced wear pass",
+    "crash at request_complete, then oob_scan",
+}
+
+
+@pytest.mark.parametrize("queue_depth", [1, 8])
+@pytest.mark.parametrize("device", sorted(DEVICES))
+@pytest.mark.parametrize("gc_mode", ["sync", "background"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_configuration_runs_every_rule(
+    scheme: str, gc_mode: str, device: str, queue_depth: int
+) -> None:
+    """Each configuration ``init`` can draw, through every rule once.
+
+    The generated histories draw the FTL, GC mode, device and depth at
+    random, so one run of the machine covers only some of them; this
+    fixed history pins each.  Depth 1 is the serial replay path, depth 8
+    the event loop.  A crash at the 2nd of 3 completions must fire.
+    """
+    state = DeviceMachine()
+    state.init(scheme=scheme, gc_mode=gc_mode, device=device, queue_depth=queue_depth, seed=0)
+    drawn = [("W", 40, 16), ("R", 3, 8), ("W", 300, 5), ("R", 17, 16), ("W", 41, 3)]
+    crashed = [("W", 120, 8), ("R", 5, 4), ("W", 7, 16)]
+    steps = [
+        ("commands", dict(drawn=drawn, depth=queue_depth, drain=False)),
+        ("flush", {}),
+        ("reclaim", dict(purpose="gc", k=1)),
+        ("reclaim", dict(purpose="wear", k=2)),
+        (
+            "crash",
+            dict(kind="request_complete", k=2, drawn=crashed, depth=queue_depth, mode="oob_scan"),
+        ),
+        ("commands", dict(drawn=drawn[::-1], depth=queue_depth, drain=True)),
+        ("maintenance", {}),
+        ("power_failure", dict(mode="checkpoint_replay")),
+        ("crash", dict(kind="gc", k=1, drawn=drawn, depth=queue_depth, mode="checkpoint_replay")),
+        ("host_batch", dict(first=drawn[:3], second=drawn[2:])),
+    ]
+    drive(state, steps)
+    assert EVERY_CONFIGURATION <= state.reached, EVERY_CONFIGURATION - state.reached
