@@ -15,15 +15,15 @@ exactly ``power_fail()``'s oracle.  The differentials that compare the
 device with a reference import the oracles from here.
 
 Each rule outcome is labelled with ``hypothesis.event``
-(``--hypothesis-show-statistics`` prints them), and
-:func:`test_a_fixed_history_reaches_every_outcome` fails when one short
-fixed history stops reaching them.
+(``--hypothesis-show-statistics`` prints them); the fixed histories of
+:func:`test_every_configuration_runs_every_rule` must reach theirs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import pytest
@@ -177,6 +177,7 @@ DEVICES = {
 PINNED_CACHE = DRAMBudget(dram_bytes=1, min_cache_bytes=2 * 4 * KB)
 #: The FTLs ``init`` draws from: LeaFTL at each γ, then the baselines.
 SCHEMES = ("LeaFTL-0", "LeaFTL-1", "LeaFTL-4", "LeaFTL-8", "LeaFTL-16", "DFTL", "SFTL", "PageMap")
+GC_MODES = ("sync", "background")
 
 #: Examples and steps per run: a few in tier-1; ``--hypothesis-profile=deep``
 #: (``tests/conftest.py``) runs the profile's example count, longer.
@@ -252,7 +253,7 @@ class DeviceMachine(RuleBasedStateMachine):
 
     @initialize(
         scheme=st.sampled_from(SCHEMES),
-        gc_mode=st.sampled_from(["sync", "background"]),
+        gc_mode=st.sampled_from(GC_MODES),
         device=st.sampled_from(sorted(DEVICES)),
         queue_depth=depths,
         seed=st.integers(0, 3),
@@ -273,6 +274,9 @@ class DeviceMachine(RuleBasedStateMachine):
             attach_checkpointer(self.ssd, interval_pages=4 * config.write_buffer_pages)
         #: LPAs the host wrote that a power failure has not taken back.
         self.written: Set[int] = set()
+        #: LPAs live on flash at the last check: an overwrite waiting in the
+        #: write buffer leaves the flushed copy live, so none may drop out.
+        self.flushed: Set[int] = set()
         #: Rule outcomes reached (also reported through ``hypothesis.event``).
         self.reached: Set[str] = set()
         self._counts = self._outcome_counts()
@@ -351,10 +355,16 @@ class DeviceMachine(RuleBasedStateMachine):
         :attr:`written` (a batch cut short by a crash).  Returns the
         recovery mode that ran.
         """
-        ssd, flash = self.ssd, self.ssd.flash
-        buffered = {lpa for lpa in self.written if lpa in ssd.write_buffer}
+        ssd, flash, stats = self.ssd, self.ssd.flash, self.ssd.stats
+        # Only a write never flushed may be lost; a flushed copy survives.
+        unflushed = {lpa for lpa in self.written - self.flushed if lpa in ssd.write_buffer}
+        lost, failures = stats.buffered_pages_lost + len(ssd.write_buffer), stats.power_failures
+        if len(ssd.write_buffer):
+            self._note("power failure: buffered pages lost")
         oracle = ssd.power_fail()
-        assert self.written - buffered <= oracle.keys() <= self.written | unacked
+        assert stats.buffered_pages_lost == lost
+        assert stats.power_failures == failures + 1
+        assert self.written - unflushed <= oracle.keys() <= self.written | unacked
         programmed = sum(
             len(flash.programmed_ppas_of_block(block))
             for block in range(flash.geometry.total_blocks)
@@ -370,7 +380,7 @@ class DeviceMachine(RuleBasedStateMachine):
             assert image is not None
             assert result.checkpoint_pages_read == image.pages
             assert result.flash_reads <= programmed
-        self.written = set(oracle)
+        self.written, self.flushed = set(oracle), set(oracle)
         self._read_back()
         return result.mode
 
@@ -455,7 +465,8 @@ class DeviceMachine(RuleBasedStateMachine):
         erases = ssd.flash.erase_counts()
         assert all(now >= before for now, before in zip(erases, self.erases))
         self.erases = erases
-        assert live.keys() <= self.written
+        assert self.flushed <= live.keys() <= self.written
+        self.flushed = set(live)
         assert all(lpa in live or lpa in ssd.write_buffer for lpa in self.written)
         if isinstance(ssd.ftl, LeaFTL):
             ssd.ftl.table.validate()
@@ -482,95 +493,78 @@ TestDeviceMachine.settings = settings(
 )
 
 
-#: Outcomes a history must reach for the machine's checks to bite.
-OUTCOMES = {
-    "reclaim: sync",
-    "reclaim: background",
-    "reclaim: urgent",
-    "wear pass",
-    "misprediction: OOB-corrected",
-    "misprediction: scan fallback",
-    "crash at gc, then checkpoint_replay",
-    "forced gc pass",
-    "power failure, then oob_scan",
-}
+def every_rule(depth: int) -> List[Tuple[str, dict]]:
+    """One history through every rule; its crash (2nd of 3 completions) fires."""
+    drawn = [("W", 40, 16), ("R", 3, 8), ("W", 300, 5), ("R", 17, 16), ("W", 41, 3)]
+    crashed = [("W", 120, 8), ("R", 5, 4), ("W", 7, 16)]
+    return [
+        ("commands", dict(drawn=drawn, depth=depth, drain=False)),
+        ("flush", {}),
+        ("reclaim", dict(purpose="gc", k=1)),
+        ("reclaim", dict(purpose="wear", k=2)),
+        ("crash", dict(kind="request_complete", k=2, drawn=crashed, depth=depth, mode="oob_scan")),
+        ("commands", dict(drawn=drawn[::-1], depth=depth, drain=True)),
+        ("maintenance", {}),
+        ("power_failure", dict(mode="checkpoint_replay")),
+        ("crash", dict(kind="gc", k=1, drawn=drawn, depth=depth, mode="checkpoint_replay")),
+        ("host_batch", dict(first=drawn[:3], second=drawn[2:])),
+    ]
 
 
-#: The batch the guard's history crashes inside background GC.
+#: Each configuration ``init`` can draw, at depth 1 (the serial replay
+#: path) and 8 (the event loop), through every rule: each must reach the
+#: controller's reclaim in its GC mode, both forced passes and the crash.
+CONFIGURATIONS = [
+    pytest.param(
+        dict(scheme=scheme, gc_mode=mode, device=device, queue_depth=depth, seed=0),
+        every_rule(depth),
+        {f"reclaim: {mode}", "forced gc pass", "forced wear pass"}
+        | {"crash at request_complete, then oob_scan"},
+        id=f"{scheme}-{mode}-{device}-{depth}",
+    )
+    for scheme, mode, device, depth in product(SCHEMES, GC_MODES, sorted(DEVICES), (1, 8))
+]
+
+#: The coverage guard: one short history that reaches sync, background and
+#: urgent reclaim, a wear pass, a misprediction the OOB corrects and one
+#: that falls back to the scan, buffered pages lost to a power failure, and
+#: a crash inside background GC followed by checkpoint recovery.
 CRASHED = [("W", 200, 14), ("W", 190, 16), ("W", 35, 3), ("W", 375, 15), ("W", 990, 15)]
-
-
-def test_a_fixed_history_reaches_every_outcome():
-    """A coverage guard: one short history through the rules reaches sync,
-    background and urgent reclaim, a wear pass, a misprediction the OOB
-    corrects and one that falls back to the scan, and a crash inside
-    background GC followed by checkpoint recovery.  If a change to the
-    device or the rules stops that, the machine has gone quiet."""
-    state = DeviceMachine()
-    state.init(scheme="LeaFTL-16", gc_mode="background", device="20-block", queue_depth=4, seed=1)
-    steps = [
+COVERAGE_GUARD = pytest.param(
+    dict(scheme="LeaFTL-16", gc_mode="background", device="20-block", queue_depth=4, seed=1),
+    [
         ("commands", dict(drawn=[("W", 1001, 16), ("W", 991, 13)], depth=1, drain=True)),
         ("commands", dict(drawn=[("W", 293, 7)], depth=1, drain=False)),
         ("crash", dict(kind="gc", k=4, drawn=CRASHED, depth=4, mode="checkpoint_replay")),
         ("commands", dict(drawn=[("W", 730, 14)], depth=4, drain=True)),
         ("reclaim", dict(purpose="gc", k=5)),
         ("maintenance", {}),
+        ("commands", dict(drawn=[("W", 600, 3)], depth=1, drain=False)),
         ("power_failure", dict(mode="oob_scan")),
         ("host_batch", dict(first=[("W", 10, 16), ("R", 3, 8)], second=[("R", 0, 16)])),
-    ]
-    drive(state, steps)
-    assert OUTCOMES <= state.reached, OUTCOMES - state.reached
+    ],
+    {"reclaim: sync", "reclaim: background", "reclaim: urgent", "wear pass"}
+    | {"misprediction: OOB-corrected", "misprediction: scan fallback", "forced gc pass"}
+    | {"power failure: buffered pages lost", "power failure, then oob_scan"}
+    | {"crash at gc, then checkpoint_replay"},
+    id="coverage-guard",
+)
 
 
-def drive(state: DeviceMachine, steps: Sequence[Tuple[str, dict]]) -> None:
-    """Run fixed steps through the machine's rules, every oracle after each."""
+@pytest.mark.parametrize("configuration, steps, outcomes", [COVERAGE_GUARD, *CONFIGURATIONS])
+def test_every_configuration_runs_every_rule(
+    configuration: dict, steps: List[Tuple[str, dict]], outcomes: Set[str]
+) -> None:
+    """Fixed histories through the rules, every oracle after each step.
+
+    Generated histories draw their configuration at random and may reach
+    few outcomes; these pin each, and the guard fails if the machine goes quiet.
+    """
+    state = DeviceMachine()
+    state.init(**configuration)
     state.check()
     for name, arguments in steps:
         getattr(state, name)(**arguments)
         state.check()
     state.teardown()
-
-
-#: Outcomes every configuration's fixed history must reach.
-EVERY_CONFIGURATION = {
-    "forced gc pass",
-    "forced wear pass",
-    "crash at request_complete, then oob_scan",
-}
-
-
-@pytest.mark.parametrize("queue_depth", [1, 8])
-@pytest.mark.parametrize("device", sorted(DEVICES))
-@pytest.mark.parametrize("gc_mode", ["sync", "background"])
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_every_configuration_runs_every_rule(
-    scheme: str, gc_mode: str, device: str, queue_depth: int
-) -> None:
-    """Each configuration ``init`` can draw, through every rule once.
-
-    The generated histories draw the FTL, GC mode, device and depth at
-    random, so one run of the machine covers only some of them; this
-    fixed history pins each.  Depth 1 is the serial replay path, depth 8
-    the event loop.  A crash at the 2nd of 3 completions must fire.
-    """
-    state = DeviceMachine()
-    state.init(scheme=scheme, gc_mode=gc_mode, device=device, queue_depth=queue_depth, seed=0)
-    drawn = [("W", 40, 16), ("R", 3, 8), ("W", 300, 5), ("R", 17, 16), ("W", 41, 3)]
-    crashed = [("W", 120, 8), ("R", 5, 4), ("W", 7, 16)]
-    steps = [
-        ("commands", dict(drawn=drawn, depth=queue_depth, drain=False)),
-        ("flush", {}),
-        ("reclaim", dict(purpose="gc", k=1)),
-        ("reclaim", dict(purpose="wear", k=2)),
-        (
-            "crash",
-            dict(kind="request_complete", k=2, drawn=crashed, depth=queue_depth, mode="oob_scan"),
-        ),
-        ("commands", dict(drawn=drawn[::-1], depth=queue_depth, drain=True)),
-        ("maintenance", {}),
-        ("power_failure", dict(mode="checkpoint_replay")),
-        ("crash", dict(kind="gc", k=1, drawn=drawn, depth=queue_depth, mode="checkpoint_replay")),
-        ("host_batch", dict(first=drawn[:3], second=drawn[2:])),
-    ]
-    drive(state, steps)
-    assert EVERY_CONFIGURATION <= state.reached, EVERY_CONFIGURATION - state.reached
+    assert outcomes <= state.reached, outcomes - state.reached

@@ -190,40 +190,6 @@ def test_unsorted_flush_option_produces_more_segments():
     assert run(sort=True) < run(sort=False)
 
 
-def test_wear_leveling_keeps_erase_counts_bounded():
-    """Repeated hot overwrites trigger GC/wear leveling and spread erases."""
-    config = SSDConfig.tiny()
-    ssd = make_ssd(config=config)
-    hot = 4096
-    passes = int(config.physical_pages / hot) + 4
-    for _ in range(passes):
-        for lpa in range(0, hot, 64):
-            ssd.submit("W", lpa, 64)
-    ssd.flush()
-    counts = ssd.flash.erase_counts()
-    assert max(counts) >= 1
-    assert ssd.stats.gc_invocations > 0
-
-
-def test_misprediction_handling_costs_one_extra_read():
-    """With gamma > 0, mispredicted reads add at most one flash read each."""
-    rng = random.Random(17)
-    ssd = make_ssd(gamma=16)
-    footprint = 20_000
-    # Short commands at random starts: each flushed batch is an irregular,
-    # approximately linear LPA run -- what approximate segments are fitted to.
-    for _ in range(8000):
-        ssd.submit("W", rng.randrange(footprint - 4), rng.randint(1, 4))
-    ssd.flush()
-    for _ in range(500):
-        ssd.submit("R", rng.randrange(footprint - 8), 8)
-    stats = ssd.stats
-    assert stats.mispredictions > 0
-    assert stats.misprediction_extra_reads <= stats.mispredictions * (2 * 16 + 1)
-    # The common case resolves with exactly one extra read via the OOB.
-    assert stats.misprediction_extra_reads >= stats.mispredictions
-
-
 def test_reads_never_consult_the_ground_truth_map():
     """``_current_ppa`` is simulator state (the program path's old-copy
     lookup): where the paper's device must translate, the device translates.
