@@ -41,7 +41,6 @@ from repro.config import (
     DFTLConfig,
     DRAMBudget,
     LeaFTLConfig,
-    SFTLConfig,
     SSDConfig,
 )
 from repro.core import (
@@ -75,7 +74,6 @@ __all__ = [
     "DFTLConfig",
     "DRAMBudget",
     "LeaFTLConfig",
-    "SFTLConfig",
     "SSDConfig",
     "LeaFTL",
     "LogStructuredMappingTable",

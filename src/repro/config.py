@@ -227,18 +227,6 @@ class DFTLConfig:
     entries_per_translation_page: int = 512
 
 
-@dataclass(frozen=True)
-class SFTLConfig:
-    """Tunables of the SFTL baseline (Jiang et al., MSST 2011)."""
-
-    #: Bytes per condensed run descriptor.
-    run_bytes: int = 8
-    #: Bytes per single-page (non-sequential) entry.
-    entry_bytes: int = 8
-    #: Fixed per-translation-page header (run index / bitmap) in bytes.
-    page_header_bytes: int = 16
-
-
 @dataclass
 class DRAMBudget:
     """How the controller DRAM is split between mapping table and data cache.

@@ -13,7 +13,6 @@ of the paper.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -21,7 +20,6 @@ from repro.core.crb import ConflictResolutionBuffer
 from repro.core.level import Level
 from repro.core.plr import LearnedSegment
 from repro.core.segment import (
-    CHECKPOINT_SEGMENT_BYTES,
     GROUP_SIZE,
     SEGMENT_BYTES,
     Segment,
@@ -428,84 +426,6 @@ class LPAGroup:
     def _drop_empty_levels(self) -> None:
         self._levels = [level for level in self._levels if not level.is_empty]
         self._renumber()
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint serialization (power-fail recovery)
-    # ------------------------------------------------------------------ #
-    def serialize_checkpoint(self) -> bytes:
-        """Encode the group's levels and CRB for a mapping checkpoint.
-
-        Layout: ``<H`` level count, then per level ``<H`` segment count and
-        per segment its 12-byte lossless encoding followed by ``<H`` CRB
-        entry count (always 0 for accurate segments) and the owned LPAs as
-        ``<H`` group-relative offsets.  Levels are written topmost first so
-        restoration rebuilds the shadowing order exactly.
-        """
-        parts = [struct.pack("<H", len(self._levels))]
-        append = parts.append
-        base = self.group_base
-        for level in self._levels:
-            segments = level.segments()
-            append(struct.pack("<H", len(segments)))
-            for segment in segments:
-                append(segment.to_checkpoint_bytes())
-                if segment.accurate:
-                    append(struct.pack("<H", 0))
-                else:
-                    lpas = self.crb.lpas_of(segment)
-                    append(struct.pack("<H", len(lpas)))
-                    for lpa in lpas:
-                        append(struct.pack("<H", lpa - base))
-        return b"".join(parts)
-
-    @classmethod
-    def from_checkpoint(
-        cls, payload: bytes, group_base: int, group_size: int = GROUP_SIZE
-    ) -> "LPAGroup":
-        """Rebuild a group from :meth:`serialize_checkpoint` output.
-
-        Segments are re-inserted level by level through the plain sorted
-        insert (they were serialized non-overlapping within each level, so
-        no merge logic runs) and approximate segments re-register their CRB
-        ownership.  CRB LPA sets are disjoint in any valid group, so the
-        insertion order cannot change ownership.  The owner index is
-        rebuilt deepest level first, so the topmost segment that has an LPA
-        ends up owning it.
-        """
-        group = cls(group_base, group_size)
-        offset = 0
-        (level_count,) = struct.unpack_from("<H", payload, offset)
-        offset += 2
-        for _ in range(level_count):
-            (segment_count,) = struct.unpack_from("<H", payload, offset)
-            offset += 2
-            level = Level(depth=len(group._levels) + 1)
-            for _ in range(segment_count):
-                segment = Segment.from_checkpoint_bytes(
-                    payload[offset : offset + CHECKPOINT_SEGMENT_BYTES], group_base
-                )
-                offset += CHECKPOINT_SEGMENT_BYTES
-                (crb_count,) = struct.unpack_from("<H", payload, offset)
-                offset += 2
-                if crb_count:
-                    lpas = [
-                        group_base + struct.unpack_from("<H", payload, offset + 2 * i)[0]
-                        for i in range(crb_count)
-                    ]
-                    offset += 2 * crb_count
-                    group.crb.insert_segment(segment, lpas)
-                level.insert(segment)
-            group._levels.append(level)
-        if offset != len(payload):
-            raise ValueError(
-                f"checkpoint payload has {len(payload) - offset} trailing bytes"
-            )
-        owners = group._owners
-        for level in reversed(group._levels):
-            for segment in level:
-                for lpa in group.covered_lpas(segment):
-                    owners[lpa - group_base] = segment
-        return group
 
     # ------------------------------------------------------------------ #
     # Validation (used by tests)

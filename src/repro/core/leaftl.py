@@ -207,12 +207,28 @@ class LeaFTL(FTL):
             self.table.update(mappings)
 
     def serialize_checkpoint(self) -> bytes:
-        """Lossless encoding of the learned table for a flash checkpoint."""
-        return self.table.serialize_checkpoint()
+        """The learned table's checkpoint image: the table, pickled.
+
+        Flash is charged for the image at the device encoding
+        (:meth:`resident_bytes`); the payload only has to restore the exact
+        table.  It is made and read in one process, so :mod:`pickle` only
+        ever sees bytes the simulator produced itself.  Imported here so a
+        device that never checkpoints does not load the module.
+        """
+        import pickle
+
+        return pickle.dumps(self.table)
 
     def restore_checkpoint(self, payload: bytes) -> None:
-        """Replace the table with the checkpointed one (bit-exact lookups)."""
-        self.table = LogStructuredMappingTable.from_checkpoint(payload, self.config)
+        """Replace the table with the checkpointed one (bit-exact lookups).
+
+        Statistics start fresh: they are DRAM counters a crash destroys
+        along with everything else.
+        """
+        import pickle
+
+        self.table = pickle.loads(payload)
+        self.table.stats = MappingTableStats()
         self._writes_since_compaction = 0
 
     def replay_mappings(self, mappings: Sequence[Tuple[int, int]]) -> None:

@@ -16,7 +16,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -243,9 +242,8 @@ class LogStructuredMappingTable:
 
         Sampled at every flush, which mutates only the few groups its pages
         fall in: a running total, re-summing the groups ``update`` /
-        ``compact`` / checkpoint restore touched since the last call.  A
-        group mutated directly through :meth:`groups` / :meth:`group_for`
-        is not seen.
+        ``compact`` touched since the last call.  A group mutated directly
+        through :meth:`groups` / :meth:`group_for` is not seen.
         """
         counted = self._memory_of
         for group_base in self._memory_stale:
@@ -285,52 +283,6 @@ class LogStructuredMappingTable:
                 else:
                     approximate += 1
         return accurate, approximate
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint serialization (power-fail recovery)
-    # ------------------------------------------------------------------ #
-    def serialize_checkpoint(self) -> bytes:
-        """Encode every group's learned state for persistence to flash.
-
-        Layout: ``<I`` group count, then per group ``<qI`` (group base, blob
-        length) followed by the group's
-        :meth:`repro.core.group.LPAGroup.serialize_checkpoint` blob.
-        Groups are written in ascending base order so the payload is
-        deterministic regardless of dict insertion history.
-        """
-        parts = [struct.pack("<I", len(self._groups))]
-        for group_base in sorted(self._groups):
-            blob = self._groups[group_base].serialize_checkpoint()
-            parts.append(struct.pack("<qI", group_base, len(blob)))
-            parts.append(blob)
-        return b"".join(parts)
-
-    @classmethod
-    def from_checkpoint(
-        cls, payload: bytes, config: Optional[LeaFTLConfig] = None
-    ) -> "LogStructuredMappingTable":
-        """Rebuild a table from :meth:`serialize_checkpoint` output.
-
-        The restored table answers every lookup bit-identically to the
-        checkpointed one; statistics start fresh (they are DRAM counters a
-        crash destroys along with everything else).
-        """
-        table = cls(config)
-        (group_count,) = struct.unpack_from("<I", payload, 0)
-        offset = 4
-        for _ in range(group_count):
-            group_base, size = struct.unpack_from("<qI", payload, offset)
-            offset += 12
-            table._groups[group_base] = LPAGroup.from_checkpoint(
-                payload[offset : offset + size], group_base, table.config.group_size
-            )
-            offset += size
-        if offset != len(payload):
-            raise ValueError(
-                f"checkpoint payload has {len(payload) - offset} trailing bytes"
-            )
-        table._memory_stale.update(table._groups)
-        return table
 
     # ------------------------------------------------------------------ #
     # Validation

@@ -51,13 +51,6 @@ GROUP_SIZE = 256
 #: DRAM bytes charged per segment (the 8-byte encoding above).
 SEGMENT_BYTES = 8
 
-#: Bytes per segment in the lossless checkpoint encoding (``<BBHd``): the
-#: device format keeps the intercept anchored at the group base in 4 bytes,
-#: which the model treats as lossless; a checkpoint must restore the exact
-#: float64 intercept so post-recovery predictions are bit-identical, so it
-#: spends 8 intercept bytes instead.
-CHECKPOINT_SEGMENT_BYTES = 12
-
 #: Sentinel for ``length`` marking a segment as removable after a merge
 #: (Algorithm 2 sets ``L = -1``).
 REMOVABLE = -1
@@ -335,39 +328,6 @@ class Segment:
             length=length,
             slope=slope,
             intercept=float(intercept),
-            accurate=(slope_bits & 1) == 0,
-        )
-
-    def to_checkpoint_bytes(self) -> bytes:
-        """Serialize losslessly for a mapping checkpoint (``<BBHd``).
-
-        Identical to :meth:`to_bytes` except the intercept keeps its full
-        float64 value: a restored segment must predict bit-identically to
-        the one that was checkpointed.  The device-format footprint
-        (:data:`SEGMENT_BYTES`) is what checkpoint flash writes are charged
-        at; this wider encoding exists only for exact restoration.
-        """
-        if self.is_removable:
-            raise ValueError("cannot encode a removable segment")
-        offset = self.start_lpa - self.group_base
-        slope_bits = _float16_bits(self.slope)
-        return struct.pack("<BBHd", offset, self.length, slope_bits, self.intercept)
-
-    @classmethod
-    def from_checkpoint_bytes(cls, data: bytes, group_base: int) -> "Segment":
-        """Decode the checkpoint format (inverse of :meth:`to_checkpoint_bytes`)."""
-        if len(data) != CHECKPOINT_SEGMENT_BYTES:
-            raise ValueError(
-                f"expected {CHECKPOINT_SEGMENT_BYTES} bytes, got {len(data)}"
-            )
-        offset, length, slope_bits, intercept = struct.unpack("<BBHd", data)
-        slope = _bits_to_float(slope_bits)
-        return cls(
-            group_base=group_base,
-            start_lpa=group_base + offset,
-            length=length,
-            slope=slope,
-            intercept=intercept,
             accurate=(slope_bits & 1) == 0,
         )
 

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import DFTLConfig, DRAMBudget, LeaFTLConfig, SFTLConfig, SSDConfig
+from repro.config import DFTLConfig, DRAMBudget, LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
 from repro.flash.oob import oob_size_for_gamma
 from repro.ftl.base import FTL
@@ -192,7 +192,7 @@ def build_ftl(scheme: str, setup: ExperimentSetup) -> FTL:
     if scheme == "DFTL":
         return DFTL(mapping_budget_bytes=budget, config=DFTLConfig())
     if scheme == "SFTL":
-        return SFTL(mapping_budget_bytes=budget, config=SFTLConfig())
+        return SFTL(mapping_budget_bytes=budget)
     if scheme == "LeaFTL":
         config = LeaFTLConfig(
             gamma=setup.gamma,

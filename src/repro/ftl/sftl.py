@@ -26,8 +26,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.config import SFTLConfig
 from repro.ftl.base import FTL
+
+#: Bytes per condensed run descriptor.
+RUN_BYTES = 8
+#: Fixed per-translation-page header (run index / bitmap) in bytes.
+PAGE_HEADER_BYTES = 16
 
 
 @dataclass
@@ -50,11 +54,9 @@ class SFTL(FTL):
     def __init__(
         self,
         mapping_budget_bytes: Optional[int] = None,
-        config: Optional[SFTLConfig] = None,
         entries_per_translation_page: int = 512,
     ) -> None:
         super().__init__(mapping_budget_bytes=mapping_budget_bytes)
-        self._config = config or SFTLConfig()
         self._entries_per_tp = entries_per_translation_page
         self._pages: Dict[int, _TranslationPage] = {}
         #: LRU of cached translation pages: tp_id -> dirty flag.
@@ -106,7 +108,7 @@ class SFTL(FTL):
     def _budget_runs(self) -> Optional[int]:
         if self.mapping_budget_bytes is None:
             return None
-        return max(1, self.mapping_budget_bytes // self._config.run_bytes)
+        return max(1, self.mapping_budget_bytes // RUN_BYTES)
 
     def _admit(self, tp_id: int, dirty: bool) -> None:
         """Bring ``tp_id`` into the cache, writing back dirty victims."""
@@ -191,16 +193,10 @@ class SFTL(FTL):
     # Memory accounting
     # ------------------------------------------------------------------ #
     def resident_bytes(self) -> int:
-        return (
-            self._cached_runs * self._config.run_bytes
-            + len(self._cached) * self._config.page_header_bytes
-        )
+        return self._cached_runs * RUN_BYTES + len(self._cached) * PAGE_HEADER_BYTES
 
     def full_mapping_bytes(self) -> int:
-        return (
-            self._total_runs * self._config.run_bytes
-            + len(self._pages) * self._config.page_header_bytes
-        )
+        return self._total_runs * RUN_BYTES + len(self._pages) * PAGE_HEADER_BYTES
 
     def run_count(self) -> int:
         """Total condensed runs across all translation pages."""

@@ -342,15 +342,14 @@ class BackgroundGCController:
             return clock
         return self._device._program_batch(sorted(lpas), purpose=purpose, at_us=clock)
 
-    def _erase(self, block: int, purpose: str, clock: float) -> Optional[float]:
-        """Stage 3: erase the victim if it drained; ``None`` when skipped.
+    def _erase(self, block: int, purpose: str, clock: float) -> float:
+        """Stage 3: erase the drained victim; returns the erase's completion.
 
-        A victim still holding valid pages (a migrated LPA was overwritten
-        concurrently) stays put for a later pass.
+        :meth:`_migrate` reprogrammed every valid page and no program lands
+        in a victim (neither active nor free), so the victim holds none;
+        ``FlashArray.erase_block`` raises if one does.
         """
         device = self._device
-        if device.flash.block_is_free(block) or device.flash.valid_page_count(block):
-            return None
         finish = device.flash.erase_block(block, now_us=clock)
         if purpose == "gc":
             device.stats.gc_block_erases += 1
@@ -407,9 +406,7 @@ class BackgroundGCController:
             self._read(block, purpose, clock)
         finish = self._migrate(blocks, purpose, clock)
         for block in blocks:
-            erased = self._erase(block, purpose, clock)
-            if erased is not None:
-                finish = max(finish, erased)
+            finish = max(finish, self._erase(block, purpose, clock))
         return finish
 
     def after_flush(self, clock: float) -> float:
@@ -599,6 +596,4 @@ class BackgroundGCController:
         block: int = event.payload
         finish = self._erase(block, "gc", event.time_us)
         self._in_flight = None
-        self._schedule(
-            event.time_us if finish is None else finish, "gc_step", self._select_step
-        )
+        self._schedule(finish, "gc_step", self._select_step)

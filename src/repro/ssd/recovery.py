@@ -123,7 +123,7 @@ class CrashTimer:
 class CheckpointImage:
     """One persisted mapping checkpoint (modeled flash-durable)."""
 
-    #: Lossless serialization of the learned table
+    #: The pickled learned table
     #: (:meth:`repro.core.leaftl.LeaFTL.serialize_checkpoint`).
     payload: bytes
     #: Flash pages the image occupies (what its write and read-back cost).
@@ -174,8 +174,8 @@ class MappingCheckpointer:
         ftl = ssd.ftl
         payload = ftl.serialize_checkpoint()
         # On flash the table occupies its device encoding (8 B/segment plus
-        # CRB and level bookkeeping — exactly resident_bytes); the wider
-        # in-payload encoding exists only for bit-exact restoration.
+        # CRB and level bookkeeping — exactly resident_bytes); the pickled
+        # payload exists only for bit-exact restoration.
         pages = max(1, math.ceil(ftl.resident_bytes() / ssd.config.page_size))
         ssd.stats.checkpoint_page_writes += pages
         finish = ssd.charge_metadata_pages(at_us, writes=pages)

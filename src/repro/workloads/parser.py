@@ -72,6 +72,8 @@ def parse_msr_line(
         timestamp = (_parse_ticks(timestamp_raw) - base_ticks) / _TICKS_PER_US
     except ValueError as exc:
         raise TraceParseError(f"non-numeric field in line {line!r}") from exc
+    except OverflowError:  # an integer filetime beyond float range
+        timestamp = math.inf
     # nan compares false with everything, so a non-finite arrival time would
     # slip past the open-loop ordering check and into the event heap.
     if not math.isfinite(timestamp):
@@ -83,7 +85,9 @@ def parse_msr_line(
         )
     if offset < 0:
         raise TraceParseError(f"negative offset {offset} in line {line!r}")
-    if size <= 0:
+    if size < 0:
+        raise TraceParseError(f"negative size {size} in line {line!r}")
+    if size == 0:
         size = page_size
     # Page span from the first and last byte touched: a request whose byte
     # range crosses a page boundary touches one more page than size alone

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 READ = "R"
 WRITE = "W"
@@ -94,11 +94,6 @@ class Trace:
     def requests(self) -> List[IORequest]:
         return list(self._requests)
 
-    def as_tuples(self) -> Iterator[Tuple[str, int, int]]:
-        """The format consumed by :meth:`repro.ssd.ssd.SimulatedSSD.run`."""
-        for request in self._requests:
-            yield request.as_tuple()
-
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
@@ -107,10 +102,6 @@ class Trace:
         cls, name: str, tuples: Iterable[Tuple[str, int, int]]
     ) -> "Trace":
         return cls(name, [IORequest(op, lpa, npages) for op, lpa, npages in tuples])
-
-    def truncated(self, max_requests: int) -> "Trace":
-        """A copy limited to the first ``max_requests`` requests."""
-        return Trace(self.name, self._requests[:max_requests])
 
     def scaled_to(self, logical_pages: int) -> "Trace":
         """Clamp every request inside a device of ``logical_pages`` pages."""
@@ -122,9 +113,6 @@ class Trace:
                 IORequest(request.op, lpa, max(1, npages), request.timestamp_us)
             )
         return Trace(self.name, clamped)
-
-    def concatenated(self, other: "Trace", name: Optional[str] = None) -> "Trace":
-        return Trace(name or f"{self.name}+{other.name}", self._requests + other._requests)
 
     def has_timestamps(self) -> bool:
         """True when at least one request carries a non-zero arrival time.
@@ -202,14 +190,6 @@ class Trace:
         touched = set()
         for request in self._requests:
             touched.update(range(request.lpa, request.lpa + request.npages))
-        return len(touched)
-
-    def written_footprint_pages(self) -> int:
-        """Number of distinct LPAs written by the trace."""
-        touched = set()
-        for request in self._requests:
-            if request.is_write:
-                touched.update(range(request.lpa, request.lpa + request.npages))
         return len(touched)
 
     def max_lpa(self) -> int:

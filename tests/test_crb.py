@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Iterable, List, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.crb import ConflictResolutionBuffer
-from repro.core.group import LPAGroup
-from repro.core.plr import PLRLearner
 from repro.core.segment import Segment
 
 
@@ -258,41 +255,3 @@ def test_crb_equals_the_dict_reference(group_base, group_size, data):
         for segment in segments:
             assert crb.lpas_of(segment) == oracle.lpas_of(segment), kind
             assert crb.contains_segment(segment) == oracle.contains_segment(segment)
-
-
-@given(
-    group_base=st.sampled_from([0, 512]),
-    group_size=st.sampled_from([64, 256]),
-    seed=st.integers(0, 10_000),
-)
-@settings(max_examples=60, deadline=None)
-def test_group_checkpoint_round_trips_approximate_segments(group_base, group_size, seed):
-    """A group's checkpoint restores every CRB run and owner.
-
-    Jittered batches at gamma 4 learn approximate segments that overlap and
-    steal from one another; the restored group must re-serialize to the same
-    bytes and answer ``owner`` / ``lpas_of`` with the corresponding segment.
-    """
-    rng = random.Random(seed)
-    learner = PLRLearner(gamma=4, group_size=group_size)
-    group = LPAGroup(group_base, group_size)
-    ppa = 0
-    for _ in range(rng.randint(1, 8)):
-        start = group_base + rng.randrange(group_size // 2)
-        lpas = sorted(rng.sample(range(start, group_base + group_size), rng.randint(2, 24)))
-        jittered = [(lpa, ppa + 4 + rank + rng.randint(-4, 4)) for rank, lpa in enumerate(lpas)]
-        ppa += len(lpas) + 8
-        for learned in learner.learn(jittered):
-            group.update(learned)
-    payload = group.serialize_checkpoint()
-    restored = LPAGroup.from_checkpoint(payload, group_base, group_size)
-    assert restored.serialize_checkpoint() == payload
-    segments, twins = group.segments(), restored.segments()
-    assert len(segments) == len(twins)
-    twin_of = dict(zip(segments, twins))
-    for segment, twin in twin_of.items():
-        assert restored.crb.lpas_of(twin) == group.crb.lpas_of(segment)
-    for lpa in range(group_base, group_base + group_size):
-        assert restored.crb.owner(lpa) is twin_of.get(group.crb.owner(lpa))
-    assert restored.crb.size_bytes() == group.crb.size_bytes()
-    restored.validate()

@@ -6,10 +6,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import SFTLConfig
 from repro.ftl.dftl import DFTL
 from repro.ftl.pagemap import PageLevelFTL
-from repro.ftl.sftl import SFTL
+from repro.ftl.sftl import PAGE_HEADER_BYTES, SFTL
 
 
 class TestPageLevelFTL:
@@ -162,5 +161,5 @@ class TestSFTL:
             ftl.update_batch([(lpa, rng.randrange(10**5))])
         page_level = len(lpas) * 8
         # Allow the per-translation-page header overhead.
-        headers = len(ftl._pages) * SFTLConfig().page_header_bytes
+        headers = len(ftl._pages) * PAGE_HEADER_BYTES
         assert ftl.full_mapping_bytes() <= page_level + headers

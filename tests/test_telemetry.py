@@ -322,6 +322,21 @@ class TestCounterRegistry:
         assert "ssd.write_amplification" in ssd_counters
         assert "ssd.cache_hit_ratio" in ssd_counters
 
+    def test_reader_census_credits_the_walker_with_what_it_exports(self):
+        """``tools.reader_census`` counts a stats property as read by the
+        registry exactly when ``snapshot_stats`` exports it, so a name the
+        census reports unread cannot be one the stats digest hashes."""
+        from tools.reader_census import exported
+
+        walked = set()
+        for name, cls in stats_dataclasses().items():
+            module = cls.__module__.rsplit(".", 1)[1]
+            fields = {field.name for field in dataclasses.fields(cls)}
+            keys = {key.split(".")[1] for key in snapshot_stats(cls(), "x")}
+            walked |= {f"{module}.{name}.{key}" for key in keys - fields}
+        assert "mapping_table.MappingTableStats.mean_segment_length" in walked
+        assert exported(REPO / "src/repro") == walked
+
     def test_unexportable_field_raises(self):
         @dataclasses.dataclass
         class RogueStats:

@@ -60,7 +60,6 @@ class TestTrace:
         assert trace.write_pages == 4
         assert trace.read_pages == 3
         assert trace.footprint_pages() == 5
-        assert trace.written_footprint_pages() == 4
         assert trace.max_lpa() == 100
         assert trace.read_ratio == pytest.approx(2 / 3)
 
@@ -70,14 +69,8 @@ class TestTrace:
         assert clamped[0].lpa < 512
         assert clamped[0].lpa + clamped[0].npages <= 512
 
-    def test_truncated_and_concatenated(self):
-        trace = Trace("t", [IORequest("R", i, 1) for i in range(10)])
-        assert len(trace.truncated(3)) == 3
-        assert len(trace.concatenated(trace)) == 20
-
-    def test_as_tuples_round_trip(self):
-        trace = Trace("t", [IORequest("W", 5, 2)])
-        rebuilt = Trace.from_tuples("t", trace.as_tuples())
+    def test_from_tuples_builds_requests(self):
+        rebuilt = Trace.from_tuples("t", [("W", 5, 2)])
         assert rebuilt[0].lpa == 5 and rebuilt[0].npages == 2
 
     def test_with_interarrival_stamps_timestampless_traces(self):
@@ -157,6 +150,52 @@ class TestProfiles:
         assert scaled.num_requests == pytest.approx(full.num_requests * 0.1, rel=0.01)
 
 
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+#: A well-formed MSR line, field by field; the malformed lines below each
+#: break one field of it.
+_VALID_FIELDS = ["5", "h", "0", "Read", "4096", "4096", "0"]
+_FIELD_TEXT = st.text(st.characters(blacklist_characters=","), max_size=12)
+
+
+def _with_field(index, value):
+    fields = list(_VALID_FIELDS)
+    fields[index] = value
+    return ",".join(fields)
+
+
+_MALFORMED_LINES = st.one_of(
+    # Offset or Size: negative or non-numeric.
+    st.builds(
+        _with_field,
+        st.sampled_from([4, 5]),
+        st.integers(max_value=-1).map(str) | _FIELD_TEXT.filter(_not_an_int),
+    ),
+    # Timestamp: non-finite, spelled as a float or as an integer tick count
+    # whose microseconds are past float range.
+    st.builds(
+        _with_field,
+        st.just(0),
+        st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400"])
+        | st.integers(min_value=10 * 2**1024).map(str),
+    ),
+    # Type: neither a read nor a write.
+    st.builds(
+        _with_field,
+        st.just(3),
+        _FIELD_TEXT.filter(lambda text: text.strip().lower() not in {"read", "r", "write", "w"}),
+    ),
+    # Fewer than 6 fields.
+    st.integers(1, 5).map(lambda count: ",".join(_VALID_FIELDS[:count])),
+)
+
+
 class TestMSRParser:
     SAMPLE = (
         "128166372003061629,hm,0,Read,8192,4096,100\n"
@@ -194,6 +233,7 @@ class TestMSRParser:
             ("-inf,h,0,Read,0,4096,0", "non-finite timestamp '-inf'"),
             ("1e400,h,0,Read,0,4096,0", "non-finite timestamp '1e400'"),
             ("5,h,0,Read,-4096,4096,0", "negative offset -4096"),
+            ("5,h,0,Read,4096,-5,0", "negative size -5"),
         ],
     )
     def test_unusable_values_rejected_naming_the_line(self, line, complaint):
@@ -242,12 +282,35 @@ class TestMSRParser:
         # resolution survives float64 conversion.
         assert trace[1].timestamp_us == pytest.approx(1_379_236.2)
 
-    def test_write_and_reparse_round_trip(self):
-        original = Trace("t", [IORequest("W", 7, 3), IORequest("R", 100, 1)])
+    @given(
+        requests=st.lists(
+            st.tuples(st.sampled_from(["R", "W"]), st.integers(0, 2**32), st.integers(1, 1024)),
+            min_size=1,
+            max_size=20,
+        ),
+        ticks=st.lists(st.integers(0, 2**40 - 1), min_size=19, max_size=19),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_written_trace_parses_back_to_itself(self, requests, ticks):
+        """Any R/W trace stamped in whole 100 ns ticks, non-decreasing from 0,
+        survives a write and re-parse request for request."""
+        stamps = [0] + sorted(ticks)[: len(requests) - 1]
+        original = Trace(
+            "t",
+            [
+                IORequest(op, lpa, npages, timestamp_us=tick / 10)
+                for (op, lpa, npages), tick in zip(requests, stamps)
+            ],
+        )
         buffer = io.StringIO()
         write_msr_trace(original, buffer)
         buffer.seek(0)
-        parsed = parse_msr_trace(buffer)
-        assert [(r.op, r.lpa, r.npages) for r in parsed] == [
-            (r.op, r.lpa, r.npages) for r in original
+        assert [(r.op, r.lpa, r.npages, r.timestamp_us) for r in parse_msr_trace(buffer)] == [
+            (r.op, r.lpa, r.npages, r.timestamp_us) for r in original
         ]
+
+    @given(line=_MALFORMED_LINES)
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_line_raises_trace_parse_error_only(self, line):
+        with pytest.raises(TraceParseError):
+            parse_msr_line(line, 4096)

@@ -5,10 +5,13 @@ names it — ``pkg`` (the package itself, definition included), ``lib`` (``src``
 ``benchmarks``, ``tools``), ``examples``, ``tests``, ``ci`` (words of ``.github/workflows/ci.yml``).  Then
 every settable value — defaulted keyword, class attribute, argparse flag (shown as ``argv(--flag=default)``)
 — with the distinct values callers pass; a flag's are what follows it in an argv-style list or a CI step.
-Counts are by bare identifier (a common word over-counts).  The last line is the total a PR reports before →
-after: per package, the names (and their lines) with ``pkg`` = ``lib`` = ``examples`` = 0 — no reader outside the
-tests.  ``ci`` is shown but not counted there: CI names modules and flags, and a bare word of the workflow
-(``step``, ``run``) matching a method is not a read.
+Counts are by bare identifier (a common word over-counts).  A ``registry`` reader is the registry walker
+(``repro.obs.registry.snapshot_stats``), which exports every field and numeric property of a class in
+``REGISTERED_STATS`` by reflection, so no identifier names them: such a property shows ``registry=1`` (fields are
+settables, never names).  The last line is the total a PR reports before → after: per package, the names (and
+their lines) with ``pkg`` = ``lib`` = ``examples`` = ``registry`` = 0 — no reader outside the tests.  ``ci`` is
+shown but not counted there: CI names modules and flags, and a bare word of the workflow (``step``, ``run``)
+matching a method is not a read.
 """
 
 import ast
@@ -19,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCOPE_OF_DIR = {"src": "lib", "benchmarks": "lib", "tools": "lib", "examples": "examples", "tests": "tests"}
+REGISTRY = ROOT / "src/repro/obs/registry.py"
 
 
 def definitions(package):
@@ -45,6 +49,24 @@ def definitions(package):
                 callee = owner if node.name == "__init__" else node.name
                 settable.update({(callee, arg.arg): ast.unparse(default) for arg, default in defaulted if default is not None})
     return names, settable
+
+
+def exported(package):
+    """'module.Class.name' of each numeric property (annotated ``int`` / ``float``) of a ``REGISTERED_STATS`` class."""
+    registered = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(REGISTRY.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "REGISTERED_STATS"
+    )
+    return {
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in sorted(package.rglob("*.py"))
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef) and cls.name in registered
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and "property" in map(ast.unparse, node.decorator_list)
+        and ast.unparse(node.returns or ast.Constant(None)) in ("int", "float")
+    }
 
 
 def readers(package):
@@ -74,13 +96,15 @@ def readers(package):
 if __name__ == "__main__":
     totals = []
     for package in (ROOT / arg for arg in sys.argv[1:]):
-        (names, settable), (idents, passed) = definitions(package), readers(package)
+        (names, settable), (idents, passed), registry = definitions(package), readers(package), exported(package)
         print(f"{package.relative_to(ROOT)}: {len(names)} names, {len(settable)} settable")
         unread = []
         for shown, lines in names.items():
             bare = shown.rsplit(".", 1)[1]
-            print(f"  {shown} [{lines} lines]", *(f"{scope}={idents[scope][bare]}" for scope in ("pkg", "lib", "examples", "tests", "ci")))
-            if not any(idents[scope][bare] for scope in ("pkg", "lib", "examples")):
+            counts = [idents[scope][bare] for scope in ("pkg", "lib", "examples")] + [int(shown in registry)]
+            print(f"  {shown} [{lines} lines]", *(f"{scope}={count}" for scope, count in zip(("pkg", "lib", "examples", "registry"), counts)),
+                  *(f"{scope}={idents[scope][bare]}" for scope in ("tests", "ci")))
+            if not any(counts):
                 unread.append(lines)
         totals.append(f"{package.relative_to(ROOT)} {len(unread)} names / {sum(unread)} lines")
         for (callee, keyword), default in settable.items():
