@@ -50,7 +50,7 @@ def _render(table) -> None:
                 arbiter: {
                     "p50_us": round(table[arbiter]["reader"]["read_latency.p50_us"], 1),
                     "p99_us": round(table[arbiter]["reader"]["read_latency.p99_us"], 1),
-                    "slo_viol": table[arbiter]["reader"]["slo_violations"],
+                    "slo_viol": table[arbiter]["reader"]["slo_violations_read"],
                     "writer_p99_us": round(
                         table[arbiter]
                         .get("writer", {})

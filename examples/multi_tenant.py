@@ -43,7 +43,7 @@ READER_COLUMNS = (
     ("read_latency.p95_us", "p95 us"),
     ("read_latency.p99_us", "p99 us"),
     ("queue_wait_us", "SQ wait us"),
-    ("slo_violations", "SLO viol"),
+    ("slo_violations_read", "SLO viol"),
 )
 
 
@@ -76,7 +76,7 @@ def print_rate_limit_comparison() -> None:
         writer = table[label]["writer"]
         print(
             f"{label:>10}  reader p99 {reader['read_latency.p99_us']:9.1f} us"
-            f"  (SLO violations {reader['slo_violations']:4.0f})"
+            f"  (SLO violations {reader['slo_violations_read']:4.0f})"
             f" | writer p99 {writer['write_latency.p99_us']:10.1f} us"
             f"  deferrals {writer['rate_limit_deferrals']:6.0f}"
         )

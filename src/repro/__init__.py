@@ -38,7 +38,6 @@ Quick start
 """
 
 from repro.config import (
-    DFTLConfig,
     DRAMBudget,
     LeaFTLConfig,
     SSDConfig,
@@ -71,7 +70,6 @@ from repro.workloads import IORequest, Trace
 __version__ = "1.0.0"
 
 __all__ = [
-    "DFTLConfig",
     "DRAMBudget",
     "LeaFTLConfig",
     "SSDConfig",

@@ -217,16 +217,6 @@ class LeaFTLConfig:
             raise ValueError("compaction_interval_writes must be positive")
 
 
-@dataclass(frozen=True)
-class DFTLConfig:
-    """Tunables of the DFTL baseline (Gupta et al., ASPLOS 2009)."""
-
-    #: Bytes per cached mapping entry (4 B LPA + 4 B PPA).
-    entry_bytes: int = 8
-    #: Number of mapping entries stored in one translation page.
-    entries_per_translation_page: int = 512
-
-
 @dataclass
 class DRAMBudget:
     """How the controller DRAM is split between mapping table and data cache.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.crb import ConflictResolutionBuffer
 from repro.core.level import Level
@@ -25,17 +25,19 @@ from repro.core.segment import (
     Segment,
 )
 
+if TYPE_CHECKING:
+    from repro.core.mapping_table import MappingTableStats
+
 #: Per-level bookkeeping overhead charged in the memory model, bytes.
 LEVEL_OVERHEAD_BYTES = 4
 
 
 @dataclass(slots=True)
 class LookupResult:
-    """A learned-table answer: the predicted PPA, the levels searched and the segment.
+    """The answer of the Algorithm-1 walk: predicted PPA, levels searched, segment.
 
-    :meth:`LPAGroup.lookup` (the Algorithm-1 walk) returns one per LPA,
-    :meth:`LPAGroup.lookup_range` one per resolution run (with the run's
-    first PPA): the record the statistics are charged from.
+    Only :meth:`LPAGroup.lookup` (and the table's ``lookup`` over it)
+    builds one; the owner-index range path returns bare PPAs.
     ``levels_searched`` is at least 1 even for a miss (see
     :meth:`repro.core.mapping_table.LogStructuredMappingTable.lookup`).
     """
@@ -47,10 +49,6 @@ class LookupResult:
     @property
     def found(self) -> bool:
         return self.ppa is not None
-
-    @property
-    def approximate(self) -> bool:
-        return self.segment is not None and not self.segment.accurate
 
 
 class LPAGroup:
@@ -366,17 +364,17 @@ class LPAGroup:
         return LookupResult(ppa=None, levels_searched=max(len(self._levels), 1))
 
     def lookup_range(
-        self, start_lpa: int, end_lpa: int
-    ) -> Tuple[List[Optional[int]], List[LookupResult]]:
+        self, start_lpa: int, end_lpa: int, stats: MappingTableStats
+    ) -> List[Optional[int]]:
         """Resolve every LPA of ``[start_lpa, end_lpa]`` from the owner index.
 
-        Returns ``(ppas, runs)``.  ``ppas`` holds one PPA per LPA, equal to
-        :meth:`lookup`'s: the owner's prediction, ``None`` for a miss.
-        ``runs`` holds one :class:`LookupResult` per *resolution run*, a
-        maximal stretch of LPAs with one owner (or one miss gap): the unit
-        the statistics charge, since all of its pages searched the same
-        levels — the depth of the owner's level, what the walk would have
-        searched to reach it, and every level for a miss.
+        Returns one PPA per LPA, equal to :meth:`lookup`'s: the owner's
+        prediction, ``None`` for a miss.  ``stats`` is charged once per
+        *resolution run*, a maximal stretch of LPAs with one owner (or one
+        miss gap), since all of its pages searched the same levels: the
+        depth of the owner's level, what the walk would have searched to
+        reach it, and every level for a miss.  A resolved run also counts
+        in ``stats.levels_histogram`` at that depth.
         """
         base = self.group_base
         if not base <= start_lpa <= end_lpa < base + self.group_size:
@@ -384,9 +382,10 @@ class LPAGroup:
                 f"[{start_lpa}, {end_lpa}] is not a range of the group at {base}"
             )
         ppas: List[Optional[int]] = []
-        runs: List[LookupResult] = []
         append = ppas.append
         ceil = math.ceil
+        histogram = stats.levels_histogram
+        runs = levels = 0
         low = start_lpa - base
         previous: object = self  # matches no owner slot, not even an empty one
         for offset, segment in enumerate(self._owners[low : end_lpa - base + 1], low):
@@ -394,16 +393,20 @@ class LPAGroup:
                 append(None if segment is None else ceil(slope * offset + intercept))
                 continue
             previous = segment
+            runs += 1
             if segment is None:
                 append(None)
-                runs.append(LookupResult(None, max(len(self._levels), 1)))
+                levels += max(len(self._levels), 1)
             else:
                 slope = segment.slope
                 intercept = segment.intercept
-                ppa = ceil(slope * offset + intercept)
-                append(ppa)
-                runs.append(LookupResult(ppa, segment.level.depth, segment))
-        return ppas, runs
+                append(ceil(slope * offset + intercept))
+                depth = segment.level.depth
+                levels += depth
+                histogram[depth] = histogram.get(depth, 0) + 1
+        stats.lookups += runs
+        stats.lookup_levels_total += levels
+        return ppas
 
     # ------------------------------------------------------------------ #
     # Compaction (Algorithm 1, seg_compact)

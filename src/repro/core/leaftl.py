@@ -8,9 +8,10 @@ interface used by the SSD model:
   migration moved whole instead of fitting them again; both trigger
   periodic segment compaction;
 * ``translate_range`` resolves a read run through the learned table to one
-  (possibly approximate) PPA per page, charging the levels searched
-  (Figure 23a) once per resolution run; ``translate`` is the paper's
-  per-LPA Algorithm-1 walk, the reference the range is tested against;
+  (possibly approximate) PPA per page; the table charges the levels
+  searched (Figure 23a) once per resolution run.  ``translate`` is the
+  paper's per-LPA Algorithm-1 walk, the reference the range is tested
+  against;
 * ``resolve_misprediction`` implements the OOB-based correction of
   Section 3.5: given the OOB window of the mispredicted page (which the
   read path already fetched), it names the pages of the
@@ -20,8 +21,8 @@ interface used by the SSD model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import LeaFTLConfig
 from repro.core.mapping_table import (
@@ -35,19 +36,16 @@ from repro.ftl.base import FTL
 
 @dataclass
 class LeaFTLStats:
-    """LeaFTL-specific counters (on top of the generic FTL stats)."""
+    """LeaFTL-specific counters (lookups are charged by the table's stats)."""
 
-    lookups_resolved: int = 0
-    approximate_lookups: int = 0
-    mispredictions: int = 0
     oob_corrections: int = 0
     oob_correction_failures: int = 0
     compactions: int = 0
-    #: histogram: levels searched -> number of lookups (Figure 23a).
-    levels_histogram: Dict[int, int] = field(default_factory=dict)
 
-    def record_levels(self, levels: int) -> None:
-        self.levels_histogram[levels] = self.levels_histogram.get(levels, 0) + 1
+    @property
+    def mispredictions(self) -> int:
+        """Every misprediction the OOB window was asked to resolve (Figure 24)."""
+        return self.oob_corrections + self.oob_correction_failures
 
 
 class LeaFTL(FTL):
@@ -81,13 +79,7 @@ class LeaFTL(FTL):
         walk page for page.
         """
         self.stats.lookups += 1
-        result = self.table.lookup(lpa)
-        if result.found:
-            self.lea_stats.lookups_resolved += 1
-            self.lea_stats.record_levels(result.levels_searched)
-            if result.approximate:
-                self.lea_stats.approximate_lookups += 1
-        return result
+        return self.table.lookup(lpa)
 
     def translate_range(self, lpa: int, npages: int) -> List[Optional[int]]:
         """Resolve a contiguous run of LPAs, charged once per resolution run.
@@ -95,21 +87,14 @@ class LeaFTL(FTL):
         This is where the learned table's batching advantage materialises:
         a multi-page host command whose span is covered by one learned
         segment costs a *single* lookup charge at that segment's level, not
-        one per page (see :meth:`LogStructuredMappingTable.resolve_range`,
-        whose run list both statistics layers charge from).
-        ``stats.lookups`` and the Figure 23a level histogram are charged per
-        segment resolution, mirroring the mapping table's accounting.
+        one per page.  The table charges its own statistics
+        (:meth:`LogStructuredMappingTable.lookup_range`); ``stats.lookups``
+        grows by as many resolutions as the table's did.
         """
-        ppas, runs = self.table.resolve_range(lpa, npages)
-        self.stats.lookups += len(runs)
-        lea_stats = self.lea_stats
-        for run in runs:
-            segment = run.segment
-            if segment is not None:
-                lea_stats.lookups_resolved += 1
-                lea_stats.record_levels(run.levels_searched)
-                if not segment.accurate:
-                    lea_stats.approximate_lookups += 1
+        table_stats = self.table.stats
+        before = table_stats.lookups
+        ppas = self.table.lookup_range(lpa, npages)
+        self.stats.lookups += table_stats.lookups - before
         return ppas
 
     def resolve_misprediction(
@@ -129,8 +114,6 @@ class LeaFTL(FTL):
         returned, in PPA order: the window also names superseded copies,
         and the device reads the one its page-validity table says is live.
         """
-        self.lea_stats.mispredictions += 1
-        self.stats.mispredictions += 1
         gamma = self.config.gamma
         first = predicted_ppa - gamma
         copies = window.count(lpa)

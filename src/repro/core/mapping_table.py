@@ -9,14 +9,14 @@ Responsibilities:
 
 * partition incoming mapping batches by group, learn segments per group with
   the PLR learner, and insert them (Section 3.7, creation + insert/update);
-* answer LPA lookups with the number of levels searched (Figure 23a);
+* answer LPA lookups, charging the levels searched (Figure 23a);
 * periodic compaction (Section 3.7);
 * exact DRAM footprint accounting (Figures 15 and 19).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import LeaFTLConfig
@@ -40,7 +40,9 @@ class MappingTableStats:
     #: carried forward re-based instead of fitting them again.
     segments_carried: int = 0
     mappings_carried: int = 0
-    compactions: int = 0
+    #: Resolved lookups by levels searched (Figure 23a); misses count in
+    #: ``lookups`` and ``lookup_levels_total`` only.
+    levels_histogram: Dict[int, int] = field(default_factory=dict)
 
     @property
     def mean_levels_per_lookup(self) -> float:
@@ -152,7 +154,7 @@ class LogStructuredMappingTable:
     # Lookup
     # ------------------------------------------------------------------ #
     def lookup(self, lpa: int) -> LookupResult:
-        """Resolve ``lpa`` to its (possibly approximate) PPA.
+        """Resolve ``lpa`` to its (possibly approximate) PPA by the level walk.
 
         Every lookup — hit, in-group miss or group miss — charges at least
         one searched level: even a group miss consults the group directory.
@@ -160,43 +162,37 @@ class LogStructuredMappingTable:
         would deflate ``mean_levels_per_lookup`` (Figure 23a) on workloads
         with many cold reads.
         """
-        self.stats.lookups += 1
+        stats = self.stats
         group = self.group_for(lpa)
         if group is None:
             result = LookupResult(ppa=None, levels_searched=1)
         else:
             result = group.lookup(lpa)
-        self.stats.lookup_levels_total += result.levels_searched
+        depth = result.levels_searched
+        stats.lookups += 1
+        stats.lookup_levels_total += depth
+        if result.segment is not None:
+            histogram = stats.levels_histogram
+            histogram[depth] = histogram.get(depth, 0) + 1
         return result
 
     def lookup_range(self, start_lpa: int, npages: int) -> List[Optional[int]]:
         """Resolve the contiguous run ``[start_lpa, start_lpa + npages)``.
 
-        One PPA per page, each equal to :meth:`lookup`'s for that LPA;
-        charged per resolution run (see :meth:`resolve_range`).
-        """
-        return self.resolve_range(start_lpa, npages)[0]
-
-    def resolve_range(
-        self, start_lpa: int, npages: int
-    ) -> Tuple[List[Optional[int]], List[LookupResult]]:
-        """:meth:`lookup_range` plus one :class:`LookupResult` per resolution run.
-
-        The run is split at group boundaries and each group answers its
-        chunk from its owner index
-        (:meth:`repro.core.group.LPAGroup.lookup_range`), which also finds
-        the run boundaries: consecutive pages served by the same segment,
-        or forming one miss gap inside one group, are one resolution.
-
-        Statistics are charged per *resolution*, not per page, at the level
-        the run's segment lives on.  An 8-page run covered by one segment
-        therefore grows ``stats.lookups`` by exactly 1, and a miss gap
-        spanning two groups by 2 (it consulted two group structures).
+        One PPA per page, each equal to :meth:`lookup`'s.  The run is split
+        at group boundaries and each group answers its chunk from its owner
+        index (:meth:`repro.core.group.LPAGroup.lookup_range`), charging
+        ``stats`` per *resolution*, not per page: consecutive pages served
+        by the same segment, or forming one miss gap inside one group, are
+        one resolution at the level the segment lives on.  An 8-page run
+        covered by one segment therefore grows ``stats.lookups`` by exactly
+        1, and a miss gap spanning two groups by 2 (it consulted two group
+        structures).
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
+        stats = self.stats
         ppas: List[Optional[int]] = []
-        runs: List[LookupResult] = []
         lpa = start_lpa
         end = start_lpa + npages
         group_size = self.config.group_size
@@ -209,17 +205,12 @@ class LogStructuredMappingTable:
             group = groups_get(group_base)
             if group is None:
                 ppas += [None] * (chunk_end - lpa)
-                runs.append(LookupResult(ppa=None, levels_searched=1))
+                stats.lookups += 1
+                stats.lookup_levels_total += 1
             else:
-                chunk, chunk_runs = group.lookup_range(lpa, chunk_end - 1)
-                ppas += chunk
-                runs += chunk_runs
+                ppas += group.lookup_range(lpa, chunk_end - 1, stats)
             lpa = chunk_end
-        stats = self.stats
-        stats.lookups += len(runs)
-        for run in runs:
-            stats.lookup_levels_total += run.levels_searched
-        return ppas, runs
+        return ppas
 
     # ------------------------------------------------------------------ #
     # Compaction
@@ -229,7 +220,6 @@ class LogStructuredMappingTable:
         for group in self._groups.values():
             group.compact()
         self._memory_stale.update(self._groups)
-        self.stats.compactions += 1
 
     # ------------------------------------------------------------------ #
     # Memory accounting & distribution statistics

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import DFTLConfig, DRAMBudget, LeaFTLConfig, SSDConfig
+from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
 from repro.flash.oob import oob_size_for_gamma
 from repro.ftl.base import FTL
@@ -190,7 +190,7 @@ def build_ftl(scheme: str, setup: ExperimentSetup) -> FTL:
     """Instantiate the FTL scheme under test with the setup's DRAM budget."""
     budget = setup.dram_budget().mapping_budget()
     if scheme == "DFTL":
-        return DFTL(mapping_budget_bytes=budget, config=DFTLConfig())
+        return DFTL(mapping_budget_bytes=budget)
     if scheme == "SFTL":
         return SFTL(mapping_budget_bytes=budget)
     if scheme == "LeaFTL":
@@ -455,7 +455,7 @@ def simulate(
         latency_samples=stats.read_latency.samples(),
     )
     if isinstance(ftl, LeaFTL):
-        result.levels_histogram = dict(ftl.lea_stats.levels_histogram)
+        result.levels_histogram = dict(ftl.table.stats.levels_histogram)
         result.crb_sizes = ftl.table.crb_sizes()
         result.segment_lengths = ftl.table.segment_lengths()
         result.segment_type_counts = ftl.table.segment_type_counts()

@@ -66,7 +66,12 @@ updates applied after the call began); ``npages < 1`` raises
   (LeaFTL), one translation-page visit that serves every entry on that
   page (DFTL/SFTL), one table probe for the whole run (PageMapFTL).
   A contiguous 8-page read served by a single learned segment therefore
-  grows ``stats.lookups`` by 1, not 8.
+  grows ``stats.lookups`` by 1, not 8.  LeaFTL's table charges its own
+  ``MappingTableStats`` (lookups, levels searched, the Figure 23a
+  histogram) and ``stats.lookups`` grows by what the table's did.
+* ``FTLStats`` has no misprediction counter: the device counts them
+  (``SSDStats.mispredictions``) and LeaFTL splits its own into OOB
+  corrections and failures (``LeaFTLStats``).
 * translation-page flash traffic is batched the same way: a DFTL/SFTL
   run that misses on a translation page charges **one**
   ``translation_page_reads`` for all of its entries in the run, plus
@@ -94,14 +99,12 @@ class FTLStats:
     updates: int = 0
     translation_page_reads: int = 0
     translation_page_writes: int = 0
-    mispredictions: int = 0
 
     def reset(self) -> None:
         self.lookups = 0
         self.updates = 0
         self.translation_page_reads = 0
         self.translation_page_writes = 0
-        self.mispredictions = 0
 
 
 class FTL(abc.ABC):

@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import DFTLConfig
 from repro.ftl.base import FTL
+from repro.ftl.pagemap import ENTRY_BYTES
 
 
 class DFTL(FTL):
@@ -34,10 +34,10 @@ class DFTL(FTL):
     def __init__(
         self,
         mapping_budget_bytes: Optional[int] = None,
-        config: Optional[DFTLConfig] = None,
+        entries_per_translation_page: int = 512,
     ) -> None:
         super().__init__(mapping_budget_bytes=mapping_budget_bytes)
-        self._config = config or DFTLConfig()
+        self._entries_per_tp = entries_per_translation_page
         #: CMT: lpa -> (ppa, dirty flag); ordered by recency (LRU first).
         self._cmt: "OrderedDict[int, Tuple[int, bool]]" = OrderedDict()
         #: The flash-resident translation pages, flattened to lpa -> ppa.
@@ -49,12 +49,12 @@ class DFTL(FTL):
     # Geometry helpers
     # ------------------------------------------------------------------ #
     def _translation_page_of(self, lpa: int) -> int:
-        return lpa // self._config.entries_per_translation_page
+        return lpa // self._entries_per_tp
 
     def _max_cached_entries(self) -> Optional[int]:
         if self.mapping_budget_bytes is None:
             return None
-        return max(1, self.mapping_budget_bytes // self._config.entry_bytes)
+        return max(1, self.mapping_budget_bytes // ENTRY_BYTES)
 
     # ------------------------------------------------------------------ #
     # CMT management
@@ -115,7 +115,7 @@ class DFTL(FTL):
         if npages <= 0:
             raise ValueError("npages must be positive")
         results: List[Optional[int]] = []
-        per_tp = self._config.entries_per_translation_page
+        per_tp = self._entries_per_tp
         start = lpa
         end = lpa + npages
         while start < end:
@@ -168,10 +168,10 @@ class DFTL(FTL):
     # Memory accounting
     # ------------------------------------------------------------------ #
     def resident_bytes(self) -> int:
-        return len(self._cmt) * self._config.entry_bytes
+        return len(self._cmt) * ENTRY_BYTES
 
     def full_mapping_bytes(self) -> int:
         """Size of the complete page-level table for all live mappings."""
         live = set(self._flash_table)
         live.update(self._cmt)
-        return len(live) * self._config.entry_bytes
+        return len(live) * ENTRY_BYTES

@@ -1,8 +1,8 @@
 """Ideal page-level mapping: the textbook one-entry-per-page FTL.
 
 This is the upper bound used throughout the paper as the reference point for
-memory footprint: every mapped LPA costs ``entry_bytes`` (8 bytes: 4-byte LPA
-+ 4-byte PPA) of DRAM, and every lookup is an O(1) dictionary access with no
+memory footprint: every mapped LPA costs :data:`ENTRY_BYTES` (8 bytes: 4-byte
+LPA + 4-byte PPA) of DRAM, and every lookup is an O(1) dictionary access with no
 extra flash traffic.  It is unconstrained by any DRAM budget, so it is useful
 as ground truth in tests and as the denominator in memory-reduction figures.
 """
@@ -13,17 +13,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ftl.base import FTL
 
+#: Bytes per page-level mapping entry (4 B LPA + 4 B PPA), here and in DFTL.
+ENTRY_BYTES = 8
+
 
 class PageLevelFTL(FTL):
     """A fully-resident page-level mapping table."""
 
     name = "PageMap"
 
-    def __init__(self, entry_bytes: int = 8) -> None:
+    def __init__(self) -> None:
         super().__init__(mapping_budget_bytes=None)
-        if entry_bytes <= 0:
-            raise ValueError("entry_bytes must be positive")
-        self._entry_bytes = entry_bytes
         self._table: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -47,10 +47,10 @@ class PageLevelFTL(FTL):
             self.stats.updates += 1
 
     def resident_bytes(self) -> int:
-        return len(self._table) * self._entry_bytes
+        return len(self._table) * ENTRY_BYTES
 
     def full_mapping_bytes(self) -> int:
-        return len(self._table) * self._entry_bytes
+        return len(self._table) * ENTRY_BYTES
 
     def rebuild_from_oob(self, mappings: Sequence[Tuple[int, int]]) -> None:
         self._table = dict(mappings)

@@ -226,7 +226,6 @@ class HostInterface:
         weight: int = 1,
         priority: int = 0,
         slo_read_us: Optional[float] = None,
-        slo_write_us: Optional[float] = None,
     ) -> Namespace:
         """Carve a namespace out of the device's logical space.
 
@@ -246,7 +245,6 @@ class HostInterface:
             weight=weight,
             priority=priority,
             slo_read_us=slo_read_us,
-            slo_write_us=slo_write_us,
         )
         if namespace.end_lpa > logical_pages:
             raise ValueError(

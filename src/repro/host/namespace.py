@@ -46,19 +46,14 @@ class NamespaceStats:
     queue_wait_us: float = 0.0
     #: Times the namespace's token bucket deferred an admission.
     rate_limit_deferrals: int = 0
-    #: Completions whose latency exceeded the namespace SLO.
+    #: Read completions whose latency exceeded the namespace's read SLO.
     slo_violations_read: int = 0
-    slo_violations_write: int = 0
     read_latency: LatencyRecorder = field(
         default_factory=lambda: LatencyRecorder(seed=_READ_SEED)
     )
     write_latency: LatencyRecorder = field(
         default_factory=lambda: LatencyRecorder(seed=_WRITE_SEED)
     )
-
-    @property
-    def slo_violations(self) -> int:
-        return self.slo_violations_read + self.slo_violations_write
 
 
 class Namespace:
@@ -79,7 +74,6 @@ class Namespace:
         weight: int = 1,
         priority: int = 0,
         slo_read_us: Optional[float] = None,
-        slo_write_us: Optional[float] = None,
     ) -> None:
         if base_lpa < 0:
             raise ValueError("base_lpa must be non-negative")
@@ -87,19 +81,17 @@ class Namespace:
             raise ValueError("size_pages must be positive")
         if weight < 1:
             raise ValueError("weight must be at least 1")
-        for slo in (slo_read_us, slo_write_us):
-            # A nan or inf bound would never count a violation.
-            if slo is not None and not 0.0 < slo < math.inf:
-                raise ValueError(
-                    f"SLO thresholds must be positive and finite, got {slo!r}"
-                )
+        # A nan or inf bound would never count a violation.
+        if slo_read_us is not None and not 0.0 < slo_read_us < math.inf:
+            raise ValueError(
+                f"SLO thresholds must be positive and finite, got {slo_read_us!r}"
+            )
         self.name = name
         self.base_lpa = base_lpa
         self.size_pages = size_pages
         self.weight = weight
         self.priority = priority
         self.slo_read_us = slo_read_us
-        self.slo_write_us = slo_write_us
         self.limiters: List[TokenBucket] = []
         self.stats = NamespaceStats()
 
@@ -132,15 +124,13 @@ class Namespace:
         return self.stats
 
     def record_completion(self, op: str, latency_us: float) -> None:
-        """Record one completed request's latency and check its SLO."""
+        """Record one completed request's latency and check a read's SLO."""
         if op == "R":
             self.stats.read_latency.record(latency_us)
             if self.slo_read_us is not None and latency_us > self.slo_read_us:
                 self.stats.slo_violations_read += 1
         else:
             self.stats.write_latency.record(latency_us)
-            if self.slo_write_us is not None and latency_us > self.slo_write_us:
-                self.stats.slo_violations_write += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -457,7 +457,7 @@ def namespace_scorecard(
             return float(counters.get(prefix + field, 0.0))
 
         completed = count("completed")
-        violations = count("slo_violations_read") + count("slo_violations_write")
+        violations = count("slo_violations_read")
         violation_rate = violations / completed if completed > 0.0 else 0.0
         burn_rate = violation_rate / SLO_ERROR_BUDGET
         if burn_rate < 1.0:
@@ -467,12 +467,10 @@ def namespace_scorecard(
         else:
             status = "critical"
         slo_read = float(gauges.get(prefix + "slo_read_us", 0.0))
-        slo_write = float(gauges.get(prefix + "slo_write_us", 0.0))
         entry: Dict[str, Any] = {
             "submitted": count("submitted"),
             "completed": completed,
             "slo_read_us": slo_read,
-            "slo_write_us": slo_write,
             "slo_violations": violations,
             "violation_rate": violation_rate,
             "burn_rate": burn_rate,
@@ -487,10 +485,9 @@ def namespace_scorecard(
         if spans:
             buckets: Dict[int, int] = {}
             for span in spans:
-                if span.get("queue") != name:
+                if span.get("queue") != name or span["op"] != "R":
                     continue
-                slo = slo_read if span["op"] == "R" else slo_write
-                if slo <= 0.0 or span["latency_us"] <= slo:
+                if slo_read <= 0.0 or span["latency_us"] <= slo_read:
                     continue
                 finish = span["start_us"] + span["device_us"]
                 bucket = int(finish // WINDOW_US)

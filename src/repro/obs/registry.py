@@ -64,7 +64,7 @@ REGISTERED_STATS = {
 #: Every entry must explain what covers the data instead; any other
 #: non-numeric, non-LatencyRecorder field makes :func:`snapshot_stats` raise.
 EXCLUDED_FIELDS = {
-    ("LeaFTLStats", "levels_histogram"): (
+    ("MappingTableStats", "levels_histogram"): (
         "levels-searched histogram (Figure 23a); the aggregate is exported "
         "as mapping_table.mean_levels_per_lookup"
     ),
@@ -189,7 +189,6 @@ def device_snapshot(ssd: Any, host: Any = None) -> CounterSnapshot:
             # repro.obs.analyze) can judge the counters against the SLOs
             # from the snapshot alone.  Absent SLOs export as 0.0.
             counters[f"{prefix}.slo_read_us"] = float(namespace.slo_read_us or 0.0)
-            counters[f"{prefix}.slo_write_us"] = float(namespace.slo_write_us or 0.0)
             counters[f"{prefix}.weight"] = float(namespace.weight)
             counters[f"{prefix}.priority"] = float(namespace.priority)
     return CounterSnapshot(counters)

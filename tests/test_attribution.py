@@ -324,9 +324,7 @@ class TestScorecard:
             "ns.reader.submitted": completed,
             "ns.reader.completed": completed,
             "ns.reader.slo_violations_read": violations,
-            "ns.reader.slo_violations_write": 0.0,
             "ns.reader.slo_read_us": slo,
-            "ns.reader.slo_write_us": 0.0,
             "ns.reader.queue_wait_us": 500.0 * completed,
             "ns.reader.read_latency.p99_us": 2000.0,
             "ns.reader.write_latency.p99_us": 0.0,
@@ -345,7 +343,7 @@ class TestScorecard:
         # A measured-phase delta zeroes the SLO gauges; the absolute end
         # snapshot supplies them instead.
         delta = self._counters(1000.0, 20.0, slo=0.0)
-        gauges = {"ns.reader.slo_read_us": 1000.0, "ns.reader.slo_write_us": 0.0}
+        gauges = {"ns.reader.slo_read_us": 1000.0}
         card = namespace_scorecard(delta, gauges=gauges)
         assert card["namespaces"]["reader"]["slo_read_us"] == 1000.0
 

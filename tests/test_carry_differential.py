@@ -9,15 +9,21 @@ Section 3.6, kept here as a test-only subclass whose ``migrate_batch`` is
 the contract's default, ``update_batch``.
 
 Both replay the same generated histories (writes, reads, flushes, power
-failures, forced GC and wear passes) on a tiny aged device whose data cache
-is pinned to its minimum, so the table's size cannot steer the cache.
+failures, forced GC and wear passes) on a tiny device aged like the
+whole-device machine's (``aging``), with its data cache pinned to its
+minimum, so the table's size cannot steer the cache.
 Under sync GC, after every step, the flash layout is the reference's page
 for page (at γ > 0 while the two devices' channel timelines agree: a
 misprediction fix one side only reads can move where the cold stream opens
 its next block), the two tables pass ``validate()``, and every live LPA is
-predicted within ±γ; at γ = 0 the translations are equal and the carrying
-table holds no more segments than the relearned one.  The oracles are the
-whole-device machine's (``tests/test_device_machine.py``), which also
+predicted within ±γ.  While the layouts agree both tables learned the same
+mappings and the carrying one fitted no more of them, nor more segments:
+the cone walk closes the same candidates on both sides and carrying only
+skips fitting some.  At γ = 0 the translations are equal.  The carrying
+table may still hold *more* segments: a carried segment keeps its deeper
+level, and a compaction that stops early leaves it there (the strict xfail
+``test_carrying_holds_no_more_segments_than_relearning``).  The oracles are
+the whole-device machine's (``tests/test_device_machine.py``), which also
 checks the carrying device on its own, under background GC as well.
 
 A second property holds the layout against an exact FTL: at γ = 0 under
@@ -28,7 +34,6 @@ as an equality).
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict
 from typing import List, Tuple
 
@@ -42,7 +47,8 @@ from repro.ftl.pagemap import PageLevelFTL
 from repro.ssd.recovery import recover
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
 from tests.test_device_machine import (
-    DEEP, DEVICES, PINNED_CACHE, Step, assert_gc_invariants, check_predictions, force_reclaim,
+    DEEP, DEVICES, PINNED_CACHE, Step, aging, assert_gc_invariants, check_predictions,
+    force_reclaim,
 )
 
 KB = 1024
@@ -66,13 +72,6 @@ def device(ftl: FTL, gc_mode: str, dram: DRAMBudget = PINNED_CACHE) -> Simulated
 
 def leaftl(cls: type, gamma: int) -> LeaFTL:
     return cls(LeaFTLConfig(gamma=gamma, compaction_interval_writes=400))
-
-
-def aging(seed: int) -> List[Step]:
-    """A fill, then hot-spot overwrites until reclaim has run for a while."""
-    rng = random.Random(seed)
-    history = [("W", lpa, 8) for lpa in range(0, 480, 8)]
-    return history + [("W", rng.randrange(240), rng.randint(1, 8)) for _ in range(160)]
 
 
 def apply(ssd: SimulatedSSD, step: Step) -> None:
@@ -107,6 +106,15 @@ def flash_state(ssd: SimulatedSSD) -> dict:
     }
 
 
+def fitted(ssd: SimulatedSSD) -> Tuple[int, int]:
+    """The mappings and segments the table fitted: learned minus carried."""
+    stats = ssd.ftl.table.stats
+    return (
+        stats.mappings_learned - stats.mappings_carried,
+        stats.segments_learned - stats.segments_carried,
+    )
+
+
 def timelines(ssd: SimulatedSSD) -> List[Tuple[float, float]]:
     """Every channel's busy-until and bus time."""
     scheduler = ssd.scheduler
@@ -133,7 +141,7 @@ def test_carry_keeps_the_relearned_layout_and_answers(gamma, steps, seed):
     carrying = device(leaftl(LeaFTL, gamma), "sync")
     reference = device(leaftl(RelearningLeaFTL, gamma), "sync")
     for ssd in (carrying, reference):
-        ssd.run(aging(seed), drain=False, queue_depth=1)
+        ssd.run(aging(CONFIG, seed), drain=False, queue_depth=1)
     lockstep = True
     for index, item in enumerate(steps):
         for ssd in (carrying, reference):
@@ -148,6 +156,10 @@ def test_carry_keeps_the_relearned_layout_and_answers(gamma, steps, seed):
         if lockstep:
             assert flash_state(carrying) == flash_state(reference), (index, item)
             assert carrying.live_mappings() == reference.live_mappings()
+            learned = [ssd.ftl.table.stats.mappings_learned for ssd in (carrying, reference)]
+            assert learned[0] == learned[1], (index, item)
+            fits = [fitted(ssd) for ssd in (carrying, reference)]
+            assert all(ours <= theirs for ours, theirs in zip(*fits)), (index, item, fits)
         else:
             assert carrying.live_mappings().keys() == reference.live_mappings().keys()
         carrying.ftl.table.validate()
@@ -155,8 +167,41 @@ def test_carry_keeps_the_relearned_layout_and_answers(gamma, steps, seed):
         answers = [check_predictions(ssd, gamma) for ssd in (carrying, reference)]
         if gamma == 0:
             assert answers[0] == answers[1]
-            assert carrying.ftl.table.segment_count() <= reference.ftl.table.segment_count()
     assert_gc_invariants(carrying)
+
+
+def gap_history() -> Tuple[SimulatedSSD, SimulatedSSD]:
+    """The carrying and the relearning device at γ = 0 after the shared
+    aging of seed 2 and a flush, where the two tables' sizes part."""
+    carrying = device(leaftl(LeaFTL, 0), "sync")
+    reference = device(leaftl(RelearningLeaFTL, 0), "sync")
+    for ssd in (carrying, reference):
+        ssd.run(aging(CONFIG, 2), drain=False, queue_depth=1)
+        ssd.flush()
+    return carrying, reference
+
+
+def test_the_gap_history_keeps_the_layout_answers_and_fitting_bound():
+    carrying, reference = gap_history()
+    assert flash_state(carrying) == flash_state(reference)
+    assert check_predictions(carrying, 0) == check_predictions(reference, 0)
+    ours, theirs = fitted(carrying), fitted(reference)
+    assert ours[0] < theirs[0] and ours[1] < theirs[1], (ours, theirs)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a carried segment keeps its deeper level until a compaction lifts it; "
+    "ROADMAP item 7 lever (iii) would lift it to level 0 when nothing above overlaps it",
+)
+def test_carrying_holds_no_more_segments_than_relearning():
+    """The claim the design does not keep yet.  On the gap history carrying
+    holds 146 segments against 138: the fourth compaction stops at its
+    first pass that does not shrink the table and leaves six levels under
+    carry against five under relearn."""
+    carrying, reference = gap_history()
+    segments = [ssd.ftl.table.segment_count() for ssd in (carrying, reference)]
+    assert segments[0] <= segments[1], segments
 
 
 def test_a_migration_carries_whole_owners_and_counts_them():
@@ -193,7 +238,7 @@ def test_leaftl_programs_and_erases_like_the_page_map(steps, seed):
     learned = device(leaftl(LeaFTL, 0), "sync", dram)
     exact = device(PageLevelFTL(), "sync", dram)
     for ssd in (learned, exact):
-        ssd.run(aging(seed), drain=False, queue_depth=1)
+        ssd.run(aging(CONFIG, seed), drain=False, queue_depth=1)
         for item in steps:
             apply(ssd, item)
     assert learned.stats.peak_mapping_bytes <= dram.mapping_budget()

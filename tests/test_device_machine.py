@@ -106,7 +106,12 @@ class FixCounting(SimulatedSSD):
 
     def _misprediction_reads(self, lpa: int, ppa: int) -> Tuple[int, Sequence[int]]:
         before = self.stats.mispredictions
+        lea = self.ftl.lea_stats if isinstance(self.ftl, LeaFTL) else None
+        lea_before = 0 if lea is None else lea.mispredictions
         sensed, fixes = super()._misprediction_reads(lpa, ppa)
+        if lea is not None:
+            # The device and LeaFTL each count a misprediction once.
+            assert lea.mispredictions - lea_before == self.stats.mispredictions - before
         if self.stats.mispredictions > before:
             first = sensed - self._oob_window
             named = any(
@@ -132,9 +137,7 @@ def check_fix_bound(ssd: FixCounting, gamma: int) -> None:
     if not isinstance(ssd.ftl, LeaFTL):
         assert ssd.fixes == []
         return
-    lea = ssd.ftl.lea_stats
-    assert lea.mispredictions == lea.oob_corrections + lea.oob_correction_failures
-    assert lea.mispredictions == len(ssd.fixes)
+    assert ssd.ftl.lea_stats.mispredictions == len(ssd.fixes)
 
 
 def check_reads(ssd: FixCounting) -> None:

@@ -199,7 +199,7 @@ class TestRunExperiment:
             if key.startswith(("ftl.", "leaftl.", "mapping_table.")) and value
         }
         assert stale == {}
-        assert ssd.ftl.lea_stats.levels_histogram == {}
+        assert ssd.ftl.table.stats.levels_histogram == {}
 
     def test_run_schemes_shares_trace(self):
         results = run_schemes("MSR-prxy", FAST.scaled(warmup=False))

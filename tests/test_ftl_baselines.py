@@ -47,10 +47,7 @@ class TestDFTL:
     def test_dirty_eviction_flushes_whole_translation_page_batch(self):
         """Evicting one dirty entry write-backs every dirty sibling of its
         translation page and charges exactly one read-modify-write."""
-        from repro.config import DFTLConfig
-
-        config = DFTLConfig(entries_per_translation_page=4)
-        ftl = DFTL(mapping_budget_bytes=8 * 8, config=config)  # 8 entries fit
+        ftl = DFTL(mapping_budget_bytes=8 * 8, entries_per_translation_page=4)  # 8 entries fit
         # Fill the CMT with 8 dirty entries: TP 0 holds LPAs 0-3, TP 1 holds 4-7.
         ftl.update_batch([(lpa, 100 + lpa) for lpa in range(8)])
         reads_before = ftl.stats.translation_page_reads
@@ -81,6 +78,11 @@ class TestDFTL:
     def test_unmapped_lookup(self):
         ftl = DFTL()
         assert ftl.translate_range(999, 1)[0] is None
+
+    def test_memory_is_eight_bytes_per_entry(self):
+        ftl = DFTL(mapping_budget_bytes=None)  # every entry stays cached
+        ftl.update_batch([(lpa, lpa) for lpa in range(100)])
+        assert ftl.resident_bytes() == ftl.full_mapping_bytes() == 800
 
     def test_eviction_correctness_random_history(self):
         rng = random.Random(2)

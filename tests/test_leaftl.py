@@ -7,6 +7,8 @@ from array import array
 
 from repro.config import LeaFTLConfig
 from repro.core.leaftl import LeaFTL
+from repro.obs.registry import device_snapshot
+from tests.conftest import make_ssd
 
 
 class TestLeaFTLTranslation:
@@ -48,7 +50,8 @@ class TestLeaFTLTranslation:
         ftl.update_batch([(lpa, 100 + lpa) for lpa in range(10, 20)])
         ftl.translate(5)
         ftl.translate(40)
-        assert sum(ftl.lea_stats.levels_histogram.values()) == 2
+        # Both LPAs are answered by the first segment, demoted below the overwrite.
+        assert ftl.table.stats.levels_histogram == {2: 2}
 
 
 class TestMispredictionResolution:
@@ -87,3 +90,21 @@ class TestCompactionPolicy:
         ftl.maintenance()
         assert ftl.table.segment_count() == 1
         assert ftl.translate(5).ppa == 505
+
+
+def test_each_fact_has_one_counter():
+    """A replay with mispredictions and compactions exports each under one
+    key: the device counts a misprediction and LeaFTL splits the same count
+    into OOB corrections and failures; the table charges every lookup and
+    the FTL's ``lookups`` is its growth."""
+    rng = random.Random(3)
+    ssd = make_ssd(LeaFTL(LeaFTLConfig(gamma=4, compaction_interval_writes=2_000)))
+    ssd.run([("W", rng.randrange(8_000), 1) for _ in range(6_000)])
+    ssd.flush()
+    ssd.run([("R", rng.randrange(8_000), npages) for npages in (1, 4) * 300])
+    snapshot = device_snapshot(ssd).as_dict()
+    assert snapshot["ssd.mispredictions"] > 0
+    assert snapshot["leaftl.mispredictions"] == snapshot["ssd.mispredictions"]
+    assert snapshot["leaftl.compactions"] > 0
+    assert snapshot["ftl.lookups"] == snapshot["mapping_table.lookups"] > 0
+    assert not {"ftl.mispredictions", "mapping_table.compactions"} & set(snapshot)

@@ -242,6 +242,17 @@ class TestLookupStatsAccounting:
         assert table.stats.lookup_levels_total >= table.stats.lookups
         assert table.stats.mean_levels_per_lookup >= 1.0
 
+    def test_walk_histogram_counts_resolved_lookups_only(self):
+        """Figure 23a's histogram holds hits by depth; a miss charges
+        ``lookups`` and ``lookup_levels_total`` but no histogram bucket."""
+        table = make_table()
+        table.update([(lpa, 100 + lpa) for lpa in range(32)])
+        hit = table.lookup(7)
+        table.lookup(40)        # in-group miss
+        table.lookup(100_000)   # group miss
+        assert table.stats.levels_histogram == {hit.levels_searched: 1}
+        assert table.stats.lookups == 3
+
     def test_in_group_miss_counts_levels_searched(self):
         table = make_table()
         table.update([(0, 100)])   # group 0 exists, LPA 5 unmapped

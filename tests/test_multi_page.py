@@ -21,11 +21,12 @@ import dataclasses
 import math
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.config import DFTLConfig, LeaFTLConfig
+from repro.config import LeaFTLConfig
 from repro.core.leaftl import LeaFTL
 from repro.ftl.dftl import DFTL
 from repro.ftl.pagemap import PageLevelFTL
@@ -45,9 +46,7 @@ from tests.conftest import make_ssd
 #: (LeaFTL and PageMap are unbudgeted).
 FTL_FACTORIES = {
     "LeaFTL": lambda budget=None: LeaFTL(LeaFTLConfig(gamma=4)),
-    "DFTL": lambda budget=None: DFTL(
-        mapping_budget_bytes=budget, config=DFTLConfig(entries_per_translation_page=4)
-    ),
+    "DFTL": lambda budget=None: DFTL(mapping_budget_bytes=budget, entries_per_translation_page=4),
     "SFTL": lambda budget=None: SFTL(
         mapping_budget_bytes=budget, entries_per_translation_page=4
     ),
@@ -191,9 +190,9 @@ class TestLeaFTLTranslateRange:
 
     def test_random_history_equivalence(self):
         """Batched and per-page translation agree after a messy history: the
-        same PPA per page, and each page's walk searched the levels its
-        resolution run's record charges.  A run is a stretch of pages the
-        walk answers from one segment, a miss gap split at group edges."""
+        same PPA per page, and the table is charged once per resolution run
+        at the levels its pages' walk searched.  A run is a stretch of pages
+        the walk answers from one segment, a miss gap split at group edges."""
         rng = random.Random(42)
         ftl = LeaFTL(LeaFTLConfig(gamma=4))
         ppa = 0
@@ -202,17 +201,23 @@ class TestLeaFTLTranslateRange:
             length = rng.randint(1, 40)
             ftl.update_batch([(lpa, ppa + i) for i, lpa in enumerate(range(start, start + length))])
             ppa += length
-        assert ftl.translate_range(0, 960) == [ftl.translate(lpa).ppa for lpa in range(960)]
-        _ppas, runs = ftl.table.resolve_range(0, 960)
-        records = iter(runs)
-        previous: object = records  # no page's segment
-        for lpa in range(960):
-            single = ftl.translate(lpa)
+        walked = [ftl.translate(lpa) for lpa in range(960)]
+        runs, levels, histogram = 0, 0, Counter()
+        previous: object = walked  # no page's segment
+        for lpa, single in enumerate(walked):
+            assert single.levels_searched >= 1
             if single.segment is not previous or (single.segment is None and lpa % 256 == 0):
-                previous, record = single.segment, next(records)
-            assert record.segment is single.segment, f"run mismatch at LPA {lpa}"
-            assert record.levels_searched == single.levels_searched >= 1
-        assert next(records, None) is None
+                runs += 1
+                levels += single.levels_searched
+                histogram[single.levels_searched] += single.segment is not None
+            previous = single.segment
+        before = dataclasses.replace(ftl.table.stats)
+        before_histogram = Counter(before.levels_histogram)  # replace shares the dict
+        assert ftl.translate_range(0, 960) == [single.ppa for single in walked]
+        after = ftl.table.stats
+        assert after.lookups - before.lookups == runs
+        assert after.lookup_levels_total - before.lookup_levels_total == levels
+        assert Counter(after.levels_histogram) == before_histogram + histogram
 
 
     @pytest.mark.parametrize("gamma", [0, 4])
@@ -240,10 +245,7 @@ class TestLeaFTLTranslateRange:
 
 class TestDFTLTranslateRange:
     def _cold_dftl(self, entries=16, per_tp=4):
-        ftl = DFTL(
-            mapping_budget_bytes=None,
-            config=DFTLConfig(entries_per_translation_page=per_tp),
-        )
+        ftl = DFTL(mapping_budget_bytes=None, entries_per_translation_page=per_tp)
         for lpa in range(entries):
             ftl._flash_table[lpa] = 100 + lpa  # flash-resident, CMT cold
         return ftl

@@ -61,9 +61,9 @@ class TestNoisyNeighborIsolation:
 
     def test_slo_violations_track_isolation(self, sweep):
         """SLO accounting orders the arbiters the same way the tails do."""
-        fifo = sweep["fifo"]["reader"]["slo_violations"]
-        wrr = sweep["weighted_round_robin"]["reader"]["slo_violations"]
-        strict = sweep["strict_priority"]["reader"]["slo_violations"]
+        fifo = sweep["fifo"]["reader"]["slo_violations_read"]
+        wrr = sweep["weighted_round_robin"]["reader"]["slo_violations_read"]
+        strict = sweep["strict_priority"]["reader"]["slo_violations_read"]
         assert fifo > wrr >= 0
         assert fifo > strict >= 0
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import DFTLConfig, DRAMBudget, LeaFTLConfig, SSDConfig
+from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
 from repro.ftl.dftl import DFTL
 from repro.ssd.ssd import SimulatedSSD
@@ -27,9 +27,7 @@ LOGICAL_PAGES = 512
 FTLS = {
     "LeaFTL-g0": lambda: LeaFTL(LeaFTLConfig(gamma=0, compaction_interval_writes=300)),
     "LeaFTL-g4": lambda: LeaFTL(LeaFTLConfig(gamma=4, compaction_interval_writes=300)),
-    "DFTL": lambda: DFTL(
-        mapping_budget_bytes=64, config=DFTLConfig(entries_per_translation_page=8)
-    ),
+    "DFTL": lambda: DFTL(mapping_budget_bytes=64, entries_per_translation_page=8),
 }
 
 
