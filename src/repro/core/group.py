@@ -125,8 +125,18 @@ class LPAGroup:
     # ------------------------------------------------------------------ #
     # Update path (Algorithm 1, seg_update)
     # ------------------------------------------------------------------ #
-    def update(self, learned: LearnedSegment) -> None:
-        """Insert a freshly learned segment at the topmost level."""
+    def update(self, learned: LearnedSegment, relearn: bool) -> None:
+        """Insert a freshly learned segment at the topmost level.
+
+        ``relearn`` marks a reclaim migration's refit (Section 3.6): each
+        segment that owned one of the LPAs and now owns none leaves the
+        table first, with its CRB run and its level if that is left empty,
+        instead of shadowing below level 0 until a compaction.  "Owns none"
+        is read from the owner index, so an owner that loses its LPAs over
+        two migrations (one spanning blocks after an OOB-scan rebuild) goes
+        at the second.  A host flush keeps Algorithm 1's rule: it merges
+        within level 0 only.
+        """
         segment = learned.segment
         if segment.group_base != self.group_base:
             raise ValueError("segment belongs to a different group")
@@ -134,9 +144,30 @@ class LPAGroup:
             self.crb.insert_segment(segment, learned.lpas)
         owners = self._owners
         base = self.group_base
+        displaced: Dict[Optional[Segment], None] = (
+            {owners[lpa - base]: None for lpa in learned.lpas} if relearn else {}
+        )
         for lpa in learned.lpas:
             owners[lpa - base] = segment
+        for owner in displaced:
+            if owner is not None and owner not in self._owner_slots(owner):
+                self._drop(owner)
         self._insert_at_level(segment, 0)
+
+    def _owner_slots(self, segment: Segment) -> List[Optional[Segment]]:
+        """The owner index over ``segment``'s interval, which holds every
+        LPA it owns."""
+        start = segment.start_lpa - self.group_base
+        return self._owners[start : start + segment.length + 1]
+
+    def _drop(self, segment: Segment) -> None:
+        """Remove a segment that owns no LPA, its CRB run and an emptied level."""
+        level = segment.level
+        level.remove(segment)
+        if not segment.accurate:
+            self.crb.remove_segment(segment)
+        if level.is_empty:
+            self._drop_empty_levels()
 
     def _level_at(self, index: int) -> Level:
         while len(self._levels) <= index:
@@ -252,11 +283,10 @@ class LPAGroup:
         moved by one shift, and the moved intercept predicts each within the
         owner's bound (0 when accurate, else ``gamma``).
         """
+        if self._owner_slots(owner).count(owner) != len(points):
+            return None
         owners = self._owners
         base = self.group_base
-        start = owner.start_lpa - base
-        if owners[start : start + owner.length + 1].count(owner) != len(points):
-            return None
         lpa, ppa = points[0]
         shift = ppa - old_ppa[lpa]
         intercept = owner.intercept + shift

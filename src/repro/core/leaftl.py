@@ -143,9 +143,10 @@ class LeaFTL(FTL):
 
         Section 3.6 relearns migrated pages like a flush.  A candidate
         segment of that relearn made only of whole owners is carried
-        instead: re-based to its new PPAs in place, so the table gets the
-        same answers without a shadowed copy waiting for compaction
-        (:meth:`LogStructuredMappingTable.update`).
+        instead: re-based to its new PPAs in place.  A fitted one first
+        drops every segment it leaves owning no LPA.  Either way the table
+        gets the same answers, and no segment the migration empties waits
+        for a compaction (:meth:`LogStructuredMappingTable.update`).
         """
         return self._learn(mappings, old_ppas)
 

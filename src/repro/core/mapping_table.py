@@ -109,8 +109,12 @@ class LogStructuredMappingTable:
         pair moved from.  The cone walk then offers every candidate segment
         to its group's :meth:`repro.core.group.LPAGroup.carry`: one made of
         whole owners is carried (re-based in place) instead of fitted and
-        inserted, so it leaves no shadowed copy below level 0.  Carried
-        mappings and segments count as learned, and in ``*_carried``.
+        inserted.  Every other candidate is fitted, and each segment its
+        insert leaves owning no LPA is dropped first
+        (:meth:`repro.core.group.LPAGroup.update` with ``relearn``): no
+        segment a migration empties waits below level 0 for a compaction.
+        Carried mappings and segments count as learned, and in
+        ``*_carried``.
 
         Returns the fitted segments (used by tests and by the segment
         distribution experiments).
@@ -135,9 +139,10 @@ class LogStructuredMappingTable:
             carry = carry_whole
 
         learned = self._learner.learn(mappings, carry)
+        relearn = old_ppas is not None
         for item in learned:
             group_base = item.segment.group_base
-            self._group_for_base(group_base).update(item)
+            self._group_for_base(group_base).update(item, relearn)
             self._memory_stale.add(group_base)
         stats.batches_learned += 1
         stats.segments_learned += len(learned) + len(carried)

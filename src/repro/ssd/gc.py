@@ -326,9 +326,10 @@ class BackgroundGCController:
         a candidate segment made of whole owners (every LPA of each moved
         here by one PPA shift) instead of fitting it: re-based in place and
         re-verified, it meets the bound a relearned segment must (exact,
-        or within γ), so lookups still get §3.6's answers, without the
-        shadowed copy a relearn leaves below level 0 until compaction.
-        Which pages move, and where, is the same either way.
+        or within γ), so lookups still get §3.6's answers.  What it does
+        fit first drops each segment the fit leaves owning no LPA, which
+        would otherwise wait below level 0 for a compaction.  Which pages
+        move, and where, is the same either way.
         """
         flash = self._device.flash
         lpas: List[int] = []

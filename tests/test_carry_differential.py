@@ -19,12 +19,15 @@ its next block), the two tables pass ``validate()``, and every live LPA is
 predicted within ±γ.  While the layouts agree both tables learned the same
 mappings and the carrying one fitted no more of them, nor more segments:
 the cone walk closes the same candidates on both sides and carrying only
-skips fitting some.  At γ = 0 the translations are equal.  The carrying
-table may still hold *more* segments: a carried segment keeps its deeper
-level, and a compaction that stops early leaves it there (the strict xfail
-``test_carrying_holds_no_more_segments_than_relearning``).  The oracles are
-the whole-device machine's (``tests/test_device_machine.py``), which also
-checks the carrying device on its own, under background GC as well.
+skips fitting some.  At γ = 0 the translations are equal.  After every
+forced GC or wear pass no segment that owns no LPA is left in a level
+unless it was already there before the pass (``unowned_segments``): a
+refit drops each owner it empties.  The relearning reference migrates like
+a host flush and keeps them, so on the history where they used to stay
+behind at deeper levels the carrying table now holds no more segments
+(``test_carrying_holds_no_more_segments_than_relearning``).  The oracles
+are the whole-device machine's (``tests/test_device_machine.py``), which
+also checks the carrying device on its own, under background GC as well.
 
 A second property holds the layout against an exact FTL: at γ = 0 under
 sync GC, LeaFTL and the page-level map make the same flash programs and
@@ -48,7 +51,7 @@ from repro.ssd.recovery import recover
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
 from tests.test_device_machine import (
     DEEP, DEVICES, PINNED_CACHE, Step, aging, assert_gc_invariants, check_predictions,
-    force_reclaim,
+    force_reclaim, unowned_segments,
 )
 
 KB = 1024
@@ -144,8 +147,11 @@ def test_carry_keeps_the_relearned_layout_and_answers(gamma, steps, seed):
         ssd.run(aging(CONFIG, seed), drain=False, queue_depth=1)
     lockstep = True
     for index, item in enumerate(steps):
+        unowned = unowned_segments(carrying.ftl)
         for ssd in (carrying, reference):
             apply(ssd, item)
+        if item[0] in ("G", "L"):
+            assert unowned_segments(carrying.ftl) <= unowned, (index, item)
         # The cold stream opens its next block on the least busy channel.
         # At gamma > 0 the two tables mispredict different reads, and a fix
         # read on one side only can steer a later migration elsewhere: the
@@ -189,16 +195,11 @@ def test_the_gap_history_keeps_the_layout_answers_and_fitting_bound():
     assert ours[0] < theirs[0] and ours[1] < theirs[1], (ours, theirs)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a carried segment keeps its deeper level until a compaction lifts it; "
-    "ROADMAP item 7 lever (iii) would lift it to level 0 when nothing above overlaps it",
-)
 def test_carrying_holds_no_more_segments_than_relearning():
-    """The claim the design does not keep yet.  On the gap history carrying
-    holds 146 segments against 138: the fourth compaction stops at its
-    first pass that does not shrink the table and leaves six levels under
-    carry against five under relearn."""
+    """On the gap history carrying once held 146 segments against 138: the
+    fourth compaction stopped at its first pass that did not shrink the
+    table and left six levels under carry against five under relearn.  A
+    refit now drops each owner it empties, and carrying holds 112."""
     carrying, reference = gap_history()
     segments = [ssd.ftl.table.segment_count() for ssd in (carrying, reference)]
     assert segments[0] <= segments[1], segments

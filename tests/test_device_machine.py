@@ -32,6 +32,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
+from repro.core.segment import Segment
 from repro.flash.flash_array import PageState
 from repro.flash.oob import oob_size_for_gamma, required_oob_bytes
 from repro.ftl.base import FTL
@@ -229,6 +230,21 @@ def force_reclaim(ssd: SimulatedSSD, purpose: str, k: int) -> bool:
     return bool(blocks)
 
 
+def unowned_segments(ftl: FTL) -> Set[Segment]:
+    """The segments in a level of LeaFTL's table at which the level walk
+    stops for no LPA (none for another FTL).
+
+    A reclaim pass must add none: a refit drops each owner it empties."""
+    if not isinstance(ftl, LeaFTL):
+        return set()
+    unowned: Set[Segment] = set()
+    for group in ftl.table.groups():
+        base = group.group_base
+        owned = {group.lookup(lpa).segment for lpa in range(base, base + group.group_size)}
+        unowned.update(segment for segment in group.segments() if segment not in owned)
+    return unowned
+
+
 def read_runs(lpas: Iterable[int]) -> List[Step]:
     """Sorted LPAs as read commands, one per run of up to 16 consecutive LPAs."""
     runs: List[Step] = []
@@ -397,8 +413,10 @@ class DeviceMachine(RuleBasedStateMachine):
 
     @rule(purpose=st.sampled_from(["gc", "wear"]), k=st.integers(0, 63))
     def reclaim(self, purpose: str, k: int) -> None:
+        unowned = unowned_segments(self.ssd.ftl)
         if force_reclaim(self.ssd, purpose, k):
             self._note(f"forced {purpose} pass")
+        assert unowned_segments(self.ssd.ftl) <= unowned, "a pass left a segment it emptied"
         # A forced pass is not the controller's: keep it out of the labels.
         self._counts = self._outcome_counts()
 

@@ -71,6 +71,12 @@ from repro.verify import EventTraceDigest, run_once, stats_digest
 # ``ns.*.slo_write_us`` / ``slo_violations_write`` and the summed
 # ``ns.*.slo_violations``); every other value and both event traces are
 # unchanged.  Before: ``a8b9efa0a11ce202...`` and ``9246bc805c601d1d...``.
+# The sync-GC stats digest alone moved when a migration's refit began to
+# drop each owner it empties: the table ends at 10,532 B (was 15,452; peak
+# 15,452 -> 10,872), lookups search 1.198 levels (was 1.217), and the data
+# cache gets one more page (124 -> 125), so 4 fewer insertions and 5 fewer
+# evictions; every other counter and both event traces are unchanged.
+# Before: ``f5d7275af6d014bc...``.
 VERIFY_EVENTS = 840
 VERIFY_EVENT_DIGEST = (
     "0875aa7debbedba64ba567b77b7e98ab44363ec7abfb3372a3448b12c5356cd1"
@@ -84,7 +90,7 @@ GC_SYNC_EVENT_DIGEST = (
     "c2c0ccf34b99213f138dea79328f0949069e48c157146a7f76c9481f2a5de86a"
 )
 GC_SYNC_STATS_DIGEST = (
-    "f5d7275af6d014bcbae1b1688dd3ddc5eeb1b149f28928788a4ae02ca6a5f9b7"
+    "37c08577d08c2f9392152f80b65dba860665bccd7f30393ec80b90820e777cd3"
 )
 
 

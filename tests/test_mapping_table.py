@@ -108,6 +108,38 @@ class TestCompaction:
         assert table.memory_bytes() <= before
 
 
+class TestMigrationDropsEmptiedOwners:
+    """A migration's refit drops each segment it leaves owning no LPA; a
+    host flush leaves it below level 0 for a compaction (Algorithm 1)."""
+
+    @staticmethod
+    def history(migrate):
+        """[0, 8) in one segment, LPA 3 rewritten above it (demoting it to
+        level 2), then [0, 3) and [4, 8) moved over two batches, the second
+        cut into two candidates by the shifts, so no candidate is whole."""
+        table = make_table()
+        table.update([(lpa, lpa) for lpa in range(8)])
+        table.update([(3, 100)])
+        moves = [[(0, 200), (1, 201), (2, 202)], [(4, 300), (5, 301), (6, 400), (7, 401)]]
+        for batch in moves:
+            table.update(batch, [lpa for lpa, _ in batch] if migrate else None)
+            table.validate()
+        return table
+
+    def test_an_owner_emptied_over_two_migrations_leaves_with_its_level(self):
+        table = self.history(migrate=True)
+        assert table.stats.segments_carried == 0
+        group = table.groups()[0]
+        assert [len(level) for level in group.levels()] == [4]
+        assert [(table.lookup(lpa).ppa, table.lookup(lpa).levels_searched) for lpa in (3, 7)] == [
+            (100, 1), (401, 1)
+        ]
+
+    def test_a_host_flush_keeps_the_emptied_owner_below_level_0(self):
+        group = self.history(migrate=False).groups()[0]
+        assert [len(level) for level in group.levels()] == [4, 1]
+
+
 class TestMemoryAccounting:
     def test_memory_grows_with_fragmentation(self):
         sequential = make_table()
