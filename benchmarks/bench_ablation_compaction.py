@@ -8,6 +8,8 @@ workload and (b) how long one full compaction takes on the host CPU.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.memory import format_bytes
 from repro.analysis.report import print_report, render_table
 from repro.experiments.common import bench_scale, run_experiment
@@ -26,8 +28,9 @@ def test_ablation_compaction_interval(benchmark):
     def run_both():
         results = {}
         for label, interval in (("frequent", FREQUENT), ("disabled", 10**9)):
-            setup = memory_setup(gamma=0, request_scale=memory_scale()).scaled(
-                compaction_interval_writes=interval
+            setup = replace(
+                memory_setup(gamma=0, request_scale=memory_scale()),
+                compaction_interval_writes=interval,
             )
             results[label] = run_experiment("FIU-mail", "LeaFTL", setup)
         return results

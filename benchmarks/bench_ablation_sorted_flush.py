@@ -7,6 +7,8 @@ the number of learned segments (and therefore the mapping-table size).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.memory import format_bytes
 from repro.analysis.report import print_report, render_table
 from repro.experiments.common import run_experiment
@@ -23,8 +25,9 @@ def test_ablation_sorted_flush(benchmark):
         for workload in WORKLOADS:
             per_mode = {}
             for sorted_flush in (True, False):
-                setup = memory_setup(gamma=0, request_scale=memory_scale()).scaled(
-                    sort_buffer_on_flush=sorted_flush
+                setup = replace(
+                    memory_setup(gamma=0, request_scale=memory_scale()),
+                    sort_buffer_on_flush=sorted_flush,
                 )
                 per_mode[sorted_flush] = run_experiment(workload, "LeaFTL", setup)
             results[workload] = per_mode

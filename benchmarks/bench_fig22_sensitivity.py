@@ -7,6 +7,8 @@ SFTL at every point.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.latency import normalize
 from repro.analysis.report import print_report, render_series
 from repro.experiments.common import SCHEMES, scheme_grid
@@ -31,7 +33,7 @@ def _normalized_sums(setups):
 
 def test_fig22a_dram_size_sensitivity(benchmark):
     setup = perf_setup(dram_policy="cache_reserved")
-    setups = {dram: setup.scaled(dram_bytes=dram) for dram in DRAM_SIZES}
+    setups = {dram: replace(setup, dram_bytes=dram) for dram in DRAM_SIZES}
     table = run_once(benchmark, _normalized_sums, setups)
 
     print_report(render_series(
@@ -49,8 +51,8 @@ def test_fig22b_page_size_sensitivity(benchmark):
     # The paper fixes the number of flash pages while growing the page size,
     # so the capacity grows with it.
     setups = {
-        page: setup.scaled(
-            page_size=page, capacity_bytes=setup.capacity_bytes * (page // setup.page_size)
+        page: replace(
+            setup, page_size=page, capacity_bytes=setup.capacity_bytes * (page // setup.page_size)
         )
         for page in PAGE_SIZES
     }

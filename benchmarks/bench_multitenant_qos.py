@@ -18,6 +18,8 @@ p99 estimates stay meaningful at smoke scale).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.report import print_report, render_series
 from repro.experiments.multi_tenant import (
     NoisyNeighborScenario,
@@ -36,7 +38,8 @@ ARBITERS = ("fifo", "round_robin", "weighted_round_robin", "strict_priority")
 def _scenario() -> NoisyNeighborScenario:
     scale = bench_scale()
     base = NoisyNeighborScenario()
-    return base.scaled(
+    return replace(
+        base,
         reader_requests=max(800, int(base.reader_requests * scale)),
         writer_requests=max(256, int(base.writer_requests * scale)),
     )

@@ -26,7 +26,9 @@ Three demonstrations on a small LeaFTL device:
 
 from __future__ import annotations
 
-from repro import DRAMBudget, LeaFTL, LeaFTLConfig, SSDConfig, SimulatedSSD
+from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
+from repro.core.leaftl import LeaFTL
+from repro.ssd.ssd import SimulatedSSD
 from repro.workloads.trace import IORequest, Trace
 
 

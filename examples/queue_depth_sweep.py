@@ -29,6 +29,7 @@ inflates the latency of small reads.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from repro.analysis.report import print_report, render_series
 from repro.experiments.common import (
@@ -80,7 +81,7 @@ def main() -> None:
     rows = {}
     for depth in DEPTHS:
         result = run_experiment(
-            trace.name, "LeaFTL", setup.scaled(queue_depth=depth), trace=trace
+            trace.name, "LeaFTL", replace(setup, queue_depth=depth), trace=trace
         )
         rows[str(depth)] = read_metrics(result)
     print_report(

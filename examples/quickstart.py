@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import random
 
-from repro import DRAMBudget, LeaFTL, LeaFTLConfig, SSDConfig, SimulatedSSD
 from repro.analysis.memory import format_bytes
+from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
+from repro.core.leaftl import LeaFTL
+from repro.ssd.ssd import SimulatedSSD
 
 
 def main() -> None:

@@ -41,14 +41,10 @@ from repro.experiments.multi_tenant import (
     reader_tenant,
     writer_tenant,
 )
-from repro.obs import (
-    analyze_artifacts,
-    attach_telemetry,
-    device_snapshot,
-    diff_counters,
-    render_report,
-    request_spans,
-)
+from repro.obs.analyze import analyze_artifacts, diff_counters, request_spans
+from repro.obs.registry import device_snapshot
+from repro.obs.report import render_report
+from repro.obs.session import attach_telemetry
 from repro.verify import VERIFY_ARBITER, verify_scenario
 
 

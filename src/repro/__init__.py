@@ -5,11 +5,14 @@ page-level address mapping table of an SSD with error-bounded learned linear
 segments, shrinking the table's DRAM footprint and giving the saved memory
 back to the data cache.
 
-Public API overview
--------------------
+Packages
+--------
+Each package's ``__init__`` holds only its docstring: import a name from
+the module that defines it (``from repro.core.leaftl import LeaFTL``).
+
 ``repro.core``
     The learned mapping table: PLR learner, segments, CRB, log-structured
-    groups and the :class:`repro.core.LeaFTL` translation layer.
+    groups and the :class:`repro.core.leaftl.LeaFTL` translation layer.
 ``repro.ftl``
     The FTL interface and the baselines (DFTL, SFTL, ideal page map).
 ``repro.flash`` / ``repro.ssd``
@@ -32,71 +35,9 @@ Public API overview
 
 Quick start
 -----------
->>> from repro import LeaFTL, LeaFTLConfig, SSDConfig, SimulatedSSD
+>>> from repro.config import LeaFTLConfig, SSDConfig
+>>> from repro.core.leaftl import LeaFTL
+>>> from repro.ssd.ssd import SimulatedSSD
 >>> ssd = SimulatedSSD(SSDConfig.tiny(), LeaFTL(LeaFTLConfig(gamma=4)))
 >>> ssd.write(100); ssd.flush(); ssd.read(100)  # doctest: +SKIP
 """
-
-from repro.config import (
-    DRAMBudget,
-    LeaFTLConfig,
-    SSDConfig,
-)
-from repro.core import (
-    LeaFTL,
-    LogStructuredMappingTable,
-    PLRLearner,
-    Segment,
-    learn_segments,
-)
-from repro.ftl import DFTL, FTL, PageLevelFTL, SFTL
-from repro.host import (
-    ARBITERS,
-    HostInterface,
-    Namespace,
-    TokenBucket,
-    make_arbiter,
-)
-from repro.sim import EventLoop, HostFrontend, NANDScheduler, interleave_streams
-from repro.ssd import (
-    GCPolicy,
-    SimulatedSSD,
-    SSDOptions,
-    SSDStats,
-    make_gc_policy,
-)
-from repro.workloads import IORequest, Trace
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "DRAMBudget",
-    "LeaFTLConfig",
-    "SSDConfig",
-    "LeaFTL",
-    "LogStructuredMappingTable",
-    "PLRLearner",
-    "Segment",
-    "learn_segments",
-    "DFTL",
-    "FTL",
-    "PageLevelFTL",
-    "SFTL",
-    "ARBITERS",
-    "HostInterface",
-    "Namespace",
-    "TokenBucket",
-    "make_arbiter",
-    "EventLoop",
-    "HostFrontend",
-    "NANDScheduler",
-    "interleave_streams",
-    "GCPolicy",
-    "make_gc_policy",
-    "SimulatedSSD",
-    "SSDOptions",
-    "SSDStats",
-    "IORequest",
-    "Trace",
-    "__version__",
-]

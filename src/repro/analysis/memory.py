@@ -22,22 +22,6 @@ def reduction_factor(baseline_bytes: float, candidate_bytes: float) -> float:
     return baseline_bytes / candidate_bytes
 
 
-def reduction_table(footprints: Mapping[str, Mapping[str, float]], baseline: str) -> Dict[str, Dict[str, float]]:
-    """Per-workload reduction factors of every scheme relative to ``baseline``.
-
-    ``footprints`` maps workload -> scheme -> mapping-table bytes.
-    """
-    table: Dict[str, Dict[str, float]] = {}
-    for workload, by_scheme in footprints.items():
-        if baseline not in by_scheme:
-            raise KeyError(f"baseline {baseline!r} missing for workload {workload!r}")
-        base = by_scheme[baseline]
-        table[workload] = {
-            scheme: reduction_factor(base, size) for scheme, size in by_scheme.items()
-        }
-    return table
-
-
 def normalized_size(footprints: Mapping[str, float], baseline: str) -> Dict[str, float]:
     """Mapping-table size of each configuration normalized to ``baseline``.
 

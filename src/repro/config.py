@@ -188,10 +188,6 @@ class SSDConfig:
         )
         return replace(base, **overrides)  # type: ignore[arg-type]
 
-    def scaled(self, **overrides: object) -> "SSDConfig":
-        """Return a copy of this configuration with ``overrides`` applied."""
-        return replace(self, **overrides)  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
 class LeaFTLConfig:

@@ -277,10 +277,3 @@ class PLRLearner:
         for (lpa_a, _), (lpa_b, _) in zip(points, points[1:]):
             if lpa_a == lpa_b:
                 raise ValueError(f"duplicate LPA {lpa_a} in one learning batch")
-
-
-def learn_segments(
-    mappings: Sequence[Tuple[int, int]], gamma: int = 0, group_size: int = GROUP_SIZE
-) -> List[LearnedSegment]:
-    """Convenience wrapper: learn segments from a mapping batch."""
-    return PLRLearner(gamma=gamma, group_size=group_size).learn(mappings)

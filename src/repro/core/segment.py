@@ -328,7 +328,7 @@ class Segment:
             length=length,
             slope=slope,
             intercept=float(intercept),
-            accurate=(slope_bits & 1) == 0,
+            accurate=slope_is_accurate(slope),
         )
 
     # ------------------------------------------------------------------ #
@@ -349,8 +349,3 @@ class Segment:
 def group_base_of(lpa: int, group_size: int = GROUP_SIZE) -> int:
     """The base LPA of the group that contains ``lpa``."""
     return (lpa // group_size) * group_size
-
-
-def group_id_of(lpa: int, group_size: int = GROUP_SIZE) -> int:
-    """The group index that contains ``lpa``."""
-    return lpa // group_size

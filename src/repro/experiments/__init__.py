@@ -1,65 +1,1 @@
 """Experiment harness: per-figure experiment drivers built on the SSD model."""
-
-from repro.experiments.multi_tenant import (
-    ARBITER_CHOICES,
-    NoisyNeighborScenario,
-    build_tenant_host,
-    noisy_neighbor_sweep,
-    rate_limit_comparison,
-    run_noisy_neighbor,
-)
-from repro.experiments.recovery import (
-    RecoveryOutcome,
-    RecoveryScenario,
-    recovery_interval_sweep,
-    run_crash_recovery,
-)
-from repro.experiments.common import (
-    ALL_WORKLOADS,
-    ExperimentResult,
-    ExperimentSetup,
-    REAL_SSD_WORKLOADS,
-    SCHEMES,
-    SIMULATOR_WORKLOADS,
-    axis_grid,
-    bench_scale,
-    build_ftl,
-    build_ssd,
-    project,
-    run_experiment,
-    run_schemes,
-    scheme_grid,
-    warmup_ssd,
-    workload_by_name,
-    workload_for_setup,
-)
-
-__all__ = [
-    "ARBITER_CHOICES",
-    "NoisyNeighborScenario",
-    "build_tenant_host",
-    "noisy_neighbor_sweep",
-    "rate_limit_comparison",
-    "run_noisy_neighbor",
-    "RecoveryOutcome",
-    "RecoveryScenario",
-    "recovery_interval_sweep",
-    "run_crash_recovery",
-    "ALL_WORKLOADS",
-    "ExperimentResult",
-    "ExperimentSetup",
-    "REAL_SSD_WORKLOADS",
-    "SCHEMES",
-    "SIMULATOR_WORKLOADS",
-    "axis_grid",
-    "bench_scale",
-    "build_ftl",
-    "build_ssd",
-    "project",
-    "run_experiment",
-    "run_schemes",
-    "scheme_grid",
-    "warmup_ssd",
-    "workload_by_name",
-    "workload_for_setup",
-]

@@ -154,9 +154,6 @@ class ExperimentSetup:
     def dram_budget(self) -> DRAMBudget:
         return DRAMBudget(dram_bytes=self.dram_bytes, policy=self.dram_policy)
 
-    def scaled(self, **overrides: object) -> "ExperimentSetup":
-        return replace(self, **overrides)  # type: ignore[arg-type]
-
 
 @dataclass
 class ExperimentResult:
@@ -497,7 +494,7 @@ def axis_grid(
     """
     return {
         workload: {
-            value: run_experiment(workload, "LeaFTL", setup.scaled(**{axis: value}))
+            value: run_experiment(workload, "LeaFTL", replace(setup, **{axis: value}))
             for value in values
         }
         for workload in workloads

@@ -18,7 +18,7 @@ quantifies, arbiter by arbiter, against the reader's solo run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.experiments.common import ExperimentSetup, build_ssd, reset_measurement
@@ -96,9 +96,6 @@ class NoisyNeighborScenario:
     writer_burst_gap_us: float = 15_000.0
     #: Fraction of the writer namespace pre-filled during warm-up.
     writer_prefill_fraction: float = 0.1
-
-    def scaled(self, **overrides: object) -> "NoisyNeighborScenario":
-        return replace(self, **overrides)  # type: ignore[arg-type]
 
 
 def build_tenant_host(

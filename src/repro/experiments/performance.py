@@ -15,6 +15,7 @@ steady-state GC sweeps on a preconditioned device.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Sequence
 
 from repro.experiments.common import AGING_SEED, ExperimentSetup, aged_device
@@ -57,7 +58,7 @@ def aging_sweep(
     for policy in policies:
         row: Dict[float, Dict[str, float]] = {}
         for op_ratio in op_ratios:
-            setup = AGING_DEVICE.scaled(overprovisioning=op_ratio, gc_policy=policy)
+            setup = replace(AGING_DEVICE, overprovisioning=op_ratio, gc_policy=policy)
             ssd, requests = aged_device(
                 setup, num_requests, aging_seed=AGING_SEED, workload_seed=WORKLOAD_SEED
             )
@@ -86,9 +87,7 @@ def gc_mode_comparison(num_requests: int = 6000) -> Dict[str, Dict[str, float]]:
     """
     table: Dict[str, Dict[str, float]] = {}
     for gc_mode in ("sync", "background"):
-        setup = AGING_DEVICE.scaled(
-            overprovisioning=0.12, gc_mode=gc_mode, queue_depth=8
-        )
+        setup = replace(AGING_DEVICE, overprovisioning=0.12, gc_mode=gc_mode, queue_depth=8)
         ssd, requests = aged_device(
             setup, num_requests, aging_seed=AGING_SEED, workload_seed=WORKLOAD_SEED
         )

@@ -14,36 +14,3 @@ timestamps replays open-loop, any other stream closed-loop.
 * :mod:`repro.host.interface` — submission queues, the multi-queue
   admission frontend, and the user-facing :class:`HostInterface`.
 """
-
-from repro.host.arbiter import (
-    ARBITERS,
-    Arbiter,
-    FifoArbiter,
-    RoundRobinArbiter,
-    StrictPriorityArbiter,
-    TokenBucket,
-    WeightedRoundRobinArbiter,
-    make_arbiter,
-)
-from repro.host.interface import (
-    HostInterface,
-    MultiQueueFrontend,
-    SubmissionQueue,
-)
-from repro.host.namespace import Namespace, NamespaceStats
-
-__all__ = [
-    "ARBITERS",
-    "Arbiter",
-    "FifoArbiter",
-    "RoundRobinArbiter",
-    "StrictPriorityArbiter",
-    "TokenBucket",
-    "WeightedRoundRobinArbiter",
-    "make_arbiter",
-    "HostInterface",
-    "MultiQueueFrontend",
-    "SubmissionQueue",
-    "Namespace",
-    "NamespaceStats",
-]

@@ -13,23 +13,3 @@ replay is open-loop, keeps more than one request outstanding or runs
 background GC, letting foreground reads genuinely overlap background flush
 and GC traffic.
 """
-
-from repro.sim.events import Event, EventLoop, SimulationLimitError
-from repro.sim.frontend import (
-    FrontendStats,
-    HostFrontend,
-    OpenLoopFrontend,
-    interleave_streams,
-)
-from repro.sim.nand import NANDScheduler
-
-__all__ = [
-    "Event",
-    "EventLoop",
-    "SimulationLimitError",
-    "FrontendStats",
-    "HostFrontend",
-    "OpenLoopFrontend",
-    "NANDScheduler",
-    "interleave_streams",
-]

@@ -100,6 +100,7 @@ from repro.flash.allocator import BlockAllocator
 from repro.flash.flash_array import FlashArray
 from repro.flash.oob import validate_gamma_fits_oob
 from repro.ftl.base import FTL
+from repro.host.arbiter import ARBITERS
 from repro.sim.events import Event, EventLoop
 from repro.sim.frontend import (
     REPLAY_MODES,
@@ -177,11 +178,6 @@ class SimulatedSSD:
         check_queue_depth(self.options.queue_depth)
         if self.options.gc_mode not in GC_MODES:
             raise ValueError(f"gc_mode must be one of {GC_MODES}")
-        # Imported lazily: the host package is the layer *above* this one
-        # (host.namespace imports repro.ssd.stats), so a module-level
-        # import here would create an import-time cycle.
-        from repro.host.arbiter import ARBITERS
-
         if self.options.arbiter not in ARBITERS:
             raise ValueError(f"arbiter must be one of {ARBITERS}")
 
@@ -226,7 +222,8 @@ class SimulatedSSD:
         #: default) costs a single predicate per flush and nothing else.
         self.checkpointer: Optional[Any] = None
         #: Telemetry session (:class:`repro.obs.session.Telemetry`);
-        #: duck-typed for the same import-cycle reason as ``checkpointer``.
+        #: duck-typed because :meth:`submit` dereferences it under
+        #: ``_wants_breakdowns``, not under an ``is not None`` test.
         #: ``None`` (telemetry off) keeps every hook at one predicate.
         self.telemetry: Optional[Any] = None
         #: Whether :meth:`submit` reports to the tracer; set by
@@ -242,8 +239,8 @@ class SimulatedSSD:
         #: with the components of its slowest page (the critical path).
         self._attr: Optional[Dict[str, float]] = None
         if self.options.telemetry != "off":
-            # Lazy import: repro.obs sits above this module in the layer
-            # stack (its registry imports repro.ssd.stats).
+            # Lazy import: a device with telemetry off loads no repro.obs
+            # module.
             from repro.obs.session import attach_telemetry
 
             attach_telemetry(self, self.options.telemetry)

@@ -135,7 +135,8 @@ def verify_scenario(seed: int = 1234, scale: float = 1.0) -> NoisyNeighborScenar
     smoke runs.
     """
     return NoisyNeighborScenario(
-        device=NOISY_NEIGHBOR_DEVICE.scaled(
+        device=replace(
+            NOISY_NEIGHBOR_DEVICE,
             capacity_bytes=64 * 1024 * 1024,
             channels=4,
             dies_per_channel=4,

@@ -22,7 +22,6 @@ from repro.analysis.memory import (
     length_histogram,
     normalized_size,
     reduction_factor,
-    reduction_table,
 )
 from repro.analysis.report import render_series, render_table
 from repro.obs.registry import snapshot_stats
@@ -101,10 +100,6 @@ class TestMemoryHelpers:
     def test_reduction_factor(self):
         assert reduction_factor(100, 25) == 4.0
         assert reduction_factor(100, 0) == float("inf")
-
-    def test_reduction_table(self):
-        table = reduction_table({"wl": {"DFTL": 100, "LeaFTL": 20}}, baseline="DFTL")
-        assert table["wl"]["LeaFTL"] == 5.0
 
     def test_normalized_size(self):
         sizes = normalized_size({"g0": 100.0, "g16": 60.0}, "g0")

@@ -33,19 +33,18 @@ from repro.experiments.multi_tenant import (
     writer_tenant,
 )
 from repro.ftl.pagemap import PageLevelFTL
-from repro.obs import (
+from repro.obs.analyze import (
     analyze_artifacts,
-    attach_telemetry,
     attribute_requests,
-    device_snapshot,
     diff_counters,
     diff_metrics,
     namespace_scorecard,
-    render_diff,
-    render_report,
     request_spans,
     tail_blame,
 )
+from repro.obs.registry import device_snapshot
+from repro.obs.report import render_diff, render_report
+from repro.obs.session import attach_telemetry
 from repro.obs.__main__ import run_multi_tenant, run_steady_state
 from repro.ssd.recovery import recover
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
@@ -156,9 +155,7 @@ class TestAttribution:
     def test_fifo_noisy_neighbor_blames_contention_not_nand(self):
         """The acceptance diagnosis: under FIFO admission the reader's
         p99 is queueing/GC interference, not NAND service time."""
-        scenario = NoisyNeighborScenario().scaled(
-            reader_requests=300, writer_requests=120
-        )
+        scenario = NoisyNeighborScenario(reader_requests=300, writer_requests=120)
         ssd, host = build_tenant_host(scenario, "fifo")
         telemetry = attach_telemetry(ssd, "trace", host=host)
         host.run({"reader": reader_tenant(scenario), "writer": writer_tenant(scenario)})
@@ -369,9 +366,7 @@ class TestScorecard:
     def test_experiment_tables_carry_scorecard(self):
         from repro.experiments.multi_tenant import run_noisy_neighbor
 
-        scenario = NoisyNeighborScenario().scaled(
-            reader_requests=200, writer_requests=80
-        )
+        scenario = NoisyNeighborScenario(reader_requests=200, writer_requests=80)
         table = run_noisy_neighbor("weighted_round_robin", scenario)
         assert set(table["scorecard"]) == {"reader", "writer"}
         for entry in table["scorecard"].values():

@@ -60,8 +60,8 @@ class TestSSDConfig:
         with pytest.raises(ValueError, match=f"^{field} must be positive"):
             SSDConfig.tiny(**{field: value})
 
-    def test_scaled_override(self):
-        config = SSDConfig.tiny().scaled(channels=8)
+    def test_tiny_override(self):
+        config = SSDConfig.tiny(channels=8)
         assert config.channels == 8
         assert config.capacity_bytes == SSDConfig.tiny().capacity_bytes
 

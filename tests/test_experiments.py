@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import replace
 import importlib
 import pkgutil
 import re
@@ -77,21 +78,21 @@ class TestBuilders:
             build_ftl("bogus", FAST)
 
     def test_build_ssd_respects_gamma(self):
-        setup = FAST.scaled(gamma=4)
+        setup = replace(FAST, gamma=4)
         ssd = build_ssd("LeaFTL", setup)
         assert ssd.ftl.config.gamma == 4
 
     def test_setup_scaled_override(self):
-        assert FAST.scaled(gamma=16).gamma == 16
+        assert replace(FAST, gamma=16).gamma == 16
         assert FAST.gamma == 0
 
     def test_spare_area_is_derived_from_gamma(self):
         """gamma = 16 needs a 132-byte OOB window: the setup sizes the spare
         itself instead of raising at device construction."""
         assert FAST.ssd_config().oob_size == 128
-        assert FAST.scaled(gamma=15).ssd_config().oob_size == 128
-        assert FAST.scaled(gamma=16).ssd_config().oob_size == 256
-        assert build_ssd("LeaFTL", FAST.scaled(gamma=16)).ftl.config.gamma == 16
+        assert replace(FAST, gamma=15).ssd_config().oob_size == 128
+        assert replace(FAST, gamma=16).ssd_config().oob_size == 256
+        assert build_ssd("LeaFTL", replace(FAST, gamma=16)).ftl.config.gamma == 16
 
 
 @pytest.mark.parametrize(
@@ -116,8 +117,8 @@ def test_setup_rejects_out_of_range_fields_by_name(name, value):
     with pytest.raises(ValueError, match=name):
         ExperimentSetup(**{name: value})
     with pytest.raises(ValueError, match=name):
-        FAST.scaled(**{name: value})
-    FAST.scaled(warmup_fraction=0.0).scaled(warmup_fraction=1.0)
+        replace(FAST, **{name: value})
+    replace(replace(FAST, warmup_fraction=0.0), warmup_fraction=1.0)
 
 
 class TestSettableSurface:
@@ -170,7 +171,7 @@ class TestSettableSurface:
 
 class TestRunExperiment:
     def test_run_without_warmup(self):
-        setup = FAST.scaled(warmup=False)
+        setup = replace(FAST, warmup=False)
         result = run_experiment("MSR-hm", "LeaFTL", setup)
         assert result.mapping_full_bytes > 0
         assert result.stats.host_write_pages > 0
@@ -183,7 +184,7 @@ class TestRunExperiment:
 
     def test_reset_measurement_clears_every_ftl_counter(self):
         """Compactions and the table's learning counters used to survive it."""
-        ssd = build_ssd("LeaFTL", FAST.scaled(compaction_interval_writes=2_000))
+        ssd = build_ssd("LeaFTL", replace(FAST, compaction_interval_writes=2_000))
         for lpa in range(0, 8192, 64):
             ssd.submit("W", lpa, 64)
         ssd.flush()
@@ -202,7 +203,7 @@ class TestRunExperiment:
         assert ssd.ftl.table.stats.levels_histogram == {}
 
     def test_run_schemes_shares_trace(self):
-        results = run_schemes("MSR-prxy", FAST.scaled(warmup=False))
+        results = run_schemes("MSR-prxy", replace(FAST, warmup=False))
         assert set(results) == set(SCHEMES)
         writes = {r.stats.host_write_pages for r in results.values()}
         assert len(writes) == 1  # identical workload replayed for each scheme
@@ -211,7 +212,7 @@ class TestRunExperiment:
         """LeaFTL accepts a mapping budget and ignores it (its table is
         always resident), so a cell whose table outgrows the budget must
         fail instead of quietly running LeaFTL on free DRAM."""
-        setup = FAST.scaled(warmup=False, dram_bytes=2 * 1024, dram_policy="cache_reserved")
+        setup = replace(FAST, warmup=False, dram_bytes=2 * 1024, dram_policy="cache_reserved")
         budget = setup.dram_budget().mapping_budget()
         with pytest.raises(MappingBudgetExceeded, match=f"over the {budget} B mapping budget"):
             run_experiment("MSR-hm", "LeaFTL", setup)
@@ -219,7 +220,7 @@ class TestRunExperiment:
         assert run_experiment("MSR-hm", "DFTL", setup).stats.host_write_pages > 0
 
     def test_leaftl_details_populated(self):
-        setup = FAST.scaled(warmup=False, gamma=4)
+        setup = replace(FAST, warmup=False, gamma=4)
         result = run_experiment("FIU-mail", "LeaFTL", setup)
         assert result.segment_lengths
         assert result.level_counts
@@ -244,7 +245,7 @@ class TestMemoisedCell:
 
     #: ``warmup_fraction`` is unread without a warm-up: values no other
     #: test uses, so these cells start out uncached.
-    SETUP = FAST.scaled(warmup=False, gamma=4, warmup_fraction=0.1501)
+    SETUP = replace(FAST, warmup=False, gamma=4, warmup_fraction=0.1501)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_memoised_cell_equals_fresh_run(self, scheme):
@@ -261,16 +262,16 @@ class TestMemoisedCell:
         assert run_experiment("FIU-mail", "LeaFTL", self.SETUP) is first
         # An equal setup built separately is the same cell; the replay mode
         # is part of the setup, so a different one is a different cell.
-        equal = FAST.scaled(warmup=False, gamma=4, warmup_fraction=0.1501)
+        equal = replace(FAST, warmup=False, gamma=4, warmup_fraction=0.1501)
         assert run_experiment("FIU-mail", "LeaFTL", equal) is first
         assert built == ["LeaFTL"]
-        opened = run_experiment("FIU-mail", "LeaFTL", equal.scaled(replay_mode="open"))
+        opened = run_experiment("FIU-mail", "LeaFTL", replace(equal, replay_mode="open"))
         assert opened is not first
         assert built == ["LeaFTL", "LeaFTL"]
         assert opened.stats.max_outstanding_requests > 1
 
     def test_explicit_trace_bypasses_the_memo(self, built):
-        setup = self.SETUP.scaled(warmup_fraction=0.1502)
+        setup = replace(self.SETUP, warmup_fraction=0.1502)
         trace = workload_for_setup("FIU-mail", setup)
         before = memoised_cell.cache_info()
         first = run_experiment("FIU-mail", "LeaFTL", setup, trace=trace)
@@ -287,7 +288,7 @@ class TestMemoisedCell:
 class TestGrids:
     """Each grid equals the per-cell calls it replaces."""
 
-    SETUP = FAST.scaled(warmup=False)
+    SETUP = replace(FAST, warmup=False)
     WORKLOADS = ("MSR-hm", "FIU-mail")
 
     def test_scheme_grid(self):
@@ -307,14 +308,14 @@ class TestGrids:
             assert list(cells) == list(gammas)
             for gamma, cell in cells.items():
                 assert cell is run_experiment(
-                    workload, "LeaFTL", self.SETUP.scaled(gamma=gamma)
+                    workload, "LeaFTL", replace(self.SETUP, gamma=gamma)
                 )
                 assert (cell.scheme, cell.gamma) == ("LeaFTL", gamma)
 
     def test_axis_grid_shares_cells_with_scheme_grid(self, built):
         """The gamma = 0 column of the axis grid is the LeaFTL column of the
         scheme grid — the overlap figures 5/10/12/15/19/20 no longer pay for."""
-        setup = self.SETUP.scaled(warmup_fraction=0.1503)
+        setup = replace(self.SETUP, warmup_fraction=0.1503)
         by_scheme = scheme_grid(("MSR-hm",), SCHEMES, setup)
         by_gamma = axis_grid(("MSR-hm",), "gamma", (0, 4), setup)
         assert by_gamma["MSR-hm"][0] is by_scheme["MSR-hm"]["LeaFTL"]

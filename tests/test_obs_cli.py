@@ -19,7 +19,7 @@ REPO = Path(__file__).resolve().parent.parent
 if str(REPO) not in sys.path:
     sys.path.insert(0, str(REPO))
 
-from repro.obs import ArtifactError, load_artifacts
+from repro.obs.analyze import ArtifactError, load_artifacts
 from repro.obs.__main__ import main
 
 #: One R request span (queue wait 40us, device 60us with a breakdown)

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.plr import PLRLearner, learn_segments
+from repro.core.plr import PLRLearner
 from repro.core.segment import GROUP_SIZE
 from repro.ssd.ssd import SSDOptions
 from tests.conftest import make_ssd
@@ -36,14 +36,14 @@ def covered_lpas(learned):
 class TestSequentialPatterns:
     def test_single_sequential_run_is_one_segment(self):
         mappings = [(lpa, 1000 + lpa) for lpa in range(100)]
-        learned = learn_segments(mappings, gamma=0)
+        learned = PLRLearner(gamma=0).learn(mappings)
         assert len(learned) == 1
         assert learned[0].accurate
         assert len(learned[0].lpas) == 100
 
     def test_strided_run_is_one_accurate_segment(self):
         mappings = [(10 + 4 * i, 500 + i) for i in range(30)]
-        learned = learn_segments(mappings, gamma=0)
+        learned = PLRLearner(gamma=0).learn(mappings)
         assert len(learned) == 1
         assert learned[0].accurate
         verify_error_bound(learned, mappings, 0)
@@ -52,8 +52,8 @@ class TestSequentialPatterns:
         # Pattern A: sequential; pattern B: regular stride 2.
         pattern_a = [(30 + i, 155 + i) for i in range(5)]
         pattern_b = [(60 + 2 * i, 200 + i) for i in range(5)]
-        learned_a = learn_segments(pattern_a, gamma=0)
-        learned_b = learn_segments(pattern_b, gamma=0)
+        learned_a = PLRLearner(gamma=0).learn(pattern_a)
+        learned_b = PLRLearner(gamma=0).learn(pattern_b)
         assert len(learned_a) == 1 and learned_a[0].accurate
         assert len(learned_b) == 1 and learned_b[0].accurate
 
@@ -61,8 +61,8 @@ class TestSequentialPatterns:
         # Pattern C of Figure 1: irregular stride, only learnable approximately.
         lpas = [80, 82, 83, 84, 87]
         mappings = [(lpa, 304 + i) for i, lpa in enumerate(lpas)]
-        exact = learn_segments(mappings, gamma=0)
-        relaxed = learn_segments(mappings, gamma=4)
+        exact = PLRLearner(gamma=0).learn(mappings)
+        relaxed = PLRLearner(gamma=4).learn(mappings)
         assert len(relaxed) < len(exact)
         verify_error_bound(relaxed, mappings, 4)
 
@@ -72,7 +72,7 @@ class TestRandomPatterns:
         rng = random.Random(7)
         lpas = rng.sample(range(0, 200, 7), 20)
         mappings = [(lpa, rng.randrange(10**6)) for lpa in sorted(lpas)]
-        learned = learn_segments(mappings, gamma=0)
+        learned = PLRLearner(gamma=0).learn(mappings)
         # Memory never exceeds page-level mapping: at most one segment each.
         assert len(learned) <= len(mappings)
         verify_error_bound(learned, mappings, 0)
@@ -81,14 +81,14 @@ class TestRandomPatterns:
         rng = random.Random(11)
         lpas = sorted(rng.sample(range(1000), 300))
         mappings = [(lpa, 5000 + i) for i, lpa in enumerate(lpas)]
-        learned = learn_segments(mappings, gamma=4)
+        learned = PLRLearner(gamma=4).learn(mappings)
         assert sorted(covered_lpas(learned)) == lpas
 
 
 class TestLearnerProperties:
     def test_duplicate_lpas_rejected(self):
         with pytest.raises(ValueError):
-            learn_segments([(1, 10), (1, 11)], gamma=0)
+            PLRLearner(gamma=0).learn([(1, 10), (1, 11)])
 
     @pytest.mark.parametrize("batch", [[(1, 11), (5, 3), (1, 10)], [(7, 2), (3, 9), (7, 2)]])
     def test_duplicate_lpas_rejected_in_any_order(self, batch):
@@ -96,7 +96,7 @@ class TestLearnerProperties:
         PPAs: the check names it like the LPA-keyed sort did."""
         lpa = batch[0][0]
         with pytest.raises(ValueError, match=f"^duplicate LPA {lpa} in one learning batch$"):
-            learn_segments(batch, gamma=0)
+            PLRLearner(gamma=0).learn(batch)
 
     @given(
         lpas=st.lists(st.integers(0, 4 * GROUP_SIZE), min_size=1, max_size=300, unique=True),
@@ -120,10 +120,11 @@ class TestLearnerProperties:
                 for segment in (item.segment,)
             ]
 
-        assert fields(learn_segments(shuffled, gamma)) == fields(learn_segments(mappings, gamma))
+        learner = PLRLearner(gamma=gamma)
+        assert fields(learner.learn(shuffled)) == fields(learner.learn(mappings))
 
     def test_empty_batch(self):
-        assert learn_segments([], gamma=0) == []
+        assert PLRLearner(gamma=0).learn([]) == []
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -131,7 +132,7 @@ class TestLearnerProperties:
 
     def test_segments_never_span_groups(self):
         mappings = [(250 + i, 900 + i) for i in range(12)]  # crosses LPA 256
-        learned = learn_segments(mappings, gamma=0)
+        learned = PLRLearner(gamma=0).learn(mappings)
         for item in learned:
             assert item.segment.end_lpa < item.segment.group_base + GROUP_SIZE
             assert item.segment.start_lpa >= item.segment.group_base
@@ -148,8 +149,8 @@ class TestLearnerProperties:
             lpa += rng.choice((1, 1, 1, 2, 3))
         counts = {}
         for gamma in (0, 4, 8):
-            counts[gamma] = len(learn_segments(mappings, gamma=gamma))
-            verify_error_bound(learn_segments(mappings, gamma=gamma), mappings, gamma)
+            counts[gamma] = len(PLRLearner(gamma=gamma).learn(mappings))
+            verify_error_bound(PLRLearner(gamma=gamma).learn(mappings), mappings, gamma)
         assert counts[4] <= counts[0]
         assert counts[8] <= counts[4]
 
@@ -168,7 +169,7 @@ class TestLearnerProperties:
             mappings.append((lpa, ppa))
             lpa += rng.choice((1, 1, 2, 3, 5, 17))
             ppa += 1
-        learned = learn_segments(mappings, gamma=gamma)
+        learned = PLRLearner(gamma=gamma).learn(mappings)
         verify_error_bound(learned, mappings, gamma)
         assert sorted(covered_lpas(learned)) == [l for l, _ in mappings]
 
@@ -180,7 +181,7 @@ class TestLearnerProperties:
         lpas = sorted(rng.sample(range(3000), rng.randint(1, 200)))
         mappings = [(lpa, rng.randrange(10**6)) for lpa in lpas]
         for gamma in (0, 4):
-            learned = learn_segments(mappings, gamma=gamma)
+            learned = PLRLearner(gamma=gamma).learn(mappings)
             verify_error_bound(learned, mappings, gamma)
 
 
@@ -227,7 +228,7 @@ class TestSplitFallback:
     @settings(max_examples=100, deadline=None)
     def test_any_batch_is_learned_within_the_bound(self, case):
         gamma, mappings = case
-        learned = learn_segments(mappings, gamma=gamma)
+        learned = PLRLearner(gamma=gamma).learn(mappings)
         assert sorted(covered_lpas(learned)) == [lpa for lpa, _ in mappings]
         verify_error_bound(learned, mappings, gamma)
         for item in learned:

@@ -10,7 +10,6 @@ from repro.core.segment import (
     SEGMENT_BYTES,
     Segment,
     group_base_of,
-    group_id_of,
     quantize_slope,
     slope_is_accurate,
 )
@@ -146,6 +145,5 @@ class TestGroupHelpers:
     @given(st.integers(min_value=0, max_value=10**9))
     def test_group_base_and_id_consistent(self, lpa):
         base = group_base_of(lpa)
-        gid = group_id_of(lpa)
-        assert base == gid * GROUP_SIZE
+        assert base == (lpa // GROUP_SIZE) * GROUP_SIZE
         assert base <= lpa < base + GROUP_SIZE

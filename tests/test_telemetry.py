@@ -30,28 +30,24 @@ if str(REPO) not in sys.path:
 
 import repro
 from repro.config import SSDConfig
-from repro.experiments.common import (
-    ExperimentSetup,
-    build_ssd,
-    precondition,
-    steady_state_workload,
-)
+from repro.experiments.common import ExperimentSetup, build_ssd
 from repro.experiments.multi_tenant import (
     build_tenant_host,
     reader_tenant,
     writer_tenant,
 )
 from repro.ftl.pagemap import PageLevelFTL
-from repro.obs import (
+from repro.obs import tracing
+from repro.obs.__main__ import check_trace_events, check_trace_file
+from repro.obs.registry import (
+    EXCLUDED_FIELDS,
+    REGISTERED_STATS,
     CounterSnapshot,
-    Tracer,
-    attach_telemetry,
     device_snapshot,
     snapshot_stats,
 )
-from repro.obs import tracing
-from repro.obs.__main__ import check_trace_events, check_trace_file
-from repro.obs.registry import EXCLUDED_FIELDS, REGISTERED_STATS
+from repro.obs.session import attach_telemetry
+from repro.obs.tracing import Tracer
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
 from repro.ssd.stats import SSDStats
 from repro.verify import VERIFY_ARBITER, EventTraceDigest, run_once, verify_scenario

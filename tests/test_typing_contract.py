@@ -7,9 +7,16 @@ the two mypy settings that are pure syntax properties —
 ``no_implicit_optional`` — over the same subtree ``mypy.ini`` scopes
 (``src/repro/{core,ftl,flash,sim,ssd}``), so an unannotated def or an
 implicit Optional fails fast locally instead of only in CI.
+
+It also holds the import contract: a package ``__init__`` is only its
+docstring, so each name has one import path (its defining module), and
+importing a module loads only what that module imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +83,31 @@ def test_mypy_config_scopes_the_same_subtree():
         assert f"src/repro/{package}" in text
     assert "disallow_untyped_defs = True" in text
     assert "no_implicit_optional = True" in text
+
+
+def test_package_inits_hold_only_a_docstring():
+    found = []
+    for path in sorted((REPO / "src" / "repro").rglob("__init__.py")):
+        body = ast.parse(path.read_text()).body
+        docstring = (
+            len(body) == 1
+            and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)
+        )
+        if not docstring:
+            found.append(str(path.relative_to(REPO)))
+    assert found == [], f"package __init__ files with statements besides the docstring: {found}"
+
+
+def test_namespace_imports_without_the_device_model():
+    """``repro.host.namespace`` sits below the device: importing it in a
+    fresh interpreter must not load ``repro.ssd.ssd``."""
+    src = str(REPO / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, repro.host.namespace; print(*sorted(m for m in sys.modules if m.startswith('repro')))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "repro.host.namespace" in loaded
+    assert "repro.ssd.ssd" not in loaded, f"loaded: {loaded}"

@@ -9,26 +9,21 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads import (
-    DATABASE_WORKLOAD_NAMES,
+from repro.workloads.database import DATABASE_WORKLOAD_NAMES, database_workload
+from repro.workloads.parser import TraceParseError, parse_msr_line, parse_msr_trace, write_msr_trace
+from repro.workloads.synthetic import (
     FIU_WORKLOAD_NAMES,
     MSR_WORKLOAD_NAMES,
     SYNTHETIC_PROFILES,
-    IORequest,
-    Trace,
-    TraceParseError,
     WorkloadProfile,
-    database_workload,
     generate,
     jittered_run,
-    parse_msr_line,
-    parse_msr_trace,
     sequential_run,
     strided_run,
     synthetic_workload,
-    write_msr_trace,
     zipf_lpa,
 )
+from repro.workloads.trace import IORequest, Trace
 
 
 class TestTrace:

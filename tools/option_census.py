@@ -3,7 +3,7 @@
 For every config / scenario dataclass under ``src/`` and every entry point in ``ENTRY_POINTS``: each field, its
 default and the distinct values callers pass, by who calls — ``lib`` (``src``, ``benchmarks``, ``tools``),
 ``examples``, ``tests`` (``tests/`` and any ``test_*.py``).  ``~`` marks a value arriving through a
-forwarder (``.scaled()``, ``replace()``, ``dict()``, ``*_setup()``, an ``axis_grid`` axis), attributed to
+forwarder (``replace()``, ``dict()``, ``*_setup()``, an ``axis_grid`` axis), attributed to
 every surface that has all the fields the call names.  Then every ``os.environ`` read.  A field whose
 ``lib`` column (plus the default, if a ``lib`` caller relies on it) shows one value is a constant.
 """
@@ -69,7 +69,7 @@ def census(found):
                 if surface in found:
                     for field, value in list(zip(found[surface], map(ast.unparse, node.args))) + passed:
                         uses[surface][field][where].add(value)
-                elif name in ("scaled", "replace", "dict", "axis_grid") or name.endswith("_setup"):
+                elif name in ("replace", "dict", "axis_grid") or name.endswith("_setup"):
                     if name == "axis_grid" and len(node.args) > 2 and isinstance(node.args[1], ast.Constant):
                         passed.append((node.args[1].value, ast.unparse(node.args[2])))
                     for surface, fields in found.items():
