@@ -68,6 +68,8 @@ def test_ablation_compaction_latency(benchmark):
         ppa += len(lpas)
 
     benchmark(table.compact)
+    if benchmark.disabled:  # --benchmark-disable runs it once, untimed
+        return
     compact_ms = benchmark.stats.stats.mean * 1e3
     print_report(render_table(
         ["metric", "value", "paper"],

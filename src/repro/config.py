@@ -24,7 +24,7 @@ modelled; :meth:`SSDConfig.paper_simulator` is the Table 1 device.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 KB = 1024
 MB = 1024 * KB
@@ -154,18 +154,18 @@ class SSDConfig:
     # Convenience constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def paper_simulator(cls, **overrides: object) -> "SSDConfig":
+    def paper_simulator(cls) -> "SSDConfig":
         """The Table 1 simulator configuration (2 TB, 4 KB pages, 1 GB DRAM)."""
-        return replace(cls(), **overrides)  # type: ignore[arg-type]
+        return cls()
 
     @classmethod
-    def small(cls, **overrides: object) -> "SSDConfig":
+    def small(cls) -> "SSDConfig":
         """A laptop-scale configuration for tests and examples.
 
         4 GB capacity keeps trace replay fast while preserving the same
         geometry ratios (16 channels, 256 pages/block) as the paper's setup.
         """
-        base = cls(
+        return cls(
             capacity_bytes=4 * GB,
             page_size=4 * KB,
             pages_per_block=256,
@@ -173,12 +173,11 @@ class SSDConfig:
             dram_size=16 * MB,
             write_buffer_bytes=1 * MB,
         )
-        return replace(base, **overrides)  # type: ignore[arg-type]
 
     @classmethod
-    def tiny(cls, **overrides: object) -> "SSDConfig":
+    def tiny(cls) -> "SSDConfig":
         """A minimal configuration for unit tests (256 MB, 4 channels)."""
-        base = cls(
+        return cls(
             capacity_bytes=256 * MB,
             page_size=4 * KB,
             pages_per_block=64,
@@ -186,7 +185,6 @@ class SSDConfig:
             dram_size=2 * MB,
             write_buffer_bytes=256 * KB,
         )
-        return replace(base, **overrides)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,6 @@ class ConflictResolutionBuffer:
         base = self._base
         return [base + offset for offset in self._runs.get(segment, b"")]
 
-    def contains_segment(self, segment: Segment) -> bool:
-        return segment in self._runs
-
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #

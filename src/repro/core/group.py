@@ -442,19 +442,17 @@ class LPAGroup:
     # Compaction (Algorithm 1, seg_compact)
     # ------------------------------------------------------------------ #
     def compact(self) -> None:
-        """Merge upper levels downward until no further space can be reclaimed."""
-        guard = len(self._levels) + self.segment_count() + 4
-        while len(self._levels) > 1 and guard > 0:
-            guard -= 1
-            before = (len(self._levels), self.segment_count())
-            top = self._levels.pop(0)
-            for segment in top.segments():
-                top.remove(segment)
+        """Drop the segments no owner slot names; merge levels down while that removes one."""
+        named = set(self._owners)
+        for segment in self.segments():
+            if segment not in named:
+                self._drop(segment)
+        levels = len(self._levels) + 1
+        while 1 < len(self._levels) < levels:
+            levels = len(self._levels)
+            for segment in self._levels.pop(0):  # the popped level is discarded
                 self._insert_at_level(segment, 0)
             self._drop_empty_levels()
-            after = (len(self._levels), self.segment_count())
-            if after >= before:
-                break
 
     def _drop_empty_levels(self) -> None:
         self._levels = [level for level in self._levels if not level.is_empty]

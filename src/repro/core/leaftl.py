@@ -161,7 +161,12 @@ class LeaFTL(FTL):
         return learned
 
     def maintenance(self) -> None:
-        """Compact the learned table (Section 3.7, once per ~1M writes)."""
+        """Compact the learned table (Section 3.7, once per ~1M writes).
+
+        Drops every segment that owns no LPA (what host flushes leave
+        below level 0) and flattens each group's levels; the device's data
+        cache takes the freed DRAM when it next resizes, after a flush.
+        """
         self.table.compact()
         self.lea_stats.compactions += 1
         self._writes_since_compaction = 0

@@ -221,7 +221,12 @@ class LogStructuredMappingTable:
     # Compaction
     # ------------------------------------------------------------------ #
     def compact(self) -> None:
-        """Compact every group (Section 3.7: run once per ~1M writes)."""
+        """Compact every group (Section 3.7: run once per ~1M writes).
+
+        Each group drops the segments its owner index no longer names,
+        with their CRB runs, then merges levels downward while that
+        removes a level (:meth:`repro.core.group.LPAGroup.compact`).
+        """
         for group in self._groups.values():
             group.compact()
         self._memory_stale.update(self._groups)

@@ -237,10 +237,6 @@ class Segment:
     def mark_removable(self) -> None:
         self.length = REMOVABLE
 
-    @property
-    def is_single_point(self) -> bool:
-        return self.length == 0
-
     def covers(self, lpa: int) -> bool:
         """True when ``lpa`` falls inside the segment's LPA interval."""
         length = self.length

@@ -73,7 +73,7 @@ class TestCRBBasics:
         seg = approx_segment(10, 4)
         crb.insert_segment(seg, [10, 11])
         crb.retain_lpas(seg, [])
-        assert not crb.contains_segment(seg)
+        assert crb.segment_count() == 0
         assert crb.size_bytes() == 0
 
     def test_same_start_lpa_segments_coexist(self):
@@ -92,7 +92,7 @@ class TestCRBBasics:
         seg = approx_segment(0, 3)
         crb.insert_segment(seg, [])
         assert crb.size_bytes() == 0
-        assert not crb.contains_segment(seg)
+        assert crb.segment_count() == 0
 
     def test_clear(self):
         crb = ConflictResolutionBuffer(0)
@@ -153,9 +153,6 @@ class DictCRB:
 
     def lpas_of(self, segment: Segment) -> List[int]:
         return list(self._lpas_of.get(segment, []))
-
-    def contains_segment(self, segment: Segment) -> bool:
-        return segment in self._lpas_of
 
     def insert_segment(self, segment: Segment, lpas: Iterable[int]) -> None:
         owned = sorted(set(lpas))
@@ -254,4 +251,3 @@ def test_crb_equals_the_dict_reference(group_base, group_size, data):
             assert crb.owner(lpa) is oracle.owner(lpa), (kind, lpa)
         for segment in segments:
             assert crb.lpas_of(segment) == oracle.lpas_of(segment), kind
-            assert crb.contains_segment(segment) == oracle.contains_segment(segment)

@@ -175,7 +175,7 @@ DEVICES = {
         write_buffer_bytes=8 * 4 * KB,
         overprovisioning=0.25,
     ),
-    "20-block": SSDConfig.tiny(capacity_bytes=4 * MB, overprovisioning=0.15),
+    "20-block": replace(SSDConfig.tiny(), capacity_bytes=4 * MB, overprovisioning=0.15),
 }
 #: The data cache at its floor whatever the mapping table's size.
 PINNED_CACHE = DRAMBudget(dram_bytes=1, min_cache_bytes=2 * 4 * KB)
@@ -234,7 +234,8 @@ def unowned_segments(ftl: FTL) -> Set[Segment]:
     """The segments in a level of LeaFTL's table at which the level walk
     stops for no LPA (none for another FTL).
 
-    A reclaim pass must add none: a refit drops each owner it empties."""
+    A reclaim pass must add none: a refit drops each owner it empties.
+    A compaction leaves none."""
     if not isinstance(ftl, LeaFTL):
         return set()
     unowned: Set[Segment] = set()
@@ -455,9 +456,17 @@ class DeviceMachine(RuleBasedStateMachine):
 
     @rule()
     def maintenance(self) -> None:
-        """LeaFTL's compaction; the baselines have no background work."""
-        if isinstance(self.ssd.ftl, LeaFTL):
-            self.ssd.ftl.maintenance()
+        """LeaFTL's compaction; the baselines have no background work.
+
+        Compaction leaves no segment owning no LPA, and no group deeper."""
+        ftl = self.ssd.ftl
+        if isinstance(ftl, LeaFTL):
+            levels = ftl.table.level_counts()
+            ftl.maintenance()
+            assert not unowned_segments(ftl), "compaction kept a segment owning no LPA"
+            assert all(
+                after <= before for before, after in zip(levels, ftl.table.level_counts())
+            ), "compaction deepened a group"
 
     @rule(first=command_lists, second=command_lists)
     def host_batch(self, first: List[Step], second: List[Step]) -> None:

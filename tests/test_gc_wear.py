@@ -19,6 +19,8 @@ Layered coverage:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SSDConfig
@@ -60,9 +62,9 @@ class TestGCPolicy:
         derives the hard watermark from them: min(0.04, threshold / 2) on a
         device where that exceeds one flush plus two blocks."""
         with pytest.raises(ValueError):
-            SSDConfig.tiny(gc_threshold=0.5, gc_restore=0.4)
+            replace(SSDConfig.tiny(), gc_threshold=0.5, gc_restore=0.4)
         for threshold, watermark in ((0.15, 0.04), (0.06, 0.03)):
-            ssd = make_ssd(config=SSDConfig.tiny(gc_threshold=threshold))
+            ssd = make_ssd(config=replace(SSDConfig.tiny(), gc_threshold=threshold))
             allocator = ssd.allocator
             while allocator.free_ratio() >= watermark:
                 assert not ssd.gc.below_hard_watermark()
@@ -70,7 +72,7 @@ class TestGCPolicy:
             assert ssd.gc.below_hard_watermark()
 
     def test_should_collect_tracks_free_ratio(self):
-        ssd = make_ssd(config=SSDConfig.tiny(gc_threshold=0.5, gc_restore=0.6))
+        ssd = make_ssd(config=replace(SSDConfig.tiny(), gc_threshold=0.5, gc_restore=0.6))
         assert not ssd.gc.should_collect()
         assert ssd.gc.should_stop()
         total = ssd.allocator.total_blocks
@@ -186,7 +188,7 @@ class TestStreamSeparation:
     def test_host_and_gc_data_never_share_a_block(self):
         """End to end: after a GC-heavy replay, every block holds pages of
         a single write stream (host flush vs migration)."""
-        config = SSDConfig.tiny(capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
+        config = replace(SSDConfig.tiny(), capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
         ssd = make_ssd(config=config)
         footprint = precondition(ssd, seed=11)
         ssd.run(steady_state_workload(footprint, 1000, seed=40))
@@ -198,7 +200,7 @@ class TestStreamSeparation:
 
 class TestBackgroundGC:
     def _aged_ssd(self, gc_mode, queue_depth=8):
-        config = SSDConfig.tiny(capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
+        config = replace(SSDConfig.tiny(), capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
         ssd = make_ssd(
             gamma=4,
             config=config,
@@ -275,7 +277,7 @@ class TestBackgroundGC:
     def test_serial_path_falls_back_to_sync_gc(self):
         """Background mode without an event loop (direct writes, drain
         flushes) must still reclaim space synchronously."""
-        config = SSDConfig.tiny(capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
+        config = replace(SSDConfig.tiny(), capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
         ssd = make_ssd(config=config, options=SSDOptions(gc_mode="background"))
         footprint = int(ssd.config.logical_pages * 0.9)
         for lpa in range(0, footprint, 64):
@@ -298,7 +300,7 @@ class TestGoldenAccounting:
     """
 
     def test_golden_gc_accounting(self):
-        config = SSDConfig.tiny(capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
+        config = replace(SSDConfig.tiny(), capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
         ssd = make_ssd(config=config)
         footprint = precondition(ssd, seed=11)
         stats = ssd.run(steady_state_workload(footprint, 2000, seed=23))

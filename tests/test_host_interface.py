@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,7 +229,7 @@ def _mixed_requests(seed, count, footprint):
     return requests
 
 
-_CONFIG = SSDConfig.tiny(capacity_bytes=128 * 1024 * 1024)
+_CONFIG = replace(SSDConfig.tiny(), capacity_bytes=128 * 1024 * 1024)
 _FOOTPRINT = 28_000
 
 
@@ -319,7 +320,7 @@ class _RecordingDevice:
         return at_us + 5.0 + (lpa % 7) * 30.0
 
 
-_SMALL = SSDConfig.tiny(capacity_bytes=16 * 1024 * 1024)
+_SMALL = replace(SSDConfig.tiny(), capacity_bytes=16 * 1024 * 1024)
 _SMALL_FOOTPRINT = 2048
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import LeaFTLConfig
@@ -113,12 +114,14 @@ class TestMigrationDropsEmptiedOwners:
     host flush leaves it below level 0 for a compaction (Algorithm 1)."""
 
     @staticmethod
-    def history(migrate):
-        """[0, 8) in one segment, LPA 3 rewritten above it (demoting it to
-        level 2), then [0, 3) and [4, 8) moved over two batches, the second
-        cut into two candidates by the shifts, so no candidate is whole."""
-        table = make_table()
-        table.update([(lpa, lpa) for lpa in range(8)])
+    def history(migrate, gamma=0):
+        """[0, 8) in one segment (approximate at gamma 4: its pages swap in
+        pairs), LPA 3 rewritten above it (demoting it to level 2), then
+        [0, 3) and [4, 8) moved over two batches, the second cut into two
+        candidates by the shifts, so no candidate is whole."""
+        table = make_table(gamma)
+        pages = [0, 2, 1, 3, 5, 4, 7, 6] if gamma else range(8)
+        table.update(list(zip(range(8), pages)))
         table.update([(3, 100)])
         moves = [[(0, 200), (1, 201), (2, 202)], [(4, 300), (5, 301), (6, 400), (7, 401)]]
         for batch in moves:
@@ -138,6 +141,26 @@ class TestMigrationDropsEmptiedOwners:
     def test_a_host_flush_keeps_the_emptied_owner_below_level_0(self):
         group = self.history(migrate=False).groups()[0]
         assert [len(level) for level in group.levels()] == [4, 1]
+
+    @pytest.mark.parametrize("gamma", [0, 4])
+    def test_compaction_drops_the_owner_a_host_flush_kept(self, gamma):
+        """LPA 1 rewritten once more buries [0, 3) between level 0 and the
+        emptied owner, so merging levels never reaches that owner; the
+        owner index does, and it leaves with its CRB run and its level."""
+        table = self.history(migrate=False, gamma=gamma)
+        table.update([(1, 500)])
+        group = table.groups()[0]
+        (emptied,) = group.levels()[2].segments()
+        assert emptied.accurate == (gamma == 0)
+        assert group.crb.lpas_of(emptied) == ([] if gamma == 0 else [0, 1, 2, 4, 5, 6, 7])
+        answers = [table.lookup(lpa) for lpa in range(8)]
+        table.compact()
+        table.validate()
+        assert [len(level) for level in group.levels()] == [4, 1]
+        assert emptied not in group.segments()
+        assert group.crb.segment_count() == 0
+        assert table.memory_bytes() == group.memory_bytes() == 48
+        assert [table.lookup(lpa) for lpa in range(8)] == answers
 
 
 class TestMemoryAccounting:

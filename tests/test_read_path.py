@@ -23,7 +23,7 @@ live LPA within ±gamma of it.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import pytest
@@ -320,7 +320,9 @@ def test_chunked_reads_equal_the_reference_through_stale_edge_windows(gamma):
 def test_a_window_naming_the_lpa_twice_lands_on_the_valid_copy():
     """Page 7's window names LPA 30 at PPA 3 (superseded) and at PPA 6 (live):
     the fix reads 6, with one extra read."""
-    ssd = FixCounting(SSDConfig.tiny(write_buffer_bytes=16 * KB), LeaFTL(LeaFTLConfig(gamma=4)))
+    ssd = FixCounting(
+        replace(SSDConfig.tiny(), write_buffer_bytes=16 * KB), LeaFTL(LeaFTLConfig(gamma=4))
+    )
     for lpa in (10, 11, 12, 30, 4, 5, 30, 31):  # two 4-page flushes
         ssd.write(lpa)
     assert ssd.live_mappings()[30] == 6
@@ -407,7 +409,7 @@ class _Mispredicts(PageLevelFTL):
 )
 def test_the_scan_and_the_nearest_page_skip_a_superseded_copy(flushes, lpa, predicted, live, reads):
     ftl = _Mispredicts(gamma=4)
-    ssd = FixCounting(SSDConfig.tiny(write_buffer_bytes=16 * KB), ftl)
+    ssd = FixCounting(replace(SSDConfig.tiny(), write_buffer_bytes=16 * KB), ftl)
     for batch in flushes:
         for page in batch:
             ssd.write(page)

@@ -10,6 +10,7 @@ pipeline races the host for the last free blocks.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List, Tuple
 
 import pytest
@@ -26,7 +27,7 @@ Request = Tuple[str, int, int]
 
 
 def small_device(gc_mode: str, queue_depth: int = 1, mb: int = 4, op: float = 0.25) -> SimulatedSSD:
-    config = SSDConfig.tiny(capacity_bytes=mb * MB, overprovisioning=op)
+    config = replace(SSDConfig.tiny(), capacity_bytes=mb * MB, overprovisioning=op)
     return SimulatedSSD(
         config,
         LeaFTL(LeaFTLConfig(gamma=2)),

@@ -15,6 +15,7 @@ checkpointer's argument checks.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.ssd.recovery import (
 from repro.ssd.ssd import SimulatedSSD, SSDOptions
 
 #: Small, low-OP device: GC stays active, so mid-GC crashes are reachable.
-CONFIG = SSDConfig.tiny(capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
+CONFIG = replace(SSDConfig.tiny(), capacity_bytes=24 * 1024 * 1024, overprovisioning=0.10)
 
 FTL_FACTORIES = {
     "LeaFTL-g4": lambda: LeaFTL(LeaFTLConfig(gamma=4, compaction_interval_writes=20_000)),

@@ -44,7 +44,6 @@ class TestSegmentPrediction:
     def test_single_point_segment(self):
         segment = Segment.single_point(group_base=0, lpa=42, ppa=777)
         assert segment.predict(42) == 777
-        assert segment.is_single_point
         assert segment.accurate
         assert segment.length == 0
 

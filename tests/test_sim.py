@@ -18,6 +18,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -515,7 +516,7 @@ def _mixed_requests(seed: int, count: int, footprint: int):
 #: Device used by the engine tests: small enough that the fill +
 #: overwrite passes of the contended workload push it past the GC
 #: threshold, so flush *and* GC traffic are both in play.
-_CONTENDED_CONFIG = SSDConfig.tiny(capacity_bytes=128 * 1024 * 1024)
+_CONTENDED_CONFIG = replace(SSDConfig.tiny(), capacity_bytes=128 * 1024 * 1024)
 _CONTENDED_FOOTPRINT = 28_000
 
 
@@ -594,7 +595,7 @@ class TestQueueDepthContention:
     def test_queue_depth_clamped_to_device_ncq(self):
         from repro.config import SSDConfig
 
-        config = SSDConfig.tiny(ncq_depth=4)
+        config = replace(SSDConfig.tiny(), ncq_depth=4)
         ssd = make_ssd(config=config, options=SSDOptions(queue_depth=64))
         assert ssd.effective_queue_depth == 4
 

@@ -120,7 +120,7 @@ class TestObserverComposition:
         from repro.ssd.recovery import CrashTimer, PowerFailure
 
         def crash_run(telemetry_mode):
-            config = SSDConfig.tiny(capacity_bytes=16 * 1024 * 1024)
+            config = dataclasses.replace(SSDConfig.tiny(), capacity_bytes=16 * 1024 * 1024)
             ssd = SimulatedSSD(
                 config,
                 PageLevelFTL(),
@@ -402,7 +402,7 @@ class TestCheckpointTracing:
     def test_checkpoint_spans_recorded(self):
         from repro.ssd.recovery import attach_checkpointer
 
-        config = SSDConfig.tiny(capacity_bytes=16 * 1024 * 1024)
+        config = dataclasses.replace(SSDConfig.tiny(), capacity_bytes=16 * 1024 * 1024)
         from repro.config import DRAMBudget, LeaFTLConfig
         from repro.core.leaftl import LeaFTL
 
