@@ -36,6 +36,11 @@ def perf_setup(**overrides: object) -> ExperimentSetup:
     Closed-loop unless a figure says otherwise: ``bench_fig18`` passes
     ``replay_mode="open"`` for its open-loop panel, whose latencies include
     the time requests waited for a saturated device.
+
+    The 100,000-write compaction interval is not scaled with
+    ``request_scale``: the LeaFTL cells of MSR-hm / MSR-prxy / MSR-usr /
+    FIU-mail never compact (warm-up plus replay write fewer pages), so the
+    level figures (12, 23a) report uncompacted tables (ROADMAP item 16).
     """
     defaults = dict(
         capacity_bytes=512 * 1024 * 1024,

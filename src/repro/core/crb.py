@@ -17,10 +17,12 @@ stored bytes plus one separator per segment.  Runs are keyed by segment
 identity, which avoids the paper's S_LPA-collision renaming rule (identity
 already disambiguates two segments that start at the same LPA).
 
-Beside the runs, the CRB keeps one owner slot per LPA offset, allocated
-with its first approximate segment: simulator state, like the group's owner
-index, that makes :meth:`ConflictResolutionBuffer.owner` a list read instead
-of a scan of the runs, and is not counted in the DRAM footprint.
+The runs are the CRB's only state.  Who owns an LPA
+(:meth:`ConflictResolutionBuffer.owner`) and whether a segment still owns
+one (:meth:`ConflictResolutionBuffer.has_lpa`) are read from them, and a
+new segment robs the older runs it overlaps by scanning the group's runs.
+A run holds at most one group of offsets, so each test is a short C-level
+byte scan.
 """
 
 from __future__ import annotations
@@ -36,11 +38,9 @@ class ConflictResolutionBuffer:
     def __init__(self, group_base: int, group_size: int = GROUP_SIZE) -> None:
         self._base = group_base
         self._size = group_size
-        #: segment -> the group-relative offsets it owns (ascending, never empty).
+        #: segment -> the group-relative offsets it owns (ascending, never
+        #: empty); no offset is in two runs.
         self._runs: Dict[Segment, bytearray] = {}
-        #: Per group-relative offset, the segment whose run holds it: empty
-        #: until the first insert, then ``group_size`` slots.
-        self._owner: List[Optional[Segment]] = []
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -59,8 +59,17 @@ class ConflictResolutionBuffer:
     def owner(self, lpa: int) -> Optional[Segment]:
         """The approximate segment that currently owns ``lpa`` (if any)."""
         offset = lpa - self._base
-        owner = self._owner
-        return owner[offset] if 0 <= offset < len(owner) else None
+        if 0 <= offset < self._size:
+            for segment, run in self._runs.items():
+                if offset in run:
+                    return segment
+        return None
+
+    def has_lpa(self, segment: Segment, lpa: int) -> bool:
+        """Whether ``segment``'s run holds ``lpa`` (Algorithm 2, ``has_lpa``)."""
+        run = self._runs.get(segment)
+        offset = lpa - self._base
+        return run is not None and 0 <= offset < self._size and offset in run
 
     def lpas_of(self, segment: Segment) -> List[int]:
         """The LPAs currently owned by ``segment`` (sorted, possibly empty)."""
@@ -82,38 +91,29 @@ class ConflictResolutionBuffer:
         offsets = sorted({lpa - base for lpa in lpas})
         if not offsets:
             return
-        if segment in self._runs:
+        runs = self._runs
+        if segment in runs:
             raise ValueError(f"{segment} is already registered in the CRB")
-        if offsets[0] < 0 or offsets[-1] >= self._size:
+        low, high = offsets[0], offsets[-1]
+        if low < 0 or high >= self._size:
             raise ValueError(
-                f"LPAs {base + offsets[0]}..{base + offsets[-1]} reach outside "
+                f"LPAs {base + low}..{base + high} reach outside "
                 f"the group [{base}, {base + self._size})"
             )
-        owner = self._owner
-        if not owner:
-            owner = self._owner = [None] * self._size
-        robbed: Dict[Segment, None] = {}
-        for offset in offsets:
-            previous = owner[offset]
-            if previous is not None:
-                robbed[previous] = None
-            owner[offset] = segment
-        for previous in robbed:
-            kept = bytearray([offset for offset in self._runs[previous] if owner[offset] is previous])
+        taken = set(offsets)
+        for previous, run in list(runs.items()):
+            if run[0] > high or run[-1] < low or taken.isdisjoint(run):
+                continue
+            kept = bytearray([offset for offset in run if offset not in taken])
             if kept:
-                self._runs[previous] = kept
+                runs[previous] = kept
             else:
-                del self._runs[previous]
-        self._runs[segment] = bytearray(offsets)
+                del runs[previous]
+        runs[segment] = bytearray(offsets)
 
     def remove_segment(self, segment: Segment) -> None:
         """Drop a segment and all LPAs it owns (segment removed from the table)."""
-        run = self._runs.pop(segment, None)
-        if run is None:
-            return
-        owner = self._owner
-        for offset in run:
-            owner[offset] = None
+        self._runs.pop(segment, None)
 
     def retain_lpas(self, segment: Segment, keep: Iterable[int]) -> None:
         """Restrict ``segment``'s run to ``keep`` (outdated LPAs dropped).
@@ -126,13 +126,7 @@ class ConflictResolutionBuffer:
             return
         base = self._base
         keep_offsets = {lpa - base for lpa in keep}
-        owner = self._owner
-        kept = bytearray()
-        for offset in run:
-            if offset in keep_offsets:
-                kept.append(offset)
-            else:
-                owner[offset] = None
+        kept = bytearray([offset for offset in run if offset in keep_offsets])
         if kept:
             self._runs[segment] = kept
         else:
@@ -140,4 +134,3 @@ class ConflictResolutionBuffer:
 
     def clear(self) -> None:
         self._runs.clear()
-        self._owner = []

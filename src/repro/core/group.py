@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.crb import ConflictResolutionBuffer
 from repro.core.level import Level
@@ -108,19 +108,15 @@ class LPAGroup:
     # ------------------------------------------------------------------ #
     def has_lpa(self, segment: Segment, lpa: int) -> bool:
         """Does ``segment`` currently encode a mapping for ``lpa``?"""
-        if not segment.covers(lpa):
-            return False
         if segment.accurate:
             return segment.has_lpa_accurate(lpa)
-        return self.crb.owner(lpa) is segment
+        return self.crb.has_lpa(segment, lpa)
 
     def covered_lpas(self, segment: Segment) -> List[int]:
         """The LPAs ``segment`` currently encodes (metadata or CRB driven)."""
-        if segment.is_removable:
-            return []
         if segment.accurate:
             return segment.covered_lpas_accurate_list()
-        return [lpa for lpa in self.crb.lpas_of(segment) if segment.covers(lpa)]
+        return self.crb.lpas_of(segment)
 
     # ------------------------------------------------------------------ #
     # Update path (Algorithm 1, seg_update)
@@ -184,13 +180,10 @@ class LPAGroup:
         level = self._level_at(level_index)
         level.insert(segment)
 
-        length = segment.length
-        end_lpa = segment.start_lpa + (length if length > 0 else 0)
-        for victim in level.overlapping(segment.start_lpa, end_lpa):
+        for victim in level.overlapping(segment.start_lpa, segment.end_lpa):
             if victim is segment:
                 continue
-            self._merge(segment, victim)
-            if victim.is_removable:
+            if self._merge(segment, victim):
                 level.remove(victim)
                 if not victim.accurate:
                     self.crb.remove_segment(victim)
@@ -233,82 +226,60 @@ class LPAGroup:
         candidate is carried when it is made only of *whole owners*: owner
         index segments every LPA of which is among the points, all moved by
         one PPA shift (one owner at gamma 0, where a fresh fit could fuse
-        no two owners without growing the table).  Each owner's intercept
-        takes its shift, and every point must then predict exactly from an
-        accurate owner and within ``gamma`` from an approximate one.  A
-        carried owner keeps its level, interval and CRB entries, and holds
-        its LPAs' newest mappings like the segment a fresh fit would learn.
+        no two owners without growing the table).  One pass over the points
+        groups them by owner, each owner taking the shift of its first
+        point, and checks that every point moved by its owner's shift and
+        that the re-based intercept predicts it exactly for an accurate
+        owner, within ``gamma`` for an approximate one.  A carried owner
+        keeps its level, interval and CRB entries, and holds its LPAs'
+        newest mappings like the segment a fresh fit would learn.
 
         Returns the carried owners; empty, with nothing changed, otherwise.
         """
         owners = self._owners
         base = self.group_base
-        first = owners[points[0][0] - base]
-        if first is None:
-            return []
-        intercept = self._rebased(first, points, old_ppa, gamma)
-        if intercept is not None:
-            first.intercept = intercept
-            return [first]
-        if gamma == 0:
-            return []
-        runs: Dict[Segment, List[Tuple[int, int]]] = {}
-        for point in points:
-            owner = owners[point[0] - base]
-            if owner is None:
-                return []
-            runs.setdefault(owner, []).append(point)
-        if len(runs) == 1:  # the one owner was just refused
-            return []
-        rebased: List[Tuple[Segment, float]] = []
-        for owner, owned in runs.items():
-            intercept = self._rebased(owner, owned, old_ppa, gamma)
-            if intercept is None:
-                return []
-            rebased.append((owner, intercept))
-        for owner, intercept in rebased:
-            owner.intercept = intercept
-        return [owner for owner, _ in rebased]
-
-    def _rebased(
-        self,
-        owner: Segment,
-        points: Sequence[Tuple[int, int]],
-        old_ppa: Mapping[int, int],
-        gamma: int,
-    ) -> Optional[float]:
-        """``owner``'s intercept moved by the shift of ``points``, or ``None``.
-
-        ``None`` unless ``points`` are exactly the LPAs ``owner`` owns, all
-        moved by one shift, and the moved intercept predicts each within the
-        owner's bound (0 when accurate, else ``gamma``).
-        """
-        if self._owner_slots(owner).count(owner) != len(points):
-            return None
-        owners = self._owners
-        base = self.group_base
-        lpa, ppa = points[0]
-        shift = ppa - old_ppa[lpa]
-        intercept = owner.intercept + shift
-        slope = owner.slope
-        limit = 0 if owner.accurate else gamma
+        total = len(points)
         ceil = math.ceil
+        shifts: Dict[Segment, int] = {}  # each owner met so far, in order
+        owned = 0  # the LPAs those owners own
+        owner: Optional[Segment] = None
+        shift = limit = 0
+        slope = intercept = 0.0
         for lpa, ppa in points:
+            at = owners[lpa - base]
+            if at is not owner:
+                if at is None:
+                    return []
+                owner = at
+                if owner not in shifts:
+                    # A point's owner owns its LPA, so the owners are whole
+                    # exactly when they own no LPA beyond the points; at
+                    # gamma 0 the first owner must own them all.
+                    owned += self._owner_slots(owner).count(owner)
+                    if owned > total or (gamma == 0 and owned < total):
+                        return []
+                    shifts[owner] = ppa - old_ppa[lpa]
+                shift = shifts[owner]
+                intercept = owner.intercept + shift
+                slope = owner.slope
+                limit = 0 if owner.accurate else gamma
             error = ceil(slope * (lpa - base) + intercept) - ppa
-            if (
-                owners[lpa - base] is not owner
-                or ppa - old_ppa[lpa] != shift
-                or error > limit
-                or -error > limit
-            ):
-                return None
-        return intercept
+            if ppa - old_ppa[lpa] != shift or error > limit or -error > limit:
+                return []
+        if owned != total:
+            return []
+        for owner, shift in shifts.items():
+            owner.intercept += shift
+        return list(shifts)
 
     # ------------------------------------------------------------------ #
     # Merge (Algorithm 2)
     # ------------------------------------------------------------------ #
-    def _merge(self, new: Segment, old: Segment) -> None:
+    def _merge(self, new: Segment, old: Segment) -> bool:
         """Remove from ``old`` every LPA that ``new`` now encodes.
+
+        Returns whether that left ``old`` no LPA: Algorithm 2's ``L = -1``,
+        on which the caller removes ``old`` from its level and the CRB.
 
         The paper's Algorithm 2 materializes per-LPA bitmaps over the union
         range; building the covered-LPA sets directly from segment metadata
@@ -327,16 +298,12 @@ class LPAGroup:
         """
         if new.accurate:
             n_start = new.start_lpa
-            n_len = new.length
-            n_end = n_start + n_len if n_len > 0 else n_start
+            n_end = new.end_lpa
             n_stride = new.stride
             if old.accurate:
                 o_stride = old.stride
                 first = old.start_lpa
-                o_len = old.length
-                o_last = (
-                    first + (o_len // o_stride) * o_stride if o_len > 0 else first
-                )
+                o_last = first + (old.length // o_stride) * o_stride
                 while (
                     first <= o_last
                     and n_start <= first <= n_end
@@ -344,8 +311,7 @@ class LPAGroup:
                 ):
                     first += o_stride
                 if first > o_last:
-                    old.mark_removable()
-                    return
+                    return True
                 last = o_last
                 while (
                     n_start <= last <= n_end and (last - n_start) % n_stride == 0
@@ -353,7 +319,7 @@ class LPAGroup:
                     last -= o_stride
                 old.start_lpa = first
                 old.length = last - first
-                return
+                return False
             remaining_list = [
                 lpa
                 for lpa in self.covered_lpas(old)
@@ -362,23 +328,22 @@ class LPAGroup:
                 )
             ]
             if not remaining_list:
-                old.mark_removable()
-                return
+                return True
             old.start_lpa = remaining_list[0]
             old.length = remaining_list[-1] - remaining_list[0]
             self.crb.retain_lpas(old, remaining_list)
-            return
+            return False
         remaining = set(self.covered_lpas(old))
         remaining.difference_update(self.covered_lpas(new))
         if not remaining:
-            old.mark_removable()
-            return
+            return True
         first = min(remaining)
         last = max(remaining)
         old.start_lpa = first
         old.length = last - first
         if not old.accurate:
             self.crb.retain_lpas(old, remaining)
+        return False
 
     # ------------------------------------------------------------------ #
     # Lookup (Algorithm 1, lookup)
@@ -462,20 +427,34 @@ class LPAGroup:
     # Validation (used by tests)
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Check the structural invariants of the group."""
+        """Check the structural invariants of the group.
+
+        Besides the levels and the owner index: the CRB runs are pairwise
+        disjoint, and each belongs to an approximate segment of the levels
+        and lies inside that segment's interval.
+        """
+        crb_lpas: Set[int] = set()
+        runs = 0
         for depth, level in enumerate(self._levels, start=1):
             assert level.depth == depth, "level depths are not 1..n"
             level.validate_sorted_non_overlapping()
             for segment in level:
-                assert not segment.is_removable, "removable segment left in a level"
                 assert segment.group_base == self.group_base
                 assert segment.level is level, (
                     f"{segment}: level back-reference is not the level holding it"
                 )
+                lpas = [] if segment.accurate else self.crb.lpas_of(segment)
+                if lpas:
+                    runs += 1
+                    assert segment.covers(lpas[0]) and segment.covers(lpas[-1]), (
+                        f"{segment}: CRB run {lpas} reaches outside its interval"
+                    )
+                    assert crb_lpas.isdisjoint(lpas), f"{segment}: CRB run shares an LPA"
+                    crb_lpas.update(lpas)
+        assert runs == self.crb.segment_count(), (
+            "a CRB run belongs to no approximate segment of the levels"
+        )
         for lpa, owner in enumerate(self._owners, start=self.group_base):
-            assert owner is None or not owner.is_removable, (
-                f"owner index holds a removable segment at LPA {lpa}"
-            )
             assert owner is self.lookup(lpa).segment, (
                 f"owner index disagrees with the level walk at LPA {lpa}"
             )

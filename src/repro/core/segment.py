@@ -16,6 +16,11 @@ Field      Bytes  Meaning
 ``I``      4      intercept
 =========  =====  =======================================================
 
+Algorithm 2 sets ``L = -1`` on a merge victim that lost every LPA, only to
+remove it right after; here the merge reports that outcome and the victim
+leaves its level at once, so ``L`` is never negative and the constructor
+refuses a negative length.
+
 Two segment types exist:
 
 * **accurate** segments predict the exact PPA for every covered LPA; their
@@ -50,10 +55,6 @@ GROUP_SIZE = 256
 
 #: DRAM bytes charged per segment (the 8-byte encoding above).
 SEGMENT_BYTES = 8
-
-#: Sentinel for ``length`` marking a segment as removable after a merge
-#: (Algorithm 2 sets ``L = -1``).
-REMOVABLE = -1
 
 _pack_half = struct.Struct("<e").pack
 _pack_bits = struct.Struct("<H").pack
@@ -153,13 +154,13 @@ class Segment:
         intercept: float,
         accurate: bool,
     ) -> None:
-        if start_lpa < group_base or start_lpa + (length if length > 0 else 0) >= group_base + GROUP_SIZE:
+        if length < 0:
+            raise ValueError(f"segment length {length} is negative")
+        if start_lpa < group_base or start_lpa + length >= group_base + GROUP_SIZE:
             raise ValueError(
                 f"segment [{start_lpa}, {start_lpa + length}] does not fit in group "
                 f"starting at {group_base}"
             )
-        if length > GROUP_SIZE - 1:
-            raise ValueError("segment length exceeds one group")
         self.group_base = group_base
         self.start_lpa = start_lpa
         self.length = length
@@ -227,34 +228,20 @@ class Segment:
     @property
     def end_lpa(self) -> int:
         """Last LPA of the covered interval (inclusive)."""
-        length = self.length
-        return self.start_lpa + (length if length > 0 else 0)
-
-    @property
-    def is_removable(self) -> bool:
-        return self.length == REMOVABLE
-
-    def mark_removable(self) -> None:
-        self.length = REMOVABLE
+        return self.start_lpa + self.length
 
     def covers(self, lpa: int) -> bool:
         """True when ``lpa`` falls inside the segment's LPA interval."""
-        length = self.length
         start = self.start_lpa
-        return length != REMOVABLE and start <= lpa <= start + (length if length > 0 else 0)
+        return start <= lpa <= start + self.length
 
     def overlaps(self, other: "Segment") -> bool:
         """True when the LPA intervals of the two segments intersect."""
-        if self.is_removable or other.is_removable:
-            return False
         return self.start_lpa <= other.end_lpa and other.start_lpa <= self.end_lpa
 
     def overlaps_range(self, start_lpa: int, end_lpa: int) -> bool:
-        length = self.length
-        if length == REMOVABLE:
-            return False
         start = self.start_lpa
-        return start <= end_lpa and start_lpa <= start + (length if length > 0 else 0)
+        return start <= end_lpa and start_lpa <= start + self.length
 
     def has_lpa_accurate(self, lpa: int) -> bool:
         """Membership test for accurate segments (Algorithm 2, ``has_lpa``).
@@ -262,15 +249,8 @@ class Segment:
         An accurate segment covers the regularly strided LPAs
         ``S, S + stride, S + 2*stride, ...`` within its interval.
         """
-        length = self.length
         start = self.start_lpa
-        if length == REMOVABLE or lpa < start:
-            return False
-        if length <= 0:
-            return lpa == start
-        if lpa > start + length:
-            return False
-        return (lpa - start) % self.stride == 0
+        return start <= lpa <= start + self.length and (lpa - start) % self.stride == 0
 
     def covered_lpas_accurate_list(self) -> List[int]:
         """The LPAs an accurate segment encodes (from its metadata), as a list.
@@ -279,13 +259,8 @@ class Segment:
         procedure calls this for every victim candidate, so avoiding a
         generator matters.
         """
-        length = self.length
-        if length == REMOVABLE:
-            return []
         start = self.start_lpa
-        if length == 0:
-            return [start]
-        return list(range(start, start + length + 1, self.stride))
+        return list(range(start, start + self.length + 1, self.stride))
 
     # ------------------------------------------------------------------ #
     # Prediction
@@ -304,8 +279,6 @@ class Segment:
         Layout: ``<BBHi`` — start offset (1 B), length (1 B), float16 slope
         bits (2 B), intercept as a rounded signed 32-bit integer (4 B).
         """
-        if self.is_removable:
-            raise ValueError("cannot encode a removable segment")
         offset = self.start_lpa - self.group_base
         slope_bits = _float16_bits(self.slope)
         intercept = int(round(self.intercept))

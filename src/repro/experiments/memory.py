@@ -17,7 +17,14 @@ from repro.experiments.common import ExperimentSetup
 
 
 def memory_setup(gamma: int = 0, request_scale: float = 0.25) -> ExperimentSetup:
-    """A setup tailored to footprint measurements (no warm-up, no budget)."""
+    """A setup tailored to footprint measurements (no warm-up, no budget).
+
+    Its 25,000-write compaction interval is not scaled with the replay: at
+    ``benchmarks.conftest.memory_scale()`` the LeaFTL cells of MSR-hm /
+    MSR-prxy / MSR-usr / FIU-mail compact 0 / 0 / 1 / 0 times, so the
+    footprint figures mostly report tables that were never compacted, not
+    the paper's periodically compacted steady state (ROADMAP item 16).
+    """
     return ExperimentSetup(
         gamma=gamma,
         warmup=False,
@@ -25,8 +32,6 @@ def memory_setup(gamma: int = 0, request_scale: float = 0.25) -> ExperimentSetup
         # A large DRAM so no scheme is budget-limited: we want the size each
         # scheme *needs*, not the size it was allowed.
         dram_bytes=512 * 1024 * 1024,
-        # Compact often enough (relative to the scaled-down traces) that the
-        # footprint reflects the paper's periodically-compacted steady state.
         compaction_interval_writes=25_000,
     )
 

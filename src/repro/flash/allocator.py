@@ -1,7 +1,7 @@
 """Flash block allocation with hot/cold write-stream separation.
 
-The allocator owns the free-block pool and hands out *active* blocks that the
-write path programs sequentially.  Three properties matter for LeaFTL:
+The allocator owns the free-block pool and hands out the open blocks that
+the write path programs sequentially.  Three properties matter for LeaFTL:
 
 * a flush of the LPA-sorted write buffer receives **consecutive PPAs** inside
   one (or a few) freshly allocated blocks, which is what lets the piecewise
@@ -16,8 +16,10 @@ write path programs sequentially.  Three properties matter for LeaFTL:
   GC victims a coherent lifetime profile (the separation that makes
   cost-benefit victim selection meaningful).
 
-The allocator also tracks which blocks are candidates for garbage collection
-(fully programmed, not free, not currently active).
+A block is open (*active*) only while it is a stream's programming
+frontier: the stream map is the one record of open blocks, and a block
+leaves it once full.  Every other programmed block is a candidate for
+garbage collection.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ class BlockAllocator:
         # allocation decisions made by iterating these structures are
         # bit-reproducible across runs and Python builds (simlint SIM003).
         self._free_blocks: List[Dict[int, None]] = [{} for _ in range(channels)]
-        self._active_blocks: Dict[int, None] = {}
-        #: Open (partially programmed, still active) block of each stream.
+        #: Open block of each stream, the allocator's only record of the
+        #: blocks the write path is still filling.
         self._stream_blocks: Dict[str, int] = {}
         self._next_channel = 0
         self.stats = AllocationStats()
@@ -82,7 +84,8 @@ class BlockAllocator:
         return self.free_block_count() / self._geometry.total_blocks
 
     def is_active(self, block: int) -> bool:
-        return block in self._active_blocks
+        """Whether ``block`` is a stream's open block."""
+        return block in self._stream_blocks.values()
 
     def stream_block(self, stream: str) -> Optional[int]:
         """The stream's currently open block, or ``None``."""
@@ -92,12 +95,13 @@ class BlockAllocator:
         """Blocks eligible for garbage collection.
 
         A block is a candidate when it has been (fully or partially)
-        programmed, is not in the free pool and is not an active block that
-        the write path is still filling.
+        programmed, is not in the free pool and is not a stream's open block
+        that the write path is still filling.
         """
+        open_blocks = tuple(self._stream_blocks.values())
         candidates = []
         for block in range(self._geometry.total_blocks):
-            if block in self._active_blocks:
+            if block in open_blocks:
                 continue
             # A free-pool block is erased (``release_block`` insists), so
             # the write-pointer test excludes the free pool as well.
@@ -109,24 +113,20 @@ class BlockAllocator:
     # ------------------------------------------------------------------ #
     # Allocation / reclamation
     # ------------------------------------------------------------------ #
-    def allocate_block(
-        self, channel: Optional[int] = None, stream: Optional[str] = None
-    ) -> int:
-        """Take a block out of the free pool and mark it active.
+    def allocate_block(self, stream: Optional[str] = None) -> int:
+        """Take a block out of the free pool.
 
-        When ``channel`` is ``None`` the allocator places the block by
-        stream: the hot (host) stream rotates across channels to spread
-        programs — and therefore later reads — over the whole array, while
-        the cold (migration) stream asks the NAND scheduler for the
-        least-busy channel so background traffic contends as little as
-        possible with foreground reads.  Within the chosen channel the
-        least-worn free block is returned.
+        The allocator places the block by stream: the hot (host) stream
+        rotates across channels to spread programs — and therefore later
+        reads — over the whole array, while the cold (migration) stream
+        asks the NAND scheduler for the least-busy channel so background
+        traffic contends as little as possible with foreground reads.
+        Within the chosen channel the least-worn free block is returned.
+        :meth:`frontier` records it as the stream's open block.
         """
         channels = self._geometry.channels
         order: List[int]
-        if channel is not None:
-            order = [channel]
-        elif stream == "cold":
+        if stream == "cold":
             with_free = [ch for ch in range(channels) if self._free_blocks[ch]]
             if not with_free:
                 raise OutOfSpaceError("no free flash block available")
@@ -146,7 +146,6 @@ class BlockAllocator:
             # pools fragile).
             block = min(pool, key=lambda b: (self._flash.erase_count(b), b))
             del pool[block]
-            self._active_blocks[block] = None
             self.stats.blocks_allocated += 1
             return block
         raise OutOfSpaceError("no free flash block available")
@@ -165,9 +164,7 @@ class BlockAllocator:
             raise ValueError(f"unknown stream {stream!r}; known: {STREAMS}")
         block = self._stream_blocks.get(stream)
         if block is None or self._flash.block_is_full(block):
-            if block is not None:
-                self.seal_block(block)
-                self._stream_blocks.pop(stream, None)
+            self._stream_blocks.pop(stream, None)
             block = self.allocate_block(stream=stream)
             self._stream_blocks[stream] = block
         pointer = self._flash.write_pointer(block)
@@ -175,24 +172,18 @@ class BlockAllocator:
         return block, next_ppa, self._geometry.pages_per_block - pointer
 
     def seal_if_full(self, block: int) -> None:
-        """Seal ``block`` (and release its stream slot) once fully written."""
+        """Release ``block``'s stream slot once it is fully written."""
         if not self._flash.block_is_full(block):
             return
-        self.seal_block(block)
         for stream, open_block in list(self._stream_blocks.items()):
             if open_block == block:
                 del self._stream_blocks[stream]
-
-    def seal_block(self, block: int) -> None:
-        """Mark an active block as fully written (no longer active)."""
-        self._active_blocks.pop(block, None)
 
     def release_block(self, block: int) -> None:
         """Return an erased block to the free pool (after GC erase)."""
         if not self._flash.block_is_free(block):
             raise ValueError(f"block {block} is not erased; cannot release")
         channel = self._geometry.block_to_channel(block)
-        self._active_blocks.pop(block, None)
         for stream, open_block in list(self._stream_blocks.items()):
             if open_block == block:  # pragma: no cover - defensive
                 del self._stream_blocks[stream]
@@ -205,8 +196,8 @@ class BlockAllocator:
     def rebuild_from_flash(self) -> None:
         """Re-derive every pool from durable flash state after a power loss.
 
-        The free pool, the active set and the open stream blocks are all
-        DRAM state; after a crash only the flash substrate is trustworthy.
+        The free pool and the open stream blocks are DRAM state; after a
+        crash only the flash substrate is trustworthy.
         Erased blocks (write pointer 0, no valid pages) return to the free
         pool in block order — the same deterministic insert history a fresh
         allocator would build.  Every programmed block, including a block a
@@ -217,7 +208,6 @@ class BlockAllocator:
         """
         for pool in self._free_blocks:
             pool.clear()
-        self._active_blocks.clear()
         self._stream_blocks.clear()
         self._next_channel = 0
         for block in range(self._geometry.total_blocks):

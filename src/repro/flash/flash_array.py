@@ -42,8 +42,7 @@ hence ``None``.  Only windows that reach into a neighbouring block — which
 can be erased and reprogrammed while this page lives — are captured, at
 most ``2 * gamma`` per block: each as the ``array('q')`` slice of the LPA
 array it covered at program time (``-1`` for a FREE page or one off the
-array).  The window a ``program_page`` call was given is stored the same
-way.  One accessor, :meth:`FlashArray.oob_window_of`, serves every page:
+array).  One accessor, :meth:`FlashArray.oob_window_of`, serves every page:
 the stored window, else the in-block slice of the LPA array cut at the
 page's run end; the read path's misprediction fix reads that window.
 
@@ -123,8 +122,7 @@ class FlashArray:
         self._state = bytearray(total_pages)  # all _FREE
         self._lpa = array("q", [_NO_LPA]) * total_pages
         #: Stored windows (``-1`` = ``None``): per page whose window reaches
-        #: a neighbouring block, that window as it was at program time, and
-        #: the window each ``program_page`` call was given.
+        #: a neighbouring block, that window as it was at program time.
         self._windows: Dict[int, array[int]] = {}
         #: Per page, the window gamma ``program_run`` wrote it with and the
         #: block offset that run ended at (read only while gamma > 0).
@@ -214,12 +212,12 @@ class FlashArray:
         """The reverse-mapping window in ``ppa``'s OOB (None if never written).
 
         Entry ``i`` is the LPA page ``ppa - gamma + i`` held, ``-1`` for
-        none.  A stored window (an edge page's or a ``program_page``
-        call's; see the module docstring) is returned as is and must not
-        be mutated.  Otherwise it is a slice of the LPA array, which like
-        the OOB survives invalidation and is cleared by erase: ``[lpa]`` at
-        gamma 0, else ``[ppa - gamma, ppa + gamma]`` cut at the page's run
-        end, past which every entry is ``None``.
+        none.  A stored window (an edge page's; see the module docstring)
+        is returned as is and must not be mutated.  Otherwise it is a slice
+        of the LPA array, which like the OOB survives invalidation and is
+        cleared by erase: ``[lpa]`` at gamma 0, else ``[ppa - gamma, ppa +
+        gamma]`` cut at the page's run end, past which every entry is
+        ``None``.
         """
         if not 0 <= ppa < self._total_pages:
             raise self._out_of_range("PPA", ppa, self._total_pages)
@@ -472,51 +470,14 @@ class FlashArray:
         self.counters.page_reads += reads
         return sensed, finished
 
-    def program_page(
-        self,
-        ppa: int,
-        lpa: int,
-        window: Sequence[int] = (),
-        now_us: float = 0.0,
-    ) -> float:
-        """Program a FREE page with the data of ``lpa``.
+    def program_page(self, ppa: int, lpa: int, now_us: float = 0.0) -> float:
+        """Program one FREE page with the data of ``lpa``: the one-page
+        :meth:`program_run` at gamma 0, so its OOB window is ``[lpa]``.
 
-        Its own reverse mapping is ``lpa``, and its OOB stores ``window``
-        as given, in the format :meth:`oob_window_of` returns: entry ``i``
-        the LPA of page ``ppa - gamma + i``, ``-1`` for none.  NAND
-        constraints enforced:
-
-        * the page must be FREE;
-        * pages within a block must be programmed in ascending order.
+        The device calls only ``program_run``; the frozen ledger wraps this
+        name (ROADMAP item 11c).
         """
-        if not 0 <= ppa < self._total_pages:
-            raise self._out_of_range("PPA", ppa, self._total_pages)
-        if self._state[ppa] != _FREE:
-            raise FlashError(
-                f"program of non-free page ppa={ppa} ({_CODE_TO_STATE[self._state[ppa]]})"
-            )
-        pages_per_block = self._pages_per_block
-        block = ppa // pages_per_block
-        offset = ppa - block * pages_per_block
-        if offset != self._write_pointer[block]:
-            raise FlashError(
-                f"out-of-order program in block {block}: offset {offset}, "
-                f"expected {self._write_pointer[block]}"
-            )
-
-        self._state[ppa] = _VALID
-        self._lpa[ppa] = lpa
-        self._windows[ppa] = array("q", window)
-        self._valid_pages[block] += 1
-        self._write_pointer[block] = offset + 1
-        self._op_clock += 1
-        self._last_modified_op[block] = self._op_clock
-        self.counters.page_writes += 1
-        # Programs proceed inside a die; the channel bus is only occupied for
-        # the data transfer share, so concurrent programs on other dies
-        # overlap.
-        occupancy = self._config.write_latency_us / self._dies_per_channel
-        return self._scheduler.reserve(ppa // self._pages_per_channel, now_us, occupancy)
+        return self.program_run(ppa, [lpa], [None], 0, {}, now_us)
 
     def program_run(
         self,
@@ -530,8 +491,8 @@ class FlashArray:
         """Program a run of consecutive FREE pages of one block in one call.
 
         Behaves exactly like the per-page sequence the write path used to
-        issue — for each run page, ``program_page`` with its OOB neighbour
-        window followed by ``invalidate_page`` of the LPA's old copy
+        issue — for each run page, a one-page program storing its OOB
+        neighbour window, then ``invalidate_page`` of the LPA's old copy
         (``old_ppas[i]``, ``None`` when the LPA had no live page) — with the
         op-clock interleave, the OOB contents and the scheduler's float
         timing chain preserved bit for bit.  A window holds, per PPA of

@@ -114,21 +114,23 @@ class TestTieBreakOrder:
                 flash.program_page(ppa, lpa=0)
                 flash.invalidate_page(ppa)
                 flash.erase_block(block)
-        assert allocator.allocate_block(channel=channel) == preferred
+        # The hot stream's first block comes from channel 0.
+        assert allocator.frontier("hot")[0] == preferred
 
     def test_release_order_does_not_leak_into_selection(self):
         # Two blocks of equal wear released in opposite orders must still be
-        # handed out by block id, not by insertion (release) order.
+        # handed out by block id, not by insertion (release) order.  On an
+        # idle array the cold stream picks channel 0 every time.
         config = SSDConfig.tiny()
         for release_order in (False, True):
             flash = FlashArray(config)
             allocator = BlockAllocator(flash)
-            a = allocator.allocate_block(channel=0)
-            b = allocator.allocate_block(channel=0)
+            a = allocator.allocate_block(stream="cold")
+            b = allocator.allocate_block(stream="cold")
+            assert flash.geometry.block_to_channel(a) == flash.geometry.block_to_channel(b) == 0
             for block in (a, b) if release_order else (b, a):
-                allocator.seal_block(block)
                 allocator.release_block(block)
-            assert allocator.allocate_block(channel=0) == min(a, b)
+            assert allocator.allocate_block(stream="cold") == min(a, b)
 
 
 class TestGCHeavyPins:

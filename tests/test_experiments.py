@@ -151,7 +151,7 @@ class TestSettableSurface:
 
         reads = [
             read
-            for read in census(surfaces())[1]
+            for read in census(surfaces())[1]["lib"]
             if re.match(r"src/|benchmarks/[^/]+\.py:", read)
         ]
         assert len(reads) == 1 and "REPRO_BENCH_SCALE" in reads[0], reads

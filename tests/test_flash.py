@@ -82,11 +82,6 @@ class TestFlashArray:
         with pytest.raises(FlashError):
             flash.invalidate_page(0)
 
-    def test_oob_round_trip(self, flash):
-        flash.program_page(0, lpa=5, window=[-1, 5, 6])
-        assert flash.lpa_of(0) == 5
-        assert flash.oob_window_of(0) == array("q", [-1, 5, 6])
-
     def test_channel_occupancy_serializes_reads(self, flash):
         flash.program_page(0, lpa=0)
         first = flash.read_page(0, now_us=0.0)
@@ -225,11 +220,12 @@ class TestAllocator:
 
     def test_gc_candidates_exclude_active_and_free(self, flash):
         allocator = BlockAllocator(flash)
-        block = allocator.allocate_block()
-        first_ppa = flash.geometry.first_ppa_of_block(block)
+        block, first_ppa, room = allocator.frontier("hot")
         flash.program_page(first_ppa, lpa=0)
-        assert block not in allocator.gc_candidates()  # still active
-        allocator.seal_block(block)
+        assert block not in allocator.gc_candidates()  # still the open block
+        flash.program_run(first_ppa + 1, list(range(1, room)), [None] * (room - 1), 0, {})
+        allocator.seal_if_full(block)
+        assert not allocator.is_active(block)
         assert block in allocator.gc_candidates()
 
     def test_release_requires_erased_block(self, flash):
@@ -237,7 +233,6 @@ class TestAllocator:
         block = allocator.allocate_block()
         first_ppa = flash.geometry.first_ppa_of_block(block)
         flash.program_page(first_ppa, lpa=0)
-        allocator.seal_block(block)
         with pytest.raises(ValueError):
             allocator.release_block(block)
 
@@ -419,7 +414,8 @@ def test_oob_view_equals_the_eager_snapshot(gamma, data):
 
     Steps are ``program_run`` (any length the block still has room for,
     invalidating the LPAs' old copies), ``invalidate_page``, drain-and-erase
-    of a block (often the neighbour of an edge page) and ``program_page``.
+    of a block (often the neighbour of an edge page) and ``program_page`` (a
+    one-page run at gamma 0).
     The model stores each page's OOB at program time, as the device did
     before windows became a view of the page array.
     """
@@ -450,7 +446,7 @@ def test_oob_view_equals_the_eager_snapshot(gamma, data):
             else:
                 lpas = [data.draw(lpa_values, label="lpa")]
                 old_ppas = [live.get(lpas[0])]
-                model[first] = []
+                model[first] = [lpas[0]]
                 flash.program_page(first, lpas[0])
                 if old_ppas[0] is not None:
                     flash.invalidate_page(old_ppas[0])

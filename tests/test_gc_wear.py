@@ -45,14 +45,17 @@ def flash():
 
 
 def _sealed_block(flash, allocator, valid, invalid=0, lpa_base=0):
-    """Program a block with ``valid + invalid`` pages, invalidate ``invalid``."""
+    """Program a block with ``valid + invalid`` pages, invalidate ``invalid``.
+
+    The block comes from the free pool but no stream holds it open, so it
+    is a GC candidate however few pages it holds.
+    """
     block = allocator.allocate_block()
     base = flash.geometry.first_ppa_of_block(block)
-    for offset in range(valid + invalid):
-        flash.program_page(base + offset, lpa=lpa_base + offset)
+    count = valid + invalid
+    flash.program_run(base, list(range(lpa_base, lpa_base + count)), [None] * count, 0, {})
     for offset in range(invalid):
         flash.invalidate_page(base + offset)
-    allocator.seal_block(block)
     return block
 
 
@@ -164,8 +167,7 @@ class TestStreamSeparation:
     def test_frontier_continues_partial_block(self, flash):
         allocator = BlockAllocator(flash)
         block, first_ppa, _ = allocator.frontier("hot")
-        for offset in range(3):
-            flash.program_page(first_ppa + offset, lpa=offset)
+        flash.program_run(first_ppa, [0, 1, 2], [None] * 3, 0, {})
         again, next_ppa, room = allocator.frontier("hot")
         assert again == block
         assert next_ppa == first_ppa + 3
@@ -178,8 +180,7 @@ class TestStreamSeparation:
         allocator = BlockAllocator(flash)
         pages = flash.geometry.pages_per_block
         block, first_ppa, room = allocator.frontier("cold")
-        for offset in range(pages):
-            flash.program_page(first_ppa + offset, lpa=offset)
+        flash.program_run(first_ppa, list(range(pages)), [None] * pages, 0, {})
         allocator.seal_if_full(block)
         assert not allocator.is_active(block)
         replacement, _, _ = allocator.frontier("cold")

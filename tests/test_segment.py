@@ -96,11 +96,10 @@ class TestSegmentPrediction:
         assert a.overlaps(b) and b.overlaps(a)
         assert not a.overlaps(c)
 
-    def test_removable_marking(self):
-        segment = Segment.single_point(0, 5, 9)
-        segment.mark_removable()
-        assert segment.is_removable
-        assert not segment.covers(5)
+    def test_negative_length_rejected(self):
+        """A merge removes the segment it empties, so ``L = -1`` never exists."""
+        with pytest.raises(ValueError, match="length -1"):
+            Segment(group_base=0, start_lpa=5, length=-1, slope=0.0, intercept=9.0, accurate=True)
 
 
 class TestSegmentEncoding:
@@ -128,12 +127,6 @@ class TestSegmentEncoding:
         segment = Segment.single_point(group_base=0, lpa=17, ppa=999)
         decoded = Segment.from_bytes(segment.to_bytes(), group_base=0)
         assert decoded.predict(17) == 999
-
-    def test_removable_segment_cannot_be_encoded(self):
-        segment = Segment.single_point(0, 1, 2)
-        segment.mark_removable()
-        with pytest.raises(ValueError):
-            segment.to_bytes()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):

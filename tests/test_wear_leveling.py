@@ -14,6 +14,8 @@ recorder so each test sees exactly which block a pass would migrate.
 
 from __future__ import annotations
 
+from typing import List
+
 import pytest
 
 from repro.flash.flash_array import FlashArray
@@ -61,13 +63,19 @@ def churn_block(flash: FlashArray, block: int, erases: int) -> None:
         flash.erase_block(block, now_us=0.0)
 
 
-def sealed_blocks(ssd, count: int) -> None:
-    """Allocate, fill and seal blocks ``0 .. count - 1`` (cold candidates)."""
+def sealed_block(ssd, base_lpa: int, erases: int = 0) -> int:
+    """Open a host-stream block, churn it ``erases`` times, fill and seal it."""
     flash, allocator = ssd.flash, ssd.allocator
-    for block in range(count):
-        allocator.allocate_block(channel=flash.geometry.block_to_channel(block))
-        fill_block(flash, block, base_lpa=block * 1000)
-        allocator.seal_block(block)
+    block, _, _ = allocator.frontier("hot")
+    churn_block(flash, block, erases)
+    fill_block(flash, block, base_lpa)
+    allocator.seal_if_full(block)
+    return block
+
+
+def sealed_blocks(ssd, count: int) -> List[int]:
+    """Fill and seal ``count`` host-stream blocks (cold candidates)."""
+    return [sealed_block(ssd, index * 1000) for index in range(count)]
 
 
 #: A block neither allocated nor filled: churning it skews wear only.
@@ -83,17 +91,17 @@ class TestDueThrottle:
         assert passes == []
 
     def test_due_after_interval(self, ssd):
-        sealed_blocks(ssd, 1)
+        (cold,) = sealed_blocks(ssd, 1)
         passes = record_passes(ssd)
         churn_block(ssd.flash, WORN, erases=4)
         ssd.gc.after_flush(0.0)
-        assert passes == [[0]]
+        assert passes == [[cold]]
 
     def test_balanced_check_keeps_the_window_open(self, ssd):
         """A check that finds wear balanced must not consume the window:
         two more erases (six since the start, two since the balanced check)
         are enough for the next check to run a pass."""
-        sealed_blocks(ssd, 1)
+        (cold,) = sealed_blocks(ssd, 1)
         passes = record_passes(ssd)
         for block in range(WORN, WORN + 4):
             churn_block(ssd.flash, block, erases=1)
@@ -102,18 +110,18 @@ class TestDueThrottle:
         assert passes == []  # four erases, spread 1: balanced
         churn_block(ssd.flash, WORN, erases=2)
         ssd.gc.after_flush(0.0)
-        assert passes == [[0]]
+        assert passes == [[cold]]
 
     def test_pass_restarts_window(self, ssd):
-        sealed_blocks(ssd, 1)
+        (cold,) = sealed_blocks(ssd, 1)
         passes = record_passes(ssd)
         churn_block(ssd.flash, WORN, erases=4)
         ssd.gc.after_flush(0.0)
         ssd.gc.after_flush(0.0)  # still imbalanced, but the window restarted
-        assert passes == [[0]]
+        assert passes == [[cold]]
         churn_block(ssd.flash, WORN + 1, erases=4)
         ssd.gc.after_flush(0.0)
-        assert passes == [[0], [0]]
+        assert passes == [[cold], [cold]]
 
 
 class TestImbalance:
@@ -126,41 +134,37 @@ class TestImbalance:
 
     def test_spread_over_threshold_triggers(self, ssd, monkeypatch):
         monkeypatch.setattr(gc, "WEAR_CHECK_ERASES", 1)
-        sealed_blocks(ssd, 1)
+        (cold,) = sealed_blocks(ssd, 1)
         passes = record_passes(ssd)
         churn_block(ssd.flash, WORN, erases=2)
         ssd.gc.after_flush(0.0)
         assert passes == []  # spread == threshold: not yet
         churn_block(ssd.flash, WORN, erases=1)
         ssd.gc.after_flush(0.0)
-        assert passes == [[0]]
+        assert passes == [[cold]]
 
 
 class TestColdBlockSelection:
     def test_prefers_least_erased_then_most_valid(self, ssd):
-        flash, allocator = ssd.flash, ssd.allocator
-        # Three sealed blocks with valid data; block 0 is the most worn.
-        for block in range(3):
-            allocator.allocate_block(channel=flash.geometry.block_to_channel(block))
-        churn_block(flash, 0, erases=5)
-        for block in range(3):
-            fill_block(flash, block, base_lpa=block * 1000)
-            allocator.seal_block(block)
-        # Drain one page from block 1: equal wear to block 2, fewer valid.
-        flash.invalidate_page(block_first_ppa(flash, 1))
+        # Three sealed blocks with valid data; the first is the most worn.
+        worn = sealed_block(ssd, 0, erases=5)
+        drained, full = sealed_block(ssd, 1000), sealed_block(ssd, 2000)
+        assert worn not in (drained, full)
+        # Drain one page: equal wear to ``full``, fewer valid pages.
+        ssd.flash.invalidate_page(block_first_ppa(ssd.flash, drained))
         passes = record_passes(ssd)
         ssd.gc.after_flush(0.0)
-        assert passes == [[2]]
+        assert passes == [[full]]
 
     def test_skips_blocks_without_valid_data(self, ssd):
         flash = ssd.flash
-        sealed_blocks(ssd, 2)
-        for ppa in flash.programmed_ppas_of_block(0):
+        empty, cold = sealed_blocks(ssd, 2)
+        for ppa in flash.programmed_ppas_of_block(empty):
             flash.invalidate_page(ppa)
         passes = record_passes(ssd)
         churn_block(flash, WORN, erases=4)
         ssd.gc.after_flush(0.0)
-        assert passes == [[1]]
+        assert passes == [[cold]]
 
 
 def block_first_ppa(flash: FlashArray, block: int) -> int:

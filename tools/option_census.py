@@ -4,7 +4,8 @@ For every config / scenario dataclass under ``src/`` and every entry point in ``
 default and the distinct values callers pass, by who calls — ``lib`` (``src``, ``benchmarks``, ``tools``),
 ``examples``, ``tests`` (``tests/`` and any ``test_*.py``).  ``~`` marks a value arriving through a
 forwarder (``replace()``, ``dict()``, ``*_setup()``, an ``axis_grid`` axis), attributed to
-every surface that has all the fields the call names.  Then every ``os.environ`` read.  A field whose
+every surface that has all the fields the call names.  Then every ``os.environ`` read: the total counts the
+``lib`` ones, and the examples' and tests' reads are printed on a line of their own.  A field whose
 ``lib`` column (plus the default, if a ``lib`` caller relies on it) shows one value is a constant.
 """
 
@@ -50,9 +51,9 @@ def surfaces():
 
 
 def census(found):
-    """(surface -> field -> scope -> {value source}, [environment reads])."""
+    """(surface -> field -> scope -> {value source}, scope -> [environment reads])."""
     uses = defaultdict(lambda: defaultdict(lambda: defaultdict(set)))
-    environ = []
+    environ = defaultdict(list)
     for directory, scope in SCOPE_OF_DIR.items():
         for path, tree in parsed(directory):
             where = "tests" if path.name.startswith("test_") else scope
@@ -60,7 +61,7 @@ def census(found):
                 if isinstance(node, (ast.Call, ast.Subscript)):
                     target = ast.unparse(node.func if isinstance(node, ast.Call) else node.value)
                     if target in ("os.environ", "os.environ.get", "os.getenv"):
-                        environ.append(f"{path}:{node.lineno}: {ast.unparse(node)}")
+                        environ[where].append(f"{path}:{node.lineno}: {ast.unparse(node)}")
                 if not isinstance(node, ast.Call):
                     continue
                 name = getattr(node.func, "id", getattr(node.func, "attr", ""))
@@ -88,5 +89,8 @@ if __name__ == "__main__":
         for field, default in found.get(surface, {}).items():
             columns = (f"{scope}: {', '.join(sorted(v))}" for scope, v in sorted(uses[surface][field].items()))
             print(f"  {field} = {default} | {' | '.join(columns) or 'set by nobody'}")
-    print(f"os.environ reads: {len(environ)}", *environ, sep="\n  ")
-    print(f"total settable: {sum(len(found.get(s, {})) for s in chosen) + len(environ)} ({' + '.join(chosen)} + environ)")
+    lib_reads = environ.pop("lib", [])
+    print(f"os.environ reads: {len(lib_reads)}", *lib_reads, sep="\n  ")
+    other_reads = [read for scope in sorted(environ) for read in environ[scope]]
+    print(f"os.environ reads in examples / tests (not in the total): {len(other_reads)}", *other_reads, sep="\n  ")
+    print(f"total settable: {sum(len(found.get(s, {})) for s in chosen) + len(lib_reads)} ({' + '.join(chosen)} + environ)")

@@ -168,7 +168,7 @@ class _SetSymbols(ast.NodeVisitor):
     """Collects symbols known (heuristically) to hold sets.
 
     Tracked symbols are simple names (``free``) and self-attributes
-    (``self._active_blocks``), keyed per enclosing function so locals of
+    (``self._free_blocks``), keyed per enclosing function so locals of
     different functions do not alias.  Sources of set-ness:
 
     * assignment from a set literal / comprehension / ``set()`` /
