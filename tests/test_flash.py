@@ -82,6 +82,15 @@ class TestFlashArray:
         with pytest.raises(FlashError):
             flash.invalidate_page(0)
 
+    def test_oob_round_trip(self, flash):
+        flash.program_page(0, lpa=4)
+        assert flash.lpa_of(0) == 4
+        assert flash.oob_window_of(0) == array("q", [4])
+        flash.program_run(1, [5, 6, 7], [None] * 3, 1, {})
+        assert flash.lpa_of(1) == 5
+        assert flash.oob_window_of(1) == array("q", [4, 5, 6])
+        assert flash.oob_window_of(3) == array("q", [6, 7])  # cut at the run end
+
     def test_channel_occupancy_serializes_reads(self, flash):
         flash.program_page(0, lpa=0)
         first = flash.read_page(0, now_us=0.0)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.group import LPAGroup
+from repro.core.plr import LearnedSegment
 from repro.core.segment import (
     GROUP_SIZE,
     SEGMENT_BYTES,
@@ -95,6 +97,18 @@ class TestSegmentPrediction:
         assert a.covers(10) and a.covers(30) and not a.covers(31)
         assert a.overlaps(b) and b.overlaps(a)
         assert not a.overlaps(c)
+
+    def test_removable_marking(self):
+        """A segment a merge empties (Algorithm 2's ``L = -1``) leaves the table."""
+        group = LPAGroup(group_base=0)
+        buried = Segment.single_point(0, 5, 9)
+        group.update(LearnedSegment(buried, [5]), relearn=False)
+        newer = Segment.single_point(0, 5, 20)
+        group.update(LearnedSegment(newer, [5]), relearn=False)
+        assert group.segments() == [newer]
+        assert buried.length == 0 and buried.covers(5)
+        assert group.lookup(5).ppa == 20
+        group.validate()
 
     def test_negative_length_rejected(self):
         """A merge removes the segment it empties, so ``L = -1`` never exists."""
